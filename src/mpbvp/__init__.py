@@ -60,7 +60,6 @@ from .linode import (
     forced_trajectory,
     fundamental_matrix,
     inverse_fundamental,
-    variation_of_constants,
 )
 from .problemfile import (
     ProblemFormatError,
@@ -127,7 +126,6 @@ __all__ = [
     "forced_trajectory",
     "fundamental_matrix",
     "inverse_fundamental",
-    "variation_of_constants",
     "ProblemFormatError",
     "emit_problem",
     "parse_problem",

@@ -27,7 +27,13 @@ from .boundary import (
     norm_lower_bound,
     norm_upper_bound,
 )
-from .bvp import BvpProblem, NotUniquelySolvableError, companion_reduce, solve
+from .bvp import (
+    BvpProblem,
+    NotUniquelySolvableError,
+    _check_solvable,
+    companion_reduce,
+    solve,
+)
 from .funcspace import (
     Grid,
     PiecewisePoly,
@@ -183,11 +189,7 @@ def remark3_constants(problem: BvpProblem, sigma_probe_ks=None) -> ErrorConstant
     grid = problem.grid
     V = fundamental_matrix(P, grid)
     W = inverse_fundamental(P, grid)
-    char = T.apply_trajectory(grid, V.values)
-    det = complex(np.linalg.det(char))
-    if det == 0:
-        raise NotUniquelySolvableError("characteristic matrix is singular", det=det)
-    inverse = np.linalg.inv(char)
+    _, _, inverse = _check_solvable(T.apply_trajectory(V.values))
     v_c = traj_norm_c(V.values)
     w_c = traj_norm_c(W.values)
     c1 = 1.0 + v_c * mat_norm(inverse)
@@ -208,17 +210,14 @@ def _solve_row(problem: BvpProblem, k: int, reference, f=None, q=None) -> SweepR
                    sigma_hat=norm_upper_bound(approx_problem.operator)
                    if isinstance(approx_problem.operator, MultipointBoundaryOperator)
                    else float("nan"))
-    P_k, _, T_k, _ = companion_reduce(approx_problem)
-    V_k = fundamental_matrix(P_k, problem.grid)
-    char = T_k.apply_trajectory(problem.grid, V_k.values)
-    row.det_abs = abs(complex(np.linalg.det(char)))
     try:
         sol = solve(approx_problem)
     except NotUniquelySolvableError as exc:
         row.det_abs = abs(exc.det)
         return row
     row.solvable = True
-    row.c1_factor = traj_norm_c(V_k.values) * mat_norm(np.linalg.inv(char))
+    row.det_abs = abs(sol.det)
+    row.c1_factor = sol.matrizant_norm_c * mat_norm(np.linalg.inv(sol.char_matrix))
     diff = sol.jet - reference.jet
     row.err_w1r = norm_w1r(diff)
     row.err_cr1 = norm_cl(diff, problem.r - 1)

@@ -1,4 +1,4 @@
-"""Boundary operators: measure representation, multipoint form, lifting.
+"""Boundary operators: measure representation, multipoint form, compilation.
 
 A general operator sends an order-(r-1) jet y to
 
@@ -9,6 +9,8 @@ the integral term is present.  A multipoint operator is a finite sum of
 matrix weights against jet values at nodes.  ``multipointify`` turns the
 former into the latter by discretizing every density of Phi on k equal
 subintervals, which converges weak-* but never in total variation.
+``lift`` compiles either kind once per grid to one weight array on the
+stacked jet; every application of an operator is a contraction with it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import Grid, SampledJet, mat_norm, norm_cl, sample_cubic, vec_norm
+from .funcspace import Grid, SampledJet, _cubic_stencil, mat_norm, norm_cl, vec_norm
 from .stieltjes import MatrixMeasure
 
 __all__ = [
@@ -26,8 +28,6 @@ __all__ = [
     "MultipointBoundaryOperator",
     "BoundaryTerm",
     "LiftedOperator",
-    "apply_general",
-    "apply_multipoint",
     "apply_operator",
     "multipointify",
     "lift",
@@ -134,42 +134,13 @@ class MultipointBoundaryOperator:
         return self.r * self.m
 
 
-def apply_general(op: GeneralBoundaryOperator, jet: SampledJet,
-                  corrected: bool = True) -> np.ndarray:
-    """Evaluate a general operator on a jet of order >= r - 1.
-
-    Density integrals use the endpoint-corrected trapezoid rule by default;
-    pass ``corrected=False`` for the plain rule.
-    """
+def apply_operator(op, jet: SampledJet) -> np.ndarray:
+    """Evaluate a boundary operator on a jet of order >= r - 1."""
     if jet.m != op.m:
         raise ValueError(f"jet has {jet.m} components, operator expects {op.m}")
     if jet.r < op.r - 1:
         raise ValueError(f"operator needs jet order >= {op.r - 1}, got {jet.r}")
-    out = np.zeros(op.rows, dtype=complex)
-    for l, alpha in enumerate(op.alphas):
-        out += alpha @ jet.samples[l][0]
-    out += op.phi.apply(jet.grid, jet.samples[op.r - 1], corrected=corrected)
-    return out
-
-
-def apply_multipoint(op: MultipointBoundaryOperator, jet: SampledJet) -> np.ndarray:
-    """Evaluate a multipoint operator on a jet of order >= r - 1."""
-    if jet.m != op.m:
-        raise ValueError(f"jet has {jet.m} components, operator expects {op.m}")
-    if jet.r < op.r - 1:
-        raise ValueError(f"operator needs jet order >= {op.r - 1}, got {jet.r}")
-    out = np.zeros(op.rows, dtype=complex)
-    for term in op.terms:
-        out += term.beta @ jet.value(term.node, term.order)
-    return out
-
-
-def apply_operator(op, jet: SampledJet, corrected: bool = True) -> np.ndarray:
-    if isinstance(op, GeneralBoundaryOperator):
-        return apply_general(op, jet, corrected=corrected)
-    if isinstance(op, MultipointBoundaryOperator):
-        return apply_multipoint(op, jet)
-    raise TypeError(f"not a boundary operator: {type(op).__name__}")
+    return lift(op, jet.grid).apply_values(np.hstack(jet.samples[:op.r]))
 
 
 def multipointify(op: GeneralBoundaryOperator, k: int) -> MultipointBoundaryOperator:
@@ -207,68 +178,59 @@ def multipointify(op: GeneralBoundaryOperator, k: int) -> MultipointBoundaryOper
 
 
 class LiftedOperator:
-    """A boundary operator acting on rm-dimensional first-order data.
+    """A boundary operator compiled to one linear functional on a grid.
 
-    Point terms read block ``block`` (an m-slice) of the stacked vector at a
-    node; the optional matrix measure acts on the top-order block r-1.  By
-    construction lift(B) applied to col(y, y', ..., y^(r-1)) reproduces B y.
+    ``weights[i, s, c]`` weighs entry c of the stacked rm-vector
+    col(y, y', ..., y^(r-1)) at node s in row i.  Point terms carry the
+    4-point cubic stencil of their node, measure atoms the linear stencil
+    of their location, and densities trapezoid weights with the
+    Euler-Maclaurin end correction.  ``point_terms`` lists the
+    (node, block, beta) terms compiled in.
     """
 
-    __slots__ = ("r", "m", "a", "b", "point_terms", "phi")
+    __slots__ = ("point_terms", "weights")
 
-    def __init__(self, r: int, m: int, a: float, b: float, point_terms,
-                 phi: MatrixMeasure | None):
-        self.r = r
-        self.m = m
-        self.a = float(a)
-        self.b = float(b)
+    def __init__(self, point_terms, weights: np.ndarray):
         self.point_terms = tuple(point_terms)
-        self.phi = phi
+        self.weights = weights
 
-    @property
-    def d(self) -> int:
-        return self.r * self.m
-
-    def apply_values(self, grid: Grid, values: np.ndarray,
-                     corrected: bool = True) -> np.ndarray:
+    def apply_values(self, values) -> np.ndarray:
         """Apply to node samples of an rm-vector function, shaped (n+1, rm)."""
         v = np.asarray(values, dtype=complex)
-        if v.shape != (grid.n + 1, self.d):
-            raise ValueError(f"expected samples shaped {(grid.n + 1, self.d)}")
-        m = self.m
-        out = np.zeros(self.d, dtype=complex)
-        for node, block, beta in self.point_terms:
-            out += beta @ sample_cubic(grid, v[:, block * m:(block + 1) * m], node)
-        if self.phi is not None:
-            out += self.phi.apply(grid, v[:, (self.r - 1) * m:], corrected=corrected)
-        return out
+        if v.shape != self.weights.shape[1:]:
+            raise ValueError(f"expected samples shaped {self.weights.shape[1:]}")
+        return np.einsum("isc,sc->i", self.weights, v)
 
-    def apply_trajectory(self, grid: Grid, values: np.ndarray,
-                         corrected: bool = True) -> np.ndarray:
+    def apply_trajectory(self, values) -> np.ndarray:
         """Apply columnwise to a matrix trajectory shaped (n+1, rm, rm)."""
         v = np.asarray(values, dtype=complex)
-        d = self.d
-        if v.shape != (grid.n + 1, d, d):
-            raise ValueError(f"expected a trajectory shaped {(grid.n + 1, d, d)}")
-        out = np.empty((d, d), dtype=complex)
-        for j in range(d):
-            out[:, j] = self.apply_values(grid, v[:, :, j], corrected=corrected)
-        return out
+        shape = self.weights.shape[1:] + self.weights.shape[:1]
+        if v.shape != shape:
+            raise ValueError(f"expected a trajectory shaped {shape}")
+        return np.einsum("isc,scj->ij", self.weights, v)
 
 
-def lift(op) -> LiftedOperator:
-    """Lift a boundary operator to the companion first-order system.
+def lift(op, grid: Grid) -> LiftedOperator:
+    """Compile a boundary operator to its weight array on the grid.
 
     Derivative orders become block indices of the stacked vector, so the
-    lifted operator applied to col(y, ..., y^(r-1)) equals B y exactly.
+    compiled functional applied to col(y, ..., y^(r-1)) equals B y.
     """
     if isinstance(op, GeneralBoundaryOperator):
         point_terms = [(op.a, l, alpha) for l, alpha in enumerate(op.alphas)]
-        return LiftedOperator(op.r, op.m, op.a, op.b, point_terms, op.phi)
-    if isinstance(op, MultipointBoundaryOperator):
+    elif isinstance(op, MultipointBoundaryOperator):
         point_terms = [(t.node, t.order, t.beta) for t in op.terms]
-        return LiftedOperator(op.r, op.m, op.a, op.b, point_terms, None)
-    raise TypeError(f"not a boundary operator: {type(op).__name__}")
+    else:
+        raise TypeError(f"not a boundary operator: {type(op).__name__}")
+    m, d = op.m, op.rows
+    weights = np.zeros((d, grid.n + 1, d), dtype=complex)
+    for node, block, beta in point_terms:
+        base, w = _cubic_stencil(grid, node)
+        weights[:, base:base + w.size, block * m:(block + 1) * m] += (
+            w[None, :, None] * beta[:, None, :])
+    if isinstance(op, GeneralBoundaryOperator):
+        weights[:, :, (op.r - 1) * m:] += op.phi.weights(grid)
+    return LiftedOperator(point_terms, weights)
 
 
 def norm_upper_bound(op: MultipointBoundaryOperator) -> float:

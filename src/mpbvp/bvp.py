@@ -31,6 +31,7 @@ from .funcspace import (
     SampledJet,
     mat_norm,
     norm_l1,
+    traj_norm_c,
     vec_norm,
 )
 from .linode import forced_trajectory, fundamental_matrix
@@ -117,13 +118,19 @@ class BvpProblem:
 
 @dataclass
 class BvpSolution:
-    """Solution jet plus solver diagnostics."""
+    """Solution jet plus solver diagnostics.
+
+    ``matrizant_norm_c`` is the C-norm |V|_C of the matrizant, and
+    ``consistency_defect`` the largest finite-difference mismatch between
+    neighbouring jet channels.
+    """
 
     jet: SampledJet
     char_matrix: np.ndarray
     det: complex
     cond: float
-    ode_residual: float = field(default=float("nan"))
+    matrizant_norm_c: float = field(default=float("nan"))
+    consistency_defect: float = field(default=float("nan"))
     boundary_residual: float = field(default=float("nan"))
 
 
@@ -132,12 +139,13 @@ def companion_reduce(problem: BvpProblem):
 
     P carries -I blocks on the superdiagonal and the coefficient row
     (A_0 ... A_{r-1}) at the bottom; g stacks r-1 zero blocks over f; T is
-    the lifted boundary operator.  For r = 1 this is (A_0, f, lift(B), q).
+    the boundary operator compiled on the problem grid.  For r = 1 this is
+    (A_0, f, lift(B, grid), q).
     """
     r, m = problem.r, problem.m
     a, b = problem.a, problem.b
     if r == 1:
-        return problem.coeffs[0], problem.f, lift(problem.operator), problem.q
+        return problem.coeffs[0], problem.f, lift(problem.operator, problem.grid), problem.q
     zero = PiecewisePoly.zero(a, b)
     minus_one = PiecewisePoly.constant(-1.0, a, b)
     d = r * m
@@ -152,7 +160,7 @@ def companion_reduce(problem: BvpProblem):
                 entries[(r - 1) * m + i][block * m + j] = A.entries[i][j]
     P = PolyMatrix(entries)
     g = PolyVector([zero] * ((r - 1) * m) + list(problem.f.components))
-    return P, g, lift(problem.operator), problem.q
+    return P, g, lift(problem.operator, problem.grid), problem.q
 
 
 def _check_solvable(char: np.ndarray) -> tuple[complex, float, np.ndarray]:
@@ -179,22 +187,21 @@ def _check_solvable(char: np.ndarray) -> tuple[complex, float, np.ndarray]:
     return det, cond, inverse
 
 
-def solve(problem: BvpProblem, corrected: bool = True) -> BvpSolution:
+def solve(problem: BvpProblem) -> BvpSolution:
     """Solve the boundary-value problem on its grid.
 
     Raises NotUniquelySolvableError when the characteristic matrix fails the
-    determinant or condition test.  ``corrected`` selects endpoint-corrected
-    trapezoid quadrature inside the boundary-operator applications.
+    determinant or condition test.
     """
     P, g, T, q = companion_reduce(problem)
     grid = problem.grid
     r, m = problem.r, problem.m
     V = fundamental_matrix(P, grid)
-    char = T.apply_trajectory(grid, V.values, corrected=corrected)
+    char = T.apply_trajectory(V.values)
     det, cond, inverse = _check_solvable(char)
 
     R = forced_trajectory(P, g, grid)
-    coef = inverse @ (q - T.apply_values(grid, R, corrected=corrected))
+    coef = inverse @ (q - T.apply_values(R))
     u = np.einsum("nij,j->ni", V.values, coef) + R
 
     samples = [u[:, l * m:(l + 1) * m] for l in range(r)]
@@ -206,11 +213,12 @@ def solve(problem: BvpProblem, corrected: bool = True) -> BvpSolution:
     samples.append(top)
 
     jet = SampledJet(grid, m, r, samples)
-    solution = BvpSolution(jet=jet, char_matrix=char, det=det, cond=cond)
+    solution = BvpSolution(jet=jet, char_matrix=char, det=det, cond=cond,
+                           matrizant_norm_c=traj_norm_c(V.values))
     # The top jet channel satisfies the differential identity by construction,
     # so the meaningful self-check is the finite-difference consistency of the
     # derivative channels plus the boundary defect.
-    solution.ode_residual = jet.consistency_defect()
+    solution.consistency_defect = jet.consistency_defect()
     solution.boundary_residual = residuals(problem, solution)[1]
     return solution
 

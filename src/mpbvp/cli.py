@@ -160,7 +160,7 @@ def _cmd_solve(args) -> int:
     solution = solve(problem)
     print(
         f"det = {abs(solution.det):.6e}, cond = {solution.cond:.6e}, "
-        f"ode consistency = {solution.ode_residual:.6e}, "
+        f"consistency defect = {solution.consistency_defect:.6e}, "
         f"boundary residual = {solution.boundary_residual:.6e}",
         file=sys.stderr,
     )
@@ -233,8 +233,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--grid-n", type=int, default=None, help="override grid resolution")
         p.add_argument("--out", default=None, metavar="DIR",
                        help="write artifacts into DIR instead of stdout")
-        p.add_argument("--format", choices=("csv",), default="csv",
-                       help="artifact format (csv)")
         p.set_defaults(func=func)
         return p
 

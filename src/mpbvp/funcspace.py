@@ -81,23 +81,22 @@ def _fractional_index(grid: Grid, t: float) -> float:
     return min(max(s, 0.0), float(grid.n))
 
 
-def sample_linear(grid: Grid, values: np.ndarray, t: float):
-    """Linear interpolation of node samples at a scalar t (clamped to [a, b])."""
+def _linear_stencil(grid: Grid, t: float):
+    """(first node index, weights) of linear interpolation at t (clamped to [a, b])."""
     s = _fractional_index(grid, t)
     i = min(int(s), grid.n - 1)
     w = s - i
-    return (1.0 - w) * values[i] + w * values[i + 1]
+    return i, np.array([1.0 - w, w])
 
 
-def sample_cubic(grid: Grid, values: np.ndarray, t: float):
-    """4-point Lagrange interpolation of node samples at a scalar t.
+def _cubic_stencil(grid: Grid, t: float):
+    """(first node index, weights) of 4-point Lagrange interpolation at t.
 
-    Falls back to linear interpolation on grids with fewer than 4 cells.
-    The first axis of ``values`` must run over the grid nodes.
+    Falls back to the linear stencil on grids with fewer than 4 cells.
     """
     n = grid.n
     if n < 4:
-        return sample_linear(grid, values, t)
+        return _linear_stencil(grid, t)
     s = _fractional_index(grid, t)
     i = min(int(s), n - 1)
     base = min(max(i - 1, 0), n - 3)
@@ -109,7 +108,23 @@ def sample_cubic(grid: Grid, values: np.ndarray, t: float):
             if k != j:
                 num *= (x - k) / (j - k)
         w[j] = num
-    return np.tensordot(w, values[base:base + 4], axes=(0, 0))
+    return base, w
+
+
+def sample_linear(grid: Grid, values: np.ndarray, t: float):
+    """Linear interpolation of node samples at a scalar t (clamped to [a, b])."""
+    base, w = _linear_stencil(grid, t)
+    return np.tensordot(w, values[base:base + 2], axes=(0, 0))
+
+
+def sample_cubic(grid: Grid, values: np.ndarray, t: float):
+    """4-point Lagrange interpolation of node samples at a scalar t.
+
+    Falls back to linear interpolation on grids with fewer than 4 cells.
+    The first axis of ``values`` must run over the grid nodes.
+    """
+    base, w = _cubic_stencil(grid, t)
+    return np.tensordot(w, values[base:base + w.size], axes=(0, 0))
 
 
 class PiecewisePoly:
@@ -499,14 +514,6 @@ class PolyMatrix:
         for j in range(q):
             best = max(best, sum(self.entries[i][j].abs_integral() for i in range(p)))
         return best
-
-    def interval_mean(self, c: float, d: float) -> np.ndarray:
-        p, q = self.shape
-        out = np.empty((p, q), dtype=complex)
-        for i in range(p):
-            for j in range(q):
-                out[i, j] = self.entries[i][j].mean(c, d)
-        return out
 
     def snapped(self, grid: Grid) -> "PolyMatrix":
         return PolyMatrix([[e.snapped(grid) for e in row] for row in self.entries])

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import Grid, PolyMatrix, PolyVector, SampledJet, antiderivative, sample_cubic
+from .funcspace import Grid, PolyMatrix, PolyVector, sample_cubic
 
 __all__ = [
     "MatrixTrajectory",
     "fundamental_matrix",
     "inverse_fundamental",
-    "variation_of_constants",
     "forced_trajectory",
 ]
 
@@ -99,43 +98,11 @@ def inverse_fundamental(A: PolyMatrix, grid: Grid) -> MatrixTrajectory:
     return MatrixTrajectory(grid, _rk4_matrix(A, grid, transpose_action=True))
 
 
-def variation_of_constants(fund: MatrixTrajectory, inv_fund: MatrixTrajectory,
-                           f_values, coeff_values=None) -> SampledJet:
-    """Particular solution R(t) = Y(t) * cumtrapz(Z(tau) f(tau)) with R(a) = 0.
-
-    ``f_values`` are node samples of the forcing term, shaped (n+1, d).  The
-    returned order-1 jet carries R and its derivative channel f - A R; pass
-    the coefficient node samples as ``coeff_values`` shaped (n+1, d, d), or
-    leave None for a zero coefficient.
-    """
-    grid = fund.grid
-    if inv_fund.grid != grid:
-        raise ValueError("trajectories must share the grid")
-    d = fund.d
-    f = np.asarray(f_values, dtype=complex)
-    if f.ndim == 1:
-        f = f[:, None]
-    if f.shape != (grid.n + 1, d):
-        raise ValueError(f"forcing samples must be shaped {(grid.n + 1, d)}")
-    integrand = np.einsum("nij,nj->ni", inv_fund.values, f)
-    c = antiderivative(grid, integrand)
-    r = np.einsum("nij,nj->ni", fund.values, c)
-    if coeff_values is None:
-        slope = f.copy()
-    else:
-        a = np.asarray(coeff_values, dtype=complex)
-        if a.shape != (grid.n + 1, d, d):
-            raise ValueError(f"coefficient samples must be shaped {(grid.n + 1, d, d)}")
-        slope = f - np.einsum("nij,nj->ni", a, r)
-    return SampledJet(grid, d, 1, [r, slope])
-
-
 def forced_trajectory(A: PolyMatrix, g: PolyVector, grid: Grid) -> np.ndarray:
     """RK4 integration of u' = -A(t) u + g(t), u(a) = 0, sampled on the grid.
 
-    This is the particular solution of the inhomogeneous system computed at
-    the same order as the matrizant, used by the solver in place of
-    trapezoid-based variation of constants.
+    This is the particular solution of the inhomogeneous system, computed
+    at the same order as the matrizant.
     """
     start, mid, end = _coefficient_panels(A, grid)
     nodes = grid.nodes

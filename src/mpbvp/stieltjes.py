@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .funcspace import Grid, PiecewisePoly, mat_norm, sample_linear
+from .funcspace import Grid, PiecewisePoly, _linear_stencil, mat_norm
 
 __all__ = [
     "ScalarMeasure",
@@ -96,6 +96,20 @@ class ScalarMeasure:
             total += self.density.integrate()
         return complex(total)
 
+    def weights(self, grid: Grid) -> np.ndarray:
+        """Node weights w, shaped (n+1,), with <x, mu> = sum_s w[s] x(t_s).
+
+        Atoms use the linear stencil of their location; the density uses
+        the trapezoid rule with end correction of ``_density_weights``.
+        """
+        w = np.zeros(grid.n + 1, dtype=complex)
+        for t, weight in self.atoms:
+            base, stencil = _linear_stencil(grid, t)
+            w[base:base + 2] += weight * stencil
+        if self.density is not None:
+            w += _density_weights(grid, self.density)
+        return w
+
     def __sub__(self, other: "ScalarMeasure") -> "ScalarMeasure":
         tol = _merge_tol(self.a, self.b)
         if abs(self.a - other.a) > tol or abs(self.b - other.b) > tol:
@@ -128,57 +142,50 @@ def _segment_boundaries(grid: Grid, density: PiecewisePoly):
     return indices
 
 
-def _one_sided_derivative(y: np.ndarray, h: float, forward: bool) -> complex:
-    """4-point one-sided first derivative at the first (or last) sample."""
-    if forward:
-        return (-11.0 * y[0] + 18.0 * y[1] - 9.0 * y[2] + 2.0 * y[3]) / (6.0 * h)
-    return (11.0 * y[-1] - 18.0 * y[-2] + 9.0 * y[-3] - 2.0 * y[-4]) / (6.0 * h)
+#: Euler-Maclaurin end weights (in units of h): the h^2/12 derivative
+#: correction with 4-point one-sided difference stencils, read inward from
+#: either end of a segment.
+_END_CORRECTION = np.array([-11.0, 18.0, -9.0, 2.0]) / 72.0
 
 
-def _density_quadrature(grid: Grid, values: np.ndarray, density: PiecewisePoly,
-                        corrected: bool) -> complex:
-    """Trapezoid quadrature of values * density over the grid.
+def _density_weights(grid: Grid, density: PiecewisePoly) -> np.ndarray:
+    """Node weights of the trapezoid rule for x * density over the grid.
 
-    With ``corrected`` set, each smooth segment gets the h^2/12 endpoint
-    correction of the Euler-Maclaurin expansion (derivatives estimated by
-    4-point one-sided stencils), which upgrades the rule to O(h^4) for data
-    whose density breakpoints sit on grid nodes.
+    Each smooth segment gets the Euler-Maclaurin end correction, which
+    upgrades the rule to O(h^4) for data whose density breakpoints sit on
+    grid nodes.  With a breakpoint off the grid the rule falls back to the
+    plain trapezoid on right-limit samples.
     """
-    nodes = grid.nodes
+    nodes, h = grid.nodes, grid.h
     seg = _segment_boundaries(grid, density)
     if seg is None:
-        # off-grid breakpoints: plain trapezoid on right-limit samples
-        return complex(np.trapezoid(values * density(nodes), dx=grid.h))
-    total = 0.0 + 0.0j
+        trap = np.full(grid.n + 1, h)
+        trap[[0, -1]] *= 0.5
+        return trap * density(nodes)
+    out = np.zeros(grid.n + 1, dtype=complex)
     poly = np.polynomial.polynomial.polyval
     for i0, i1 in zip(seg[:-1], seg[1:]):
-        mid = 0.5 * (nodes[i0] + nodes[i1])
-        piece = density._piece_at(mid)
-        y = values[i0:i1 + 1] * poly(nodes[i0:i1 + 1], piece)
-        total += np.trapezoid(y, dx=grid.h)
-        if corrected and y.size >= 4:
-            d_start = _one_sided_derivative(y, grid.h, forward=True)
-            d_end = _one_sided_derivative(y, grid.h, forward=False)
-            total -= grid.h ** 2 / 12.0 * (d_end - d_start)
-    return complex(total)
+        piece = density._piece_at(0.5 * (nodes[i0] + nodes[i1]))
+        trap = np.full(i1 - i0 + 1, h)
+        trap[[0, -1]] *= 0.5
+        if trap.size >= 4:
+            trap[:4] += h * _END_CORRECTION
+            trap[-4:] += h * _END_CORRECTION[::-1]
+        out[i0:i1 + 1] += trap * poly(nodes[i0:i1 + 1], piece)
+    return out
 
 
-def rs_integrate(grid: Grid, values, measure: ScalarMeasure, corrected: bool = False) -> complex:
+def rs_integrate(grid: Grid, values, measure: ScalarMeasure) -> complex:
     """Stieltjes integral of a sampled scalar function against a measure.
 
-    Atom contributions interpolate the samples linearly at the atom
-    locations; the density part uses trapezoid quadrature on the grid
-    (endpoint-corrected when ``corrected`` is set).
+    One contraction with ``measure.weights(grid)``: atoms interpolate the
+    samples linearly, the density uses trapezoid quadrature with the
+    Euler-Maclaurin end correction.
     """
     v = np.asarray(values, dtype=complex)
     if v.shape != (grid.n + 1,):
         raise ValueError("expected scalar samples shaped (n+1,)")
-    total = 0.0 + 0.0j
-    for t, w in measure.atoms:
-        total += w * sample_linear(grid, v, t)
-    if measure.density is not None:
-        total += _density_quadrature(grid, v, measure.density, corrected)
-    return complex(total)
+    return complex(np.einsum("s,s->", measure.weights(grid), v))
 
 
 def total_variation(measure: ScalarMeasure) -> float:
@@ -251,7 +258,12 @@ class MatrixMeasure:
     def b(self) -> float:
         return self.entries[0][0].b
 
-    def apply(self, grid: Grid, values, corrected: bool = False) -> np.ndarray:
+    def weights(self, grid: Grid) -> np.ndarray:
+        """Entrywise node weights shaped (rows, n+1, cols); see ScalarMeasure.weights."""
+        w = np.array([[entry.weights(grid) for entry in row] for row in self.entries])
+        return w.transpose(0, 2, 1)
+
+    def apply(self, grid: Grid, values) -> np.ndarray:
         """Integrate sampled (n+1, cols) data row-wise: out_i = sum_j < x_j, mu_ij >."""
         v = np.asarray(values, dtype=complex)
         if v.ndim == 1:
@@ -259,13 +271,7 @@ class MatrixMeasure:
         rows, cols = self.shape
         if v.shape != (grid.n + 1, cols):
             raise ValueError(f"expected samples shaped {(grid.n + 1, cols)}, got {v.shape}")
-        out = np.zeros(rows, dtype=complex)
-        for i in range(rows):
-            for j in range(cols):
-                entry = self.entries[i][j]
-                if entry.atoms or entry.density is not None:
-                    out[i] += rs_integrate(grid, v[:, j], entry, corrected=corrected)
-        return out
+        return np.einsum("isj,sj->i", self.weights(grid), v)
 
     def discretize(self, k: int) -> "MatrixMeasure":
         return MatrixMeasure(
@@ -283,6 +289,3 @@ class MatrixMeasure:
     def norm_tv(self) -> float:
         """Matrix norm (max column sum) of the entrywise total variations."""
         return mat_norm(self.variation_matrix())
-
-    def entrywise_tv_sum(self) -> float:
-        return float(self.variation_matrix().sum())

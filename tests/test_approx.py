@@ -10,6 +10,7 @@ from mpbvp import (
     Grid,
     MatrixMeasure,
     MultipointBoundaryOperator,
+    NotUniquelySolvableError,
     PiecewisePoly,
     PolyMatrix,
     PolyVector,
@@ -21,6 +22,7 @@ from mpbvp import (
     remark3_constants,
     sawtooth_perturbation,
     sawtooth_rhs,
+    solve,
     sweep,
     theorem2_check,
     theorem3_check,
@@ -191,13 +193,13 @@ def test_characteristic_matrices_converge():
     problem = corpus.build_problem("p1", 512)
     P, _, T, _ = companion_reduce(problem)
     V = fundamental_matrix(P, problem.grid)
-    char = T.apply_trajectory(problem.grid, V.values)
+    char = T.apply_trajectory(V.values)
     gaps = []
     for k in (4, 16, 64):
         pk = build_multipoint_problem(problem, k)
         Pk, _, Tk, _ = companion_reduce(pk)
         Vk = fundamental_matrix(Pk, problem.grid)
-        char_k = Tk.apply_trajectory(problem.grid, Vk.values)
+        char_k = Tk.apply_trajectory(Vk.values)
         gaps.append(float(np.max(np.abs(char_k - char))))
     assert gaps[1] <= gaps[0] / 2.0
     assert gaps[2] <= gaps[1] / 2.0
@@ -280,3 +282,24 @@ def test_sawtooth_shape():
 def test_sawtooth_needs_enough_cells():
     with pytest.raises(ValueError):
         sawtooth_perturbation(Grid(0.0, 1.0, 16), 8, 1e-3, m=1)
+
+
+def test_constants_and_solve_share_the_solvability_gate():
+    # V = I, so the characteristic matrix is beta_0 + beta_1 with
+    # |det| = 1e-14, below the gate's 1e-12 * |char|^2 = 4e-12.
+    a, b = 0.0, 1.0
+    problem = BvpProblem(
+        r=1, m=2,
+        coeffs=[PolyMatrix.zero(2, 2, a, b)],
+        f=PolyVector.zero(2, a, b),
+        q=np.zeros(2, dtype=complex),
+        operator=MultipointBoundaryOperator(1, 2, a, b, [
+            BoundaryTerm(node=a, order=0, beta=np.array([[1.0, 1.0], [0.0, 0.0]])),
+            BoundaryTerm(node=b, order=0, beta=np.array([[0.0, 0.0], [1.0, 1.0 + 1e-14]])),
+        ]),
+        grid=Grid(a, b, 64),
+    )
+    with pytest.raises(NotUniquelySolvableError):
+        solve(problem)
+    with pytest.raises(NotUniquelySolvableError):
+        remark3_constants(problem)

@@ -12,6 +12,7 @@ from mpbvp import (
     SampledJet,
     ScalarMeasure,
     apply_operator,
+    build_multipoint_problem,
     default_probe_jets,
     lift,
     multipointify,
@@ -19,6 +20,7 @@ from mpbvp import (
     norm_upper_bound,
 )
 from mpbvp import corpus
+from oracles import _boundary_rows
 
 
 def _p2_operator():
@@ -89,10 +91,10 @@ def test_multipointify_passes_atoms_through():
 def test_lift_matches_jet_application():
     grid = Grid(0.0, 1.0, 512)
     op = _p2_operator()
-    lifted = lift(op)
+    lifted = lift(op, grid)
     # companion trajectory of y = t^2: v = col(t^2, 2t)
     v = np.stack([grid.nodes ** 2, 2.0 * grid.nodes], axis=1)
-    out = lifted.apply_values(grid, v)
+    out = lifted.apply_values(v)
     # y(0) = 0 and y(0) + integral of (1-s) * 2s = 1/3
     np.testing.assert_allclose(out, [0.0, 1.0 / 3.0], atol=1e-12)
     jet = SampledJet.from_callables(grid, 1, 2,
@@ -107,9 +109,34 @@ def test_lift_multipoint():
         BoundaryTerm(node=1.0, order=0, beta=np.array([[0.0], [1.0]])),
     ])
     grid = Grid(0.0, 1.0, 128)
-    lifted = lift(op)
+    lifted = lift(op, grid)
     v = np.stack([grid.nodes ** 2, 2.0 * grid.nodes], axis=1)
-    np.testing.assert_allclose(lifted.apply_values(grid, v), [1.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(lifted.apply_values(v), [1.0, 1.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3"])
+@pytest.mark.parametrize("k", [2, 8, 32])
+def test_compiled_multipoint_weights_match_oracle_rows(name, k):
+    # n is a multiple of 2k, so every midpoint node is a grid node and the
+    # cubic stencils collapse onto single nodes, as in the oracle
+    problem = build_multipoint_problem(corpus.build_problem(name, 128), k)
+    grid = problem.grid
+    weights = lift(problem.operator, grid).weights
+    np.testing.assert_allclose(weights.reshape(problem.d, -1),
+                               _boundary_rows(problem, grid), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3"])
+def test_compiled_trajectory_matches_columnwise_jets(name):
+    problem = corpus.build_problem(name, 256)
+    op, grid, r, d = problem.operator, problem.grid, problem.r, problem.d
+    probes = default_probe_jets(r, problem.m, grid)
+    for start in range(0, len(probes) - d + 1, d):
+        columns = probes[start:start + d]
+        V = np.stack([np.hstack(jet.samples[:r]) for jet in columns], axis=2)
+        expected = np.stack([apply_operator(op, jet) for jet in columns], axis=1)
+        np.testing.assert_allclose(lift(op, grid).apply_trajectory(V), expected,
+                                   rtol=0, atol=1e-14)
 
 
 def test_norm_upper_bounds_frozen():
@@ -156,7 +183,7 @@ def test_uniform_norm_bound_entrywise_for_systems():
     # total-variation sum.  p3 shows the gap: sigma_k = 3 > 2 = TV norm.
     op = _p3_operator()
     tv_norm_bound = op.phi.norm_tv()
-    entrywise_bound = op.phi.entrywise_tv_sum()
+    entrywise_bound = op.phi.variation_matrix().sum()
     for k in (1, 2, 4, 8, 16, 32, 64):
         sigma_k = norm_upper_bound(multipointify(op, k))
         assert sigma_k <= entrywise_bound + 1e-12

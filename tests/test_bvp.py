@@ -128,7 +128,7 @@ def test_solution_diagnostics_populated():
     assert solution.det != 0
     assert np.isfinite(solution.cond)
     assert solution.boundary_residual <= 1e-10
-    assert solution.ode_residual <= 1e-4  # finite-difference consistency check
+    assert solution.consistency_defect <= 1e-4
 
 
 def test_linearity_of_solve():

@@ -10,7 +10,6 @@ from mpbvp import (
     forced_trajectory,
     fundamental_matrix,
     inverse_fundamental,
-    variation_of_constants,
 )
 from oracles import exact_trace_integral, expm_taylor
 
@@ -79,36 +78,13 @@ def test_piecewise_coefficient_keeps_full_order():
     assert abs(V.values[-1, 0, 0] - np.exp(-1.5)) <= 1e-12
 
 
-def test_variation_of_constants_simple_quadratures():
-    grid = _grid()
-    zero = PolyMatrix.zero(1, 1, 0.0, 1.0)
-    one = PolyMatrix.constant([[1.0]], 0.0, 1.0)
-    f = np.ones((grid.n + 1, 1), dtype=complex)
-
-    # A = 0: R(t) = t exactly (trapezoid is exact for constants)
-    V0 = fundamental_matrix(zero, grid)
-    W0 = inverse_fundamental(zero, grid)
-    R0 = variation_of_constants(V0, W0, f)
-    assert float(np.max(np.abs(R0.samples[0][:, 0] - grid.nodes))) <= 1e-12
-
-    # A = 1: R(t) = 1 - exp(-t) up to trapezoid accuracy
-    V1 = fundamental_matrix(one, grid)
-    W1 = inverse_fundamental(one, grid)
-    R1 = variation_of_constants(V1, W1, f, coeff_values=one.eval_at(grid.nodes))
-    expected = 1.0 - np.exp(-grid.nodes)
-    assert float(np.max(np.abs(R1.samples[0][:, 0] - expected))) <= 1e-6
-    # derivative channel satisfies R' = f - A R
-    deriv = R1.samples[1][:, 0]
-    np.testing.assert_allclose(deriv, 1.0 - R1.samples[0][:, 0], atol=1e-12)
-
-
 def test_forced_trajectory_matches_closed_form():
     grid = _grid()
-    A = PolyMatrix.constant([[1.0]], 0.0, 1.0)
     g = PolyVector([PiecewisePoly.constant(1.0, 0.0, 1.0)])
-    u = forced_trajectory(A, g, grid)
-    expected = 1.0 - np.exp(-grid.nodes)
-    assert float(np.max(np.abs(u[:, 0] - expected))) <= 1e-12
+    # u' = -a u + 1 with u(0) = 0: u(t) = t for a = 0, 1 - exp(-t) for a = 1
+    for a, expected in ((0.0, grid.nodes), (1.0, 1.0 - np.exp(-grid.nodes))):
+        u = forced_trajectory(PolyMatrix.constant([[a]], 0.0, 1.0), g, grid)
+        assert float(np.max(np.abs(u[:, 0] - expected))) <= 1e-12
 
 
 def test_trajectory_interpolation():

@@ -41,10 +41,9 @@ def test_corrected_quadrature_gains_two_orders():
     grid = Grid(0.0, 1.0, 64)
     mu = ScalarMeasure.lebesgue(0.0, 1.0, 1.0)
     values = grid.nodes ** 3
-    plain = abs(rs_integrate(grid, values, mu) - 0.25)
-    corrected = abs(rs_integrate(grid, values, mu, corrected=True) - 0.25)
-    assert plain > 1e-6          # bare trapezoid error, about h^2 / 4
-    assert corrected <= 1e-13    # endpoint correction removes it for cubics
+    # the bare trapezoid error (about h^2 / 4) is removed by the
+    # Euler-Maclaurin end correction, which is exact for cubics
+    assert abs(rs_integrate(grid, values, mu) - 0.25) <= 1e-13
 
 
 def test_density_with_interior_breakpoint_on_node():
