@@ -186,13 +186,23 @@ def remark3_constants(problem: BvpProblem, sigma_probe_ks=None) -> ErrorConstant
     itself when it is already multipoint).
     """
     P, _, T, _ = companion_reduce(problem)
+    V = fundamental_matrix(P, problem.grid)
+    char = T.apply_trajectory(V.values)
+    _check_solvable(char)
+    return _certified_constants(problem, P, traj_norm_c(V.values), char,
+                                sigma_probe_ks or _DEFAULT_SIGMA_PROBE_KS)
+
+
+def _certified_constants(problem: BvpProblem, P: PolyMatrix, v_c: float,
+                         char: np.ndarray, sigma_probe_ks) -> ErrorConstants:
+    """The constants from |V|_C = v_c and the solvable characteristic matrix [TV].
+
+    P is the companion matrix of the limit problem; a reference solve
+    already holds v_c and [TV], so only Z = V^-1 is integrated here.
+    """
     grid = problem.grid
-    V = fundamental_matrix(P, grid)
-    W = inverse_fundamental(P, grid)
-    _, _, inverse = _check_solvable(T.apply_trajectory(V.values))
-    v_c = traj_norm_c(V.values)
-    w_c = traj_norm_c(W.values)
-    c1 = 1.0 + v_c * mat_norm(inverse)
+    w_c = traj_norm_c(inverse_fundamental(P, grid).values)
+    c1 = 1.0 + v_c * mat_norm(np.linalg.inv(char))
     if problem.r == 1:
         c2 = 2.0 + v_c * w_c * problem.coeffs[0].l1_norm()
     else:
@@ -200,7 +210,7 @@ def remark3_constants(problem: BvpProblem, sigma_probe_ks=None) -> ErrorConstant
     lam = 1.0 / norm_lower_bound(problem.operator,
                                  default_probe_jets(problem.r, problem.m, grid))
     kappa = (c1 + c2) * lam + c1 * c2 + 1.0
-    sigma = _sigma_for(problem, sigma_probe_ks or _DEFAULT_SIGMA_PROBE_KS)
+    sigma = _sigma_for(problem, sigma_probe_ks)
     return ErrorConstants(c1=c1, c2=c2, lambda_hat=lam, kappa_hat=kappa, sigma_hat=sigma)
 
 
@@ -246,7 +256,8 @@ def sweep(problem: BvpProblem, ks) -> ApproximationReport:
     if not ks:
         raise ValueError("need at least one k")
     reference = solve(problem)
-    constants = remark3_constants(problem, sigma_probe_ks=ks)
+    constants = _certified_constants(problem, companion_reduce(problem)[0],
+                                     reference.matrizant_norm_c, reference.char_matrix, ks)
     rows = [_solve_row(problem, k, reference) for k in ks]
     for row in rows:
         row.bound_holds = row.solvable
@@ -352,9 +363,11 @@ def theorem3_check(problem: BvpProblem, rhs_sequence, eps: float) -> Approximati
         if not vec_norm(np.asarray(q_k, dtype=complex) - problem.q) < eps:
             raise ValueError(f"entry k={k} violates |q_k - q| < eps")
         gaps[k] = (diff.l1_norm(), gap)
-    constants = remark3_constants(problem, sigma_probe_ks=[k for k, _, _ in entries])
-    bound = constants.kappa_hat * constants.sigma_hat * eps
     reference = solve(problem)
+    constants = _certified_constants(problem, companion_reduce(problem)[0],
+                                     reference.matrizant_norm_c, reference.char_matrix,
+                                     [k for k, _, _ in entries])
+    bound = constants.kappa_hat * constants.sigma_hat * eps
     rows = []
     for k, f_k, q_k in entries:
         row = _solve_row(problem, k, reference, f=f_k, q=q_k)

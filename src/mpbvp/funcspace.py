@@ -29,9 +29,6 @@ __all__ = [
     "vec_norm",
     "mat_norm",
     "traj_norm_c",
-    "sample_linear",
-    "sample_cubic",
-    "MAX_PIECE_DEGREE",
 ]
 
 #: Highest polynomial degree a single piece may carry.

@@ -1,15 +1,18 @@
 """Fundamental matrices of first-order linear systems via fixed-step RK4.
 
-The forward trajectory solves Y' = -A(t) Y with Y(a) = I; the inverse
-trajectory solves Z' = Z A(t) with Z(a) = I, so Z(t) = Y(t)^-1 without ever
-inverting a matrix.  Coefficient evaluations are piece-aware: the value at
-the right end of a step is taken as the left-hand limit, which keeps the
-integrator at full order when coefficients jump at grid nodes.
+On the augmented state (u, 1) of u' = -A(t) u + g(t) an RK4 step is the
+linear map U -> U + D_i U.  The increments D_i are formed in batches from
+the coefficient panels and one loop composes them: from I to the matrizant
+V, from (0, 1) to the forced trajectory R, and, transposed, Z = V^-1 from
+the inverse increments (I + D_i)^-1 - I, so Z V = I step by step.  Storing
+D_i rather than I + D_i keeps its low bits.  Step ends take left-hand
+coefficient limits, which keeps full order at jumps on grid nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -21,6 +24,9 @@ __all__ = [
     "inverse_fundamental",
     "forced_trajectory",
 ]
+
+#: Steps whose increments are formed together; bounds the work arrays.
+BLOCK_STEPS = 512
 
 
 @dataclass(frozen=True)
@@ -43,59 +49,67 @@ class MatrixTrajectory:
         return sample_cubic(self.grid, self.values, t)
 
 
-def _coefficient_panels(A: PolyMatrix, grid: Grid):
-    """Evaluate A at step starts (right limit), midpoints, and step ends (left limit)."""
+def _coefficient_panels(F, grid: Grid):
+    """Evaluate A or g at step starts (right limit), midpoints, and step ends (left limit)."""
     nodes = grid.nodes
-    start = A.eval_at(nodes[:-1], side="right")
-    mid = A.eval_at(grid.half_nodes)
-    end = A.eval_at(nodes[1:], side="left")
+    start = F.eval_at(nodes[:-1], side="right")
+    mid = F.eval_at(grid.half_nodes)
+    end = F.eval_at(nodes[1:], side="left")
     for name, panel in (("start", start), ("mid", mid), ("end", end)):
         if not np.all(np.isfinite(panel)):
             raise ValueError(f"coefficient evaluation produced non-finite values ({name})")
     return start, mid, end
 
 
-def _rk4_matrix(A: PolyMatrix, grid: Grid, transpose_action: bool) -> np.ndarray:
-    """Integrate Y' = -A Y (or Z' = Z A when transpose_action) from the identity."""
-    start, mid, end = _coefficient_panels(A, grid)
-    d = start.shape[1]
+def _increments(A: PolyMatrix, g: PolyVector | None, grid: Grid):
+    """RK4 step increments, yielded in blocks of BLOCK_STEPS steps.
+
+    They act on u' = -A u, or with g on (u, 1)' = [[-A, g], [0, 0]] (u, 1).
+    """
+    d, cols = A.shape
+    if d != cols:
+        raise ValueError("coefficient matrix must be square")
+    panels = _coefficient_panels(A, grid)
+    forcing = None if g is None else _coefficient_panels(g, grid)
     h = grid.h
-    out = np.empty((grid.n + 1, d, d), dtype=complex)
-    y = np.eye(d, dtype=complex)
-    out[0] = y
+    for lo in range(0, grid.n, BLOCK_STEPS):
+        hi = min(lo + BLOCK_STEPS, grid.n)
+        if forcing is None:
+            m0, mm, m1 = (-panel[lo:hi] for panel in panels)
+        else:
+            m0, mm, m1 = (np.zeros((hi - lo, d + 1, d + 1), dtype=complex) for _ in panels)
+            for m, panel, f in zip((m0, mm, m1), panels, forcing):
+                m[:, :d, :d] = -panel[lo:hi]
+                m[:, :d, d] = f[lo:hi]
+        # Stages of U' = M U from U = I, with k1 = m0: D_i = h/6 (k1 + 2 k2 + 2 k3 + k4).
+        k2 = mm + (0.5 * h) * (mm @ m0)
+        k3 = mm + (0.5 * h) * (mm @ k2)
+        k4 = m1 + h * (m1 @ k3)
+        yield (h / 6.0) * (m0 + 2.0 * (k2 + k3) + k4)
 
-    if transpose_action:
-        def rhs(mat, state):
-            return state @ mat
-    else:
-        def rhs(mat, state):
-            return -(mat @ state)
 
-    for i in range(grid.n):
-        a0, am, a1 = start[i], mid[i], end[i]
-        k1 = rhs(a0, y)
-        k2 = rhs(am, y + 0.5 * h * k1)
-        k3 = rhs(am, y + 0.5 * h * k2)
-        k4 = rhs(a1, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        out[i + 1] = y
+def _compose(blocks, start: np.ndarray, n: int) -> np.ndarray:
+    """Node values of U_{i+1} = U_i + D_i U_i from U_0 = start."""
+    out = np.empty((n + 1,) + start.shape, dtype=complex)
+    out[0] = state = start
+    for i, step in enumerate(chain.from_iterable(blocks), start=1):
+        state = state + step @ state
+        out[i] = state
     return out
 
 
 def fundamental_matrix(A: PolyMatrix, grid: Grid) -> MatrixTrajectory:
     """Matrizant of y' + A(t) y = 0: solves Y' = -A(t) Y, Y(a) = I."""
-    p, q = A.shape
-    if p != q:
-        raise ValueError("coefficient matrix must be square")
-    return MatrixTrajectory(grid, _rk4_matrix(A, grid, transpose_action=False))
+    start = np.eye(A.shape[0], dtype=complex)
+    return MatrixTrajectory(grid, _compose(_increments(A, None, grid), start, grid.n))
 
 
 def inverse_fundamental(A: PolyMatrix, grid: Grid) -> MatrixTrajectory:
-    """Inverse matrizant: solves Z' = Z A(t), Z(a) = I, so Z = Y^-1."""
-    p, q = A.shape
-    if p != q:
-        raise ValueError("coefficient matrix must be square")
-    return MatrixTrajectory(grid, _rk4_matrix(A, grid, transpose_action=True))
+    """Inverse matrizant Z = Y^-1 of Z' = Z A(t), Z(a) = I, as Z_{i+1} = Z_i + Z_i E_i."""
+    eye = np.eye(A.shape[0], dtype=complex)
+    blocks = (np.linalg.solve(eye + D, -D).swapaxes(1, 2)
+              for D in _increments(A, None, grid))
+    return MatrixTrajectory(grid, _compose(blocks, eye, grid.n).swapaxes(1, 2))
 
 
 def forced_trajectory(A: PolyMatrix, g: PolyVector, grid: Grid) -> np.ndarray:
@@ -104,21 +118,6 @@ def forced_trajectory(A: PolyMatrix, g: PolyVector, grid: Grid) -> np.ndarray:
     This is the particular solution of the inhomogeneous system, computed
     at the same order as the matrizant.
     """
-    start, mid, end = _coefficient_panels(A, grid)
-    nodes = grid.nodes
-    g_start = g.eval_at(nodes[:-1], side="right")
-    g_mid = g.eval_at(grid.half_nodes)
-    g_end = g.eval_at(nodes[1:], side="left")
-    d = start.shape[1]
-    h = grid.h
-    out = np.empty((grid.n + 1, d), dtype=complex)
-    u = np.zeros(d, dtype=complex)
-    out[0] = u
-    for i in range(grid.n):
-        k1 = g_start[i] - start[i] @ u
-        k2 = g_mid[i] - mid[i] @ (u + 0.5 * h * k1)
-        k3 = g_mid[i] - mid[i] @ (u + 0.5 * h * k2)
-        k4 = g_end[i] - end[i] @ (u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        out[i + 1] = u
-    return out
+    d = A.shape[0]
+    start = np.eye(d + 1, dtype=complex)[:, d:]
+    return _compose(_increments(A, g, grid), start, grid.n)[:, :d, 0]

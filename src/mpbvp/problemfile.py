@@ -27,13 +27,10 @@ from .stieltjes import MatrixMeasure, ScalarMeasure
 
 __all__ = [
     "ProblemFormatError",
-    "FORMAT_NAME",
-    "FORMAT_VERSION",
     "problem_to_dict",
     "problem_from_dict",
     "parse_problem",
     "emit_problem",
-    "write_atomic",
 ]
 
 FORMAT_NAME = "mpbvp-problem"

@@ -188,3 +188,22 @@ def test_oracle_agreement_on_general_second_order():
     mine = solve(problem).jet.samples[0]
     reference = crank_nicolson_solve(problem)
     assert float(np.max(np.abs(mine - reference))) <= 1e-4
+
+
+def test_boundary_residual_matches_residuals():
+    for name in corpus.CORPUS_NAMES:
+        problem = corpus.build_problem(name, 512)
+        solution = solve(problem)
+        assert solution.boundary_residual == pytest.approx(
+            residuals(problem, solution)[1], rel=1e-12, abs=1e-15)
+
+
+def test_fine_grid_solve_keeps_roundoff():
+    # 16384 steps: an RK4 composition that rounds I + D_i on every step
+    # drifts past 2e-13 on p1; composing the increments D_i stays near 6e-15.
+    for name in corpus.CORPUS_NAMES:
+        problem, exact = corpus.load(name, 16384)
+        jet = solve(problem).jet
+        err = max(float(np.max(np.abs(mine - ref)))
+                  for mine, ref in zip(jet.samples, exact.samples))
+        assert err <= 5e-14, name

@@ -11,6 +11,7 @@ from mpbvp import (
     fundamental_matrix,
     inverse_fundamental,
 )
+from mpbvp.linode import BLOCK_STEPS
 from oracles import exact_trace_integral, expm_taylor
 
 
@@ -36,12 +37,14 @@ def test_nilpotent_coefficient_closed_form():
 def test_constant_complex_matches_series_exponential():
     matrix = np.array([[0.3 + 0.2j, -1.0], [0.5, -0.1j]])
     A = PolyMatrix.constant(matrix, 0.0, 1.0)
-    grid = _grid()
-    V = fundamental_matrix(A, grid)
-    for t in (0.25, 0.5, 1.0):
-        idx = int(round(t / grid.h))
-        np.testing.assert_allclose(V.values[idx], expm_taylor(-matrix * t),
-                                   atol=1e-9)
+    # 1537 steps end in a partial block of step increments.
+    assert 1537 % BLOCK_STEPS != 0
+    for n in (2048, 1537):
+        grid = _grid(n)
+        V = fundamental_matrix(A, grid)
+        for idx in (n // 4, n // 2, n):
+            np.testing.assert_allclose(V.values[idx],
+                                       expm_taylor(-matrix * grid.nodes[idx]), atol=1e-9)
 
 
 def test_inverse_fundamental_is_inverse():
@@ -52,7 +55,7 @@ def test_inverse_fundamental_is_inverse():
     W = inverse_fundamental(A, grid)
     products = np.einsum("nij,njk->nik", W.values, V.values)
     eye = np.broadcast_to(np.eye(2), products.shape)
-    assert float(np.max(np.abs(products - eye))) <= 1e-8
+    assert float(np.max(np.abs(products - eye))) <= 1e-12
 
 
 def test_liouville_determinant_identity():
@@ -79,12 +82,12 @@ def test_piecewise_coefficient_keeps_full_order():
 
 
 def test_forced_trajectory_matches_closed_form():
-    grid = _grid()
     g = PolyVector([PiecewisePoly.constant(1.0, 0.0, 1.0)])
-    # u' = -a u + 1 with u(0) = 0: u(t) = t for a = 0, 1 - exp(-t) for a = 1
-    for a, expected in ((0.0, grid.nodes), (1.0, 1.0 - np.exp(-grid.nodes))):
-        u = forced_trajectory(PolyMatrix.constant([[a]], 0.0, 1.0), g, grid)
-        assert float(np.max(np.abs(u[:, 0] - expected))) <= 1e-12
+    for grid in (_grid(), _grid(1537)):
+        # u' = -a u + 1 with u(0) = 0: u(t) = t for a = 0, 1 - exp(-t) for a = 1
+        for a, expected in ((0.0, grid.nodes), (1.0, 1.0 - np.exp(-grid.nodes))):
+            u = forced_trajectory(PolyMatrix.constant([[a]], 0.0, 1.0), g, grid)
+            assert float(np.max(np.abs(u[:, 0] - expected))) <= 1e-12
 
 
 def test_trajectory_interpolation():
