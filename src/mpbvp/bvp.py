@@ -2,13 +2,14 @@
 
 A problem is the system L y = y^(r) + sum_l A_l(t) y^(l) = f on [a, b] with
 rm boundary conditions B y = q.  The solver reduces to the first-order
-companion system v' + P v = g, T v = q, integrates the matrizant V of P,
-and assembles the solution from the characteristic matrix [T V]:
+companion system v' + P v = g, T v = q, and integrates the matrizant V of
+P together with the particular solution R, R(a) = 0, in one augmented RK4
+pass.  The solution is assembled from the characteristic matrix [T V]:
 
-    u = V [T V]^-1 (q - T R) + R,
+    u = V [T V]^-1 (q - T R) + R.
 
-where R is the particular solution with R(a) = 0.  The problem is flagged
-as not uniquely solvable when [T V] is singular or numerically so.
+The problem is flagged as not uniquely solvable when [T V] is singular or
+numerically so.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .funcspace import (
     traj_norm_c,
     vec_norm,
 )
-from .linode import forced_trajectory, fundamental_matrix
+from .linode import _propagate
 
 __all__ = [
     "BvpProblem",
@@ -196,13 +197,14 @@ def solve(problem: BvpProblem) -> BvpSolution:
     P, g, T, q = companion_reduce(problem)
     grid = problem.grid
     r, m = problem.r, problem.m
-    V = fundamental_matrix(P, grid)
-    char = T.apply_trajectory(V.values)
+    d = problem.d
+    augmented = _propagate(P, g, grid)
+    V, R = augmented[:, :d, :d], augmented[:, :d, d]
+    char = T.apply_trajectory(V)
     det, cond, inverse = _check_solvable(char)
 
-    R = forced_trajectory(P, g, grid)
     coef = inverse @ (q - T.apply_values(R))
-    u = np.einsum("nij,j->ni", V.values, coef) + R
+    u = np.einsum("nij,j->ni", V, coef) + R
 
     samples = [u[:, l * m:(l + 1) * m] for l in range(r)]
     f_nodes = problem.f.eval_at(grid.nodes)
@@ -214,7 +216,7 @@ def solve(problem: BvpProblem) -> BvpSolution:
 
     jet = SampledJet(grid, m, r, samples)
     solution = BvpSolution(jet=jet, char_matrix=char, det=det, cond=cond,
-                           matrizant_norm_c=traj_norm_c(V.values))
+                           matrizant_norm_c=traj_norm_c(V))
     # The top jet channel satisfies the differential identity by construction,
     # so the meaningful self-check is the finite-difference consistency of the
     # derivative channels plus the boundary defect.

@@ -108,24 +108,27 @@ def _emit_artifact(text: str, out_dir: str | None, filename: str) -> None:
     print(f"wrote {path}", file=sys.stderr)
 
 
+#: Rows formatted per string operation when writing a solution CSV.
+CSV_BLOCK_ROWS = 1024
+
+
 def _solution_csv(problem: BvpProblem, jet) -> str:
-    buffer = io.StringIO()
     header = ["t"]
+    columns = [problem.grid.nodes]
     for j in range(problem.r + 1):
         for comp in range(problem.m):
             header.append(f"y{j}_{comp}_re")
             header.append(f"y{j}_{comp}_im")
-    buffer.write(",".join(header) + "\n")
-    nodes = problem.grid.nodes
-    for i, t in enumerate(nodes):
-        row = [_g(t)]
-        for j in range(problem.r + 1):
-            for comp in range(problem.m):
-                z = jet.samples[j][i, comp]
-                row.append(_g(z.real))
-                row.append(_g(z.imag))
-        buffer.write(",".join(row) + "\n")
-    return buffer.getvalue()
+            z = jet.samples[j][:, comp]
+            columns += [z.real, z.imag]
+    table = np.column_stack(columns)
+    # '%.17g' renders a float exactly as format(x, ".17g") does.
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    parts = [",".join(header) + "\n"]
+    for lo in range(0, len(table), CSV_BLOCK_ROWS):
+        block = table[lo:lo + CSV_BLOCK_ROWS]
+        parts.append(row * len(block) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def _report_csv(rows) -> str:

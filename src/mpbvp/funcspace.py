@@ -132,7 +132,7 @@ class PiecewisePoly:
     default; the point b always belongs to the last piece.
     """
 
-    __slots__ = ("breakpoints", "coeffs")
+    __slots__ = ("breakpoints", "coeffs", "_table")
 
     def __init__(self, breakpoints, coeffs):
         bp = np.asarray(breakpoints, dtype=float)
@@ -160,6 +160,7 @@ class PiecewisePoly:
             stored.append(arr)
         self.breakpoints = bp
         self.coeffs = stored
+        self._table = None
 
     # -- constructors ------------------------------------------------------
 
@@ -206,10 +207,16 @@ class PiecewisePoly:
         flag = "right" if side == "right" else "left"
         idx = np.searchsorted(self.breakpoints, tt, side=flag) - 1
         idx = np.clip(idx, 0, self.npieces - 1)
-        out = np.zeros(tt.shape, dtype=complex)
-        for j in np.unique(idx):
-            mask = idx == j
-            out[mask] = _polyval(tt[mask], self.coeffs[j])
+        if self._table is None:
+            # Zero padding above a piece's degree leaves polyval's Horner sums unchanged.
+            table = np.zeros((self.npieces, max(c.size for c in self.coeffs)), dtype=complex)
+            for j, c in enumerate(self.coeffs):
+                table[j, :c.size] = c
+            self._table = table
+        coeffs = self._table[idx]
+        out = coeffs[:, -1] + tt * 0
+        for k in range(coeffs.shape[1] - 2, -1, -1):
+            out = coeffs[:, k] + out * tt
         return out[0] if scalar else out
 
     # -- calculus ----------------------------------------------------------

@@ -1,18 +1,22 @@
 """Fundamental matrices of first-order linear systems via fixed-step RK4.
 
 On the augmented state (u, 1) of u' = -A(t) u + g(t) an RK4 step is the
-linear map U -> U + D_i U.  The increments D_i are formed in batches from
-the coefficient panels and one loop composes them: from I to the matrizant
-V, from (0, 1) to the forced trajectory R, and, transposed, Z = V^-1 from
-the inverse increments (I + D_i)^-1 - I, so Z V = I step by step.  Storing
-D_i rather than I + D_i keeps its low bits.  Step ends take left-hand
-coefficient limits, which keeps full order at jumps on grid nodes.
+linear map U -> U + D_i U.  The increments D_i are formed in blocks from
+the coefficient panels, and a chunked scan composes each block: about
+sqrt(L) chunks of a block of L steps form their prefix increments side by
+side, then the state is carried across the chunks, so the Python loops run
+about 2 sqrt(L) times per block instead of L.  One pass from I_{d+1} gives
+the augmented matrizant [[V, R], [0, 1]]: the matrizant V and the forced
+trajectory R with R(a) = 0 together.  Z = V^-1 composes, transposed, the
+inverse increments (I + D_i)^-1 - I, so Z V = I step by step.  Storing
+increments rather than I + D_i keeps their low bits.  Step ends take
+left-hand coefficient limits, which keeps full order at jumps on grid nodes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -89,19 +93,52 @@ def _increments(A: PolyMatrix, g: PolyVector | None, grid: Grid):
 
 
 def _compose(blocks, start: np.ndarray, n: int) -> np.ndarray:
-    """Node values of U_{i+1} = U_i + D_i U_i from U_0 = start."""
+    """Node values of U_{i+1} = U_i + D_i U_i from U_0 = start.
+
+    Each block of L increments is cut into about sqrt(L) chunks of c steps,
+    the last one padded with zero increments.  The chunks' prefix increments
+    Q_j = Q_{j-1} + D_j + D_j Q_{j-1}, so that I + Q_j is the product of the
+    first j steps, are formed for all chunks at once; the state is then
+    carried from chunk to chunk, and U = U_c + Q_j U_c gives every node.
+    """
     out = np.empty((n + 1,) + start.shape, dtype=complex)
     out[0] = state = start
-    for i, step in enumerate(chain.from_iterable(blocks), start=1):
-        state = state + step @ state
-        out[i] = state
+    i = 1
+    for D in blocks:
+        L = len(D)
+        c = math.isqrt(L - 1) + 1
+        chunks = -(-L // c)
+        padded = np.zeros((chunks * c,) + D.shape[1:], dtype=complex)
+        padded[:L] = D
+        D = padded.reshape((chunks, c) + D.shape[1:]).swapaxes(0, 1)
+        Q = np.empty_like(D)
+        Q[0] = D[0]
+        for j in range(1, c):
+            Q[j] = Q[j - 1] + D[j] + D[j] @ Q[j - 1]
+        chunk_starts = np.empty((chunks,) + start.shape, dtype=complex)
+        for k in range(chunks):
+            chunk_starts[k] = state
+            state = state + Q[-1, k] @ state
+        U = chunk_starts + Q @ chunk_starts
+        out[i:i + L] = U.swapaxes(0, 1).reshape((chunks * c,) + start.shape)[:L]
+        i += L
     return out
+
+
+def _propagate(A: PolyMatrix, g: PolyVector | None, grid: Grid) -> np.ndarray:
+    """Node values of the composed RK4 steps from I, shaped (n+1, s, s).
+
+    Without g this is the matrizant V (s = d).  With g it is the augmented
+    matrizant [[V, R], [0, 1]] (s = d + 1), which carries V and the forced
+    trajectory R in one pass.
+    """
+    eye = np.eye(A.shape[0] + (g is not None), dtype=complex)
+    return _compose(_increments(A, g, grid), eye, grid.n)
 
 
 def fundamental_matrix(A: PolyMatrix, grid: Grid) -> MatrixTrajectory:
     """Matrizant of y' + A(t) y = 0: solves Y' = -A(t) Y, Y(a) = I."""
-    start = np.eye(A.shape[0], dtype=complex)
-    return MatrixTrajectory(grid, _compose(_increments(A, None, grid), start, grid.n))
+    return MatrixTrajectory(grid, _propagate(A, None, grid))
 
 
 def inverse_fundamental(A: PolyMatrix, grid: Grid) -> MatrixTrajectory:
@@ -119,5 +156,4 @@ def forced_trajectory(A: PolyMatrix, g: PolyVector, grid: Grid) -> np.ndarray:
     at the same order as the matrizant.
     """
     d = A.shape[0]
-    start = np.eye(d + 1, dtype=complex)[:, d:]
-    return _compose(_increments(A, g, grid), start, grid.n)[:, :d, 0]
+    return _propagate(A, g, grid)[:, :d, d]

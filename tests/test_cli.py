@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mpbvp import cli, corpus, emit_problem, problem_from_dict
+from mpbvp import cli, corpus, emit_problem, problem_from_dict, solve
 from mpbvp.boundary import BoundaryTerm, GeneralBoundaryOperator, MultipointBoundaryOperator
 from mpbvp.bvp import BvpProblem
 from mpbvp.funcspace import Grid, PiecewisePoly, PolyMatrix, PolyVector
@@ -187,3 +187,31 @@ def test_multipoint_problem_from_file(capsys, tmp_path):
     assert code == cli.EXIT_OK
     header, last = last_csv_row(out)
     assert abs(float(last[1]) - 3.0) <= 1e-12  # y = 2 + t at t = 1
+
+
+def _csv_per_value(problem, jet):
+    """Reference renderer: one format(x, ".17g") call per value."""
+    lines = [",".join(["t"] + [f"y{j}_{c}_{part}" for j in range(problem.r + 1)
+                               for c in range(problem.m) for part in ("re", "im")])]
+    for i, t in enumerate(problem.grid.nodes):
+        row = [format(float(t), ".17g")]
+        for j in range(problem.r + 1):
+            for c in range(problem.m):
+                z = jet.samples[j][i, c]
+                row += [format(float(z.real), ".17g"), format(float(z.imag), ".17g")]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def test_solution_csv_matches_per_value_rendering():
+    # p2 (r = 2) with a complex phase on its data; 2501 rows span three
+    # writer blocks, the last one ragged.
+    base = corpus.build_problem("p2", 2500)
+    phase = np.exp(0.7j)
+    problem = BvpProblem(base.r, base.m, base.coeffs, base.f * phase, base.q * phase,
+                         base.operator, base.grid)
+    jet = solve(problem).jet
+    assert np.any(jet.samples[0].imag != 0)
+    assert len(problem.grid.nodes) > 2 * cli.CSV_BLOCK_ROWS
+    text = cli._solution_csv(problem, jet)
+    assert text.encode() == _csv_per_value(problem, jet).encode()

@@ -53,6 +53,38 @@ def test_evaluation_sides_at_breakpoints():
     assert p(0.0) == 1.0
 
 
+def _polyval_per_piece(p, t, side):
+    """Reference evaluation: one polyval call per piece."""
+    tt = np.atleast_1d(np.asarray(t, dtype=float))
+    idx = np.clip(np.searchsorted(p.breakpoints, tt, side=side) - 1, 0, p.npieces - 1)
+    out = np.zeros(tt.shape, dtype=complex)
+    for j in np.unique(idx):
+        mask = idx == j
+        out[mask] = np.polynomial.polynomial.polyval(tt[mask], p.coeffs[j])
+    return out
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).reshape(-1).view(np.uint64)
+
+
+def test_evaluation_is_bitwise_per_piece_polyval():
+    rng = np.random.default_rng(7)
+    bp = [-1.0, -0.25, 0.0, 0.5, 1.5, 2.0]
+    coeffs = [rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+              for deg in (0, 3, 8, 1, 5)]
+    coeffs[1][0] = -0.0
+    p = PiecewisePoly(bp, coeffs)
+    t = np.concatenate([bp, rng.uniform(-1.0, 2.0, 500), [-3.0, -1.5, 2.5, 4.0]])
+    for side in ("right", "left"):
+        np.testing.assert_array_equal(_bits(p(t, side=side)),
+                                      _bits(_polyval_per_piece(p, t, side)))
+        for x in (-1.5, -0.25, 0.5, 2.0, 3.0):
+            value = p(x, side=side)
+            assert np.ndim(value) == 0
+            np.testing.assert_array_equal(_bits(value), _bits(_polyval_per_piece(p, x, side)))
+
+
 def test_integrate_exact_polynomial():
     p = PiecewisePoly.single([0.0, 0.0, 0.0, 1.0], 0.0, 1.0)  # t^3
     assert abs(p.integrate(0.0, 1.0) - 0.25) <= 1e-15

@@ -1,6 +1,7 @@
 """Fundamental matrices, inverses, and particular solutions."""
 
 import numpy as np
+import pytest
 
 from mpbvp import (
     Grid,
@@ -11,7 +12,7 @@ from mpbvp import (
     fundamental_matrix,
     inverse_fundamental,
 )
-from mpbvp.linode import BLOCK_STEPS
+from mpbvp.linode import BLOCK_STEPS, _compose, _increments, _propagate
 from oracles import exact_trace_integral, expm_taylor
 
 
@@ -95,3 +96,42 @@ def test_trajectory_interpolation():
     V = fundamental_matrix(A, _grid())
     at = V.at(0.333)
     assert abs(at[0, 0] - np.exp(-0.333)) <= 1e-11
+
+
+def _coupled_system():
+    """A 2 x 2 complex coefficient with a jump and a mixed-degree forcing."""
+    entries = [
+        [PiecewisePoly.single([0.5, 1.0j], 0.0, 1.0), PiecewisePoly.constant(2.0, 0.0, 1.0)],
+        [PiecewisePoly.step([0.0, 0.5, 1.0], [-1.0, 0.3j]),
+         PiecewisePoly.single([0.1, 0.0, 1.0], 0.0, 1.0)],
+    ]
+    g = PolyVector([PiecewisePoly.single([1.0, -2.0j, 0.5], 0.0, 1.0),
+                    PiecewisePoly.step([0.0, 0.5, 1.0], [1.0, 0.0])])
+    return PolyMatrix(entries), g
+
+
+@pytest.mark.parametrize("n", [2, 3, 513, 1537])
+def test_chunked_composition_matches_step_loop(n):
+    # n = 2 and 3 are blocks shorter than the 23-step chunks of a full
+    # block (n = 3 splits into two 2-step chunks, the last one padded).  A
+    # full 512-step block ends in a ragged chunk (22 x 23 + 6), and 513 and
+    # 1537 end in a one-step block.
+    A, g = _coupled_system()
+    grid = _grid(n)
+    blocks = list(_increments(A, g, grid))
+    start = np.eye(3, dtype=complex)
+    expected = [start]
+    for D in np.concatenate(blocks):
+        expected.append(expected[-1] + D @ expected[-1])
+    expected = np.stack(expected)
+    got = _compose(iter(blocks), start, n)
+    assert float(np.max(np.abs(got - expected))) <= 1e-13 * float(np.max(np.abs(expected)))
+
+
+def test_augmented_pass_carries_matrizant_and_forced_trajectory():
+    A, g = _coupled_system()
+    for grid in (_grid(), _grid(1537)):
+        augmented = _propagate(A, g, grid)
+        np.testing.assert_array_equal(augmented[:, :2, :2], fundamental_matrix(A, grid).values)
+        np.testing.assert_array_equal(augmented[:, :2, 2], forced_trajectory(A, g, grid))
+        np.testing.assert_array_equal(augmented[:, 2], np.broadcast_to([0, 0, 1], (grid.n + 1, 3)))
