@@ -130,16 +130,19 @@ def approximate_coefficients(A: PolyMatrix, k: int) -> PolyMatrix:
         raise ValueError(f"need an integer k >= 1, got {k}")
     a, b = A.a, A.b
     edges = a + (b - a) * np.arange(k + 1) / k
-    rows, cols = A.shape
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            entry = A.entries[i][j]
-            values = [entry.mean(float(edges[s]), float(edges[s + 1])) for s in range(k)]
-            row.append(PiecewisePoly.step(edges, values))
-        out.append(row)
-    return PolyMatrix(out)
+    widths = np.diff(edges)
+
+    def means(entry):
+        # Real and imaginary parts divide separately: that is Python's
+        # complex / float, which numpy's complex division (a multiply by the
+        # reciprocal) does not reproduce bit for bit.
+        sums = entry.integrals(edges)
+        out = np.empty_like(sums)
+        out.real = sums.real / widths
+        out.imag = sums.imag / widths
+        return PiecewisePoly.step(edges, out)
+
+    return PolyMatrix([[means(entry) for entry in row] for row in A.entries])
 
 
 def build_multipoint_problem(problem: BvpProblem, k: int,

@@ -157,23 +157,19 @@ def multipointify(op: GeneralBoundaryOperator, k: int) -> MultipointBoundaryOper
     terms = [BoundaryTerm(op.a, l, alpha) for l, alpha in enumerate(op.alphas)]
     disc = op.phi.discretize(k)
     tol = (op.b - op.a) * 1e-12
-    located: list[tuple[float, int, int, complex]] = []
-    for i in range(rows):
-        for j in range(m):
-            for t, w in disc.entries[i][j].atoms:
-                located.append((t, i, j, w))
-    located.sort(key=lambda item: item[0])
-    cluster_start = 0
-    while cluster_start < len(located):
-        cluster_end = cluster_start + 1
-        while (cluster_end < len(located)
-               and located[cluster_end][0] - located[cluster_end - 1][0] <= tol):
-            cluster_end += 1
-        weight = np.zeros((rows, m), dtype=complex)
-        for t, i, j, w in located[cluster_start:cluster_end]:
-            weight[i, j] += w
-        terms.append(BoundaryTerm(located[cluster_start][0], op.r - 1, weight))
-        cluster_start = cluster_end
+    located = [(t, i, j, w) for i, row in enumerate(disc.entries)
+               for j, entry in enumerate(row) for t, w in entry.atoms]
+    if located:
+        t, i, j, w = (np.array(column) for column in zip(*located))
+        order = np.argsort(t, kind="stable")
+        t, i, j, w = t[order], i[order], j[order], w[order]
+        # A cluster starts where the gap to the previous atom exceeds tol.
+        starts = np.concatenate([[True], np.diff(t) > tol])
+        cluster = np.cumsum(starts) - 1
+        weights = np.zeros((int(cluster[-1]) + 1, rows, m), dtype=complex)
+        np.add.at(weights, (cluster, i, j), w)
+        terms += [BoundaryTerm(float(node), op.r - 1, weight)
+                  for node, weight in zip(t[starts], weights)]
     return MultipointBoundaryOperator(op.r, op.m, op.a, op.b, terms)
 
 

@@ -5,6 +5,13 @@ sum of its component norms, the norm of a matrix function is the maximum of
 its column norms, and numeric vectors/matrices use the matching discrete
 norms (entrywise sum, maximum column sum).  Quadrature on sampled data is
 the composite trapezoid rule on the grid.
+
+A piecewise polynomial is held as one zero-padded coefficient table with a
+row per piece.  Every operation works on the whole table: evaluation and
+``integrals`` (exact integrals over consecutive edges, from the
+antiderivative table) are one Horner pass each, sums gather both operands'
+rows at the merged pieces, and |.| integrals of constant pieces are one dot
+product.
 """
 
 from __future__ import annotations
@@ -33,9 +40,6 @@ __all__ = [
 
 #: Highest polynomial degree a single piece may carry.
 MAX_PIECE_DEGREE = 8
-
-_polyval = np.polynomial.polynomial.polyval
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -66,11 +70,10 @@ class Grid:
         """Midpoints of the n grid cells."""
         return self.a + (self.b - self.a) * (2.0 * np.arange(self.n) + 1.0) / (2.0 * self.n)
 
-    def nearest_node(self, t: float) -> float:
-        """Coordinate of the grid node closest to t."""
-        i = int(round((t - self.a) / self.h))
-        i = min(max(i, 0), self.n)
-        return float(self.nodes[i])
+    def nearest_node(self, t):
+        """Coordinate of the grid node closest to t (elementwise for arrays)."""
+        i = np.clip(np.rint((np.asarray(t) - self.a) / self.h), 0, self.n).astype(np.intp)
+        return self.nodes[i]
 
 
 def _fractional_index(grid: Grid, t: float) -> float:
@@ -124,17 +127,57 @@ def sample_cubic(grid: Grid, values: np.ndarray, t: float):
     return np.tensordot(w, values[base:base + w.size], axes=(0, 0))
 
 
+def _horner(table: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Row i of a coefficient table (lowest degree first) evaluated at t[i].
+
+    The same operations as ``polyval`` per row, so zero padding above a
+    row's degree leaves every sum bit for bit unchanged.
+    """
+    out = table[:, -1] + t * 0
+    for k in range(table.shape[1] - 2, -1, -1):
+        out = table[:, k] + out * t
+    return out
+
+
 class PiecewisePoly:
     """Complex piecewise polynomial on [a, b] in the global variable t.
 
-    ``coeffs[j]`` holds the coefficients of piece j, lowest degree first.
-    Evaluation at an interior breakpoint takes the right-hand piece by
-    default; the point b always belongs to the last piece.
+    The working representation is one zero-padded coefficient table:
+    ``table[j, :widths[j]]`` holds the coefficients of piece j, lowest
+    degree first, and the rest of row j is zero.  Evaluation, sums,
+    interval integrals (``integrals``), |.| integrals and grid snapping each
+    run on the whole table at once.  ``coeffs`` lists the pieces at their
+    own widths, which is what problem files store.  Evaluation at an
+    interior breakpoint takes the right-hand piece by default; the point b
+    always belongs to the last piece.
     """
 
-    __slots__ = ("breakpoints", "coeffs", "_table")
+    __slots__ = ("breakpoints", "table", "widths", "_coeffs")
 
     def __init__(self, breakpoints, coeffs):
+        pieces = [np.atleast_1d(np.asarray(c, dtype=complex)) for c in coeffs]
+        if any(c.ndim != 1 or c.size == 0 for c in pieces):
+            raise ValueError("each piece needs a non-empty 1-d coefficient array")
+        widths = np.array([c.size for c in pieces], dtype=np.intp)
+        width = int(widths.max(initial=1))
+        if width - 1 > MAX_PIECE_DEGREE:
+            raise ValueError(f"piece degree {width - 1} exceeds the cap {MAX_PIECE_DEGREE}")
+        table = np.zeros((len(pieces), width), dtype=complex)
+        if pieces:
+            table[np.arange(width) < widths[:, None]] = np.concatenate(pieces)
+        self._set(breakpoints, table, widths)
+
+    @classmethod
+    def _from_table(cls, breakpoints, table, widths) -> "PiecewisePoly":
+        """Wrap a coefficient table built from validated operands.
+
+        Breakpoints and finiteness are still checked: a sum can overflow.
+        """
+        out = cls.__new__(cls)
+        out._set(breakpoints, table, widths)
+        return out
+
+    def _set(self, breakpoints, table, widths):
         bp = np.asarray(breakpoints, dtype=float)
         if bp.ndim != 1 or bp.size < 2:
             raise ValueError("need at least two breakpoints")
@@ -142,25 +185,18 @@ class PiecewisePoly:
             raise ValueError("breakpoints must be finite")
         if not np.all(np.diff(bp) > 0):
             raise ValueError("breakpoints must be strictly increasing")
-        if len(coeffs) != bp.size - 1:
+        if table.shape[0] != bp.size - 1:
             raise ValueError(
-                f"{bp.size - 1} pieces require {bp.size - 1} coefficient arrays, got {len(coeffs)}"
+                f"{bp.size - 1} pieces require {bp.size - 1} coefficient arrays, "
+                f"got {table.shape[0]}"
             )
-        stored = []
-        for c in coeffs:
-            arr = np.atleast_1d(np.asarray(c, dtype=complex))
-            if arr.ndim != 1 or arr.size == 0:
-                raise ValueError("each piece needs a non-empty 1-d coefficient array")
-            if arr.size - 1 > MAX_PIECE_DEGREE:
-                raise ValueError(
-                    f"piece degree {arr.size - 1} exceeds the cap {MAX_PIECE_DEGREE}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("polynomial coefficients must be finite")
-            stored.append(arr)
+        table = table[:, :int(widths.max(initial=1))]
+        if not np.all(np.isfinite(table)):
+            raise ValueError("polynomial coefficients must be finite")
         self.breakpoints = bp
-        self.coeffs = stored
-        self._table = None
+        self.table = table
+        self.widths = widths
+        self._coeffs = None
 
     # -- constructors ------------------------------------------------------
 
@@ -180,7 +216,10 @@ class PiecewisePoly:
     @classmethod
     def step(cls, breakpoints, values) -> "PiecewisePoly":
         """Piecewise-constant function taking values[j] on piece j."""
-        return cls(breakpoints, [[v] for v in values])
+        column = np.asarray(values, dtype=complex)
+        if column.ndim != 1:
+            raise ValueError("step values must be a 1-d sequence of scalars")
+        return cls._from_table(breakpoints, column[:, None], np.ones(column.size, dtype=np.intp))
 
     # -- basic queries -----------------------------------------------------
 
@@ -194,68 +233,84 @@ class PiecewisePoly:
 
     @property
     def npieces(self) -> int:
-        return len(self.coeffs)
+        return self.table.shape[0]
+
+    @property
+    def coeffs(self) -> list:
+        """Coefficient arrays of the pieces, each at its own width."""
+        if self._coeffs is None:
+            mask = np.arange(self.table.shape[1]) < self.widths[:, None]
+            self._coeffs = np.split(self.table[mask], np.cumsum(self.widths)[:-1])
+        return self._coeffs
 
     @property
     def is_zero(self) -> bool:
-        return all(np.all(c == 0) for c in self.coeffs)
+        return not self.table.any()
+
+    def _piece_index(self, t, side: str = "right") -> np.ndarray:
+        """Index of the piece each t falls in (clamped to the first/last piece)."""
+        idx = np.searchsorted(self.breakpoints, t, side=side) - 1
+        return np.clip(idx, 0, self.npieces - 1)
 
     def __call__(self, t, side: str = "right"):
         arr = np.asarray(t, dtype=float)
         scalar = arr.ndim == 0
         tt = np.atleast_1d(arr)
-        flag = "right" if side == "right" else "left"
-        idx = np.searchsorted(self.breakpoints, tt, side=flag) - 1
-        idx = np.clip(idx, 0, self.npieces - 1)
-        if self._table is None:
-            # Zero padding above a piece's degree leaves polyval's Horner sums unchanged.
-            table = np.zeros((self.npieces, max(c.size for c in self.coeffs)), dtype=complex)
-            for j, c in enumerate(self.coeffs):
-                table[j, :c.size] = c
-            self._table = table
-        coeffs = self._table[idx]
-        out = coeffs[:, -1] + tt * 0
-        for k in range(coeffs.shape[1] - 2, -1, -1):
-            out = coeffs[:, k] + out * tt
+        out = _horner(self.table[self._piece_index(tt, "right" if side == "right" else "left")], tt)
         return out[0] if scalar else out
 
     # -- calculus ----------------------------------------------------------
 
-    def _overlaps(self, c: float, d: float):
-        """Yield (piece index, lo, hi) for the parts of [c, d] in each piece."""
-        bp = self.breakpoints
-        for j in range(self.npieces):
-            lo = max(c, bp[j])
-            hi = min(d, bp[j + 1])
-            if hi > lo:
-                yield j, lo, hi
+    def integrals(self, edges) -> np.ndarray:
+        """Exact integrals over [edges[i], edges[i+1]] for every i.
+
+        Parts of an interval outside [a, b] contribute nothing.  The edges
+        are split at the interior breakpoints between them, the
+        antiderivative table is evaluated at every split point in one Horner
+        pass, and the per-piece differences are summed back per interval.
+        """
+        e = np.asarray(edges, dtype=float)
+        if e.ndim != 1 or e.size < 2:
+            raise ValueError("need at least two edges")
+        if not np.all(np.diff(e) >= 0):
+            raise ValueError("integration needs nondecreasing edges (c <= d)")
+        e = np.clip(e, self.breakpoints[0], self.breakpoints[-1])
+        inner = self.breakpoints[1:-1]
+        points = np.concatenate([e, inner[(inner > e[0]) & (inner < e[-1])]])
+        order = np.argsort(points, kind="stable")
+        points = points[order]
+        starts = np.flatnonzero(order < e.size)  # where each edge landed
+        lo, hi = points[:-1], points[1:]
+        width = self.table.shape[1]
+        anti = np.zeros((self.npieces, width + 1), dtype=complex)
+        anti[:, 1:] = self.table / np.arange(1, width + 1)
+        anti = anti[self._piece_index(lo)]
+        return np.add.reduceat(_horner(anti, hi) - _horner(anti, lo), starts[:-1])
 
     def integrate(self, c: float | None = None, d: float | None = None) -> complex:
         """Exact integral of the polynomial over [c, d] (defaults to [a, b])."""
-        c = self.a if c is None else float(c)
-        d = self.b if d is None else float(d)
-        if d < c:
-            raise ValueError("integration needs c <= d")
-        total = 0.0 + 0.0j
-        for j, lo, hi in self._overlaps(c, d):
-            cj = self.coeffs[j]
-            anti = np.concatenate([[0.0 + 0.0j], cj / np.arange(1, cj.size + 1)])
-            total += _polyval(hi, anti) - _polyval(lo, anti)
-        return complex(total)
+        return complex(self.integrals([self.a if c is None else c, self.b if d is None else d])[0])
 
     def abs_integral(self, c: float | None = None, d: float | None = None) -> float:
         """Integral of |p(t)| over [c, d], exact up to quadrature on smooth arcs.
 
-        Each piece is split at the real zeros of |p|^2 so that |p| is analytic
-        on every sub-arc, then integrated by fixed Gauss-Legendre quadrature.
+        Constant pieces (all coefficients above degree 0 exactly zero)
+        contribute |c_j| times their width, summed in one dot product.  Every
+        other piece is split at the real zeros of |p|^2 so that |p| is
+        analytic on every sub-arc, then integrated by fixed Gauss-Legendre
+        quadrature.
         """
         c = self.a if c is None else float(c)
         d = self.b if d is None else float(d)
         if d < c:
             raise ValueError("integration needs c <= d")
-        total = 0.0
-        for j, lo, hi in self._overlaps(c, d):
-            total += _piece_abs_integral(self.coeffs[j], lo, hi)
+        lo = np.maximum(self.breakpoints[:-1], c)
+        hi = np.minimum(self.breakpoints[1:], d)
+        width = np.where(hi > lo, hi - lo, 0.0)
+        flat = ~self.table[:, 1:].any(axis=1)
+        total = float(np.dot(np.abs(self.table[flat, 0]), width[flat]))
+        for j in np.flatnonzero(~flat & (width > 0)):
+            total += _piece_abs_integral(self.table[j, :self.widths[j]], lo[j], hi[j])
         return total
 
     def mean(self, c: float, d: float) -> complex:
@@ -264,13 +319,11 @@ class PiecewisePoly:
         return self.integrate(c, d) / (d - c)
 
     def derivative(self) -> "PiecewisePoly":
-        ders = []
-        for cj in self.coeffs:
-            if cj.size == 1:
-                ders.append(np.zeros(1, dtype=complex))
-            else:
-                ders.append(cj[1:] * np.arange(1, cj.size))
-        return PiecewisePoly(self.breakpoints, ders)
+        table = self.table[:, 1:] * np.arange(1, self.table.shape[1])
+        if table.shape[1] == 0:
+            table = np.zeros_like(self.table)
+        return PiecewisePoly._from_table(self.breakpoints, table,
+                                         np.maximum(self.widths - 1, 1))
 
     # -- algebra -----------------------------------------------------------
 
@@ -281,28 +334,25 @@ class PiecewisePoly:
         if abs(self.a - other.a) > tol or abs(self.b - other.b) > tol:
             raise ValueError("operands must share the same interval")
         merged = np.unique(np.concatenate([self.breakpoints, other.breakpoints]))
-        keep = [merged[0]]
-        for t in merged[1:]:
-            if t - keep[-1] > tol:
-                keep.append(t)
-        keep[0], keep[-1] = self.a, self.b
-        bp = np.asarray(keep)
-        coeffs = []
-        for j in range(bp.size - 1):
-            mid = 0.5 * (bp[j] + bp[j + 1])
-            ca = self._piece_at(mid)
-            cb = other._piece_at(mid)
-            width = max(ca.size, cb.size)
-            out = np.zeros(width, dtype=complex)
-            out[: ca.size] += ca
-            out[: cb.size] += sign * cb
-            coeffs.append(out)
-        return PiecewisePoly(bp, coeffs)
-
-    def _piece_at(self, t: float) -> np.ndarray:
-        idx = int(np.searchsorted(self.breakpoints, t, side="right") - 1)
-        idx = min(max(idx, 0), self.npieces - 1)
-        return self.coeffs[idx]
+        # A breakpoint within tol of the last kept one is dropped.  Only points
+        # within tol of their predecessor can be, and chains of them need
+        # this sequential pass.
+        keep = np.ones(merged.size, dtype=bool)
+        last = merged[0]
+        for i in np.flatnonzero(np.diff(merged) <= tol) + 1:
+            if keep[i - 1]:
+                last = merged[i - 1]
+            keep[i] = merged[i] - last > tol
+        bp = merged[keep]
+        bp[0], bp[-1] = self.a, self.b
+        mid = 0.5 * (bp[:-1] + bp[1:])
+        ia, ib = self._piece_index(mid), other._piece_index(mid)
+        ta, tb = self.table[ia], other.table[ib]
+        table = np.zeros((mid.size, max(ta.shape[1], tb.shape[1])), dtype=complex)
+        table[:, :ta.shape[1]] += ta
+        table[:, :tb.shape[1]] += sign * tb
+        return PiecewisePoly._from_table(bp, table,
+                                         np.maximum(self.widths[ia], other.widths[ib]))
 
     def __add__(self, other):
         return self._binary(other, 1.0)
@@ -311,11 +361,11 @@ class PiecewisePoly:
         return self._binary(other, -1.0)
 
     def __neg__(self):
-        return PiecewisePoly(self.breakpoints, [-c for c in self.coeffs])
+        return PiecewisePoly._from_table(self.breakpoints, -self.table, self.widths)
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, float, complex)):
-            return PiecewisePoly(self.breakpoints, [c * scalar for c in self.coeffs])
+            return PiecewisePoly._from_table(self.breakpoints, self.table * scalar, self.widths)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -329,32 +379,28 @@ class PiecewisePoly:
         width are dropped with a warning; a displacement beyond h/2 (which
         can only happen for breakpoints outside [a, b]) also warns.
         """
-        bp = [float(grid.a)]
-        coeffs = []
-        for j in range(self.npieces):
-            right = self.b if j == self.npieces - 1 else float(self.breakpoints[j + 1])
-            snapped = grid.b if j == self.npieces - 1 else grid.nearest_node(right)
-            if abs(snapped - right) > grid.h / 2 + 1e-9 * (grid.b - grid.a):
+        right = self.breakpoints[1:]
+        target = grid.nearest_node(right)
+        target[-1] = grid.b
+        moved = np.abs(target - right) > grid.h / 2 + 1e-9 * (grid.b - grid.a)
+        # The last kept breakpoint is the running maximum of all earlier ones.
+        keep = target > np.maximum.accumulate(np.concatenate([[grid.a], target[:-1]]))
+        for j in np.flatnonzero(moved | ~keep):
+            if moved[j]:
                 warnings.warn(
-                    f"breakpoint {right} moved by more than h/2 during grid alignment",
+                    f"breakpoint {float(right[j])} moved by more than h/2 during grid alignment",
                     stacklevel=2,
                 )
-            if snapped - bp[-1] <= 0:
+            if not keep[j]:
                 warnings.warn(
-                    f"piece [{self.breakpoints[j]}, {right}] collapsed during grid alignment",
+                    f"piece [{float(self.breakpoints[j])}, {float(right[j])}] collapsed "
+                    "during grid alignment",
                     stacklevel=2,
                 )
-                continue
-            bp.append(snapped)
-            coeffs.append(self.coeffs[j])
-        if len(coeffs) == 0:
-            # everything collapsed onto one node; keep the last piece
-            bp = [grid.a, grid.b]
-            coeffs = [self.coeffs[-1]]
-        if bp[-1] < grid.b:
-            bp.append(grid.b)
-            coeffs.append(self.coeffs[-1])
-        return PiecewisePoly(bp, coeffs)
+        if not keep.any():
+            keep[-1] = True  # everything collapsed onto one node; keep the last piece
+        return PiecewisePoly._from_table(np.concatenate([[grid.a], target[keep]]),
+                                         self.table[keep], self.widths[keep])
 
     def __repr__(self):
         return f"PiecewisePoly({self.npieces} pieces on [{self.a}, {self.b}])"

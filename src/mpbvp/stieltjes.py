@@ -164,14 +164,15 @@ def _density_weights(grid: Grid, density: PiecewisePoly) -> np.ndarray:
         return trap * density(nodes)
     out = np.zeros(grid.n + 1, dtype=complex)
     poly = np.polynomial.polynomial.polyval
-    for i0, i1 in zip(seg[:-1], seg[1:]):
-        piece = density._piece_at(0.5 * (nodes[i0] + nodes[i1]))
+    seg = np.asarray(seg)
+    pieces = density._piece_index(0.5 * (nodes[seg[:-1]] + nodes[seg[1:]]))
+    for i0, i1, piece in zip(seg[:-1], seg[1:], pieces):
         trap = np.full(i1 - i0 + 1, h)
         trap[[0, -1]] *= 0.5
         if trap.size >= 4:
             trap[:4] += h * _END_CORRECTION
             trap[-4:] += h * _END_CORRECTION[::-1]
-        out[i0:i1 + 1] += trap * poly(nodes[i0:i1 + 1], piece)
+        out[i0:i1 + 1] += trap * poly(nodes[i0:i1 + 1], density.coeffs[piece])
     return out
 
 
@@ -215,10 +216,9 @@ def discretize_measure(measure: ScalarMeasure, k: int) -> ScalarMeasure:
         return ScalarMeasure(measure.a, measure.b, atoms=measure.atoms)
     a, b = measure.a, measure.b
     edges = a + (b - a) * np.arange(k + 1) / k
-    atoms = list(measure.atoms)
-    for j in range(k):
-        weight = measure.density.integrate(float(edges[j]), float(edges[j + 1]))
-        atoms.append((0.5 * (float(edges[j]) + float(edges[j + 1])), weight))
+    midpoints = 0.5 * (edges[:-1] + edges[1:])
+    atoms = list(measure.atoms) + list(zip(midpoints.tolist(),
+                                           measure.density.integrals(edges).tolist()))
     return ScalarMeasure(a, b, atoms=atoms)
 
 

@@ -48,6 +48,21 @@ def test_constant_coefficient_is_fixed_point():
         np.testing.assert_allclose(Ak.eval_at(ts), A.eval_at(ts), atol=1e-15)
 
 
+def test_interval_means_are_bitwise_the_per_interval_means():
+    rng = np.random.default_rng(2)
+    bp = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 9)), [1.0]])
+    A = PolyMatrix([[PiecewisePoly(bp, [rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+                                        for d in rng.integers(0, 9, 10)])
+                     for _ in range(2)] for _ in range(2)])
+    for k in (1, 3, 7, 64):
+        edges = np.arange(k + 1) / k
+        for row, approx_row in zip(A.entries, approximate_coefficients(A, k).entries):
+            for entry, approx in zip(row, approx_row):
+                want = np.array([entry.mean(c, d) for c, d in zip(edges[:-1], edges[1:])])
+                got = np.concatenate(approx.coeffs)
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_mean_approximation_l1_error_law():
     # For A(t) = t the L1 distance to its interval means is exactly 1/(4k).
     A = _identity_matrix_fn()

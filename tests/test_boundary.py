@@ -88,6 +88,52 @@ def test_multipointify_passes_atoms_through():
     np.testing.assert_allclose(approx.terms[-1].beta, [[1.0, 0.0], [0.0, 0.0]])
 
 
+def _multipointify_loop(op, k):
+    """Reference multipointify: sort all atoms, then grow each cluster while
+    the gap to the previous atom is at most tol."""
+    rows, m = op.rows, op.m
+    terms = [BoundaryTerm(op.a, l, alpha) for l, alpha in enumerate(op.alphas)]
+    disc = op.phi.discretize(k)
+    tol = (op.b - op.a) * 1e-12
+    located = []
+    for i in range(rows):
+        for j in range(m):
+            for t, w in disc.entries[i][j].atoms:
+                located.append((t, i, j, w))
+    located.sort(key=lambda item: item[0])
+    start = 0
+    while start < len(located):
+        end = start + 1
+        while end < len(located) and located[end][0] - located[end - 1][0] <= tol:
+            end += 1
+        weight = np.zeros((rows, m), dtype=complex)
+        for _, i, j, w in located[start:end]:
+            weight[i, j] += w
+        terms.append(BoundaryTerm(located[start][0], op.r - 1, weight))
+        start = end
+    return MultipointBoundaryOperator(op.r, op.m, op.a, op.b, terms)
+
+
+def test_multipointify_groups_atoms_like_the_loop():
+    tol = 1e-12
+    # Atoms 0.6 tol apart in different entries chain into one cluster.
+    chained = GeneralBoundaryOperator(1, 2, [], MatrixMeasure([
+        [ScalarMeasure.point_mass(0.0, 1.0, 0.5, 2.0),
+         ScalarMeasure.point_mass(0.0, 1.0, 0.5 + 0.6 * tol, -1.0j)],
+        [ScalarMeasure.point_mass(0.0, 1.0, 0.5 + 1.2 * tol, 3.0),
+         ScalarMeasure.lebesgue(0.0, 1.0, 0.5)],
+    ]))
+    ops = [corpus.build_problem(name, 64).operator for name in ("p1", "p2", "p3")]
+    for op, ks in [(chained, (1, 2, 4)), *((op, (2, 4, 256, 1024)) for op in ops)]:
+        for k in ks:
+            got, want = multipointify(op, k), _multipointify_loop(op, k)
+            assert len(got.terms) == len(want.terms)
+            for x, y in zip(got.terms, want.terms):
+                assert (x.node, x.order) == (y.node, y.order)
+                np.testing.assert_array_equal(x.beta.view(np.uint64), y.beta.view(np.uint64))
+    assert [t.node for t in multipointify(chained, 1).terms] == [0.5]
+
+
 def test_lift_matches_jet_application():
     grid = Grid(0.0, 1.0, 512)
     op = _p2_operator()

@@ -20,7 +20,8 @@ from mpbvp import (
     traj_norm_c,
     vec_norm,
 )
-from mpbvp.funcspace import sample_cubic, sample_linear
+from mpbvp import corpus, sawtooth_perturbation
+from mpbvp.funcspace import _piece_abs_integral, sample_cubic, sample_linear
 
 
 # -- grids -------------------------------------------------------------------
@@ -135,6 +136,161 @@ def test_snapped_moves_breakpoints_to_nodes():
     snapped = p.snapped(grid)
     np.testing.assert_allclose(snapped.breakpoints, [0.0, 0.25, 1.0])
     assert snapped(0.26) == 2.0
+
+
+def _binary_per_piece(p, q, sign):
+    """Reference sum: the merge loop, one midpoint lookup per merged piece."""
+    tol = 1e-12 * max(p.b - p.a, 1.0)
+    merged = np.unique(np.concatenate([p.breakpoints, q.breakpoints]))
+    keep = [merged[0]]
+    for t in merged[1:]:
+        if t - keep[-1] > tol:
+            keep.append(t)
+    keep[0], keep[-1] = p.a, p.b
+    coeffs = []
+    for lo, hi in zip(keep[:-1], keep[1:]):
+        mid = 0.5 * (lo + hi)
+        ca, cb = (x.coeffs[min(max(int(np.searchsorted(x.breakpoints, mid, side="right")) - 1,
+                                   0), x.npieces - 1)] for x in (p, q))
+        out = np.zeros(max(ca.size, cb.size), dtype=complex)
+        out[:ca.size] += ca
+        out[:cb.size] += sign * cb
+        coeffs.append(out)
+    return keep, coeffs
+
+
+def _random_poly(rng, breakpoints, degrees):
+    return PiecewisePoly(breakpoints, [rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+                                       for d in degrees])
+
+
+def test_sum_is_bitwise_the_per_piece_merge():
+    rng = np.random.default_rng(11)
+    tol = 1e-12
+    # Merged points 0.5 + (0, 0.6, 1.2, 1.8) tol: measured against the last
+    # kept point 0.5 + 1.2 tol survives; measured against the previous merged
+    # point every one after 0.5 would go.
+    chain_p = _random_poly(rng, [0.0, 0.5, 0.5 + 1.2 * tol, 0.8, 1.0], [2, 0, 8, 1])
+    chain_q = _random_poly(rng, [0.0, 0.5 + 0.6 * tol, 0.5 + 1.8 * tol, 1.0], [0, 3, 5])
+    wide = _random_poly(rng, np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 30)])),
+                        rng.integers(0, 9, 31))
+    steps = PiecewisePoly.step(np.linspace(0.0, 1.0, 9), rng.standard_normal(8))
+    shared = _random_poly(rng, [0.0, 0.25, 0.5, 1.0], [1, 4, 0])
+    for p, q in [(chain_p, chain_q), (wide, steps), (steps, wide), (shared, steps),
+                 (wide, shared), (shared, shared)]:
+        for sign, result in ((1.0, p + q), (-1.0, p - q)):
+            keep, coeffs = _binary_per_piece(p, q, sign)
+            np.testing.assert_array_equal(result.breakpoints.view(np.uint64),
+                                          np.asarray(keep).view(np.uint64))
+            assert [c.size for c in result.coeffs] == [c.size for c in coeffs]
+            for got, want in zip(result.coeffs, coeffs):
+                np.testing.assert_array_equal(_bits(got), _bits(want))
+    kept = (chain_p + chain_q).breakpoints
+    np.testing.assert_array_equal(kept, [0.0, 0.5, 0.5 + 1.2 * tol, 0.8, 1.0])
+
+
+def test_sum_overflowing_to_inf_is_rejected():
+    big = PiecewisePoly.step([0, 1], [1e308])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        big + big
+
+
+def _integral_per_interval(p, c, d):
+    """Reference integral: the antiderivative of each overlapped piece."""
+    total = 0.0 + 0.0j
+    for j in range(p.npieces):
+        lo, hi = max(c, p.breakpoints[j]), min(d, p.breakpoints[j + 1])
+        if hi > lo:
+            cj = p.coeffs[j]
+            anti = np.concatenate([[0.0 + 0.0j], cj / np.arange(1, cj.size + 1)])
+            total += (np.polynomial.polynomial.polyval(hi, anti)
+                      - np.polynomial.polynomial.polyval(lo, anti))
+    return complex(total)
+
+
+def test_integrals_match_per_interval_antiderivatives():
+    rng = np.random.default_rng(5)
+    bp = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.0, 11)), [2.0]])
+    # Positive coefficients on t >= 0: no cancellation, so 1e-15 is a few ulps.
+    p = PiecewisePoly(bp, [rng.uniform(0.1, 1.0, d + 1) + 1j * rng.uniform(0.1, 1.0, d + 1)
+                           for d in rng.integers(0, 9, 12)])
+    edges = np.sort(np.concatenate([[-0.5, 0.0, 2.0, 2.5], bp[[3, 3, 7]],
+                                    rng.uniform(0.0, 2.0, 5)]))
+    got = p.integrals(edges)
+    assert got.shape == (edges.size - 1,)
+    for (c, d), value in zip(zip(edges[:-1], edges[1:]), got):
+        want = _integral_per_interval(p, c, d)
+        assert abs(value - want) <= 1e-15 * abs(want), (c, d)
+    assert p.integrals([0.3, 0.3])[0] == 0.0
+    assert p.integrate() == p.integrals([0.0, 2.0])[0]
+    with pytest.raises(ValueError):
+        p.integrals([0.5, 0.4])
+    with pytest.raises(ValueError):
+        p.integrate(0.5, 0.4)
+
+
+def _abs_integral_per_piece(p, c, d):
+    """Reference |.| integral: root splitting and quadrature on every piece."""
+    total = 0.0
+    for j in range(p.npieces):
+        lo, hi = max(c, p.breakpoints[j]), min(d, p.breakpoints[j + 1])
+        if hi > lo:
+            total += _piece_abs_integral(p.coeffs[j], lo, hi)
+    return total
+
+
+def test_abs_integral_of_constant_pieces_matches_quadrature():
+    problem = corpus.build_problem("p1", 2048)
+    delta = sawtooth_perturbation(problem.grid, 64, 1e-3, problem.m)
+    diff = ((problem.f + delta) - problem.f).components[0]
+    assert diff.npieces > 64 and not diff.table[:, 1:].any()   # every piece is constant
+    steps = PiecewisePoly.step([0.0, 0.3, 0.7, 1.0], [3.0 + 4.0j, -1.5j, 2.0 - 2.0j])
+    mixed = PiecewisePoly([0.0, 0.3, 0.5, 1.0], [[1.0 - 1.0j], [0.5, -2.0, 1j], [0.0, 0.0]])
+    for p, c, d in [(diff, diff.a, diff.b), (steps, 0.0, 1.0), (steps, 0.1, 0.8),
+                    (mixed, 0.0, 1.0), (mixed, 0.2, 0.9)]:
+        want = _abs_integral_per_piece(p, c, d)
+        assert abs(p.abs_integral(c, d) - want) <= 1e-15 * want
+    assert abs(steps.abs_integral() - (5.0 * 0.3 + 1.5 * 0.4 + 8.0 ** 0.5 * 0.3)) <= 1e-15 * 3.0
+
+
+def _snapped_per_piece(p, grid):
+    """Reference alignment: one nearest-node lookup and collapse test per piece."""
+    bp, coeffs = [grid.a], []
+    for j in range(p.npieces):
+        s = int(round((float(p.breakpoints[j + 1]) - grid.a) / grid.h))
+        node = grid.b if j == p.npieces - 1 else float(grid.nodes[min(max(s, 0), grid.n)])
+        if node > bp[-1]:
+            bp.append(node)
+            coeffs.append(p.coeffs[j])
+    return bp, coeffs
+
+
+def test_snapped_warns_and_drops_collapsed_pieces():
+    grid = Grid(0.0, 1.0, 4)
+    rng = np.random.default_rng(3)
+    p = _random_poly(rng, [0.0, 0.3, 0.32, 0.6, 1.0], [1, 2, 0, 3])
+    with pytest.warns(UserWarning, match=r"piece \[0.3, 0.32\] collapsed"):
+        snapped = p.snapped(grid)
+    bp, coeffs = _snapped_per_piece(p, grid)
+    np.testing.assert_array_equal(snapped.breakpoints, bp)
+    assert len(snapped.coeffs) == len(coeffs) == 3
+    for got, want in zip(snapped.coeffs, coeffs):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+    # A breakpoint beyond b moves by more than h/2, and its neighbour collapses.
+    outside = PiecewisePoly.step([0.0, 1.6, 2.0], [1.0, 2.0])
+    with pytest.warns(UserWarning) as record:
+        snapped = outside.snapped(grid)
+    messages = [str(w.message) for w in record]
+    assert any("1.6 moved by more than h/2" in m for m in messages)
+    assert any("[1.6, 2.0] collapsed" in m for m in messages)
+    np.testing.assert_array_equal(snapped.breakpoints, [0.0, 1.0])
+    assert snapped(0.5) == 1.0
+    # Every interior breakpoint collapses onto a: the last piece spans [a, b].
+    early = PiecewisePoly.step([0.0, 0.01, 0.02, 1.0], [1.0, 2.0, 3.0])
+    with pytest.warns(UserWarning, match="collapsed"):
+        snapped = early.snapped(grid)
+    np.testing.assert_array_equal(snapped.breakpoints, [0.0, 1.0])
+    assert snapped(0.5) == 3.0
 
 
 @given(
