@@ -190,21 +190,21 @@ def remark3_constants(problem: BvpProblem, sigma_probe_ks=None) -> ErrorConstant
     """
     P, _, T, _ = companion_reduce(problem)
     V = fundamental_matrix(P, problem.grid)
-    char = T.apply_trajectory(V.values)
+    char = T.apply_trajectory(V)
     _check_solvable(char)
-    return _certified_constants(problem, P, traj_norm_c(V.values), char,
-                                sigma_probe_ks or _DEFAULT_SIGMA_PROBE_KS)
+    return _certified_constants(problem, P, traj_norm_c(V), char,
+                                _sigma_for(problem, sigma_probe_ks or _DEFAULT_SIGMA_PROBE_KS))
 
 
 def _certified_constants(problem: BvpProblem, P: PolyMatrix, v_c: float,
-                         char: np.ndarray, sigma_probe_ks) -> ErrorConstants:
-    """The constants from |V|_C = v_c and the solvable characteristic matrix [TV].
+                         char: np.ndarray, sigma_hat: float) -> ErrorConstants:
+    """The constants from |V|_C = v_c, the solvable [TV] and the bound sigma_hat.
 
     P is the companion matrix of the limit problem; a reference solve
     already holds v_c and [TV], so only Z = V^-1 is integrated here.
     """
     grid = problem.grid
-    w_c = traj_norm_c(inverse_fundamental(P, grid).values)
+    w_c = traj_norm_c(inverse_fundamental(P, grid))
     c1 = 1.0 + v_c * mat_norm(np.linalg.inv(char))
     if problem.r == 1:
         c2 = 2.0 + v_c * w_c * problem.coeffs[0].l1_norm()
@@ -213,16 +213,12 @@ def _certified_constants(problem: BvpProblem, P: PolyMatrix, v_c: float,
     lam = 1.0 / norm_lower_bound(problem.operator,
                                  default_probe_jets(problem.r, problem.m, grid))
     kappa = (c1 + c2) * lam + c1 * c2 + 1.0
-    sigma = _sigma_for(problem, sigma_probe_ks)
-    return ErrorConstants(c1=c1, c2=c2, lambda_hat=lam, kappa_hat=kappa, sigma_hat=sigma)
+    return ErrorConstants(c1=c1, c2=c2, lambda_hat=lam, kappa_hat=kappa, sigma_hat=sigma_hat)
 
 
 def _solve_row(problem: BvpProblem, k: int, reference, f=None, q=None) -> SweepRow:
     approx_problem = build_multipoint_problem(problem, k, f=f, q=q)
-    row = SweepRow(k=k, solvable=False,
-                   sigma_hat=norm_upper_bound(approx_problem.operator)
-                   if isinstance(approx_problem.operator, MultipointBoundaryOperator)
-                   else float("nan"))
+    row = SweepRow(k=k, solvable=False, sigma_hat=norm_upper_bound(approx_problem.operator))
     try:
         sol = solve(approx_problem)
     except NotUniquelySolvableError as exc:
@@ -259,9 +255,10 @@ def sweep(problem: BvpProblem, ks) -> ApproximationReport:
     if not ks:
         raise ValueError("need at least one k")
     reference = solve(problem)
-    constants = _certified_constants(problem, companion_reduce(problem)[0],
-                                     reference.matrizant_norm_c, reference.char_matrix, ks)
     rows = [_solve_row(problem, k, reference) for k in ks]
+    constants = _certified_constants(problem, companion_reduce(problem)[0],
+                                     reference.matrizant_norm_c, reference.char_matrix,
+                                     max(row.sigma_hat for row in rows))
     for row in rows:
         row.bound_holds = row.solvable
     report = ApproximationReport(rows=rows, constants=constants)
@@ -367,20 +364,18 @@ def theorem3_check(problem: BvpProblem, rhs_sequence, eps: float) -> Approximati
             raise ValueError(f"entry k={k} violates |q_k - q| < eps")
         gaps[k] = (diff.l1_norm(), gap)
     reference = solve(problem)
+    rows = [_solve_row(problem, k, reference, f=f_k, q=q_k) for k, f_k, q_k in entries]
     constants = _certified_constants(problem, companion_reduce(problem)[0],
                                      reference.matrizant_norm_c, reference.char_matrix,
-                                     [k for k, _, _ in entries])
+                                     max(row.sigma_hat for row in rows))
     bound = constants.kappa_hat * constants.sigma_hat * eps
-    rows = []
-    for k, f_k, q_k in entries:
-        row = _solve_row(problem, k, reference, f=f_k, q=q_k)
-        row.l1_gap, row.primitive_gap = gaps[k]
+    for row in rows:
+        row.l1_gap, row.primitive_gap = gaps[row.k]
         if row.solvable:
             row.bound_holds = row.err_cr1 < bound
             row.margin = row.err_cr1 / bound
         else:
             row.bound_holds = False
-        rows.append(row)
     report = ApproximationReport(rows=rows, constants=constants, theorem=3, eps=eps)
     report.rho_solvable = _first_tail_index(rows, lambda r: r.solvable)
     report.rho_bound = _first_tail_index(rows, lambda r: r.solvable and bool(r.bound_holds))

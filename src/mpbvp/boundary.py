@@ -5,12 +5,14 @@ A general operator sends an order-(r-1) jet y to
     B y = sum_{l=0}^{r-2} alpha_l y^(l)(a) + integral (dPhi) y^(r-1)
 
 with alpha_l in C^{rm x m} and Phi an rm x m matrix measure; for r = 1 only
-the integral term is present.  A multipoint operator is a finite sum of
-matrix weights against jet values at nodes.  ``multipointify`` turns the
-former into the latter by discretizing every density of Phi on k equal
-subintervals, which converges weak-* but never in total variation.
-``lift`` compiles either kind once per grid to one weight array on the
-stacked jet; every application of an operator is a contraction with it.
+the integral term is present.  A multipoint operator is a finite sum
+B y = sum_j beta_j y^(l_j)(t_j), held as one table of point terms.
+``multipointify`` turns the former into the latter by discretizing every
+density of Phi on k equal subintervals, which converges weak-* but never
+in total variation.  ``lift`` compiles either kind once per grid to one
+weight array on the stacked jet, placing the stencils of all point terms
+(for a general operator, the alphas at a) with one scatter; every
+application of an operator is a contraction with it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import Grid, SampledJet, _cubic_stencil, mat_norm, norm_cl, vec_norm
+from .funcspace import Grid, SampledJet, _cluster_starts, _cubic_stencil, norm_cl, vec_norm
 from .stieltjes import MatrixMeasure
 
 __all__ = [
@@ -88,50 +90,84 @@ class BoundaryTerm:
 
 
 class MultipointBoundaryOperator:
-    """Finite sum of matrix weights against jet values at interior/endpoint nodes.
+    """B y = sum_j beta_j y^(l_j)(t_j) as one read-only table: ``nodes`` (K,),
+    ``orders`` (K,) and ``betas`` (K, rm, m), sorted by (node, order).
 
-    Terms sharing a node (within the merge tolerance) and a derivative order
-    are coalesced at construction and kept sorted by (node, order).
+    Terms of one order within the merge tolerance of their cluster's first
+    node are coalesced at construction, each sum started from that first
+    term; ``terms`` lists the rows as ``BoundaryTerm`` records.
     """
 
-    __slots__ = ("r", "m", "a", "b", "terms")
+    __slots__ = ("r", "m", "a", "b", "nodes", "orders", "betas", "_terms")
 
     def __init__(self, r: int, m: int, a: float, b: float, terms):
         if r < 1 or m < 1:
             raise ValueError("need r >= 1 and m >= 1")
+        terms = list(terms)
+        shape = (r * m, m)
+        betas = [np.asarray(term.beta, dtype=complex) for term in terms]
+        for beta in betas:
+            if beta.shape != shape:
+                raise ValueError(f"weight must be shaped {shape}, got {beta.shape}")
+        self._set(r, m, a, b, [term.node for term in terms], [term.order for term in terms],
+                  np.array(betas).reshape((len(terms),) + shape))
+
+    @classmethod
+    def _from_table(cls, r: int, m: int, a: float, b: float,
+                    nodes, orders, betas) -> "MultipointBoundaryOperator":
+        """Build from arrays shaped (K,), (K,), (K, rm, m); ``__init__``'s value checks run."""
+        out = cls.__new__(cls)
+        out._set(r, m, a, b, nodes, orders, betas)
+        return out
+
+    def _set(self, r, m, a, b, nodes, orders, betas):
+        """Validate, clamp, sort and coalesce the term table in one pass."""
         a, b = float(a), float(b)
         if not a < b:
             raise ValueError("operator needs a < b")
-        rows = r * m
         tol = (b - a) * 1e-12
-        cleaned = []
-        for term in terms:
-            node, order, beta = term.node, term.order, np.asarray(term.beta, dtype=complex)
-            if not 0 <= order <= r - 1:
-                raise ValueError(f"derivative order {order} outside 0..{r - 1}")
-            if node < a - tol or node > b + tol:
-                raise ValueError(f"node {node} outside [{a}, {b}]")
-            if beta.shape != (rows, m):
-                raise ValueError(f"weight must be shaped {(rows, m)}, got {beta.shape}")
-            if not np.all(np.isfinite(beta)):
-                raise ValueError("weight contains non-finite entries")
-            cleaned.append((min(max(node, a), b), order, beta))
-        cleaned.sort(key=lambda t: (t[0], t[1]))
-        merged: list[tuple[float, int, np.ndarray]] = []
-        for node, order, beta in cleaned:
-            if merged and order == merged[-1][1] and node - merged[-1][0] <= tol:
-                merged[-1] = (merged[-1][0], order, merged[-1][2] + beta)
-            else:
-                merged.append((node, order, beta.copy()))
+        nodes = np.asarray(nodes, dtype=float)
+        orders = np.asarray(orders)
+        betas = np.asarray(betas, dtype=complex)
+        bad = np.flatnonzero(~((orders >= 0) & (orders <= r - 1) & (orders % 1 == 0)))
+        if bad.size:
+            raise ValueError(f"derivative order {orders[bad[0]]} outside 0..{r - 1}")
+        orders = orders.astype(np.intp)
+        bad = np.flatnonzero(~((nodes >= a - tol) & (nodes <= b + tol)))
+        if bad.size:
+            raise ValueError(f"node {nodes[bad[0]]} outside [{a}, {b}]")
+        if not np.all(np.isfinite(betas)):
+            raise ValueError("weight contains non-finite entries")
+        # min(max(node, a), b), which keeps a -0.0 node at a = 0.0
+        nodes = np.where(nodes < a, a, nodes)
+        nodes = np.where(nodes > b, b, nodes)
+        order = np.lexsort((orders, nodes))
+        nodes, orders, betas = nodes[order], orders[order], betas[order]
+        starts = _cluster_starts(nodes, tol, breaks=np.diff(orders, prepend=-1) != 0)
+        merged = betas[starts]
+        np.add.at(merged, np.cumsum(starts)[~starts] - 1, betas[~starts])
         self.r = r
         self.m = m
         self.a = a
         self.b = b
-        self.terms = tuple(BoundaryTerm(n, o, be) for n, o, be in merged)
+        self.nodes = nodes[starts]
+        self.orders = orders[starts]
+        self.betas = merged
+        for array in (self.nodes, self.orders, self.betas):
+            array.flags.writeable = False
+        self._terms = None
 
     @property
     def rows(self) -> int:
         return self.r * self.m
+
+    @property
+    def terms(self) -> tuple:
+        """The table's rows as ``BoundaryTerm`` records (read-only views)."""
+        if self._terms is None:
+            self._terms = tuple(map(BoundaryTerm, self.nodes.tolist(),
+                                    self.orders.tolist(), self.betas))
+        return self._terms
 
 
 def apply_operator(op, jet: SampledJet) -> np.ndarray:
@@ -154,23 +190,31 @@ def multipointify(op: GeneralBoundaryOperator, k: int) -> MultipointBoundaryOper
     if int(k) != k or k < 1:
         raise ValueError(f"need an integer k >= 1, got {k}")
     rows, m = op.rows, op.m
-    terms = [BoundaryTerm(op.a, l, alpha) for l, alpha in enumerate(op.alphas)]
     disc = op.phi.discretize(k)
     tol = (op.b - op.a) * 1e-12
     located = [(t, i, j, w) for i, row in enumerate(disc.entries)
                for j, entry in enumerate(row) for t, w in entry.atoms]
-    if located:
-        t, i, j, w = (np.array(column) for column in zip(*located))
-        order = np.argsort(t, kind="stable")
-        t, i, j, w = t[order], i[order], j[order], w[order]
-        # A cluster starts where the gap to the previous atom exceeds tol.
-        starts = np.concatenate([[True], np.diff(t) > tol])
-        cluster = np.cumsum(starts) - 1
-        weights = np.zeros((int(cluster[-1]) + 1, rows, m), dtype=complex)
-        np.add.at(weights, (cluster, i, j), w)
-        terms += [BoundaryTerm(float(node), op.r - 1, weight)
-                  for node, weight in zip(t[starts], weights)]
-    return MultipointBoundaryOperator(op.r, op.m, op.a, op.b, terms)
+    t, i, j, w = np.array(located, dtype=complex).reshape(-1, 4).T
+    order = np.argsort(t.real, kind="stable")
+    t, w = t.real[order], w[order]
+    i, j = (index.real[order].astype(np.intp) for index in (i, j))
+    # A cluster starts where the gap to the previous atom exceeds tol.
+    starts = np.diff(t, prepend=-np.inf) > tol
+    weights = np.zeros((np.count_nonzero(starts), rows, m), dtype=complex)
+    np.add.at(weights, (np.cumsum(starts) - 1, i, j), w)
+    nodes, orders, alphas = _alpha_terms(op)
+    return MultipointBoundaryOperator._from_table(
+        op.r, m, op.a, op.b,
+        np.concatenate([nodes, t[starts]]),
+        np.concatenate([orders, np.full(weights.shape[0], op.r - 1)]),
+        np.concatenate([alphas, weights]))
+
+
+def _alpha_terms(op: GeneralBoundaryOperator):
+    """The alpha blocks as point terms at a: nodes, orders and betas."""
+    count = op.r - 1
+    return (np.full(count, op.a), np.arange(count),
+            np.array(op.alphas, dtype=complex).reshape(count, op.rows, op.m))
 
 
 class LiftedOperator:
@@ -181,7 +225,7 @@ class LiftedOperator:
     4-point cubic stencil of their node, measure atoms the linear stencil
     of their location, and densities trapezoid weights with the
     Euler-Maclaurin end correction.  ``point_terms`` lists the
-    (node, block, beta) terms compiled in.
+    (node, order, beta) point terms compiled in.
     """
 
     __slots__ = ("point_terms", "weights")
@@ -213,25 +257,29 @@ def lift(op, grid: Grid) -> LiftedOperator:
     compiled functional applied to col(y, ..., y^(r-1)) equals B y.
     """
     if isinstance(op, GeneralBoundaryOperator):
-        point_terms = [(op.a, l, alpha) for l, alpha in enumerate(op.alphas)]
+        nodes, orders, betas = _alpha_terms(op)
     elif isinstance(op, MultipointBoundaryOperator):
-        point_terms = [(t.node, t.order, t.beta) for t in op.terms]
+        nodes, orders, betas = op.nodes, op.orders, op.betas
     else:
         raise TypeError(f"not a boundary operator: {type(op).__name__}")
     m, d = op.m, op.rows
     weights = np.zeros((d, grid.n + 1, d), dtype=complex)
-    for node, block, beta in point_terms:
-        base, w = _cubic_stencil(grid, node)
-        weights[:, base:base + w.size, block * m:(block + 1) * m] += (
-            w[None, :, None] * beta[:, None, :])
+    # Term t adds w[t, s] * betas[t, i, c] at (i, base[t] + s, orders[t] m + c);
+    # add.at sums in term order, as one += per term would.
+    base, w = _cubic_stencil(grid, nodes)
+    np.add.at(weights,
+              (np.arange(d)[None, :, None, None],
+               (base[:, None] + np.arange(w.shape[1]))[:, None, :, None],
+               (orders[:, None] * m + np.arange(m))[:, None, None, :]),
+              w[:, None, :, None] * betas[:, :, None, :])
     if isinstance(op, GeneralBoundaryOperator):
         weights[:, :, (op.r - 1) * m:] += op.phi.weights(grid)
-    return LiftedOperator(point_terms, weights)
+    return LiftedOperator(zip(nodes.tolist(), orders.tolist(), betas), weights)
 
 
 def norm_upper_bound(op: MultipointBoundaryOperator) -> float:
     """Upper bound for the operator norm: sum of matrix norms of the weights."""
-    return float(sum(mat_norm(term.beta) for term in op.terms))
+    return float(np.abs(op.betas).sum(axis=1).max(axis=1, initial=0.0).sum())
 
 
 def norm_lower_bound(op, probes) -> float:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
 
@@ -35,7 +34,7 @@ from .funcspace import Grid
 from .problemfile import (
     ProblemFormatError,
     parse_problem,
-    problem_to_dict,
+    problem_text,
     write_atomic,
 )
 
@@ -174,8 +173,7 @@ def _cmd_solve(args) -> int:
 def _cmd_approximate(args) -> int:
     problem = _load_problem(args.problem, args.grid_n)
     approx_problem = build_multipoint_problem(problem, args.k)
-    text = json.dumps(problem_to_dict(approx_problem), indent=2) + "\n"
-    _emit_artifact(text, args.out, f"approximate_k{args.k}.json")
+    _emit_artifact(problem_text(approx_problem), args.out, f"approximate_k{args.k}.json")
     return EXIT_OK
 
 

@@ -76,21 +76,20 @@ class Grid:
         return self.nodes[i]
 
 
-def _fractional_index(grid: Grid, t: float) -> float:
-    s = (t - grid.a) / grid.h
-    return min(max(s, 0.0), float(grid.n))
+def _fractional_index(grid: Grid, t) -> np.ndarray:
+    return np.clip((np.asarray(t, dtype=float) - grid.a) / grid.h, 0.0, float(grid.n))
 
 
-def _linear_stencil(grid: Grid, t: float):
-    """(first node index, weights) of linear interpolation at t (clamped to [a, b])."""
+def _linear_stencil(grid: Grid, t):
+    """First node indices and weights (K, 2) of linear interpolation at t (clamped)."""
     s = _fractional_index(grid, t)
-    i = min(int(s), grid.n - 1)
+    i = np.minimum(s.astype(np.intp), grid.n - 1)
     w = s - i
-    return i, np.array([1.0 - w, w])
+    return i, np.stack([1.0 - w, w], axis=-1)
 
 
-def _cubic_stencil(grid: Grid, t: float):
-    """(first node index, weights) of 4-point Lagrange interpolation at t.
+def _cubic_stencil(grid: Grid, t):
+    """First node indices and weights (K, 4) of 4-point Lagrange interpolation at t.
 
     Falls back to the linear stencil on grids with fewer than 4 cells.
     """
@@ -98,33 +97,31 @@ def _cubic_stencil(grid: Grid, t: float):
     if n < 4:
         return _linear_stencil(grid, t)
     s = _fractional_index(grid, t)
-    i = min(int(s), n - 1)
-    base = min(max(i - 1, 0), n - 3)
+    base = np.clip(np.minimum(s.astype(np.intp), n - 1) - 1, 0, n - 3)
     x = s - base
-    w = np.empty(4)
+    w = np.ones(x.shape + (4,))
     for j in range(4):
-        num = 1.0
         for k in range(4):
             if k != j:
-                num *= (x - k) / (j - k)
-        w[j] = num
+                w[..., j] *= (x - k) / (j - k)
     return base, w
 
 
-def sample_linear(grid: Grid, values: np.ndarray, t: float):
-    """Linear interpolation of node samples at a scalar t (clamped to [a, b])."""
-    base, w = _linear_stencil(grid, t)
-    return np.tensordot(w, values[base:base + 2], axes=(0, 0))
-
-
-def sample_cubic(grid: Grid, values: np.ndarray, t: float):
-    """4-point Lagrange interpolation of node samples at a scalar t.
-
-    Falls back to linear interpolation on grids with fewer than 4 cells.
-    The first axis of ``values`` must run over the grid nodes.
-    """
-    base, w = _cubic_stencil(grid, t)
-    return np.tensordot(w, values[base:base + w.size], axes=(0, 0))
+def _cluster_starts(x: np.ndarray, tol: float, breaks=None) -> np.ndarray:
+    """Mask of the sorted points x that start a cluster: those more than tol
+    beyond the first point of the cluster before them, and those where
+    ``breaks`` is set.  Only points within tol of their predecessor need
+    the sequential pass."""
+    starts = np.ones(x.size, dtype=bool)
+    close = np.diff(x) <= tol
+    if breaks is not None:
+        close &= ~breaks[1:]
+    first = None
+    for i in np.flatnonzero(close) + 1:
+        if starts[i - 1]:
+            first = x[i - 1]
+        starts[i] = x[i] - first > tol
+    return starts
 
 
 def _horner(table: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -334,15 +331,8 @@ class PiecewisePoly:
         if abs(self.a - other.a) > tol or abs(self.b - other.b) > tol:
             raise ValueError("operands must share the same interval")
         merged = np.unique(np.concatenate([self.breakpoints, other.breakpoints]))
-        # A breakpoint within tol of the last kept one is dropped.  Only points
-        # within tol of their predecessor can be, and chains of them need
-        # this sequential pass.
-        keep = np.ones(merged.size, dtype=bool)
-        last = merged[0]
-        for i in np.flatnonzero(np.diff(merged) <= tol) + 1:
-            if keep[i - 1]:
-                last = merged[i - 1]
-            keep[i] = merged[i] - last > tol
+        # A breakpoint within tol of the last kept one is dropped.
+        keep = _cluster_starts(merged, tol)
         bp = merged[keep]
         bp[0], bp[-1] = self.a, self.b
         mid = 0.5 * (bp[:-1] + bp[1:])
@@ -573,8 +563,7 @@ class SampledJet:
     """Node samples of y and its derivatives y^(j) for j = 0..r.
 
     ``samples[j]`` is an (n+1, m) complex array with samples[j][i] holding
-    y^(j)(t_i).  Off-node evaluation interpolates with a 4-point Lagrange
-    stencil.
+    y^(j)(t_i).
     """
 
     __slots__ = ("grid", "m", "r", "samples")
@@ -611,14 +600,6 @@ class SampledJet:
                 vals = vals[:, None]
             chans.append(vals)
         return cls(grid, m, r, chans)
-
-    def channel(self, j: int) -> np.ndarray:
-        if not 0 <= j <= self.r:
-            raise ValueError(f"channel {j} out of range for an order-{self.r} jet")
-        return self.samples[j]
-
-    def value(self, t: float, order: int = 0) -> np.ndarray:
-        return sample_cubic(self.grid, self.channel(order), t)
 
     def __sub__(self, other):
         if not isinstance(other, SampledJet):

@@ -16,14 +16,11 @@ left-hand coefficient limits, which keeps full order at jumps on grid nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .funcspace import Grid, PolyMatrix, PolyVector, sample_cubic
+from .funcspace import Grid, PolyMatrix, PolyVector
 
 __all__ = [
-    "MatrixTrajectory",
     "fundamental_matrix",
     "inverse_fundamental",
     "forced_trajectory",
@@ -31,26 +28,6 @@ __all__ = [
 
 #: Steps whose increments are formed together; bounds the work arrays.
 BLOCK_STEPS = 512
-
-
-@dataclass(frozen=True)
-class MatrixTrajectory:
-    """Node samples of a time-dependent d x d matrix, shaped (n+1, d, d)."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = self.values
-        if v.ndim != 3 or v.shape[0] != self.grid.n + 1 or v.shape[1] != v.shape[2]:
-            raise ValueError("trajectory values must be shaped (n+1, d, d)")
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
-    def at(self, t: float) -> np.ndarray:
-        return sample_cubic(self.grid, self.values, t)
 
 
 def _coefficient_panels(F, grid: Grid):
@@ -136,17 +113,18 @@ def _propagate(A: PolyMatrix, g: PolyVector | None, grid: Grid) -> np.ndarray:
     return _compose(_increments(A, g, grid), eye, grid.n)
 
 
-def fundamental_matrix(A: PolyMatrix, grid: Grid) -> MatrixTrajectory:
-    """Matrizant of y' + A(t) y = 0: solves Y' = -A(t) Y, Y(a) = I."""
-    return MatrixTrajectory(grid, _propagate(A, None, grid))
+def fundamental_matrix(A: PolyMatrix, grid: Grid) -> np.ndarray:
+    """Matrizant (n+1, d, d) of y' + A(t) y = 0: solves Y' = -A(t) Y, Y(a) = I."""
+    return _propagate(A, None, grid)
 
 
-def inverse_fundamental(A: PolyMatrix, grid: Grid) -> MatrixTrajectory:
-    """Inverse matrizant Z = Y^-1 of Z' = Z A(t), Z(a) = I, as Z_{i+1} = Z_i + Z_i E_i."""
+def inverse_fundamental(A: PolyMatrix, grid: Grid) -> np.ndarray:
+    """Inverse matrizant (n+1, d, d) Z = Y^-1 of Z' = Z A(t), Z(a) = I, as
+    Z_{i+1} = Z_i + Z_i E_i."""
     eye = np.eye(A.shape[0], dtype=complex)
     blocks = (np.linalg.solve(eye + D, -D).swapaxes(1, 2)
               for D in _increments(A, None, grid))
-    return MatrixTrajectory(grid, _compose(blocks, eye, grid.n).swapaxes(1, 2))
+    return _compose(blocks, eye, grid.n).swapaxes(1, 2)
 
 
 def forced_trajectory(A: PolyMatrix, g: PolyVector, grid: Grid) -> np.ndarray:

@@ -16,11 +16,7 @@ import tempfile
 
 import numpy as np
 
-from .boundary import (
-    BoundaryTerm,
-    GeneralBoundaryOperator,
-    MultipointBoundaryOperator,
-)
+from .boundary import GeneralBoundaryOperator, MultipointBoundaryOperator
 from .bvp import BvpProblem
 from .funcspace import Grid, PiecewisePoly, PolyMatrix, PolyVector
 from .stieltjes import MatrixMeasure, ScalarMeasure
@@ -79,8 +75,10 @@ def _as_list(value, path: str, length: int | None = None) -> list:
     return value
 
 
-def _pair(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
+def _pairs(values) -> list:
+    """A complex array as nested lists with an [re, im] pair per entry."""
+    z = np.asarray(values, dtype=complex)
+    return np.stack([z.real, z.imag], axis=-1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +86,8 @@ def _pair(z: complex) -> list:
 
 
 def _poly_to_dict(p: PiecewisePoly) -> dict:
-    return {
-        "breakpoints": [float(t) for t in p.breakpoints],
-        "pieces": [[_pair(c) for c in piece] for piece in p.coeffs],
-    }
+    pieces = [row[:width] for row, width in zip(_pairs(p.table), p.widths.tolist())]
+    return {"breakpoints": p.breakpoints.tolist(), "pieces": pieces}
 
 
 def _poly_from_dict(obj, path: str) -> PiecewisePoly:
@@ -155,26 +151,19 @@ def _matrix_of(pairs, rows: int, cols: int, path: str) -> np.ndarray:
     return out
 
 
-def _matrix_pairs(matrix: np.ndarray) -> list:
-    return [[_pair(complex(z)) for z in row] for row in np.asarray(matrix, dtype=complex)]
-
-
 def _boundary_to_dict(op) -> dict:
     if isinstance(op, GeneralBoundaryOperator):
         return {
             "kind": "general",
-            "alphas": [_matrix_pairs(alpha) for alpha in op.alphas],
+            "alphas": [_pairs(alpha) for alpha in op.alphas],
             "measure": [[_measure_to_dict(entry) for entry in row]
                         for row in op.phi.entries],
         }
     if isinstance(op, MultipointBoundaryOperator):
         return {
             "kind": "multipoint",
-            "terms": [{
-                "node": float(term.node),
-                "order": int(term.order),
-                "weight": _matrix_pairs(term.beta),
-            } for term in op.terms],
+            "terms": [{"node": node, "order": order, "weight": weight} for node, order, weight
+                      in zip(op.nodes.tolist(), op.orders.tolist(), _pairs(op.betas))],
         }
     raise ProblemFormatError(f"boundary: unsupported operator type {type(op).__name__}")
 
@@ -200,17 +189,15 @@ def _boundary_from_dict(obj, r: int, m: int, a: float, b: float, path: str):
             _fail(path, str(exc))
     if kind == "multipoint":
         terms_raw = _as_list(_require(obj, "terms", path), path + ".terms")
-        terms = []
+        nodes, orders = [], []
+        betas = np.empty((len(terms_raw), rows, m), dtype=complex)
         for i, term in enumerate(terms_raw):
-            node = _as_float(_require(term, "node", f"{path}.terms[{i}]"),
-                             f"{path}.terms[{i}].node")
-            order = _as_int(_require(term, "order", f"{path}.terms[{i}]"),
-                            f"{path}.terms[{i}].order")
-            beta = _matrix_of(_require(term, "weight", f"{path}.terms[{i}]"),
-                              rows, m, f"{path}.terms[{i}].weight")
-            terms.append(BoundaryTerm(node=node, order=order, beta=beta))
+            where = f"{path}.terms[{i}]"
+            nodes.append(_as_float(_require(term, "node", where), where + ".node"))
+            orders.append(_as_int(_require(term, "order", where), where + ".order"))
+            betas[i] = _matrix_of(_require(term, "weight", where), rows, m, where + ".weight")
         try:
-            return MultipointBoundaryOperator(r, m, a, b, terms)
+            return MultipointBoundaryOperator._from_table(r, m, a, b, nodes, orders, betas)
         except ValueError as exc:
             _fail(path, str(exc))
     _fail(path + ".kind", f"expected 'general' or 'multipoint', got {kind!r}")
@@ -234,7 +221,7 @@ def problem_to_dict(problem: BvpProblem) -> dict:
             for A in problem.coeffs
         ],
         "rhs": [_poly_to_dict(c) for c in problem.f.components],
-        "data": [_pair(complex(z)) for z in problem.q],
+        "data": _pairs(problem.q),
         "boundary": _boundary_to_dict(problem.operator),
     }
 
@@ -327,7 +314,21 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
+def problem_text(problem: BvpProblem) -> str:
+    """The problem file's text: one line per top-level key and per multipoint term.
+
+    Each line is encoded by ``json.dumps`` without ``indent``, which keeps
+    json's C encoder (``indent`` forces the pure-Python one).
+    """
+    obj = problem_to_dict(problem)
+    terms = obj["boundary"].pop("terms", None)
+    lines = [f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in obj.items()]
+    if terms is not None:  # "boundary" is the last key, "terms" its last field
+        lines[-1] = (lines[-1][:-1] + ', "terms": [\n'
+                     + ",\n".join("    " + json.dumps(term) for term in terms) + "\n  ]}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
 def emit_problem(problem: BvpProblem, path: str) -> None:
     """Serialize a problem to a JSON file (atomic, round-trip exact)."""
-    text = json.dumps(problem_to_dict(problem), indent=2)
-    write_atomic(path, text + "\n")
+    write_atomic(path, problem_text(problem))

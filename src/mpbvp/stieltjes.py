@@ -3,19 +3,20 @@
 A measure here is a finite list of atoms together with an absolutely
 continuous part given by a piecewise-polynomial density.  This class is
 wide enough for every boundary functional the solver supports while keeping
-total variation and discretization computable in closed form.
+total variation and discretization computable in closed form.  Atoms are
+sorted and coalesced in one pass, and integrating sampled data against a
+measure is a contraction with its node weights ``weights(grid)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .funcspace import Grid, PiecewisePoly, _linear_stencil, mat_norm
+from .funcspace import Grid, PiecewisePoly, _cluster_starts, _linear_stencil, mat_norm
 
 __all__ = [
     "ScalarMeasure",
     "MatrixMeasure",
-    "rs_integrate",
     "total_variation",
     "tv_distance",
     "discretize_measure",
@@ -26,16 +27,25 @@ def _merge_tol(a: float, b: float) -> float:
     return (b - a) * 1e-12
 
 
-def _merge_atoms(atoms, tol: float):
-    """Sort atoms by location and coalesce groups closer than tol."""
-    items = sorted(((float(t), complex(w)) for t, w in atoms), key=lambda p: p[0])
-    merged: list[tuple[float, complex]] = []
-    for t, w in items:
-        if merged and t - merged[-1][0] <= tol:
-            merged[-1] = (merged[-1][0], merged[-1][1] + w)
-        else:
-            merged.append((t, w))
-    return [(t, w) for t, w in merged if w != 0]
+def _merge_atoms(atoms, a: float, b: float):
+    """Validate atoms, sort them by location and coalesce each cluster,
+    summing from its first atom; clusters of zero weight are dropped."""
+    tol = _merge_tol(a, b)
+    pairs = list(atoms)
+    t = np.array([p[0] for p in pairs], dtype=float)
+    w = np.array([p[1] for p in pairs], dtype=complex)
+    bad = np.flatnonzero(~((t >= a - tol) & (t <= b + tol)))
+    if bad.size:
+        raise ValueError(f"atom location {t[bad[0]]} outside [{a}, {b}]")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("atom weights must be finite")
+    order = np.argsort(t, kind="stable")
+    t, w = t[order], w[order]
+    starts = _cluster_starts(t, tol)
+    merged = w[starts]
+    np.add.at(merged, np.cumsum(starts)[~starts] - 1, w[~starts])
+    keep = merged != 0
+    return list(zip(t[starts][keep].tolist(), merged[keep].tolist()))
 
 
 class ScalarMeasure:
@@ -57,13 +67,9 @@ class ScalarMeasure:
                 raise ValueError("density must span the measure's interval")
             if density.is_zero:
                 density = None
-        tol = _merge_tol(a, b)
-        for t, _ in atoms:
-            if t < a - tol or t > b + tol:
-                raise ValueError(f"atom location {t} outside [{a}, {b}]")
         self.a = a
         self.b = b
-        self.atoms = _merge_atoms(atoms, tol)
+        self.atoms = _merge_atoms(atoms, a, b)
         self.density = density
 
     # -- constructors ------------------------------------------------------
@@ -103,9 +109,10 @@ class ScalarMeasure:
         the trapezoid rule with end correction of ``_density_weights``.
         """
         w = np.zeros(grid.n + 1, dtype=complex)
-        for t, weight in self.atoms:
+        if self.atoms:
+            t, weight = zip(*self.atoms)
             base, stencil = _linear_stencil(grid, t)
-            w[base:base + 2] += weight * stencil
+            np.add.at(w, base[:, None] + np.arange(2), np.array(weight)[:, None] * stencil)
         if self.density is not None:
             w += _density_weights(grid, self.density)
         return w
@@ -174,19 +181,6 @@ def _density_weights(grid: Grid, density: PiecewisePoly) -> np.ndarray:
             trap[-4:] += h * _END_CORRECTION[::-1]
         out[i0:i1 + 1] += trap * poly(nodes[i0:i1 + 1], density.coeffs[piece])
     return out
-
-
-def rs_integrate(grid: Grid, values, measure: ScalarMeasure) -> complex:
-    """Stieltjes integral of a sampled scalar function against a measure.
-
-    One contraction with ``measure.weights(grid)``: atoms interpolate the
-    samples linearly, the density uses trapezoid quadrature with the
-    Euler-Maclaurin end correction.
-    """
-    v = np.asarray(values, dtype=complex)
-    if v.shape != (grid.n + 1,):
-        raise ValueError("expected scalar samples shaped (n+1,)")
-    return complex(np.einsum("s,s->", measure.weights(grid), v))
 
 
 def total_variation(measure: ScalarMeasure) -> float:

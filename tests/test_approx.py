@@ -208,13 +208,13 @@ def test_characteristic_matrices_converge():
     problem = corpus.build_problem("p1", 512)
     P, _, T, _ = companion_reduce(problem)
     V = fundamental_matrix(P, problem.grid)
-    char = T.apply_trajectory(V.values)
+    char = T.apply_trajectory(V)
     gaps = []
     for k in (4, 16, 64):
         pk = build_multipoint_problem(problem, k)
         Pk, _, Tk, _ = companion_reduce(pk)
         Vk = fundamental_matrix(Pk, problem.grid)
-        char_k = Tk.apply_trajectory(Vk.values)
+        char_k = Tk.apply_trajectory(Vk)
         gaps.append(float(np.max(np.abs(char_k - char))))
     assert gaps[1] <= gaps[0] / 2.0
     assert gaps[2] <= gaps[1] / 2.0

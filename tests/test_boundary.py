@@ -20,6 +20,7 @@ from mpbvp import (
     norm_upper_bound,
 )
 from mpbvp import corpus
+from mpbvp.stieltjes import _density_weights
 from oracles import _boundary_rows
 
 
@@ -88,9 +89,9 @@ def test_multipointify_passes_atoms_through():
     np.testing.assert_allclose(approx.terms[-1].beta, [[1.0, 0.0], [0.0, 0.0]])
 
 
-def _multipointify_loop(op, k):
-    """Reference multipointify: sort all atoms, then grow each cluster while
-    the gap to the previous atom is at most tol."""
+def _multipointify_terms(op, k):
+    """Reference multipointify terms: sort all atoms, then grow each cluster
+    while the gap to the previous atom is at most tol."""
     rows, m = op.rows, op.m
     terms = [BoundaryTerm(op.a, l, alpha) for l, alpha in enumerate(op.alphas)]
     disc = op.phi.discretize(k)
@@ -111,7 +112,11 @@ def _multipointify_loop(op, k):
             weight[i, j] += w
         terms.append(BoundaryTerm(located[start][0], op.r - 1, weight))
         start = end
-    return MultipointBoundaryOperator(op.r, op.m, op.a, op.b, terms)
+    return terms
+
+
+def _multipointify_loop(op, k):
+    return MultipointBoundaryOperator(op.r, op.m, op.a, op.b, _multipointify_terms(op, k))
 
 
 def test_multipointify_groups_atoms_like_the_loop():
@@ -249,3 +254,186 @@ def test_multipoint_merges_duplicate_terms():
     ])
     assert len(op.terms) == 1
     np.testing.assert_array_equal(op.terms[0].beta, [[3.0]])
+
+
+# -- the term table against the per-term loops it replaced ------------------
+
+
+def _operator_loop(a, b, terms):
+    """Reference constructor: clamp, sort by (node, order) and merge a term
+    into the previous one when the order matches and the node lies within
+    tol of the merged term's node."""
+    tol = (b - a) * 1e-12
+    cleaned = sorted(((min(max(t.node, a), b), t.order, np.asarray(t.beta, dtype=complex))
+                      for t in terms), key=lambda t: (t[0], t[1]))
+    merged = []
+    for node, order, beta in cleaned:
+        if merged and order == merged[-1][1] and node - merged[-1][0] <= tol:
+            merged[-1] = (merged[-1][0], order, merged[-1][2] + beta)
+        else:
+            merged.append((node, order, beta.copy()))
+    return merged
+
+
+def _assert_table_is(op, merged):
+    assert len(op.terms) == len(merged)
+    nodes = np.array([t[0] for t in merged], dtype=float)
+    np.testing.assert_array_equal(op.nodes.view(np.uint64), nodes.view(np.uint64))
+    assert op.orders.tolist() == [t[1] for t in merged]
+    betas = np.array([t[2] for t in merged], dtype=complex).reshape(op.betas.shape)
+    np.testing.assert_array_equal(op.betas.view(np.uint64), betas.view(np.uint64))
+    for term, (node, order, beta) in zip(op.terms, merged):
+        assert (term.node, term.order) == (node, order)
+        np.testing.assert_array_equal(term.beta.view(np.uint64), beta.view(np.uint64))
+
+
+def _stencil_loop(grid, t, points):
+    """Reference stencil at one t: linear (2 points) or 4-point Lagrange."""
+    n = grid.n
+    s = min(max((t - grid.a) / grid.h, 0.0), float(n))
+    i = min(int(s), n - 1)
+    if points == 2 or n < 4:
+        return i, np.array([1.0 - (s - i), s - i])
+    base = min(max(i - 1, 0), n - 3)
+    x = s - base
+    w = np.empty(4)
+    for j in range(4):
+        num = 1.0
+        for k in range(4):
+            if k != j:
+                num *= (x - k) / (j - k)
+        w[j] = num
+    return base, w
+
+
+def _lift_loop(op, grid):
+    """Reference lift: one += per point term, then one per measure atom."""
+    if isinstance(op, GeneralBoundaryOperator):
+        point_terms = [(op.a, l, alpha) for l, alpha in enumerate(op.alphas)]
+    else:
+        point_terms = [(t.node, t.order, t.beta) for t in op.terms]
+    m, d = op.m, op.rows
+    weights = np.zeros((d, grid.n + 1, d), dtype=complex)
+    for node, block, beta in point_terms:
+        base, w = _stencil_loop(grid, node, 4)
+        weights[:, base:base + w.size, block * m:(block + 1) * m] += (
+            w[None, :, None] * beta[:, None, :])
+    if isinstance(op, GeneralBoundaryOperator):
+        for i, row in enumerate(op.phi.entries):
+            for j, mu in enumerate(row):
+                w = np.zeros(grid.n + 1, dtype=complex)
+                for t, weight in mu.atoms:
+                    base, stencil = _stencil_loop(grid, t, 2)
+                    w[base:base + 2] += weight * stencil
+                if mu.density is not None:
+                    w += _density_weights(grid, mu.density)
+                weights[i, :, (op.r - 1) * m + j] += w
+    return weights
+
+
+def _hand_built_operators():
+    tol = 1e-12
+    one = np.array([[1.0]])
+    beta3 = np.arange(3.0).reshape(3, 1) + 0.5j
+    return [
+        # a 0.6 tol chain: the third node is 1.2 tol from the cluster's first
+        (1, 1, 0.0, 1.0, [BoundaryTerm(0.5 + 1.2 * tol, 0, 3.0 * one),
+                          BoundaryTerm(0.5, 0, one),
+                          BoundaryTerm(0.5 + 0.6 * tol, 0, -2.0j * one)]),
+        # interleaved orders at one node
+        (3, 1, 0.0, 1.0, [BoundaryTerm(0.5, 2, beta3), BoundaryTerm(0.5, 0, 2.0 * beta3),
+                          BoundaryTerm(0.5 + 0.6 * tol, 1, beta3),
+                          BoundaryTerm(0.5, 1, -beta3), BoundaryTerm(0.5, 0, 1j * beta3),
+                          BoundaryTerm(0.5 + 0.3 * tol, 2, beta3)]),
+        # nodes clamped from just outside [a, b], and -0.0 at a = 0.0
+        (1, 1, 0.0, 2.0, [BoundaryTerm(2.0 + tol, 0, one), BoundaryTerm(-0.0, 0, 4.0 * one),
+                          BoundaryTerm(-tol, 0, 2.0 * one), BoundaryTerm(2.0, 0, 0.5j * one)]),
+        # -0.0 weights survive, alone and as a cluster's first member
+        (1, 2, 0.0, 1.0, [BoundaryTerm(0.25, 0, np.array([[-0.0, 1.0], [complex(-0.0, -0.0), 0.0]])),
+                          BoundaryTerm(0.75, 0, np.array([[-0.0, -0.0], [-0.0, 2.0]])),
+                          BoundaryTerm(0.75, 0, np.array([[-0.0, 0.0], [1.0, -0.0]]))]),
+    ]
+
+
+def test_term_table_is_bitwise_the_constructor_loop():
+    cases = [(op.r, op.m, op.a, op.b, _multipointify_terms(op, k))
+             for op in (corpus.build_problem(name, 64).operator for name in ("p1", "p2", "p3"))
+             for k in (2, 4, 256, 1024)]
+    nn = corpus.build_problem("nn", 64).operator
+    cases += [(nn.r, nn.m, nn.a, nn.b, list(nn.terms))] + _hand_built_operators()
+    for r, m, a, b, terms in cases:
+        op = MultipointBoundaryOperator(r, m, a, b, terms)
+        _assert_table_is(op, _operator_loop(a, b, terms))
+    # the chain splits after its second node; orders never merge
+    chain = MultipointBoundaryOperator(*_hand_built_operators()[0])
+    assert chain.nodes.tolist() == [0.5, 0.5 + 1.2e-12]
+    assert chain.betas[:, 0, 0].tolist() == [1.0 - 2.0j, 3.0]
+    interleaved = MultipointBoundaryOperator(*_hand_built_operators()[1])
+    assert interleaved.orders.tolist() == [0, 1, 2, 1]
+    assert interleaved.nodes.tolist() == [0.5, 0.5, 0.5, 0.5 + 0.6e-12]
+    # multipointify hands its arrays to the table without a term list
+    for name in ("p1", "p2", "p3"):
+        op = corpus.build_problem(name, 64).operator
+        for k in (2, 4, 256, 1024):
+            _assert_table_is(multipointify(op, k), _operator_loop(op.a, op.b,
+                                                                  _multipointify_terms(op, k)))
+
+
+def test_lift_weights_are_bitwise_the_per_term_loop():
+    general = [corpus.build_problem(name, 64).operator for name in ("p1", "p2", "p3")]
+    ops = general + [multipointify(op, k) for op in general for k in (2, 4, 256, 1024)]
+    ops += [corpus.build_problem("nn", 64).operator]
+    ops += [MultipointBoundaryOperator(*case) for case in _hand_built_operators()]
+    # dense off-node terms with inexact weights, so that the sum order at a
+    # node shows in its bits
+    rng = np.random.default_rng(7)
+    ops.append(MultipointBoundaryOperator(2, 2, 0.0, 1.0, [
+        BoundaryTerm(float(t), int(o), beta) for t, o, beta in zip(
+            rng.uniform(0.0, 1.0, 400), rng.integers(0, 2, 400),
+            rng.standard_normal((400, 4, 2)) + 1j * rng.standard_normal((400, 4, 2)))]))
+    for op in ops:
+        # n = 1000 puts the midpoints of k >= 16 off the nodes; n = 3 takes
+        # the linear fallback of the cubic stencil
+        for grid in (Grid(op.a, op.b, 1000), Grid(op.a, op.b, 3)):
+            got, want = lift(op, grid), _lift_loop(op, grid)
+            np.testing.assert_array_equal(got.weights.view(np.uint64), want.view(np.uint64))
+            count = op.r - 1 if isinstance(op, GeneralBoundaryOperator) else len(op.terms)
+            assert len(got.point_terms) == count
+
+
+@pytest.mark.parametrize("term, message", [
+    (BoundaryTerm(0.5, -1, np.ones((2, 1))), r"derivative order -1 outside 0\.\.1"),
+    (BoundaryTerm(0.5, 2, np.ones((2, 1))), r"derivative order 2 outside 0\.\.1"),
+    (BoundaryTerm(0.5, 0.5, np.ones((2, 1))), r"derivative order 0\.5 outside 0\.\.1"),
+    (BoundaryTerm(0.5, float("nan"), np.ones((2, 1))), r"derivative order nan outside"),
+    (BoundaryTerm(1.5, 0, np.ones((2, 1))), r"node 1\.5 outside \[0\.0, 1\.0\]"),
+    (BoundaryTerm(-1e-9, 0, np.ones((2, 1))), r"node -1e-09 outside"),
+    (BoundaryTerm(float("nan"), 0, np.ones((2, 1))), r"node nan outside"),
+    (BoundaryTerm(float("inf"), 0, np.ones((2, 1))), r"node inf outside"),
+    (BoundaryTerm(0.5, 0, np.ones((1, 2))), r"weight must be shaped \(2, 1\), got \(1, 2\)"),
+    (BoundaryTerm(0.5, 0, np.array([[1.0], [np.inf]])), "weight contains non-finite entries"),
+    (BoundaryTerm(0.5, 0, np.array([[1.0], [complex(0.0, np.nan)]])),
+     "weight contains non-finite entries"),
+])
+def test_multipoint_operator_rejects_bad_terms(term, message):
+    good = BoundaryTerm(0.25, 1, np.ones((2, 1)))
+    with pytest.raises(ValueError, match=message):
+        MultipointBoundaryOperator(2, 1, 0.0, 1.0, [good, term])
+
+
+def test_multipoint_operator_rejects_bad_shape_and_interval():
+    with pytest.raises(ValueError, match="need r >= 1 and m >= 1"):
+        MultipointBoundaryOperator(0, 1, 0.0, 1.0, [])
+    with pytest.raises(ValueError, match="operator needs a < b"):
+        MultipointBoundaryOperator(1, 1, 1.0, 1.0, [])
+    empty = MultipointBoundaryOperator(1, 2, 0.0, 1.0, [])
+    assert empty.terms == () and empty.betas.shape == (0, 2, 2)
+    assert norm_upper_bound(empty) == 0.0
+    assert not lift(empty, Grid(0.0, 1.0, 8)).weights.any()
+
+
+def test_term_table_is_read_only():
+    op = multipointify(_p2_operator(), 4)
+    for array in (op.nodes, op.orders, op.betas, op.terms[0].beta):
+        with pytest.raises(ValueError):
+            array[0] = 0

@@ -189,6 +189,18 @@ def test_multipoint_problem_from_file(capsys, tmp_path):
     assert abs(float(last[1]) - 3.0) <= 1e-12  # y = 2 + t at t = 1
 
 
+def test_non_finite_node_in_problem_file_exits_with_parse_error(capsys, tmp_path):
+    path = tmp_path / "nan_node.json"
+    emit_problem(corpus.build_problem("nn", 64), str(path))
+    payload = json.loads(path.read_text())
+    payload["boundary"]["terms"][0]["node"] = float("nan")
+    path.write_text(json.dumps(payload))  # json writes the NaN literal
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert "$.boundary: node nan outside [0.0, 1.0]" in err
+
+
 def _csv_per_value(problem, jet):
     """Reference renderer: one format(x, ".17g") call per value."""
     lines = [",".join(["t"] + [f"y{j}_{c}_{part}" for j in range(problem.r + 1)

@@ -6,12 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpbvp import (
+    BoundaryTerm,
     Grid,
+    MultipointBoundaryOperator,
     PiecewisePoly,
     PolyMatrix,
     PolyVector,
     SampledJet,
+    ScalarMeasure,
     antiderivative,
+    lift,
     mat_norm,
     norm_c,
     norm_cl,
@@ -21,7 +25,7 @@ from mpbvp import (
     vec_norm,
 )
 from mpbvp import corpus, sawtooth_perturbation
-from mpbvp.funcspace import _piece_abs_integral, sample_cubic, sample_linear
+from mpbvp.funcspace import _piece_abs_integral
 
 
 # -- grids -------------------------------------------------------------------
@@ -326,16 +330,20 @@ def test_addition_matches_pointwise(cut, v1, v2, t):
 
 
 def test_cubic_interpolation_reproduces_cubics():
+    # A point term off the nodes is compiled to the 4-point cubic stencil.
     grid = Grid(0.0, 1.0, 16)
-    values = grid.nodes ** 3 - 2.0 * grid.nodes
+    values = (grid.nodes ** 3 - 2.0 * grid.nodes)[:, None]
     for t in (0.03, 0.37, 0.5, 0.91, 1.0):
-        assert abs(sample_cubic(grid, values, t) - (t ** 3 - 2.0 * t)) <= 1e-13
+        op = MultipointBoundaryOperator(1, 1, 0.0, 1.0, [BoundaryTerm(t, 0, np.ones((1, 1)))])
+        assert abs(lift(op, grid).apply_values(values)[0] - (t ** 3 - 2.0 * t)) <= 1e-13
 
 
 def test_linear_interpolation_on_matrix_samples():
+    # A measure atom off the nodes weighs its two neighbours linearly.
     grid = Grid(0.0, 1.0, 4)
     values = np.stack([np.array([[t, 0.0], [0.0, 1.0]]) for t in grid.nodes])
-    out = sample_linear(grid, values, 0.375)
+    weights = ScalarMeasure.point_mass(0.0, 1.0, 0.375).weights(grid)
+    out = np.tensordot(weights, values, axes=(0, 0))
     np.testing.assert_allclose(out, [[0.375, 0.0], [0.0, 1.0]], atol=1e-14)
 
 

@@ -23,7 +23,7 @@ def _grid(n=2048):
 def test_scalar_exponential_decay():
     A = PolyMatrix.constant([[1.0]], 0.0, 1.0)
     V = fundamental_matrix(A, _grid())
-    assert abs(V.values[-1, 0, 0] - np.exp(-1.0)) <= 1e-12
+    assert abs(V[-1, 0, 0] - np.exp(-1.0)) <= 1e-12
 
 
 def test_nilpotent_coefficient_closed_form():
@@ -32,7 +32,7 @@ def test_nilpotent_coefficient_closed_form():
     V = fundamental_matrix(A, grid)
     # Y' = -A Y integrates exactly: Y(t) = [[1, -t], [0, 1]]
     expected = np.stack([np.array([[1.0, -t], [0.0, 1.0]]) for t in grid.nodes])
-    np.testing.assert_allclose(V.values, expected, atol=1e-13)
+    np.testing.assert_allclose(V, expected, atol=1e-13)
 
 
 def test_constant_complex_matches_series_exponential():
@@ -44,7 +44,7 @@ def test_constant_complex_matches_series_exponential():
         grid = _grid(n)
         V = fundamental_matrix(A, grid)
         for idx in (n // 4, n // 2, n):
-            np.testing.assert_allclose(V.values[idx],
+            np.testing.assert_allclose(V[idx],
                                        expm_taylor(-matrix * grid.nodes[idx]), atol=1e-9)
 
 
@@ -54,7 +54,7 @@ def test_inverse_fundamental_is_inverse():
     grid = _grid()
     V = fundamental_matrix(A, grid)
     W = inverse_fundamental(A, grid)
-    products = np.einsum("nij,njk->nik", W.values, V.values)
+    products = np.einsum("nij,njk->nik", W, V)
     eye = np.broadcast_to(np.eye(2), products.shape)
     assert float(np.max(np.abs(products - eye))) <= 1e-12
 
@@ -67,7 +67,7 @@ def test_liouville_determinant_identity():
     A = PolyMatrix(entries)
     grid = _grid()
     V = fundamental_matrix(A, grid)
-    dets = np.linalg.det(V.values)
+    dets = np.linalg.det(V)
     expected = np.exp(-exact_trace_integral(A, grid.nodes))
     rel = np.max(np.abs(dets - expected) / np.abs(expected))
     assert rel <= 1e-8
@@ -79,7 +79,7 @@ def test_piecewise_coefficient_keeps_full_order():
     # the step-end evaluations to use the left-hand piece.
     A = PolyMatrix([[PiecewisePoly.step([0.0, 0.5, 1.0], [1.0, 2.0])]])
     V = fundamental_matrix(A, _grid())
-    assert abs(V.values[-1, 0, 0] - np.exp(-1.5)) <= 1e-12
+    assert abs(V[-1, 0, 0] - np.exp(-1.5)) <= 1e-12
 
 
 def test_forced_trajectory_matches_closed_form():
@@ -89,13 +89,6 @@ def test_forced_trajectory_matches_closed_form():
         for a, expected in ((0.0, grid.nodes), (1.0, 1.0 - np.exp(-grid.nodes))):
             u = forced_trajectory(PolyMatrix.constant([[a]], 0.0, 1.0), g, grid)
             assert float(np.max(np.abs(u[:, 0] - expected))) <= 1e-12
-
-
-def test_trajectory_interpolation():
-    A = PolyMatrix.constant([[1.0]], 0.0, 1.0)
-    V = fundamental_matrix(A, _grid())
-    at = V.at(0.333)
-    assert abs(at[0, 0] - np.exp(-0.333)) <= 1e-11
 
 
 def _coupled_system():
@@ -132,6 +125,6 @@ def test_augmented_pass_carries_matrizant_and_forced_trajectory():
     A, g = _coupled_system()
     for grid in (_grid(), _grid(1537)):
         augmented = _propagate(A, g, grid)
-        np.testing.assert_array_equal(augmented[:, :2, :2], fundamental_matrix(A, grid).values)
+        np.testing.assert_array_equal(augmented[:, :2, :2], fundamental_matrix(A, grid))
         np.testing.assert_array_equal(augmented[:, :2, 2], forced_trajectory(A, g, grid))
         np.testing.assert_array_equal(augmented[:, 2], np.broadcast_to([0, 0, 1], (grid.n + 1, 3)))

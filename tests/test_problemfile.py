@@ -8,6 +8,7 @@ import pytest
 
 from mpbvp import (
     ProblemFormatError,
+    build_multipoint_problem,
     corpus,
     emit_problem,
     parse_problem,
@@ -15,6 +16,7 @@ from mpbvp import (
     problem_to_dict,
     solve,
 )
+from mpbvp.problemfile import problem_text
 
 
 @pytest.fixture()
@@ -84,6 +86,34 @@ def test_atom_outside_interval(p1_dict):
     bad["boundary"]["measure"][0][0]["atoms"] = [[2.0, 1.0, 0.0]]
     with pytest.raises(ProblemFormatError, match="atoms"):
         problem_from_dict(bad)
+
+
+def test_non_finite_multipoint_node_rejected():
+    bad = problem_to_dict(corpus.build_problem("nn", 64))
+    for node in (float("nan"), float("inf")):
+        bad["boundary"]["terms"][1]["node"] = node
+        with pytest.raises(ProblemFormatError, match=r"^\$\.boundary: node (nan|inf) outside"):
+            problem_from_dict(bad)
+
+
+def test_problem_text_has_one_line_per_key_and_term():
+    for name, k in (("p1", 0), ("p3", 64), ("nn", 0)):
+        problem = corpus.build_problem(name, 128)
+        if k:
+            problem = build_multipoint_problem(problem, k)
+        obj = problem_to_dict(problem)
+        text = problem_text(problem)
+        assert json.loads(text) == obj
+        lines = text.splitlines()
+        if obj["boundary"]["kind"] == "multipoint":
+            terms = obj["boundary"]["terms"]
+            term_lines = [line for line in lines if line.startswith('    {"node"')]
+            assert [json.loads(line.rstrip(",")) for line in term_lines] == terms
+            assert len(lines) == len(obj) + 2 + len(terms) + 1
+        else:
+            assert len(lines) == len(obj) + 2
+        keys = [line.split(":")[0].strip() for line in lines if line.startswith('  "')]
+        assert keys == [json.dumps(key) for key in obj]
 
 
 def test_multipoint_round_trip_through_dict():

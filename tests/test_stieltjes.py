@@ -7,34 +7,35 @@ from hypothesis import strategies as st
 
 from mpbvp import (
     Grid,
+    corpus,
     MatrixMeasure,
     PiecewisePoly,
     ScalarMeasure,
     discretize_measure,
-    rs_integrate,
     total_variation,
     tv_distance,
 )
+from mpbvp.stieltjes import _density_weights
 
 
 def test_point_mass_reads_node_value():
     grid = Grid(0.0, 1.0, 8)
     mu = ScalarMeasure.point_mass(0.0, 1.0, 0.5, weight=2.0)
     values = grid.nodes ** 2
-    assert abs(rs_integrate(grid, values, mu) - 0.5) <= 1e-14
+    assert abs(mu.weights(grid) @ values - 0.5) <= 1e-14
 
 
 def test_atom_off_node_interpolates_linearly():
     grid = Grid(0.0, 1.0, 2)
     mu = ScalarMeasure.point_mass(0.0, 1.0, 0.25)
     values = 3.0 * grid.nodes  # linear, so linear interpolation is exact
-    assert abs(rs_integrate(grid, values, mu) - 0.75) <= 1e-14
+    assert abs(mu.weights(grid) @ values - 0.75) <= 1e-14
 
 
 def test_lebesgue_density_quadrature():
     grid = Grid(0.0, 1.0, 64)
     mu = ScalarMeasure.lebesgue(0.0, 1.0, 1.0)
-    assert abs(rs_integrate(grid, grid.nodes, mu) - 0.5) <= 1e-14
+    assert abs(mu.weights(grid) @ grid.nodes - 0.5) <= 1e-14
 
 
 def test_corrected_quadrature_gains_two_orders():
@@ -43,7 +44,7 @@ def test_corrected_quadrature_gains_two_orders():
     values = grid.nodes ** 3
     # the bare trapezoid error (about h^2 / 4) is removed by the
     # Euler-Maclaurin end correction, which is exact for cubics
-    assert abs(rs_integrate(grid, values, mu) - 0.25) <= 1e-13
+    assert abs(mu.weights(grid) @ values - 0.25) <= 1e-13
 
 
 def test_density_with_interior_breakpoint_on_node():
@@ -52,7 +53,7 @@ def test_density_with_interior_breakpoint_on_node():
     mu = ScalarMeasure.from_density(dens)
     # integral of dens * 1 = 0.5 + 1.5; piece-aware segments keep it exact
     ones = np.ones_like(grid.nodes)
-    assert abs(rs_integrate(grid, ones, mu) - 2.0) <= 1e-14
+    assert abs(mu.weights(grid) @ ones - 2.0) <= 1e-14
 
 
 def test_total_variation_adds_atoms_and_density_mass():
@@ -146,3 +147,79 @@ def test_measure_subtraction():
 def test_atom_outside_interval_rejected():
     with pytest.raises(ValueError):
         ScalarMeasure(0.0, 1.0, atoms=[(1.5, 1.0)])
+
+
+@pytest.mark.parametrize("atom, message", [
+    ((float("nan"), 1.0), "atom location nan outside"),
+    ((float("-inf"), 1.0), "atom location -inf outside"),
+    ((0.5, complex(1.0, float("nan"))), "atom weights must be finite"),
+    ((0.5, float("inf")), "atom weights must be finite"),
+])
+def test_non_finite_atoms_rejected(atom, message):
+    with pytest.raises(ValueError, match=message):
+        ScalarMeasure(0.0, 1.0, atoms=[(0.25, 1.0), atom])
+
+
+def _merge_atoms_loop(atoms, tol):
+    """Reference merge: sort by location, add each atom into the previous
+    cluster while it lies within tol of that cluster's first atom."""
+    items = sorted(((float(t), complex(w)) for t, w in atoms), key=lambda p: p[0])
+    merged = []
+    for t, w in items:
+        if merged and t - merged[-1][0] <= tol:
+            merged[-1] = (merged[-1][0], merged[-1][1] + w)
+        else:
+            merged.append((t, w))
+    return [(t, w) for t, w in merged if w != 0]
+
+
+def _raw_atom_lists():
+    """Atom lists as discretize_measure hands them over, plus hand-built ones."""
+    lists = []
+    for name in ("p1", "p2", "p3"):
+        for row in corpus.build_problem(name, 64).operator.phi.entries:
+            for mu in row:
+                for k in (2, 4, 256, 1024):
+                    if mu.density is None:
+                        lists.append(list(mu.atoms))
+                        continue
+                    edges = mu.a + (mu.b - mu.a) * np.arange(k + 1) / k
+                    mids = 0.5 * (edges[:-1] + edges[1:])
+                    lists.append(list(mu.atoms) + list(zip(mids.tolist(),
+                                                           mu.density.integrals(edges).tolist())))
+    tol = 1e-12
+    lists += [
+        [(0.5 + 1.2 * tol, 3.0), (0.5, 1.0), (0.5 + 0.6 * tol, -2.0j)],  # a 0.6 tol chain
+        [(0.3, complex(-0.0, 1.0)), (0.7, -0.0), (0.3, 2.0), (0.6, complex(-0.0, 1.0))],
+        [(0.4, 1.0), (0.4, -1.0), (0.2, 0.5), (0.2 + 0.5 * tol, 0.25j), (-0.0, 2.0)],
+    ]
+    return lists
+
+
+def _bits(atoms):
+    t = np.array([p[0] for p in atoms], dtype=float)
+    w = np.array([p[1] for p in atoms], dtype=complex)
+    return t.view(np.uint64).tolist(), w.view(np.uint64).tolist()
+
+
+def _weights_loop(mu, grid):
+    w = np.zeros(grid.n + 1, dtype=complex)
+    for t, weight in mu.atoms:
+        s = min(max((t - grid.a) / grid.h, 0.0), float(grid.n))
+        i = min(int(s), grid.n - 1)
+        w[i:i + 2] += weight * np.array([1.0 - (s - i), s - i])
+    if mu.density is not None:
+        w += _density_weights(grid, mu.density)
+    return w
+
+
+def test_atom_merge_and_weights_are_bitwise_the_loops():
+    for atoms in _raw_atom_lists():
+        mu = ScalarMeasure(0.0, 1.0, atoms=atoms)
+        assert _bits(mu.atoms) == _bits(_merge_atoms_loop(atoms, 1e-12))
+        assert all(type(t) is float and type(w) is complex for t, w in mu.atoms)
+        for grid in (Grid(0.0, 1.0, 1000), Grid(0.0, 1.0, 2)):
+            np.testing.assert_array_equal(mu.weights(grid).view(np.uint64),
+                                          _weights_loop(mu, grid).view(np.uint64))
+    chain = ScalarMeasure(0.0, 1.0, atoms=_raw_atom_lists()[-3])
+    assert chain.atoms == [(0.5, 1.0 - 2.0j), (0.5 + 1.2e-12, 3.0)]
