@@ -153,28 +153,33 @@ class PiecewisePoly:
 
     def __init__(self, breakpoints, coeffs):
         pieces = [np.atleast_1d(np.asarray(c, dtype=complex)) for c in coeffs]
-        if any(c.ndim != 1 or c.size == 0 for c in pieces):
-            raise ValueError("each piece needs a non-empty 1-d coefficient array")
-        widths = np.array([c.size for c in pieces], dtype=np.intp)
-        width = int(widths.max(initial=1))
-        if width - 1 > MAX_PIECE_DEGREE:
-            raise ValueError(f"piece degree {width - 1} exceeds the cap {MAX_PIECE_DEGREE}")
-        table = np.zeros((len(pieces), width), dtype=complex)
+        widths = np.array([c.size if c.ndim == 1 else 0 for c in pieces], dtype=np.intp)
+        table = np.zeros((len(pieces), self._table_width(widths)), dtype=complex)
         if pieces:
-            table[np.arange(width) < widths[:, None]] = np.concatenate(pieces)
+            table[np.arange(table.shape[1]) < widths[:, None]] = np.concatenate(pieces)
         self._set(breakpoints, table, widths)
 
     @classmethod
     def _from_table(cls, breakpoints, table, widths) -> "PiecewisePoly":
-        """Wrap a coefficient table built from validated operands.
-
-        Breakpoints and finiteness are still checked: a sum can overflow.
-        """
+        """Wrap a zero-padded table whose row j starts with piece j's ``widths[j]``
+        coefficients.  ``__init__``'s checks run: a sum can overflow, and a
+        problem file's table is outside input."""
         out = cls.__new__(cls)
         out._set(breakpoints, table, widths)
         return out
 
+    @staticmethod
+    def _table_width(widths) -> int:
+        """Table width for these piece widths; rejects empty and over-degree pieces."""
+        if widths.min(initial=1) < 1:
+            raise ValueError("each piece needs a non-empty 1-d coefficient array")
+        width = int(widths.max(initial=1))
+        if width - 1 > MAX_PIECE_DEGREE:
+            raise ValueError(f"piece degree {width - 1} exceeds the cap {MAX_PIECE_DEGREE}")
+        return width
+
     def _set(self, breakpoints, table, widths):
+        table = table[:, :self._table_width(widths)]
         bp = np.asarray(breakpoints, dtype=float)
         if bp.ndim != 1 or bp.size < 2:
             raise ValueError("need at least two breakpoints")
@@ -187,7 +192,6 @@ class PiecewisePoly:
                 f"{bp.size - 1} pieces require {bp.size - 1} coefficient arrays, "
                 f"got {table.shape[0]}"
             )
-        table = table[:, :int(widths.max(initial=1))]
         if not np.all(np.isfinite(table)):
             raise ValueError("polynomial coefficients must be finite")
         self.breakpoints = bp

@@ -5,7 +5,11 @@ piecewise-polynomial coefficients and right-hand side, boundary data
 vector, and the boundary operator (general measure form or explicit
 multipoint form).  Complex numbers are stored as ``[re, im]`` pairs and
 floats are emitted with ``repr`` precision, so ``parse(emit(p))``
-reconstructs every number bit for bit.
+reconstructs every number bit for bit.  The parser decodes each number
+table (a polynomial's pieces, the data, alphas, atoms, term nodes and
+weights) as one array; numbers must be JSON numbers, not bools or strings,
+and integers must fit a double.  A rejected file names the ``$``-path of
+its first bad entry.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -41,6 +46,17 @@ def _fail(path: str, message: str):
     raise ProblemFormatError(f"{path}: {message}")
 
 
+@contextmanager
+def _at(path: str):
+    """Report a constructor's ValueError as a ProblemFormatError at ``path``."""
+    try:
+        yield
+    except ProblemFormatError:
+        raise
+    except ValueError as exc:
+        raise ProblemFormatError(f"{path}: {exc}") from exc
+
+
 def _require(mapping, key, path: str):
     if not isinstance(mapping, dict):
         _fail(path, f"expected an object, got {type(mapping).__name__}")
@@ -49,22 +65,12 @@ def _require(mapping, key, path: str):
     return mapping[key]
 
 
-def _as_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _as_int(value, path: str) -> int:
+def _as_int(value, path: str, low: float = -float("inf"), high: float = float("inf")) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"expected an integer, got {value!r}")
+    if not low <= value <= high:
+        _fail(path, f"expected an integer in [{low}, {high}], got {value}")
     return value
-
-
-def _as_complex(value, path: str) -> complex:
-    if not isinstance(value, list) or len(value) != 2:
-        _fail(path, f"expected a [re, im] pair, got {value!r}")
-    return complex(_as_float(value[0], path + "[0]"), _as_float(value[1], path + "[1]"))
 
 
 def _as_list(value, path: str, length: int | None = None) -> list:
@@ -73,6 +79,43 @@ def _as_list(value, path: str, length: int | None = None) -> list:
     if length is not None and len(value) != length:
         _fail(path, f"expected {length} entries, got {len(value)}")
     return value
+
+
+def _numbers(value, shape: tuple, path: str) -> np.ndarray:
+    """A nested list of numbers as a float array of ``shape`` (``None``: any length).
+
+    Leaves are ints (that fit a double) or floats, not bools.  The table is
+    built, type-checked by its set of leaf types and converted at once; only
+    on failure are its entries decoded one by one, to name the first bad one.
+    """
+    try:
+        table = np.array(value, dtype=object)
+        if table.size == 0:  # numpy sees no axes below an empty one
+            table = table.reshape(table.shape + shape[table.ndim:])
+        if (table.ndim == len(shape) and all(n in (None, k) for n, k in zip(shape, table.shape))
+                and all(issubclass(t, (int, float)) and not issubclass(t, bool)
+                        for t in set(map(type, table.flat)))):
+            return table.astype(float)
+    except (ValueError, TypeError, OverflowError):
+        pass
+    if not shape:
+        _fail(path, "integer too large for a double" if type(value) is int
+              else f"expected a number, got {value!r}")
+    for i, entry in enumerate(_as_list(value, path, length=shape[0])):
+        _numbers(entry, shape[1:], f"{path}[{i}]")
+
+
+def _objects(value, shape: tuple, path: str, build) -> list:
+    """A nested list of ``shape`` whose entries are built by ``build(entry, path)``."""
+    if not shape:
+        return build(value, path)
+    return [_objects(entry, shape[1:], f"{path}[{i}]", build)
+            for i, entry in enumerate(_as_list(value, path, length=shape[0]))]
+
+
+def _complexes(value, shape: tuple, path: str) -> np.ndarray:
+    """A nested list of [re, im] pairs as a complex array of ``shape``."""
+    return _numbers(value, shape + (2,), path).view(complex)[..., 0]
 
 
 def _pairs(values) -> list:
@@ -91,24 +134,19 @@ def _poly_to_dict(p: PiecewisePoly) -> dict:
 
 
 def _poly_from_dict(obj, path: str) -> PiecewisePoly:
-    breakpoints = [_as_float(t, f"{path}.breakpoints[{i}]")
-                   for i, t in enumerate(_as_list(_require(obj, "breakpoints", path),
-                                                  path + ".breakpoints"))]
-    if len(breakpoints) < 2:
+    breakpoints = _numbers(_require(obj, "breakpoints", path), (None,), path + ".breakpoints")
+    if breakpoints.size < 2:
         _fail(path + ".breakpoints", "need at least two breakpoints")
-    pieces_raw = _as_list(_require(obj, "pieces", path), path + ".pieces",
-                          length=len(breakpoints) - 1)
-    pieces = []
-    for i, piece in enumerate(pieces_raw):
-        piece = _as_list(piece, f"{path}.pieces[{i}]")
-        if not piece:
-            _fail(f"{path}.pieces[{i}]", "a piece needs at least one coefficient")
-        pieces.append([_as_complex(c, f"{path}.pieces[{i}][{j}]")
-                       for j, c in enumerate(piece)])
-    try:
-        return PiecewisePoly(breakpoints, pieces)
-    except ValueError as exc:
-        _fail(path, str(exc))
+    pieces = _as_list(_require(obj, "pieces", path), path + ".pieces",
+                      length=breakpoints.size - 1)
+    if not all(isinstance(piece, list) for piece in pieces):
+        _objects(pieces, (len(pieces),), path + ".pieces", _as_list)
+    widths = np.array([len(piece) for piece in pieces], dtype=np.intp)
+    with _at(path):  # [0, 0]-padded to the widest piece, the pieces decode as one table
+        pad = [[0.0, 0.0]] * PiecewisePoly._table_width(widths)
+        table = _complexes([piece + pad[len(piece):] for piece in pieces],
+                           (len(pieces), len(pad)), path + ".pieces")
+        return PiecewisePoly._from_table(breakpoints, table, widths)
 
 
 # ---------------------------------------------------------------------------
@@ -122,33 +160,17 @@ def _measure_to_dict(mu: ScalarMeasure) -> dict:
 
 
 def _measure_from_dict(obj, a: float, b: float, path: str) -> ScalarMeasure:
-    atoms_raw = _as_list(_require(obj, "atoms", path), path + ".atoms")
-    atoms = []
-    for i, atom in enumerate(atoms_raw):
-        atom = _as_list(atom, f"{path}.atoms[{i}]", length=3)
-        t = _as_float(atom[0], f"{path}.atoms[{i}][0]")
-        if not a <= t <= b:
-            _fail(f"{path}.atoms[{i}]", f"atom location {t} outside [{a}, {b}]")
-        atoms.append((t, complex(_as_float(atom[1], f"{path}.atoms[{i}][1]"),
-                                 _as_float(atom[2], f"{path}.atoms[{i}][2]"))))
+    atoms = _numbers(_require(obj, "atoms", path), (None, 3), path + ".atoms")
+    t = atoms[:, 0]
+    for i in np.flatnonzero(~((a <= t) & (t <= b)))[:1]:
+        _fail(f"{path}.atoms[{i}]", f"atom location {t[i]} outside [{a}, {b}]")
+    weights = np.ascontiguousarray(atoms[:, 1:]).view(complex)[:, 0]
     density_raw = _require(obj, "density", path)
     density = None if density_raw is None else _poly_from_dict(density_raw, path + ".density")
     if density is not None and (density.a != a or density.b != b):
         _fail(path + ".density", f"density interval differs from [{a}, {b}]")
-    try:
-        return ScalarMeasure(a, b, atoms=atoms, density=density)
-    except ValueError as exc:
-        _fail(path, str(exc))
-
-
-def _matrix_of(pairs, rows: int, cols: int, path: str) -> np.ndarray:
-    rows_raw = _as_list(pairs, path, length=rows)
-    out = np.zeros((rows, cols), dtype=complex)
-    for i, row in enumerate(rows_raw):
-        row = _as_list(row, f"{path}[{i}]", length=cols)
-        for j, entry in enumerate(row):
-            out[i, j] = _as_complex(entry, f"{path}[{i}][{j}]")
-    return out
+    with _at(path):
+        return ScalarMeasure(a, b, atoms=zip(t, weights), density=density)
 
 
 def _boundary_to_dict(op) -> dict:
@@ -172,34 +194,30 @@ def _boundary_from_dict(obj, r: int, m: int, a: float, b: float, path: str):
     kind = _require(obj, "kind", path)
     rows = r * m
     if kind == "general":
-        alphas_raw = _as_list(_require(obj, "alphas", path), path + ".alphas",
-                              length=max(r - 1, 0))
-        alphas = [_matrix_of(alpha, rows, m, f"{path}.alphas[{l}]")
-                  for l, alpha in enumerate(alphas_raw)]
-        measure_raw = _as_list(_require(obj, "measure", path), path + ".measure",
-                               length=rows)
-        entries = []
-        for i, row in enumerate(measure_raw):
-            row = _as_list(row, f"{path}.measure[{i}]", length=m)
-            entries.append([_measure_from_dict(entry, a, b, f"{path}.measure[{i}][{j}]")
-                            for j, entry in enumerate(row)])
-        try:
+        alphas = _complexes(_require(obj, "alphas", path), (max(r - 1, 0), rows, m),
+                            path + ".alphas")
+        entries = _objects(_require(obj, "measure", path), (rows, m), path + ".measure",
+                           lambda entry, where: _measure_from_dict(entry, a, b, where))
+        with _at(path):
             return GeneralBoundaryOperator(r, m, alphas, MatrixMeasure(entries))
-        except ValueError as exc:
-            _fail(path, str(exc))
     if kind == "multipoint":
-        terms_raw = _as_list(_require(obj, "terms", path), path + ".terms")
-        nodes, orders = [], []
-        betas = np.empty((len(terms_raw), rows, m), dtype=complex)
-        for i, term in enumerate(terms_raw):
+        terms = _as_list(_require(obj, "terms", path), path + ".terms")
+        nodes, orders, weights = [], [], []
+        for i, term in enumerate(terms):
             where = f"{path}.terms[{i}]"
-            nodes.append(_as_float(_require(term, "node", where), where + ".node"))
-            orders.append(_as_int(_require(term, "order", where), where + ".order"))
-            betas[i] = _matrix_of(_require(term, "weight", where), rows, m, where + ".weight")
+            nodes.append(_require(term, "node", where))
+            orders.append(_as_int(_require(term, "order", where), where + ".order", 0, r - 1))
+            weights.append(_require(term, "weight", where))
         try:
+            betas = _complexes(weights, (len(terms), rows, m), path + ".terms")
+            nodes = _numbers(nodes, (len(terms),), path + ".terms")
+        except ProblemFormatError:  # name the entry by its field
+            for i, (node, weight) in enumerate(zip(nodes, weights)):
+                _numbers(node, (), f"{path}.terms[{i}].node")
+                _complexes(weight, (rows, m), f"{path}.terms[{i}].weight")
+            raise
+        with _at(path):
             return MultipointBoundaryOperator._from_table(r, m, a, b, nodes, orders, betas)
-        except ValueError as exc:
-            _fail(path, str(exc))
     _fail(path + ".kind", f"expected 'general' or 'multipoint', got {kind!r}")
 
 
@@ -228,52 +246,30 @@ def problem_to_dict(problem: BvpProblem) -> dict:
 
 def problem_from_dict(obj) -> BvpProblem:
     """Validate a problem dict and build the problem it describes."""
-    if not isinstance(obj, dict):
-        raise ProblemFormatError(f"$: expected an object, got {type(obj).__name__}")
     name = _require(obj, "format", "$")
     if name != FORMAT_NAME:
         _fail("$.format", f"expected {FORMAT_NAME!r}, got {name!r}")
     version = _as_int(_require(obj, "version", "$"), "$.version")
     if version != FORMAT_VERSION:
         _fail("$.version", f"unsupported version {version}")
-    r = _as_int(_require(obj, "order", "$"), "$.order")
-    m = _as_int(_require(obj, "size", "$"), "$.size")
-    if r < 1:
-        _fail("$.order", f"order must be >= 1, got {r}")
-    if m < 1:
-        _fail("$.size", f"size must be >= 1, got {m}")
-    interval = _as_list(_require(obj, "interval", "$"), "$.interval", length=2)
-    a = _as_float(interval[0], "$.interval[0]")
-    b = _as_float(interval[1], "$.interval[1]")
+    r = _as_int(_require(obj, "order", "$"), "$.order", 1)
+    m = _as_int(_require(obj, "size", "$"), "$.size", 1)
+    a, b = _numbers(_require(obj, "interval", "$"), (2,), "$.interval").tolist()
     if not a < b:
         _fail("$.interval", f"need a < b, got [{a}, {b}]")
-    grid_n = _as_int(obj.get("grid_n", 2048), "$.grid_n")
-    if grid_n < 2:
-        _fail("$.grid_n", f"grid_n must be >= 2, got {grid_n}")
+    grid_n = _as_int(obj.get("grid_n", 2048), "$.grid_n", 2)
 
-    coeff_raw = _as_list(_require(obj, "coefficients", "$"), "$.coefficients", length=r)
+    matrices = _objects(_require(obj, "coefficients", "$"), (r, m, m), "$.coefficients",
+                        _poly_from_dict)
     coeffs = []
-    for l, matrix in enumerate(coeff_raw):
-        matrix = _as_list(matrix, f"$.coefficients[{l}]", length=m)
-        entries = []
-        for i, row in enumerate(matrix):
-            row = _as_list(row, f"$.coefficients[{l}][{i}]", length=m)
-            entries.append([_poly_from_dict(entry, f"$.coefficients[{l}][{i}][{j}]")
-                            for j, entry in enumerate(row)])
-        try:
+    for l, entries in enumerate(matrices):
+        with _at(f"$.coefficients[{l}]"):
             coeffs.append(PolyMatrix(entries))
-        except ValueError as exc:
-            _fail(f"$.coefficients[{l}]", str(exc))
 
-    rhs_raw = _as_list(_require(obj, "rhs", "$"), "$.rhs", length=m)
-    try:
-        f = PolyVector([_poly_from_dict(c, f"$.rhs[{j}]") for j, c in enumerate(rhs_raw)])
-    except ValueError as exc:
-        _fail("$.rhs", str(exc))
+    with _at("$.rhs"):
+        f = PolyVector(_objects(_require(obj, "rhs", "$"), (m,), "$.rhs", _poly_from_dict))
 
-    data_raw = _as_list(_require(obj, "data", "$"), "$.data", length=r * m)
-    q = np.array([_as_complex(z, f"$.data[{i}]") for i, z in enumerate(data_raw)],
-                 dtype=complex)
+    q = _complexes(_require(obj, "data", "$"), (r * m,), "$.data")
 
     operator = _boundary_from_dict(_require(obj, "boundary", "$"), r, m, a, b, "$.boundary")
 
@@ -283,11 +279,9 @@ def problem_from_dict(obj) -> BvpProblem:
     if f.a != a or f.b != b:
         _fail("$.rhs", f"interval differs from [{a}, {b}]")
 
-    try:
+    with _at("$"):
         return BvpProblem(r=r, m=m, coeffs=coeffs, f=f, q=q,
                           operator=operator, grid=Grid(a, b, grid_n))
-    except ValueError as exc:
-        raise ProblemFormatError(f"$: {exc}") from exc
 
 
 def parse_problem(path: str) -> BvpProblem:

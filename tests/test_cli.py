@@ -201,6 +201,18 @@ def test_non_finite_node_in_problem_file_exits_with_parse_error(capsys, tmp_path
     assert "$.boundary: node nan outside [0.0, 1.0]" in err
 
 
+def test_huge_integer_in_problem_file_exits_with_parse_error(capsys, tmp_path):
+    path = tmp_path / "huge_data.json"
+    emit_problem(corpus.build_problem("p1", 64), str(path))
+    payload = json.loads(path.read_text())
+    payload["data"] = [[int("1" + "0" * 400), 0]]
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert "mpbvp: error: $.data[0][0]: integer too large for a double" in err
+
+
 def _csv_per_value(problem, jet):
     """Reference renderer: one format(x, ".17g") call per value."""
     lines = [",".join(["t"] + [f"y{j}_{c}_{part}" for j in range(problem.r + 1)

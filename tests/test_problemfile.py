@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,11 @@ from mpbvp import (
     problem_to_dict,
     solve,
 )
+from mpbvp.boundary import BoundaryTerm, GeneralBoundaryOperator, MultipointBoundaryOperator
+from mpbvp.bvp import BvpProblem
+from mpbvp.funcspace import Grid, PiecewisePoly, PolyMatrix, PolyVector
 from mpbvp.problemfile import problem_text
+from mpbvp.stieltjes import MatrixMeasure, ScalarMeasure
 
 
 @pytest.fixture()
@@ -143,3 +148,144 @@ def test_invalid_json(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ProblemFormatError, match="invalid JSON"):
         parse_problem(str(bad))
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3", "nn"])
+def test_parse_round_trip_is_bitwise_on_the_text(name):
+    base = corpus.build_problem(name, 2048)
+    for problem in (base, build_multipoint_problem(base, 4), build_multipoint_problem(base, 1024)):
+        text = problem_text(problem)
+        assert problem_text(problem_from_dict(json.loads(text))) == text
+
+
+def _special_values_problems():
+    """A general and a multipoint problem whose number tables hold -0.0 real
+    and imaginary parts, the subnormal 5e-324, +-1e308 and integer values."""
+    a, b = 0.0, 1.0
+    neg = complex(-0.0, -0.0)
+    coeffs = [
+        PolyMatrix([[PiecewisePoly([a, 0.5, b], [[neg, 5e-324, complex(1e308, -0.0)],
+                                                 [complex(-1e308, 2.0)]])]]),
+        PolyMatrix([[PiecewisePoly([a, b], [[complex(-0.0, 1.0), 3.0]])]]),
+    ]
+    f = PolyVector([PiecewisePoly([a, 0.25, b], [[complex(1.0, -0.0)], [complex(5e-324, 1e308)]])])
+    q = np.array([complex(-0.0, 5e-324), complex(1e308, -0.0)])
+    atoms = [(0.25, complex(-0.0, 1.0)), (1.0, complex(5e-324, -0.0))]
+    density = PiecewisePoly([a, b], [[neg, complex(-1e308, 1.0)]])
+    phi = MatrixMeasure([[ScalarMeasure(a, b, atoms=atoms)],
+                         [ScalarMeasure(a, b, atoms=atoms[:1], density=density)]])
+    alphas = [np.array([[complex(-0.0, 1.0)], [complex(2.0, -0.0)]])]
+    general = BvpProblem(2, 1, coeffs, f, q, GeneralBoundaryOperator(2, 1, alphas, phi),
+                         Grid(a, b, 64))
+    terms = [BoundaryTerm(0.0, 0, np.array([[neg], [5e-324]])),
+             BoundaryTerm(0.25, 1, np.array([[complex(1e308, -0.0)], [-1e308]])),
+             BoundaryTerm(1.0, 0, np.array([[1.0], [complex(-0.0, 2.0)]]))]
+    multipoint = BvpProblem(2, 1, coeffs, f, q, MultipointBoundaryOperator(2, 1, a, b, terms),
+                            Grid(a, b, 64))
+    return general, multipoint
+
+
+def test_parse_round_trip_keeps_signed_zeros_subnormals_and_extremes():
+    for problem in _special_values_problems():
+        text = problem_text(problem)
+        for token in ("-0.0", "5e-324", "1e+308", "-1e+308"):
+            assert token in text
+        parsed = problem_from_dict(json.loads(text))
+        assert problem_text(parsed) == text
+        # the padded tables too, beyond each piece's width
+        for A, B in zip(problem.coeffs, parsed.coeffs):
+            for p, p_parsed in zip(A.entries[0], B.entries[0]):
+                assert p.table.tobytes() == p_parsed.table.tobytes()
+        # integer-valued numbers written as JSON integers decode to the same bits
+        int_text = re.sub(r"(?<![-\d.])(\d+)\.0(?![\de])", r"\1", text)
+        assert int_text != text and '"interval": [0, 1]' in int_text
+        assert problem_text(problem_from_dict(json.loads(int_text))) == text
+
+
+BIG = int("1" + "0" * 400)
+
+
+@pytest.fixture()
+def p2_dict():
+    """p2 (order 2, one alpha block) with one atom in its first measure entry."""
+    obj = problem_to_dict(corpus.build_problem("p2", 64))
+    obj["boundary"]["measure"][0][0]["atoms"] = [[0.5, 1.0, 0.0]]
+    return obj
+
+
+# (key path of one number in p2_dict, or in the k = 4 multipoint problem for
+# the terms; that number's $-path)
+NUMBER_ENTRIES = [
+    (("data", 1, 0), "$.data[1][0]"),
+    (("interval", 1), "$.interval[1]"),
+    (("coefficients", 0, 0, 0, "breakpoints", 1), "$.coefficients[0][0][0].breakpoints[1]"),
+    (("coefficients", 0, 0, 0, "pieces", 1, 0, 1), "$.coefficients[0][0][0].pieces[1][0][1]"),
+    (("rhs", 0, "pieces", 1, 2, 0), "$.rhs[0].pieces[1][2][0]"),
+    (("boundary", "alphas", 0, 1, 0, 1), "$.boundary.alphas[0][1][0][1]"),
+    (("boundary", "measure", 0, 0, "atoms", 0, 2), "$.boundary.measure[0][0].atoms[0][2]"),
+    (("boundary", "terms", 2, "node"), "$.boundary.terms[2].node"),
+    (("boundary", "terms", 2, "weight", 0, 0, 1), "$.boundary.terms[2].weight[0][0][1]"),
+]
+
+
+def _with_entry(obj, keys, value):
+    bad = copy.deepcopy(obj)
+    container = bad
+    for key in keys[:-1]:
+        container = container[key]
+    container[keys[-1]] = value
+    return bad
+
+
+def _base_for(keys, p2_dict):
+    if "terms" in keys:
+        return problem_to_dict(build_multipoint_problem(corpus.build_problem("p2", 64), 4))
+    return p2_dict
+
+
+@pytest.mark.parametrize("keys, where", NUMBER_ENTRIES)
+def test_malformed_number_names_its_entry(p2_dict, keys, where):
+    base = _base_for(keys, p2_dict)
+    problem_from_dict(copy.deepcopy(base))  # the unmodified dict parses
+    for value, message in [(True, "expected a number, got True"),
+                           ("1.0", "expected a number, got '1.0'"),
+                           ([1.0], r"expected a number, got \[1\.0\]"),
+                           (BIG, "integer too large for a double"),
+                           (-BIG, "integer too large for a double")]:
+        with pytest.raises(ProblemFormatError, match=rf"^{re.escape(where)}: {message}$"):
+            problem_from_dict(_with_entry(base, keys, value))
+
+
+# (key path of one list of numbers, a value of the wrong length, the message)
+WRONG_LENGTHS = [
+    (("data", 1), [1.0, 0.0, 0.0], "$.data[1]: expected 2 entries, got 3"),
+    (("interval",), [0.0, 0.5, 1.0], "$.interval: expected 2 entries, got 3"),
+    (("coefficients", 0, 0, 0, "breakpoints"), [0.0, 0.25, 0.5, 1.0],
+     "$.coefficients[0][0][0].pieces: expected 3 entries, got 2"),
+    (("coefficients", 0, 0, 0, "pieces", 1, 0), [1.0],
+     "$.coefficients[0][0][0].pieces[1][0]: expected 2 entries, got 1"),
+    (("rhs", 0, "pieces", 1, 2), [1.0, 0.0, 0.0], "$.rhs[0].pieces[1][2]: expected 2 entries, got 3"),
+    (("boundary", "alphas", 0, 1), [], "$.boundary.alphas[0][1]: expected 1 entries, got 0"),
+    (("boundary", "measure", 0, 0, "atoms", 0), [0.5, 1.0],
+     "$.boundary.measure[0][0].atoms[0]: expected 3 entries, got 2"),
+    (("boundary", "terms", 2, "weight", 0, 0), [0.25, 0.0, 0.0],
+     "$.boundary.terms[2].weight[0][0]: expected 2 entries, got 3"),
+]
+
+
+@pytest.mark.parametrize("keys, value, message", WRONG_LENGTHS)
+def test_wrong_length_names_its_list(p2_dict, keys, value, message):
+    with pytest.raises(ProblemFormatError, match=rf"^{re.escape(message)}$"):
+        problem_from_dict(_with_entry(_base_for(keys, p2_dict), keys, value))
+
+
+def test_malformed_term_order_names_its_entry():
+    base = problem_to_dict(build_multipoint_problem(corpus.build_problem("p2", 64), 4))
+    where = re.escape("$.boundary.terms[2].order")
+    for value, message in [(True, "expected an integer, got True"),
+                           ("0", "expected an integer, got '0'"),
+                           ([0], r"expected an integer, got \[0\]"),
+                           (2, r"expected an integer in \[0, 1\], got 2"),
+                           (BIG, rf"expected an integer in \[0, 1\], got {BIG}")]:
+        with pytest.raises(ProblemFormatError, match=rf"^{where}: {message}$"):
+            problem_from_dict(_with_entry(base, ("boundary", "terms", 2, "order"), value))
