@@ -86,7 +86,7 @@ def _parse_ks(text: str) -> list:
 def _load_problem(source: str, grid_n: int | None) -> BvpProblem:
     name = source.strip().lower()
     if name in corpus.CORPUS_NAMES or name in corpus.DEGENERATE_NAMES:
-        return corpus.build_problem(name, n=grid_n or 2048)
+        return corpus.build_problem(name, n=2048 if grid_n is None else grid_n)
     problem = parse_problem(source)
     if grid_n is not None and grid_n != problem.grid.n:
         problem = BvpProblem(

@@ -41,6 +41,9 @@ __all__ = [
 #: Highest polynomial degree a single piece may carry.
 MAX_PIECE_DEGREE = 8
 
+#: Largest grid size n; bounds every (n+1)-sized array a solve allocates.
+MAX_GRID_N = 2**20
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid t_i = a + i*(b - a)/n for i = 0..n."""
@@ -54,8 +57,8 @@ class Grid:
             raise ValueError("grid endpoints must be finite")
         if not self.a < self.b:
             raise ValueError(f"grid needs a < b, got [{self.a}, {self.b}]")
-        if int(self.n) != self.n or self.n < 2:
-            raise ValueError(f"grid needs an integer n >= 2, got {self.n}")
+        if not 2 <= self.n <= MAX_GRID_N or int(self.n) != self.n:
+            raise ValueError(f"grid needs an integer n in [2, {MAX_GRID_N}], got {self.n}")
 
     @property
     def h(self) -> float:

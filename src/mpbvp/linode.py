@@ -1,16 +1,21 @@
 """Fundamental matrices of first-order linear systems via fixed-step RK4.
 
 On the augmented state (u, 1) of u' = -A(t) u + g(t) an RK4 step is the
-linear map U -> U + D_i U.  The increments D_i are formed in blocks from
-the coefficient panels, and a chunked scan composes each block: about
-sqrt(L) chunks of a block of L steps form their prefix increments side by
-side, then the state is carried across the chunks, so the Python loops run
-about 2 sqrt(L) times per block instead of L.  One pass from I_{d+1} gives
-the augmented matrizant [[V, R], [0, 1]]: the matrizant V and the forced
+linear map U -> U + D_i U.  Every RK4 array is laid out batch-last, as
+(s, s, N) with the steps on the last axis, and multiplied by ``_mm``: s
+broadcast multiply-adds over whole rows of steps, where a stacked ``@``
+would pay numpy's per-matrix overhead on each tiny s x s product.  The
+increments D_i are formed in blocks of BLOCK_STEPS steps from the
+coefficient panels, and a chunked scan composes each block: about sqrt(L)
+chunks of a block of L steps form their prefix increments side by side,
+then the state is carried across the chunks, so the Python loops run about
+2 sqrt(L) times per block instead of L.  One pass from I_{d+1} gives the
+augmented matrizant [[V, R], [0, 1]]: the matrizant V and the forced
 trajectory R with R(a) = 0 together.  Z = V^-1 composes, transposed, the
 inverse increments (I + D_i)^-1 - I, so Z V = I step by step.  Storing
 increments rather than I + D_i keeps their low bits.  Step ends take
 left-hand coefficient limits, which keeps full order at jumps on grid nodes.
+Node values come out step-first, as (n+1, s, s).
 """
 
 from __future__ import annotations
@@ -42,8 +47,20 @@ def _coefficient_panels(F, grid: Grid):
     return start, mid, end
 
 
+def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Product of batch-last matrices: A (s, t, ...) times B (t, u, ...).
+
+    The batch axes broadcast; the sum over t runs in order j = 0 .. t-1.
+    """
+    out = A[:, 0, None] * B[None, 0]
+    for j in range(1, A.shape[1]):
+        out += A[:, j, None] * B[None, j]
+    return out
+
+
 def _increments(A: PolyMatrix, g: PolyVector | None, grid: Grid):
-    """RK4 step increments, yielded in blocks of BLOCK_STEPS steps.
+    """RK4 step increments, yielded batch-last as (s, s, L) blocks of at
+    most BLOCK_STEPS steps.
 
     They act on u' = -A u, or with g on (u, 1)' = [[-A, g], [0, 0]] (u, 1).
     """
@@ -52,25 +69,26 @@ def _increments(A: PolyMatrix, g: PolyVector | None, grid: Grid):
         raise ValueError("coefficient matrix must be square")
     panels = _coefficient_panels(A, grid)
     forcing = None if g is None else _coefficient_panels(g, grid)
+    s = d + (g is not None)
     h = grid.h
     for lo in range(0, grid.n, BLOCK_STEPS):
         hi = min(lo + BLOCK_STEPS, grid.n)
-        if forcing is None:
-            m0, mm, m1 = (-panel[lo:hi] for panel in panels)
-        else:
-            m0, mm, m1 = (np.zeros((hi - lo, d + 1, d + 1), dtype=complex) for _ in panels)
-            for m, panel, f in zip((m0, mm, m1), panels, forcing):
-                m[:, :d, :d] = -panel[lo:hi]
-                m[:, :d, d] = f[lo:hi]
+        m0, mm, m1 = (np.zeros((s, s, hi - lo), dtype=complex) for _ in panels)
+        for m, panel in zip((m0, mm, m1), panels):
+            np.negative(panel[lo:hi].transpose(1, 2, 0), out=m[:d, :d])
+        if forcing is not None:
+            for m, f in zip((m0, mm, m1), forcing):
+                m[:d, d] = f[lo:hi].T
         # Stages of U' = M U from U = I, with k1 = m0: D_i = h/6 (k1 + 2 k2 + 2 k3 + k4).
-        k2 = mm + (0.5 * h) * (mm @ m0)
-        k3 = mm + (0.5 * h) * (mm @ k2)
-        k4 = m1 + h * (m1 @ k3)
+        k2 = mm + (0.5 * h) * _mm(mm, m0)
+        k3 = mm + (0.5 * h) * _mm(mm, k2)
+        k4 = m1 + h * _mm(m1, k3)
         yield (h / 6.0) * (m0 + 2.0 * (k2 + k3) + k4)
 
 
 def _compose(blocks, start: np.ndarray, n: int) -> np.ndarray:
-    """Node values of U_{i+1} = U_i + D_i U_i from U_0 = start.
+    """Node values (n+1, s, s) of U_{i+1} = U_i + D_i U_i from U_0 = start,
+    for batch-last (s, s, L) blocks of increments D_i.
 
     Each block of L increments is cut into about sqrt(L) chunks of c steps,
     the last one padded with zero increments.  The chunks' prefix increments
@@ -78,26 +96,30 @@ def _compose(blocks, start: np.ndarray, n: int) -> np.ndarray:
     first j steps, are formed for all chunks at once; the state is then
     carried from chunk to chunk, and U = U_c + Q_j U_c gives every node.
     """
-    out = np.empty((n + 1,) + start.shape, dtype=complex)
+    s = start.shape[0]
+    out = np.empty((n + 1, s, s), dtype=complex)
     out[0] = state = start
     i = 1
     for D in blocks:
-        L = len(D)
+        L = D.shape[-1]
         c = math.isqrt(L - 1) + 1
         chunks = -(-L // c)
-        padded = np.zeros((chunks * c,) + D.shape[1:], dtype=complex)
-        padded[:L] = D
-        D = padded.reshape((chunks, c) + D.shape[1:]).swapaxes(0, 1)
+        # Step k c + j of the block sits at [..., k, j].
+        padded = np.zeros((s, s, chunks * c), dtype=complex)
+        padded[..., :L] = D
+        D = padded.reshape(s, s, chunks, c)
         Q = np.empty_like(D)
-        Q[0] = D[0]
+        Q[..., 0] = D[..., 0]
         for j in range(1, c):
-            Q[j] = Q[j - 1] + D[j] + D[j] @ Q[j - 1]
-        chunk_starts = np.empty((chunks,) + start.shape, dtype=complex)
+            Q[..., j] = Q[..., j - 1] + D[..., j] + _mm(D[..., j], Q[..., j - 1])
+        # The carry is sequential, one (s, s) product per chunk, for which a
+        # plain @ is cheapest.
+        chunk_starts = np.empty((s, s, chunks), dtype=complex)
         for k in range(chunks):
-            chunk_starts[k] = state
-            state = state + Q[-1, k] @ state
-        U = chunk_starts + Q @ chunk_starts
-        out[i:i + L] = U.swapaxes(0, 1).reshape((chunks * c,) + start.shape)[:L]
+            chunk_starts[..., k] = state
+            state = state + Q[..., k, -1] @ state
+        U = chunk_starts[..., None] + _mm(Q, chunk_starts[..., None])
+        out[i:i + L] = U.reshape(s, s, chunks * c)[..., :L].transpose(2, 0, 1)
         i += L
     return out
 
@@ -122,8 +144,10 @@ def inverse_fundamental(A: PolyMatrix, grid: Grid) -> np.ndarray:
     """Inverse matrizant (n+1, d, d) Z = Y^-1 of Z' = Z A(t), Z(a) = I, as
     Z_{i+1} = Z_i + Z_i E_i."""
     eye = np.eye(A.shape[0], dtype=complex)
-    blocks = (np.linalg.solve(eye + D, -D).swapaxes(1, 2)
-              for D in _increments(A, None, grid))
+    # Solved step-first on a transposed view of each block, then handed to
+    # _compose batch-last and transposed, as E_i^T.
+    steps = (D.transpose(2, 0, 1) for D in _increments(A, None, grid))
+    blocks = (np.linalg.solve(eye + D, -D).transpose(2, 1, 0) for D in steps)
     return _compose(blocks, eye, grid.n).swapaxes(1, 2)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .boundary import GeneralBoundaryOperator, MultipointBoundaryOperator
 from .bvp import BvpProblem
-from .funcspace import Grid, PiecewisePoly, PolyMatrix, PolyVector
+from .funcspace import MAX_GRID_N, Grid, PiecewisePoly, PolyMatrix, PolyVector
 from .stieltjes import MatrixMeasure, ScalarMeasure
 
 __all__ = [
@@ -257,7 +257,7 @@ def problem_from_dict(obj) -> BvpProblem:
     a, b = _numbers(_require(obj, "interval", "$"), (2,), "$.interval").tolist()
     if not a < b:
         _fail("$.interval", f"need a < b, got [{a}, {b}]")
-    grid_n = _as_int(obj.get("grid_n", 2048), "$.grid_n", 2)
+    grid_n = _as_int(obj.get("grid_n", 2048), "$.grid_n", 2, MAX_GRID_N)
 
     matrices = _objects(_require(obj, "coefficients", "$"), (r, m, m), "$.coefficients",
                         _poly_from_dict)
@@ -291,6 +291,8 @@ def parse_problem(path: str) -> BvpProblem:
             obj = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ProblemFormatError(f"$: invalid JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise ProblemFormatError("$: invalid JSON (nesting too deep)") from exc
     return problem_from_dict(obj)
 
 

@@ -8,7 +8,7 @@ import pytest
 from mpbvp import cli, corpus, emit_problem, problem_from_dict, solve
 from mpbvp.boundary import BoundaryTerm, GeneralBoundaryOperator, MultipointBoundaryOperator
 from mpbvp.bvp import BvpProblem
-from mpbvp.funcspace import Grid, PiecewisePoly, PolyMatrix, PolyVector
+from mpbvp.funcspace import MAX_GRID_N, Grid, PiecewisePoly, PolyMatrix, PolyVector
 from mpbvp.stieltjes import MatrixMeasure, ScalarMeasure
 
 
@@ -211,6 +211,41 @@ def test_huge_integer_in_problem_file_exits_with_parse_error(capsys, tmp_path):
     assert code == cli.EXIT_IO
     assert out == ""
     assert "mpbvp: error: $.data[0][0]: integer too large for a double" in err
+
+
+def test_deeply_nested_problem_file_exits_with_parse_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    emit_problem(corpus.build_problem("p1", 64), str(path))
+    payload = json.loads(path.read_text())
+    payload["data"] = None
+    depth = 100000
+    path.write_text(json.dumps(payload).replace('"data": null',
+                                                '"data": ' + "[" * depth + "]" * depth))
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert "mpbvp: error: $: invalid JSON (nesting too deep)" in err
+
+
+def test_grid_n_above_the_cap_exits_with_error(capsys, tmp_path):
+    path = tmp_path / "huge_grid.json"
+    emit_problem(corpus.build_problem("p1", 64), str(path))
+    payload = json.loads(path.read_text())
+    payload["grid_n"] = 10**400
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert f"mpbvp: error: $.grid_n: expected an integer in [2, {MAX_GRID_N}]" in err
+    # --grid-n overrides the grid of a file and of a corpus name; 0 is
+    # refused, not read as "no override".
+    path.write_text(json.dumps(dict(payload, grid_n=64)))
+    for source in (str(path), "p1"):
+        for grid_n in (str(10**400), str(MAX_GRID_N + 1), "0"):
+            code, out, err = run(capsys, "solve", source, "--grid-n", grid_n)
+            assert code == cli.EXIT_IO
+            assert out == ""
+            assert f"mpbvp: error: grid needs an integer n in [2, {MAX_GRID_N}]" in err
 
 
 def _csv_per_value(problem, jet):

@@ -25,7 +25,7 @@ from mpbvp import (
     vec_norm,
 )
 from mpbvp import corpus, sawtooth_perturbation
-from mpbvp.funcspace import _piece_abs_integral
+from mpbvp.funcspace import MAX_GRID_N, _piece_abs_integral
 
 
 # -- grids -------------------------------------------------------------------
@@ -45,6 +45,10 @@ def test_grid_validation():
         Grid(1.0, 0.0, 8)
     with pytest.raises(ValueError):
         Grid(0.0, 1.0, 1)
+    for n in (MAX_GRID_N + 1, 10**400, float("inf"), float("nan"), 2.5):
+        with pytest.raises(ValueError, match="grid needs an integer n"):
+            Grid(0.0, 1.0, n)
+    assert Grid(0.0, 1.0, MAX_GRID_N).h == 1.0 / MAX_GRID_N
 
 
 # -- piecewise polynomials ---------------------------------------------------

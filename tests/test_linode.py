@@ -8,11 +8,13 @@ from mpbvp import (
     PiecewisePoly,
     PolyMatrix,
     PolyVector,
+    corpus,
     forced_trajectory,
     fundamental_matrix,
     inverse_fundamental,
 )
-from mpbvp.linode import BLOCK_STEPS, _compose, _increments, _propagate
+from mpbvp.bvp import companion_reduce
+from mpbvp.linode import BLOCK_STEPS, _compose, _increments, _mm, _propagate
 from oracles import exact_trace_integral, expm_taylor
 
 
@@ -103,22 +105,55 @@ def _coupled_system():
     return PolyMatrix(entries), g
 
 
-@pytest.mark.parametrize("n", [2, 3, 513, 1537])
+@pytest.mark.parametrize("n", [2, 3, 513, 1537, 2 * BLOCK_STEPS + 1])
 def test_chunked_composition_matches_step_loop(n):
     # n = 2 and 3 are blocks shorter than the 23-step chunks of a full
     # block (n = 3 splits into two 2-step chunks, the last one padded).  A
-    # full 512-step block ends in a ragged chunk (22 x 23 + 6), and 513 and
-    # 1537 end in a one-step block.
+    # full 512-step block ends in a ragged chunk (22 x 23 + 6), and 513,
+    # 1025 and 1537 end in a one-step block.
     A, g = _coupled_system()
     grid = _grid(n)
     blocks = list(_increments(A, g, grid))
+    assert all(D.shape == (3, 3, min(BLOCK_STEPS, n - i * BLOCK_STEPS))
+               for i, D in enumerate(blocks))
     start = np.eye(3, dtype=complex)
     expected = [start]
-    for D in np.concatenate(blocks):
+    for D in np.concatenate(blocks, axis=-1).transpose(2, 0, 1):
         expected.append(expected[-1] + D @ expected[-1])
     expected = np.stack(expected)
     got = _compose(iter(blocks), start, n)
     assert float(np.max(np.abs(got - expected))) <= 1e-13 * float(np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_batch_last_product_matches_matmul(s):
+    rng = np.random.default_rng(s)
+
+    def matrices(*batch):
+        shape = (s, s) + batch
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def stacked(X):
+        return np.moveaxis(X, (0, 1), (-2, -1))
+
+    # The shapes _increments and _compose multiply: two (s, s, L) blocks,
+    # and the (s, s, chunks, c) prefix increments times the chunk starts.
+    for A, B in ((matrices(37), matrices(37)), (matrices(5, 7), matrices(5, 1))):
+        expected = np.moveaxis(np.matmul(stacked(A), stacked(B)), (-2, -1), (0, 1))
+        got = _mm(A, B)
+        assert got.shape == expected.shape
+        scale = np.moveaxis(np.matmul(stacked(np.abs(A)), stacked(np.abs(B))), (-2, -1), (0, 1))
+        assert np.all(np.abs(got - expected) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3"])
+def test_inverse_fundamental_stays_inverse_on_the_fine_grid(name):
+    problem = corpus.build_problem(name, 16384)
+    P = companion_reduce(problem)[0]
+    V = fundamental_matrix(P, problem.grid)
+    Z = inverse_fundamental(P, problem.grid)
+    defect = np.einsum("nij,njk->nik", Z, V) - np.eye(V.shape[1])
+    assert float(np.max(np.abs(defect))) <= 1e-14
 
 
 def test_augmented_pass_carries_matrizant_and_forced_trajectory():

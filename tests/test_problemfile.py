@@ -19,7 +19,7 @@ from mpbvp import (
 )
 from mpbvp.boundary import BoundaryTerm, GeneralBoundaryOperator, MultipointBoundaryOperator
 from mpbvp.bvp import BvpProblem
-from mpbvp.funcspace import Grid, PiecewisePoly, PolyMatrix, PolyVector
+from mpbvp.funcspace import MAX_GRID_N, Grid, PiecewisePoly, PolyMatrix, PolyVector
 from mpbvp.problemfile import problem_text
 from mpbvp.stieltjes import MatrixMeasure, ScalarMeasure
 
@@ -148,6 +148,22 @@ def test_invalid_json(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ProblemFormatError, match="invalid JSON"):
         parse_problem(str(bad))
+
+
+@pytest.mark.parametrize("depth", [2000, 100000])
+def test_deeply_nested_json_is_a_format_error(tmp_path, p1_dict, depth):
+    path = tmp_path / "deep.json"
+    text = json.dumps(dict(p1_dict, data=None))
+    path.write_text(text.replace('"data": null', '"data": ' + "[" * depth + "]" * depth))
+    with pytest.raises(ProblemFormatError, match=r"^\$: invalid JSON \(nesting too deep\)$"):
+        parse_problem(str(path))
+
+
+@pytest.mark.parametrize("grid_n", [MAX_GRID_N + 1, 10**400], ids=["cap+1", "1e400"])
+def test_grid_n_above_the_cap_is_a_format_error(p1_dict, grid_n):
+    message = rf"^\$\.grid_n: expected an integer in \[2, {MAX_GRID_N}\], got {grid_n}$"
+    with pytest.raises(ProblemFormatError, match=message):
+        problem_from_dict(dict(p1_dict, grid_n=grid_n))
 
 
 @pytest.mark.parametrize("name", ["p1", "p2", "p3", "nn"])
