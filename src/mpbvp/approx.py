@@ -297,6 +297,12 @@ def _check_rhs_entries(problem: BvpProblem, rhs_sequence):
     return entries
 
 
+def _check_eps(eps: float) -> None:
+    # Also false for nan, so a nan eps cannot reach the perturbations.
+    if not 0.0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
+
+
 def theorem2_check(problem: BvpProblem, rhs_sequence, eps: float) -> ApproximationReport:
     """Strong perturbation check: L1-small right-hand sides, W^r_1 error.
 
@@ -305,8 +311,7 @@ def theorem2_check(problem: BvpProblem, rhs_sequence, eps: float) -> Approximati
     measured sup of |x_k - y|_{r,1} / eps beyond the solvability threshold
     and whether that ratio has stabilized at the tail of the sweep.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     entries = _check_rhs_entries(problem, rhs_sequence)
     l1_gaps = {}
     for k, f_k, q_k in entries:
@@ -348,8 +353,7 @@ def theorem3_check(problem: BvpProblem, rhs_sequence, eps: float) -> Approximati
     The certificate verifies |x_k - y|_(r-1) < kappa_hat * sigma_hat * eps
     for every k beyond the detected threshold rho.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     entries = _check_rhs_entries(problem, rhs_sequence)
     grid = problem.grid
     gaps = {}
@@ -387,6 +391,7 @@ def theorem3_check(problem: BvpProblem, rhs_sequence, eps: float) -> Approximati
 
 def constant_shift_rhs(problem: BvpProblem, ks, eps: float):
     """Entries (k, f + eps/(2(b-a)) on component 0, q): L1 gap eps/2 < eps."""
+    _check_eps(eps)
     shift = PolyVector(
         [PiecewisePoly.constant(eps / (2.0 * (problem.b - problem.a)), problem.a, problem.b)]
         + [PiecewisePoly.zero(problem.a, problem.b) for _ in range(problem.m - 1)]
@@ -403,6 +408,7 @@ def sawtooth_perturbation(grid: Grid, k: int, eps: float, m: int) -> PolyVector:
     Breakpoints sit at cell midpoints, which keeps the trapezoid
     antiderivative of the node samples exact.
     """
+    _check_eps(eps)
     if int(k) != k or k < 1:
         raise ValueError(f"need an integer k >= 1, got {k}")
     a, b = grid.a, grid.b

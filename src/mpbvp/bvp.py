@@ -46,7 +46,7 @@ __all__ = [
     "residuals",
 ]
 
-#: |det [TV]| below DET_TOL * max_column_norm^(rm) flags a singular problem.
+#: |det([TV] / max_column_norm)| below DET_TOL flags a singular problem.
 DET_TOL = 1e-12
 #: Condition numbers above this flag the problem as not uniquely solvable.
 COND_LIMIT = 1e12
@@ -165,13 +165,17 @@ def companion_reduce(problem: BvpProblem):
 
 
 def _check_solvable(char: np.ndarray) -> tuple[complex, float, np.ndarray]:
-    d = char.shape[0]
-    det = complex(np.linalg.det(char))
     scale = mat_norm(char)
-    threshold = DET_TOL * max(scale, np.finfo(float).tiny) ** d
-    if abs(det) < threshold:
+    # The det test runs on char / |char|, so no power of |char| is formed
+    # and the verdict does not depend on the scale of the boundary weights.
+    # The reported |det| saturates to inf or 0 outside the float range.
+    unit_det = abs(np.linalg.det(char / (scale or 1.0)))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        det = complex(np.linalg.det(char))
+    if unit_det < DET_TOL:
         raise NotUniquelySolvableError(
-            f"characteristic matrix is singular (|det| = {abs(det):.3e} < {threshold:.3e})",
+            f"characteristic matrix is singular "
+            f"(|det| / |TV|^d = {unit_det:.3e} < {DET_TOL:.0e})",
             det=det,
         )
     try:
@@ -199,7 +203,7 @@ def solve(problem: BvpProblem) -> BvpSolution:
     r, m = problem.r, problem.m
     d = problem.d
     augmented = _propagate(P, g, grid)
-    V, R = augmented[:, :d, :d], augmented[:, :d, d]
+    V, R = augmented[..., :d], augmented[..., d]
     char = T.apply_trajectory(V)
     det, cond, inverse = _check_solvable(char)
 

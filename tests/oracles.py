@@ -237,3 +237,11 @@ def random_problem(rng, n: int = 512, max_cond: float = 1e6):
         if solution.cond <= max_cond:
             return problem
     raise RuntimeError("rejection sampling failed to find a solvable problem")
+
+
+def scaled_boundary_problem(problem: BvpProblem, scale: float) -> BvpProblem:
+    """``problem`` with its multipoint weights and boundary values times ``scale``."""
+    op = problem.operator
+    terms = [BoundaryTerm(t.node, t.order, scale * t.beta) for t in op.terms]
+    return BvpProblem(problem.r, problem.m, problem.coeffs, problem.f, scale * problem.q,
+                      MultipointBoundaryOperator(op.r, op.m, op.a, op.b, terms), problem.grid)

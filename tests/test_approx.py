@@ -27,6 +27,7 @@ from mpbvp import (
     theorem2_check,
     theorem3_check,
 )
+from oracles import scaled_boundary_problem
 
 
 def _identity_matrix_fn():
@@ -297,6 +298,33 @@ def test_sawtooth_shape():
 def test_sawtooth_needs_enough_cells():
     with pytest.raises(ValueError):
         sawtooth_perturbation(Grid(0.0, 1.0, 16), 8, 1e-3, m=1)
+
+
+def test_solvability_gate_does_not_depend_on_the_weight_scale():
+    # |char|^2 overflows at 2**660 and underflows at 2**-660; a power-of-two
+    # scale leaves every step of the solve exact, so the jet is unchanged.
+    problem = build_multipoint_problem(corpus.build_problem("p3"), 4)
+    reference = solve(problem)
+    for scale in (2.0**660, 2.0**-660):
+        scaled = scaled_boundary_problem(problem, scale)
+        sol = solve(scaled)
+        for got, expected in zip(sol.jet.samples, reference.jet.samples):
+            np.testing.assert_array_equal(got, expected)
+        assert sol.cond == reference.cond
+        remark3_constants(scaled)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+def test_eps_must_be_positive_and_finite(eps):
+    problem = corpus.build_problem("p1", 256)
+    entries = constant_shift_rhs(problem, [4, 8], 1e-3)
+    message = "^eps must be positive and finite$"
+    for check in (theorem2_check, theorem3_check):
+        with pytest.raises(ValueError, match=message):
+            check(problem, entries, eps)
+    for build in (constant_shift_rhs, sawtooth_rhs):
+        with pytest.raises(ValueError, match=message):
+            build(problem, [4, 8], eps)
 
 
 def test_constants_and_solve_share_the_solvability_gate():

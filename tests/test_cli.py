@@ -5,11 +5,19 @@ import json
 import numpy as np
 import pytest
 
-from mpbvp import cli, corpus, emit_problem, problem_from_dict, solve
+from mpbvp import (
+    build_multipoint_problem,
+    cli,
+    corpus,
+    emit_problem,
+    problem_from_dict,
+    solve,
+)
 from mpbvp.boundary import BoundaryTerm, GeneralBoundaryOperator, MultipointBoundaryOperator
 from mpbvp.bvp import BvpProblem
 from mpbvp.funcspace import MAX_GRID_N, Grid, PiecewisePoly, PolyMatrix, PolyVector
 from mpbvp.stieltjes import MatrixMeasure, ScalarMeasure
+from oracles import scaled_boundary_problem
 
 
 def run(capsys, *argv):
@@ -187,6 +195,29 @@ def test_multipoint_problem_from_file(capsys, tmp_path):
     assert code == cli.EXIT_OK
     header, last = last_csv_row(out)
     assert abs(float(last[1]) - 3.0) <= 1e-12  # y = 2 + t at t = 1
+
+
+def test_scaled_boundary_weights_solve_exits_ok(capsys, tmp_path):
+    # |char|^2 of this file overflows a float; the solvability gate must not.
+    problem = build_multipoint_problem(corpus.build_problem("p3", 256), 4)
+    outputs = []
+    for name, p in (("plain.json", problem),
+                    ("scaled.json", scaled_boundary_problem(problem, 2.0**660))):
+        emit_problem(p, str(tmp_path / name))
+        code, out, _ = run(capsys, "solve", str(tmp_path / name))
+        assert code == cli.EXIT_OK
+        outputs.append(out)
+    assert outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("theorem", ["2", "3"])
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0", "-1"])
+def test_check_refuses_eps_that_is_not_positive_and_finite(capsys, theorem, eps):
+    code, out, err = run(capsys, "check", "p1", "--theorem", theorem, f"--eps={eps}",
+                         "--ks", "4,8", "--grid-n", "256")
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert "eps must be positive and finite" in err
 
 
 def test_non_finite_node_in_problem_file_exits_with_parse_error(capsys, tmp_path):

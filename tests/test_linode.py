@@ -1,5 +1,7 @@
 """Fundamental matrices, inverses, and particular solutions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,14 @@ from mpbvp import (
     inverse_fundamental,
 )
 from mpbvp.bvp import companion_reduce
-from mpbvp.linode import BLOCK_STEPS, _compose, _increments, _mm, _propagate
+from mpbvp.linode import (
+    BLOCK_STEPS,
+    _coefficient_panels,
+    _compose,
+    _increments,
+    _mm,
+    _propagate,
+)
 from oracles import exact_trace_integral, expm_taylor
 
 
@@ -105,6 +114,15 @@ def _coupled_system():
     return PolyMatrix(entries), g
 
 
+def _full_square(top):
+    """The (s, s, ...) batch-last arrays whose top rows are ``top`` and
+    whose bottom rows are 0, as an augmented increment has."""
+    d, s = top.shape[:2]
+    full = np.zeros((s, s) + top.shape[2:], dtype=top.dtype)
+    full[:d] = top
+    return full
+
+
 @pytest.mark.parametrize("n", [2, 3, 513, 1537, 2 * BLOCK_STEPS + 1])
 def test_chunked_composition_matches_step_loop(n):
     # n = 2 and 3 are blocks shorter than the 23-step chunks of a full
@@ -114,36 +132,132 @@ def test_chunked_composition_matches_step_loop(n):
     A, g = _coupled_system()
     grid = _grid(n)
     blocks = list(_increments(A, g, grid))
-    assert all(D.shape == (3, 3, min(BLOCK_STEPS, n - i * BLOCK_STEPS))
+    assert all(D.shape == (2, 3, min(BLOCK_STEPS, n - i * BLOCK_STEPS))
                for i, D in enumerate(blocks))
-    start = np.eye(3, dtype=complex)
-    expected = [start]
-    for D in np.concatenate(blocks, axis=-1).transpose(2, 0, 1):
-        expected.append(expected[-1] + D @ expected[-1])
-    expected = np.stack(expected)
-    got = _compose(iter(blocks), start, n)
-    assert float(np.max(np.abs(got - expected))) <= 1e-13 * float(np.max(np.abs(expected)))
+    rng = np.random.default_rng(n)
+    for start in (np.eye(2, 3, dtype=complex),
+                  rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))):
+        # The reference steps the explicit (3, 3) augmented state.
+        expected = [np.vstack([start, [0, 0, 1]])]
+        for D in _full_square(np.concatenate(blocks, axis=-1)).transpose(2, 0, 1):
+            expected.append(expected[-1] + D @ expected[-1])
+        expected = np.stack(expected)
+        np.testing.assert_array_equal(expected[:, 2], np.broadcast_to([0, 0, 1], (n + 1, 3)))
+        got = _compose(iter(blocks), start, n)
+        assert got.shape == (n + 1, 2, 3)
+        assert (float(np.max(np.abs(got - expected[:, :2])))
+                <= 1e-13 * float(np.max(np.abs(expected))))
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_batch_last_product_matches_matmul(s):
     rng = np.random.default_rng(s)
 
-    def matrices(*batch):
-        shape = (s, s) + batch
+    def matrices(rows, cols, *batch):
+        shape = (rows, cols) + batch
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     def stacked(X):
         return np.moveaxis(X, (0, 1), (-2, -1))
 
-    # The shapes _increments and _compose multiply: two (s, s, L) blocks,
-    # and the (s, s, chunks, c) prefix increments times the chunk starts.
-    for A, B in ((matrices(37), matrices(37)), (matrices(5, 7), matrices(5, 1))):
-        expected = np.moveaxis(np.matmul(stacked(A), stacked(B)), (-2, -1), (0, 1))
+    def check(A, B, full_B):
+        expected = np.moveaxis(np.matmul(stacked(A), stacked(full_B)), (-2, -1), (0, 1))
         got = _mm(A, B)
         assert got.shape == expected.shape
-        scale = np.moveaxis(np.matmul(stacked(np.abs(A)), stacked(np.abs(B))), (-2, -1), (0, 1))
+        scale = np.moveaxis(np.matmul(stacked(np.abs(A)), stacked(np.abs(full_B))),
+                            (-2, -1), (0, 1))
         assert np.all(np.abs(got - expected) <= 1e-15 * scale)
+
+    # The shapes _increments and _compose multiply: two (d, s, L) blocks,
+    # and the (d, s, chunks, c) prefix increments times the chunk starts,
+    # with s = d, and with s = d + 1 against an explicit zero bottom row.
+    for t in (s, s + 1):
+        for A, B in ((matrices(s, t, 37), matrices(s, t, 37)),
+                     (matrices(s, t, 5, 7), matrices(s, t, 5, 1))):
+            check(A, B, _full_square(B))
+
+
+def _reference_increments(A, g, grid):
+    """The full-square (s, s, L) RK4 increments, bottom row included."""
+    d = A.shape[0]
+    panels = _coefficient_panels(A, grid)
+    forcing = None if g is None else _coefficient_panels(g, grid)
+    s = d + (g is not None)
+    h = grid.h
+    for lo in range(0, grid.n, BLOCK_STEPS):
+        hi = min(lo + BLOCK_STEPS, grid.n)
+        m0, mm, m1 = (np.zeros((s, s, hi - lo), dtype=complex) for _ in panels)
+        for m, panel in zip((m0, mm, m1), panels):
+            np.negative(panel[lo:hi].transpose(1, 2, 0), out=m[:d, :d])
+        if forcing is not None:
+            for m, f in zip((m0, mm, m1), forcing):
+                m[:d, d] = f[lo:hi].T
+        k2 = mm + (0.5 * h) * _reference_mm(mm, m0)
+        k3 = mm + (0.5 * h) * _reference_mm(mm, k2)
+        k4 = m1 + h * _reference_mm(m1, k3)
+        yield (h / 6.0) * (m0 + 2.0 * (k2 + k3) + k4)
+
+
+def _reference_mm(A, B):
+    """Full-square batch-last product, summed over all A.shape[1] rows."""
+    out = A[:, 0, None] * B[None, 0]
+    for j in range(1, A.shape[1]):
+        out += A[:, j, None] * B[None, j]
+    return out
+
+
+def _reference_compose(blocks, start, n):
+    """The chunked scan on full-square (s, s, L) blocks and (s, s) states."""
+    s = start.shape[0]
+    out = np.empty((n + 1, s, s), dtype=complex)
+    out[0] = state = start
+    i = 1
+    for D in blocks:
+        L = D.shape[-1]
+        c = math.isqrt(L - 1) + 1
+        chunks = -(-L // c)
+        padded = np.zeros((s, s, chunks * c), dtype=complex)
+        padded[..., :L] = D
+        D = padded.reshape(s, s, chunks, c)
+        Q = np.empty_like(D)
+        Q[..., 0] = D[..., 0]
+        for j in range(1, c):
+            Q[..., j] = Q[..., j - 1] + D[..., j] + _reference_mm(D[..., j], Q[..., j - 1])
+        chunk_starts = np.empty((s, s, chunks), dtype=complex)
+        for k in range(chunks):
+            chunk_starts[..., k] = state
+            state = state + Q[..., k, -1] @ state
+        U = chunk_starts[..., None] + _reference_mm(Q, chunk_starts[..., None])
+        out[i:i + L] = U.reshape(s, s, chunks * c)[..., :L].transpose(2, 0, 1)
+        i += L
+    return out
+
+
+def _assert_top_rows_match_full_square(A, g, grid):
+    d = A.shape[0]
+    s = d + (g is not None)
+    full = _reference_compose(_reference_increments(A, g, grid),
+                              np.eye(s, dtype=complex), grid.n)
+    top = _propagate(A, g, grid)
+    assert top.shape == (grid.n + 1, d, s)
+    np.testing.assert_array_equal(top, full[:, :d])
+    np.testing.assert_array_equal(full[:, d:], np.broadcast_to(np.eye(s)[d:], full[:, d:].shape))
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3"])
+@pytest.mark.parametrize("n", [2048, 16384])
+def test_top_rows_equal_full_square_propagation_on_corpus(name, n):
+    problem = corpus.build_problem(name, n)
+    P, g = companion_reduce(problem)[:2]
+    _assert_top_rows_match_full_square(P, g, problem.grid)
+    _assert_top_rows_match_full_square(P, None, problem.grid)
+
+
+@pytest.mark.parametrize("n", [2, 3, 513, 1025, 1537])
+def test_top_rows_equal_full_square_propagation_on_coupled_system(n):
+    A, g = _coupled_system()
+    _assert_top_rows_match_full_square(A, g, _grid(n))
+    _assert_top_rows_match_full_square(A, None, _grid(n))
 
 
 @pytest.mark.parametrize("name", ["p1", "p2", "p3"])
@@ -160,6 +274,6 @@ def test_augmented_pass_carries_matrizant_and_forced_trajectory():
     A, g = _coupled_system()
     for grid in (_grid(), _grid(1537)):
         augmented = _propagate(A, g, grid)
-        np.testing.assert_array_equal(augmented[:, :2, :2], fundamental_matrix(A, grid))
-        np.testing.assert_array_equal(augmented[:, :2, 2], forced_trajectory(A, g, grid))
-        np.testing.assert_array_equal(augmented[:, 2], np.broadcast_to([0, 0, 1], (grid.n + 1, 3)))
+        assert augmented.shape == (grid.n + 1, 2, 3)
+        np.testing.assert_array_equal(augmented[:, :, :2], fundamental_matrix(A, grid))
+        np.testing.assert_array_equal(augmented[:, :, 2], forced_trajectory(A, g, grid))
