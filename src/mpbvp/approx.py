@@ -31,8 +31,9 @@ from .bvp import (
     BvpProblem,
     NotUniquelySolvableError,
     _check_solvable,
-    companion_reduce,
-    solve,
+    _companion_system,
+    _finish,
+    _scaled_lift,
 )
 from .funcspace import (
     Grid,
@@ -40,14 +41,13 @@ from .funcspace import (
     PolyMatrix,
     PolyVector,
     antiderivative,
-    mat_norm,
     norm_c,
     norm_cl,
     norm_w1r,
     traj_norm_c,
     vec_norm,
 )
-from .linode import fundamental_matrix, inverse_fundamental
+from .linode import _propagate
 
 __all__ = [
     "ErrorConstants",
@@ -188,48 +188,62 @@ def remark3_constants(problem: BvpProblem, sigma_probe_ks=None) -> ErrorConstant
     upper bound over ``sigma_probe_ks`` discretizations (or of the operator
     itself when it is already multipoint).
     """
-    P, _, T, _ = companion_reduce(problem)
-    V = fundamental_matrix(P, problem.grid)
-    char = T.apply_trajectory(V)
-    _check_solvable(char)
-    return _certified_constants(problem, P, traj_norm_c(V), char,
+    P = _companion_system(problem)[0]
+    V, Z = _propagate([(P, None)], problem.grid, inverse=True)
+    T, e = _scaled_lift(problem)
+    inverse_norm = _check_solvable(T.apply_trajectory(V), e)[3]
+    return _certified_constants(problem, traj_norm_c(V), traj_norm_c(Z), inverse_norm,
                                 _sigma_for(problem, sigma_probe_ks or _DEFAULT_SIGMA_PROBE_KS))
 
 
-def _certified_constants(problem: BvpProblem, P: PolyMatrix, v_c: float,
-                         char: np.ndarray, sigma_hat: float) -> ErrorConstants:
-    """The constants from |V|_C = v_c, the solvable [TV] and the bound sigma_hat.
-
-    P is the companion matrix of the limit problem; a reference solve
-    already holds v_c and [TV], so only Z = V^-1 is integrated here.
-    """
-    grid = problem.grid
-    w_c = traj_norm_c(inverse_fundamental(P, grid))
-    c1 = 1.0 + v_c * mat_norm(np.linalg.inv(char))
+def _certified_constants(problem: BvpProblem, v_c: float, w_c: float,
+                         inverse_norm: float, sigma_hat: float) -> ErrorConstants:
+    """The constants from |V|_C = v_c, |V^-1|_C = w_c, |[TV]^-1| =
+    inverse_norm and the bound sigma_hat."""
+    c1 = 1.0 + v_c * inverse_norm
     if problem.r == 1:
         c2 = 2.0 + v_c * w_c * problem.coeffs[0].l1_norm()
     else:
         c2 = 2.0 + v_c * w_c * ((problem.b - problem.a) + problem.coeffs[-1].l1_norm())
     lam = 1.0 / norm_lower_bound(problem.operator,
-                                 default_probe_jets(problem.r, problem.m, grid))
+                                 default_probe_jets(problem.r, problem.m, problem.grid))
     kappa = (c1 + c2) * lam + c1 * c2 + 1.0
     return ErrorConstants(c1=c1, c2=c2, lambda_hat=lam, kappa_hat=kappa, sigma_hat=sigma_hat)
 
 
-def _solve_row(problem: BvpProblem, k: int, reference, f=None, q=None) -> SweepRow:
-    approx_problem = build_multipoint_problem(problem, k, f=f, q=q)
-    row = SweepRow(k=k, solvable=False, sigma_hat=norm_upper_bound(approx_problem.operator))
+def _solve_family(problem: BvpProblem, entries, inverse: bool):
+    """Solve the limit problem and its approximations in one RK4 pass.
+
+    ``entries`` are (k, f_k, q_k) triples, None keeping the problem's f or
+    q.  Returns the reference solution, one row per entry, and |V^-1|_C of
+    the reference when ``inverse`` (else None).  A refused reference
+    raises NotUniquelySolvableError; a refused approximation is a row with
+    ``solvable`` False.  Each member's operator is lifted, and its row
+    built, as the pass hands over its table.
+    """
+    members = [build_multipoint_problem(problem, k, f=f_k, q=q_k) for k, f_k, q_k in entries]
+    tables = _propagate([_companion_system(p) for p in [problem, *members]],
+                        problem.grid, inverse=inverse)
+    reference = _finish(problem, next(tables))
+    w_c = traj_norm_c(next(tables)) if inverse else None
+    rows = [_row(k, member, table, reference)
+            for (k, _, _), member, table in zip(entries, members, tables)]
+    return reference, rows, w_c
+
+
+def _row(k: int, member: BvpProblem, table: np.ndarray, reference) -> SweepRow:
+    row = SweepRow(k=k, solvable=False, sigma_hat=norm_upper_bound(member.operator))
     try:
-        sol = solve(approx_problem)
+        sol = _finish(member, table)
     except NotUniquelySolvableError as exc:
         row.det_abs = abs(exc.det)
         return row
     row.solvable = True
     row.det_abs = abs(sol.det)
-    row.c1_factor = sol.matrizant_norm_c * mat_norm(np.linalg.inv(sol.char_matrix))
+    row.c1_factor = sol.matrizant_norm_c * sol.char_inverse_norm
     diff = sol.jet - reference.jet
     row.err_w1r = norm_w1r(diff)
-    row.err_cr1 = norm_cl(diff, problem.r - 1)
+    row.err_cr1 = norm_cl(diff, member.r - 1)
     return row
 
 
@@ -254,10 +268,9 @@ def sweep(problem: BvpProblem, ks) -> ApproximationReport:
     ks = sorted(int(k) for k in ks)
     if not ks:
         raise ValueError("need at least one k")
-    reference = solve(problem)
-    rows = [_solve_row(problem, k, reference) for k in ks]
-    constants = _certified_constants(problem, companion_reduce(problem)[0],
-                                     reference.matrizant_norm_c, reference.char_matrix,
+    reference, rows, w_c = _solve_family(problem, [(k, None, None) for k in ks], inverse=True)
+    constants = _certified_constants(problem, reference.matrizant_norm_c, w_c,
+                                     reference.char_inverse_norm,
                                      max(row.sigma_hat for row in rows))
     for row in rows:
         row.bound_holds = row.solvable
@@ -321,14 +334,11 @@ def theorem2_check(problem: BvpProblem, rhs_sequence, eps: float) -> Approximati
         qgap = vec_norm(np.asarray(q_k, dtype=complex) - problem.q)
         if not qgap < eps:
             raise ValueError(f"entry k={k} violates |q_k - q| < eps")
-    reference = solve(problem)
-    rows = []
-    for k, f_k, q_k in entries:
-        row = _solve_row(problem, k, reference, f=f_k, q=q_k)
-        row.l1_gap = l1_gaps[k]
+    rows = _solve_family(problem, entries, inverse=False)[1]
+    for row in rows:
+        row.l1_gap = l1_gaps[row.k]
         if row.solvable:
             row.ratio = row.err_w1r / eps
-        rows.append(row)
     report = ApproximationReport(rows=rows, theorem=2, eps=eps)
     report.rho_solvable = _first_tail_index(rows, lambda r: r.solvable)
     if report.rho_solvable is not None:
@@ -368,10 +378,9 @@ def theorem3_check(problem: BvpProblem, rhs_sequence, eps: float) -> Approximati
         if not vec_norm(np.asarray(q_k, dtype=complex) - problem.q) < eps:
             raise ValueError(f"entry k={k} violates |q_k - q| < eps")
         gaps[k] = (diff.l1_norm(), gap)
-    reference = solve(problem)
-    rows = [_solve_row(problem, k, reference, f=f_k, q=q_k) for k, f_k, q_k in entries]
-    constants = _certified_constants(problem, companion_reduce(problem)[0],
-                                     reference.matrizant_norm_c, reference.char_matrix,
+    reference, rows, w_c = _solve_family(problem, entries, inverse=True)
+    constants = _certified_constants(problem, reference.matrizant_norm_c, w_c,
+                                     reference.char_inverse_norm,
                                      max(row.sigma_hat for row in rows))
     bound = constants.kappa_hat * constants.sigma_hat * eps
     for row in rows:

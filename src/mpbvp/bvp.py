@@ -20,6 +20,7 @@ import numpy as np
 
 from .boundary import (
     GeneralBoundaryOperator,
+    LiftedOperator,
     MultipointBoundaryOperator,
     apply_operator,
     lift,
@@ -121,9 +122,10 @@ class BvpProblem:
 class BvpSolution:
     """Solution jet plus solver diagnostics.
 
-    ``matrizant_norm_c`` is the C-norm |V|_C of the matrizant, and
-    ``consistency_defect`` the largest finite-difference mismatch between
-    neighbouring jet channels.
+    ``matrizant_norm_c`` is the C-norm |V|_C of the matrizant,
+    ``char_inverse_norm`` the norm |[TV]^-1| of the inverse characteristic
+    matrix, and ``consistency_defect`` the largest finite-difference
+    mismatch between neighbouring jet channels.
     """
 
     jet: SampledJet
@@ -131,6 +133,7 @@ class BvpSolution:
     det: complex
     cond: float
     matrizant_norm_c: float = field(default=float("nan"))
+    char_inverse_norm: float = field(default=float("nan"))
     consistency_defect: float = field(default=float("nan"))
     boundary_residual: float = field(default=float("nan"))
 
@@ -143,10 +146,16 @@ def companion_reduce(problem: BvpProblem):
     the boundary operator compiled on the problem grid.  For r = 1 this is
     (A_0, f, lift(B, grid), q).
     """
+    P, g = _companion_system(problem)
+    return P, g, lift(problem.operator, problem.grid), problem.q
+
+
+def _companion_system(problem: BvpProblem) -> tuple[PolyMatrix, PolyVector]:
+    """The (P, g) of companion_reduce: the system without its boundary operator."""
     r, m = problem.r, problem.m
-    a, b = problem.a, problem.b
     if r == 1:
-        return problem.coeffs[0], problem.f, lift(problem.operator, problem.grid), problem.q
+        return problem.coeffs[0], problem.f
+    a, b = problem.a, problem.b
     zero = PiecewisePoly.zero(a, b)
     minus_one = PiecewisePoly.constant(-1.0, a, b)
     d = r * m
@@ -161,17 +170,49 @@ def companion_reduce(problem: BvpProblem):
                 entries[(r - 1) * m + i][block * m + j] = A.entries[i][j]
     P = PolyMatrix(entries)
     g = PolyVector([zero] * ((r - 1) * m) + list(problem.f.components))
-    return P, g, lift(problem.operator, problem.grid), problem.q
+    return P, g
 
 
-def _check_solvable(char: np.ndarray) -> tuple[complex, float, np.ndarray]:
+def _ldexp(x, e: int) -> np.ndarray:
+    """x * 2**e, exact unless it leaves the float range, where it saturates
+    to +-inf or 0.  Complex x is scaled part by part, so a zero part stays 0."""
+    x = np.asarray(x)
+    with np.errstate(over="ignore", under="ignore"):
+        if np.iscomplexobj(x):
+            return np.ldexp(np.ascontiguousarray(x).view(float), e).view(complex)
+        return np.ldexp(x, e)
+
+
+def _scaled_lift(problem: BvpProblem) -> tuple[LiftedOperator, int]:
+    """The operator compiled on the problem grid and divided by 2**e, the
+    binary order of its largest weight, together with e.
+
+    The division is exact, so [TV], T R and q / 2**e come out as the
+    unscaled values divided by 2**e, and a power-of-two scale of the
+    boundary weights changes nothing that is formed from them.
+    """
+    T = lift(problem.operator, problem.grid)
+    e = int(np.frexp(np.abs(T.weights.view(float)).max(initial=0.0))[1])
+    return LiftedOperator(T.point_terms, _ldexp(T.weights, -e)), e
+
+
+def _check_solvable(char: np.ndarray, e: int) -> tuple[complex, float, np.ndarray, float]:
+    """Gate the characteristic matrix [TV] = char * 2**e.
+
+    Returns the det and cond of [TV], inv(char) and |[TV]^-1|.  The tests
+    run on char, so they do not depend on the scale of the weights.
+    """
     scale = mat_norm(char)
-    # The det test runs on char / |char|, so no power of |char| is formed
-    # and the verdict does not depend on the scale of the boundary weights.
-    # The reported |det| saturates to inf or 0 outside the float range.
+    # The det test runs on char / |char|, so no power of |char| is formed.
     unit_det = abs(np.linalg.det(char / (scale or 1.0)))
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        det = complex(np.linalg.det(char))
+    # numpy forms a det as sign * exp(log|det|).  Where that leaves the
+    # float range a zero part of the sign turns into nan, so the det of
+    # char, rescaled part by part, stands in; elsewhere it would differ in
+    # the last bits, as exp(log x - d e log 2) is not exp(log x) / 2**(d e).
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = complex(np.linalg.det(_ldexp(char, e)))
+    if not np.isfinite(det):
+        det = complex(_ldexp(np.linalg.det(char), char.shape[0] * e)[0])
     if unit_det < DET_TOL:
         raise NotUniquelySolvableError(
             f"characteristic matrix is singular "
@@ -182,14 +223,15 @@ def _check_solvable(char: np.ndarray) -> tuple[complex, float, np.ndarray]:
         inverse = np.linalg.inv(char)
     except np.linalg.LinAlgError as exc:
         raise NotUniquelySolvableError("characteristic matrix is singular", det=det) from exc
-    cond = scale * mat_norm(inverse)
+    inverse_norm = mat_norm(inverse)
+    cond = scale * inverse_norm
     if cond > COND_LIMIT:
         raise NotUniquelySolvableError(
             f"characteristic matrix is numerically singular (cond = {cond:.3e})",
             det=det,
             cond=cond,
         )
-    return det, cond, inverse
+    return det, cond, inverse, float(_ldexp(inverse_norm, -e))
 
 
 def solve(problem: BvpProblem) -> BvpSolution:
@@ -198,14 +240,23 @@ def solve(problem: BvpProblem) -> BvpSolution:
     Raises NotUniquelySolvableError when the characteristic matrix fails the
     determinant or condition test.
     """
-    P, g, T, q = companion_reduce(problem)
+    return _finish(problem, next(_propagate([_companion_system(problem)], problem.grid)))
+
+
+def _finish(problem: BvpProblem, augmented: np.ndarray) -> BvpSolution:
+    """The solution of ``problem`` from the top rows [V | R] of its
+    augmented matrizant: lift the operator, gate [TV], assemble the jet and
+    its diagnostics.  Raises NotUniquelySolvableError as ``solve`` does.
+    """
     grid = problem.grid
     r, m = problem.r, problem.m
     d = problem.d
-    augmented = _propagate(P, g, grid)
     V, R = augmented[..., :d], augmented[..., d]
+    # Everything the operator touches is divided by 2**e.
+    T, e = _scaled_lift(problem)
+    q = _ldexp(problem.q, -e)
     char = T.apply_trajectory(V)
-    det, cond, inverse = _check_solvable(char)
+    det, cond, inverse, inverse_norm = _check_solvable(char, e)
 
     coef = inverse @ (q - T.apply_values(R))
     u = np.einsum("nij,j->ni", V, coef) + R
@@ -219,13 +270,13 @@ def solve(problem: BvpProblem) -> BvpSolution:
     samples.append(top)
 
     jet = SampledJet(grid, m, r, samples)
-    solution = BvpSolution(jet=jet, char_matrix=char, det=det, cond=cond,
-                           matrizant_norm_c=traj_norm_c(V))
+    solution = BvpSolution(jet=jet, char_matrix=_ldexp(char, e), det=det, cond=cond,
+                           matrizant_norm_c=traj_norm_c(V), char_inverse_norm=inverse_norm)
     # The top jet channel satisfies the differential identity by construction,
     # so the meaningful self-check is the finite-difference consistency of the
     # derivative channels plus the boundary defect.
     solution.consistency_defect = jet.consistency_defect()
-    solution.boundary_residual = vec_norm(T.apply_values(u) - q)
+    solution.boundary_residual = float(_ldexp(vec_norm(T.apply_values(u) - q), e))
     return solution
 
 

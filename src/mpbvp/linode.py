@@ -12,11 +12,26 @@ bottom row is 0.  The increments D_i are formed in blocks of BLOCK_STEPS
 steps from the coefficient panels, and a chunked scan composes each block:
 about sqrt(L) chunks of a block of L steps form their prefix increments
 side by side, then the state is carried across the chunks, so the Python
-loops run about 2 sqrt(L) times per block instead of L.  One pass from
-I_{d+1} gives the top rows [V | R] of the augmented matrizant
+loops run about 2 sqrt(L) times per block instead of L.
+
+One pass propagates a family of K systems of one shape on one grid, such
+as a limit problem and its multipoint approximations.  Each member's
+increments are formed on their own, so its coefficient panels are freed
+before the next member's, and written into the member's rows of one
+(K, n+1, d, s) table.  One scan then composes every member in place: the
+members' chunks lie side by side on the chunk axis and their states are
+carried by one stacked product, so the scan's Python loops run once for
+the family, and each member's nodes are bit for bit those of a pass of its
+own.  A pass holds at most PASS_BYTES of tables; a larger family is split
+over several passes.
+
+A pass from I_{d+1} gives the top rows [V | R] of the augmented matrizant
 [[V, R], [0, 1]]: the matrizant V and the forced trajectory R with
 R(a) = 0 together.  Z = V^-1 composes, transposed, the inverse increments
-(I + D_i)^-1 - I, so Z V = I step by step.  Storing increments rather than
+(I + D_i)^-1 - I, so Z V = I step by step.  It is a member of the pass of
+the system it inverts, and its increments come from the left d columns of
+that system's increments, which are the increments of V; so Z needs no
+second evaluation of the coefficients.  Storing increments rather than
 I + D_i keeps their low bits.  Step ends take left-hand coefficient limits,
 which keeps full order at jumps on grid nodes.  Node values come out
 step-first, as (n+1, d, s).
@@ -37,6 +52,9 @@ __all__ = [
 
 #: Steps whose increments are formed together; bounds the work arrays.
 BLOCK_STEPS = 512
+#: Bytes of node tables one propagation pass holds; a pass holds at least
+#: one member, and Z always shares the pass of the system it inverts.
+PASS_BYTES = 32 * 2**20
 
 
 def _coefficient_panels(F, grid: Grid):
@@ -93,80 +111,136 @@ def _increments(A: PolyMatrix, g: PolyVector | None, grid: Grid):
         yield (h / 6.0) * (m0 + 2.0 * (k2 + k3) + k4)
 
 
-def _compose(blocks, start: np.ndarray, n: int) -> np.ndarray:
-    """Top rows (n+1, d, s) of the node values of U_{i+1} = U_i + D_i U_i
-    from the top rows ``start`` of U_0, for batch-last (d, s, L) blocks of
-    the top rows of increments D_i.
+def _scan(table: np.ndarray) -> None:
+    """Compose, in place, the RK4 steps of every member of ``table``.
 
-    With s = d + 1 the bottom row of U is (0, ..., 0, 1) and that of D_i
-    is 0.  Each block of L increments is cut into about sqrt(L) chunks of
-    c steps, the last one padded with zero increments.  The chunks' prefix
-    increments Q_j = Q_{j-1} + D_j + D_j Q_{j-1}, so that I + Q_j is the
-    product of the first j steps, are formed for all chunks at once; the
-    state is then carried from chunk to chunk, and U = U_c + Q_j U_c gives
-    every node.  Q_j U_c is the one product whose right factor has a
-    non-zero bottom row: it adds Q_j's last column to the last column of
-    the top-row product.
+    ``table`` is (K, n+1, d, s).  Row 0 of each member holds the top rows
+    of its start U_0.  The rows of each block of BLOCK_STEPS steps hold the
+    top rows of its increments D_i batch-last, as one (d, s, L) array, so
+    that a block is filled and read back with contiguous copies.  On return
+    row i holds U_i, where U_{i+1} = U_i + D_i U_i.  With s = d + 1 the
+    bottom row of U is (0, ..., 0, 1) and that of D_i is 0.
+
+    Each block of L steps is cut into about sqrt(L) chunks of c steps, the
+    last one padded with zero increments, and copied out batch-last with
+    the chunks of all members on one axis.  The chunks' prefix increments
+    Q_j = Q_{j-1} + D_j + D_j Q_{j-1}, so that I + Q_j is the product of
+    the first j steps, are formed for all members and chunks at once; the
+    states are then carried from chunk to chunk by one stacked product, and
+    U = U_c + Q_j U_c gives every node.  Q_j U_c is the one product whose
+    right factor has a non-zero bottom row: it adds Q_j's last column to
+    the last column of the top-row product.
     """
-    d, s = start.shape
-    out = np.empty((n + 1, d, s), dtype=complex)
-    out[0] = start
-    # The carry multiplies by the full (s, s) state, whose top rows are
-    # rewritten in place; a plain @ is cheapest for one product per chunk.
-    state = np.eye(s, dtype=complex)
-    state[:d] = start
-    i = 1
-    for D in blocks:
-        L = D.shape[-1]
+    K, rows, d, s = table.shape
+    n = rows - 1
+    # The carry multiplies by the full (s, s) states, whose top rows are
+    # rewritten in place; a stacked @ is cheapest for one product per chunk.
+    state = np.empty((K, s, s), dtype=complex)
+    state[:] = np.eye(s)
+    top = state[:, :d]
+    top[...] = table[:, 0]
+    for lo in range(0, n, BLOCK_STEPS):
+        hi = min(lo + BLOCK_STEPS, n)
+        L = hi - lo
         c = math.isqrt(L - 1) + 1
         chunks = -(-L // c)
-        # Step k c + j of the block sits at [..., k, j].
-        padded = np.zeros((d, s, chunks * c), dtype=complex)
-        padded[..., :L] = D
-        D = padded.reshape(d, s, chunks, c)
+        # Step k c + j of member m sits at [..., m chunks + k, j]: the
+        # members' chunks lie side by side on one axis.
+        padded = np.zeros((d, s, K, chunks * c), dtype=complex)
+        padded[..., :L] = table[:, lo + 1:hi + 1].reshape(K, d, s, L).transpose(1, 2, 0, 3)
+        D = padded.reshape(d, s, K * chunks, c)
         Q = np.empty_like(D)
         Q[..., 0] = D[..., 0]
         for j in range(1, c):
             Q[..., j] = Q[..., j - 1] + D[..., j] + _mm(D[..., j], Q[..., j - 1])
-        chunk_starts = np.empty((d, s, chunks), dtype=complex)
+        # The carry runs member-first: chunk k's I + Q_c is last[:, k], and
+        # its start goes to starts[:, k].
+        last = Q[..., -1].reshape(d, s, K, chunks).transpose(2, 3, 0, 1)
+        starts = np.empty((K, chunks, d, s), dtype=complex)
         for k in range(chunks):
-            chunk_starts[..., k] = state[:d]
-            state[:d] += Q[..., k, -1] @ state
-        U = _mm(Q, chunk_starts[..., None])
+            starts[:, k] = top
+            top += last[:, k] @ state
+        chunk_starts = np.ascontiguousarray(starts.transpose(2, 3, 0, 1)).reshape(d, s, -1, 1)
+        U = _mm(Q, chunk_starts)
         U[:, d:] += Q[:, d:]
-        U += chunk_starts[..., None]
-        out[i:i + L] = U.reshape(d, s, chunks * c)[..., :L].transpose(2, 0, 1)
-        i += L
-    return out
+        U += chunk_starts
+        table[:, lo + 1:hi + 1] = U.reshape(d, s, K, chunks * c)[..., :L].transpose(2, 3, 0, 1)
 
 
-def _propagate(A: PolyMatrix, g: PolyVector | None, grid: Grid) -> np.ndarray:
-    """Top rows of the node values of the composed RK4 steps from I,
-    shaped (n+1, d, s).
+def _propagate(systems, grid: Grid, inverse: bool = False):
+    """Yield, system by system, the top rows (n+1, d, s) of the node values
+    of the composed RK4 steps from I.
 
-    Without g this is the matrizant V (s = d).  With g it is [V | R], the
-    top rows of the augmented matrizant [[V, R], [0, 1]] (s = d + 1), which
-    carries V and the forced trajectory R in one pass.
+    ``systems`` are (A, g) pairs of one shape: A is d x d for all of them,
+    and g is given for all or for none.  Without g a table is the matrizant
+    V (s = d); with g it is [V | R], the top rows of the augmented
+    matrizant [[V, R], [0, 1]] (s = d + 1).  With ``inverse`` the inverse
+    matrizant Z = V^-1 (n+1, d, d) of the first system follows its table.
+
+    The members of a pass share one (K, n+1, d, s) table, and each table
+    is yielded as a view of it.  A pass holds at most PASS_BYTES of tables,
+    or one member's table if that is larger; Z is a member of the first
+    system's pass.
     """
+    systems = list(systems)
+    d = systems[0][0].shape[0]
+    s = d + (systems[0][1] is not None)
+    # A member is a system index, or None for Z of system 0.
+    members = [0, None, *range(1, len(systems))] if inverse else list(range(len(systems)))
+    per_pass = max(1, PASS_BYTES // ((grid.n + 1) * d * s * 16))
+    lo = 0
+    while lo < len(members):
+        hi = lo + per_pass
+        if inverse and lo == 0:
+            # Z rides in the pass of the system it inverts.
+            hi = max(hi, 2)
+        group = members[lo:hi]
+        table = np.empty((len(group), grid.n + 1, d, s), dtype=complex)
+        table[:, 0] = np.eye(d, s)
+        for slot, member in enumerate(group):
+            if member is not None:
+                z = slot + 1 if inverse and member == 0 else None
+                _fill(table, slot, z, *systems[member], grid)
+        _scan(table)
+        for slot, member in enumerate(group):
+            yield table[slot] if member is not None else table[slot, :, :, :d].swapaxes(1, 2)
+        lo = hi
+
+
+def _fill(table: np.ndarray, slot: int, z: int | None, A: PolyMatrix,
+          g: PolyVector | None, grid: Grid) -> None:
+    """Write the increments of (A, g) into the blocks of ``table[slot]``, as
+    _scan reads them, and with ``z`` the transposed inverse increments
+    E_i^T = ((I + D_i)^-1 - I)^T of their left d columns into the blocks of
+    ``table[z]``, padded with zero columns."""
     d = A.shape[0]
-    start = np.eye(d, d + (g is not None), dtype=complex)
-    return _compose(_increments(A, g, grid), start, grid.n)
+    eye = np.eye(d, dtype=complex)
+    i = 1
+    for D in _increments(A, g, grid):
+        s, L = D.shape[1:]
+        # A member's rows are contiguous, so the reshape is a view.
+        table[slot, i:i + L].reshape(d, s, L)[...] = D
+        if z is not None:
+            # Z_{i+1} = Z_i + Z_i E_i, composed transposed as Z^T.  Solved
+            # step-first on a transposed view of the block.
+            step = D[:, :d].transpose(2, 0, 1)
+            inverse = table[z, i:i + L].reshape(d, s, L)
+            inverse[:, :d] = np.linalg.solve(eye + step, -step).transpose(2, 1, 0)
+            inverse[:, d:] = 0.0
+        i += L
 
 
 def fundamental_matrix(A: PolyMatrix, grid: Grid) -> np.ndarray:
     """Matrizant (n+1, d, d) of y' + A(t) y = 0: solves Y' = -A(t) Y, Y(a) = I."""
-    return _propagate(A, None, grid)
+    return next(_propagate([(A, None)], grid))
 
 
 def inverse_fundamental(A: PolyMatrix, grid: Grid) -> np.ndarray:
     """Inverse matrizant (n+1, d, d) Z = Y^-1 of Z' = Z A(t), Z(a) = I, as
     Z_{i+1} = Z_i + Z_i E_i."""
-    eye = np.eye(A.shape[0], dtype=complex)
-    # Solved step-first on a transposed view of each block, then handed to
-    # _compose batch-last and transposed, as E_i^T.
-    steps = (D.transpose(2, 0, 1) for D in _increments(A, None, grid))
-    blocks = (np.linalg.solve(eye + D, -D).transpose(2, 1, 0) for D in steps)
-    return _compose(blocks, eye, grid.n).swapaxes(1, 2)
+    tables = _propagate([(A, None)], grid, inverse=True)
+    next(tables)
+    return next(tables)
 
 
 def forced_trajectory(A: PolyMatrix, g: PolyVector, grid: Grid) -> np.ndarray:
@@ -175,4 +249,4 @@ def forced_trajectory(A: PolyMatrix, g: PolyVector, grid: Grid) -> np.ndarray:
     This is the particular solution of the inhomogeneous system, computed
     at the same order as the matrizant.
     """
-    return _propagate(A, g, grid)[..., -1]
+    return next(_propagate([(A, g)], grid))[..., -1]

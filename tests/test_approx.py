@@ -1,5 +1,7 @@
 """Approximation pipeline: coefficient means, sweeps, constants, bounds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,11 @@ from mpbvp import (
     theorem2_check,
     theorem3_check,
 )
+from mpbvp.approx import ErrorConstants, SweepRow
+from mpbvp.boundary import default_probe_jets, norm_lower_bound, norm_upper_bound
+from mpbvp.bvp import companion_reduce
+from mpbvp.funcspace import antiderivative, mat_norm, norm_c, norm_cl, norm_w1r, traj_norm_c
+from mpbvp.linode import inverse_fundamental
 from oracles import scaled_boundary_problem
 
 
@@ -97,14 +104,14 @@ def test_sweep_errors_decrease_on_p1():
     assert [row.k for row in report.rows] == [4, 8, 16, 32, 64]
 
 
-def test_sweep_flags_singular_rows_without_failing():
+def _singular_at_k1_problem():
     # The condition integral of 6(t - 1/2) y dt kills the k = 1 midpoint
     # discretization (its single atom has zero weight) while the limit
     # problem and every k >= 2 stay uniquely solvable.
     a, b = 0.0, 1.0
     phi = MatrixMeasure([[ScalarMeasure.from_density(
         PiecewisePoly.single([-3.0, 6.0], a, b))]])
-    problem = BvpProblem(
+    return BvpProblem(
         r=1, m=1,
         coeffs=[PolyMatrix.constant([[1.0]], a, b)],
         f=PolyVector([PiecewisePoly.constant(1.0, a, b)]),
@@ -112,6 +119,10 @@ def test_sweep_flags_singular_rows_without_failing():
         operator=GeneralBoundaryOperator(1, 1, [], phi),
         grid=Grid(a, b, 512),
     )
+
+
+def test_sweep_flags_singular_rows_without_failing():
+    problem = _singular_at_k1_problem()
     report = sweep(problem, [1, 2, 4, 8])
     assert not report.rows[0].solvable
     assert all(row.solvable for row in report.rows[1:])
@@ -303,9 +314,11 @@ def test_sawtooth_needs_enough_cells():
 def test_solvability_gate_does_not_depend_on_the_weight_scale():
     # |char|^2 overflows at 2**660 and underflows at 2**-660; a power-of-two
     # scale leaves every step of the solve exact, so the jet is unchanged.
+    # At 2**1023 an entry of [TV] itself overflows, so the weights are
+    # scaled before they are applied.
     problem = build_multipoint_problem(corpus.build_problem("p3"), 4)
     reference = solve(problem)
-    for scale in (2.0**660, 2.0**-660):
+    for scale in (2.0**1023, 2.0**660, 2.0**-660):
         scaled = scaled_boundary_problem(problem, scale)
         sol = solve(scaled)
         for got, expected in zip(sol.jet.samples, reference.jet.samples):
@@ -327,11 +340,11 @@ def test_eps_must_be_positive_and_finite(eps):
             build(problem, [4, 8], eps)
 
 
-def test_constants_and_solve_share_the_solvability_gate():
+def _nearly_singular_problem():
     # V = I, so the characteristic matrix is beta_0 + beta_1 with
     # |det| = 1e-14, below the gate's 1e-12 * |char|^2 = 4e-12.
     a, b = 0.0, 1.0
-    problem = BvpProblem(
+    return BvpProblem(
         r=1, m=2,
         coeffs=[PolyMatrix.zero(2, 2, a, b)],
         f=PolyVector.zero(2, a, b),
@@ -342,7 +355,123 @@ def test_constants_and_solve_share_the_solvability_gate():
         ]),
         grid=Grid(a, b, 64),
     )
+
+
+def test_constants_and_solve_share_the_solvability_gate():
+    problem = _nearly_singular_problem()
     with pytest.raises(NotUniquelySolvableError):
         solve(problem)
     with pytest.raises(NotUniquelySolvableError):
         remark3_constants(problem)
+
+
+def test_reported_det_has_no_nan_part():
+    # |det| = 2 * 2**1320 leaves the float range; the imaginary part is 0.
+    problem = build_multipoint_problem(corpus.build_problem("p3"), 4)
+    for scale in (2.0**660, 2.0**1023):
+        sol = solve(scaled_boundary_problem(problem, scale))
+        assert sol.det == complex(np.inf, 0.0)
+    assert solve(scaled_boundary_problem(problem, 2.0**-660)).det == 0.0
+    # A refusal reports its det the same way.
+    singular = _nearly_singular_problem()
+    with pytest.raises(NotUniquelySolvableError) as refused:
+        solve(scaled_boundary_problem(singular, 2.0**660))
+    assert not np.isnan(refused.value.det.real) and not np.isnan(refused.value.det.imag)
+
+
+def _reference_report(problem, entries, theorem, eps):
+    """Rows and constants of a sweep (theorem None) or a theorem check,
+    from one solve per member and Z integrated on its own."""
+    grid = problem.grid
+    reference = solve(problem)
+    rows = []
+    for k, f_k, q_k in entries:
+        member = build_multipoint_problem(problem, k, f=f_k, q=q_k)
+        row = SweepRow(k=k, solvable=False, sigma_hat=norm_upper_bound(member.operator))
+        try:
+            sol = solve(member)
+        except NotUniquelySolvableError as exc:
+            row.det_abs = abs(exc.det)
+        else:
+            row.solvable = True
+            row.det_abs = abs(sol.det)
+            row.c1_factor = sol.matrizant_norm_c * mat_norm(np.linalg.inv(sol.char_matrix))
+            diff = sol.jet - reference.jet
+            row.err_w1r = norm_w1r(diff)
+            row.err_cr1 = norm_cl(diff, problem.r - 1)
+        rows.append(row)
+    if theorem == 2:
+        for row, (_, f_k, _) in zip(rows, entries):
+            row.l1_gap = (f_k - problem.f).l1_norm()
+            if row.solvable:
+                row.ratio = row.err_w1r / eps
+        return rows, None
+    v_c = reference.matrizant_norm_c
+    w_c = traj_norm_c(inverse_fundamental(companion_reduce(problem)[0], grid))
+    c1 = 1.0 + v_c * mat_norm(np.linalg.inv(reference.char_matrix))
+    if problem.r == 1:
+        c2 = 2.0 + v_c * w_c * problem.coeffs[0].l1_norm()
+    else:
+        c2 = 2.0 + v_c * w_c * ((problem.b - problem.a) + problem.coeffs[-1].l1_norm())
+    lam = 1.0 / norm_lower_bound(problem.operator,
+                                 default_probe_jets(problem.r, problem.m, grid))
+    constants = ErrorConstants(c1=c1, c2=c2, lambda_hat=lam,
+                               kappa_hat=(c1 + c2) * lam + c1 * c2 + 1.0,
+                               sigma_hat=max(row.sigma_hat for row in rows))
+    for row, (_, f_k, _) in zip(rows, entries):
+        if theorem is None:
+            row.bound_holds = row.solvable
+            continue
+        diff = f_k - problem.f
+        row.l1_gap = diff.l1_norm()
+        row.primitive_gap = norm_c(antiderivative(grid, diff.eval_at(grid.nodes)))
+        bound = constants.kappa_hat * constants.sigma_hat * eps
+        row.bound_holds = row.solvable and row.err_cr1 < bound
+        if row.solvable:
+            row.margin = row.err_cr1 / bound
+    return rows, constants
+
+
+def _assert_certificates_match_member_by_member(problem, ks):
+    eps = 1e-3
+    runs = [
+        (None, [(k, None, None) for k in ks], lambda entries: sweep(problem, ks)),
+        (2, constant_shift_rhs(problem, ks, eps),
+         lambda entries: theorem2_check(problem, entries, eps)),
+        (3, sawtooth_rhs(problem, ks, eps),
+         lambda entries: theorem3_check(problem, entries, eps)),
+    ]
+    for theorem, entries, run in runs:
+        report = run(entries)
+        rows, constants = _reference_report(problem, entries, theorem, eps)
+        assert len(report.rows) == len(rows)
+        for got, want in zip(report.rows, rows):
+            np.testing.assert_equal(dataclasses.asdict(got), dataclasses.asdict(want))
+        assert report.constants == constants
+    return report
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3"])
+def test_certificates_equal_member_by_member_solves(name):
+    _assert_certificates_match_member_by_member(corpus.build_problem(name), [4, 32, 256])
+
+
+def test_refused_member_keeps_the_other_rows():
+    problem = _singular_at_k1_problem()
+    report = _assert_certificates_match_member_by_member(problem, [1, 2, 4, 8])
+    assert [row.solvable for row in report.rows] == [False, True, True, True]
+
+
+def test_refused_reference_raises_as_solve_does():
+    problem = corpus.build_problem("nn")
+    with pytest.raises(NotUniquelySolvableError) as direct:
+        solve(problem)
+    ks, eps = [4, 8], 1e-3
+    for run in (lambda: sweep(problem, ks),
+                lambda: theorem2_check(problem, constant_shift_rhs(problem, ks, eps), eps),
+                lambda: theorem3_check(problem, sawtooth_rhs(problem, ks, eps), eps)):
+        with pytest.raises(NotUniquelySolvableError) as refused:
+            run()
+        assert str(refused.value) == str(direct.value)
+        assert refused.value.det == direct.value.det
+        assert refused.value.cond == direct.value.cond

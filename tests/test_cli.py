@@ -198,16 +198,30 @@ def test_multipoint_problem_from_file(capsys, tmp_path):
 
 
 def test_scaled_boundary_weights_solve_exits_ok(capsys, tmp_path):
-    # |char|^2 of this file overflows a float; the solvability gate must not.
+    # |char|^2 of these files overflows a float, and at 2**1023 an entry of
+    # [TV] does; neither may reach the solvability gate.
     problem = build_multipoint_problem(corpus.build_problem("p3", 256), 4)
     outputs = []
     for name, p in (("plain.json", problem),
-                    ("scaled.json", scaled_boundary_problem(problem, 2.0**660))):
+                    ("scaled660.json", scaled_boundary_problem(problem, 2.0**660)),
+                    ("scaled1023.json", scaled_boundary_problem(problem, 2.0**1023))):
         emit_problem(p, str(tmp_path / name))
         code, out, _ = run(capsys, "solve", str(tmp_path / name))
         assert code == cli.EXIT_OK
         outputs.append(out)
     assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("argv", [["sweep", "nn", "--ks", "4,8"],
+                                  ["check", "nn", "--theorem", "2", "--ks", "4,8"],
+                                  ["check", "nn", "--theorem", "3", "--ks", "4,8"],
+                                  ["constants", "nn"]])
+def test_refused_reference_exits_not_solvable(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_NOT_SOLVABLE
+    assert out == ""
+    assert "not uniquely solvable" in err
 
 
 @pytest.mark.parametrize("theorem", ["2", "3"])

@@ -10,19 +10,23 @@ from mpbvp import (
     PiecewisePoly,
     PolyMatrix,
     PolyVector,
+    approximate_coefficients,
+    build_multipoint_problem,
     corpus,
     forced_trajectory,
     fundamental_matrix,
     inverse_fundamental,
+    sawtooth_rhs,
 )
+from mpbvp import linode
 from mpbvp.bvp import companion_reduce
 from mpbvp.linode import (
     BLOCK_STEPS,
     _coefficient_panels,
-    _compose,
     _increments,
     _mm,
     _propagate,
+    _scan,
 )
 from oracles import exact_trace_integral, expm_taylor
 
@@ -135,16 +139,25 @@ def test_chunked_composition_matches_step_loop(n):
     assert all(D.shape == (2, 3, min(BLOCK_STEPS, n - i * BLOCK_STEPS))
                for i, D in enumerate(blocks))
     rng = np.random.default_rng(n)
-    for start in (np.eye(2, 3, dtype=complex),
-                  rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))):
+    starts = [np.eye(2, 3, dtype=complex),
+              rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))]
+    # Both starts are composed in place as the two members of one table.
+    table = np.empty((2, n + 1, 2, 3), dtype=complex)
+    table[:, 0] = starts
+    i = 1
+    for D in blocks:
+        # The rows of a block hold its increments batch-last.
+        L = D.shape[-1]
+        table[:, i:i + L].reshape(2, 2, 3, L)[...] = D
+        i += L
+    _scan(table)
+    for start, got in zip(starts, table):
         # The reference steps the explicit (3, 3) augmented state.
         expected = [np.vstack([start, [0, 0, 1]])]
         for D in _full_square(np.concatenate(blocks, axis=-1)).transpose(2, 0, 1):
             expected.append(expected[-1] + D @ expected[-1])
         expected = np.stack(expected)
         np.testing.assert_array_equal(expected[:, 2], np.broadcast_to([0, 0, 1], (n + 1, 3)))
-        got = _compose(iter(blocks), start, n)
-        assert got.shape == (n + 1, 2, 3)
         assert (float(np.max(np.abs(got - expected[:, :2])))
                 <= 1e-13 * float(np.max(np.abs(expected))))
 
@@ -168,8 +181,8 @@ def test_batch_last_product_matches_matmul(s):
                             (-2, -1), (0, 1))
         assert np.all(np.abs(got - expected) <= 1e-15 * scale)
 
-    # The shapes _increments and _compose multiply: two (d, s, L) blocks,
-    # and the (d, s, chunks, c) prefix increments times the chunk starts,
+    # The shapes _increments and _scan multiply: two (d, s, L) blocks,
+    # and the (d, s, K * chunks, c) prefix increments times the chunk starts,
     # with s = d, and with s = d + 1 against an explicit zero bottom row.
     for t in (s, s + 1):
         for A, B in ((matrices(s, t, 37), matrices(s, t, 37)),
@@ -238,7 +251,7 @@ def _assert_top_rows_match_full_square(A, g, grid):
     s = d + (g is not None)
     full = _reference_compose(_reference_increments(A, g, grid),
                               np.eye(s, dtype=complex), grid.n)
-    top = _propagate(A, g, grid)
+    top = next(_propagate([(A, g)], grid))
     assert top.shape == (grid.n + 1, d, s)
     np.testing.assert_array_equal(top, full[:, :d])
     np.testing.assert_array_equal(full[:, d:], np.broadcast_to(np.eye(s)[d:], full[:, d:].shape))
@@ -273,7 +286,74 @@ def test_inverse_fundamental_stays_inverse_on_the_fine_grid(name):
 def test_augmented_pass_carries_matrizant_and_forced_trajectory():
     A, g = _coupled_system()
     for grid in (_grid(), _grid(1537)):
-        augmented = _propagate(A, g, grid)
+        augmented = next(_propagate([(A, g)], grid))
         assert augmented.shape == (grid.n + 1, 2, 3)
         np.testing.assert_array_equal(augmented[:, :, :2], fundamental_matrix(A, grid))
         np.testing.assert_array_equal(augmented[:, :, 2], forced_trajectory(A, g, grid))
+
+
+def _reference_inverse(A, grid):
+    """Z = V^-1 by one pass of its own: the transposed inverse increments
+    of (A, None), composed by the full-square scan."""
+    eye = np.eye(A.shape[0], dtype=complex)
+    steps = (D.transpose(2, 0, 1) for D in _reference_increments(A, None, grid))
+    blocks = (np.linalg.solve(eye + D, -D).transpose(2, 1, 0) for D in steps)
+    return _reference_compose(blocks, eye, grid.n).swapaxes(1, 2)
+
+
+def _assert_family_equals_single_passes(systems, grid):
+    tables = list(_propagate(systems, grid, inverse=True))
+    assert len(tables) == len(systems) + 1
+    for (A, g), got in zip(systems, [tables[0], *tables[2:]]):
+        np.testing.assert_array_equal(got, next(_propagate([(A, g)], grid)))
+    # Z of the first system, from the left columns of its [V | R]
+    # increments, is Z from the increments of V alone.
+    np.testing.assert_array_equal(tables[1], inverse_fundamental(systems[0][0], grid))
+    np.testing.assert_array_equal(tables[1], _reference_inverse(systems[0][0], grid))
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3"])
+@pytest.mark.parametrize("n", [2048, 16384])
+def test_family_pass_equals_one_member_passes_on_corpus(name, n):
+    # The limit problem, its k-th approximations and their sawtooth
+    # perturbations, as a sweep and a theorem 3 check propagate them.
+    problem = corpus.build_problem(name, n)
+    ks = (4, 32, 256)
+    members = [problem] + [build_multipoint_problem(problem, k) for k in ks]
+    members += [build_multipoint_problem(problem, k, f=f) for k, f, _ in
+                sawtooth_rhs(problem, ks, 1e-3)]
+    systems = [companion_reduce(p)[:2] for p in members]
+    _assert_family_equals_single_passes(systems, problem.grid)
+    _assert_family_equals_single_passes([(P, None) for P, _ in systems], problem.grid)
+
+
+@pytest.mark.parametrize("n", [2, 3, 513, 1537])
+def test_family_pass_equals_one_member_passes_on_coupled_system(n):
+    # 513 and 1537 end in a one-step block, whose carry is a single product.
+    A, g = _coupled_system()
+    systems = [(A, g), (approximate_coefficients(A, 1), g),
+               (approximate_coefficients(A, 3), g * 2.0j)]
+    _assert_family_equals_single_passes(systems, _grid(n))
+    _assert_family_equals_single_passes([(B, None) for B, _ in systems], _grid(n))
+
+
+@pytest.mark.parametrize("tables_per_pass", [1, 2])
+def test_family_passes_hold_at_most_the_byte_cap(monkeypatch, tables_per_pass):
+    A, g = _coupled_system()
+    grid = _grid(1537)
+    systems = [(approximate_coefficients(A, k), g) for k in (1, 2, 3, 4, 5)]
+    expected = list(_propagate(systems, grid, inverse=True))
+    table_bytes = (grid.n + 1) * 2 * 3 * 16
+    monkeypatch.setattr(linode, "PASS_BYTES", tables_per_pass * table_bytes + table_bytes // 2)
+    got = list(_propagate(systems, grid, inverse=True))
+    for want, have in zip(expected, got):
+        np.testing.assert_array_equal(have, want)
+    # Each yielded table is a view of its pass's table; Z rides in the
+    # pass of the first system even when one table fills a pass.
+    passes = {}
+    for table in got:
+        passes.setdefault(id(table.base), table.base)
+    sizes = sorted(base.shape[0] for base in passes.values())
+    assert sum(sizes) == len(systems) + 1
+    assert max(sizes) == 2
+    assert len(sizes) == (5 if tables_per_pass == 1 else 3)
