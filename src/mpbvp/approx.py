@@ -189,7 +189,7 @@ def remark3_constants(problem: BvpProblem, sigma_probe_ks=None) -> ErrorConstant
     itself when it is already multipoint).
     """
     P = _companion_system(problem)[0]
-    V, Z = _propagate([(P, None)], problem.grid, inverse=True)
+    (V, _), (Z, _) = _propagate([(P, None)], problem.grid, inverse=True)
     T, e = _scaled_lift(problem)
     inverse_norm = _check_solvable(T.apply_trajectory(V), e)[3]
     return _certified_constants(problem, traj_norm_c(V), traj_norm_c(Z), inverse_norm,
@@ -223,18 +223,19 @@ def _solve_family(problem: BvpProblem, entries, inverse: bool):
     """
     members = [build_multipoint_problem(problem, k, f=f_k, q=q_k) for k, f_k, q_k in entries]
     tables = _propagate([_companion_system(p) for p in [problem, *members]],
-                        problem.grid, inverse=inverse)
-    reference = _finish(problem, next(tables))
-    w_c = traj_norm_c(next(tables)) if inverse else None
-    rows = [_row(k, member, table, reference)
-            for (k, _, _), member, table in zip(entries, members, tables)]
+                        problem.grid, inverse=inverse, rows=problem.m)
+    reference = _finish(problem, *next(tables))
+    w_c = traj_norm_c(next(tables)[0]) if inverse else None
+    rows = [_row(k, member, *passed, reference)
+            for (k, _, _), member, passed in zip(entries, members, tables)]
     return reference, rows, w_c
 
 
-def _row(k: int, member: BvpProblem, table: np.ndarray, reference) -> SweepRow:
+def _row(k: int, member: BvpProblem, table: np.ndarray, coefficients: np.ndarray,
+         reference) -> SweepRow:
     row = SweepRow(k=k, solvable=False, sigma_hat=norm_upper_bound(member.operator))
     try:
-        sol = _finish(member, table)
+        sol = _finish(member, table, coefficients)
     except NotUniquelySolvableError as exc:
         row.det_abs = abs(exc.det)
         return row
@@ -427,19 +428,16 @@ def sawtooth_perturbation(grid: Grid, k: int, eps: float, m: int) -> PolyVector:
     amplitude = 1.4 * eps * k / (b - a)
     half = (b - a) / (2.0 * k)
     h = grid.h
-    breakpoints = [a]
-    for j in range(1, 2 * k):
-        ideal = a + j * half
-        cell = int(round((ideal - a) / h - 0.5))
-        cell = min(max(cell, 0), n - 1)
-        snapped = a + (cell + 0.5) * h
-        if snapped > breakpoints[-1]:
-            breakpoints.append(snapped)
-    breakpoints.append(b)
-    values = [amplitude if j % 2 == 0 else -amplitude for j in range(len(breakpoints) - 1)]
-    lengths = np.diff(np.asarray(breakpoints))
-    mean = float(np.dot(values, lengths)) / (b - a)
-    values = [v - mean for v in values]
+    ideal = a + np.arange(1, 2 * k) * half
+    # np.rint rounds half to even, as round does.
+    cell = np.clip(np.rint((ideal - a) / h - 0.5), 0, n - 1)
+    snapped = a + (cell + 0.5) * h
+    # The snapped points are nondecreasing: keep each one above its predecessor.
+    inner = snapped[np.diff(snapped, prepend=a) > 0]
+    breakpoints = np.concatenate([[a], inner, [b]])
+    values = np.where(np.arange(inner.size + 1) % 2 == 0, amplitude, -amplitude)
+    mean = float(np.dot(values, np.diff(breakpoints))) / (b - a)
+    values = values - mean
     return PolyVector(
         [PiecewisePoly.step(breakpoints, values)]
         + [PiecewisePoly.zero(a, b) for _ in range(m - 1)]

@@ -172,11 +172,17 @@ class MultipointBoundaryOperator:
 
 def apply_operator(op, jet: SampledJet) -> np.ndarray:
     """Evaluate a boundary operator on a jet of order >= r - 1."""
+    values = _stacked_jet(op, jet)
+    return lift(op, jet.grid).apply_values(values)
+
+
+def _stacked_jet(op, jet: SampledJet) -> np.ndarray:
+    """The samples of col(y, ..., y^(r-1)) that ``op`` applies to, (n+1, rm)."""
     if jet.m != op.m:
         raise ValueError(f"jet has {jet.m} components, operator expects {op.m}")
     if jet.r < op.r - 1:
         raise ValueError(f"operator needs jet order >= {op.r - 1}, got {jet.r}")
-    return lift(op, jet.grid).apply_values(np.hstack(jet.samples[:op.r]))
+    return np.hstack(jet.samples[:op.r])
 
 
 def multipointify(op: GeneralBoundaryOperator, k: int) -> MultipointBoundaryOperator:
@@ -286,18 +292,22 @@ def norm_lower_bound(op, probes) -> float:
     """Certified lower bound for the operator norm from a family of probe jets.
 
     Returns max over probes of |B y| / |y|_(r-1); the probe list must be
-    non-empty.
+    non-empty.  The operator is lifted once per grid the probes live on.
     """
     probes = list(probes)
     if not probes:
         raise ValueError("need at least one probe jet")
     r = op.r
     best = 0.0
+    lifted = {}
     for jet in probes:
         denom = norm_cl(jet, min(r - 1, jet.r))
         if denom == 0.0:
             continue
-        best = max(best, vec_norm(apply_operator(op, jet)) / denom)
+        values = _stacked_jet(op, jet)
+        if jet.grid not in lifted:
+            lifted[jet.grid] = lift(op, jet.grid)
+        best = max(best, vec_norm(lifted[jet.grid].apply_values(values)) / denom)
     if best == 0.0:
         raise ValueError("all probes annihilated the operator; enlarge the family")
     return best

@@ -240,13 +240,16 @@ def solve(problem: BvpProblem) -> BvpSolution:
     Raises NotUniquelySolvableError when the characteristic matrix fails the
     determinant or condition test.
     """
-    return _finish(problem, next(_propagate([_companion_system(problem)], problem.grid)))
+    return _finish(problem, *next(_propagate([_companion_system(problem)], problem.grid,
+                                             rows=problem.m)))
 
 
-def _finish(problem: BvpProblem, augmented: np.ndarray) -> BvpSolution:
+def _finish(problem: BvpProblem, augmented: np.ndarray, coefficients: np.ndarray) -> BvpSolution:
     """The solution of ``problem`` from the top rows [V | R] of its
-    augmented matrizant: lift the operator, gate [TV], assemble the jet and
-    its diagnostics.  Raises NotUniquelySolvableError as ``solve`` does.
+    augmented matrizant and the node values (n+1, m, d+1) of the bottom
+    block row [A_0 ... A_{r-1} | f] of its companion system, as the pass
+    hands them over: lift the operator, gate [TV], assemble the jet and its
+    diagnostics.  Raises NotUniquelySolvableError as ``solve`` does.
     """
     grid = problem.grid
     r, m = problem.r, problem.m
@@ -262,11 +265,9 @@ def _finish(problem: BvpProblem, augmented: np.ndarray) -> BvpSolution:
     u = np.einsum("nij,j->ni", V, coef) + R
 
     samples = [u[:, l * m:(l + 1) * m] for l in range(r)]
-    f_nodes = problem.f.eval_at(grid.nodes)
-    top = f_nodes.copy()
+    top = coefficients[..., d].copy()
     for l in range(r):
-        A_nodes = problem.coeffs[l].eval_at(grid.nodes)
-        top -= np.einsum("nij,nj->ni", A_nodes, samples[l])
+        top -= np.einsum("nij,nj->ni", coefficients[..., l * m:(l + 1) * m], samples[l])
     samples.append(top)
 
     jet = SampledJet(grid, m, r, samples)

@@ -263,6 +263,34 @@ class PiecewisePoly:
         out = _horner(self.table[self._piece_index(tt, "right" if side == "right" else "left")], tt)
         return out[0] if scalar else out
 
+    def grid_samples(self, grid: Grid):
+        """Values on ``grid`` as RK4 steps read them: (node values (n+1,),
+        step-end left limits (n,), midpoint values (n,)).
+
+        Node values are right limits, with b in the last piece, as
+        ``__call__`` gives them.  Only the nodes and the midpoints are
+        evaluated: the end of step i is node i + 1, so its left limit is
+        that node's value, except at an interior breakpoint that equals a
+        node, where it is evaluated on the piece to the left.  When every
+        row of the table is bitwise equal, the first row is evaluated,
+        broadcast, with no piece search.  Each value has the bits of
+        ``__call__`` at the same point and side.
+        """
+        nodes, mids = grid.nodes, grid.half_nodes
+        bits = np.ascontiguousarray(self.table).view(np.uint64)
+        if (bits == bits[0]).all():
+            at_nodes = _horner(self.table[:1], nodes)
+            return at_nodes, at_nodes[1:], _horner(self.table[:1], mids)
+        at_nodes = _horner(self.table[self._piece_index(nodes)], nodes)
+        ends = at_nodes[1:].copy()
+        inner = self.breakpoints[1:-1]
+        i = np.minimum(np.searchsorted(nodes, inner), grid.n)
+        # Breakpoint j + 1 ends piece j; node 0 ends no step.
+        on = np.flatnonzero((nodes[i] == inner) & (i > 0))
+        i = i[on]
+        ends[i - 1] = _horner(self.table[on], nodes[i])
+        return at_nodes, ends, _horner(self.table[self._piece_index(mids)], mids)
+
     # -- calculus ----------------------------------------------------------
 
     def integrals(self, edges) -> np.ndarray:
@@ -473,13 +501,13 @@ class PolyVector:
     def b(self) -> float:
         return self.components[0].b
 
-    def eval_at(self, t, side: str = "right") -> np.ndarray:
+    def eval_at(self, t) -> np.ndarray:
         arr = np.asarray(t, dtype=float)
         scalar = arr.ndim == 0
         tt = np.atleast_1d(arr)
         out = np.empty((tt.size, self.m), dtype=complex)
         for j, comp in enumerate(self.components):
-            out[:, j] = comp(tt, side=side)
+            out[:, j] = comp(tt)
         return out[0] if scalar else out
 
     def l1_norm(self) -> float:
@@ -543,7 +571,7 @@ class PolyMatrix:
     def b(self) -> float:
         return self.entries[0][0].b
 
-    def eval_at(self, t, side: str = "right") -> np.ndarray:
+    def eval_at(self, t) -> np.ndarray:
         arr = np.asarray(t, dtype=float)
         scalar = arr.ndim == 0
         tt = np.atleast_1d(arr)
@@ -551,7 +579,7 @@ class PolyMatrix:
         out = np.empty((tt.size, p, q), dtype=complex)
         for i in range(p):
             for j in range(q):
-                out[:, i, j] = self.entries[i][j](tt, side=side)
+                out[:, i, j] = self.entries[i][j](tt)
         return out[0] if scalar else out
 
     def l1_norm(self) -> float:

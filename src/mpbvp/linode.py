@@ -32,9 +32,18 @@ R(a) = 0 together.  Z = V^-1 composes, transposed, the inverse increments
 the system it inverts, and its increments come from the left d columns of
 that system's increments, which are the increments of V; so Z needs no
 second evaluation of the coefficients.  Storing increments rather than
-I + D_i keeps their low bits.  Step ends take left-hand coefficient limits,
-which keeps full order at jumps on grid nodes.  Node values come out
-step-first, as (n+1, d, s).
+I + D_i keeps their low bits.  Node values come out step-first, as
+(n+1, d, s).
+
+The RK4 stages of step i read the coefficients at t_i, at the midpoint and
+at t_{i+1}.  The end of step i is the start of step i+1, so each entry is
+evaluated once at the n+1 nodes and once at the n midpoints
+(``PiecewisePoly.grid_samples``).  A step end takes the left-hand limit,
+which keeps full order at jumps on grid nodes; it differs from the node
+value only at a breakpoint on a node, where it alone is evaluated again.
+Each member's pass hands over the node values of the bottom rows of
+[A | g] that the caller asks for, so the solver assembles its top jet
+channel without evaluating the coefficients again.
 """
 
 from __future__ import annotations
@@ -58,15 +67,23 @@ PASS_BYTES = 32 * 2**20
 
 
 def _coefficient_panels(F, grid: Grid):
-    """Evaluate A or g at step starts (right limit), midpoints, and step ends (left limit)."""
-    nodes = grid.nodes
-    start = F.eval_at(nodes[:-1], side="right")
-    mid = F.eval_at(grid.half_nodes)
-    end = F.eval_at(nodes[1:], side="left")
-    for name, panel in (("start", start), ("mid", mid), ("end", end)):
+    """Samples of A or g on the grid, entry by entry with
+    ``PiecewisePoly.grid_samples``: node values (..., n+1), midpoint values
+    (..., n) and step-end left limits (..., n), batch-last, where ... is
+    the shape of F."""
+    if isinstance(F, PolyMatrix):
+        shape, entries = F.shape, [entry for row in F.entries for entry in row]
+    else:
+        shape, entries = (F.m,), F.components
+    nodes = np.empty((len(entries), grid.n + 1), dtype=complex)
+    ends = np.empty((len(entries), grid.n), dtype=complex)
+    mids = np.empty_like(ends)
+    for j, entry in enumerate(entries):
+        nodes[j], ends[j], mids[j] = entry.grid_samples(grid)
+    for name, panel in (("node", nodes), ("mid", mids), ("end", ends)):
         if not np.all(np.isfinite(panel)):
             raise ValueError(f"coefficient evaluation produced non-finite values ({name})")
-    return start, mid, end
+    return tuple(panel.reshape(shape + panel.shape[1:]) for panel in (nodes, mids, ends))
 
 
 def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -82,28 +99,25 @@ def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _increments(A: PolyMatrix, g: PolyVector | None, grid: Grid):
+def _increments(panels, forcing, h: float):
     """Top rows of the RK4 step increments, yielded batch-last as (d, s, L)
-    blocks of at most BLOCK_STEPS steps.
+    blocks of at most BLOCK_STEPS steps, from the ``_coefficient_panels``
+    of A and, unless ``forcing`` is None, of g.
 
     They act on u' = -A u, or with g on (u, 1)' = [[-A, g], [0, 0]] (u, 1),
     whose bottom row is 0 in every stage.
     """
-    d, cols = A.shape
-    if d != cols:
-        raise ValueError("coefficient matrix must be square")
-    panels = _coefficient_panels(A, grid)
-    forcing = None if g is None else _coefficient_panels(g, grid)
-    s = d + (g is not None)
-    h = grid.h
-    for lo in range(0, grid.n, BLOCK_STEPS):
-        hi = min(lo + BLOCK_STEPS, grid.n)
-        m0, mm, m1 = (np.zeros((d, s, hi - lo), dtype=complex) for _ in panels)
+    d, _, n = panels[1].shape
+    s = d + (forcing is not None)
+    for lo in range(0, n, BLOCK_STEPS):
+        hi = min(lo + BLOCK_STEPS, n)
+        # Stage coefficients at the step starts, midpoints and step ends.
+        m0, mm, m1 = (np.zeros((d, s, hi - lo), dtype=complex) for _ in range(3))
         for m, panel in zip((m0, mm, m1), panels):
-            np.negative(panel[lo:hi].transpose(1, 2, 0), out=m[:, :d])
+            np.negative(panel[..., lo:hi], out=m[:, :d])
         if forcing is not None:
             for m, f in zip((m0, mm, m1), forcing):
-                m[:, d] = f[lo:hi].T
+                m[:, d] = f[:, lo:hi]
         # Stages of U' = M U from U = I, with k1 = m0: D_i = h/6 (k1 + 2 k2 + 2 k3 + k4).
         k2 = mm + (0.5 * h) * _mm(mm, m0)
         k3 = mm + (0.5 * h) * _mm(mm, k2)
@@ -153,6 +167,8 @@ def _scan(table: np.ndarray) -> None:
         Q[..., 0] = D[..., 0]
         for j in range(1, c):
             Q[..., j] = Q[..., j - 1] + D[..., j] + _mm(D[..., j], Q[..., j - 1])
+        # The increments are spent; free them before U is formed.
+        del padded, D
         # The carry runs member-first: chunk k's I + Q_c is last[:, k], and
         # its start goes to starts[:, k].
         last = Q[..., -1].reshape(d, s, K, chunks).transpose(2, 3, 0, 1)
@@ -167,15 +183,17 @@ def _scan(table: np.ndarray) -> None:
         table[:, lo + 1:hi + 1] = U.reshape(d, s, K, chunks * c)[..., :L].transpose(2, 3, 0, 1)
 
 
-def _propagate(systems, grid: Grid, inverse: bool = False):
+def _propagate(systems, grid: Grid, inverse: bool = False, rows: int = 0):
     """Yield, system by system, the top rows (n+1, d, s) of the node values
-    of the composed RK4 steps from I.
+    of the composed RK4 steps from I, each with the node values
+    (n+1, rows, s) of the bottom ``rows`` rows of [A | g].
 
     ``systems`` are (A, g) pairs of one shape: A is d x d for all of them,
     and g is given for all or for none.  Without g a table is the matrizant
     V (s = d); with g it is [V | R], the top rows of the augmented
     matrizant [[V, R], [0, 1]] (s = d + 1).  With ``inverse`` the inverse
-    matrizant Z = V^-1 (n+1, d, d) of the first system follows its table.
+    matrizant Z = V^-1 (n+1, d, d) of the first system follows its table,
+    with None for node values.
 
     The members of a pass share one (K, n+1, d, s) table, and each table
     is yielded as a view of it.  A pass holds at most PASS_BYTES of tables,
@@ -183,7 +201,9 @@ def _propagate(systems, grid: Grid, inverse: bool = False):
     system's pass.
     """
     systems = list(systems)
-    d = systems[0][0].shape[0]
+    d, cols = systems[0][0].shape
+    if d != cols:
+        raise ValueError("coefficient matrix must be square")
     s = d + (systems[0][1] is not None)
     # A member is a system index, or None for Z of system 0.
     members = [0, None, *range(1, len(systems))] if inverse else list(range(len(systems)))
@@ -197,26 +217,36 @@ def _propagate(systems, grid: Grid, inverse: bool = False):
         group = members[lo:hi]
         table = np.empty((len(group), grid.n + 1, d, s), dtype=complex)
         table[:, 0] = np.eye(d, s)
+        coefficients = [None] * len(group)
         for slot, member in enumerate(group):
             if member is not None:
                 z = slot + 1 if inverse and member == 0 else None
-                _fill(table, slot, z, *systems[member], grid)
+                coefficients[slot] = _fill(table, slot, z, *systems[member], grid, rows)
         _scan(table)
         for slot, member in enumerate(group):
-            yield table[slot] if member is not None else table[slot, :, :, :d].swapaxes(1, 2)
+            yield (table[slot] if member is not None
+                   else table[slot, :, :, :d].swapaxes(1, 2)), coefficients[slot]
         lo = hi
 
 
 def _fill(table: np.ndarray, slot: int, z: int | None, A: PolyMatrix,
-          g: PolyVector | None, grid: Grid) -> None:
+          g: PolyVector | None, grid: Grid, rows: int) -> np.ndarray:
     """Write the increments of (A, g) into the blocks of ``table[slot]``, as
     _scan reads them, and with ``z`` the transposed inverse increments
     E_i^T = ((I + D_i)^-1 - I)^T of their left d columns into the blocks of
-    ``table[z]``, padded with zero columns."""
+    ``table[z]``, padded with zero columns.  Returns the node values
+    (n+1, rows, s) of the bottom ``rows`` rows of [A | g]; the rest of the
+    coefficient samples are freed on return."""
     d = A.shape[0]
+    panels = _coefficient_panels(A, grid)
+    forcing = None if g is None else _coefficient_panels(g, grid)
+    kept = np.empty((grid.n + 1, rows, table.shape[-1]), dtype=complex)
+    kept[..., :d] = panels[0][d - rows:].transpose(2, 0, 1)
+    if forcing is not None:
+        kept[..., d] = forcing[0][d - rows:].T
     eye = np.eye(d, dtype=complex)
     i = 1
-    for D in _increments(A, g, grid):
+    for D in _increments(panels, forcing, grid.h):
         s, L = D.shape[1:]
         # A member's rows are contiguous, so the reshape is a view.
         table[slot, i:i + L].reshape(d, s, L)[...] = D
@@ -228,11 +258,12 @@ def _fill(table: np.ndarray, slot: int, z: int | None, A: PolyMatrix,
             inverse[:, :d] = np.linalg.solve(eye + step, -step).transpose(2, 1, 0)
             inverse[:, d:] = 0.0
         i += L
+    return kept
 
 
 def fundamental_matrix(A: PolyMatrix, grid: Grid) -> np.ndarray:
     """Matrizant (n+1, d, d) of y' + A(t) y = 0: solves Y' = -A(t) Y, Y(a) = I."""
-    return next(_propagate([(A, None)], grid))
+    return next(_propagate([(A, None)], grid))[0]
 
 
 def inverse_fundamental(A: PolyMatrix, grid: Grid) -> np.ndarray:
@@ -240,7 +271,7 @@ def inverse_fundamental(A: PolyMatrix, grid: Grid) -> np.ndarray:
     Z_{i+1} = Z_i + Z_i E_i."""
     tables = _propagate([(A, None)], grid, inverse=True)
     next(tables)
-    return next(tables)
+    return next(tables)[0]
 
 
 def forced_trajectory(A: PolyMatrix, g: PolyVector, grid: Grid) -> np.ndarray:
@@ -249,4 +280,4 @@ def forced_trajectory(A: PolyMatrix, g: PolyVector, grid: Grid) -> np.ndarray:
     This is the particular solution of the inhomogeneous system, computed
     at the same order as the matrizant.
     """
-    return next(_propagate([(A, g)], grid))[..., -1]
+    return next(_propagate([(A, g)], grid))[0][..., -1]

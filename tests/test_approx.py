@@ -306,6 +306,38 @@ def test_sawtooth_shape():
         assert abs(frac - round(frac)) <= 1e-9
 
 
+def _reference_sawtooth(grid, k, eps):
+    """The square wave as a loop over the teeth: each ideal breakpoint is
+    snapped to a cell midpoint and kept when it lies above the last kept."""
+    a, b, n, h = grid.a, grid.b, grid.n, grid.h
+    amplitude = 1.4 * eps * k / (b - a)
+    half = (b - a) / (2.0 * k)
+    breakpoints = [a]
+    for j in range(1, 2 * k):
+        cell = int(round((a + j * half - a) / h - 0.5))
+        snapped = a + (min(max(cell, 0), n - 1) + 0.5) * h
+        if snapped > breakpoints[-1]:
+            breakpoints.append(snapped)
+    breakpoints.append(b)
+    values = [amplitude if j % 2 == 0 else -amplitude for j in range(len(breakpoints) - 1)]
+    mean = float(np.dot(values, np.diff(np.asarray(breakpoints)))) / (b - a)
+    return PiecewisePoly.step(breakpoints, [v - mean for v in values])
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.0, 2.0), (-3.5, -0.25),
+                                      (1e-3, 1e-3 + 1e-6)])
+def test_sawtooth_matches_the_per_tooth_loop(interval):
+    # Where 2k does not divide n, the ideal breakpoints fall between cell
+    # midpoints and are rounded to one.
+    for n in (4, 5, 16, 17, 64, 100, 2048):
+        grid = Grid(*interval, n)
+        for k in range(1, n // 4 + 1):
+            got = sawtooth_perturbation(grid, k, 1e-3, m=1).components[0]
+            want = _reference_sawtooth(grid, k, 1e-3)
+            assert got.breakpoints.tobytes() == want.breakpoints.tobytes()
+            assert got.table.tobytes() == want.table.tobytes()
+
+
 def test_sawtooth_needs_enough_cells():
     with pytest.raises(ValueError):
         sawtooth_perturbation(Grid(0.0, 1.0, 16), 8, 1e-3, m=1)

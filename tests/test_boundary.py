@@ -203,6 +203,28 @@ def test_norm_lower_bound_on_corpus():
         assert abs(low - expected) <= 1e-9
 
 
+@pytest.mark.parametrize("name", ["p1", "p2", "p3"])
+def test_norm_lower_bound_is_bitwise_the_per_probe_application(name):
+    # Probes on two grids, as the max over per-probe apply_operator calls.
+    problem = corpus.build_problem(name, 256)
+    probes = [jet for n in (256, 257)
+              for jet in default_probe_jets(problem.r, problem.m, Grid(0.0, 1.0, n))]
+    want = max(float(np.abs(apply_operator(problem.operator, jet)).sum())
+               / sum(float(np.abs(jet.samples[j]).max(axis=0).sum()) for j in range(problem.r))
+               for jet in probes)
+    assert norm_lower_bound(problem.operator, probes) == want
+
+
+def test_norm_lower_bound_checks_every_probe():
+    problem = corpus.build_problem("p2", 64)
+    probes = default_probe_jets(problem.r, problem.m, problem.grid)
+    short = SampledJet(problem.grid, 1, 0, [np.ones(65)])
+    wide = default_probe_jets(problem.r, 2, problem.grid)[0]
+    for bad, message in ((short, "jet order"), (wide, "components")):
+        with pytest.raises(ValueError, match=message):
+            norm_lower_bound(problem.operator, probes + [bad])
+
+
 def test_norm_lower_bound_needs_probes():
     problem = corpus.build_problem("p1", 64)
     with pytest.raises(ValueError):

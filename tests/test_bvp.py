@@ -17,7 +17,7 @@ from mpbvp import (
     residuals,
     solve,
 )
-from oracles import crank_nicolson_solve
+from oracles import crank_nicolson_solve, random_problem
 
 
 def _dirichlet(r, m, a, b, *nodes_orders):
@@ -207,3 +207,20 @@ def test_fine_grid_solve_keeps_roundoff():
         err = max(float(np.max(np.abs(mine - ref)))
                   for mine, ref in zip(jet.samples, exact.samples))
         assert err <= 5e-14, name
+
+
+def test_top_channel_is_bitwise_the_node_evaluation():
+    # The pass hands the solver the node values of [A_0 ... A_{r-1} | f];
+    # the top channel f - sum_l A_l y^(l) must be what evaluating the
+    # coefficients at the nodes gives, for m up to 3.
+    rng = np.random.default_rng(11)
+    problems = [corpus.build_problem(name, 2048) for name in ("p1", "p2", "p3")]
+    problems += [random_problem(rng, 257) for _ in range(8)]
+    assert max(problem.m for problem in problems) == 3
+    for problem in problems:
+        jet = solve(problem).jet
+        nodes = problem.grid.nodes
+        top = problem.f.eval_at(nodes)
+        for l in range(problem.r):
+            top -= np.einsum("nij,nj->ni", problem.coeffs[l].eval_at(nodes), jet.samples[l])
+        assert jet.samples[-1].tobytes() == top.tobytes()

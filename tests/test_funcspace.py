@@ -24,7 +24,14 @@ from mpbvp import (
     traj_norm_c,
     vec_norm,
 )
-from mpbvp import corpus, sawtooth_perturbation
+from mpbvp import (
+    approximate_coefficients,
+    build_multipoint_problem,
+    companion_reduce,
+    corpus,
+    sawtooth_perturbation,
+    sawtooth_rhs,
+)
 from mpbvp.funcspace import MAX_GRID_N, _piece_abs_integral
 
 
@@ -328,6 +335,84 @@ def test_addition_matches_pointwise(cut, v1, v2, t):
     p = PiecewisePoly.step([0.0, cut, 1.0], [v1, v2])
     q = PiecewisePoly.single([0.5, -1.0, 2.0], 0.0, 1.0)
     assert abs((p + q)(t) - (p(t) + q(t))) <= 1e-12 * (abs(v1) + abs(v2) + 4.0)
+
+
+# -- grid samples ------------------------------------------------------------
+
+
+def _assert_grid_samples_are_three_evaluations(p, grid):
+    """grid_samples against one evaluation per node set: the nodes (right
+    limits), the step ends (left limits) and the midpoints.  Bytes are
+    compared, because array_equal takes -0.0 for 0.0."""
+    nodes = grid.nodes
+    want = (p(nodes), p(nodes[1:], side="left"), p(grid.half_nodes))
+    for have, expected in zip(p.grid_samples(grid), want):
+        assert have.shape == expected.shape
+        assert have.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3"])
+def test_grid_samples_of_corpus_coefficients(name):
+    # The entries of P and g of the limit problem, its k-th approximations
+    # and their sawtooth forcings, as a theorem 3 check samples them.
+    problem = corpus.build_problem(name, 2048)
+    ks = (1, 4, 256)
+    members = [problem] + [build_multipoint_problem(problem, k) for k in ks]
+    members += [build_multipoint_problem(problem, k, f=f) for k, f, _ in
+                sawtooth_rhs(problem, ks, 1e-3)]
+    for member in members:
+        P, g = companion_reduce(member)[:2]
+        for entry in [e for row in P.entries for e in row] + g.components:
+            _assert_grid_samples_are_three_evaluations(entry, problem.grid)
+
+
+def _random_pieces(rng, grid, kind):
+    """A piecewise polynomial on the grid's interval whose breakpoints lie
+    on nodes, on midpoints or off the grid."""
+    a, b, n = grid.a, grid.b, grid.n
+    count = int(rng.integers(1, min(n, 12) + 1))
+    if kind == "nodes":
+        inner = grid.nodes[rng.choice(np.arange(1, n), size=min(count, n - 1), replace=False)]
+    elif kind == "midpoints":
+        inner = grid.half_nodes[rng.choice(n, size=count, replace=False)]
+    else:
+        inner = rng.uniform(a, b, size=count)
+    bp = np.concatenate([[a], np.unique(inner), [b]])
+    pieces = [rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+              for deg in rng.integers(0, 4, size=bp.size - 1)]
+    return PiecewisePoly(bp, pieces)
+
+
+@pytest.mark.parametrize("n", [2, 3, 513, 1537])
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.5, 0.5)])
+def test_grid_samples_are_three_evaluations(n, interval):
+    rng = np.random.default_rng(n)
+    grid = Grid(*interval, n)
+    a, b = interval
+    cases = [_random_pieces(rng, grid, kind) for kind in ("nodes", "midpoints", "off")
+             for _ in range(8)]
+    # One piece; equal rows on several pieces, one of them wider.
+    cases += [PiecewisePoly.single([0.5, -2.0j, 1.0], a, b),
+              PiecewisePoly.constant(-1.0, a, b),
+              PiecewisePoly(grid.nodes[[0, n // 2, n]], [[0.5, 2.0], [0.5, 2.0, 0.0]]),
+              PiecewisePoly([a, 0.5 * (a + b), b], [[0.0], [-0.0]])]
+    # All-zero pieces: interval means of a zero coefficient, their negation,
+    # whose rows of -0.0 evaluate to -0.0 at t < 0, and rows that differ
+    # only in the sign of a zero part.
+    for k in (2, 3, n):
+        means = approximate_coefficients(PolyMatrix.zero(1, 1, a, b), k).entries[0][0]
+        cases += [means, -means]
+    cases.append(PiecewisePoly.step(grid.nodes[[0, 1, n]],
+                                    [complex(-0.0, 0.0), complex(0.0, -0.0)]))
+    for p in cases:
+        _assert_grid_samples_are_three_evaluations(p, grid)
+
+
+def test_grid_samples_take_left_limits_at_the_node_itself():
+    # The breakpoint -0.0 equals the node 0.0.  At t = -0.0 the first piece
+    # would evaluate to -0.0; at the node it is 0.0, as __call__ gives it.
+    p = PiecewisePoly([-1.0, -0.0, 1.0], [[-0.0, 1.0], [2.0]])
+    _assert_grid_samples_are_three_evaluations(p, Grid(-1.0, 1.0, 4))
 
 
 # -- sampling and interpolation ----------------------------------------------

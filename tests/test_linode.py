@@ -118,6 +118,18 @@ def _coupled_system():
     return PolyMatrix(entries), g
 
 
+def test_non_finite_left_limit_is_refused():
+    # 1.3e308 + 1e308 t overflows only at t = 1/2 from the left: the nodes
+    # (right limits) and midpoints of the grid stay finite.
+    jump = PiecewisePoly([0.0, 0.5, 1.0], [[1.3e308, 1e308], [0.0]])
+    grid = Grid(0.0, 1.0, 4)
+    assert np.all(np.isfinite(jump(grid.nodes))) and np.all(np.isfinite(jump(grid.half_nodes)))
+    zero = PolyMatrix.zero(1, 1, 0.0, 1.0)
+    for system in ((PolyMatrix([[jump]]), None), (zero, PolyVector([jump]))):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"non-finite.*\(end\)"):
+            next(_propagate([system], grid))
+
+
 def _full_square(top):
     """The (s, s, ...) batch-last arrays whose top rows are ``top`` and
     whose bottom rows are 0, as an augmented increment has."""
@@ -135,7 +147,7 @@ def test_chunked_composition_matches_step_loop(n):
     # 1025 and 1537 end in a one-step block.
     A, g = _coupled_system()
     grid = _grid(n)
-    blocks = list(_increments(A, g, grid))
+    blocks = list(_increments(_coefficient_panels(A, grid), _coefficient_panels(g, grid), grid.h))
     assert all(D.shape == (2, 3, min(BLOCK_STEPS, n - i * BLOCK_STEPS))
                for i, D in enumerate(blocks))
     rng = np.random.default_rng(n)
@@ -190,11 +202,28 @@ def test_batch_last_product_matches_matmul(s):
             check(A, B, _full_square(B))
 
 
+def _reference_panel(F, t, side):
+    """F at the points t, entry by entry, as (len(t), ...) with ... the shape of F."""
+    if isinstance(F, PolyVector):
+        return np.stack([c(t, side=side) for c in F.components], axis=-1)
+    return np.stack([np.stack([e(t, side=side) for e in row], axis=-1) for row in F.entries],
+                    axis=-2)
+
+
+def _reference_panels(F, grid):
+    """F at the step starts (right limits), midpoints and step ends (left
+    limits): three evaluations of every entry."""
+    nodes = grid.nodes
+    return (_reference_panel(F, nodes[:-1], "right"),
+            _reference_panel(F, grid.half_nodes, "right"),
+            _reference_panel(F, nodes[1:], "left"))
+
+
 def _reference_increments(A, g, grid):
     """The full-square (s, s, L) RK4 increments, bottom row included."""
     d = A.shape[0]
-    panels = _coefficient_panels(A, grid)
-    forcing = None if g is None else _coefficient_panels(g, grid)
+    panels = _reference_panels(A, grid)
+    forcing = None if g is None else _reference_panels(g, grid)
     s = d + (g is not None)
     h = grid.h
     for lo in range(0, grid.n, BLOCK_STEPS):
@@ -251,7 +280,7 @@ def _assert_top_rows_match_full_square(A, g, grid):
     s = d + (g is not None)
     full = _reference_compose(_reference_increments(A, g, grid),
                               np.eye(s, dtype=complex), grid.n)
-    top = next(_propagate([(A, g)], grid))
+    top = next(_propagate([(A, g)], grid))[0]
     assert top.shape == (grid.n + 1, d, s)
     np.testing.assert_array_equal(top, full[:, :d])
     np.testing.assert_array_equal(full[:, d:], np.broadcast_to(np.eye(s)[d:], full[:, d:].shape))
@@ -286,7 +315,7 @@ def test_inverse_fundamental_stays_inverse_on_the_fine_grid(name):
 def test_augmented_pass_carries_matrizant_and_forced_trajectory():
     A, g = _coupled_system()
     for grid in (_grid(), _grid(1537)):
-        augmented = next(_propagate([(A, g)], grid))
+        augmented = next(_propagate([(A, g)], grid))[0]
         assert augmented.shape == (grid.n + 1, 2, 3)
         np.testing.assert_array_equal(augmented[:, :, :2], fundamental_matrix(A, grid))
         np.testing.assert_array_equal(augmented[:, :, 2], forced_trajectory(A, g, grid))
@@ -302,10 +331,10 @@ def _reference_inverse(A, grid):
 
 
 def _assert_family_equals_single_passes(systems, grid):
-    tables = list(_propagate(systems, grid, inverse=True))
+    tables = [table for table, _ in _propagate(systems, grid, inverse=True)]
     assert len(tables) == len(systems) + 1
     for (A, g), got in zip(systems, [tables[0], *tables[2:]]):
-        np.testing.assert_array_equal(got, next(_propagate([(A, g)], grid)))
+        np.testing.assert_array_equal(got, next(_propagate([(A, g)], grid))[0])
     # Z of the first system, from the left columns of its [V | R]
     # increments, is Z from the increments of V alone.
     np.testing.assert_array_equal(tables[1], inverse_fundamental(systems[0][0], grid))
@@ -342,10 +371,10 @@ def test_family_passes_hold_at_most_the_byte_cap(monkeypatch, tables_per_pass):
     A, g = _coupled_system()
     grid = _grid(1537)
     systems = [(approximate_coefficients(A, k), g) for k in (1, 2, 3, 4, 5)]
-    expected = list(_propagate(systems, grid, inverse=True))
+    expected = [table for table, _ in _propagate(systems, grid, inverse=True)]
     table_bytes = (grid.n + 1) * 2 * 3 * 16
     monkeypatch.setattr(linode, "PASS_BYTES", tables_per_pass * table_bytes + table_bytes // 2)
-    got = list(_propagate(systems, grid, inverse=True))
+    got = [table for table, _ in _propagate(systems, grid, inverse=True)]
     for want, have in zip(expected, got):
         np.testing.assert_array_equal(have, want)
     # Each yielded table is a view of its pass's table; Z rides in the
