@@ -27,14 +27,7 @@ from .boundary import (
     norm_lower_bound,
     norm_upper_bound,
 )
-from .bvp import (
-    BvpProblem,
-    NotUniquelySolvableError,
-    _check_solvable,
-    _companion_system,
-    _finish,
-    _scaled_lift,
-)
+from .bvp import BvpProblem, BvpSolution, _solve_pass
 from .funcspace import (
     Grid,
     PiecewisePoly,
@@ -44,10 +37,8 @@ from .funcspace import (
     norm_c,
     norm_cl,
     norm_w1r,
-    traj_norm_c,
     vec_norm,
 )
-from .linode import _propagate
 
 __all__ = [
     "ErrorConstants",
@@ -64,7 +55,7 @@ __all__ = [
     "sawtooth_perturbation",
 ]
 
-_DEFAULT_SIGMA_PROBE_KS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+_SIGMA_PROBE_KS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
 @dataclass(frozen=True)
@@ -171,36 +162,31 @@ def build_multipoint_problem(problem: BvpProblem, k: int,
     )
 
 
-def _sigma_for(problem: BvpProblem, ks) -> float:
-    op = problem.operator
-    if isinstance(op, MultipointBoundaryOperator):
-        return norm_upper_bound(op)
-    return max(norm_upper_bound(multipointify(op, k)) for k in ks)
-
-
-def remark3_constants(problem: BvpProblem, sigma_probe_ks=None) -> ErrorConstants:
+def remark3_constants(problem: BvpProblem) -> ErrorConstants:
     """Compute the certified constants (c1, c2, lambda_hat, kappa_hat, sigma_hat).
 
     c1 and c2 come from the matrizant of the companion system and the
     characteristic matrix; lambda_hat is the reciprocal of a probe lower
     bound for |B|, so kappa_hat = (c1 + c2) lambda_hat + c1 c2 + 1 is an
     upper bound for the true constant.  sigma_hat takes the operator-norm
-    upper bound over ``sigma_probe_ks`` discretizations (or of the operator
-    itself when it is already multipoint).
+    upper bound over the _SIGMA_PROBE_KS discretizations (or of the
+    operator itself when it is already multipoint).
     """
-    P = _companion_system(problem)[0]
-    (V, _), (Z, _) = _propagate([(P, None)], problem.grid, inverse=True)
-    T, e = _scaled_lift(problem)
-    inverse_norm = _check_solvable(T.apply_trajectory(V), e)[3]
-    return _certified_constants(problem, traj_norm_c(V), traj_norm_c(Z), inverse_norm,
-                                _sigma_for(problem, sigma_probe_ks or _DEFAULT_SIGMA_PROBE_KS))
+    reference, w_c = _solve_pass([problem], inverse=True)
+    op = problem.operator
+    if isinstance(op, MultipointBoundaryOperator):
+        sigma_hat = norm_upper_bound(op)
+    else:
+        sigma_hat = max(norm_upper_bound(multipointify(op, k)) for k in _SIGMA_PROBE_KS)
+    return _certified_constants(problem, reference, w_c, sigma_hat)
 
 
-def _certified_constants(problem: BvpProblem, v_c: float, w_c: float,
-                         inverse_norm: float, sigma_hat: float) -> ErrorConstants:
-    """The constants from |V|_C = v_c, |V^-1|_C = w_c, |[TV]^-1| =
-    inverse_norm and the bound sigma_hat."""
-    c1 = 1.0 + v_c * inverse_norm
+def _certified_constants(problem: BvpProblem, reference: BvpSolution, w_c: float,
+                         sigma_hat: float) -> ErrorConstants:
+    """The constants from the solution ``reference`` of ``problem``, its
+    |V^-1|_C = w_c and the bound sigma_hat."""
+    v_c = reference.matrizant_norm_c
+    c1 = 1.0 + v_c * reference.char_inverse_norm
     if problem.r == 1:
         c2 = 2.0 + v_c * w_c * problem.coeffs[0].l1_norm()
     else:
@@ -218,29 +204,23 @@ def _solve_family(problem: BvpProblem, entries, inverse: bool):
     q.  Returns the reference solution, one row per entry, and |V^-1|_C of
     the reference when ``inverse`` (else None).  A refused reference
     raises NotUniquelySolvableError; a refused approximation is a row with
-    ``solvable`` False.  Each member's operator is lifted, and its row
-    built, as the pass hands over its table.
+    ``solvable`` False.
     """
     members = [build_multipoint_problem(problem, k, f=f_k, q=q_k) for k, f_k, q_k in entries]
-    tables = _propagate([_companion_system(p) for p in [problem, *members]],
-                        problem.grid, inverse=inverse, rows=problem.m)
-    reference = _finish(problem, *next(tables))
-    w_c = traj_norm_c(next(tables)[0]) if inverse else None
-    rows = [_row(k, member, *passed, reference)
-            for (k, _, _), member, passed in zip(entries, members, tables)]
+    reference, *solved = _solve_pass([problem, *members], inverse)
+    w_c = solved.pop(0) if inverse else None
+    rows = [_row(k, member, sol, reference)
+            for (k, _, _), member, sol in zip(entries, members, solved)]
     return reference, rows, w_c
 
 
-def _row(k: int, member: BvpProblem, table: np.ndarray, coefficients: np.ndarray,
-         reference) -> SweepRow:
-    row = SweepRow(k=k, solvable=False, sigma_hat=norm_upper_bound(member.operator))
-    try:
-        sol = _finish(member, table, coefficients)
-    except NotUniquelySolvableError as exc:
-        row.det_abs = abs(exc.det)
+def _row(k: int, member: BvpProblem, sol, reference: BvpSolution) -> SweepRow:
+    """The row of a member from its solution, or from the
+    NotUniquelySolvableError that refused it."""
+    row = SweepRow(k=k, solvable=isinstance(sol, BvpSolution), det_abs=abs(sol.det),
+                   sigma_hat=norm_upper_bound(member.operator))
+    if not row.solvable:
         return row
-    row.solvable = True
-    row.det_abs = abs(sol.det)
     row.c1_factor = sol.matrizant_norm_c * sol.char_inverse_norm
     diff = sol.jet - reference.jet
     row.err_w1r = norm_w1r(diff)
@@ -270,8 +250,7 @@ def sweep(problem: BvpProblem, ks) -> ApproximationReport:
     if not ks:
         raise ValueError("need at least one k")
     reference, rows, w_c = _solve_family(problem, [(k, None, None) for k in ks], inverse=True)
-    constants = _certified_constants(problem, reference.matrizant_norm_c, w_c,
-                                     reference.char_inverse_norm,
+    constants = _certified_constants(problem, reference, w_c,
                                      max(row.sigma_hat for row in rows))
     for row in rows:
         row.bound_holds = row.solvable
@@ -287,22 +266,14 @@ def sweep(problem: BvpProblem, ks) -> ApproximationReport:
     return report
 
 
-def _check_rhs_entries(problem: BvpProblem, rhs_sequence):
-    """Normalize to sorted (k, f_k, q_k) triples.
-
-    Entries may be (k, f_k, q_k) triples or plain (f_k, q_k) pairs; pairs
-    are numbered consecutively from k = 1 in the order given.
-    """
+def _check_rhs_entries(rhs_sequence):
+    """The (k, f_k, q_k) entries as sorted triples."""
     entries = []
-    for position, entry in enumerate(rhs_sequence, start=1):
-        if len(entry) == 3:
-            k, f_k, q_k = entry
-            entries.append((int(k), f_k, q_k))
-        elif len(entry) == 2:
-            f_k, q_k = entry
-            entries.append((position, f_k, q_k))
-        else:
-            raise ValueError("right-hand sides must be (k, f, q) or (f, q) entries")
+    for entry in rhs_sequence:
+        if len(entry) != 3:
+            raise ValueError("right-hand sides must be (k, f, q) entries")
+        k, f_k, q_k = entry
+        entries.append((int(k), f_k, q_k))
     entries.sort(key=lambda e: e[0])
     if not entries:
         raise ValueError("need at least one perturbed right-hand side")
@@ -326,7 +297,7 @@ def theorem2_check(problem: BvpProblem, rhs_sequence, eps: float) -> Approximati
     and whether that ratio has stabilized at the tail of the sweep.
     """
     _check_eps(eps)
-    entries = _check_rhs_entries(problem, rhs_sequence)
+    entries = _check_rhs_entries(rhs_sequence)
     l1_gaps = {}
     for k, f_k, q_k in entries:
         l1 = l1_gaps[k] = (f_k - problem.f).l1_norm()
@@ -365,7 +336,7 @@ def theorem3_check(problem: BvpProblem, rhs_sequence, eps: float) -> Approximati
     for every k beyond the detected threshold rho.
     """
     _check_eps(eps)
-    entries = _check_rhs_entries(problem, rhs_sequence)
+    entries = _check_rhs_entries(rhs_sequence)
     grid = problem.grid
     gaps = {}
     for k, f_k, q_k in entries:
@@ -380,8 +351,7 @@ def theorem3_check(problem: BvpProblem, rhs_sequence, eps: float) -> Approximati
             raise ValueError(f"entry k={k} violates |q_k - q| < eps")
         gaps[k] = (diff.l1_norm(), gap)
     reference, rows, w_c = _solve_family(problem, entries, inverse=True)
-    constants = _certified_constants(problem, reference.matrizant_norm_c, w_c,
-                                     reference.char_inverse_norm,
+    constants = _certified_constants(problem, reference, w_c,
                                      max(row.sigma_hat for row in rows))
     bound = constants.kappa_hat * constants.sigma_hat * eps
     for row in rows:

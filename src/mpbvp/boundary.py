@@ -191,7 +191,7 @@ def multipointify(op: GeneralBoundaryOperator, k: int) -> MultipointBoundaryOper
     The alpha blocks become order-l terms at a (independent of k).  Every
     density in Phi is replaced by k midpoint atoms carrying the exact
     per-subinterval integrals; original atoms pass through.  Atoms are then
-    grouped by location into order-(r-1) terms.
+    grouped by location, with ``_cluster_starts``, into order-(r-1) terms.
     """
     if int(k) != k or k < 1:
         raise ValueError(f"need an integer k >= 1, got {k}")
@@ -204,8 +204,7 @@ def multipointify(op: GeneralBoundaryOperator, k: int) -> MultipointBoundaryOper
     order = np.argsort(t.real, kind="stable")
     t, w = t.real[order], w[order]
     i, j = (index.real[order].astype(np.intp) for index in (i, j))
-    # A cluster starts where the gap to the previous atom exceeds tol.
-    starts = np.diff(t, prepend=-np.inf) > tol
+    starts = _cluster_starts(t, tol)
     weights = np.zeros((np.count_nonzero(starts), rows, m), dtype=complex)
     np.add.at(weights, (np.cumsum(starts) - 1, i, j), w)
     nodes, orders, alphas = _alpha_terms(op)

@@ -8,8 +8,10 @@ pass.  The solution is assembled from the characteristic matrix [T V]:
 
     u = V [T V]^-1 (q - T R) + R.
 
-The problem is flagged as not uniquely solvable when [T V] is singular or
-numerically so.
+The problem is flagged as not uniquely solvable when [T V] cannot be
+inverted or its condition number exceeds COND_LIMIT.  ``_solve_pass`` is
+the one driver: ``solve``, the approximation sweeps and the certified
+constants all solve through it.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ __all__ = [
     "residuals",
 ]
 
-#: |det([TV] / max_column_norm)| below DET_TOL flags a singular problem.
-DET_TOL = 1e-12
 #: Condition numbers above this flag the problem as not uniquely solvable.
 COND_LIMIT = 1e12
 
@@ -202,9 +202,6 @@ def _check_solvable(char: np.ndarray, e: int) -> tuple[complex, float, np.ndarra
     Returns the det and cond of [TV], inv(char) and |[TV]^-1|.  The tests
     run on char, so they do not depend on the scale of the weights.
     """
-    scale = mat_norm(char)
-    # The det test runs on char / |char|, so no power of |char| is formed.
-    unit_det = abs(np.linalg.det(char / (scale or 1.0)))
     # numpy forms a det as sign * exp(log|det|).  Where that leaves the
     # float range a zero part of the sign turns into nan, so the det of
     # char, rescaled part by part, stands in; elsewhere it would differ in
@@ -213,18 +210,12 @@ def _check_solvable(char: np.ndarray, e: int) -> tuple[complex, float, np.ndarra
         det = complex(np.linalg.det(_ldexp(char, e)))
     if not np.isfinite(det):
         det = complex(_ldexp(np.linalg.det(char), char.shape[0] * e)[0])
-    if unit_det < DET_TOL:
-        raise NotUniquelySolvableError(
-            f"characteristic matrix is singular "
-            f"(|det| / |TV|^d = {unit_det:.3e} < {DET_TOL:.0e})",
-            det=det,
-        )
     try:
         inverse = np.linalg.inv(char)
     except np.linalg.LinAlgError as exc:
         raise NotUniquelySolvableError("characteristic matrix is singular", det=det) from exc
     inverse_norm = mat_norm(inverse)
-    cond = scale * inverse_norm
+    cond = mat_norm(char) * inverse_norm
     if cond > COND_LIMIT:
         raise NotUniquelySolvableError(
             f"characteristic matrix is numerically singular (cond = {cond:.3e})",
@@ -237,19 +228,39 @@ def _check_solvable(char: np.ndarray, e: int) -> tuple[complex, float, np.ndarra
 def solve(problem: BvpProblem) -> BvpSolution:
     """Solve the boundary-value problem on its grid.
 
-    Raises NotUniquelySolvableError when the characteristic matrix fails the
-    determinant or condition test.
+    Raises NotUniquelySolvableError when the characteristic matrix cannot
+    be inverted or fails the condition test.
     """
-    return _finish(problem, *next(_propagate([_companion_system(problem)], problem.grid,
-                                             rows=problem.m)))
+    return _solve_pass([problem])[0]
+
+
+def _solve_pass(problems, inverse: bool = False) -> list:
+    """Solve problems of one shape on one grid in one RK4 pass.
+
+    Returns the solution of the first problem, which raises
+    NotUniquelySolvableError if refused; then, with ``inverse``, its
+    |V^-1|_C; then, for every other problem, its BvpSolution or the
+    NotUniquelySolvableError that refused it.
+    """
+    first = problems[0]
+    tables = _propagate([_companion_system(p) for p in problems], first.grid,
+                        inverse=inverse, rows=first.m)
+    out = [_finish(first, *next(tables))]
+    if inverse:
+        out.append(traj_norm_c(next(tables)[0]))
+    for problem, passed in zip(problems[1:], tables):
+        try:
+            out.append(_finish(problem, *passed))
+        except NotUniquelySolvableError as exc:
+            out.append(exc)
+    return out
 
 
 def _finish(problem: BvpProblem, augmented: np.ndarray, coefficients: np.ndarray) -> BvpSolution:
-    """The solution of ``problem`` from the top rows [V | R] of its
-    augmented matrizant and the node values (n+1, m, d+1) of the bottom
-    block row [A_0 ... A_{r-1} | f] of its companion system, as the pass
-    hands them over: lift the operator, gate [TV], assemble the jet and its
-    diagnostics.  Raises NotUniquelySolvableError as ``solve`` does.
+    """The solution of ``problem`` from its table [V | R] and the node
+    values (n+1, m, d+1) of the bottom block row [A_0 ... A_{r-1} | f] of
+    its companion system: lift the operator, gate [TV], assemble the jet
+    and its diagnostics.  Raises NotUniquelySolvableError as ``solve`` does.
     """
     grid = problem.grid
     r, m = problem.r, problem.m
@@ -281,9 +292,9 @@ def _finish(problem: BvpProblem, augmented: np.ndarray, coefficients: np.ndarray
     return solution
 
 
-def residuals(problem: BvpProblem, solution: BvpSolution) -> tuple[float, float]:
-    """(L1 norm of L y - f over the grid, |B y - q| in the vector norm)."""
-    jet = solution.jet
+def residuals(problem: BvpProblem, jet: SampledJet) -> tuple[float, float]:
+    """(L1 norm of L y - f over the grid, |B y - q| in the vector norm) of
+    the jet y."""
     grid = problem.grid
     defect = jet.samples[problem.r].copy()
     for l in range(problem.r):

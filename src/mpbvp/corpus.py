@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .boundary import BoundaryTerm, GeneralBoundaryOperator, MultipointBoundaryOperator
-from .bvp import BvpProblem, residuals, BvpSolution
+from .bvp import BvpProblem, residuals
 from .funcspace import Grid, PiecewisePoly, PolyMatrix, PolyVector, SampledJet
 from .stieltjes import MatrixMeasure, ScalarMeasure
 
@@ -162,9 +162,7 @@ def _load(name: str, n: int):
         raise ValueError(f"unknown problem {name!r} (known: {known})")
     problem, jet = _BUILDERS[key](n)
     if jet is not None:
-        shim = BvpSolution(jet=jet, char_matrix=np.eye(problem.r * problem.m),
-                           det=1.0, cond=1.0)
-        ode_defect, boundary_defect = residuals(problem, shim)
+        ode_defect, boundary_defect = residuals(problem, jet)
         if ode_defect > _RESIDUAL_TOL or boundary_defect > _RESIDUAL_TOL:
             raise AssertionError(
                 f"reference problem {key!r} failed its closed-form check "

@@ -3,16 +3,16 @@
 On the augmented state (u, 1) of u' = -A(t) u + g(t) an RK4 step is the
 linear map U -> U + D_i U.  The bottom row of that state is always
 (0, ..., 0, 1) and the bottom row of every increment D_i is 0, so every
-RK4 array holds only its top d rows: (d, s, N), with s = d, or s = d + 1
-when g is given, and the steps on the last axis.  ``_mm`` multiplies these
-batch-last arrays with d broadcast multiply-adds over whole rows of steps,
-where a stacked ``@`` would pay numpy's per-matrix overhead on each tiny
-product; contracting over the right factor's d rows is exact whenever its
-bottom row is 0.  The increments D_i are formed in blocks of BLOCK_STEPS
-steps from the coefficient panels, and a chunked scan composes each block:
-about sqrt(L) chunks of a block of L steps form their prefix increments
-side by side, then the state is carried across the chunks, so the Python
-loops run about 2 sqrt(L) times per block instead of L.
+RK4 array holds only its top d rows: (d, s, N), with s = d + 1 and the
+steps on the last axis.  ``_mm`` multiplies these batch-last arrays with
+d broadcast multiply-adds over whole rows of steps, where a stacked ``@``
+would pay numpy's per-matrix overhead on each tiny product; contracting
+over the right factor's d rows is exact whenever its bottom row is 0.  The
+increments D_i are formed in blocks of BLOCK_STEPS steps from the
+coefficient panels, and a chunked scan composes each block: about sqrt(L)
+chunks of a block of L steps form their prefix increments side by side,
+then the state is carried across the chunks, so the Python loops run
+about 2 sqrt(L) times per block instead of L.
 
 One pass propagates a family of K systems of one shape on one grid, such
 as a limit problem and its multipoint approximations.  Each member's
@@ -27,13 +27,15 @@ over several passes.
 
 A pass from I_{d+1} gives the top rows [V | R] of the augmented matrizant
 [[V, R], [0, 1]]: the matrizant V and the forced trajectory R with
-R(a) = 0 together.  Z = V^-1 composes, transposed, the inverse increments
-(I + D_i)^-1 - I, so Z V = I step by step.  It is a member of the pass of
-the system it inverts, and its increments come from the left d columns of
-that system's increments, which are the increments of V; so Z needs no
-second evaluation of the coefficients.  Storing increments rather than
-I + D_i keeps their low bits.  Node values come out step-first, as
-(n+1, d, s).
+R(a) = 0 together.  The left d columns of every product do not depend on
+g, so V is bit for bit the same for any forcing; ``fundamental_matrix``
+is V of a zero-forcing pass.  Z = V^-1 composes, transposed, the inverse
+increments (I + D_i)^-1 - I, so Z V = I step by step.  It is a member of
+the pass of the system it inverts, and its increments come from the left
+d columns of that system's increments, which are the increments of V; so
+Z needs no second evaluation of the coefficients.  Storing increments
+rather than I + D_i keeps their low bits.  Node values come out
+step-first, as (n+1, d, s).
 
 The RK4 stages of step i read the coefficients at t_i, at the midpoint and
 at t_{i+1}.  The end of step i is the start of step i+1, so each entry is
@@ -100,24 +102,21 @@ def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _increments(panels, forcing, h: float):
-    """Top rows of the RK4 step increments, yielded batch-last as (d, s, L)
-    blocks of at most BLOCK_STEPS steps, from the ``_coefficient_panels``
-    of A and, unless ``forcing`` is None, of g.
+    """Top rows of the RK4 step increments, yielded batch-last as
+    (d, d + 1, L) blocks of at most BLOCK_STEPS steps, from the
+    ``_coefficient_panels`` of A and of g.
 
-    They act on u' = -A u, or with g on (u, 1)' = [[-A, g], [0, 0]] (u, 1),
-    whose bottom row is 0 in every stage.
+    They act on (u, 1)' = [[-A, g], [0, 0]] (u, 1), whose bottom row is 0
+    in every stage.
     """
     d, _, n = panels[1].shape
-    s = d + (forcing is not None)
     for lo in range(0, n, BLOCK_STEPS):
         hi = min(lo + BLOCK_STEPS, n)
         # Stage coefficients at the step starts, midpoints and step ends.
-        m0, mm, m1 = (np.zeros((d, s, hi - lo), dtype=complex) for _ in range(3))
-        for m, panel in zip((m0, mm, m1), panels):
+        m0, mm, m1 = (np.empty((d, d + 1, hi - lo), dtype=complex) for _ in range(3))
+        for m, panel, f in zip((m0, mm, m1), panels, forcing):
             np.negative(panel[..., lo:hi], out=m[:, :d])
-        if forcing is not None:
-            for m, f in zip((m0, mm, m1), forcing):
-                m[:, d] = f[:, lo:hi]
+            m[:, d] = f[:, lo:hi]
         # Stages of U' = M U from U = I, with k1 = m0: D_i = h/6 (k1 + 2 k2 + 2 k3 + k4).
         k2 = mm + (0.5 * h) * _mm(mm, m0)
         k3 = mm + (0.5 * h) * _mm(mm, k2)
@@ -184,18 +183,15 @@ def _scan(table: np.ndarray) -> None:
 
 
 def _propagate(systems, grid: Grid, inverse: bool = False, rows: int = 0):
-    """Yield, system by system, the top rows (n+1, d, s) of the node values
-    of the composed RK4 steps from I, each with the node values
-    (n+1, rows, s) of the bottom ``rows`` rows of [A | g].
+    """Yield, system by system, the top rows [V | R] (n+1, d, d+1) of the
+    augmented matrizant [[V, R], [0, 1]], each with the node values
+    (n+1, rows, d+1) of the bottom ``rows`` rows of [A | g].
 
-    ``systems`` are (A, g) pairs of one shape: A is d x d for all of them,
-    and g is given for all or for none.  Without g a table is the matrizant
-    V (s = d); with g it is [V | R], the top rows of the augmented
-    matrizant [[V, R], [0, 1]] (s = d + 1).  With ``inverse`` the inverse
-    matrizant Z = V^-1 (n+1, d, d) of the first system follows its table,
-    with None for node values.
+    ``systems`` are (A, g) pairs of one shape, A d x d.  With ``inverse``
+    the inverse matrizant Z = V^-1 (n+1, d, d) of the first system follows
+    its table, with None for node values.
 
-    The members of a pass share one (K, n+1, d, s) table, and each table
+    The members of a pass share one (K, n+1, d, d+1) table, and each table
     is yielded as a view of it.  A pass holds at most PASS_BYTES of tables,
     or one member's table if that is larger; Z is a member of the first
     system's pass.
@@ -204,7 +200,7 @@ def _propagate(systems, grid: Grid, inverse: bool = False, rows: int = 0):
     d, cols = systems[0][0].shape
     if d != cols:
         raise ValueError("coefficient matrix must be square")
-    s = d + (systems[0][1] is not None)
+    s = d + 1
     # A member is a system index, or None for Z of system 0.
     members = [0, None, *range(1, len(systems))] if inverse else list(range(len(systems)))
     per_pass = max(1, PASS_BYTES // ((grid.n + 1) * d * s * 16))
@@ -230,7 +226,7 @@ def _propagate(systems, grid: Grid, inverse: bool = False, rows: int = 0):
 
 
 def _fill(table: np.ndarray, slot: int, z: int | None, A: PolyMatrix,
-          g: PolyVector | None, grid: Grid, rows: int) -> np.ndarray:
+          g: PolyVector, grid: Grid, rows: int) -> np.ndarray:
     """Write the increments of (A, g) into the blocks of ``table[slot]``, as
     _scan reads them, and with ``z`` the transposed inverse increments
     E_i^T = ((I + D_i)^-1 - I)^T of their left d columns into the blocks of
@@ -239,11 +235,10 @@ def _fill(table: np.ndarray, slot: int, z: int | None, A: PolyMatrix,
     coefficient samples are freed on return."""
     d = A.shape[0]
     panels = _coefficient_panels(A, grid)
-    forcing = None if g is None else _coefficient_panels(g, grid)
-    kept = np.empty((grid.n + 1, rows, table.shape[-1]), dtype=complex)
+    forcing = _coefficient_panels(g, grid)
+    kept = np.empty((grid.n + 1, rows, d + 1), dtype=complex)
     kept[..., :d] = panels[0][d - rows:].transpose(2, 0, 1)
-    if forcing is not None:
-        kept[..., d] = forcing[0][d - rows:].T
+    kept[..., d] = forcing[0][d - rows:].T
     eye = np.eye(d, dtype=complex)
     i = 1
     for D in _increments(panels, forcing, grid.h):
@@ -263,13 +258,13 @@ def _fill(table: np.ndarray, slot: int, z: int | None, A: PolyMatrix,
 
 def fundamental_matrix(A: PolyMatrix, grid: Grid) -> np.ndarray:
     """Matrizant (n+1, d, d) of y' + A(t) y = 0: solves Y' = -A(t) Y, Y(a) = I."""
-    return next(_propagate([(A, None)], grid))[0]
+    return next(_propagate([(A, PolyVector.zero(A.shape[0], A.a, A.b))], grid))[0][..., :-1]
 
 
 def inverse_fundamental(A: PolyMatrix, grid: Grid) -> np.ndarray:
     """Inverse matrizant (n+1, d, d) Z = Y^-1 of Z' = Z A(t), Z(a) = I, as
     Z_{i+1} = Z_i + Z_i E_i."""
-    tables = _propagate([(A, None)], grid, inverse=True)
+    tables = _propagate([(A, PolyVector.zero(A.shape[0], A.a, A.b))], grid, inverse=True)
     next(tables)
     return next(tables)[0]
 

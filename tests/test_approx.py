@@ -196,6 +196,14 @@ def test_remark3_p3_closed_form_constants():
     assert abs(constants.kappa_hat - 30.0) <= 1e-8
 
 
+def test_remark3_p1_closed_form_constants():
+    # y' + y = f with the integral condition: V = e^-t, so |V|_C = 1 but
+    # |V^-1|_C = e, and [TV] = 1 - 1/e.
+    constants = remark3_constants(corpus.build_problem("p1", 512))
+    assert abs(constants.c1 - (1.0 + 1.0 / (1.0 - np.exp(-1.0)))) <= 1e-9
+    assert abs(constants.c2 - (2.0 + np.e)) <= 1e-9
+
+
 def test_certificate_is_valid():
     # lambda_hat * sigma_hat >= 1 always (the identity B applied after B^-1);
     # a certificate below that would be unsound.
@@ -255,12 +263,13 @@ def test_theorem2_rejects_large_perturbation():
         theorem2_check(problem, entries, eps)
 
 
-def test_theorem2_accepts_pair_entries():
+def test_theorem_checks_refuse_pair_entries():
     problem = corpus.build_problem("p1", 256)
     eps = 1e-3
     pairs = [(f_k, q_k) for _, f_k, q_k in constant_shift_rhs(problem, [1, 2], eps)]
-    report = theorem2_check(problem, pairs, eps)
-    assert [row.k for row in report.rows] == [1, 2]
+    for check in (theorem2_check, theorem3_check):
+        with pytest.raises(ValueError, match=r"\(k, f, q\) entries"):
+            check(problem, pairs, eps)
 
 
 def test_theorem3_sawtooth_certificate():

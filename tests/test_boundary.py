@@ -91,7 +91,7 @@ def test_multipointify_passes_atoms_through():
 
 def _multipointify_terms(op, k):
     """Reference multipointify terms: sort all atoms, then grow each cluster
-    while the gap to the previous atom is at most tol."""
+    while the next atom is at most tol beyond the cluster's first atom."""
     rows, m = op.rows, op.m
     terms = [BoundaryTerm(op.a, l, alpha) for l, alpha in enumerate(op.alphas)]
     disc = op.phi.discretize(k)
@@ -105,7 +105,7 @@ def _multipointify_terms(op, k):
     start = 0
     while start < len(located):
         end = start + 1
-        while end < len(located) and located[end][0] - located[end - 1][0] <= tol:
+        while end < len(located) and located[end][0] - located[start][0] <= tol:
             end += 1
         weight = np.zeros((rows, m), dtype=complex)
         for _, i, j, w in located[start:end]:
@@ -121,7 +121,8 @@ def _multipointify_loop(op, k):
 
 def test_multipointify_groups_atoms_like_the_loop():
     tol = 1e-12
-    # Atoms 0.6 tol apart in different entries chain into one cluster.
+    # Atoms 0.6 tol apart in different entries do not chain: a cluster ends
+    # tol past its first atom, so the three make two nodes.
     chained = GeneralBoundaryOperator(1, 2, [], MatrixMeasure([
         [ScalarMeasure.point_mass(0.0, 1.0, 0.5, 2.0),
          ScalarMeasure.point_mass(0.0, 1.0, 0.5 + 0.6 * tol, -1.0j)],
@@ -136,7 +137,12 @@ def test_multipointify_groups_atoms_like_the_loop():
             for x, y in zip(got.terms, want.terms):
                 assert (x.node, x.order) == (y.node, y.order)
                 np.testing.assert_array_equal(x.beta.view(np.uint64), y.beta.view(np.uint64))
-    assert [t.node for t in multipointify(chained, 1).terms] == [0.5]
+    nodes = [t.node for t in multipointify(chained, 1).terms]
+    assert nodes == [0.5, 0.5 + 1.2 * tol]
+    # The clustering rule of a multipoint operator built one term per atom.
+    one_per_atom = [BoundaryTerm(t, 0, np.ones((2, 2))) for t in (0.5, 0.5 + 0.6 * tol,
+                                                                 0.5 + 1.2 * tol)]
+    assert [t.node for t in MultipointBoundaryOperator(1, 2, 0.0, 1.0, one_per_atom).terms] == nodes
 
 
 def test_lift_matches_jet_application():

@@ -123,6 +123,26 @@ def test_degenerate_neumann_pair_rejected():
     assert info.value.det == 0.0
 
 
+def test_small_determinant_with_moderate_condition_solves():
+    # y' = 0 with y(0) scaled by diag(1, 1e-6, 1e-7): |det [TV]| = 1e-13,
+    # but cond = 1e7, so the gate passes and the solution is y = 1 exactly.
+    a, b = 0.0, 1.0
+    scales = np.array([1.0, 1e-6, 1e-7])
+    problem = BvpProblem(
+        r=1, m=3,
+        coeffs=[PolyMatrix.zero(3, 3, a, b)],
+        f=PolyVector.zero(3, a, b),
+        q=scales,
+        operator=MultipointBoundaryOperator(1, 3, a, b, [BoundaryTerm(a, 0, np.diag(scales))]),
+        grid=Grid(a, b, 64),
+    )
+    solution = solve(problem)
+    assert abs(solution.det) == pytest.approx(1e-13, rel=1e-12)
+    assert solution.cond == pytest.approx(1e7, rel=1e-12)
+    np.testing.assert_array_equal(solution.jet.samples[0], 1.0)
+    np.testing.assert_array_equal(solution.jet.samples[1], 0.0)
+
+
 def test_solution_diagnostics_populated():
     solution = solve(corpus.build_problem("p1", 512))
     assert solution.det != 0
@@ -163,15 +183,13 @@ def test_zero_rhs_gives_zero_solution():
 def test_residuals_detect_wrong_solution():
     problem, jet = corpus.load("p1", 256)
     good = solve(problem)
-    _, boundary_ok = residuals(problem, good)
+    _, boundary_ok = residuals(problem, good.jet)
     assert boundary_ok <= 1e-10
     # shift the solution by a constant: the integral condition must notice
-    from mpbvp import BvpSolution, SampledJet
+    from mpbvp import SampledJet
     shifted = SampledJet(jet.grid, jet.m, jet.r,
                          [jet.samples[0] + 1.0, jet.samples[1]])
-    bad = BvpSolution(jet=shifted, char_matrix=good.char_matrix,
-                      det=good.det, cond=good.cond)
-    ode_bad, boundary_bad = residuals(problem, bad)
+    ode_bad, boundary_bad = residuals(problem, shifted)
     assert boundary_bad > 0.5
     assert ode_bad > 0.5  # y' + y picks up the constant as well
 
@@ -195,7 +213,7 @@ def test_boundary_residual_matches_residuals():
         problem = corpus.build_problem(name, 512)
         solution = solve(problem)
         assert solution.boundary_residual == pytest.approx(
-            residuals(problem, solution)[1], rel=1e-12, abs=1e-15)
+            residuals(problem, solution.jet)[1], rel=1e-12, abs=1e-15)
 
 
 def test_fine_grid_solve_keeps_roundoff():

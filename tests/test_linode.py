@@ -124,8 +124,9 @@ def test_non_finite_left_limit_is_refused():
     jump = PiecewisePoly([0.0, 0.5, 1.0], [[1.3e308, 1e308], [0.0]])
     grid = Grid(0.0, 1.0, 4)
     assert np.all(np.isfinite(jump(grid.nodes))) and np.all(np.isfinite(jump(grid.half_nodes)))
-    zero = PolyMatrix.zero(1, 1, 0.0, 1.0)
-    for system in ((PolyMatrix([[jump]]), None), (zero, PolyVector([jump]))):
+    zero = PiecewisePoly.zero(0.0, 1.0)
+    for system in ((PolyMatrix([[jump]]), PolyVector([zero])),
+                   (PolyMatrix([[zero]]), PolyVector([jump]))):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"non-finite.*\(end\)"):
             next(_propagate([system], grid))
 
@@ -195,7 +196,7 @@ def test_batch_last_product_matches_matmul(s):
 
     # The shapes _increments and _scan multiply: two (d, s, L) blocks,
     # and the (d, s, K * chunks, c) prefix increments times the chunk starts,
-    # with s = d, and with s = d + 1 against an explicit zero bottom row.
+    # with s = d + 1 against an explicit zero bottom row; s = d is a full product.
     for t in (s, s + 1):
         for A, B in ((matrices(s, t, 37), matrices(s, t, 37)),
                      (matrices(s, t, 5, 7), matrices(s, t, 5, 1))):
@@ -277,7 +278,7 @@ def _reference_compose(blocks, start, n):
 
 def _assert_top_rows_match_full_square(A, g, grid):
     d = A.shape[0]
-    s = d + (g is not None)
+    s = d + 1
     full = _reference_compose(_reference_increments(A, g, grid),
                               np.eye(s, dtype=complex), grid.n)
     top = next(_propagate([(A, g)], grid))[0]
@@ -292,14 +293,12 @@ def test_top_rows_equal_full_square_propagation_on_corpus(name, n):
     problem = corpus.build_problem(name, n)
     P, g = companion_reduce(problem)[:2]
     _assert_top_rows_match_full_square(P, g, problem.grid)
-    _assert_top_rows_match_full_square(P, None, problem.grid)
 
 
 @pytest.mark.parametrize("n", [2, 3, 513, 1025, 1537])
 def test_top_rows_equal_full_square_propagation_on_coupled_system(n):
     A, g = _coupled_system()
     _assert_top_rows_match_full_square(A, g, _grid(n))
-    _assert_top_rows_match_full_square(A, None, _grid(n))
 
 
 @pytest.mark.parametrize("name", ["p1", "p2", "p3"])
@@ -353,7 +352,6 @@ def test_family_pass_equals_one_member_passes_on_corpus(name, n):
                 sawtooth_rhs(problem, ks, 1e-3)]
     systems = [companion_reduce(p)[:2] for p in members]
     _assert_family_equals_single_passes(systems, problem.grid)
-    _assert_family_equals_single_passes([(P, None) for P, _ in systems], problem.grid)
 
 
 @pytest.mark.parametrize("n", [2, 3, 513, 1537])
@@ -363,7 +361,6 @@ def test_family_pass_equals_one_member_passes_on_coupled_system(n):
     systems = [(A, g), (approximate_coefficients(A, 1), g),
                (approximate_coefficients(A, 3), g * 2.0j)]
     _assert_family_equals_single_passes(systems, _grid(n))
-    _assert_family_equals_single_passes([(B, None) for B, _ in systems], _grid(n))
 
 
 @pytest.mark.parametrize("tables_per_pass", [1, 2])

@@ -39,12 +39,14 @@ def test_round_trip_bit_exact_for_all_corpus(tmp_path):
         assert first.read_bytes() == second.read_bytes()
 
 
-def test_shipped_corpus_files_parse_and_solve():
-    import mpbvp
-
-    base = mpbvp.__path__[0]
-    problem = parse_problem(f"{base}/corpus/p1.json")
-    assert problem.r == 1 and problem.m == 1
+def test_indented_problem_file_parses_and_solves(tmp_path):
+    # The layout of a file is free: p1 written with an indent, as by hand,
+    # parses to the problem that problem_text writes.
+    p1 = corpus.build_problem("p1", 2048)
+    path = tmp_path / "p1.json"
+    path.write_text(json.dumps(problem_to_dict(p1), indent=2))
+    problem = parse_problem(str(path))
+    assert problem_text(problem) == problem_text(p1)
     solution = solve(problem)
     assert abs(solution.jet.samples[0][-1, 0] - (np.exp(-1.0) + 1.0)) <= 1e-8
 
