@@ -9,7 +9,8 @@ pass.  The solution is assembled from the characteristic matrix [T V]:
     u = V [T V]^-1 (q - T R) + R.
 
 The problem is flagged as not uniquely solvable when [T V] cannot be
-inverted or its condition number exceeds COND_LIMIT.  ``_solve_pass`` is
+inverted or its condition number is not at most COND_LIMIT, as when the
+matrizant overflows and [T V] is not finite.  ``_solve_pass`` is
 the one driver: ``solve``, the approximation sweeps and the certified
 constants all solve through it.
 """
@@ -216,9 +217,10 @@ def _check_solvable(char: np.ndarray, e: int) -> tuple[complex, float, np.ndarra
         raise NotUniquelySolvableError("characteristic matrix is singular", det=det) from exc
     inverse_norm = mat_norm(inverse)
     cond = mat_norm(char) * inverse_norm
-    if cond > COND_LIMIT:
+    if not cond <= COND_LIMIT:  # a nan cond fails this test too
+        reason = "numerically singular" if np.all(np.isfinite(char)) else "not finite"
         raise NotUniquelySolvableError(
-            f"characteristic matrix is numerically singular (cond = {cond:.3e})",
+            f"characteristic matrix is {reason} (cond = {cond:.3e})",
             det=det,
             cond=cond,
         )

@@ -13,6 +13,7 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import os
 import sys
@@ -224,7 +225,9 @@ def _cmd_check(args) -> int:
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use; each parse makes a fresh namespace."""
     parser = _Parser(prog="mpbvp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

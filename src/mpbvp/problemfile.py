@@ -5,11 +5,14 @@ piecewise-polynomial coefficients and right-hand side, boundary data
 vector, and the boundary operator (general measure form or explicit
 multipoint form).  Complex numbers are stored as ``[re, im]`` pairs and
 floats are emitted with ``repr`` precision, so ``parse(emit(p))``
-reconstructs every number bit for bit.  The parser decodes each number
-table (a polynomial's pieces, the data, alphas, atoms, term nodes and
-weights) as one array; numbers must be JSON numbers, not bools or strings,
-and integers must fit a double.  A rejected file names the ``$``-path of
-its first bad entry.
+reconstructs every number bit for bit.  The writer renders each number
+table (a polynomial's breakpoints and pieces, the data, alphas, atoms and
+the multipoint terms) by one template ``%`` the flat list of its numbers;
+its text is what ``json.dumps`` writes, and ``problem_to_dict`` is that
+text decoded.  The parser decodes each number table as one array, and the
+multipoint terms as one batch; numbers must be JSON numbers, not bools or
+strings, and integers must fit a double.  A rejected file names the
+``$``-path of its first bad entry.
 """
 
 from __future__ import annotations
@@ -118,19 +121,40 @@ def _complexes(value, shape: tuple, path: str) -> np.ndarray:
     return _numbers(value, shape + (2,), path).view(complex)[..., 0]
 
 
-def _pairs(values) -> list:
+# ---------------------------------------------------------------------------
+# Text templates
+
+
+def _template(leaf: str, shape) -> str:
+    """A nested JSON list of ``shape`` with ``leaf`` at every entry.
+
+    A table's text is its template ``%`` the flat list of its numbers:
+    ``%r`` of a Python float is json's spelling of it (every number a
+    problem holds is finite), so the text is what ``json.dumps`` writes.
+    The numbers come from ``tolist()``, as a numpy scalar's repr differs.
+    """
+    for n in reversed(shape):
+        leaf = "[" + ", ".join([leaf] * n) + "]"
+    return leaf
+
+
+def _complex_text(values) -> str:
     """A complex array as nested lists with an [re, im] pair per entry."""
-    z = np.asarray(values, dtype=complex)
-    return np.stack([z.real, z.imag], axis=-1).tolist()
+    z = np.ascontiguousarray(values, dtype=complex)
+    return _template("[%r, %r]", z.shape) % tuple(z.view(float).ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
 # Piecewise polynomials
 
 
-def _poly_to_dict(p: PiecewisePoly) -> dict:
-    pieces = [row[:width] for row, width in zip(_pairs(p.table), p.widths.tolist())]
-    return {"breakpoints": p.breakpoints.tolist(), "pieces": pieces}
+def _poly_text(p: PiecewisePoly) -> str:
+    widths = p.widths.tolist()
+    piece = {width: _template("[%r, %r]", (width,)) for width in set(widths)}
+    template = ('{"breakpoints": ' + _template("%r", (len(widths) + 1,))
+                + ', "pieces": [' + ", ".join([piece[width] for width in widths]) + "]}")
+    coeffs = p.table[np.arange(p.table.shape[1]) < p.widths[:, None]]
+    return template % tuple(p.breakpoints.tolist() + coeffs.view(float).tolist())
 
 
 def _poly_from_dict(obj, path: str) -> PiecewisePoly:
@@ -153,10 +177,11 @@ def _poly_from_dict(obj, path: str) -> PiecewisePoly:
 # Measures and boundary operators
 
 
-def _measure_to_dict(mu: ScalarMeasure) -> dict:
-    out = {"atoms": [[float(t), float(w.real), float(w.imag)] for t, w in mu.atoms]}
-    out["density"] = None if mu.density is None else _poly_to_dict(mu.density)
-    return out
+def _measure_text(mu: ScalarMeasure) -> str:
+    atoms = np.array([(t, w.real, w.imag) for t, w in mu.atoms], dtype=float)
+    density = "null" if mu.density is None else _poly_text(mu.density)
+    return ('{"atoms": ' + _template("[%r, %r, %r]", (len(mu.atoms),))
+            % tuple(atoms.ravel().tolist()) + ', "density": ' + density + "}")
 
 
 def _measure_from_dict(obj, a: float, b: float, path: str) -> ScalarMeasure:
@@ -173,20 +198,21 @@ def _measure_from_dict(obj, a: float, b: float, path: str) -> ScalarMeasure:
         return ScalarMeasure(a, b, atoms=zip(t, weights), density=density)
 
 
-def _boundary_to_dict(op) -> dict:
+def _boundary_text(op) -> str:
     if isinstance(op, GeneralBoundaryOperator):
-        return {
-            "kind": "general",
-            "alphas": [_pairs(alpha) for alpha in op.alphas],
-            "measure": [[_measure_to_dict(entry) for entry in row]
-                        for row in op.phi.entries],
-        }
+        alphas = np.reshape(op.alphas, (len(op.alphas), op.rows, op.m))
+        measure = _template("%s", (op.rows, op.m)) % tuple(
+            _measure_text(entry) for row in op.phi.entries for entry in row)
+        return ('{"kind": "general", "alphas": ' + _complex_text(alphas)
+                + ', "measure": ' + measure + "}")
     if isinstance(op, MultipointBoundaryOperator):
-        return {
-            "kind": "multipoint",
-            "terms": [{"node": node, "order": order, "weight": weight} for node, order, weight
-                      in zip(op.nodes.tolist(), op.orders.tolist(), _pairs(op.betas))],
-        }
+        count, rows, m = op.betas.shape
+        term = '    {"node": %r, "order": %d, "weight": ' + _template("[%r, %r]", (rows, m)) + "}"
+        weights = np.ascontiguousarray(op.betas).reshape(count, rows * m).view(float)
+        table = np.column_stack([op.nodes, op.orders, weights])
+        # one term per line; the order is written from its float by %d
+        return ('{"kind": "multipoint", "terms": [\n' + ",\n".join([term] * count)
+                % tuple(table.ravel().tolist()) + "\n  ]}")
     raise ProblemFormatError(f"boundary: unsupported operator type {type(op).__name__}")
 
 
@@ -202,12 +228,21 @@ def _boundary_from_dict(obj, r: int, m: int, a: float, b: float, path: str):
             return GeneralBoundaryOperator(r, m, alphas, MatrixMeasure(entries))
     if kind == "multipoint":
         terms = _as_list(_require(obj, "terms", path), path + ".terms")
-        nodes, orders, weights = [], [], []
-        for i, term in enumerate(terms):
-            where = f"{path}.terms[{i}]"
-            nodes.append(_require(term, "node", where))
-            orders.append(_as_int(_require(term, "order", where), where + ".order", 0, r - 1))
-            weights.append(_require(term, "weight", where))
+        try:  # the fields of all terms at once, with all orders checked together
+            nodes = [term["node"] for term in terms]
+            orders = [term["order"] for term in terms]
+            weights = [term["weight"] for term in terms]
+            batch = (set(map(type, orders)) <= {int}
+                     and 0 <= min(orders, default=0) and max(orders, default=0) <= r - 1)
+        except (TypeError, KeyError):
+            batch = False
+        if not batch:  # term by term, to name the first bad one
+            nodes, orders, weights = [], [], []
+            for i, term in enumerate(terms):
+                where = f"{path}.terms[{i}]"
+                nodes.append(_require(term, "node", where))
+                orders.append(_as_int(_require(term, "order", where), where + ".order", 0, r - 1))
+                weights.append(_require(term, "weight", where))
         try:
             betas = _complexes(weights, (len(terms), rows, m), path + ".terms")
             nodes = _numbers(nodes, (len(terms),), path + ".terms")
@@ -226,22 +261,8 @@ def _boundary_from_dict(obj, r: int, m: int, a: float, b: float, path: str):
 
 
 def problem_to_dict(problem: BvpProblem) -> dict:
-    """Serialize a problem to a JSON-ready dict with stable key order."""
-    return {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "order": problem.r,
-        "size": problem.m,
-        "interval": [float(problem.a), float(problem.b)],
-        "grid_n": problem.grid.n,
-        "coefficients": [
-            [[_poly_to_dict(entry) for entry in row] for row in A.entries]
-            for A in problem.coeffs
-        ],
-        "rhs": [_poly_to_dict(c) for c in problem.f.components],
-        "data": _pairs(problem.q),
-        "boundary": _boundary_to_dict(problem.operator),
-    }
+    """The problem as the JSON-ready dict its file holds, with stable key order."""
+    return json.loads(problem_text(problem))
 
 
 def problem_from_dict(obj) -> BvpProblem:
@@ -311,18 +332,25 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def problem_text(problem: BvpProblem) -> str:
-    """The problem file's text: one line per top-level key and per multipoint term.
-
-    Each line is encoded by ``json.dumps`` without ``indent``, which keeps
-    json's C encoder (``indent`` forces the pure-Python one).
-    """
-    obj = problem_to_dict(problem)
-    terms = obj["boundary"].pop("terms", None)
-    lines = [f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in obj.items()]
-    if terms is not None:  # "boundary" is the last key, "terms" its last field
-        lines[-1] = (lines[-1][:-1] + ', "terms": [\n'
-                     + ",\n".join("    " + json.dumps(term) for term in terms) + "\n  ]}")
-    return "{\n" + ",\n".join(lines) + "\n}\n"
+    """The problem file's text: one line per top-level key and per multipoint
+    term, each line byte for byte what ``json.dumps`` writes for it."""
+    r, m = problem.r, problem.m
+    coefficients = _template("%s", (r, m, m)) % tuple(
+        _poly_text(entry) for A in problem.coeffs for row in A.entries for entry in row)
+    rhs = _template("%s", (m,)) % tuple(map(_poly_text, problem.f.components))
+    fields = [
+        ("format", json.dumps(FORMAT_NAME)),
+        ("version", "%d" % FORMAT_VERSION),
+        ("order", "%d" % r),
+        ("size", "%d" % m),
+        ("interval", "[%r, %r]" % (float(problem.a), float(problem.b))),
+        ("grid_n", "%d" % problem.grid.n),
+        ("coefficients", coefficients),
+        ("rhs", rhs),
+        ("data", _complex_text(problem.q)),
+        ("boundary", _boundary_text(problem.operator)),
+    ]
+    return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in fields) + "\n}\n"
 
 
 def emit_problem(problem: BvpProblem, path: str) -> None:

@@ -245,3 +245,21 @@ def scaled_boundary_problem(problem: BvpProblem, scale: float) -> BvpProblem:
     terms = [BoundaryTerm(t.node, t.order, scale * t.beta) for t in op.terms]
     return BvpProblem(problem.r, problem.m, problem.coeffs, problem.f, scale * problem.q,
                       MultipointBoundaryOperator(op.r, op.m, op.a, op.b, terms), problem.grid)
+
+
+def growth_problem(lam: float, n: int = 2048) -> BvpProblem:
+    """y'' = lam^2 y on [0, 1] with y(0) = y(1) = 1.
+
+    The matrizant grows like e^lam: [TV] is ill conditioned from about
+    lam = 40 on, and from about lam = 710 on it overflows to non-finite
+    entries.
+    """
+    a, b = 0.0, 1.0
+    terms = [BoundaryTerm(a, 0, np.array([[1.0], [0.0]])),
+             BoundaryTerm(b, 0, np.array([[0.0], [1.0]]))]
+    return BvpProblem(r=2, m=1,
+                      coeffs=[PolyMatrix([[PiecewisePoly.constant(-lam ** 2, a, b)]]),
+                              PolyMatrix.zero(1, 1, a, b)],
+                      f=PolyVector.zero(1, a, b), q=np.array([1.0, 1.0]),
+                      operator=MultipointBoundaryOperator(2, 1, a, b, terms),
+                      grid=Grid(a, b, n))

@@ -1,5 +1,7 @@
 """Companion reduction and the boundary-value solver."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from mpbvp import (
     residuals,
     solve,
 )
-from oracles import crank_nicolson_solve, random_problem
+from oracles import crank_nicolson_solve, growth_problem, random_problem
 
 
 def _dirichlet(r, m, a, b, *nodes_orders):
@@ -121,6 +123,21 @@ def test_degenerate_neumann_pair_rejected():
     with pytest.raises(NotUniquelySolvableError) as info:
         solve(problem)
     assert info.value.det == 0.0
+    assert str(info.value) == "characteristic matrix is singular"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the matrizant overflows
+@pytest.mark.parametrize("lam, message", [
+    (40, "numerically singular (cond = 4.825e+18)"),
+    (800, "not finite (cond = nan)"),
+    (2000, "not finite (cond = nan)"),
+])
+def test_growth_beyond_the_condition_limit_is_refused(lam, message):
+    # A nan cond is not <= COND_LIMIT: a non-finite [TV] is refused by the
+    # gate, not passed on to the jet.
+    with pytest.raises(NotUniquelySolvableError,
+                       match=rf"^characteristic matrix is {re.escape(message)}$"):
+        solve(growth_problem(lam))
 
 
 def test_small_determinant_with_moderate_condition_solves():

@@ -17,7 +17,7 @@ from mpbvp.boundary import BoundaryTerm, GeneralBoundaryOperator, MultipointBoun
 from mpbvp.bvp import BvpProblem
 from mpbvp.funcspace import MAX_GRID_N, Grid, PiecewisePoly, PolyMatrix, PolyVector
 from mpbvp.stieltjes import MatrixMeasure, ScalarMeasure
-from oracles import scaled_boundary_problem
+from oracles import growth_problem, scaled_boundary_problem
 
 
 def run(capsys, *argv):
@@ -60,6 +60,25 @@ def test_solve_not_uniquely_solvable(capsys):
     code, _, err = run(capsys, "solve", "nn")
     assert code == cli.EXIT_NOT_SOLVABLE
     assert "not uniquely solvable" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the matrizant overflows
+def test_overflowing_matrizant_is_not_solvable(capsys, tmp_path):
+    path = tmp_path / "growth.json"
+    emit_problem(growth_problem(800), str(path))
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == cli.EXIT_NOT_SOLVABLE
+    assert not out
+    assert "not uniquely solvable: characteristic matrix is not finite (cond = nan)" in err
+
+
+def test_parser_is_built_once_and_parses_afresh():
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    first = parser.parse_args(["approximate", "p1", "--k", "3", "--grid-n", "64"])
+    second = parser.parse_args(["solve", "p1"])
+    assert (first.k, first.grid_n) == (3, 64)
+    assert second.grid_n is None and not hasattr(second, "k")
 
 
 def test_missing_file_is_io_error(capsys):

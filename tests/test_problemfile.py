@@ -22,6 +22,7 @@ from mpbvp.bvp import BvpProblem
 from mpbvp.funcspace import MAX_GRID_N, Grid, PiecewisePoly, PolyMatrix, PolyVector
 from mpbvp.problemfile import problem_text
 from mpbvp.stieltjes import MatrixMeasure, ScalarMeasure
+from oracles import random_problem
 
 
 @pytest.fixture()
@@ -307,3 +308,120 @@ def test_malformed_term_order_names_its_entry():
                            (BIG, rf"expected an integer in \[0, 1\], got {BIG}")]:
         with pytest.raises(ProblemFormatError, match=rf"^{where}: {message}$"):
             problem_from_dict(_with_entry(base, ("boundary", "terms", 2, "order"), value))
+
+
+# ---------------------------------------------------------------------------
+# The writer against a reference: the dict-building writer, with each line
+# encoded by json.dumps, that problem_text replaced.  Both must give the
+# same bytes.
+
+
+def _reference_pairs(values) -> list:
+    z = np.asarray(values, dtype=complex)
+    return np.stack([z.real, z.imag], axis=-1).tolist()
+
+
+def _reference_poly(p):
+    pieces = [row[:width] for row, width in zip(_reference_pairs(p.table), p.widths.tolist())]
+    return {"breakpoints": p.breakpoints.tolist(), "pieces": pieces}
+
+
+def _reference_measure(mu):
+    return {"atoms": [[float(t), float(w.real), float(w.imag)] for t, w in mu.atoms],
+            "density": None if mu.density is None else _reference_poly(mu.density)}
+
+
+def _reference_boundary(op):
+    if isinstance(op, GeneralBoundaryOperator):
+        return {"kind": "general",
+                "alphas": [_reference_pairs(alpha) for alpha in op.alphas],
+                "measure": [[_reference_measure(entry) for entry in row]
+                            for row in op.phi.entries]}
+    return {"kind": "multipoint",
+            "terms": [{"node": node, "order": order, "weight": weight} for node, order, weight
+                      in zip(op.nodes.tolist(), op.orders.tolist(), _reference_pairs(op.betas))]}
+
+
+def _reference_dict(problem):
+    return {
+        "format": "mpbvp-problem",
+        "version": 1,
+        "order": problem.r,
+        "size": problem.m,
+        "interval": [float(problem.a), float(problem.b)],
+        "grid_n": problem.grid.n,
+        "coefficients": [[[_reference_poly(entry) for entry in row] for row in A.entries]
+                         for A in problem.coeffs],
+        "rhs": [_reference_poly(c) for c in problem.f.components],
+        "data": _reference_pairs(problem.q),
+        "boundary": _reference_boundary(problem.operator),
+    }
+
+
+def _reference_text(problem):
+    obj = _reference_dict(problem)
+    terms = obj["boundary"].pop("terms", None)
+    lines = [f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in obj.items()]
+    if terms is not None:
+        lines[-1] = (lines[-1][:-1] + ', "terms": [\n'
+                     + ",\n".join("    " + json.dumps(term) for term in terms) + "\n  ]}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def _assert_writer_matches_reference(problem):
+    assert problem_text(problem) == _reference_text(problem)
+    assert problem_to_dict(problem) == _reference_dict(problem)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # k = 1024 pieces collapse at n = 64
+@pytest.mark.parametrize("n", [64, 2048])
+@pytest.mark.parametrize("name", ["p1", "p2", "p3", "nn"])
+def test_writer_matches_reference_on_corpus_and_approximations(name, n):
+    base = corpus.build_problem(name, n)
+    for problem in [base] + [build_multipoint_problem(base, k) for k in (1, 4, 1024)]:
+        _assert_writer_matches_reference(problem)
+
+
+def test_writer_matches_reference_on_random_problems():
+    rng = np.random.default_rng(13)
+    problems = [random_problem(rng, n=64) for _ in range(8)]
+    kinds = {type(problem.operator) for problem in problems}
+    assert kinds == {GeneralBoundaryOperator, MultipointBoundaryOperator}
+    widths = {int(w) for problem in problems for c in problem.f.components for w in c.widths}
+    widths |= {int(w) for problem in problems for A in problem.coeffs
+               for row in A.entries for p in row for w in p.widths}
+    assert len(widths) > 1
+    for problem in problems:
+        _assert_writer_matches_reference(problem)
+
+
+def test_writer_matches_reference_on_special_values():
+    for problem in _special_values_problems():
+        _assert_writer_matches_reference(problem)
+
+
+# ---------------------------------------------------------------------------
+# Term-table errors deep in a large file: the batch decode of the terms
+# falls back to the term-by-term one, which names the bad term.
+
+
+@pytest.fixture(scope="module")
+def p2_k1024_dict():
+    return problem_to_dict(build_multipoint_problem(corpus.build_problem("p2", 2048), 1024))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("order", True, "$.boundary.terms[700].order: expected an integer, got True"),
+    ("order", 2, "$.boundary.terms[700].order: expected an integer in [0, 1], got 2"),
+    ("node", "0.5", "$.boundary.terms[700].node: expected a number, got '0.5'"),
+    ("weight", None, "$.boundary.terms[700]: missing required key 'weight'"),
+])
+def test_bad_term_in_a_large_file_names_its_entry(p2_k1024_dict, field, value, message):
+    bad = copy.deepcopy(p2_k1024_dict)
+    term = bad["boundary"]["terms"][700]
+    if value is None:
+        del term[field]
+    else:
+        term[field] = value
+    with pytest.raises(ProblemFormatError, match=rf"^{re.escape(message)}$"):
+        problem_from_dict(bad)
