@@ -33,6 +33,7 @@ from .funcspace import (
     PiecewisePoly,
     PolyMatrix,
     PolyVector,
+    _check_k,
     antiderivative,
     norm_c,
     norm_cl,
@@ -117,8 +118,7 @@ def approximate_coefficients(A: PolyMatrix, k: int) -> PolyMatrix:
     piecewise-constant A whose breakpoints align with the partition the
     approximation reproduces A exactly.
     """
-    if int(k) != k or k < 1:
-        raise ValueError(f"need an integer k >= 1, got {k}")
+    k = _check_k(k)
     a, b = A.a, A.b
     edges = a + (b - a) * np.arange(k + 1) / k
     widths = np.diff(edges)
@@ -389,8 +389,7 @@ def sawtooth_perturbation(grid: Grid, k: int, eps: float, m: int) -> PolyVector:
     antiderivative of the node samples exact.
     """
     _check_eps(eps)
-    if int(k) != k or k < 1:
-        raise ValueError(f"need an integer k >= 1, got {k}")
+    k = _check_k(k)
     a, b = grid.a, grid.b
     n = grid.n
     if 4 * k > n:

@@ -9,10 +9,12 @@ the integral term is present.  A multipoint operator is a finite sum
 B y = sum_j beta_j y^(l_j)(t_j), held as one table of point terms.
 ``multipointify`` turns the former into the latter by discretizing every
 density of Phi on k equal subintervals, which converges weak-* but never
-in total variation.  ``lift`` compiles either kind once per grid to one
-weight array on the stacked jet, placing the stencils of all point terms
-(for a general operator, the alphas at a) with one scatter; every
-application of an operator is a contraction with it.
+in total variation, and grouping all entries' atom tables by location.
+Terms and atoms coalesce by ``funcspace._coalesce``.  ``lift`` compiles
+either kind once per grid to one weight array on the stacked jet, placing
+the stencils of all point terms (for a general operator, the alphas at a)
+with one scatter; every application of an operator is a contraction with
+it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import Grid, SampledJet, _cluster_starts, _cubic_stencil, norm_cl, vec_norm
+from .funcspace import (Grid, SampledJet, _cluster_starts, _coalesce, _cubic_stencil, _merge_tol,
+                        norm_cl, vec_norm)
 from .stieltjes import MatrixMeasure
 
 __all__ = [
@@ -125,7 +128,7 @@ class MultipointBoundaryOperator:
         a, b = float(a), float(b)
         if not a < b:
             raise ValueError("operator needs a < b")
-        tol = (b - a) * 1e-12
+        tol = _merge_tol(a, b)
         nodes = np.asarray(nodes, dtype=float)
         orders = np.asarray(orders)
         betas = np.asarray(betas, dtype=complex)
@@ -143,9 +146,7 @@ class MultipointBoundaryOperator:
         nodes = np.where(nodes > b, b, nodes)
         order = np.lexsort((orders, nodes))
         nodes, orders, betas = nodes[order], orders[order], betas[order]
-        starts = _cluster_starts(nodes, tol, breaks=np.diff(orders, prepend=-1) != 0)
-        merged = betas[starts]
-        np.add.at(merged, np.cumsum(starts)[~starts] - 1, betas[~starts])
+        starts, merged = _coalesce(nodes, betas, tol, breaks=np.diff(orders, prepend=-1) != 0)
         self.r = r
         self.m = m
         self.a = a
@@ -190,29 +191,25 @@ def multipointify(op: GeneralBoundaryOperator, k: int) -> MultipointBoundaryOper
 
     The alpha blocks become order-l terms at a (independent of k).  Every
     density in Phi is replaced by k midpoint atoms carrying the exact
-    per-subinterval integrals; original atoms pass through.  Atoms are then
-    grouped by location, with ``_cluster_starts``, into order-(r-1) terms.
+    per-subinterval integrals; original atoms pass through.  All entries'
+    atoms are then grouped by location into order-(r-1) terms.
     """
-    if int(k) != k or k < 1:
-        raise ValueError(f"need an integer k >= 1, got {k}")
     rows, m = op.rows, op.m
-    disc = op.phi.discretize(k)
-    tol = (op.b - op.a) * 1e-12
-    located = [(t, i, j, w) for i, row in enumerate(disc.entries)
-               for j, entry in enumerate(row) for t, w in entry.atoms]
-    t, i, j, w = np.array(located, dtype=complex).reshape(-1, 4).T
-    order = np.argsort(t.real, kind="stable")
-    t, w = t.real[order], w[order]
-    i, j = (index.real[order].astype(np.intp) for index in (i, j))
-    starts = _cluster_starts(t, tol)
-    weights = np.zeros((np.count_nonzero(starts), rows, m), dtype=complex)
-    np.add.at(weights, (np.cumsum(starts) - 1, i, j), w)
+    entries = [entry for row in op.phi.discretize(k).entries for entry in row]
+    t = np.concatenate([entry.nodes for entry in entries])
+    slot = np.repeat(np.arange(rows * m), [entry.nodes.size for entry in entries])
+    order = np.argsort(t, kind="stable")
+    t, slot = t[order], slot[order]
+    w = np.concatenate([entry.masses for entry in entries])[order]
+    starts = _cluster_starts(t, _merge_tol(op.a, op.b))
+    weights = np.zeros((np.count_nonzero(starts), rows * m), dtype=complex)
+    np.add.at(weights, (np.cumsum(starts) - 1, slot), w)
     nodes, orders, alphas = _alpha_terms(op)
     return MultipointBoundaryOperator._from_table(
         op.r, m, op.a, op.b,
         np.concatenate([nodes, t[starts]]),
         np.concatenate([orders, np.full(weights.shape[0], op.r - 1)]),
-        np.concatenate([alphas, weights]))
+        np.concatenate([alphas, weights.reshape(-1, rows, m)]))
 
 
 def _alpha_terms(op: GeneralBoundaryOperator):

@@ -31,7 +31,7 @@ from .approx import (
     theorem3_check,
 )
 from .bvp import BvpProblem, NotUniquelySolvableError, solve
-from .funcspace import Grid
+from .funcspace import Grid, _check_k
 from .problemfile import (
     ProblemFormatError,
     parse_problem,
@@ -77,10 +77,11 @@ def _parse_ks(text: str) -> list:
         while k <= stop:
             ks.append(k)
             k *= factor
-        return ks
-    ks = sorted({int(p) for p in text.split(",") if p.strip()})
-    if not ks or ks[0] < 1:
-        raise ValueError(f"--ks expects positive integers, got {text!r}")
+    else:
+        ks = sorted({int(p) for p in text.split(",") if p.strip()})
+        if not ks or ks[0] < 1:
+            raise ValueError(f"--ks expects positive integers, got {text!r}")
+    _check_k(ks[-1])
     return ks
 
 
@@ -172,6 +173,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_approximate(args) -> int:
+    _check_k(args.k)
     problem = _load_problem(args.problem, args.grid_n)
     approx_problem = build_multipoint_problem(problem, args.k)
     _emit_artifact(problem_text(approx_problem), args.out, f"approximate_k{args.k}.json")
@@ -179,8 +181,9 @@ def _cmd_approximate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    ks = _parse_ks(args.ks)
     problem = _load_problem(args.problem, args.grid_n)
-    report = sweep(problem, _parse_ks(args.ks))
+    report = sweep(problem, ks)
     rho = report.rho_solvable
     print(
         f"rho_solvable = {rho if rho is not None else 'none'}, "
@@ -199,8 +202,8 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    problem = _load_problem(args.problem, args.grid_n)
     ks = _parse_ks(args.ks)
+    problem = _load_problem(args.problem, args.grid_n)
     if args.theorem == 2:
         entries = constant_shift_rhs(problem, ks, args.eps)
         report = theorem2_check(problem, entries, args.eps)

@@ -127,6 +127,28 @@ def _cluster_starts(x: np.ndarray, tol: float, breaks=None) -> np.ndarray:
     return starts
 
 
+def _merge_tol(a: float, b: float) -> float:
+    """The distance within which points of [a, b] are one cluster."""
+    return (b - a) * 1e-12
+
+
+def _coalesce(x: np.ndarray, values: np.ndarray, tol: float, breaks=None):
+    """The cluster starts of the sorted points x and each cluster's values
+    summed in order from its first point's: the coalescing of measure atoms
+    and of multipoint terms."""
+    starts = _cluster_starts(x, tol, breaks)
+    sums = values[starts]
+    np.add.at(sums, np.cumsum(starts)[~starts] - 1, values[~starts])
+    return starts, sums
+
+
+def _check_k(k) -> int:
+    """k as an int: a number of subintervals, a whole number in [1, MAX_GRID_N]."""
+    if int(k) != k or not 1 <= k <= MAX_GRID_N:
+        raise ValueError(f"need an integer k in [1, {MAX_GRID_N}], got {k}")
+    return int(k)
+
+
 def _horner(table: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Row i of a coefficient table (lowest degree first) evaluated at t[i].
 

@@ -9,10 +9,11 @@ reconstructs every number bit for bit.  The writer renders each number
 table (a polynomial's breakpoints and pieces, the data, alphas, atoms and
 the multipoint terms) by one template ``%`` the flat list of its numbers;
 its text is what ``json.dumps`` writes, and ``problem_to_dict`` is that
-text decoded.  The parser decodes each number table as one array, and the
-multipoint terms as one batch; numbers must be JSON numbers, not bools or
-strings, and integers must fit a double.  A rejected file names the
-``$``-path of its first bad entry.
+text decoded.  The parser decodes each number table as one array (a
+measure's atoms into its (K, 2) table) and the multipoint terms as one
+batch; numbers must be JSON numbers, not bools or strings, and integers
+must fit a double.  A rejected file names the ``$``-path of its first bad
+entry.
 """
 
 from __future__ import annotations
@@ -178,9 +179,9 @@ def _poly_from_dict(obj, path: str) -> PiecewisePoly:
 
 
 def _measure_text(mu: ScalarMeasure) -> str:
-    atoms = np.array([(t, w.real, w.imag) for t, w in mu.atoms], dtype=float)
+    atoms = np.column_stack([mu.nodes, mu.masses.view(float).reshape(-1, 2)])
     density = "null" if mu.density is None else _poly_text(mu.density)
-    return ('{"atoms": ' + _template("[%r, %r, %r]", (len(mu.atoms),))
+    return ('{"atoms": ' + _template("[%r, %r, %r]", (mu.nodes.size,))
             % tuple(atoms.ravel().tolist()) + ', "density": ' + density + "}")
 
 
@@ -189,13 +190,13 @@ def _measure_from_dict(obj, a: float, b: float, path: str) -> ScalarMeasure:
     t = atoms[:, 0]
     for i in np.flatnonzero(~((a <= t) & (t <= b)))[:1]:
         _fail(f"{path}.atoms[{i}]", f"atom location {t[i]} outside [{a}, {b}]")
-    weights = np.ascontiguousarray(atoms[:, 1:]).view(complex)[:, 0]
     density_raw = _require(obj, "density", path)
     density = None if density_raw is None else _poly_from_dict(density_raw, path + ".density")
     if density is not None and (density.a != a or density.b != b):
         _fail(path + ".density", f"density interval differs from [{a}, {b}]")
     with _at(path):
-        return ScalarMeasure(a, b, atoms=zip(t, weights), density=density)
+        return ScalarMeasure(a, b, atoms=np.column_stack(
+            [t, np.ascontiguousarray(atoms[:, 1:]).view(complex)]), density=density)
 
 
 def _boundary_text(op) -> str:

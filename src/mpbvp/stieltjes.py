@@ -1,18 +1,19 @@
-"""Scalar and matrix measures: atoms plus piecewise-polynomial densities.
+"""Scalar and matrix measures: atom tables plus piecewise-polynomial densities.
 
-A measure here is a finite list of atoms together with an absolutely
-continuous part given by a piecewise-polynomial density.  This class is
-wide enough for every boundary functional the solver supports while keeping
-total variation and discretization computable in closed form.  Atoms are
-sorted and coalesced in one pass, and integrating sampled data against a
-measure is a contraction with its node weights ``weights(grid)``.
+A measure here is one table of atoms (``nodes`` and ``masses``) together
+with an absolutely continuous part given by a piecewise-polynomial density,
+so total variation and discretization are computable in closed form.  Atoms
+are sorted and coalesced in one pass by ``funcspace._coalesce``; every query
+reduces or concatenates the table's arrays, and integrating sampled data
+against a measure is a contraction with its node weights ``weights(grid)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .funcspace import Grid, PiecewisePoly, _cluster_starts, _linear_stencil, mat_norm
+from .funcspace import (Grid, PiecewisePoly, _check_k, _coalesce, _linear_stencil, _merge_tol,
+                        mat_norm)
 
 __all__ = [
     "ScalarMeasure",
@@ -23,53 +24,43 @@ __all__ = [
 ]
 
 
-def _merge_tol(a: float, b: float) -> float:
-    return (b - a) * 1e-12
-
-
-def _merge_atoms(atoms, a: float, b: float):
-    """Validate atoms, sort them by location and coalesce each cluster,
-    summing from its first atom; clusters of zero weight are dropped."""
-    tol = _merge_tol(a, b)
-    pairs = list(atoms)
-    t = np.array([p[0] for p in pairs], dtype=float)
-    w = np.array([p[1] for p in pairs], dtype=complex)
-    bad = np.flatnonzero(~((t >= a - tol) & (t <= b + tol)))
-    if bad.size:
-        raise ValueError(f"atom location {t[bad[0]]} outside [{a}, {b}]")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("atom weights must be finite")
-    order = np.argsort(t, kind="stable")
-    t, w = t[order], w[order]
-    starts = _cluster_starts(t, tol)
-    merged = w[starts]
-    np.add.at(merged, np.cumsum(starts)[~starts] - 1, w[~starts])
-    keep = merged != 0
-    return list(zip(t[starts][keep].tolist(), merged[keep].tolist()))
-
-
 class ScalarMeasure:
-    """A finite atom list plus an optional piecewise-polynomial density.
+    """A read-only atom table, ``nodes`` (float, sorted) and ``masses``
+    (complex), plus an optional piecewise-polynomial density.
 
-    Atoms within (b - a) * 1e-12 of each other are coalesced at
-    construction; atoms with exactly zero weight are dropped.
+    ``atoms``, (location, mass) pairs or a (K, 2) array, are coalesced within
+    ``_merge_tol(a, b)`` at construction; clusters of zero mass are dropped.
     """
 
-    __slots__ = ("a", "b", "atoms", "density")
+    __slots__ = ("a", "b", "nodes", "masses", "density")
 
     def __init__(self, a: float, b: float, atoms=(), density: PiecewisePoly | None = None):
         a, b = float(a), float(b)
         if not a < b:
             raise ValueError("measure needs a < b")
+        tol = _merge_tol(a, b)
         if density is not None:
-            tol = _merge_tol(a, b)
             if abs(density.a - a) > tol or abs(density.b - b) > tol:
                 raise ValueError("density must span the measure's interval")
             if density.is_zero:
                 density = None
+        table = np.array(atoms, dtype=complex)
+        if table.size and (table.shape[1:] != (2,) or np.any(table[:, 0].imag)):
+            raise ValueError("atoms must be (real location, mass) pairs")
+        t, w = table.reshape(-1, 2).T
+        t = t.real
+        for i in np.flatnonzero(~((t >= a - tol) & (t <= b + tol)))[:1]:
+            raise ValueError(f"atom location {t[i]} outside [{a}, {b}]")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("atom weights must be finite")
+        order = np.argsort(t, kind="stable")
+        starts, masses = _coalesce(t[order], w[order], tol)
+        keep = masses != 0
         self.a = a
         self.b = b
-        self.atoms = _merge_atoms(atoms, a, b)
+        self.nodes = t[order][starts][keep]
+        self.masses = masses[keep]
+        self.nodes.flags.writeable = self.masses.flags.writeable = False
         self.density = density
 
     # -- constructors ------------------------------------------------------
@@ -97,10 +88,8 @@ class ScalarMeasure:
         return self.density is None
 
     def mass(self) -> complex:
-        total = sum((w for _, w in self.atoms), 0j)
-        if self.density is not None:
-            total += self.density.integrate()
-        return complex(total)
+        dens = 0 if self.density is None else self.density.integrate()
+        return complex(self.masses.sum() + dens)
 
     def weights(self, grid: Grid) -> np.ndarray:
         """Node weights w, shaped (n+1,), with <x, mu> = sum_s w[s] x(t_s).
@@ -109,10 +98,8 @@ class ScalarMeasure:
         the trapezoid rule with end correction of ``_density_weights``.
         """
         w = np.zeros(grid.n + 1, dtype=complex)
-        if self.atoms:
-            t, weight = zip(*self.atoms)
-            base, stencil = _linear_stencil(grid, t)
-            np.add.at(w, base[:, None] + np.arange(2), np.array(weight)[:, None] * stencil)
+        base, stencil = _linear_stencil(grid, self.nodes)
+        np.add.at(w, base[:, None] + np.arange(2), self.masses[:, None] * stencil)
         if self.density is not None:
             w += _density_weights(grid, self.density)
         return w
@@ -121,18 +108,17 @@ class ScalarMeasure:
         tol = _merge_tol(self.a, self.b)
         if abs(self.a - other.a) > tol or abs(self.b - other.b) > tol:
             raise ValueError("measures must share the same interval")
-        atoms = list(self.atoms) + [(t, -w) for t, w in other.atoms]
-        if self.density is None:
-            density = None if other.density is None else -other.density
-        elif other.density is None:
+        atoms = np.stack([np.concatenate([self.nodes, other.nodes]),
+                          np.concatenate([self.masses, -other.masses])], axis=1)
+        if other.density is None:
             density = self.density
         else:
-            density = self.density - other.density
+            density = -other.density if self.density is None else self.density - other.density
         return ScalarMeasure(self.a, self.b, atoms=atoms, density=density)
 
     def __repr__(self):
         dens = "none" if self.density is None else repr(self.density)
-        return f"ScalarMeasure({len(self.atoms)} atoms, density={dens})"
+        return f"ScalarMeasure({self.nodes.size} atoms, density={dens})"
 
 
 def _segment_boundaries(grid: Grid, density: PiecewisePoly):
@@ -184,11 +170,9 @@ def _density_weights(grid: Grid, density: PiecewisePoly) -> np.ndarray:
 
 
 def total_variation(measure: ScalarMeasure) -> float:
-    """Total variation: sum of |atom weights| plus the L1 mass of the density."""
-    tv = sum(abs(w) for _, w in measure.atoms)
-    if measure.density is not None:
-        tv += measure.density.abs_integral()
-    return float(tv)
+    """Total variation: sum of |atom masses| plus the L1 mass of the density."""
+    dens = 0.0 if measure.density is None else measure.density.abs_integral()
+    return float(np.abs(measure.masses).sum() + dens)
 
 
 def tv_distance(mu: ScalarMeasure, nu: ScalarMeasure) -> float:
@@ -202,18 +186,17 @@ def discretize_measure(measure: ScalarMeasure, k: int) -> ScalarMeasure:
     Subinterval j of k contributes an atom at its midpoint carrying the
     exact integral of the density over that subinterval, so the total mass
     is preserved exactly.  Existing atoms pass through unchanged; a purely
-    atomic measure is returned as is.
+    atomic measure is itself returned.
     """
-    if int(k) != k or k < 1:
-        raise ValueError(f"need an integer k >= 1, got {k}")
+    k = _check_k(k)
     if measure.density is None:
-        return ScalarMeasure(measure.a, measure.b, atoms=measure.atoms)
+        return measure
     a, b = measure.a, measure.b
     edges = a + (b - a) * np.arange(k + 1) / k
     midpoints = 0.5 * (edges[:-1] + edges[1:])
-    atoms = list(measure.atoms) + list(zip(midpoints.tolist(),
-                                           measure.density.integrals(edges).tolist()))
-    return ScalarMeasure(a, b, atoms=atoms)
+    return ScalarMeasure(a, b, atoms=np.stack([
+        np.concatenate([measure.nodes, midpoints]),
+        np.concatenate([measure.masses, measure.density.integrals(edges)])], axis=1))
 
 
 class MatrixMeasure:
@@ -230,10 +213,8 @@ class MatrixMeasure:
             raise ValueError("ragged rows")
         a, b = rows[0][0].a, rows[0][0].b
         tol = _merge_tol(a, b)
-        for r in rows:
-            for e in r:
-                if abs(e.a - a) > tol or abs(e.b - b) > tol:
-                    raise ValueError("all entries must share the same interval")
+        if any(abs(e.a - a) > tol or abs(e.b - b) > tol for r in rows for e in r):
+            raise ValueError("all entries must share the same interval")
         self.entries = rows
 
     @classmethod
@@ -273,12 +254,7 @@ class MatrixMeasure:
         )
 
     def variation_matrix(self) -> np.ndarray:
-        rows, cols = self.shape
-        out = np.empty((rows, cols))
-        for i in range(rows):
-            for j in range(cols):
-                out[i, j] = total_variation(self.entries[i][j])
-        return out
+        return np.array([[total_variation(e) for e in row] for row in self.entries])
 
     def norm_tv(self) -> float:
         """Matrix norm (max column sum) of the entrywise total variations."""

@@ -95,7 +95,7 @@ def _boundary_rows(problem: BvpProblem, grid: Grid) -> np.ndarray:
         for i in range(d):
             for j in range(m):
                 mu = op.phi.entries[i][j]
-                for t, w in mu.atoms:
+                for t, w in zip(mu.nodes.tolist(), mu.masses.tolist()):
                     s = _node_index(grid, t)
                     W[i, s * d + top + j] += w
                 if mu.density is not None:

@@ -1,6 +1,7 @@
 """Approximation pipeline: coefficient means, sweeps, constants, bounds."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from mpbvp import (
     build_multipoint_problem,
     constant_shift_rhs,
     corpus,
+    discretize_measure,
+    multipointify,
     remark3_constants,
     sawtooth_perturbation,
     sawtooth_rhs,
@@ -32,7 +35,8 @@ from mpbvp import (
 from mpbvp.approx import ErrorConstants, SweepRow
 from mpbvp.boundary import default_probe_jets, norm_lower_bound, norm_upper_bound
 from mpbvp.bvp import companion_reduce
-from mpbvp.funcspace import antiderivative, mat_norm, norm_c, norm_cl, norm_w1r, traj_norm_c
+from mpbvp.funcspace import (MAX_GRID_N, antiderivative, mat_norm, norm_c, norm_cl, norm_w1r,
+                             traj_norm_c)
 from mpbvp.linode import inverse_fundamental
 from oracles import scaled_boundary_problem
 
@@ -516,3 +520,25 @@ def test_refused_reference_raises_as_solve_does():
         assert str(refused.value) == str(direct.value)
         assert refused.value.det == direct.value.det
         assert refused.value.cond == direct.value.cond
+
+
+@pytest.mark.parametrize("k", [0, 2.5, MAX_GRID_N + 1])
+def test_k_outside_one_to_the_grid_cap_is_refused_before_any_allocation(k):
+    problem = corpus.build_problem("p2", 64)
+    measure = problem.operator.phi.entries[1][0]
+    assert measure.density is not None
+    calls = [
+        lambda: approximate_coefficients(problem.coeffs[0], k),
+        lambda: sawtooth_perturbation(problem.grid, k, 1e-3, problem.m),
+        lambda: multipointify(problem.operator, k),
+        lambda: discretize_measure(measure, k),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"need an integer k in \[1, {MAX_GRID_N}\]"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # the edges of k = MAX_GRID_N + 1 alone take 8 MiB

@@ -21,7 +21,7 @@ from mpbvp import (
 )
 from mpbvp import corpus
 from mpbvp.stieltjes import _density_weights
-from oracles import _boundary_rows
+from oracles import _boundary_rows, random_problem
 
 
 def _p2_operator():
@@ -99,7 +99,8 @@ def _multipointify_terms(op, k):
     located = []
     for i in range(rows):
         for j in range(m):
-            for t, w in disc.entries[i][j].atoms:
+            entry = disc.entries[i][j]
+            for t, w in zip(entry.nodes.tolist(), entry.masses.tolist()):
                 located.append((t, i, j, w))
     located.sort(key=lambda item: item[0])
     start = 0
@@ -350,7 +351,7 @@ def _lift_loop(op, grid):
         for i, row in enumerate(op.phi.entries):
             for j, mu in enumerate(row):
                 w = np.zeros(grid.n + 1, dtype=complex)
-                for t, weight in mu.atoms:
+                for t, weight in zip(mu.nodes.tolist(), mu.masses.tolist()):
                     base, stencil = _stencil_loop(grid, t, 2)
                     w[base:base + 2] += weight * stencil
                 if mu.density is not None:
@@ -465,3 +466,74 @@ def test_term_table_is_read_only():
     for array in (op.nodes, op.orders, op.betas, op.terms[0].beta):
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic relations of the atom table
+
+
+def _random_general_operators(seed, count=6):
+    rng = np.random.default_rng(seed)
+    ops = []
+    while len(ops) < count:
+        op = random_problem(rng, n=64).operator
+        if isinstance(op, GeneralBoundaryOperator):
+            ops.append(op)
+    return ops, rng
+
+
+def _entry_tables(op, extra):
+    """Each entry's atom table, (K, 2), with the rows ``extra(mu)`` appended."""
+    return [[np.concatenate([np.stack([mu.nodes, mu.masses], axis=1), extra(mu)])
+             for mu in row] for row in op.phi.entries]
+
+
+def _with_atoms(op, tables):
+    """op with each entry's atoms replaced by its table in ``tables``."""
+    return GeneralBoundaryOperator(op.r, op.m, op.alphas, MatrixMeasure(
+        [[ScalarMeasure(mu.a, mu.b, atoms=table, density=mu.density)
+          for mu, table in zip(row, table_row)]
+         for row, table_row in zip(op.phi.entries, tables)]))
+
+
+def _assert_same_tables(op, other):
+    for k in (1, 7, 64):
+        x, y = multipointify(op, k), multipointify(other, k)
+        for name in ("nodes", "orders", "betas"):
+            np.testing.assert_array_equal(getattr(x, name), getattr(y, name))
+    for grid in (Grid(op.a, op.b, 3), Grid(op.a, op.b, 200)):
+        np.testing.assert_array_equal(lift(op, grid).weights, lift(other, grid).weights)
+
+
+def _tie_keeping_permutation(rng, t):
+    """A random permutation of range(t.size) that keeps equal t in their order."""
+    perm = rng.permutation(t.size)
+    for value in np.unique(t):
+        perm[t[perm] == value] = np.flatnonzero(t == value)
+    return perm
+
+
+def test_permuting_atoms_leaves_multipointify_and_lift_unchanged():
+    # Each entry gains 12 locations of 3 tied atoms each.  A cluster sums
+    # in input order, so the order among exact ties is kept; that a sort
+    # moves no tie is what this relation checks.
+    ops, rng = _random_general_operators(seed=14)
+    for op in ops:
+        tables = _entry_tables(op, lambda mu: np.stack(
+            [np.repeat(rng.uniform(mu.a, mu.b, 12), 3),
+             rng.standard_normal(36) + 1j * rng.standard_normal(36)], axis=1))
+        shuffled = [[table[_tie_keeping_permutation(rng, table[:, 0].real)] for table in row]
+                    for row in tables]
+        _assert_same_tables(_with_atoms(op, tables), _with_atoms(op, shuffled))
+
+
+def test_zero_mass_atoms_leave_multipointify_and_lift_unchanged():
+    # Zero masses, of either sign, at fresh locations and at the ends a and
+    # b, where the generator puts its atoms.
+    zero = np.array([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)])
+    ops, rng = _random_general_operators(seed=15)
+    for op in ops:
+        tables = _entry_tables(op, lambda mu: np.stack(
+            [np.concatenate([rng.uniform(mu.a, mu.b, 4), [mu.a, mu.b, mu.a, mu.b]]),
+             np.concatenate([zero, zero])], axis=1))
+        _assert_same_tables(op, _with_atoms(op, tables))

@@ -312,6 +312,23 @@ def test_grid_n_above_the_cap_exits_with_error(capsys, tmp_path):
             assert f"mpbvp: error: grid needs an integer n in [2, {MAX_GRID_N}]" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["approximate", "p1", "--k", str(MAX_GRID_N + 1)],
+    ["approximate", "p1", "--k", "1000000000000000"],
+    ["sweep", "p1", "--ks", "1000000000000000,2"],
+    ["sweep", "p1", "--ks", f"4:{2 * MAX_GRID_N}:x2"],
+    ["check", "p1", "--theorem", "3", "--ks", f"2,{MAX_GRID_N + 1}"],
+])
+def test_k_above_the_grid_cap_exits_before_any_build(capsys, monkeypatch, argv):
+    # Each k is an O(k) table; one above MAX_GRID_N is refused before the
+    # problem, let alone a member, is built.
+    monkeypatch.setattr(cli, "_load_problem", lambda *args: pytest.fail("problem built"))
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert f"mpbvp: error: need an integer k in [1, {MAX_GRID_N}], got " in err
+
+
 def _csv_per_value(problem, jet):
     """Reference renderer: one format(x, ".17g") call per value."""
     lines = [",".join(["t"] + [f"y{j}_{c}_{part}" for j in range(problem.r + 1)

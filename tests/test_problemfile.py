@@ -327,7 +327,8 @@ def _reference_poly(p):
 
 
 def _reference_measure(mu):
-    return {"atoms": [[float(t), float(w.real), float(w.imag)] for t, w in mu.atoms],
+    return {"atoms": [[float(t), float(w.real), float(w.imag)]
+                      for t, w in zip(mu.nodes.tolist(), mu.masses.tolist())],
             "density": None if mu.density is None else _reference_poly(mu.density)}
 
 
@@ -393,6 +394,31 @@ def test_writer_matches_reference_on_random_problems():
     assert len(widths) > 1
     for problem in problems:
         _assert_writer_matches_reference(problem)
+
+
+def test_problem_text_round_trips_random_problems(tmp_path):
+    # text -> parse_problem -> text is byte-identical, and so it stays when
+    # each measure's atoms are listed shuffled, with zero masses among them.
+    rng = np.random.default_rng(14)
+    path = tmp_path / "problem.json"
+    general = 0
+    for _ in range(8):
+        problem = random_problem(rng, n=64)
+        text = problem_text(problem)
+        path.write_text(text)
+        assert problem_text(parse_problem(str(path))) == text
+        obj = json.loads(text)
+        if obj["boundary"]["kind"] != "general":
+            continue
+        general += 1
+        for row in obj["boundary"]["measure"]:
+            for entry in row:
+                zeros = [[t, 0.0, -0.0] for t in rng.uniform(problem.a, problem.b, 3).tolist()]
+                atoms = entry["atoms"] + zeros
+                entry["atoms"] = [atoms[i] for i in rng.permutation(len(atoms))]
+        path.write_text(json.dumps(obj))
+        assert problem_text(parse_problem(str(path))) == text
+    assert general >= 2
 
 
 def test_writer_matches_reference_on_special_values():

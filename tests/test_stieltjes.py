@@ -64,25 +64,21 @@ def test_total_variation_adds_atoms_and_density_mass():
 
 def test_atoms_merge_and_zero_weights_drop():
     mu = ScalarMeasure(0.0, 1.0, atoms=[(0.5, 1.0), (0.5 + 1e-14, 2.0), (0.2, 0.0)])
-    assert len(mu.atoms) == 1
-    t, w = mu.atoms[0]
-    assert w == 3.0
+    assert mu.nodes.size == 1
+    assert mu.masses[0] == 3.0
 
 
 def test_discretize_midpoint_locations_and_mass():
     mu = ScalarMeasure.lebesgue(0.0, 1.0, 1.0)
     nu = discretize_measure(mu, 2)
     assert nu.is_atomic
-    locations = [t for t, _ in nu.atoms]
-    weights = [w for _, w in nu.atoms]
-    np.testing.assert_allclose(locations, [0.25, 0.75])
-    np.testing.assert_allclose(weights, [0.5, 0.5])
+    np.testing.assert_allclose(nu.nodes, [0.25, 0.75])
+    np.testing.assert_allclose(nu.masses, [0.5, 0.5])
 
 
 def test_discretize_is_identity_on_atomic_measures():
     mu = ScalarMeasure(0.0, 1.0, atoms=[(0.1, 1.0), (0.9, -2.0)])
-    nu = discretize_measure(mu, 16)
-    assert nu.atoms == mu.atoms
+    assert discretize_measure(mu, 16) is mu
 
 
 def test_atomic_approximation_never_converges_in_tv():
@@ -139,7 +135,7 @@ def test_measure_subtraction():
     mu = ScalarMeasure.lebesgue(0.0, 1.0, 1.0)
     nu = ScalarMeasure.point_mass(0.0, 1.0, 0.5)
     diff = mu - nu
-    assert len(diff.atoms) == 1
+    assert diff.nodes.size == 1
     assert diff.density is not None
     assert abs(diff.mass()) <= 1e-15
 
@@ -160,6 +156,28 @@ def test_non_finite_atoms_rejected(atom, message):
         ScalarMeasure(0.0, 1.0, atoms=[(0.25, 1.0), atom])
 
 
+@pytest.mark.parametrize("atoms, message", [
+    ([(0.25, 1.0, 0.0)], "atoms must be"),
+    ((0.25, 1.0), "atoms must be"),
+    ([(0.25 + 1e-3j, 1.0)], "real location"),
+])
+def test_malformed_atoms_rejected(atoms, message):
+    with pytest.raises(ValueError, match=message):
+        ScalarMeasure(0.0, 1.0, atoms=atoms)
+
+
+def test_atom_table_is_read_only_and_owned():
+    table = np.array([[0.75, 2.0j], [0.25, 1.0]])
+    mu = ScalarMeasure(0.0, 1.0, atoms=table)
+    table[:] = 0.5
+    assert _pairs(mu) == [(0.25, 1.0), (0.75, 2.0j)]
+    nu = discretize_measure(ScalarMeasure.lebesgue(0.0, 1.0), 4)
+    for array in (mu.nodes, mu.masses, nu.nodes, nu.masses):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert discretize_measure(nu, 8) is nu
+
+
 def _merge_atoms_loop(atoms, tol):
     """Reference merge: sort by location, add each atom into the previous
     cluster while it lies within tol of that cluster's first atom."""
@@ -173,6 +191,10 @@ def _merge_atoms_loop(atoms, tol):
     return [(t, w) for t, w in merged if w != 0]
 
 
+def _pairs(mu):
+    return list(zip(mu.nodes.tolist(), mu.masses.tolist()))
+
+
 def _raw_atom_lists():
     """Atom lists as discretize_measure hands them over, plus hand-built ones."""
     lists = []
@@ -181,12 +203,12 @@ def _raw_atom_lists():
             for mu in row:
                 for k in (2, 4, 256, 1024):
                     if mu.density is None:
-                        lists.append(list(mu.atoms))
+                        lists.append(_pairs(mu))
                         continue
                     edges = mu.a + (mu.b - mu.a) * np.arange(k + 1) / k
                     mids = 0.5 * (edges[:-1] + edges[1:])
-                    lists.append(list(mu.atoms) + list(zip(mids.tolist(),
-                                                           mu.density.integrals(edges).tolist())))
+                    lists.append(_pairs(mu) + list(zip(mids.tolist(),
+                                                     mu.density.integrals(edges).tolist())))
     tol = 1e-12
     lists += [
         [(0.5 + 1.2 * tol, 3.0), (0.5, 1.0), (0.5 + 0.6 * tol, -2.0j)],  # a 0.6 tol chain
@@ -204,7 +226,7 @@ def _bits(atoms):
 
 def _weights_loop(mu, grid):
     w = np.zeros(grid.n + 1, dtype=complex)
-    for t, weight in mu.atoms:
+    for t, weight in _pairs(mu):
         s = min(max((t - grid.a) / grid.h, 0.0), float(grid.n))
         i = min(int(s), grid.n - 1)
         w[i:i + 2] += weight * np.array([1.0 - (s - i), s - i])
@@ -216,10 +238,10 @@ def _weights_loop(mu, grid):
 def test_atom_merge_and_weights_are_bitwise_the_loops():
     for atoms in _raw_atom_lists():
         mu = ScalarMeasure(0.0, 1.0, atoms=atoms)
-        assert _bits(mu.atoms) == _bits(_merge_atoms_loop(atoms, 1e-12))
-        assert all(type(t) is float and type(w) is complex for t, w in mu.atoms)
+        assert _bits(_pairs(mu)) == _bits(_merge_atoms_loop(atoms, 1e-12))
+        assert mu.nodes.dtype == float and mu.masses.dtype == complex
         for grid in (Grid(0.0, 1.0, 1000), Grid(0.0, 1.0, 2)):
             np.testing.assert_array_equal(mu.weights(grid).view(np.uint64),
                                           _weights_loop(mu, grid).view(np.uint64))
     chain = ScalarMeasure(0.0, 1.0, atoms=_raw_atom_lists()[-3])
-    assert chain.atoms == [(0.5, 1.0 - 2.0j), (0.5 + 1.2e-12, 3.0)]
+    assert _pairs(chain) == [(0.5, 1.0 - 2.0j), (0.5 + 1.2e-12, 3.0)]
