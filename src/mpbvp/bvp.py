@@ -1,10 +1,11 @@
 """Problem containers, companion reduction, and the matrizant-based solver.
 
 A problem is the system L y = y^(r) + sum_l A_l(t) y^(l) = f on [a, b] with
-rm boundary conditions B y = q.  The solver reduces to the first-order
-companion system v' + P v = g, T v = q, and integrates the matrizant V of
-P together with the particular solution R, R(a) = 0, in one augmented RK4
-pass.  The solution is assembled from the characteristic matrix [T V]:
+rm boundary conditions B y = q.  The solver reduces it to the first-order
+companion system v' + P v = g, T v = q, with the coefficients snapped to
+the grid, and integrates the matrizant V of P together with the particular
+solution R, R(a) = 0, in one augmented RK4 pass.  The solution is
+assembled from the characteristic matrix [T V]:
 
     u = V [T V]^-1 (q - T R) + R.
 
@@ -67,9 +68,10 @@ class NotUniquelySolvableError(RuntimeError):
 class BvpProblem:
     """An order-r system of m equations with boundary operator and grid.
 
-    ``coeffs[l]`` multiplies y^(l) for l = 0..r-1.  Coefficient breakpoints
-    are snapped to grid nodes at construction so the integrator never steps
-    across a discontinuity; the right-hand side f is left untouched.
+    ``coeffs[l]`` multiplies y^(l) for l = 0..r-1.  The problem keeps the
+    data it is given, which must span the grid's [a, b]; the solve pass
+    snaps the coefficient breakpoints to grid nodes.  Re-gridding a problem
+    is ``dataclasses.replace(problem, grid=...)``.
     """
 
     r: int
@@ -85,12 +87,9 @@ class BvpProblem:
             raise ValueError("need r >= 1 and m >= 1")
         if len(self.coeffs) != self.r:
             raise ValueError(f"order-{self.r} problem needs {self.r} coefficient matrices")
-        snapped = []
         for l, A in enumerate(self.coeffs):
             if A.shape != (self.m, self.m):
                 raise ValueError(f"coefficient {l} must be {self.m} x {self.m}")
-            snapped.append(A.snapped(self.grid))
-        self.coeffs = snapped
         if self.f.m != self.m:
             raise ValueError("right-hand side dimension mismatch")
         self.q = np.asarray(self.q, dtype=complex).reshape(self.r * self.m)
@@ -100,11 +99,9 @@ class BvpProblem:
             raise TypeError("operator must be a boundary operator")
         if self.operator.r != self.r or self.operator.m != self.m:
             raise ValueError("boundary operator shape does not match the problem")
-        tol = 1e-9 * (self.grid.b - self.grid.a)
-        for x, y in ((self.grid.a, self.f.a), (self.grid.b, self.f.b),
-                     (self.grid.a, self.operator.a), (self.grid.b, self.operator.b)):
-            if abs(x - y) > tol:
-                raise ValueError("grid, right-hand side, and operator intervals disagree")
+        ends = np.array([(item.a, item.b) for item in (*self.coeffs, self.f, self.operator)])
+        if np.abs(ends - (self.grid.a, self.grid.b)).max() > 1e-9 * (self.grid.b - self.grid.a):
+            raise ValueError("grid, coefficient, right-hand side, and operator intervals disagree")
 
     @property
     def a(self) -> float:
@@ -143,19 +140,21 @@ def companion_reduce(problem: BvpProblem):
     """Reduce to the first-order companion system (P, g, T, q).
 
     P carries -I blocks on the superdiagonal and the coefficient row
-    (A_0 ... A_{r-1}) at the bottom; g stacks r-1 zero blocks over f; T is
-    the boundary operator compiled on the problem grid.  For r = 1 this is
-    (A_0, f, lift(B, grid), q).
+    (A_0 ... A_{r-1}), snapped to the grid, at the bottom; g stacks r-1 zero
+    blocks over f; T is the boundary operator compiled on the problem grid.
+    For r = 1 this is (A_0 snapped, f, lift(B, grid), q).
     """
     P, g = _companion_system(problem)
     return P, g, lift(problem.operator, problem.grid), problem.q
 
 
 def _companion_system(problem: BvpProblem) -> tuple[PolyMatrix, PolyVector]:
-    """The (P, g) of companion_reduce: the system without its boundary operator."""
+    """The (P, g) of companion_reduce, with no boundary operator.  Every pass
+    reads the coefficients here, and only here are they snapped to the grid."""
     r, m = problem.r, problem.m
+    coeffs = [A.snapped(problem.grid) for A in problem.coeffs]
     if r == 1:
-        return problem.coeffs[0], problem.f
+        return coeffs[0], problem.f
     a, b = problem.a, problem.b
     zero = PiecewisePoly.zero(a, b)
     minus_one = PiecewisePoly.constant(-1.0, a, b)
@@ -164,8 +163,7 @@ def _companion_system(problem: BvpProblem) -> tuple[PolyMatrix, PolyVector]:
     for block in range(r - 1):
         for i in range(m):
             entries[block * m + i][(block + 1) * m + i] = minus_one
-    for block in range(r):
-        A = problem.coeffs[block]
+    for block, A in enumerate(coeffs):
         for i in range(m):
             for j in range(m):
                 entries[(r - 1) * m + i][block * m + j] = A.entries[i][j]
@@ -296,7 +294,7 @@ def _finish(problem: BvpProblem, augmented: np.ndarray, coefficients: np.ndarray
 
 def residuals(problem: BvpProblem, jet: SampledJet) -> tuple[float, float]:
     """(L1 norm of L y - f over the grid, |B y - q| in the vector norm) of
-    the jet y."""
+    the jet y, for the problem as given: no coefficient is snapped."""
     grid = problem.grid
     defect = jet.samples[problem.r].copy()
     for l in range(problem.r):

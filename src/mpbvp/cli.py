@@ -13,6 +13,7 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import io
 import os
@@ -91,11 +92,7 @@ def _load_problem(source: str, grid_n: int | None) -> BvpProblem:
         return corpus.build_problem(name, n=2048 if grid_n is None else grid_n)
     problem = parse_problem(source)
     if grid_n is not None and grid_n != problem.grid.n:
-        problem = BvpProblem(
-            r=problem.r, m=problem.m, coeffs=problem.coeffs, f=problem.f,
-            q=problem.q, operator=problem.operator,
-            grid=Grid(problem.a, problem.b, grid_n),
-        )
+        problem = dataclasses.replace(problem, grid=Grid(problem.a, problem.b, grid_n))
     return problem
 
 

@@ -424,11 +424,14 @@ class PiecewisePoly:
 
         The endpoints stay pinned to a and b.  Pieces that collapse to zero
         width are dropped with a warning; a displacement beyond h/2 (which
-        can only happen for breakpoints outside [a, b]) also warns.
+        can only happen for breakpoints outside [a, b]) also warns.  When no
+        breakpoint moves, the polynomial itself is returned.
         """
         right = self.breakpoints[1:]
         target = grid.nearest_node(right)
         target[-1] = grid.b
+        if self.breakpoints[0] == grid.a and np.array_equal(target, right):
+            return self
         moved = np.abs(target - right) > grid.h / 2 + 1e-9 * (grid.b - grid.a)
         # The last kept breakpoint is the running maximum of all earlier ones.
         keep = target > np.maximum.accumulate(np.concatenate([[grid.a], target[:-1]]))
@@ -550,9 +553,6 @@ class PolyVector:
 
     __rmul__ = __mul__
 
-    def snapped(self, grid: Grid) -> "PolyVector":
-        return PolyVector([c.snapped(grid) for c in self.components])
-
 
 class PolyMatrix:
     """Matrix of piecewise polynomials sharing one interval."""
@@ -613,7 +613,10 @@ class PolyMatrix:
         return best
 
     def snapped(self, grid: Grid) -> "PolyMatrix":
-        return PolyMatrix([[e.snapped(grid) for e in row] for row in self.entries])
+        """Entries snapped to ``grid``; the matrix itself when none moves (the
+        lists compare their entries by identity)."""
+        entries = [[e.snapped(grid) for e in row] for row in self.entries]
+        return self if entries == self.entries else PolyMatrix(entries)
 
 
 class SampledJet:

@@ -22,6 +22,7 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
+from itertools import chain
 
 import numpy as np
 
@@ -167,10 +168,15 @@ def _poly_from_dict(obj, path: str) -> PiecewisePoly:
     if not all(isinstance(piece, list) for piece in pieces):
         _objects(pieces, (len(pieces),), path + ".pieces", _as_list)
     widths = np.array([len(piece) for piece in pieces], dtype=np.intp)
-    with _at(path):  # [0, 0]-padded to the widest piece, the pieces decode as one table
-        pad = [[0.0, 0.0]] * PiecewisePoly._table_width(widths)
-        table = _complexes([piece + pad[len(piece):] for piece in pieces],
-                           (len(pieces), len(pad)), path + ".pieces")
+    with _at(path):
+        table = np.zeros((len(pieces), PiecewisePoly._table_width(widths)), dtype=complex)
+        try:  # all pieces' pairs as one flat table, placed in the rows by the width mask
+            table[np.arange(table.shape[1]) < widths[:, None]] = _complexes(
+                list(chain.from_iterable(pieces)), (int(widths.sum()),), path + ".pieces")
+        except ProblemFormatError:  # piece by piece, to name the first bad pair
+            for j, piece in enumerate(pieces):
+                _complexes(piece, (len(piece),), f"{path}.pieces[{j}]")
+            raise
         return PiecewisePoly._from_table(breakpoints, table, widths)
 
 
@@ -229,29 +235,21 @@ def _boundary_from_dict(obj, r: int, m: int, a: float, b: float, path: str):
             return GeneralBoundaryOperator(r, m, alphas, MatrixMeasure(entries))
     if kind == "multipoint":
         terms = _as_list(_require(obj, "terms", path), path + ".terms")
-        try:  # the fields of all terms at once, with all orders checked together
-            nodes = [term["node"] for term in terms]
+        try:  # all terms as one batch: each field one table, all orders checked together
+            nodes = _numbers([term["node"] for term in terms], (len(terms),), path + ".terms")
             orders = [term["order"] for term in terms]
-            weights = [term["weight"] for term in terms]
+            betas = _complexes([term["weight"] for term in terms], (len(terms), rows, m),
+                               path + ".terms")
             batch = (set(map(type, orders)) <= {int}
                      and 0 <= min(orders, default=0) and max(orders, default=0) <= r - 1)
-        except (TypeError, KeyError):
+        except (TypeError, KeyError, ProblemFormatError):
             batch = False
-        if not batch:  # term by term, to name the first bad one
-            nodes, orders, weights = [], [], []
+        if not batch:  # term by term, field by field: it fails where the batch did
             for i, term in enumerate(terms):
                 where = f"{path}.terms[{i}]"
-                nodes.append(_require(term, "node", where))
-                orders.append(_as_int(_require(term, "order", where), where + ".order", 0, r - 1))
-                weights.append(_require(term, "weight", where))
-        try:
-            betas = _complexes(weights, (len(terms), rows, m), path + ".terms")
-            nodes = _numbers(nodes, (len(terms),), path + ".terms")
-        except ProblemFormatError:  # name the entry by its field
-            for i, (node, weight) in enumerate(zip(nodes, weights)):
-                _numbers(node, (), f"{path}.terms[{i}].node")
-                _complexes(weight, (rows, m), f"{path}.terms[{i}].weight")
-            raise
+                _numbers(_require(term, "node", where), (), where + ".node")
+                _as_int(_require(term, "order", where), where + ".order", 0, r - 1)
+                _complexes(_require(term, "weight", where), (rows, m), where + ".weight")
         with _at(path):
             return MultipointBoundaryOperator._from_table(r, m, a, b, nodes, orders, betas)
     _fail(path + ".kind", f"expected 'general' or 'multipoint', got {kind!r}")

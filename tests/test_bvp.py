@@ -1,5 +1,6 @@
 """Companion reduction and the boundary-value solver."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -8,18 +9,21 @@ import pytest
 from mpbvp import (
     BoundaryTerm,
     BvpProblem,
+    GeneralBoundaryOperator,
     Grid,
+    MatrixMeasure,
     MultipointBoundaryOperator,
     NotUniquelySolvableError,
     PiecewisePoly,
     PolyMatrix,
     PolyVector,
+    ScalarMeasure,
     companion_reduce,
     corpus,
     residuals,
     solve,
 )
-from oracles import crank_nicolson_solve, growth_problem, random_problem
+from oracles import crank_nicolson_solve, growth_problem, random_problem, step_problem
 
 
 def _dirichlet(r, m, a, b, *nodes_orders):
@@ -71,6 +75,83 @@ def test_first_order_reduction_is_identity():
     assert g is problem.f
 
 
+def test_problem_keeps_the_data_it_is_given():
+    # Construction snaps nothing: a step at 0.3 on a 4-step grid keeps its
+    # jump, and re-gridding with dataclasses.replace keeps the same objects.
+    # Only the solve pass moves the jump, to the nearest node.
+    problem = step_problem(4)
+    a0 = problem.coeffs[0]
+    assert a0.entries[0][0].breakpoints.tolist() == [0.0, 0.3, 1.0]
+    finer = dataclasses.replace(problem, grid=Grid(0.0, 1.0, 2048))
+    assert finer.coeffs[0] is a0
+    P = companion_reduce(problem)[0]
+    assert P.entries[0][0].breakpoints.tolist() == [0.0, 0.25, 1.0]
+    assert problem.coeffs[0] is a0
+
+
+def _valid_fields():
+    """The fields of a valid r = 2, m = 1 problem on [0, 1]."""
+    a, b = 0.0, 1.0
+    return dict(r=2, m=1, coeffs=[PolyMatrix.zero(1, 1, a, b)] * 2, f=PolyVector.zero(1, a, b),
+                q=np.zeros(2), operator=_dirichlet(2, 1, a, b, (a, 0), (b, 0)),
+                grid=Grid(a, b, 16))
+
+
+def _problem_with(**fields):
+    return lambda: BvpProblem(**{**_valid_fields(), **fields})
+
+
+def _general(r, alphas, phi_rows):
+    return lambda: GeneralBoundaryOperator(
+        r, 1, alphas, MatrixMeasure([[ScalarMeasure.zero(0.0, 1.0)]] * phi_rows))
+
+
+_INTERVALS = "grid, coefficient, right-hand side, and operator intervals disagree"
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (_problem_with(r=0), ValueError, "need r >= 1 and m >= 1"),
+    (_problem_with(coeffs=[PolyMatrix.zero(1, 1, 0.0, 1.0)]), ValueError,
+     "order-2 problem needs 2 coefficient matrices"),
+    (_problem_with(coeffs=[PolyMatrix.zero(2, 2, 0.0, 1.0)] * 2), ValueError,
+     "coefficient 0 must be 1 x 1"),
+    (_problem_with(f=PolyVector.zero(2, 0.0, 1.0)), ValueError,
+     "right-hand side dimension mismatch"),
+    (_problem_with(q=[0.0, np.nan]), ValueError, "boundary values must be finite"),
+    (_problem_with(operator="y(0) = y(1) = 0"), TypeError, "operator must be a boundary operator"),
+    (_problem_with(operator=_dirichlet(1, 1, 0.0, 1.0, (0.0, 0))), ValueError,
+     "boundary operator shape does not match the problem"),
+    (_problem_with(f=PolyVector.zero(1, 0.0, 2.0)), ValueError, _INTERVALS),
+    (_problem_with(operator=_dirichlet(2, 1, 0.0, 0.5, (0.0, 0), (0.5, 0))), ValueError,
+     _INTERVALS),
+    (_problem_with(coeffs=[PolyMatrix.zero(1, 1, 0.5, 1.0)] * 2), ValueError, _INTERVALS),
+    (_problem_with(coeffs=[PolyMatrix.zero(1, 1, 0.0, 1.0), PolyMatrix.zero(1, 1, 0.0, 1.5)]),
+     ValueError, _INTERVALS),
+    (_general(0, [], 1), ValueError, "need r >= 1 and m >= 1"),
+    (_general(2, [], 2), ValueError, "order-2 operator needs 1 alpha blocks"),
+    (_general(2, [np.ones((1, 1))], 2), ValueError, "alpha_0 must be shaped (2, 1), got (1, 1)"),
+    (_general(2, [[[1.0], [np.inf]]], 2), ValueError, "alpha_0 contains non-finite entries"),
+    (_general(2, [np.ones((2, 1))], 1), ValueError, "phi must be shaped (2, 1), got (1, 1)"),
+], ids=["order", "coeff-count", "coeff-shape", "rhs-size", "data", "operator-type",
+        "operator-shape", "rhs-interval", "operator-interval", "coeff-start", "coeff-end",
+        "general-order", "alpha-count", "alpha-shape", "alpha-finite", "phi-shape"])
+def test_malformed_problem_or_operator_is_refused(build, error, message):
+    # Each check of BvpProblem and GeneralBoundaryOperator, by its message.
+    # A coefficient off the grid's interval is refused like f and the
+    # operator: the solve pass would otherwise stretch it onto [a, b].
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_ends_within_the_interval_tolerance_are_accepted():
+    # 1e-9 (b - a) is the tolerance for every interval the problem holds.
+    fields = _valid_fields()
+    near = [PolyMatrix.zero(1, 1, 0.0, 1.0 + 1e-10), PolyMatrix.zero(1, 1, -1e-10, 1.0)]
+    problem = BvpProblem(**{**fields, "coeffs": near})
+    assert problem.coeffs[0] is near[0]
+    assert solve(problem).jet.samples[0].shape == (17, 1)
+
+
 def test_solve_trivial_first_order():
     a, b = 0.0, 1.0
     problem = BvpProblem(
@@ -87,7 +168,6 @@ def test_solve_trivial_first_order():
 
 
 def test_solve_constant_forced_by_integral_condition():
-    from mpbvp import GeneralBoundaryOperator, MatrixMeasure, ScalarMeasure
     a, b = 0.0, 1.0
     phi = MatrixMeasure([[ScalarMeasure.lebesgue(a, b, 1.0)]])
     problem = BvpProblem(
@@ -245,9 +325,10 @@ def test_fine_grid_solve_keeps_roundoff():
 
 
 def test_top_channel_is_bitwise_the_node_evaluation():
-    # The pass hands the solver the node values of [A_0 ... A_{r-1} | f];
-    # the top channel f - sum_l A_l y^(l) must be what evaluating the
-    # coefficients at the nodes gives, for m up to 3.
+    # The pass hands the solver the node values of [A_0 ... A_{r-1} | f],
+    # with the coefficients snapped to the grid; the top channel
+    # f - sum_l A_l y^(l) must be what evaluating the snapped coefficients
+    # at the nodes gives, for m up to 3.
     rng = np.random.default_rng(11)
     problems = [corpus.build_problem(name, 2048) for name in ("p1", "p2", "p3")]
     problems += [random_problem(rng, 257) for _ in range(8)]
@@ -257,5 +338,6 @@ def test_top_channel_is_bitwise_the_node_evaluation():
         nodes = problem.grid.nodes
         top = problem.f.eval_at(nodes)
         for l in range(problem.r):
-            top -= np.einsum("nij,nj->ni", problem.coeffs[l].eval_at(nodes), jet.samples[l])
+            A = problem.coeffs[l].snapped(problem.grid)
+            top -= np.einsum("nij,nj->ni", A.eval_at(nodes), jet.samples[l])
         assert jet.samples[-1].tobytes() == top.tobytes()

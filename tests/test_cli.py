@@ -17,7 +17,7 @@ from mpbvp.boundary import BoundaryTerm, GeneralBoundaryOperator, MultipointBoun
 from mpbvp.bvp import BvpProblem
 from mpbvp.funcspace import MAX_GRID_N, Grid, PiecewisePoly, PolyMatrix, PolyVector
 from mpbvp.stieltjes import MatrixMeasure, ScalarMeasure
-from oracles import growth_problem, scaled_boundary_problem
+from oracles import growth_problem, scaled_boundary_problem, step_problem
 
 
 def run(capsys, *argv):
@@ -230,6 +230,30 @@ def test_scaled_boundary_weights_solve_exits_ok(capsys, tmp_path):
         outputs.append(out)
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+
+
+def test_grid_n_regrids_the_problem_as_written(capsys, tmp_path):
+    # A file keeps a step at 0.3 where it is, whatever grid it was written
+    # for, so --grid-n 2048 solves the file written at n = 4 to the bytes
+    # of the one written at 2048: the jump is snapped once, onto 2048 nodes.
+    outputs = []
+    for n in (4, 2048):
+        path = tmp_path / f"step{n}.json"
+        emit_problem(step_problem(n), str(path))
+        code, out, _ = run(capsys, "solve", str(path), "--grid-n", "2048")
+        assert code == cli.EXIT_OK
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+def test_corpus_on_a_grid_without_a_node_at_the_jump(capsys):
+    # At n = 2049 no node lies on p2's jump at 0.5.  The closed-form check
+    # reads the coefficient as given, so p2 loads, and the solve exits 0.
+    problem = corpus.build_problem("p2", 2049)
+    assert problem.coeffs[0].entries[0][0].breakpoints.tolist() == [0.0, 0.5, 1.0]
+    code, out, _ = run(capsys, "solve", "p2", "--grid-n", "2049")
+    assert code == cli.EXIT_OK
+    assert float(last_csv_row(out)[1][0]) == 1.0
 
 
 @pytest.mark.parametrize("argv", [["sweep", "nn", "--ks", "4,8"],

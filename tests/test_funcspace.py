@@ -153,6 +153,24 @@ def test_snapped_moves_breakpoints_to_nodes():
     assert snapped(0.26) == 2.0
 
 
+def test_snapped_returns_aligned_data_itself():
+    # Breakpoints already on nodes move nowhere: no copy is made, for a
+    # polynomial or a matrix; one moved entry makes a new matrix.
+    grid = Grid(0.0, 1.0, 8)
+    on = PiecewisePoly.step([0.0, 0.25, 1.0], [1.0, 2.0])
+    off = PiecewisePoly.step([0.0, 0.3, 1.0], [1.0, 2.0])
+    assert on.snapped(grid) is on
+    aligned = PolyMatrix([[on, PiecewisePoly.zero(0.0, 1.0)]])
+    assert aligned.snapped(grid) is aligned
+    mixed = PolyMatrix([[on, off]])
+    snapped = mixed.snapped(grid)
+    assert snapped is not mixed and snapped.entries[0][0] is on
+    np.testing.assert_array_equal(snapped.entries[0][1].breakpoints, [0.0, 0.25, 1.0])
+    # An end off the grid's end moves, even when the inner breakpoints do not.
+    stretched = PiecewisePoly.step([1e-12, 0.25, 1.0], [1.0, 2.0])
+    np.testing.assert_array_equal(stretched.snapped(grid).breakpoints, [0.0, 0.25, 1.0])
+
+
 def _binary_per_piece(p, q, sign):
     """Reference sum: the merge loop, one midpoint lookup per merged piece."""
     tol = 1e-12 * max(p.b - p.a, 1.0)

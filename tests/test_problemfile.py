@@ -22,7 +22,7 @@ from mpbvp.bvp import BvpProblem
 from mpbvp.funcspace import MAX_GRID_N, Grid, PiecewisePoly, PolyMatrix, PolyVector
 from mpbvp.problemfile import problem_text
 from mpbvp.stieltjes import MatrixMeasure, ScalarMeasure
-from oracles import random_problem
+from oracles import random_problem, step_problem
 
 
 @pytest.fixture()
@@ -38,6 +38,18 @@ def test_round_trip_bit_exact_for_all_corpus(tmp_path):
         emit_problem(problem, str(first))
         emit_problem(parse_problem(str(first)), str(second))
         assert first.read_bytes() == second.read_bytes()
+
+
+def test_files_keep_breakpoints_as_given(tmp_path):
+    # A step at 0.3 written for a 4-step grid and the k = 7 approximation
+    # of p1 keep their breakpoints, not the grid nodes nearest to them.
+    path = tmp_path / "step.json"
+    emit_problem(step_problem(4), str(path))
+    assert parse_problem(str(path)).coeffs[0].entries[0][0].breakpoints.tolist() == [0.0, 0.3, 1.0]
+    approx = build_multipoint_problem(corpus.build_problem("p1", 2048), 7)
+    emit_problem(approx, str(path))
+    np.testing.assert_array_equal(parse_problem(str(path)).coeffs[0].entries[0][0].breakpoints,
+                                  np.arange(8) / 7)
 
 
 def test_indented_problem_file_parses_and_solves(tmp_path):
@@ -374,7 +386,6 @@ def _assert_writer_matches_reference(problem):
     assert problem_to_dict(problem) == _reference_dict(problem)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")  # k = 1024 pieces collapse at n = 64
 @pytest.mark.parametrize("n", [64, 2048])
 @pytest.mark.parametrize("name", ["p1", "p2", "p3", "nn"])
 def test_writer_matches_reference_on_corpus_and_approximations(name, n):
@@ -449,5 +460,27 @@ def test_bad_term_in_a_large_file_names_its_entry(p2_k1024_dict, field, value, m
         del term[field]
     else:
         term[field] = value
+    with pytest.raises(ProblemFormatError, match=rf"^{re.escape(message)}$"):
+        problem_from_dict(bad)
+
+
+@pytest.mark.parametrize("faults, message", [
+    ({2: ("node", "x"), 6: ("weight", None)},
+     "$.boundary.terms[2].node: expected a number, got 'x'"),
+    ({2: ("weight", [[[1.0, "0"]], [[0.0, 0.0]]]), 6: ("order", True)},
+     "$.boundary.terms[2].weight[0][0][1]: expected a number, got '0'"),
+    ({2: ("weight", None), 6: ("node", "x")},
+     "$.boundary.terms[2]: missing required key 'weight'"),
+])
+def test_first_of_two_bad_terms_is_named(p2_k1024_dict, faults, message):
+    # The term-by-term walk checks node, order and weight of each term in
+    # turn, so the earlier term is named whatever its fault and the later's.
+    bad = copy.deepcopy(p2_k1024_dict)
+    for index, (field, value) in faults.items():
+        term = bad["boundary"]["terms"][index]
+        if value is None:
+            del term[field]
+        else:
+            term[field] = value
     with pytest.raises(ProblemFormatError, match=rf"^{re.escape(message)}$"):
         problem_from_dict(bad)
