@@ -116,7 +116,9 @@ def approximate_coefficients(A: PolyMatrix, k: int) -> PolyMatrix:
 
     The L1 distance to a Lipschitz coefficient decays like 1/k; for a
     piecewise-constant A whose breakpoints align with the partition the
-    approximation reproduces A exactly.
+    approximation reproduces A exactly, and stores A's own pieces: a run of
+    bitwise-equal neighbouring means is one piece, so the edge j/k is a
+    breakpoint only where the means on either side of it differ.
     """
     k = _check_k(k)
     a, b = A.a, A.b
@@ -131,7 +133,10 @@ def approximate_coefficients(A: PolyMatrix, k: int) -> PolyMatrix:
         out = np.empty_like(sums)
         out.real = sums.real / widths
         out.imag = sums.imag / widths
-        return PiecewisePoly.step(edges, out)
+        # Bits, not values, decide a run, so -0.0 and +0.0 stay apart.
+        bits = out.view(np.uint64).reshape(k, 2)
+        starts = np.concatenate([[True], (bits[1:] != bits[:-1]).any(axis=1)])
+        return PiecewisePoly.step(np.append(edges[:-1][starts], edges[-1]), out[starts])
 
     return PolyMatrix([[means(entry) for entry in row] for row in A.entries])
 

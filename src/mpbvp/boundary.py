@@ -223,11 +223,10 @@ class LiftedOperator:
     """A boundary operator compiled to one linear functional on a grid.
 
     ``weights[i, s, c]`` weighs entry c of the stacked rm-vector
-    col(y, y', ..., y^(r-1)) at node s in row i.  Point terms carry the
-    4-point cubic stencil of their node, measure atoms the linear stencil
-    of their location, and densities trapezoid weights with the
-    Euler-Maclaurin end correction.  ``point_terms`` lists the
-    (node, order, beta) point terms compiled in.
+    col(y, y', ..., y^(r-1)) at node s in row i.  Point terms and measure
+    atoms carry the 4-point cubic stencil of their location, and densities
+    trapezoid weights with the Euler-Maclaurin end correction.
+    ``point_terms`` lists the (node, order, beta) point terms compiled in.
     """
 
     __slots__ = ("point_terms", "weights")

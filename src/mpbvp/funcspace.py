@@ -293,14 +293,12 @@ class PiecewisePoly:
         ``__call__`` gives them.  Only the nodes and the midpoints are
         evaluated: the end of step i is node i + 1, so its left limit is
         that node's value, except at an interior breakpoint that equals a
-        node, where it is evaluated on the piece to the left.  When every
-        row of the table is bitwise equal, the first row is evaluated,
-        broadcast, with no piece search.  Each value has the bits of
-        ``__call__`` at the same point and side.
+        node, where it is evaluated on the piece to the left.  A single
+        piece is evaluated, broadcast, with no piece search.  Each value has
+        the bits of ``__call__`` at the same point and side.
         """
         nodes, mids = grid.nodes, grid.half_nodes
-        bits = np.ascontiguousarray(self.table).view(np.uint64)
-        if (bits == bits[0]).all():
+        if self.npieces == 1:
             at_nodes = _horner(self.table[:1], nodes)
             return at_nodes, at_nodes[1:], _horner(self.table[:1], mids)
         at_nodes = _horner(self.table[self._piece_index(nodes)], nodes)

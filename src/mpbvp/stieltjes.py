@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .funcspace import (Grid, PiecewisePoly, _check_k, _coalesce, _linear_stencil, _merge_tol,
+from .funcspace import (Grid, PiecewisePoly, _check_k, _coalesce, _cubic_stencil, _merge_tol,
                         mat_norm)
 
 __all__ = [
@@ -94,12 +94,13 @@ class ScalarMeasure:
     def weights(self, grid: Grid) -> np.ndarray:
         """Node weights w, shaped (n+1,), with <x, mu> = sum_s w[s] x(t_s).
 
-        Atoms use the linear stencil of their location; the density uses
-        the trapezoid rule with end correction of ``_density_weights``.
+        Atoms use the 4-point cubic stencil of their location, as point
+        terms do; the density uses the trapezoid rule with end correction
+        of ``_density_weights``.
         """
         w = np.zeros(grid.n + 1, dtype=complex)
-        base, stencil = _linear_stencil(grid, self.nodes)
-        np.add.at(w, base[:, None] + np.arange(2), self.masses[:, None] * stencil)
+        base, stencil = _cubic_stencil(grid, self.nodes)
+        np.add.at(w, base[:, None] + np.arange(stencil.shape[1]), self.masses[:, None] * stencil)
         if self.density is not None:
             w += _density_weights(grid, self.density)
         return w

@@ -38,7 +38,7 @@ from mpbvp.bvp import companion_reduce
 from mpbvp.funcspace import (MAX_GRID_N, antiderivative, mat_norm, norm_c, norm_cl, norm_w1r,
                              traj_norm_c)
 from mpbvp.linode import inverse_fundamental
-from oracles import scaled_boundary_problem
+from oracles import random_problem, scaled_boundary_problem
 
 
 def _identity_matrix_fn():
@@ -67,12 +67,66 @@ def test_interval_means_are_bitwise_the_per_interval_means():
                                         for d in rng.integers(0, 9, 10)])
                      for _ in range(2)] for _ in range(2)])
     for k in (1, 3, 7, 64):
-        edges = np.arange(k + 1) / k
         for row, approx_row in zip(A.entries, approximate_coefficients(A, k).entries):
             for entry, approx in zip(row, approx_row):
-                want = np.array([entry.mean(c, d) for c, d in zip(edges[:-1], edges[1:])])
-                got = np.concatenate(approx.coeffs)
-                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+                _assert_midpoints_are_the_means(entry, approx, k)
+
+
+def _assert_midpoints_are_the_means(entry, approx, k):
+    edges = entry.a + (entry.b - entry.a) * np.arange(k + 1) / k
+    want = np.array([entry.mean(c, d) for c, d in zip(edges[:-1], edges[1:])])
+    got = approx(0.5 * (edges[:-1] + edges[1:]))
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _step_entries(rng):
+    """Step functions on [0, 1] with a few exact values, jumping at multiples
+    of 1/21, so that the means on cells of 3 and 7 parts repeat."""
+    for _ in range(6):
+        bp = np.concatenate([[0.0], np.sort(rng.choice(np.arange(1, 21), 4, replace=False)) / 21,
+                             [1.0]])
+        yield PiecewisePoly.step(bp, rng.choice([1.0, 2.0, -0.5j, 0.0], bp.size - 1))
+
+
+def test_interval_means_keep_one_piece_per_run_of_equal_means():
+    rng = np.random.default_rng(16)
+    entries = list(_step_entries(rng))
+    for _ in range(2):
+        problem = random_problem(rng, n=64)
+        entries += [entry for A in problem.coeffs for row in A.entries for entry in row]
+    merged = 0
+    for k in (1, 3, 7, 64):
+        for entry in entries:
+            approx = approximate_coefficients(PolyMatrix([[entry]]), k).entries[0][0]
+            bits = approx.table.view(np.uint64)
+            assert not (bits[1:] == bits[:-1]).all(axis=1).any()
+            edges = entry.a + (entry.b - entry.a) * np.arange(k + 1) / k
+            assert np.isin(approx.breakpoints, edges).all()
+            _assert_midpoints_are_the_means(entry, approx, k)
+            merged += k - approx.npieces
+    assert merged > 0
+
+
+def test_signed_zero_means_stay_apart():
+    # The mean over [0, 4] underflows to -0.0, the mean over [4, 8] is +0.0.
+    entry = PiecewisePoly.step([0.0, 0.25, 8.0], [-2e-323, 0.0])
+    approx = approximate_coefficients(PolyMatrix([[entry]]), 2).entries[0][0]
+    assert approx.breakpoints.tolist() == [0.0, 4.0, 8.0]
+    assert np.signbit(approx.table.real[:, 0]).tolist() == [True, False]
+
+
+@pytest.mark.parametrize("name", corpus.CORPUS_NAMES)
+def test_corpus_approximations_store_the_limit_pieces(name):
+    problem = corpus.build_problem(name, 2048)
+    for k in (4, 1024):
+        approx = build_multipoint_problem(problem, k)
+        for A, Ak in zip(problem.coeffs, approx.coeffs):
+            for row, approx_row in zip(A.entries, Ak.entries):
+                for entry, approx_entry in zip(row, approx_row):
+                    assert approx_entry.npieces == entry.npieces
+                    for got, want in zip(approx_entry.grid_samples(problem.grid),
+                                         entry.grid_samples(problem.grid)):
+                        np.testing.assert_array_equal(got, want)
 
 
 def test_mean_approximation_l1_error_law():

@@ -1,5 +1,7 @@
 """Boundary operators: general form, multipoint form, lifting, norms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from mpbvp import (
     multipointify,
     norm_lower_bound,
     norm_upper_bound,
+    solve,
 )
 from mpbvp import corpus
 from mpbvp.stieltjes import _density_weights
@@ -170,6 +173,22 @@ def test_lift_multipoint():
     lifted = lift(op, grid)
     v = np.stack([grid.nodes ** 2, 2.0 * grid.nodes], axis=1)
     np.testing.assert_allclose(lifted.apply_values(v), [1.0, 1.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2048, 16384])
+def test_atom_and_point_term_read_a_point_alike(n):
+    # p1's ODE with the one condition y(1/3) = exact value, written once as
+    # an atom of the measure and once as a point term: both are the same
+    # point evaluation, off the grid, and solve to the same jet.
+    p1 = corpus.build_problem("p1", n)
+    q = np.array([np.exp(-1.0 / 3.0) + 1.0 / 3.0])
+    atom = GeneralBoundaryOperator(1, 1, [], MatrixMeasure([[
+        ScalarMeasure.point_mass(0.0, 1.0, 1.0 / 3.0)]]))
+    term = MultipointBoundaryOperator(1, 1, 0.0, 1.0, [
+        BoundaryTerm(node=1.0 / 3.0, order=0, beta=np.array([[1.0]]))])
+    jets = [solve(dataclasses.replace(p1, operator=op, q=q)).jet for op in (atom, term)]
+    for x, y in zip(*(jet.samples for jet in jets)):
+        assert np.abs(x - y).max() <= 1e-14
 
 
 @pytest.mark.parametrize("name", ["p1", "p2", "p3"])

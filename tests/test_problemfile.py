@@ -42,14 +42,15 @@ def test_round_trip_bit_exact_for_all_corpus(tmp_path):
 
 def test_files_keep_breakpoints_as_given(tmp_path):
     # A step at 0.3 written for a 4-step grid and the k = 7 approximation
-    # of p1 keep their breakpoints, not the grid nodes nearest to them.
+    # of p2 keep their breakpoints, not the grid nodes nearest to them: the
+    # approximation of p2's a0 jumps on the cell [3/7, 4/7] around its jump.
     path = tmp_path / "step.json"
     emit_problem(step_problem(4), str(path))
     assert parse_problem(str(path)).coeffs[0].entries[0][0].breakpoints.tolist() == [0.0, 0.3, 1.0]
-    approx = build_multipoint_problem(corpus.build_problem("p1", 2048), 7)
+    approx = build_multipoint_problem(corpus.build_problem("p2", 2048), 7)
     emit_problem(approx, str(path))
     np.testing.assert_array_equal(parse_problem(str(path)).coeffs[0].entries[0][0].breakpoints,
-                                  np.arange(8) / 7)
+                                  (np.arange(8) / 7)[[0, 3, 4, 7]])
 
 
 def test_indented_problem_file_parses_and_solves(tmp_path):

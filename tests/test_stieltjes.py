@@ -225,11 +225,23 @@ def _bits(atoms):
 
 
 def _weights_loop(mu, grid):
+    # Each atom weighs its 4-point Lagrange stencil, or on fewer than 4
+    # cells its linear one.
     w = np.zeros(grid.n + 1, dtype=complex)
     for t, weight in _pairs(mu):
         s = min(max((t - grid.a) / grid.h, 0.0), float(grid.n))
         i = min(int(s), grid.n - 1)
-        w[i:i + 2] += weight * np.array([1.0 - (s - i), s - i])
+        if grid.n < 4:
+            w[i:i + 2] += weight * np.array([1.0 - (s - i), s - i])
+            continue
+        i = min(max(i - 1, 0), grid.n - 3)
+        x = s - i
+        lagrange = [1.0] * 4
+        for j in range(4):
+            for k in range(4):
+                if k != j:
+                    lagrange[j] *= (x - k) / (j - k)
+        w[i:i + 4] += weight * np.array(lagrange)
     if mu.density is not None:
         w += _density_weights(grid, mu.density)
     return w
