@@ -6,15 +6,14 @@ A general operator sends an order-(r-1) jet y to
 
 with alpha_l in C^{rm x m} and Phi an rm x m matrix measure; for r = 1 only
 the integral term is present.  A multipoint operator is a finite sum
-B y = sum_j beta_j y^(l_j)(t_j), held as one table of point terms.
-``multipointify`` turns the former into the latter by discretizing every
-density of Phi on k equal subintervals, which converges weak-* but never
-in total variation, and grouping all entries' atom tables by location.
-Terms and atoms coalesce by ``funcspace._coalesce``.  ``lift`` compiles
-either kind once per grid to one weight array on the stacked jet, placing
-the stencils of all point terms (for a general operator, the alphas at a)
-with one scatter; every application of an operator is a contraction with
-it.
+B y = sum_j beta_j y^(l_j)(t_j), held as one table of point terms.  An
+atom of Phi with mass w at t is the point term (t, r-1, w in its entry), so
+``_point_terms`` gives either kind's point evaluations as one such table.
+``multipointify`` is the coalesced table of the operator with every density
+discretized on k equal subintervals, which converges weak-* but never in
+total variation.  ``lift`` compiles either kind once per grid to one weight
+array on the stacked jet: one scatter places the table, then densities add
+their quadrature weights.  Every application is a contraction with it.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import (Grid, SampledJet, _cluster_starts, _coalesce, _cubic_stencil, _merge_tol,
-                        norm_cl, vec_norm)
+from .funcspace import Grid, SampledJet, _coalesce, _merge_tol, _place_points, norm_cl, vec_norm
 from .stieltjes import MatrixMeasure
 
 __all__ = [
@@ -189,34 +187,29 @@ def _stacked_jet(op, jet: SampledJet) -> np.ndarray:
 def multipointify(op: GeneralBoundaryOperator, k: int) -> MultipointBoundaryOperator:
     """Discretize a general operator into a multipoint one with parameter k.
 
-    The alpha blocks become order-l terms at a (independent of k).  Every
-    density in Phi is replaced by k midpoint atoms carrying the exact
-    per-subinterval integrals; original atoms pass through.  All entries'
-    atoms are then grouped by location into order-(r-1) terms.
+    Every density in Phi is replaced by k midpoint atoms carrying the exact
+    per-subinterval integrals; original atoms pass through.  The point-term
+    table of that operator then coalesces as any multipoint table does.
     """
-    rows, m = op.rows, op.m
-    entries = [entry for row in op.phi.discretize(k).entries for entry in row]
-    t = np.concatenate([entry.nodes for entry in entries])
-    slot = np.repeat(np.arange(rows * m), [entry.nodes.size for entry in entries])
-    order = np.argsort(t, kind="stable")
-    t, slot = t[order], slot[order]
-    w = np.concatenate([entry.masses for entry in entries])[order]
-    starts = _cluster_starts(t, _merge_tol(op.a, op.b))
-    weights = np.zeros((np.count_nonzero(starts), rows * m), dtype=complex)
-    np.add.at(weights, (np.cumsum(starts) - 1, slot), w)
-    nodes, orders, alphas = _alpha_terms(op)
-    return MultipointBoundaryOperator._from_table(
-        op.r, m, op.a, op.b,
-        np.concatenate([nodes, t[starts]]),
-        np.concatenate([orders, np.full(weights.shape[0], op.r - 1)]),
-        np.concatenate([alphas, weights.reshape(-1, rows, m)]))
+    disc = GeneralBoundaryOperator(op.r, op.m, op.alphas, op.phi.discretize(k))
+    return MultipointBoundaryOperator._from_table(op.r, op.m, op.a, op.b, *_point_terms(disc))
 
 
-def _alpha_terms(op: GeneralBoundaryOperator):
-    """The alpha blocks as point terms at a: nodes, orders and betas."""
+def _point_terms(op):
+    """Every point evaluation of an operator as one table: nodes, orders, betas.
+
+    A multipoint operator gives its table as held; a general one its alphas
+    as order-l terms at a, then the atoms of Phi as order-(r-1) terms.
+    """
+    if isinstance(op, MultipointBoundaryOperator):
+        return op.nodes, op.orders, op.betas
+    if not isinstance(op, GeneralBoundaryOperator):
+        raise TypeError(f"not a boundary operator: {type(op).__name__}")
     count = op.r - 1
-    return (np.full(count, op.a), np.arange(count),
-            np.array(op.alphas, dtype=complex).reshape(count, op.rows, op.m))
+    nodes, orders, betas = op.phi._atom_terms(count)
+    return (np.concatenate([np.full(count, op.a), nodes]),
+            np.concatenate([np.arange(count), orders]),
+            np.concatenate([np.reshape(op.alphas, (count, op.rows, op.m)), betas]))
 
 
 class LiftedOperator:
@@ -226,7 +219,8 @@ class LiftedOperator:
     col(y, y', ..., y^(r-1)) at node s in row i.  Point terms and measure
     atoms carry the 4-point cubic stencil of their location, and densities
     trapezoid weights with the Euler-Maclaurin end correction.
-    ``point_terms`` lists the (node, order, beta) point terms compiled in.
+    ``point_terms`` lists the (node, order, beta) point terms compiled in,
+    measure atoms included.
     """
 
     __slots__ = ("point_terms", "weights")
@@ -257,24 +251,12 @@ def lift(op, grid: Grid) -> LiftedOperator:
     Derivative orders become block indices of the stacked vector, so the
     compiled functional applied to col(y, ..., y^(r-1)) equals B y.
     """
-    if isinstance(op, GeneralBoundaryOperator):
-        nodes, orders, betas = _alpha_terms(op)
-    elif isinstance(op, MultipointBoundaryOperator):
-        nodes, orders, betas = op.nodes, op.orders, op.betas
-    else:
-        raise TypeError(f"not a boundary operator: {type(op).__name__}")
+    nodes, orders, betas = _point_terms(op)
     m, d = op.m, op.rows
-    weights = np.zeros((d, grid.n + 1, d), dtype=complex)
-    # Term t adds w[t, s] * betas[t, i, c] at (i, base[t] + s, orders[t] m + c);
-    # add.at sums in term order, as one += per term would.
-    base, w = _cubic_stencil(grid, nodes)
-    np.add.at(weights,
-              (np.arange(d)[None, :, None, None],
-               (base[:, None] + np.arange(w.shape[1]))[:, None, :, None],
-               (orders[:, None] * m + np.arange(m))[:, None, None, :]),
-              w[:, None, :, None] * betas[:, :, None, :])
+    weights = _place_points(np.zeros((d, grid.n + 1, d), dtype=complex), grid,
+                            nodes, orders, betas)
     if isinstance(op, GeneralBoundaryOperator):
-        weights[:, :, (op.r - 1) * m:] += op.phi.weights(grid)
+        op.phi._add_densities(weights, grid, (op.r - 1) * m)
     return LiftedOperator(zip(nodes.tolist(), orders.tolist(), betas), weights)
 
 

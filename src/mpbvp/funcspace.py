@@ -110,6 +110,19 @@ def _cubic_stencil(grid: Grid, t):
     return base, w
 
 
+def _place_points(out: np.ndarray, grid: Grid, nodes, orders, betas) -> np.ndarray:
+    """Add point terms to node weights ``out`` (rows, n+1, cols) and return it: term t
+    adds w[t, s] * betas[t, i, c] at (i, base[t] + s, orders[t] m + c), where (base, w)
+    is its node's cubic stencil and m = betas.shape[2], summing in term order."""
+    m = betas.shape[2]
+    base, w = _cubic_stencil(grid, nodes)
+    np.add.at(out, (np.arange(out.shape[0])[None, :, None, None],
+                    (base[:, None] + np.arange(w.shape[1]))[:, None, :, None],
+                    (orders[:, None] * m + np.arange(m))[:, None, None, :]),
+              w[:, None, :, None] * betas[:, :, None, :])
+    return out
+
+
 def _cluster_starts(x: np.ndarray, tol: float, breaks=None) -> np.ndarray:
     """Mask of the sorted points x that start a cluster: those more than tol
     beyond the first point of the cluster before them, and those where

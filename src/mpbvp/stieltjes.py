@@ -4,15 +4,16 @@ A measure here is one table of atoms (``nodes`` and ``masses``) together
 with an absolutely continuous part given by a piecewise-polynomial density,
 so total variation and discretization are computable in closed form.  Atoms
 are sorted and coalesced in one pass by ``funcspace._coalesce``; every query
-reduces or concatenates the table's arrays, and integrating sampled data
-against a measure is a contraction with its node weights ``weights(grid)``.
+reduces or concatenates the table's arrays.  A matrix measure hands its
+atoms over as one point-term table, placed on a grid by the point terms'
+``funcspace._place_points``, and adds its densities' ``_density_weights``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .funcspace import (Grid, PiecewisePoly, _check_k, _coalesce, _cubic_stencil, _merge_tol,
+from .funcspace import (Grid, PiecewisePoly, _check_k, _coalesce, _merge_tol, _place_points,
                         mat_norm)
 
 __all__ = [
@@ -90,20 +91,6 @@ class ScalarMeasure:
     def mass(self) -> complex:
         dens = 0 if self.density is None else self.density.integrate()
         return complex(self.masses.sum() + dens)
-
-    def weights(self, grid: Grid) -> np.ndarray:
-        """Node weights w, shaped (n+1,), with <x, mu> = sum_s w[s] x(t_s).
-
-        Atoms use the 4-point cubic stencil of their location, as point
-        terms do; the density uses the trapezoid rule with end correction
-        of ``_density_weights``.
-        """
-        w = np.zeros(grid.n + 1, dtype=complex)
-        base, stencil = _cubic_stencil(grid, self.nodes)
-        np.add.at(w, base[:, None] + np.arange(stencil.shape[1]), self.masses[:, None] * stencil)
-        if self.density is not None:
-            w += _density_weights(grid, self.density)
-        return w
 
     def __sub__(self, other: "ScalarMeasure") -> "ScalarMeasure":
         tol = _merge_tol(self.a, self.b)
@@ -234,10 +221,23 @@ class MatrixMeasure:
     def b(self) -> float:
         return self.entries[0][0].b
 
-    def weights(self, grid: Grid) -> np.ndarray:
-        """Entrywise node weights shaped (rows, n+1, cols); see ScalarMeasure.weights."""
-        w = np.array([[entry.weights(grid) for entry in row] for row in self.entries])
-        return w.transpose(0, 2, 1)
+    def _atom_terms(self, order: int):
+        """Every entry's atoms, entry by entry, as point terms of the given order
+        whose (rows, cols) betas hold the mass in the entry's slot: nodes, orders, betas."""
+        entries = [entry for row in self.entries for entry in row]
+        nodes = np.concatenate([entry.nodes for entry in entries])
+        slot = np.repeat(np.arange(len(entries)), [entry.nodes.size for entry in entries])
+        betas = np.zeros((nodes.size, len(entries)), dtype=complex)
+        betas[np.arange(nodes.size), slot] = np.concatenate([entry.masses for entry in entries])
+        return nodes, np.full(nodes.size, order), betas.reshape((nodes.size,) + self.shape)
+
+    def _add_densities(self, out: np.ndarray, grid: Grid, first: int) -> np.ndarray:
+        """Add entry (i, j)'s density weights to ``out[i, :, first + j]`` and return out."""
+        for i, row in enumerate(self.entries):
+            for j, entry in enumerate(row):
+                if entry.density is not None:
+                    out[i, :, first + j] += _density_weights(grid, entry.density)
+        return out
 
     def apply(self, grid: Grid, values) -> np.ndarray:
         """Integrate sampled (n+1, cols) data row-wise: out_i = sum_j < x_j, mu_ij >."""
@@ -247,7 +247,9 @@ class MatrixMeasure:
         rows, cols = self.shape
         if v.shape != (grid.n + 1, cols):
             raise ValueError(f"expected samples shaped {(grid.n + 1, cols)}, got {v.shape}")
-        return np.einsum("isj,sj->i", self.weights(grid), v)
+        w = _place_points(np.zeros((rows, grid.n + 1, cols), dtype=complex), grid,
+                          *self._atom_terms(0))
+        return np.einsum("isj,sj->i", self._add_densities(w, grid, 0), v)
 
     def discretize(self, k: int) -> "MatrixMeasure":
         return MatrixMeasure(

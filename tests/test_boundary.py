@@ -11,6 +11,8 @@ from mpbvp import (
     Grid,
     MatrixMeasure,
     MultipointBoundaryOperator,
+    NotUniquelySolvableError,
+    PiecewisePoly,
     SampledJet,
     ScalarMeasure,
     apply_operator,
@@ -175,6 +177,23 @@ def test_lift_multipoint():
     np.testing.assert_allclose(lifted.apply_values(v), [1.0, 1.0], atol=1e-12)
 
 
+def _atomic_forms(op):
+    """General operators whose measure is atomic: op with its densities
+    dropped, and op with them discretized at k = 7, whose midpoints lie off
+    the nodes of n = 2048 and 16384."""
+    dropped = MatrixMeasure([[ScalarMeasure(mu.a, mu.b, atoms=np.stack([mu.nodes, mu.masses], 1))
+                              for mu in row] for row in op.phi.entries])
+    return [GeneralBoundaryOperator(op.r, op.m, op.alphas, phi)
+            for phi in (dropped, op.phi.discretize(7))]
+
+
+def _jet_or_refusal(problem):
+    try:
+        return solve(problem).jet
+    except NotUniquelySolvableError:
+        return None
+
+
 @pytest.mark.parametrize("n", [2048, 16384])
 def test_atom_and_point_term_read_a_point_alike(n):
     # p1's ODE with the one condition y(1/3) = exact value, written once as
@@ -186,9 +205,32 @@ def test_atom_and_point_term_read_a_point_alike(n):
         ScalarMeasure.point_mass(0.0, 1.0, 1.0 / 3.0)]]))
     term = MultipointBoundaryOperator(1, 1, 0.0, 1.0, [
         BoundaryTerm(node=1.0 / 3.0, order=0, beta=np.array([[1.0]]))])
-    jets = [solve(dataclasses.replace(p1, operator=op, q=q)).jet for op in (atom, term)]
-    for x, y in zip(*(jet.samples for jet in jets)):
-        assert np.abs(x - y).max() <= 1e-14
+    cases = [(dataclasses.replace(p1, operator=atom, q=q), term)]
+    # Every atomic form of p1-p3, and at n = 2048 of seeded random general
+    # problems, against its multipointify: one compiled functional, and the
+    # same jet (or the same refusal).
+    problems = [corpus.build_problem(name, n) for name in ("p1", "p2", "p3")]
+    rng = np.random.default_rng(17)
+    while n == 2048 and len(problems) < 7:
+        problem = random_problem(rng, n=n)
+        if isinstance(problem.operator, GeneralBoundaryOperator):
+            problems.append(problem)
+    for problem in problems:
+        for op in _atomic_forms(problem.operator):
+            cases.append((dataclasses.replace(problem, operator=op), multipointify(op, 1)))
+    solved = 0
+    for problem, term_form in cases:
+        np.testing.assert_array_equal(lift(problem.operator, problem.grid).weights,
+                                      lift(term_form, problem.grid).weights)
+        jets = [_jet_or_refusal(dataclasses.replace(problem, operator=op))
+                for op in (problem.operator, term_form)]
+        if jets[0] is None:
+            assert jets[1] is None
+            continue
+        solved += 1
+        for x, y in zip(*(jet.samples for jet in jets)):
+            assert np.abs(x - y).max() <= 1e-14
+    assert solved >= (12 if n == 2048 else 4)
 
 
 @pytest.mark.parametrize("name", ["p1", "p2", "p3"])
@@ -355,28 +397,52 @@ def _stencil_loop(grid, t, points):
 
 
 def _lift_loop(op, grid):
-    """Reference lift: one += per point term, then one per measure atom."""
-    if isinstance(op, GeneralBoundaryOperator):
-        point_terms = [(op.a, l, alpha) for l, alpha in enumerate(op.alphas)]
-    else:
-        point_terms = [(t.node, t.order, t.beta) for t in op.terms]
+    """Reference lift: one += per point term, the alphas at a and then each
+    entry's measure atoms as order-(r-1) terms, then one per density."""
     m, d = op.m, op.rows
     weights = np.zeros((d, grid.n + 1, d), dtype=complex)
-    for node, block, beta in point_terms:
-        base, w = _stencil_loop(grid, node, 4)
-        weights[:, base:base + w.size, block * m:(block + 1) * m] += (
-            w[None, :, None] * beta[:, None, :])
     if isinstance(op, GeneralBoundaryOperator):
+        for l, alpha in enumerate(op.alphas):
+            base, w = _stencil_loop(grid, op.a, 4)
+            weights[:, base:base + w.size, l * m:(l + 1) * m] += (
+                w[None, :, None] * alpha[:, None, :])
+        top = (op.r - 1) * m
         for i, row in enumerate(op.phi.entries):
             for j, mu in enumerate(row):
-                w = np.zeros(grid.n + 1, dtype=complex)
-                for t, weight in zip(mu.nodes.tolist(), mu.masses.tolist()):
-                    base, stencil = _stencil_loop(grid, t, 2)
-                    w[base:base + 2] += weight * stencil
+                for t, mass in zip(mu.nodes.tolist(), mu.masses.tolist()):
+                    base, w = _stencil_loop(grid, t, 4)
+                    weights[i, base:base + w.size, top + j] += w * mass
+        for i, row in enumerate(op.phi.entries):
+            for j, mu in enumerate(row):
                 if mu.density is not None:
-                    w += _density_weights(grid, mu.density)
-                weights[i, :, (op.r - 1) * m + j] += w
+                    weights[i, :, top + j] += _density_weights(grid, mu.density)
+        return weights
+    for t in op.terms:
+        base, w = _stencil_loop(grid, t.node, 4)
+        weights[:, base:base + w.size, t.order * m:(t.order + 1) * m] += (
+            w[None, :, None] * t.beta[:, None, :])
     return weights
+
+
+def _off_node_general_operators():
+    """General operators whose atoms sit off the nodes of n = 1000 and n = 3."""
+    a, b = 0.0, 1.0
+    t = 0.3141592653589793
+    # atoms of three entries at one location, and inexact masses 2e-4 apart
+    # in one entry, so that the sum order at a node shows in its bits
+    shared = GeneralBoundaryOperator(1, 2, [], MatrixMeasure([
+        [ScalarMeasure(a, b, atoms=[(t, 1.5 + 0.1j), (t + 2e-4, -0.7), (0.77, -2.0j)]),
+         ScalarMeasure(a, b, atoms=[(t, 0.25 + 1.0j)])],
+        [ScalarMeasure.zero(a, b),
+         ScalarMeasure(a, b, atoms=[(t, -3.1), (0.0007, 0.5), (0.9999, 1.0 / 3.0)])],
+    ]))
+    # r = 2 with an alpha block, and an entry with both atoms and a density
+    mixed = GeneralBoundaryOperator(2, 1, [np.array([[1.0], [0.5j]])], MatrixMeasure([
+        [ScalarMeasure(a, b, atoms=[(t, 2.0), (0.999, 0.1)])],
+        [ScalarMeasure(a, b, atoms=[(t + 1e-3, -1.0 / 7.0), (0.123456, 0.3 - 0.2j)],
+                       density=PiecewisePoly.single([1.0, -1.0], a, b))],
+    ]))
+    return [shared, mixed]
 
 
 def _hand_built_operators():
@@ -429,6 +495,7 @@ def test_term_table_is_bitwise_the_constructor_loop():
 
 def test_lift_weights_are_bitwise_the_per_term_loop():
     general = [corpus.build_problem(name, 64).operator for name in ("p1", "p2", "p3")]
+    general += _off_node_general_operators()
     ops = general + [multipointify(op, k) for op in general for k in (2, 4, 256, 1024)]
     ops += [corpus.build_problem("nn", 64).operator]
     ops += [MultipointBoundaryOperator(*case) for case in _hand_built_operators()]
@@ -445,7 +512,10 @@ def test_lift_weights_are_bitwise_the_per_term_loop():
         for grid in (Grid(op.a, op.b, 1000), Grid(op.a, op.b, 3)):
             got, want = lift(op, grid), _lift_loop(op, grid)
             np.testing.assert_array_equal(got.weights.view(np.uint64), want.view(np.uint64))
-            count = op.r - 1 if isinstance(op, GeneralBoundaryOperator) else len(op.terms)
+            if isinstance(op, GeneralBoundaryOperator):
+                count = op.r - 1 + sum(mu.nodes.size for row in op.phi.entries for mu in row)
+            else:
+                count = len(op.terms)
             assert len(got.point_terms) == count
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mpbvp import (
     BoundaryTerm,
     Grid,
+    MatrixMeasure,
     MultipointBoundaryOperator,
     PiecewisePoly,
     PolyMatrix,
@@ -446,11 +447,12 @@ def test_cubic_interpolation_reproduces_cubics():
 
 
 def test_linear_interpolation_on_matrix_samples():
-    # A measure atom off the nodes weighs its two neighbours linearly.
+    # A measure atom off the nodes reads the 4-point cubic stencil of its
+    # location (n = 4 cells), which is exact on entries linear in t.
     grid = Grid(0.0, 1.0, 4)
     values = np.stack([np.array([[t, 0.0], [0.0, 1.0]]) for t in grid.nodes])
-    weights = ScalarMeasure.point_mass(0.0, 1.0, 0.375).weights(grid)
-    out = np.tensordot(weights, values, axes=(0, 0))
+    atom = MatrixMeasure([[ScalarMeasure.point_mass(0.0, 1.0, 0.375)]])
+    out = np.array([[atom.apply(grid, values[:, i, j])[0] for j in range(2)] for i in range(2)])
     np.testing.assert_allclose(out, [[0.375, 0.0], [0.0, 1.0]], atol=1e-14)
 
 

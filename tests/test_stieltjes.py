@@ -18,24 +18,29 @@ from mpbvp import (
 from mpbvp.stieltjes import _density_weights
 
 
+def _integral(mu, grid, values):
+    """<x, mu> of node samples x, through the matrix measure [[mu]]."""
+    return MatrixMeasure([[mu]]).apply(grid, values)[0]
+
+
 def test_point_mass_reads_node_value():
     grid = Grid(0.0, 1.0, 8)
     mu = ScalarMeasure.point_mass(0.0, 1.0, 0.5, weight=2.0)
     values = grid.nodes ** 2
-    assert abs(mu.weights(grid) @ values - 0.5) <= 1e-14
+    assert abs(_integral(mu, grid, values) - 0.5) <= 1e-14
 
 
 def test_atom_off_node_interpolates_linearly():
     grid = Grid(0.0, 1.0, 2)
     mu = ScalarMeasure.point_mass(0.0, 1.0, 0.25)
     values = 3.0 * grid.nodes  # linear, so linear interpolation is exact
-    assert abs(mu.weights(grid) @ values - 0.75) <= 1e-14
+    assert abs(_integral(mu, grid, values) - 0.75) <= 1e-14
 
 
 def test_lebesgue_density_quadrature():
     grid = Grid(0.0, 1.0, 64)
     mu = ScalarMeasure.lebesgue(0.0, 1.0, 1.0)
-    assert abs(mu.weights(grid) @ grid.nodes - 0.5) <= 1e-14
+    assert abs(_density_weights(grid, mu.density) @ grid.nodes - 0.5) <= 1e-14
 
 
 def test_corrected_quadrature_gains_two_orders():
@@ -44,16 +49,15 @@ def test_corrected_quadrature_gains_two_orders():
     values = grid.nodes ** 3
     # the bare trapezoid error (about h^2 / 4) is removed by the
     # Euler-Maclaurin end correction, which is exact for cubics
-    assert abs(mu.weights(grid) @ values - 0.25) <= 1e-13
+    assert abs(_density_weights(grid, mu.density) @ values - 0.25) <= 1e-13
 
 
 def test_density_with_interior_breakpoint_on_node():
     grid = Grid(0.0, 1.0, 8)
     dens = PiecewisePoly.step([0.0, 0.5, 1.0], [1.0, 3.0])
-    mu = ScalarMeasure.from_density(dens)
     # integral of dens * 1 = 0.5 + 1.5; piece-aware segments keep it exact
     ones = np.ones_like(grid.nodes)
-    assert abs(mu.weights(grid) @ ones - 2.0) <= 1e-14
+    assert abs(_density_weights(grid, dens) @ ones - 2.0) <= 1e-14
 
 
 def test_total_variation_adds_atoms_and_density_mass():
@@ -248,12 +252,17 @@ def _weights_loop(mu, grid):
 
 
 def test_atom_merge_and_weights_are_bitwise_the_loops():
+    # apply's sum is compared with the same contraction of the loop's
+    # weights, on samples with no zero, so that any weight bit shows.
+    rng = np.random.default_rng(3)
     for atoms in _raw_atom_lists():
         mu = ScalarMeasure(0.0, 1.0, atoms=atoms)
         assert _bits(_pairs(mu)) == _bits(_merge_atoms_loop(atoms, 1e-12))
         assert mu.nodes.dtype == float and mu.masses.dtype == complex
         for grid in (Grid(0.0, 1.0, 1000), Grid(0.0, 1.0, 2)):
-            np.testing.assert_array_equal(mu.weights(grid).view(np.uint64),
-                                          _weights_loop(mu, grid).view(np.uint64))
+            x = rng.uniform(1.0, 2.0, (grid.n + 1, 1)) + 1j * rng.uniform(1.0, 2.0, (grid.n + 1, 1))
+            want = np.einsum("isj,sj->i", _weights_loop(mu, grid)[None, :, None], x)
+            np.testing.assert_array_equal(MatrixMeasure([[mu]]).apply(grid, x).view(np.uint64),
+                                          want.view(np.uint64))
     chain = ScalarMeasure(0.0, 1.0, atoms=_raw_atom_lists()[-3])
     assert _pairs(chain) == [(0.5, 1.0 - 2.0j), (0.5 + 1.2e-12, 3.0)]
