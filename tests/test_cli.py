@@ -246,6 +246,30 @@ def test_grid_n_regrids_the_problem_as_written(capsys, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "p1", "--grid-n", "2"],
+    ["solve", "p1", "--grid-n", "4"],
+    ["solve", "p1", "--grid-n", "8"],
+    ["solve", "p1", "--grid-n", "16"],
+    ["check", "p1", "--theorem", "3", "--ks", "2,4", "--grid-n", "16"],
+    ["constants", "p2", "--grid-n", "2"],
+    ["approximate", "p1", "--k", "3", "--grid-n", "2"],
+])
+def test_corpus_on_a_coarse_grid_exits_ok(capsys, argv):
+    # The closed forms are checked on the default grid, where quadrature
+    # error does not swamp the tolerance, so a coarse grid is no failure.
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_OK
+    assert out
+
+
+def test_sawtooth_too_fine_for_a_coarse_grid_is_an_input_error(capsys):
+    code, out, err = run(capsys, "check", "p1", "--theorem", "3", "--ks", "4,8", "--grid-n", "8")
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert "mpbvp: error: sawtooth with 4 teeth needs a grid with n >= 16" in err
+
+
 def test_corpus_on_a_grid_without_a_node_at_the_jump(capsys):
     # At n = 2049 no node lies on p2's jump at 0.5.  The closed-form check
     # reads the coefficient as given, so p2 loads, and the solve exits 0.
@@ -379,3 +403,82 @@ def test_solution_csv_matches_per_value_rendering():
     assert len(problem.grid.nodes) > 2 * cli.CSV_BLOCK_ROWS
     text = cli._solution_csv(problem, jet)
     assert text.encode() == _csv_per_value(problem, jet).encode()
+
+
+@pytest.mark.parametrize("name", corpus.CORPUS_NAMES)
+@pytest.mark.parametrize("phase", [1.0, np.exp(0.7j)], ids=["unphased", "phased"])
+def test_solution_csv_at_fine_grid_matches_per_value_rendering(name, phase):
+    # The solve-fine size: 16385 rows in 17 blocks.  Unphased, p1 and p3
+    # have all-zero imaginary columns, which the renderer writes as "0".
+    base = corpus.build_problem(name, 16384)
+    problem = BvpProblem(base.r, base.m, base.coeffs, base.f * phase, base.q * phase,
+                         base.operator, base.grid)
+    jet = solve(problem).jet
+    if phase == 1.0 and name != "p2":
+        assert all(np.all(channel.imag == 0) for channel in jet.samples)
+    assert cli._solution_csv(problem, jet).encode() == _csv_per_value(problem, jet).encode()
+
+
+def _rows_per_value(table):
+    return "".join(",".join(format(float(x), ".17g") for x in row) + "\n" for row in table)
+
+
+def _assert_rendered_exactly(values, columns=7):
+    """cli._csv_rows of the values, `columns` to a row, is the per-value rendering."""
+    values = np.asarray(values, dtype=float).ravel()
+    table = np.concatenate([values, np.zeros(-len(values) % columns)]).reshape(-1, columns)
+    text = cli._csv_rows(table)
+    expected = _rows_per_value(table)
+    if text != expected:
+        got = text.replace("\n", ",").split(",")
+        want = expected.replace("\n", ",").split(",")
+        bad = [(g, w) for g, w in zip(got, want) if g != w]
+        pytest.fail(f"{len(bad)} fields differ, e.g. (got, want) {bad[:3]}")
+
+
+def test_csv_rows_render_random_bit_patterns_exactly():
+    bits = np.random.default_rng(20200917).integers(0, 2 ** 64, 200_000, dtype=np.uint64)
+    assert np.unique(bits >> np.uint64(52) & np.uint64(0x7FF)).size == 2048  # every exponent
+    values = bits.view(np.float64)
+    assert np.isnan(values).any() and (np.abs(values) < np.finfo(float).tiny).any()
+    _assert_rendered_exactly(np.concatenate([values, [np.inf, -np.inf]]))
+
+
+def test_csv_rows_render_extreme_values_exactly():
+    extremes = np.array([0.0, 5e-324, np.finfo(float).tiny, np.finfo(float).max])
+    _assert_rendered_exactly(np.concatenate([extremes, -extremes]))
+
+
+def test_csv_rows_render_powers_of_ten_and_two_exactly():
+    tens = np.array([float(f"1e{e}") for e in range(-300, 301)])
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    _assert_rendered_exactly(np.concatenate([
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf), twos, -twos]))
+
+
+def test_csv_rows_render_exact_ties_exactly():
+    # M/4 for odd M >= 2^52 ends in .25 or .75 at 17 digits plus one: a
+    # decimal tie, which format() rounds to even.
+    odd = 2 ** 52 + 1 + 2 * np.arange(100_000, dtype=np.int64)
+    ties = odd.astype(float) / 4
+    assert np.all(odd.astype(float) == odd)
+    _assert_rendered_exactly(ties)
+
+
+def test_csv_rows_render_notation_switch_points_exactly():
+    # %g writes fixed notation for exponents -4 ... 16 and exponent notation
+    # outside.
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17])
+    near = np.concatenate([switches, np.nextafter(switches, 0.0), np.nextafter(switches, np.inf)])
+    _assert_rendered_exactly(np.concatenate([near, -near]))
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (3000, 1), (cli.CSV_BLOCK_ROWS - 1, 3),
+                                   (cli.CSV_BLOCK_ROWS, 3), (cli.CSV_BLOCK_ROWS + 1, 3)])
+def test_csv_rows_render_every_table_shape(shape):
+    rng = np.random.default_rng(shape[0])
+    table = rng.standard_normal(shape) * np.exp(rng.uniform(-40, 40, shape))
+    table.ravel()[::5] = 0.0
+    text = cli._csv_rows(table)
+    assert text.count("\n") == shape[0]
+    assert text == _rows_per_value(table)
