@@ -248,9 +248,9 @@ def _solve_pass(problems, inverse: bool = False) -> list:
     out = [_finish(first, *next(tables))]
     if inverse:
         out.append(traj_norm_c(next(tables)[0]))
-    for problem, passed in zip(problems[1:], tables):
+    for problem in problems[1:]:
         try:
-            out.append(_finish(problem, *passed))
+            out.append(_finish(problem, *next(tables)))
         except NotUniquelySolvableError as exc:
             out.append(exc)
     return out

@@ -239,6 +239,14 @@ def random_problem(rng, n: int = 512, max_cond: float = 1e6):
     raise RuntimeError("rejection sampling failed to find a solvable problem")
 
 
+def tie_keeping_permutation(rng, t):
+    """A random permutation of range(t.size) that keeps equal t in their order."""
+    perm = rng.permutation(t.size)
+    for value in np.unique(t):
+        perm[t[perm] == value] = np.flatnonzero(t == value)
+    return perm
+
+
 def scaled_boundary_problem(problem: BvpProblem, scale: float) -> BvpProblem:
     """``problem`` with its multipoint weights and boundary values times ``scale``."""
     op = problem.operator

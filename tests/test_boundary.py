@@ -26,7 +26,7 @@ from mpbvp import (
 )
 from mpbvp import corpus
 from mpbvp.stieltjes import _density_weights
-from oracles import _boundary_rows, random_problem
+from oracles import _boundary_rows, random_problem, tie_keeping_permutation
 
 
 def _p2_operator():
@@ -594,14 +594,6 @@ def _assert_same_tables(op, other):
         np.testing.assert_array_equal(lift(op, grid).weights, lift(other, grid).weights)
 
 
-def _tie_keeping_permutation(rng, t):
-    """A random permutation of range(t.size) that keeps equal t in their order."""
-    perm = rng.permutation(t.size)
-    for value in np.unique(t):
-        perm[t[perm] == value] = np.flatnonzero(t == value)
-    return perm
-
-
 def test_permuting_atoms_leaves_multipointify_and_lift_unchanged():
     # Each entry gains 12 locations of 3 tied atoms each.  A cluster sums
     # in input order, so the order among exact ties is kept; that a sort
@@ -611,7 +603,7 @@ def test_permuting_atoms_leaves_multipointify_and_lift_unchanged():
         tables = _entry_tables(op, lambda mu: np.stack(
             [np.repeat(rng.uniform(mu.a, mu.b, 12), 3),
              rng.standard_normal(36) + 1j * rng.standard_normal(36)], axis=1))
-        shuffled = [[table[_tie_keeping_permutation(rng, table[:, 0].real)] for table in row]
+        shuffled = [[table[tie_keeping_permutation(rng, table[:, 0].real)] for table in row]
                     for row in tables]
         _assert_same_tables(_with_atoms(op, tables), _with_atoms(op, shuffled))
 

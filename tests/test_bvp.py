@@ -20,10 +20,19 @@ from mpbvp import (
     ScalarMeasure,
     companion_reduce,
     corpus,
+    lift,
+    multipointify,
     residuals,
     solve,
 )
-from oracles import crank_nicolson_solve, growth_problem, random_problem, step_problem
+from oracles import (
+    crank_nicolson_solve,
+    growth_problem,
+    random_problem,
+    scaled_boundary_problem,
+    step_problem,
+    tie_keeping_permutation,
+)
 
 
 def _dirichlet(r, m, a, b, *nodes_orders):
@@ -341,3 +350,109 @@ def test_top_channel_is_bitwise_the_node_evaluation():
             A = problem.coeffs[l].snapped(problem.grid)
             top -= np.einsum("nij,nj->ni", A.eval_at(nodes), jet.samples[l])
         assert jet.samples[-1].tobytes() == top.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic relations of the solve
+
+
+def _multipoint_random_problems(seed, count=12, n=256):
+    """``count`` seeded random problems on n steps, each with a multipoint
+    operator: a general one is replaced by its k = 2 multipoint form, and a
+    problem that form leaves refused is drawn again."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    while len(problems) < count:
+        problem = random_problem(rng, n=n)
+        if isinstance(problem.operator, GeneralBoundaryOperator):
+            problem = dataclasses.replace(problem, operator=multipointify(problem.operator, 2))
+            try:
+                solve(problem)
+            except NotUniquelySolvableError:
+                continue
+        problems.append(problem)
+    return problems, rng
+
+
+def _with_terms(problem, terms):
+    op = problem.operator
+    return dataclasses.replace(
+        problem, operator=MultipointBoundaryOperator(op.r, op.m, op.a, op.b, terms))
+
+
+def _random_terms(rng, problem, nodes, beta=None):
+    """One term at each of ``nodes``, of random order, with weight ``beta``
+    or a random one."""
+    shape = (problem.r * problem.m, problem.m)
+    return [BoundaryTerm(node=float(t), order=int(rng.integers(0, problem.r)),
+                         beta=(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                               if beta is None else beta))
+            for t in nodes]
+
+
+def _assert_same_weights_and_jet(problem, other, scale=1.0):
+    """lift(W) of the two operators is bitwise the same (for scale 1), and
+    the jet of ``other`` is bitwise ``scale`` times that of ``problem``."""
+    if scale == 1.0:
+        np.testing.assert_array_equal(lift(other.operator, other.grid).weights,
+                                      lift(problem.operator, problem.grid).weights)
+    for x, y in zip(solve(problem).jet.samples, solve(other).jet.samples, strict=True):
+        np.testing.assert_array_equal(y, scale * x)
+
+
+def test_permuting_multipoint_terms_leaves_weights_and_jet_unchanged():
+    # Each operator gains 3 fresh nodes with 2 terms each and a term at
+    # each of its own nodes; terms of one node and order sum in input
+    # order, so the permutation keeps equal nodes in their order.
+    problems, rng = _multipoint_random_problems(seed=81)
+    for problem in problems:
+        op = problem.operator
+        nodes = np.concatenate([np.repeat(rng.uniform(op.a, op.b, 3), 2), op.nodes])
+        terms = [*op.terms, *_random_terms(rng, problem, nodes)]
+        perm = tie_keeping_permutation(rng, np.array([term.node for term in terms]))
+        assert not np.array_equal(perm, np.arange(len(terms)))
+        _assert_same_weights_and_jet(_with_terms(problem, terms),
+                                     _with_terms(problem, [terms[i] for i in perm]))
+
+
+def test_zero_weight_terms_leave_weights_and_jet_unchanged():
+    # Zero weights of either sign, at fresh nodes, at the ends and at the
+    # operator's own nodes.
+    problems, rng = _multipoint_random_problems(seed=82)
+    for problem in problems:
+        op = problem.operator
+        shape = (problem.r * problem.m, problem.m)
+        terms = list(op.terms)
+        for zero in (0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)):
+            nodes = [*rng.uniform(op.a, op.b, 2), op.a, op.b, *op.nodes]
+            terms += _random_terms(rng, problem, nodes, np.full(shape, zero))
+        _assert_same_weights_and_jet(problem, _with_terms(problem, terms))
+
+
+def test_scaling_f_and_q_scales_the_jet_exactly():
+    problems, _ = _multipoint_random_problems(seed=83)
+    for problem in problems:
+        for e in (300, -300):
+            scale = 2.0 ** e
+            scaled = dataclasses.replace(problem, f=problem.f * scale, q=problem.q * scale)
+            _assert_same_weights_and_jet(problem, scaled, scale)
+
+
+def test_scaling_weights_and_q_leaves_the_jet_unchanged():
+    # 2**1023 overflows most random weights, so each problem is also scaled
+    # by the largest power of two that keeps its weights finite.
+    problems, _ = _multipoint_random_problems(seed=84)
+    checked = 0
+    for problem in problems:
+        jet = solve(problem).jet.samples
+        top = 1023 - max(np.frexp(np.abs(problem.operator.betas.view(float)).max())[1], 0)
+        for e in (300, -300, 900, -900, 1023, top):
+            scale = 2.0 ** e
+            with np.errstate(over="ignore"):
+                if not np.all(np.isfinite(problem.operator.betas * scale)):
+                    continue
+            scaled = solve(scaled_boundary_problem(problem, scale)).jet.samples
+            for x, y in zip(jet, scaled, strict=True):
+                np.testing.assert_array_equal(x, y)
+            checked += 1
+    assert checked >= 5 * len(problems)

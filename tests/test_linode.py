@@ -23,10 +23,12 @@ from mpbvp.bvp import companion_reduce
 from mpbvp.linode import (
     BLOCK_STEPS,
     _coefficient_panels,
+    _compose,
     _increments,
+    _member_table,
     _mm,
     _propagate,
-    _scan,
+    _runs,
 )
 from oracles import exact_trace_integral, expm_taylor
 
@@ -145,34 +147,131 @@ def test_chunked_composition_matches_step_loop(n):
     # n = 2 and 3 are blocks shorter than the 23-step chunks of a full
     # block (n = 3 splits into two 2-step chunks, the last one padded).  A
     # full 512-step block ends in a ragged chunk (22 x 23 + 6), and 513,
-    # 1025 and 1537 end in a one-step block.
+    # 1025 and 1537 end in a one-step block, a run of its own.
     A, g = _coupled_system()
     grid = _grid(n)
-    blocks = list(_increments(_coefficient_panels(A, grid), _coefficient_panels(g, grid), grid.h))
+    blocks = list(_increments(_coefficient_panels(A, g, grid), grid.h))
     assert all(D.shape == (2, 3, min(BLOCK_STEPS, n - i * BLOCK_STEPS))
                for i, D in enumerate(blocks))
     rng = np.random.default_rng(n)
-    starts = [np.eye(2, 3, dtype=complex),
-              rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))]
-    # Both starts are composed in place as the two members of one table.
-    table = np.empty((2, n + 1, 2, 3), dtype=complex)
-    table[:, 0] = starts
-    i = 1
-    for D in blocks:
-        # The rows of a block hold its increments batch-last.
-        L = D.shape[-1]
-        table[:, i:i + L].reshape(2, 2, 3, L)[...] = D
-        i += L
-    _scan(table)
-    for start, got in zip(starts, table):
-        # The reference steps the explicit (3, 3) augmented state.
-        expected = [np.vstack([start, [0, 0, 1]])]
-        for D in _full_square(np.concatenate(blocks, axis=-1)).transpose(2, 0, 1):
+    # Two members of one pass: the RK4 increments, and random increments
+    # of the size of h whose product stays near I.
+    members = [np.concatenate(blocks, axis=-1),
+               (rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))) / n]
+    runs = _runs(n)
+    work = [np.zeros((2, 3, 2, B, chunks * c), dtype=complex) for B, _, c, chunks in runs]
+    for slot, increments in enumerate(members):
+        i = 0
+        for w, (B, L, _, _) in zip(work, runs):
+            for b in range(B):
+                w[:, :, slot, b, :L] = increments[..., i:i + L]
+                i += L
+    starts = _compose(work, runs)
+    for slot, increments in enumerate(members):
+        got = _member_table(work, starts, runs, slot, False)
+        # The reference steps the explicit (3, 3) augmented state from I.
+        expected = [np.eye(3, dtype=complex)]
+        for D in _full_square(increments).transpose(2, 0, 1):
             expected.append(expected[-1] + D @ expected[-1])
         expected = np.stack(expected)
         np.testing.assert_array_equal(expected[:, 2], np.broadcast_to([0, 0, 1], (n + 1, 3)))
         assert (float(np.max(np.abs(got - expected[:, :2])))
                 <= 1e-13 * float(np.max(np.abs(expected))))
+
+
+def _scan(table: np.ndarray) -> None:
+    """The per-block chunked scan that composed the RK4 steps before the
+    whole-pass work layout, kept as a bit-level oracle.
+
+    ``table`` is (K, n+1, d, s).  Row 0 of each member holds the top rows
+    of its start U_0, and the rows of each block of BLOCK_STEPS steps hold
+    the top rows of its increments D_i batch-last, as one (d, s, L) array.
+    On return row i holds U_i, where U_{i+1} = U_i + D_i U_i.  Each block is
+    cut into chunks of c = isqrt(L - 1) + 1 steps, the last one padded with
+    zero increments; the chunks' prefix increments are formed block by
+    block, and the states carried from chunk to chunk.
+    """
+    K, rows, d, s = table.shape
+    n = rows - 1
+    state = np.empty((K, s, s), dtype=complex)
+    state[:] = np.eye(s)
+    top = state[:, :d]
+    top[...] = table[:, 0]
+    for lo in range(0, n, BLOCK_STEPS):
+        hi = min(lo + BLOCK_STEPS, n)
+        L = hi - lo
+        c = math.isqrt(L - 1) + 1
+        chunks = -(-L // c)
+        padded = np.zeros((d, s, K, chunks * c), dtype=complex)
+        padded[..., :L] = table[:, lo + 1:hi + 1].reshape(K, d, s, L).transpose(1, 2, 0, 3)
+        D = padded.reshape(d, s, K * chunks, c)
+        Q = np.empty_like(D)
+        Q[..., 0] = D[..., 0]
+        for j in range(1, c):
+            Q[..., j] = Q[..., j - 1] + D[..., j] + _mm(D[..., j], Q[..., j - 1])
+        del padded, D
+        last = Q[..., -1].reshape(d, s, K, chunks).transpose(2, 3, 0, 1)
+        starts = np.empty((K, chunks, d, s), dtype=complex)
+        for k in range(chunks):
+            starts[:, k] = top
+            top += last[:, k] @ state
+        chunk_starts = np.ascontiguousarray(starts.transpose(2, 3, 0, 1)).reshape(d, s, -1, 1)
+        U = _mm(Q, chunk_starts)
+        U[:, d:] += Q[:, d:]
+        U += chunk_starts
+        table[:, lo + 1:hi + 1] = U.reshape(d, s, K, chunks * c)[..., :L].transpose(2, 3, 0, 1)
+
+
+def _scanned_tables(systems, grid, inverse):
+    """Every table of a pass, as the per-block ``_scan`` composes them from
+    one (K, n+1, d, s) table of increments, Z's transposed."""
+    d = systems[0][0].shape[0]
+    members = [0, None, *range(1, len(systems))] if inverse else list(range(len(systems)))
+    table = np.empty((len(members), grid.n + 1, d, d + 1), dtype=complex)
+    table[:, 0] = np.eye(d, d + 1)
+    eye = np.eye(d, dtype=complex)
+    for slot, member in enumerate(members):
+        if member is None:
+            continue
+        i = 1
+        for D in _increments(_coefficient_panels(*systems[member], grid), grid.h):
+            L = D.shape[-1]
+            table[slot, i:i + L].reshape(d, d + 1, L)[...] = D
+            if member == 0 and inverse:
+                step = D[:, :d].transpose(2, 0, 1)
+                Z = table[slot + 1, i:i + L].reshape(d, d + 1, L)
+                Z[:, :d] = np.linalg.solve(eye + step, -step).transpose(2, 1, 0)
+                Z[:, d:] = 0.0
+            i += L
+    _scan(table)
+    return [table[slot] if member is not None else table[slot, :, :, :d].swapaxes(1, 2)
+            for slot, member in enumerate(members)]
+
+
+def _member_bytes(n, d=2):
+    """Bytes of one member's work arrays, chunk padding included."""
+    return sum(B * chunks * c for B, _, c, chunks in _runs(n)) * d * (d + 1) * 16
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("n", [2, 3, 22, 23, 24, 511, 512, 513, 1537, 2049, 16384])
+def test_pass_tables_are_bitwise_the_per_block_scan(monkeypatch, n, K, inverse):
+    # 22, 23 and 24 steps straddle a chunk length; 511, 512 and 513 a
+    # block; 1537 and 2049 end in a one-step block after full ones.
+    A, g = _coupled_system()
+    systems = [(A, g), (approximate_coefficients(A, 1), g),
+               (approximate_coefficients(A, 3), g * 2.0j)][:K]
+    grid = _grid(n)
+    expected = _scanned_tables(systems, grid, inverse)
+    # One pass, and then one member a pass (Z still rides with system 0).
+    for cap in (linode.PASS_BYTES, _member_bytes(n)):
+        monkeypatch.setattr(linode, "PASS_BYTES", cap)
+        got = [table for table, _ in _propagate(systems, grid, inverse=inverse)]
+        assert len(got) == len(expected)
+        for want, have in zip(expected, got):
+            assert have.shape == want.shape
+            np.testing.assert_array_equal(have, want)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
@@ -194,8 +293,8 @@ def test_batch_last_product_matches_matmul(s):
                             (-2, -1), (0, 1))
         assert np.all(np.abs(got - expected) <= 1e-15 * scale)
 
-    # The shapes _increments and _scan multiply: two (d, s, L) blocks,
-    # and the (d, s, K * chunks, c) prefix increments times the chunk starts,
+    # The shapes _increments and _compose multiply: two (d, s, L) blocks,
+    # and the (d, s, B * chunks, c) prefix increments times the chunk starts,
     # with s = d + 1 against an explicit zero bottom row; s = d is a full product.
     for t in (s, s + 1):
         for A, B in ((matrices(s, t, 37), matrices(s, t, 37)),
@@ -363,23 +462,60 @@ def test_family_pass_equals_one_member_passes_on_coupled_system(n):
     _assert_family_equals_single_passes(systems, _grid(n))
 
 
+def _record_passes(monkeypatch):
+    """Record, per pass, its member count K and the bytes of its work
+    arrays; and the index of the pass whose fill writes Z."""
+    passes, z_pass = [], []
+    compose, fill = linode._compose, linode._fill
+
+    def recording_compose(work, runs):
+        passes.append((work[0].shape[2], sum(w.nbytes for w in work)))
+        return compose(work, runs)
+
+    def recording_fill(blocks, inverse_blocks, *args):
+        if inverse_blocks is not None:
+            z_pass.append(len(passes))
+        return fill(blocks, inverse_blocks, *args)
+
+    monkeypatch.setattr(linode, "_compose", recording_compose)
+    monkeypatch.setattr(linode, "_fill", recording_fill)
+    return passes, z_pass
+
+
 @pytest.mark.parametrize("tables_per_pass", [1, 2])
 def test_family_passes_hold_at_most_the_byte_cap(monkeypatch, tables_per_pass):
     A, g = _coupled_system()
     grid = _grid(1537)
     systems = [(approximate_coefficients(A, k), g) for k in (1, 2, 3, 4, 5)]
     expected = [table for table, _ in _propagate(systems, grid, inverse=True)]
-    table_bytes = (grid.n + 1) * 2 * 3 * 16
-    monkeypatch.setattr(linode, "PASS_BYTES", tables_per_pass * table_bytes + table_bytes // 2)
+    member_bytes = _member_bytes(grid.n)
+    cap = tables_per_pass * member_bytes + member_bytes // 2
+    monkeypatch.setattr(linode, "PASS_BYTES", cap)
+    passes, z_pass = _record_passes(monkeypatch)
     got = [table for table, _ in _propagate(systems, grid, inverse=True)]
     for want, have in zip(expected, got):
         np.testing.assert_array_equal(have, want)
-    # Each yielded table is a view of its pass's table; Z rides in the
-    # pass of the first system even when one table fills a pass.
-    passes = {}
-    for table in got:
-        passes.setdefault(id(table.base), table.base)
-    sizes = sorted(base.shape[0] for base in passes.values())
+    # Z rides in the pass of the first system even when one member fills a
+    # pass; every other pass holds at most the cap.
+    sizes = [K for K, _ in passes]
+    assert z_pass == [0] and sizes[0] == 2
+    assert all(nbytes == K * member_bytes for K, nbytes in passes)
+    assert all(nbytes <= cap for _, nbytes in passes[1:])
     assert sum(sizes) == len(systems) + 1
     assert max(sizes) == 2
     assert len(sizes) == (5 if tables_per_pass == 1 else 3)
+
+
+def test_pass_byte_cap_counts_the_chunk_padding(monkeypatch):
+    # At n = 26 a member's work holds five chunks of 6 steps, 30 columns
+    # against 26 steps and 27 nodes: a cap of nine members' work fits nine,
+    # where a count without the padding would fit ten.
+    A, g = _coupled_system()
+    grid = _grid(26)
+    assert _runs(grid.n) == [(1, 26, 6, 5)]
+    member_bytes = _member_bytes(grid.n)
+    monkeypatch.setattr(linode, "PASS_BYTES", 9 * member_bytes)
+    passes, _ = _record_passes(monkeypatch)
+    tables = [table for table, _ in _propagate([(A, g)] * 11, grid)]
+    assert len(tables) == 11
+    assert passes == [(9, 9 * member_bytes), (2, 2 * member_bytes)]
