@@ -9,7 +9,10 @@ is not uniquely solvable, 3 input/output or validation errors.
 All CSV output uses 17 significant digits, so identical inputs produce
 byte-identical artifacts.  Every CSV value is format(x, ".17g").  The
 solution CSV is rendered a block of rows at a time by an exact vectorized
-formatter, which hands each value it cannot decide to format() itself.
+formatter, which hands each value it cannot decide to format() itself, and
+each block's bytes go straight to stdout or into the atomic temp file: no
+copy of the whole CSV is ever built.  A reader that closes stdout early
+(``mpbvp solve p3 | head``) ends the output, not the command.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .bvp import BvpProblem, NotUniquelySolvableError, solve
 from .funcspace import Grid, _check_k
 from .problemfile import (
     ProblemFormatError,
+    _write_blocks_atomic,
     parse_problem,
     problem_text,
     write_atomic,
@@ -98,13 +102,39 @@ def _load_problem(source: str, grid_n: int | None) -> BvpProblem:
     return problem
 
 
-def _emit_artifact(text: str, out_dir: str | None, filename: str) -> None:
+def _write_stdout(content) -> None:
+    """Write a str, or an iterable of ASCII byte blocks, to stdout and flush it."""
+    if isinstance(content, str):
+        sys.stdout.write(content)
+    elif hasattr(sys.stdout, "buffer"):
+        for block in content:
+            sys.stdout.buffer.write(block)
+    else:  # a text-only stream, such as an io.StringIO
+        for block in content:
+            sys.stdout.write(str(block, "ascii"))
+    sys.stdout.flush()
+
+
+def _emit_artifact(content, out_dir: str | None, filename: str) -> None:
+    """Write an artifact, a str or an iterable of ASCII byte blocks (the
+    solution CSV), to stdout or atomically to ``out_dir/filename``."""
     if out_dir is None:
-        sys.stdout.write(text)
+        try:
+            _write_stdout(content)
+        except BrokenPipeError:
+            # The reader has gone (``mpbvp solve p3 | head``), which is no
+            # failure of the command.  What stdout still holds goes to
+            # devnull, so that flushing it at exit cannot raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, filename)
-    write_atomic(path, text)
+    if isinstance(content, str):
+        write_atomic(path, content)
+    else:
+        _write_blocks_atomic(path, content)
     print(f"wrote {path}", file=sys.stderr)
 
 
@@ -124,15 +154,34 @@ _TIE_MARGIN = 1e-6
 _POW10_MIN = 16 - 256  # the table holds 10^q for |16 − q| <= 256
 _SPLIT = 134217729.0  # 2^27 + 1: splits a double into two 26-bit halves
 
-# A value's field is the masked bytes of a 47-byte superset: '-', "0.000",
-# the 17 digits, '.', the 17 digits again, 'e', the exponent's sign and three
-# digits, and the separator.  A point inside the digits takes the first copy
-# up to it and the second copy after it.
-_SUPERSET = np.frombuffer(b"-0.000" + bytes(17) + b"." + bytes(17) + b"e+000,", dtype=np.uint8)
-_DIGITS, _POINT, _DIGITS_AFTER, _EXPONENT = 6, 23, 24, 41
+# A value's field is the masked bytes of a 48-byte superset row:
+#
+#   1-6    the sign, then "0.", "0.0", "0.00" or "0.000" ending at 6;
+#   7-23   the 17 digits;
+#   24     the separator of a fixed-notation field without a point;
+#   27     '.';
+#   28-43  the digits after the first, again;
+#   44     the separator of every other field.
+#
+# A point inside the digits takes the first copy up to it and the second
+# after it.  Exponent notation puts its lead digit and point at 6-7 and its
+# 'e', sign and exponent digits at 39-43.  A zero's digits are 10^16, so its
+# "0" is the 0 at 43.  Most fields are then one or two runs of their row,
+# and numpy's mask compaction in _format_17g costs about one pass per run.
+# The other columns are never part of a field.  They align columns 0-7 to 8
+# bytes and the 4-digit chunks of both copies to 4, so that each is written
+# as one column of uint64 or uint32 words: numpy copies a narrow 2-D slice
+# row by row, at several times the cost of such a column.
+_WIDTH = 48
+_DIGITS, _SEP_NO_POINT, _POINT, _EXPONENT, _SEP = 7, 24, 27, 39, 44
 #: Layouts: fixed notation with exponent k = -4 … 16 (k + 4), exponent
 #: notation with 2 or 3 exponent digits (21, 22), and zero (23).
 _LAYOUTS = 24
+#: Columns 0-7 of the superset row by layout, as one uint64 each; '_' is
+#: never part of a field, and column 7 is overwritten by the lead digit.
+_PREFIXES = np.frombuffer(
+    b"_-0.000_" b"__-0.00_" b"___-0.0_" b"____-0._" + b"______-_" * 17 + b"_____-__" * 2
+    + b"______-_", dtype=np.uint64)
 
 
 @functools.cache
@@ -164,24 +213,25 @@ def _digit_chunks() -> tuple:
 @functools.cache
 def _field_masks() -> np.ndarray:
     """The superset bytes of each field, by (sign, layout, digits) code."""
-    masks = np.zeros((2 * _LAYOUTS * 17, len(_SUPERSET)), dtype=bool)
+    masks = np.zeros((2 * _LAYOUTS * 17, _WIDTH), dtype=bool)
     first = [_DIGITS + i for i in range(17)]
-    second = [_DIGITS_AFTER + i for i in range(17)]
+    second = [_POINT + i for i in range(17)]  # digit i >= 1 of the second copy
     for negative in (0, 1):
         for layout in range(_LAYOUTS):
+            sign = [_PREFIXES[layout:layout + 1].tobytes().index(b"-")]
             for s in range(1, 18):  # digits left once trailing zeros are stripped
                 if layout == 23:
-                    body = [1]  # "0"
-                elif layout >= 21:
-                    body = first[:1] + ([_POINT] + second[1:s] if s > 1 else [])
-                    body += list(range(_EXPONENT, _EXPONENT + 2))
-                    body += list(range(_EXPONENT + 24 - layout, _EXPONENT + 5))
+                    body = [_POINT + 16]  # "0"
+                elif layout >= 21:  # d.ddde+dd
+                    body = [_DIGITS - 1] + ([_DIGITS] + first[1:s] if s > 1 else [])
+                    body += list(range(_EXPONENT + 22 - layout, _EXPONENT + 5))
                 elif layout < 4:  # 0.000ddd
-                    body = list(range(1, 6 - layout)) + first[:s]
+                    body = list(range(sign[0] + 1, _DIGITS)) + first[:s]
                 else:
                     point = layout - 3
                     body = first[:point] + ([_POINT] + second[point:s] if s > point else [])
-                field = [0] * negative + body + [len(_SUPERSET) - 1]
+                end = _SEP if _POINT in body or layout >= 21 else _SEP_NO_POINT
+                field = sign * negative + body + [end]
                 masks[(negative * _LAYOUTS + layout) * 17 + s - 1, field] = True
     return masks
 
@@ -216,13 +266,14 @@ def _decimal(values: np.ndarray, zero: np.ndarray) -> tuple:
     # log10 is off by one at most, near powers of ten; such k are redone
     k = np.floor(np.log10(a)).astype(np.intp)
     whole, frac = _scaled(a, k)
-    shift = (whole >= 10 ** 17).astype(np.intp) - (whole < 10 ** 16)
-    redo = np.flatnonzero(shift)
+    redo = np.flatnonzero((whole < 10 ** 16) | (whole >= 10 ** 17))
+    slow = ~(fast | zero)
     if redo.size:
-        k[redo] += shift[redo]
+        k[redo] += np.where(whole[redo] < 10 ** 16, -1, 1)
         whole[redo], frac[redo] = _scaled(a[redo], k[redo])
-    slow = ~(fast | zero) | (whole < 10 ** 16) | (whole >= 10 ** 17)
-    slow |= fast & (np.abs(frac - 0.5) <= _TIE_MARGIN)
+        slow[redo] |= (whole[redo] < 10 ** 16) | (whole[redo] >= 10 ** 17)
+    # a value that is not fast was scaled as 1.0, whose frac is 0
+    slow |= np.abs(frac - 0.5) <= _TIE_MARGIN
     digits = whole + (frac > 0.5)
     rounded_up = digits == 10 ** 17  # 9.99…95 rounds to 1.0000000000000000e(k+1)
     digits[rounded_up] = 10 ** 16
@@ -230,45 +281,74 @@ def _decimal(values: np.ndarray, zero: np.ndarray) -> tuple:
     return digits, k, slow
 
 
-def _ascii_digits(digits: np.ndarray) -> tuple:
-    """The 17 digits as ASCII bytes, one row per value, and their trailing zeros."""
-    lead, rest = np.divmod(digits, 10 ** 16)
-    top, bottom = np.divmod(rest, 10 ** 8)
-    chunks = [*np.divmod(top, 10000), *np.divmod(bottom, 10000)]
-    ascii_chunks, chunk_zeros = _digit_chunks()
-    words = np.empty((len(digits), 5), dtype=np.uint32)  # 3 spare bytes, lead, chunks
-    for i, chunk in enumerate(chunks):
-        words[:, i + 1] = np.take(ascii_chunks, chunk)
-    ascii_digits = words.view(np.uint8)[:, 3:]
-    ascii_digits[:, 0] = lead + ord("0")
-    # the lead digit is never 0
-    zeros = np.take(chunk_zeros, chunks[0])
-    for chunk in chunks[1:]:
-        zeros = np.where(chunk == 0, zeros + 4, np.take(chunk_zeros, chunk))
-    return ascii_digits, zeros
+def _split_digits(digits: np.ndarray, zero: np.ndarray) -> tuple:
+    """The lead digit and the four 4-digit chunks after it of each value's 17
+    digits, and their trailing zeros (any count for a zero value)."""
+    lead = digits // 10 ** 16
+    rest = digits - lead * 10 ** 16
+    top = rest // 10 ** 8
+    bottom = (rest - top * 10 ** 8).astype(np.int32)
+    top = top.astype(np.int32)
+    chunks = []
+    for half in (top, bottom):  # below 10^8: int32 splits into two 4-digit chunks
+        high = half // 10000
+        chunks += [high, half - high * 10000]
+    chunk_zeros = _digit_chunks()[1]
+    zeros = np.take(chunk_zeros, chunks[-1])
+    # only a last chunk of 0 lets the zeros run on into the chunks before it
+    redo = np.flatnonzero((chunks[-1] == 0) & ~zero)
+    if redo.size:
+        run = np.take(chunk_zeros, chunks[0][redo])  # the lead digit is never 0
+        for chunk in chunks[1:-1]:
+            chunk = chunk[redo]
+            run = np.where(chunk == 0, run + 4, np.take(chunk_zeros, chunk))
+        zeros[redo] = run + 4
+    return lead, chunks, zeros
 
 
 def _supersets(values: np.ndarray, seps: np.ndarray) -> tuple:
-    """Each value's superset bytes, its layout code, and the values left to format()."""
+    """Each value's superset row, its layout code, and the values left to format()."""
     negative = np.signbit(values)
     zero = values == 0
     digits, k, slow = _decimal(values, zero)
-    ascii_digits, zeros = _ascii_digits(digits)
-    fields = np.empty((len(values), len(_SUPERSET)), dtype=np.uint8)
-    fields[:] = _SUPERSET
-    fields[:, _DIGITS:_DIGITS + 17] = ascii_digits
-    fields[:, _DIGITS_AFTER:_DIGITS_AFTER + 17] = ascii_digits
-    fields[:, _EXPONENT + 1] = np.where(k < 0, ord("-"), ord("+"))
-    exponent = np.take(_digit_chunks()[0], np.abs(k)).view(np.uint8).reshape(-1, 4)
-    fields[:, _EXPONENT + 2:_EXPONENT + 5] = exponent[:, 1:]
-    fields[:, -1] = seps
-    layout = np.where((k >= -4) & (k < 17), k + 4, np.where(np.abs(k) < 100, 21, 22))
+    lead, chunks, zeros = _split_digits(digits, zero)
+    layout = k + 4
+    # exponent notation, k < -4 or k >= 17, is the only layout that writes k
+    # (a zero's k is 0)
+    scientific = np.flatnonzero((k < -4) | (k >= 17))
+    k = k[scientific]
+    layout[scientific] = np.where(np.abs(k) < 100, 21, 22)
     layout[zero] = 23
+    fields = np.empty((len(values), _WIDTH), dtype=np.uint8)
+    fields.view(np.uint64)[:, 0] = np.take(_PREFIXES, layout)
+    lead += ord("0")
+    fields[:, _DIGITS] = lead
+    ascii_chunks = _digit_chunks()[0]
+    words = fields.view(np.uint32)
+    for i, chunk in enumerate(chunks):
+        words[:, (_DIGITS + 1) // 4 + i] = words[:, (_POINT + 1) // 4 + i] = np.take(
+            ascii_chunks, chunk)
+    fields[:, _SEP_NO_POINT] = seps
+    fields[:, _POINT] = ord(".")
+    fields[:, _SEP] = seps
+    if scientific.size:
+        fields[scientific, _DIGITS - 1] = lead[scientific]
+        fields[scientific, _DIGITS] = ord(".")
+        # "e+dd" or "e+ddd", ending at _EXPONENT + 4
+        sign = np.where(k < 0, ord("-"), ord("+"))
+        exponent = np.take(ascii_chunks, np.abs(k)).view(np.uint8).reshape(-1, 4)
+        wide = np.abs(k) >= 100
+        fields[scientific, _EXPONENT] = ord("e")
+        fields[scientific, _EXPONENT + 1] = np.where(wide, sign, ord("e"))
+        fields[scientific, _EXPONENT + 2] = np.where(wide, exponent[:, 1], sign)
+        fields[scientific, _EXPONENT + 3] = exponent[:, 2]
+        fields[scientific, _EXPONENT + 4] = exponent[:, 3]
     return fields, (negative * _LAYOUTS + layout) * 17 + 16 - zeros, slow
 
 
-def _format_17g(values: np.ndarray, seps: np.ndarray) -> str:
-    """format(x, ".17g") of each value, each followed by its separator byte."""
+def _format_17g(values: np.ndarray, seps: np.ndarray) -> np.ndarray:
+    """format(x, ".17g") of each value, each followed by its separator byte,
+    as ASCII bytes (a uint8 array)."""
     fields, code, slow = _supersets(values, seps)
     mask = np.take(_field_masks(), code, axis=0)
     fallback = np.flatnonzero(slow)
@@ -280,21 +360,24 @@ def _format_17g(values: np.ndarray, seps: np.ndarray) -> str:
         fields[fallback] = np.frombuffer(padded, dtype=np.uint8).reshape(-1, width)
         fields[fallback, lengths] = seps[fallback]
         mask[fallback] = np.arange(width) <= lengths[:, None]
-    return str(fields[mask].data, "ascii")
+    return fields[mask]
 
 
-def _csv_rows(table: np.ndarray) -> str:
-    """The rows of a float table as CSV lines, block by block."""
-    seps = np.full(table.shape[1], ord(","), dtype=np.uint8)
-    seps[-1] = ord("\n")
-    parts = []
-    for lo in range(0, len(table), CSV_BLOCK_ROWS):
-        block = table[lo:lo + CSV_BLOCK_ROWS]
-        parts.append(_format_17g(block.ravel(), np.tile(seps, len(block))))
-    return "".join(parts)
+def _csv_rows(columns):
+    """The CSV lines of a float table given by its columns, as ASCII byte
+    blocks of CSV_BLOCK_ROWS rows; each block's rows are stacked from the
+    columns as it is rendered."""
+    rows = len(columns[0])
+    seps = np.full((min(rows, CSV_BLOCK_ROWS), len(columns)), ord(","), dtype=np.uint8)
+    seps[:, -1] = ord("\n")
+    seps = seps.ravel()
+    for lo in range(0, rows, CSV_BLOCK_ROWS):
+        block = np.column_stack([column[lo:lo + CSV_BLOCK_ROWS] for column in columns])
+        yield _format_17g(block.ravel(), seps[:block.size])
 
 
-def _solution_csv(problem: BvpProblem, jet) -> str:
+def _solution_csv(problem: BvpProblem, jet):
+    """The solution CSV as ASCII byte blocks: the header line, then the rows."""
     header = ["t"]
     columns = [problem.grid.nodes]
     for j in range(problem.r + 1):
@@ -303,7 +386,8 @@ def _solution_csv(problem: BvpProblem, jet) -> str:
             header.append(f"y{j}_{comp}_im")
             z = jet.samples[j][:, comp]
             columns += [z.real, z.imag]
-    return ",".join(header) + "\n" + _csv_rows(np.column_stack(columns))
+    yield (",".join(header) + "\n").encode("ascii")
+    yield from _csv_rows(columns)
 
 
 def _report_csv(rows) -> str:

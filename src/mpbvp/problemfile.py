@@ -14,6 +14,12 @@ measure's atoms into its (K, 2) table) and the multipoint terms as one
 batch; numbers must be JSON numbers, not bools or strings, and integers
 must fit a double.  A rejected file names the ``$``-path of its first bad
 entry.
+
+Files are written atomically by one writer: the bytes go into a temp file
+in the target's directory, block by block as an iterable yields them, and
+the temp file is renamed over the target only once every block is in.
+``write_atomic`` is that writer for one str; the CLI streams the solution
+CSV through it a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -316,18 +322,32 @@ def parse_problem(path: str) -> BvpProblem:
     return problem_from_dict(obj)
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Write text to path atomically (temp file + rename)."""
+def _write_blocks_atomic(path: str, blocks) -> None:
+    """Write an iterable of bytes-like blocks to path atomically.
+
+    Each block is written to a temp file in path's directory as it is
+    yielded, and the temp file is renamed over path after the last one, so
+    no more than one block need exist at a time.  If the iterable or a write
+    raises, the error propagates, the temp file is removed and path is left
+    as it was.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            for block in blocks:
+                handle.write(block)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write text to path atomically (temp file + rename), UTF-8 encoded:
+    the one-block face of ``_write_blocks_atomic``."""
+    _write_blocks_atomic(path, [text.encode("utf-8")])
 
 
 def problem_text(problem: BvpProblem) -> str:

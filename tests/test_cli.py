@@ -1,10 +1,18 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mpbvp
 from mpbvp import (
     build_multipoint_problem,
     cli,
@@ -197,6 +205,61 @@ def test_out_directory(capsys, tmp_path):
                          "--grid-n", "128", "--out", str(out_dir))
     assert code == cli.EXIT_OK
     assert (out_dir / "approximate_k3.json").exists()
+
+
+def test_solution_csv_on_stdout_matches_its_file(capsys, tmp_path):
+    # stdout takes the byte blocks through its binary buffer, a text-only
+    # stdout (a StringIO) takes them decoded, and --out writes them to the
+    # file: all three hold the same bytes.  2049 steps end in a ragged block.
+    argv = ["solve", "p2", "--grid-n", "2049"]
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_OK
+    text_only = io.StringIO()
+    with contextlib.redirect_stdout(text_only):
+        assert cli.main(argv) == cli.EXIT_OK
+    assert run(capsys, *argv, "--out", str(tmp_path))[0] == cli.EXIT_OK
+    written = (tmp_path / "solve.csv").read_bytes()
+    assert written.count(b"\n") == 2051
+    assert out.encode() == written
+    assert text_only.getvalue().encode() == written
+
+
+def test_closed_stdout_pipe_ends_the_output_not_the_command():
+    # The 1.6 MB CSV of p3 at n = 16384 is far more than a pipe holds, so
+    # the reader closes the pipe while blocks are still to be written.
+    src = str(Path(mpbvp.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "mpbvp.cli", "solve", "p3", "--grid-n", "16384"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert head.startswith(b"t,y0_0_re,y0_0_im,")
+    assert code == cli.EXIT_OK, err
+    assert "Traceback" not in err
+    assert [line.split(" = ")[0] for line in err.splitlines()] == ["det"], err
+
+
+def test_solution_csv_is_streamed_to_its_file(tmp_path):
+    # No copy of the whole CSV is ever built: at its traced peak, writing
+    # the CSV of p3 at n = 16384, phased so that no column is all zeros,
+    # holds less memory than the CSV's own size.
+    base = corpus.build_problem("p3", 16384)
+    phase = np.exp(0.7j)
+    problem = BvpProblem(base.r, base.m, base.coeffs, base.f * phase, base.q * phase,
+                         base.operator, base.grid)
+    jet = solve(problem).jet
+    tracemalloc.start()
+    try:
+        cli._emit_artifact(cli._solution_csv(problem, jet), str(tmp_path), "solve.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "solve.csv").stat().st_size
+    assert size > 2_500_000
+    assert peak < size, (peak, size)
 
 
 def test_multipoint_problem_from_file(capsys, tmp_path):
@@ -401,8 +464,7 @@ def test_solution_csv_matches_per_value_rendering():
     jet = solve(problem).jet
     assert np.any(jet.samples[0].imag != 0)
     assert len(problem.grid.nodes) > 2 * cli.CSV_BLOCK_ROWS
-    text = cli._solution_csv(problem, jet)
-    assert text.encode() == _csv_per_value(problem, jet).encode()
+    assert b"".join(cli._solution_csv(problem, jet)) == _csv_per_value(problem, jet).encode()
 
 
 @pytest.mark.parametrize("name", corpus.CORPUS_NAMES)
@@ -416,7 +478,7 @@ def test_solution_csv_at_fine_grid_matches_per_value_rendering(name, phase):
     jet = solve(problem).jet
     if phase == 1.0 and name != "p2":
         assert all(np.all(channel.imag == 0) for channel in jet.samples)
-    assert cli._solution_csv(problem, jet).encode() == _csv_per_value(problem, jet).encode()
+    assert b"".join(cli._solution_csv(problem, jet)) == _csv_per_value(problem, jet).encode()
 
 
 def _rows_per_value(table):
@@ -427,7 +489,7 @@ def _assert_rendered_exactly(values, columns=7):
     """cli._csv_rows of the values, `columns` to a row, is the per-value rendering."""
     values = np.asarray(values, dtype=float).ravel()
     table = np.concatenate([values, np.zeros(-len(values) % columns)]).reshape(-1, columns)
-    text = cli._csv_rows(table)
+    text = b"".join(cli._csv_rows(table.T)).decode("ascii")
     expected = _rows_per_value(table)
     if text != expected:
         got = text.replace("\n", ",").split(",")
@@ -479,6 +541,6 @@ def test_csv_rows_render_every_table_shape(shape):
     rng = np.random.default_rng(shape[0])
     table = rng.standard_normal(shape) * np.exp(rng.uniform(-40, 40, shape))
     table.ravel()[::5] = 0.0
-    text = cli._csv_rows(table)
+    text = b"".join(cli._csv_rows(table.T)).decode("ascii")
     assert text.count("\n") == shape[0]
     assert text == _rows_per_value(table)

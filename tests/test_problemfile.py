@@ -20,7 +20,7 @@ from mpbvp import (
 from mpbvp.boundary import BoundaryTerm, GeneralBoundaryOperator, MultipointBoundaryOperator
 from mpbvp.bvp import BvpProblem
 from mpbvp.funcspace import MAX_GRID_N, Grid, PiecewisePoly, PolyMatrix, PolyVector
-from mpbvp.problemfile import problem_text
+from mpbvp.problemfile import _write_blocks_atomic, problem_text
 from mpbvp.stieltjes import MatrixMeasure, ScalarMeasure
 from oracles import random_problem, step_problem
 
@@ -152,6 +152,35 @@ def test_emit_is_atomic(tmp_path):
     assert parsed["order"] == 1
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert not leftovers
+
+
+def test_block_writer_writes_every_block_in_order(tmp_path):
+    target = tmp_path / "blocks.csv"
+    _write_blocks_atomic(str(target), iter([b"t,y\n", np.frombuffer(b"0,1\n", np.uint8), b""]))
+    assert target.read_bytes() == b"t,y\n0,1\n"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_block_writer_that_fails_leaves_the_target_as_it_was(tmp_path):
+    # The blocks raise after some of them are in the temp file: the error
+    # reaches the caller, the temp file goes, and the old file stays.
+    target = tmp_path / "solve.csv"
+    target.write_bytes(b"old,file\n1,2\n")
+
+    def blocks():
+        yield b"t,y0_0_re\n"
+        yield np.frombuffer(b"0,1\n" * 1000, dtype=np.uint8)
+        raise RuntimeError("renderer failed")
+
+    with pytest.raises(RuntimeError, match="renderer failed"):
+        _write_blocks_atomic(str(target), blocks())
+    assert target.read_bytes() == b"old,file\n1,2\n"
+    assert not list(tmp_path.glob("*.tmp"))
+
+    fresh = tmp_path / "fresh.csv"
+    with pytest.raises(RuntimeError, match="renderer failed"):
+        _write_blocks_atomic(str(fresh), blocks())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["solve.csv"]
 
 
 def test_parse_missing_file():
