@@ -106,10 +106,7 @@ def _write_stdout(content) -> None:
     """Write a str, or an iterable of ASCII byte blocks, to stdout and flush it."""
     if isinstance(content, str):
         sys.stdout.write(content)
-    elif hasattr(sys.stdout, "buffer"):
-        for block in content:
-            sys.stdout.buffer.write(block)
-    else:  # a text-only stream, such as an io.StringIO
+    else:
         for block in content:
             sys.stdout.write(str(block, "ascii"))
     sys.stdout.flush()

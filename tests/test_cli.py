@@ -208,9 +208,9 @@ def test_out_directory(capsys, tmp_path):
 
 
 def test_solution_csv_on_stdout_matches_its_file(capsys, tmp_path):
-    # stdout takes the byte blocks through its binary buffer, a text-only
-    # stdout (a StringIO) takes them decoded, and --out writes them to the
-    # file: all three hold the same bytes.  2049 steps end in a ragged block.
+    # stdout takes the blocks decoded, on the real stdout and on a StringIO
+    # alike, and --out writes their bytes to the file: all three hold the
+    # same bytes.  2049 steps end in a ragged block.
     argv = ["solve", "p2", "--grid-n", "2049"]
     code, out, err = run(capsys, *argv)
     assert code == cli.EXIT_OK
