@@ -240,32 +240,33 @@ def _solve_pass(problems, inverse: bool = False) -> list:
     Returns the solution of the first problem, which raises
     NotUniquelySolvableError if refused; then, with ``inverse``, its
     |V^-1|_C; then, for every other problem, its BvpSolution or the
-    NotUniquelySolvableError that refused it.
+    NotUniquelySolvableError that refused it.  |V|_C is taken once per V.
     """
     first = problems[0]
-    tables = _propagate([_companion_system(p) for p in problems], first.grid,
-                        inverse=inverse, rows=first.m)
-    out = [_finish(first, *next(tables))]
-    if inverse:
-        out.append(traj_norm_c(next(tables)[0]))
-    for problem in problems[1:]:
+    out, last = {}, None
+    for i, V, R, coefficients, forcing in _propagate(
+            [_companion_system(p) for p in problems], first.grid, inverse=inverse, rows=first.m):
+        if V is not last:
+            last, norm = V, traj_norm_c(V)
         try:
-            out.append(_finish(problem, *next(tables)))
+            out[i] = norm if i is None else _finish(problems[i], V, R, coefficients, forcing, norm)
         except NotUniquelySolvableError as exc:
-            out.append(exc)
-    return out
+            if i == 0:
+                raise
+            out[i] = exc
+    return [out[i] for i in [0, *[None] * inverse, *range(1, len(problems))]]
 
 
-def _finish(problem: BvpProblem, augmented: np.ndarray, coefficients: np.ndarray) -> BvpSolution:
-    """The solution of ``problem`` from its table [V | R] and the node
-    values (n+1, m, d+1) of the bottom block row [A_0 ... A_{r-1} | f] of
-    its companion system: lift the operator, gate [TV], assemble the jet
-    and its diagnostics.  Raises NotUniquelySolvableError as ``solve`` does.
+def _finish(problem: BvpProblem, V: np.ndarray, R: np.ndarray, coefficients: np.ndarray,
+            forcing: np.ndarray, matrizant_norm_c: float) -> BvpSolution:
+    """The solution of ``problem`` from its matrizant V, its forced
+    trajectory R, the node values (n+1, m, d) and (n+1, m) of the bottom
+    block rows [A_0 ... A_{r-1}] and f of its companion system, and
+    |V|_C: lift the operator, gate [TV], assemble the jet and its
+    diagnostics.  Raises NotUniquelySolvableError as ``solve`` does.
     """
     grid = problem.grid
     r, m = problem.r, problem.m
-    d = problem.d
-    V, R = augmented[..., :d], augmented[..., d]
     # Everything the operator touches is divided by 2**e.
     T, e = _scaled_lift(problem)
     q = _ldexp(problem.q, -e)
@@ -276,14 +277,14 @@ def _finish(problem: BvpProblem, augmented: np.ndarray, coefficients: np.ndarray
     u = np.einsum("nij,j->ni", V, coef) + R
 
     samples = [u[:, l * m:(l + 1) * m] for l in range(r)]
-    top = coefficients[..., d].copy()
+    top = forcing.copy()
     for l in range(r):
         top -= np.einsum("nij,nj->ni", coefficients[..., l * m:(l + 1) * m], samples[l])
     samples.append(top)
 
     jet = SampledJet(grid, m, r, samples)
     solution = BvpSolution(jet=jet, char_matrix=_ldexp(char, e), det=det, cond=cond,
-                           matrizant_norm_c=traj_norm_c(V), char_inverse_norm=inverse_norm)
+                           matrizant_norm_c=matrizant_norm_c, char_inverse_norm=inverse_norm)
     # The top jet channel satisfies the differential identity by construction,
     # so the meaningful self-check is the finite-difference consistency of the
     # derivative channels plus the boundary defect.

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 from contextlib import contextmanager
 from itertools import chain
@@ -322,14 +323,19 @@ def parse_problem(path: str) -> BvpProblem:
     return problem_from_dict(obj)
 
 
+_UMASK = os.umask(0o022)  # read once, at import: reading it means setting it
+os.umask(_UMASK)
+
+
 def _write_blocks_atomic(path: str, blocks) -> None:
     """Write an iterable of bytes-like blocks to path atomically.
 
     Each block is written to a temp file in path's directory as it is
     yielded, and the temp file is renamed over path after the last one, so
-    no more than one block need exist at a time.  If the iterable or a write
-    raises, the error propagates, the temp file is removed and path is left
-    as it was.
+    no more than one block need exist at a time.  The file keeps path's
+    mode, or gets 0o666 less the umask, as from ``open``, not the temp
+    file's 0o600.  If the iterable or a write raises, the error propagates,
+    the temp file is removed and path is left as it was.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -337,6 +343,11 @@ def _write_blocks_atomic(path: str, blocks) -> None:
         with os.fdopen(fd, "wb") as handle:
             for block in blocks:
                 handle.write(block)
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            mode = 0o666 & ~_UMASK
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

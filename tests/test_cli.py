@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -240,6 +241,21 @@ def test_closed_stdout_pipe_ends_the_output_not_the_command():
     assert code == cli.EXIT_OK, err
     assert "Traceback" not in err
     assert [line.split(" = ")[0] for line in err.splitlines()] == ["det"], err
+
+
+def test_out_artifact_gets_the_mode_of_open_under_the_command_umask(tmp_path):
+    # The umask is read once, at import, so the command runs in a process
+    # of its own, started under umask 022: its new solve.csv reads 0644, not
+    # the 0600 of the temp file it was written to.
+    src = str(Path(mpbvp.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    command = ("import os, sys; os.umask(0o022); from mpbvp import cli; "
+               "sys.exit(cli.main(sys.argv[1:]))")
+    argv = [sys.executable, "-c", command, "solve", "p1", "--grid-n", "64", "--out", str(tmp_path)]
+    done = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    assert stat.S_IMODE((tmp_path / "solve.csv").stat().st_mode) == 0o644
 
 
 def test_solution_csv_is_streamed_to_its_file(tmp_path):

@@ -17,6 +17,7 @@ from mpbvp import (
     fundamental_matrix,
     inverse_fundamental,
     sawtooth_rhs,
+    theorem3_check,
 )
 from mpbvp import linode
 from mpbvp.bvp import companion_reduce
@@ -133,6 +134,15 @@ def test_non_finite_left_limit_is_refused():
             next(_propagate([system], grid))
 
 
+def _system_increments(A, g, grid):
+    """The (d, s, L) increment blocks of (A, g), their left columns and
+    their forcing column formed apart."""
+    left = [-panel for panel in _coefficient_panels(A.entries, grid)]
+    right = _coefficient_panels([[entry] for entry in g.components], grid)
+    return [np.concatenate(D, axis=1) for D in zip(_increments(left, left, grid.h),
+                                                   _increments(left, right, grid.h))]
+
+
 def _full_square(top):
     """The (s, s, ...) batch-last arrays whose top rows are ``top`` and
     whose bottom rows are 0, as an augmented increment has."""
@@ -150,25 +160,27 @@ def test_chunked_composition_matches_step_loop(n):
     # 1025 and 1537 end in a one-step block, a run of its own.
     A, g = _coupled_system()
     grid = _grid(n)
-    blocks = list(_increments(_coefficient_panels(A, g, grid), grid.h))
+    blocks = _system_increments(A, g, grid)
     assert all(D.shape == (2, 3, min(BLOCK_STEPS, n - i * BLOCK_STEPS))
                for i, D in enumerate(blocks))
     rng = np.random.default_rng(n)
-    # Two members of one pass: the RK4 increments, and random increments
+    # Two slots of one pass: the RK4 increments, and random increments
     # of the size of h whose product stays near I.
     members = [np.concatenate(blocks, axis=-1),
                (rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))) / n]
     runs = _runs(n)
-    work = [np.zeros((2, 3, 2, B, chunks * c), dtype=complex) for B, _, c, chunks in runs]
-    for slot, increments in enumerate(members):
+    work = [[np.zeros((2, 3, B, chunks * c), dtype=complex) for B, _, c, chunks in runs]
+            for _ in members]
+    for slot, increments in zip(work, members):
         i = 0
-        for w, (B, L, _, _) in zip(work, runs):
+        for w, (B, L, _, _) in zip(slot, runs):
             for b in range(B):
-                w[:, :, slot, b, :L] = increments[..., i:i + L]
+                w[:, :, b, :L] = increments[..., i:i + L]
                 i += L
     starts = _compose(work, runs)
-    for slot, increments in enumerate(members):
-        got = _member_table(work, starts, runs, slot, False)
+    for slot, start, increments in zip(work, starts, members):
+        got = np.concatenate([_member_table(slot, start, runs, None),
+                              _member_table(slot, start, runs, 0)[..., None]], axis=-1)
         # The reference steps the explicit (3, 3) augmented state from I.
         expected = [np.eye(3, dtype=complex)]
         for D in _full_square(increments).transpose(2, 0, 1):
@@ -234,7 +246,7 @@ def _scanned_tables(systems, grid, inverse):
         if member is None:
             continue
         i = 1
-        for D in _increments(_coefficient_panels(*systems[member], grid), grid.h):
+        for D in _system_increments(*systems[member], grid):
             L = D.shape[-1]
             table[slot, i:i + L].reshape(d, d + 1, L)[...] = D
             if member == 0 and inverse:
@@ -246,6 +258,18 @@ def _scanned_tables(systems, grid, inverse):
     _scan(table)
     return [table[slot] if member is not None else table[slot, :, :, :d].swapaxes(1, 2)
             for slot, member in enumerate(members)]
+
+
+def _pass_tables(systems, grid, inverse=False):
+    """The tables of a ``_propagate`` pass in the order of ``systems``, each
+    [V | R] (n+1, d, d+1), with ``inverse`` Z after system 0's."""
+    tables, Z = [None] * len(systems), []
+    for i, V, R, _, _ in _propagate(systems, grid, inverse=inverse):
+        if i is None:
+            Z.append(V)
+        else:
+            tables[i] = np.concatenate([V, R[..., None]], axis=-1)
+    return [tables[0], *Z, *tables[1:]]
 
 
 def _member_bytes(n, d=2):
@@ -267,7 +291,7 @@ def test_pass_tables_are_bitwise_the_per_block_scan(monkeypatch, n, K, inverse):
     # One pass, and then one member a pass (Z still rides with system 0).
     for cap in (linode.PASS_BYTES, _member_bytes(n)):
         monkeypatch.setattr(linode, "PASS_BYTES", cap)
-        got = [table for table, _ in _propagate(systems, grid, inverse=inverse)]
+        got = _pass_tables(systems, grid, inverse)
         assert len(got) == len(expected)
         for want, have in zip(expected, got):
             assert have.shape == want.shape
@@ -380,7 +404,7 @@ def _assert_top_rows_match_full_square(A, g, grid):
     s = d + 1
     full = _reference_compose(_reference_increments(A, g, grid),
                               np.eye(s, dtype=complex), grid.n)
-    top = next(_propagate([(A, g)], grid))[0]
+    top = _pass_tables([(A, g)], grid)[0]
     assert top.shape == (grid.n + 1, d, s)
     np.testing.assert_array_equal(top, full[:, :d])
     np.testing.assert_array_equal(full[:, d:], np.broadcast_to(np.eye(s)[d:], full[:, d:].shape))
@@ -413,7 +437,7 @@ def test_inverse_fundamental_stays_inverse_on_the_fine_grid(name):
 def test_augmented_pass_carries_matrizant_and_forced_trajectory():
     A, g = _coupled_system()
     for grid in (_grid(), _grid(1537)):
-        augmented = next(_propagate([(A, g)], grid))[0]
+        augmented = _pass_tables([(A, g)], grid)[0]
         assert augmented.shape == (grid.n + 1, 2, 3)
         np.testing.assert_array_equal(augmented[:, :, :2], fundamental_matrix(A, grid))
         np.testing.assert_array_equal(augmented[:, :, 2], forced_trajectory(A, g, grid))
@@ -429,10 +453,10 @@ def _reference_inverse(A, grid):
 
 
 def _assert_family_equals_single_passes(systems, grid):
-    tables = [table for table, _ in _propagate(systems, grid, inverse=True)]
+    tables = _pass_tables(systems, grid, inverse=True)
     assert len(tables) == len(systems) + 1
     for (A, g), got in zip(systems, [tables[0], *tables[2:]]):
-        np.testing.assert_array_equal(got, next(_propagate([(A, g)], grid))[0])
+        np.testing.assert_array_equal(got, _pass_tables([(A, g)], grid)[0])
     # Z of the first system, from the left columns of its [V | R]
     # increments, is Z from the increments of V alone.
     np.testing.assert_array_equal(tables[1], inverse_fundamental(systems[0][0], grid))
@@ -463,13 +487,13 @@ def test_family_pass_equals_one_member_passes_on_coupled_system(n):
 
 
 def _record_passes(monkeypatch):
-    """Record, per pass, its member count K and the bytes of its work
-    arrays; and the index of the pass whose fill writes Z."""
+    """Record, per pass, its slot count and the bytes of its work arrays;
+    and the index of the pass whose fill writes Z."""
     passes, z_pass = [], []
     compose, fill = linode._compose, linode._fill
 
     def recording_compose(work, runs):
-        passes.append((work[0].shape[2], sum(w.nbytes for w in work)))
+        passes.append((len(work), sum(w.nbytes for slot in work for w in slot)))
         return compose(work, runs)
 
     def recording_fill(blocks, inverse_blocks, *args):
@@ -487,12 +511,12 @@ def test_family_passes_hold_at_most_the_byte_cap(monkeypatch, tables_per_pass):
     A, g = _coupled_system()
     grid = _grid(1537)
     systems = [(approximate_coefficients(A, k), g) for k in (1, 2, 3, 4, 5)]
-    expected = [table for table, _ in _propagate(systems, grid, inverse=True)]
+    expected = _pass_tables(systems, grid, inverse=True)
     member_bytes = _member_bytes(grid.n)
     cap = tables_per_pass * member_bytes + member_bytes // 2
     monkeypatch.setattr(linode, "PASS_BYTES", cap)
     passes, z_pass = _record_passes(monkeypatch)
-    got = [table for table, _ in _propagate(systems, grid, inverse=True)]
+    got = _pass_tables(systems, grid, inverse=True)
     for want, have in zip(expected, got):
         np.testing.assert_array_equal(have, want)
     # Z rides in the pass of the first system even when one member fills a
@@ -509,13 +533,105 @@ def test_family_passes_hold_at_most_the_byte_cap(monkeypatch, tables_per_pass):
 def test_pass_byte_cap_counts_the_chunk_padding(monkeypatch):
     # At n = 26 a member's work holds five chunks of 6 steps, 30 columns
     # against 26 steps and 27 nodes: a cap of nine members' work fits nine,
-    # where a count without the padding would fit ten.
+    # where a count without the padding would fit ten.  The members do not
+    # share their coefficients, so each is a slot of its own.
     A, g = _coupled_system()
     grid = _grid(26)
     assert _runs(grid.n) == [(1, 26, 6, 5)]
     member_bytes = _member_bytes(grid.n)
     monkeypatch.setattr(linode, "PASS_BYTES", 9 * member_bytes)
     passes, _ = _record_passes(monkeypatch)
-    tables = [table for table, _ in _propagate([(A, g)] * 11, grid)]
+    tables = _pass_tables([(approximate_coefficients(A, k), g) for k in range(1, 12)], grid)
     assert len(tables) == 11
     assert passes == [(9, 9 * member_bytes), (2, 2 * member_bytes)]
+
+
+def _p2_mixed_family(n=2048):
+    """p2 with k in {3, 4, 7, 8} and their sawtooth members, as companion
+    systems, and the limit's A halved: only the limit and the even k share
+    A's bits, and the halved A shares its breakpoints but not its table."""
+    problem = corpus.build_problem("p2", n)
+    ks = (3, 4, 7, 8)
+    members = [problem] + [build_multipoint_problem(problem, k) for k in ks]
+    members += [build_multipoint_problem(problem, k, f=f) for k, f, _ in
+                sawtooth_rhs(problem, ks, 1e-3)]
+    systems = [companion_reduce(p)[:2] for p in members]
+    A, g = systems[0]
+    systems.append((PolyMatrix([[e * 0.5 for e in row] for row in A.entries]), g))
+    return problem, systems
+
+
+def test_mixed_groups_equal_one_member_passes():
+    problem, systems = _p2_mixed_family()
+    grid, m = problem.grid, problem.m
+    got = {i: out for i, *out in _propagate(systems, grid, inverse=True, rows=m)}
+    assert sorted(got, key=str) == sorted([None, *range(len(systems))], key=str)
+    for i, (A, g) in enumerate(systems):
+        (_, *alone), = _propagate([(A, g)], grid, rows=m)
+        for have, want in zip(got[i], alone):
+            np.testing.assert_array_equal(have, want)
+    Z = got[None][0]
+    np.testing.assert_array_equal(Z, inverse_fundamental(systems[0][0], grid))
+    np.testing.assert_array_equal(Z, _reference_inverse(systems[0][0], grid))
+    # The limit, k = 4 and 8 and their sawtooth members share one V; k = 3
+    # and 7 share one each with their sawtooth member; the halved A has its own.
+    shared = {i: next(j for j in got if j is not None and got[j][0] is got[i][0])
+              for i in got if i is not None}
+    assert shared == {0: 0, 1: 1, 2: 0, 3: 3, 4: 0, 5: 1, 6: 0, 7: 3, 8: 0, 9: 9}
+    # Members that share V share one node-value array of A.
+    assert all(got[i][2] is got[shared[i]][2] for i in shared)
+
+
+def test_group_wider_than_the_byte_cap_splits_over_passes(monkeypatch):
+    # One A with seven forcings and Z, under a cap of nine work-array
+    # columns, three narrow slots: Z's slot (3 columns) and two forcings
+    # (2 + 2) in the first pass, then three (2 + 3) and two (2 + 2).
+    A, g = _coupled_system()
+    grid = _grid(1537)
+    systems = [(A, g * (k + 0.5j)) for k in range(7)]
+    expected = [_pass_tables([system], grid)[0] for system in systems]
+    column_bytes = _member_bytes(grid.n) // 3
+    monkeypatch.setattr(linode, "PASS_BYTES", 9 * column_bytes + column_bytes // 2)
+    passes, z_pass = _record_passes(monkeypatch)
+    got = _pass_tables(systems, grid, inverse=True)
+    assert passes == [(2, 7 * column_bytes), (1, 5 * column_bytes), (1, 4 * column_bytes)]
+    assert z_pass == [0]
+    for want, have in zip(expected, [got[0], *got[2:]]):
+        np.testing.assert_array_equal(have, want)
+    np.testing.assert_array_equal(got[1], _reference_inverse(A, grid))
+
+
+KS_4_256 = (4, 8, 16, 32, 64, 128, 256)
+
+
+@pytest.mark.parametrize("name, ks, forcings", [
+    ("p1", KS_4_256, [8]),
+    ("p2", KS_4_256, [8]),
+    ("p3", KS_4_256, [8]),
+    ("p2", (3, 4, 7, 8), [3, 1, 1]),
+    ("p3", (3, 4, 7, 8), [5]),
+])
+def test_theorem3_family_samples_each_coefficient_group_once(monkeypatch, name, ks, forcings):
+    # A theorem 3 check propagates the limit problem, Z and one sawtooth
+    # member per k in one pass: each group is one fill, with one forcing
+    # column per distinct f, that samples A once, with its first f, and
+    # then each other f.  p2's odd k do not share the limit's A.
+    fills, samplings = [], []
+    fill, panels = linode._fill, linode._coefficient_panels
+
+    def counting_fill(blocks, inverse_blocks, A, fs, *args):
+        fills.append(len(fs))
+        return fill(blocks, inverse_blocks, A, fs, *args)
+
+    def counting_panels(rows, grid):
+        samplings.append(len(rows[0]))
+        return panels(rows, grid)
+
+    monkeypatch.setattr(linode, "_fill", counting_fill)
+    monkeypatch.setattr(linode, "_coefficient_panels", counting_panels)
+    problem = corpus.build_problem(name, 2048)
+    report = theorem3_check(problem, sawtooth_rhs(problem, ks, 1e-3), 1e-3)
+    assert report.ok
+    assert fills == forcings
+    d = problem.r * problem.m
+    assert samplings == [width for G in forcings for width in [d + 1] + [1] * (G - 1)]

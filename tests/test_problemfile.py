@@ -3,6 +3,7 @@
 import copy
 import json
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from mpbvp import (
 from mpbvp.boundary import BoundaryTerm, GeneralBoundaryOperator, MultipointBoundaryOperator
 from mpbvp.bvp import BvpProblem
 from mpbvp.funcspace import MAX_GRID_N, Grid, PiecewisePoly, PolyMatrix, PolyVector
+from mpbvp import problemfile
 from mpbvp.problemfile import _write_blocks_atomic, problem_text
 from mpbvp.stieltjes import MatrixMeasure, ScalarMeasure
 from oracles import random_problem, step_problem
@@ -181,6 +183,26 @@ def test_block_writer_that_fails_leaves_the_target_as_it_was(tmp_path):
     with pytest.raises(RuntimeError, match="renderer failed"):
         _write_blocks_atomic(str(fresh), blocks())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["solve.csv"]
+
+
+def test_block_writer_gives_a_new_file_the_mode_of_open(tmp_path, monkeypatch):
+    # Under umask 022 a new artifact reads 0644, and under 027 0640, as a
+    # plain open makes it, not the 0600 of the temp file it was written to.
+    for umask, mode in ((0o022, 0o644), (0o027, 0o640)):
+        monkeypatch.setattr(problemfile, "_UMASK", umask)
+        target = tmp_path / f"new{umask:o}.csv"
+        _write_blocks_atomic(str(target), [b"t,y\n"])
+        assert stat.S_IMODE(target.stat().st_mode) == mode
+
+
+def test_block_writer_keeps_the_mode_of_an_existing_target(tmp_path, monkeypatch):
+    monkeypatch.setattr(problemfile, "_UMASK", 0o022)
+    target = tmp_path / "solve.csv"
+    target.write_bytes(b"old\n")
+    target.chmod(0o640)
+    _write_blocks_atomic(str(target), [b"new\n"])
+    assert target.read_bytes() == b"new\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
 
 
 def test_parse_missing_file():
