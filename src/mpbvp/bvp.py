@@ -186,13 +186,19 @@ def _scaled_lift(problem: BvpProblem) -> tuple[LiftedOperator, int]:
     """The operator compiled on the problem grid and divided by 2**e, the
     binary order of its largest weight, together with e.
 
-    The division is exact, so [TV], T R and q / 2**e come out as the
-    unscaled values divided by 2**e, and a power-of-two scale of the
-    boundary weights changes nothing that is formed from them.
+    e comes from the largest and the negated smallest real and imaginary
+    part, which is the largest magnitude, and the freshly compiled weights
+    are scaled in place, so no temporary has their size.  The division is
+    exact, so [TV], T R and q / 2**e come out as the unscaled values divided
+    by 2**e, and a power-of-two scale of the boundary weights changes
+    nothing that is formed from them.
     """
     T = lift(problem.operator, problem.grid)
-    e = int(np.frexp(np.abs(T.weights.view(float)).max(initial=0.0))[1])
-    return LiftedOperator(T.point_terms, _ldexp(T.weights, -e)), e
+    parts = T.weights.view(float)
+    e = int(np.frexp(max(parts.max(initial=0.0), -parts.min(initial=0.0)))[1])
+    with np.errstate(over="ignore", under="ignore"):
+        np.ldexp(parts, -e, out=parts)
+    return T, e
 
 
 def _check_solvable(char: np.ndarray, e: int) -> tuple[complex, float, np.ndarray, float]:

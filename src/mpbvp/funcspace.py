@@ -298,9 +298,10 @@ class PiecewisePoly:
         out = _horner(self.table[self._piece_index(tt, "right" if side == "right" else "left")], tt)
         return out[0] if scalar else out
 
-    def grid_samples(self, grid: Grid):
-        """Values on ``grid`` as RK4 steps read them: (node values (n+1,),
-        step-end left limits (n,), midpoint values (n,)).
+    def grid_samples(self, grid: Grid, lo: int = 0, hi: int | None = None):
+        """Values on ``grid`` as RK4 steps lo .. hi - 1 read them: (node
+        values (hi-lo+1,), step-end left limits (hi-lo,), midpoint values
+        (hi-lo,)), by default over all n steps.
 
         Node values are right limits, with b in the last piece, as
         ``__call__`` gives them.  Only the nodes and the midpoints are
@@ -308,17 +309,19 @@ class PiecewisePoly:
         that node's value, except at an interior breakpoint that equals a
         node, where it is evaluated on the piece to the left.  A single
         piece is evaluated, broadcast, with no piece search.  Each value has
-        the bits of ``__call__`` at the same point and side.
+        the bits of ``__call__`` at the same point and side, so a range's
+        samples are those slices of the whole grid's.
         """
-        nodes, mids = grid.nodes, grid.half_nodes
+        hi = grid.n if hi is None else hi
+        nodes, mids = grid.nodes[lo:hi + 1], grid.half_nodes[lo:hi]
         if self.npieces == 1:
             at_nodes = _horner(self.table[:1], nodes)
             return at_nodes, at_nodes[1:], _horner(self.table[:1], mids)
         at_nodes = _horner(self.table[self._piece_index(nodes)], nodes)
         ends = at_nodes[1:].copy()
         inner = self.breakpoints[1:-1]
-        i = np.minimum(np.searchsorted(nodes, inner), grid.n)
-        # Breakpoint j + 1 ends piece j; node 0 ends no step.
+        i = np.minimum(np.searchsorted(nodes, inner), hi - lo)
+        # Breakpoint j + 1 ends piece j; the range's first node ends no step of it.
         on = np.flatnonzero((nodes[i] == inner) & (i > 0))
         i = i[on]
         ends[i - 1] = _horner(self.table[on], nodes[i])
@@ -689,8 +692,11 @@ class SampledJet:
         for j in range(self.r):
             lower = self.samples[j]
             upper = self.samples[j + 1]
-            approx = (lower[2:] - lower[:-2]) / (2.0 * h)
-            worst = max(worst, float(np.max(np.abs(approx - upper[1:-1]))))
+            # In place: one temporary of a channel's size.
+            defect = np.subtract(lower[2:], lower[:-2])
+            defect /= 2.0 * h
+            defect -= upper[1:-1]
+            worst = max(worst, float(np.max(np.abs(defect))))
         return worst
 
 

@@ -11,8 +11,9 @@ over the right factor's d rows is exact whenever its bottom row is 0.
 Column k of a product reads only column k of the right factor, so systems
 that share A share the left d columns of every stage and increment: one
 wide (d, d + G, N) array holds such a group, one forcing column per
-distinct g, each with the bits of a pass of its own.  A is sampled with
-the first g, as in a group of one, and each further g after it alone.
+distinct g, each with the bits of a pass of its own.  Segment by segment,
+A is sampled with the first g, as in a group of one, and each further g
+after it alone.
 
 One pass propagates a family of systems of one shape on one grid, such
 as a limit problem and its multipoint approximations, grouped by the bits
@@ -26,8 +27,17 @@ per group and run form, in place, the prefix increments of every chunk of
 every block, and one loop over the pass's chunks carries every column
 with one stacked product of narrow (d, s) states: a stacked ``@`` of
 another width does not keep the bits.  A group's V, once, and each
-column's R are formed only when yielded.  A pass holds at most PASS_BYTES
-of work arrays; a larger family, or a wider group, is split over passes.
+column's R are formed only after the whole pass is composed.  A pass holds
+at most PASS_BYTES of work arrays; a larger family, or a wider group, is
+split over passes.
+
+Besides its work arrays, a pass holds the node values it hands over and
+one segment of coefficient samples at a time.  ``_fill`` samples a run of
+whole blocks, at most SEGMENT_BYTES of [A | g_1], forms their increments
+and drops the samples before the next segment, so a block's increments,
+and every table, have the bits of one sampling of the whole grid.  A
+slot's work arrays go once its V and R (or Z) exist, before the first of
+them is yielded; its node values stay until its last member is yielded.
 
 A pass from I_{d+1} gives the top rows [V | R] of the augmented matrizant
 [[V, R], [0, 1]]: the matrizant V and the forced trajectory R with
@@ -73,18 +83,25 @@ BLOCK_STEPS = 512
 #: a pass holds at least one column, and Z always shares the pass of the
 #: system it inverts.
 PASS_BYTES = 32 * 2**20
+#: Bytes of the node, midpoint and step-end samples of [A | g_1] that a
+#: fill holds at once, rounded down to whole blocks, at least one: 8 blocks
+#: at d = 2, so a 2048-step pass samples once.  Samples of the whole grid
+#: would be a pass's largest arrays (54 MiB at d = 8, n = 16384), and a
+#: segment of one block pays the sampling calls once per block.
+SEGMENT_BYTES = 5 * 2**18
 
 
-def _coefficient_panels(rows, grid: Grid):
-    """Samples of the entries ``rows[i][j]`` on the grid, with
-    ``PiecewisePoly.grid_samples``: node values (d, w, n+1), midpoint values
-    (d, w, n) and step-end left limits (d, w, n), batch-last."""
-    nodes = np.empty((len(rows), len(rows[0]), grid.n + 1), dtype=complex)
-    ends = np.empty(nodes.shape[:2] + (grid.n,), dtype=complex)
+def _coefficient_panels(rows, grid: Grid, lo: int, hi: int):
+    """Samples of the entries ``rows[i][j]`` over steps lo .. hi - 1 of the
+    grid, with ``PiecewisePoly.grid_samples``: node values (d, w, hi-lo+1),
+    midpoint values (d, w, hi-lo) and step-end left limits (d, w, hi-lo),
+    batch-last."""
+    nodes = np.empty((len(rows), len(rows[0]), hi - lo + 1), dtype=complex)
+    ends = np.empty(nodes.shape[:2] + (hi - lo,), dtype=complex)
     mids = np.empty_like(ends)
     for i, row in enumerate(rows):
         for j, entry in enumerate(row):
-            nodes[i, j], ends[i, j], mids[i, j] = entry.grid_samples(grid)
+            nodes[i, j], ends[i, j], mids[i, j] = entry.grid_samples(grid, lo, hi)
     for name, panel in (("node", nodes), ("mid", mids), ("end", ends)):
         if not np.all(np.isfinite(panel)):
             raise ValueError(f"coefficient evaluation produced non-finite values ({name})")
@@ -188,16 +205,23 @@ def _propagate(systems, grid: Grid, inverse: bool = False, rows: int = 0):
                        piece[0][0], [g for _, g, _ in piece], grid, rows)
                  for slot, piece in zip(work, pieces)]
         starts = _compose(work, runs)
+        # A slot's work arrays and chunk starts go once its tables exist,
+        # before anything is yielded.
         if inverse:
-            Z = _member_table(work[-1], starts[-1], runs, None).swapaxes(1, 2)
+            Z = _member_table(work.pop(), starts.pop(), runs, None).swapaxes(1, 2)
             yield None, Z, None, None, None
+            del Z
             inverse = False
-        for slot, start, piece in zip(work, starts, pieces):
-            kept, V = nodes.pop(0), _member_table(slot, start, runs, None)
-            for column, (_, _, members) in enumerate(piece):
-                R = _member_table(slot, start, runs, column)
+        for piece in pieces:
+            slot, start = work.pop(0), starts.pop(0)
+            V = _member_table(slot, start, runs, None)
+            Rs = [_member_table(slot, start, runs, column) for column in range(len(piece))]
+            del slot, start
+            kept = nodes.pop(0)
+            for forcing, (_, _, members) in zip(kept[1], piece):
+                R = Rs.pop(0)
                 for i in members:
-                    yield i, V, R, kept[0], kept[1][column]
+                    yield i, V, R, kept[0], forcing
 
 
 def _compose(work: list, runs: list) -> list:
@@ -274,31 +298,43 @@ def _fill(blocks: list, inverse_blocks: list | None, A: PolyMatrix, forcings: li
     ``blocks``, one (d, d+G, L) view of a slot's work arrays per block, and
     with ``inverse_blocks``, Z's views, the transposed inverse increments
     E_i^T = ((I + D_i)^-1 - I)^T of their left d columns into the left d
-    columns; the last column stays 0.  A is sampled with g_1, as in a group
-    of one.  Returns the node values of the bottom ``rows`` rows of A,
-    (n+1, rows, d), and the list of each g's."""
-    d = A.shape[0]
-    left = _coefficient_panels([[*r, g] for r, g in zip(A.entries, forcings[0].components)], grid)
-    for panel in left:
-        np.negative(panel[:, :d], out=panel[:, :d])
-    kept = np.empty((grid.n + 1, rows, d + 1), dtype=complex)
-    np.negative(left[0][d - rows:, :d].transpose(2, 0, 1), out=kept[..., :d])
-    kept[..., d] = left[0][d - rows:, d].T
-    forcing_nodes = [kept[..., d]]
+    columns; the last column stays 0.  The coefficients are sampled one
+    segment of whole blocks at a time, at most SEGMENT_BYTES of [A | g_1]:
+    A with g_1, as in a group of one, and each further g alone after it,
+    its samples dropped before the next.  Returns the node values of the
+    bottom ``rows`` rows of A, (n+1, rows, d), and the list of each g's."""
+    d, n = A.shape[0], grid.n
+    columns = [[*r, g] for r, g in zip(A.entries, forcings[0].components)]
     eye = np.eye(d, dtype=complex)
-    for block, D in enumerate(_increments(left, left, grid.h)):
-        blocks[block][:, :d + 1] = D
-        if inverse_blocks is not None:
-            # Z_{i+1} = Z_i + Z_i E_i, composed transposed as Z^T.  Solved
-            # step-first on a transposed view of the block.
-            step = D[:, :d].transpose(2, 0, 1)
-            inverse_blocks[block][:, :d] = np.linalg.solve(eye + step, -step).transpose(2, 1, 0)
-    for column, g in enumerate(forcings[1:], start=d + 1):
-        right = _coefficient_panels([[entry] for entry in g.components], grid)
-        forcing_nodes.append(right[0][d - rows:, 0].T.copy())
-        for block, D in enumerate(_increments(left, right, grid.h)):
-            blocks[block][:, column:column + 1] = D
-        del right
+    steps = BLOCK_STEPS * max(1, SEGMENT_BYTES // (3 * d * (d + 1) * BLOCK_STEPS * 16))
+    for lo in range(0, n, steps):
+        hi, first = min(lo + steps, n), lo // BLOCK_STEPS
+        left = _coefficient_panels(columns, grid, lo, hi)
+        for panel in left:
+            np.negative(panel[:, :d], out=panel[:, :d])
+        if not lo:
+            # After the first segment's samples, so as not to add to the peak of sampling it.
+            kept = np.empty((n + 1, rows, d + 1), dtype=complex)
+            forcing_nodes = [kept[..., d]] + [np.empty((n + 1, rows), dtype=complex)
+                                              for _ in forcings[1:]]
+        # Node hi is node lo of the next segment, with the same bits.
+        np.negative(left[0][d - rows:, :d].transpose(2, 0, 1), out=kept[lo:hi + 1, :, :d])
+        kept[lo:hi + 1, :, d] = left[0][d - rows:, d].T
+        for block, D in enumerate(_increments(left, left, grid.h), start=first):
+            blocks[block][:, :d + 1] = D
+            if inverse_blocks is not None:
+                # Z_{i+1} = Z_i + Z_i E_i, composed transposed as Z^T.  Solved
+                # step-first on a transposed view of the block.
+                step = D[:, :d].transpose(2, 0, 1)
+                inverse_blocks[block][:, :d] = np.linalg.solve(eye + step, -step).transpose(2, 1, 0)
+        for column, g, out in zip(range(d + 1, d + len(forcings)), forcings[1:],
+                                  forcing_nodes[1:]):
+            right = _coefficient_panels([[entry] for entry in g.components], grid, lo, hi)
+            out[lo:hi + 1] = right[0][d - rows:, 0].T
+            for block, D in enumerate(_increments(left, right, grid.h), start=first):
+                blocks[block][:, column:column + 1] = D
+            del right
+        del left
     return kept[..., :d], forcing_nodes
 
 

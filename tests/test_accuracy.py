@@ -1,0 +1,51 @@
+"""Accuracy guards: solve errors against closed forms may only fall.
+
+Each ceiling is twice the error the solver reached when the guard was
+added (in the comment beside it), per jet channel, so reordered last bits
+pass and a lost digit does not.  A fix that gains accuracy passes
+unchanged; tighten the ceilings with it.
+"""
+
+import numpy as np
+import pytest
+
+from mpbvp import corpus, solve
+from oracles import growth_problem
+
+# p2's coefficients and f jump at t = 1/2, which is off the grid at odd n:
+# the pass snaps the coefficients to a node and leaves f where it is.
+P2_CEILINGS = {
+    2049: (7.8e-6, 2.4e-5, 0.38),  # 3.90e-6, 1.18e-5, 0.187
+    4097: (3.9e-6, 1.2e-5, 0.38),  # 1.95e-6, 5.92e-6, 0.187
+}
+
+# y'' = lam^2 y, y(0) = y(1) = 1: single shooting loses digits as lam grows.
+GROWTH_CEILINGS = {
+    (5, 2048): (2.7e-13, 9.8e-13, 6.6e-12),  # 1.32e-13, 4.89e-13, 3.29e-12
+    (5, 16384): (8.6e-14, 4.1e-13, 2.2e-12),  # 4.26e-14, 2.03e-13, 1.07e-12
+    (20, 2048): (1.6e-7, 3.7e-6, 6.2e-5),  # 7.64e-8, 1.81e-6, 3.06e-5
+    (20, 16384): (1.3e-7, 6.2e-6, 5.2e-5),  # 6.43e-8, 3.09e-6, 2.57e-5
+}
+
+
+def _channel_errors(jet, exact):
+    return [float(np.max(np.abs(have - want))) for have, want in zip(jet.samples, exact)]
+
+
+@pytest.mark.parametrize("n", sorted(P2_CEILINGS))
+def test_p2_off_the_grid_stays_within_its_error(n):
+    errors = _channel_errors(solve(corpus.build_problem("p2", n)).jet,
+                             corpus.exact_jet("p2", n).samples)
+    assert all(error <= ceiling for error, ceiling in zip(errors, P2_CEILINGS[n], strict=True))
+
+
+@pytest.mark.parametrize("lam, n", sorted(GROWTH_CEILINGS))
+def test_growth_problem_stays_within_its_error(lam, n):
+    jet = solve(growth_problem(lam, n)).jet
+    t = jet.grid.nodes - 0.5
+    scale = np.cosh(lam / 2.0)
+    y = np.cosh(lam * t) / scale
+    exact = [y[:, None], (lam * np.sinh(lam * t) / scale)[:, None], lam ** 2 * y[:, None]]
+    errors = _channel_errors(jet, exact)
+    assert all(error <= ceiling
+               for error, ceiling in zip(errors, GROWTH_CEILINGS[lam, n], strict=True))

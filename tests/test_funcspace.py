@@ -427,6 +427,29 @@ def test_grid_samples_are_three_evaluations(n, interval):
         _assert_grid_samples_are_three_evaluations(p, grid)
 
 
+@pytest.mark.parametrize("n", [3, 513, 1537])
+def test_grid_samples_over_a_node_range_are_slices_of_the_whole_grid(n):
+    # Ranges whose first or last node is a breakpoint on a node, one step
+    # off one, a single step, and the whole grid.  Bytes are compared.
+    rng = np.random.default_rng(n)
+    grid = Grid(-1.5, 0.5, n)
+    cases = [_random_pieces(rng, grid, kind) for kind in ("nodes", "midpoints", "off")
+             for _ in range(4)]
+    cases += [PiecewisePoly.single([0.5, -2.0j, 1.0], -1.5, 0.5),
+              PiecewisePoly(grid.nodes[[0, n // 2, n]], [[0.5, 2.0], [-1.0j]])]
+    for p in cases:
+        whole = p.grid_samples(grid)
+        on = np.flatnonzero(np.isin(grid.nodes, p.breakpoints[1:-1]))
+        edges = {0, 1, n - 1, n, *on.tolist(), *(on - 1).tolist(), *(on + 1).tolist()}
+        ranges = [(lo, hi) for lo in sorted(edges) for hi in sorted(edges) if 0 <= lo < hi <= n]
+        assert (0, n) in ranges and any(lo + 1 == hi for lo, hi in ranges)
+        for lo, hi in ranges:
+            want = (whole[0][lo:hi + 1], whole[1][lo:hi], whole[2][lo:hi])
+            for have, expected in zip(p.grid_samples(grid, lo, hi), want):
+                assert have.shape == expected.shape
+                assert have.tobytes() == expected.tobytes()
+
+
 def test_grid_samples_take_left_limits_at_the_node_itself():
     # The breakpoint -0.0 equals the node 0.0.  At t = -0.0 the first piece
     # would evaluate to -0.0; at the node it is 0.0, as __call__ gives it.

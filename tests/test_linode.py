@@ -1,6 +1,9 @@
 """Fundamental matrices, inverses, and particular solutions."""
 
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -137,8 +140,8 @@ def test_non_finite_left_limit_is_refused():
 def _system_increments(A, g, grid):
     """The (d, s, L) increment blocks of (A, g), their left columns and
     their forcing column formed apart."""
-    left = [-panel for panel in _coefficient_panels(A.entries, grid)]
-    right = _coefficient_panels([[entry] for entry in g.components], grid)
+    left = [-panel for panel in _coefficient_panels(A.entries, grid, 0, grid.n)]
+    right = _coefficient_panels([[entry] for entry in g.components], grid, 0, grid.n)
     return [np.concatenate(D, axis=1) for D in zip(_increments(left, left, grid.h),
                                                    _increments(left, right, grid.h))]
 
@@ -277,17 +280,33 @@ def _member_bytes(n, d=2):
     return sum(B * chunks * c for B, _, c, chunks in _runs(n)) * d * (d + 1) * 16
 
 
+#: The coupled system's (d = 2) fill samples segments of this many steps.
+SEGMENT = BLOCK_STEPS * (linode.SEGMENT_BYTES // (3 * 2 * 3 * BLOCK_STEPS * 16))
+#: Grids on which the jumps of A and g at t = 1/2 lie on the edge of a
+#: segment (2 SEGMENT) or one step inside one (2 SEGMENT +- 2), and that edge.
+SEGMENT_EDGES = {2 * SEGMENT - 2: SEGMENT, 2 * SEGMENT: SEGMENT, 2 * SEGMENT + 2: SEGMENT}
+
+
 @pytest.mark.parametrize("inverse", [False, True])
 @pytest.mark.parametrize("K", [1, 3])
-@pytest.mark.parametrize("n", [2, 3, 22, 23, 24, 511, 512, 513, 1537, 2049, 16384])
+@pytest.mark.parametrize("n", [2, 3, 22, 23, 24, 511, 512, 513, 1537, 2049, 16384,
+                               *SEGMENT_EDGES])
 def test_pass_tables_are_bitwise_the_per_block_scan(monkeypatch, n, K, inverse):
     # 22, 23 and 24 steps straddle a chunk length; 511, 512 and 513 a
-    # block; 1537 and 2049 end in a one-step block after full ones.
+    # block; 1537 and 2049 end in a one-step block after full ones.  The
+    # scan reads samples of the whole grid, the pass samples by segment.
     A, g = _coupled_system()
     systems = [(A, g), (approximate_coefficients(A, 1), g),
                (approximate_coefficients(A, 3), g * 2.0j)][:K]
     grid = _grid(n)
     expected = _scanned_tables(systems, grid, inverse)
+    edges, panels = {0}, linode._coefficient_panels
+
+    def recording_panels(rows, grid, lo, hi):
+        edges.add(lo)
+        return panels(rows, grid, lo, hi)
+
+    monkeypatch.setattr(linode, "_coefficient_panels", recording_panels)
     # One pass, and then one member a pass (Z still rides with system 0).
     for cap in (linode.PASS_BYTES, _member_bytes(n)):
         monkeypatch.setattr(linode, "PASS_BYTES", cap)
@@ -296,6 +315,7 @@ def test_pass_tables_are_bitwise_the_per_block_scan(monkeypatch, n, K, inverse):
         for want, have in zip(expected, got):
             assert have.shape == want.shape
             np.testing.assert_array_equal(have, want)
+    assert SEGMENT_EDGES.get(n, 0) in edges
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
@@ -601,6 +621,50 @@ def test_group_wider_than_the_byte_cap_splits_over_passes(monkeypatch):
     np.testing.assert_array_equal(got[1], _reference_inverse(A, grid))
 
 
+def test_work_arrays_are_released_before_their_members_are_yielded(monkeypatch):
+    # Two groups and Z in one pass: Z's slot, then the slot of (A, g) and
+    # (A, 2g), then that of A/2.  A slot's work arrays are unreachable when
+    # the first table read from them is yielded.
+    A, g = _coupled_system()
+    half = PolyMatrix([[e * 0.5 for e in row] for row in A.entries])
+    systems = [(A, g), (A, g * 2.0), (half, g)]
+    slots, compose = [], linode._compose
+
+    def recording_compose(work, runs):
+        slots.extend([weakref.ref(w) for w in slot] for slot in work)
+        return compose(work, runs)
+
+    monkeypatch.setattr(linode, "_compose", recording_compose)
+    released = {}
+    for i, *_ in _propagate(systems, _grid(1537), inverse=True, rows=1):
+        gc.collect()
+        released[i] = [all(ref() is None for ref in slot) for slot in slots]
+    assert len(slots) == 3
+    # Z's slot is last in the pass, and yielded first.
+    assert released == {None: [False, False, True], 0: [True, False, True],
+                        1: [True, False, True], 2: [True, True, True]}
+
+
+def test_pass_holds_one_segment_of_coefficient_samples():
+    # Samples of the whole grid, three (d, d + 1, n) panels (19 MB here),
+    # would exceed the bound; a segment's are about 1.2 MB.
+    A, g = _coupled_system()
+    grid = _grid(65536)
+    d, rows = 2, 1
+    tables = (grid.n + 1) * (d * d + d + rows * (d + 1)) * 16
+    bound = _member_bytes(grid.n) + tables + 2 * 2**20
+    assert 3 * d * (d + 1) * grid.n * 16 > 18 * 10**6
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = list(_propagate([(A, g)], grid, rows=rows))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 1
+    assert peak < bound
+
+
 KS_4_256 = (4, 8, 16, 32, 64, 128, 256)
 
 
@@ -623,9 +687,9 @@ def test_theorem3_family_samples_each_coefficient_group_once(monkeypatch, name, 
         fills.append(len(fs))
         return fill(blocks, inverse_blocks, A, fs, *args)
 
-    def counting_panels(rows, grid):
+    def counting_panels(rows, *args):
         samplings.append(len(rows[0]))
-        return panels(rows, grid)
+        return panels(rows, *args)
 
     monkeypatch.setattr(linode, "_fill", counting_fill)
     monkeypatch.setattr(linode, "_coefficient_panels", counting_panels)
