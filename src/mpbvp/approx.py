@@ -405,9 +405,9 @@ def sawtooth_perturbation(grid: Grid, k: int, eps: float, m: int) -> PolyVector:
     ideal = a + np.arange(1, 2 * k) * half
     # np.rint rounds half to even, as round does.
     cell = np.clip(np.rint((ideal - a) / h - 0.5), 0, n - 1)
-    snapped = a + (cell + 0.5) * h
-    # The snapped points are nondecreasing: keep each one above its predecessor.
-    inner = snapped[np.diff(snapped, prepend=a) > 0]
+    midpoints = a + (cell + 0.5) * h
+    # The midpoints are nondecreasing: keep each one above its predecessor.
+    inner = midpoints[np.diff(midpoints, prepend=a) > 0]
     breakpoints = np.concatenate([[a], inner, [b]])
     values = np.where(np.arange(inner.size + 1) % 2 == 0, amplitude, -amplitude)
     mean = float(np.dot(values, np.diff(breakpoints))) / (b - a)

@@ -2,10 +2,10 @@
 
 A problem is the system L y = y^(r) + sum_l A_l(t) y^(l) = f on [a, b] with
 rm boundary conditions B y = q.  The solver reduces it to the first-order
-companion system v' + P v = g, T v = q, with the coefficients snapped to
-the grid, and integrates the matrizant V of P together with the particular
-solution R, R(a) = 0, in one augmented RK4 pass.  The solution is
-assembled from the characteristic matrix [T V]:
+companion system v' + P v = g, T v = q, and integrates the matrizant V of P
+together with the particular solution R, R(a) = 0, in one augmented RK4
+pass, which samples every coefficient and f where its breakpoints lie.  The
+solution is assembled from the characteristic matrix [T V]:
 
     u = V [T V]^-1 (q - T R) + R.
 
@@ -69,9 +69,9 @@ class BvpProblem:
     """An order-r system of m equations with boundary operator and grid.
 
     ``coeffs[l]`` multiplies y^(l) for l = 0..r-1.  The problem keeps the
-    data it is given, which must span the grid's [a, b]; the solve pass
-    snaps the coefficient breakpoints to grid nodes.  Re-gridding a problem
-    is ``dataclasses.replace(problem, grid=...)``.
+    data it is given, which must span the grid's [a, b] to 1e-9 (b - a), and
+    the solve pass reads each datum where its breakpoints lie, on a node or
+    not.  Re-gridding a problem is ``dataclasses.replace(problem, grid=...)``.
     """
 
     r: int
@@ -140,36 +140,47 @@ def companion_reduce(problem: BvpProblem):
     """Reduce to the first-order companion system (P, g, T, q).
 
     P carries -I blocks on the superdiagonal and the coefficient row
-    (A_0 ... A_{r-1}), snapped to the grid, at the bottom; g stacks r-1 zero
-    blocks over f; T is the boundary operator compiled on the problem grid.
-    For r = 1 this is (A_0 snapped, f, lift(B, grid), q).
+    (A_0 ... A_{r-1}) at the bottom; g stacks r-1 zero blocks over f; T is
+    the boundary operator compiled on the problem grid.  Every coefficient
+    and f keep their breakpoints; only ends within the tolerance of [a, b]
+    are moved onto it.  For r = 1 this is (A_0, f, lift(B, grid), q).
     """
     P, g = _companion_system(problem)
     return P, g, lift(problem.operator, problem.grid), problem.q
 
 
+def _pinned(p: PiecewisePoly, a: float, b: float) -> PiecewisePoly:
+    """p with its ends on [a, b], or p itself when they are there.  BvpProblem
+    has checked them to 1e-9 (b - a); a piece outside [a, b] is dropped."""
+    if p.a == a and p.b == b:
+        return p
+    bp = np.clip(p.breakpoints, a, b)
+    bp[0], bp[-1] = a, b
+    keep = np.diff(bp) > 0
+    return PiecewisePoly._from_table(np.concatenate([[a], bp[1:][keep]]),
+                                     p.table[keep], p.widths[keep])
+
+
 def _companion_system(problem: BvpProblem) -> tuple[PolyMatrix, PolyVector]:
     """The (P, g) of companion_reduce, with no boundary operator.  Every pass
-    reads the coefficients here, and only here are they snapped to the grid."""
+    reads the coefficients and f here, as given, with their ends pinned to
+    [a, b]."""
     r, m = problem.r, problem.m
-    coeffs = [A.snapped(problem.grid) for A in problem.coeffs]
-    if r == 1:
-        return coeffs[0], problem.f
     a, b = problem.a, problem.b
+    coeffs = [[[_pinned(e, a, b) for e in row] for row in A.entries] for A in problem.coeffs]
+    f = [_pinned(c, a, b) for c in problem.f.components]
+    if r == 1:
+        # The lists compare their entries by identity.
+        A, g = problem.coeffs[0], problem.f
+        return (A if coeffs[0] == A.entries else PolyMatrix(coeffs[0]),
+                g if f == g.components else PolyVector(f))
     zero = PiecewisePoly.zero(a, b)
     minus_one = PiecewisePoly.constant(-1.0, a, b)
     d = r * m
-    entries = [[zero for _ in range(d)] for _ in range(d)]
-    for block in range(r - 1):
-        for i in range(m):
-            entries[block * m + i][(block + 1) * m + i] = minus_one
-    for block, A in enumerate(coeffs):
-        for i in range(m):
-            for j in range(m):
-                entries[(r - 1) * m + i][block * m + j] = A.entries[i][j]
-    P = PolyMatrix(entries)
-    g = PolyVector([zero] * ((r - 1) * m) + list(problem.f.components))
-    return P, g
+    # Each row above the bottom block holds -1 one block to the right.
+    entries = [[minus_one if j == i + m else zero for j in range(d)] for i in range(d - m)]
+    entries += [[e for A in coeffs for e in A[i]] for i in range(m)]
+    return PolyMatrix(entries), PolyVector([zero] * (d - m) + f)
 
 
 def _ldexp(x, e: int) -> np.ndarray:
@@ -301,7 +312,7 @@ def _finish(problem: BvpProblem, V: np.ndarray, R: np.ndarray, coefficients: np.
 
 def residuals(problem: BvpProblem, jet: SampledJet) -> tuple[float, float]:
     """(L1 norm of L y - f over the grid, |B y - q| in the vector norm) of
-    the jet y, for the problem as given: no coefficient is snapped."""
+    the jet y, for the problem as given."""
     grid = problem.grid
     defect = jet.samples[problem.r].copy()
     for l in range(problem.r):

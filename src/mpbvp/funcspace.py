@@ -16,7 +16,6 @@ product.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,11 +71,6 @@ class Grid:
     def half_nodes(self) -> np.ndarray:
         """Midpoints of the n grid cells."""
         return self.a + (self.b - self.a) * (2.0 * np.arange(self.n) + 1.0) / (2.0 * self.n)
-
-    def nearest_node(self, t):
-        """Coordinate of the grid node closest to t (elementwise for arrays)."""
-        i = np.clip(np.rint((np.asarray(t) - self.a) / self.h), 0, self.n).astype(np.intp)
-        return self.nodes[i]
 
 
 def _fractional_index(grid: Grid, t) -> np.ndarray:
@@ -180,11 +174,11 @@ class PiecewisePoly:
     The working representation is one zero-padded coefficient table:
     ``table[j, :widths[j]]`` holds the coefficients of piece j, lowest
     degree first, and the rest of row j is zero.  Evaluation, sums,
-    interval integrals (``integrals``), |.| integrals and grid snapping each
-    run on the whole table at once.  ``coeffs`` lists the pieces at their
-    own widths, which is what problem files store.  Evaluation at an
-    interior breakpoint takes the right-hand piece by default; the point b
-    always belongs to the last piece.
+    interval integrals (``integrals``) and |.| integrals each run on the
+    whole table at once.  ``coeffs`` lists the pieces at their own widths,
+    which is what problem files store.  Evaluation at an interior
+    breakpoint takes the right-hand piece by default; the point b always
+    belongs to the last piece.
     """
 
     __slots__ = ("breakpoints", "table", "widths", "_coeffs")
@@ -431,41 +425,6 @@ class PiecewisePoly:
 
     __rmul__ = __mul__
 
-    # -- grid alignment ----------------------------------------------------
-
-    def snapped(self, grid: Grid) -> "PiecewisePoly":
-        """Move breakpoints onto the nearest grid nodes.
-
-        The endpoints stay pinned to a and b.  Pieces that collapse to zero
-        width are dropped with a warning; a displacement beyond h/2 (which
-        can only happen for breakpoints outside [a, b]) also warns.  When no
-        breakpoint moves, the polynomial itself is returned.
-        """
-        right = self.breakpoints[1:]
-        target = grid.nearest_node(right)
-        target[-1] = grid.b
-        if self.breakpoints[0] == grid.a and np.array_equal(target, right):
-            return self
-        moved = np.abs(target - right) > grid.h / 2 + 1e-9 * (grid.b - grid.a)
-        # The last kept breakpoint is the running maximum of all earlier ones.
-        keep = target > np.maximum.accumulate(np.concatenate([[grid.a], target[:-1]]))
-        for j in np.flatnonzero(moved | ~keep):
-            if moved[j]:
-                warnings.warn(
-                    f"breakpoint {float(right[j])} moved by more than h/2 during grid alignment",
-                    stacklevel=2,
-                )
-            if not keep[j]:
-                warnings.warn(
-                    f"piece [{float(self.breakpoints[j])}, {float(right[j])}] collapsed "
-                    "during grid alignment",
-                    stacklevel=2,
-                )
-        if not keep.any():
-            keep[-1] = True  # everything collapsed onto one node; keep the last piece
-        return PiecewisePoly._from_table(np.concatenate([[grid.a], target[keep]]),
-                                         self.table[keep], self.widths[keep])
-
     def __repr__(self):
         return f"PiecewisePoly({self.npieces} pieces on [{self.a}, {self.b}])"
 
@@ -625,12 +584,6 @@ class PolyMatrix:
         for j in range(q):
             best = max(best, sum(self.entries[i][j].abs_integral() for i in range(p)))
         return best
-
-    def snapped(self, grid: Grid) -> "PolyMatrix":
-        """Entries snapped to ``grid``; the matrix itself when none moves (the
-        lists compare their entries by identity)."""
-        entries = [[e.snapped(grid) for e in row] for row in self.entries]
-        return self if entries == self.entries else PolyMatrix(entries)
 
 
 class SampledJet:

@@ -13,10 +13,11 @@ from mpbvp import corpus, solve
 from oracles import growth_problem
 
 # p2's coefficients and f jump at t = 1/2, which is off the grid at odd n:
-# the pass snaps the coefficients to a node and leaves f where it is.
+# the pass reads both where they jump, so its jet stays at round-off there.
 P2_CEILINGS = {
-    2049: (7.8e-6, 2.4e-5, 0.38),  # 3.90e-6, 1.18e-5, 0.187
-    4097: (3.9e-6, 1.2e-5, 0.38),  # 1.95e-6, 5.92e-6, 0.187
+    2047: (3.0e-15, 9.9e-15, 4.2e-15),  # 1.49e-15, 4.92e-15, 2.05e-15
+    2049: (5.0e-15, 6.8e-15, 7.8e-15),  # 2.47e-15, 3.36e-15, 3.86e-15
+    4097: (4.1e-15, 5.2e-15, 5.7e-15),  # 2.00e-15, 2.55e-15, 2.81e-15
 }
 
 # y'' = lam^2 y, y(0) = y(1) = 1: single shooting loses digits as lam grows.
@@ -34,9 +35,12 @@ def _channel_errors(jet, exact):
 
 @pytest.mark.parametrize("n", sorted(P2_CEILINGS))
 def test_p2_off_the_grid_stays_within_its_error(n):
-    errors = _channel_errors(solve(corpus.build_problem("p2", n)).jet,
-                             corpus.exact_jet("p2", n).samples)
+    solution = solve(corpus.build_problem("p2", n))
+    errors = _channel_errors(solution.jet, corpus.exact_jet("p2", n).samples)
     assert all(error <= ceiling for error, ceiling in zip(errors, P2_CEILINGS[n], strict=True))
+    # Neighbouring channels agree: a coefficient jump read at another point
+    # than f's put 0.17 here.
+    assert solution.consistency_defect < 1e-6
 
 
 @pytest.mark.parametrize("lam, n", sorted(GROWTH_CEILINGS))

@@ -85,17 +85,15 @@ def test_first_order_reduction_is_identity():
 
 
 def test_problem_keeps_the_data_it_is_given():
-    # Construction snaps nothing: a step at 0.3 on a 4-step grid keeps its
-    # jump, and re-gridding with dataclasses.replace keeps the same objects.
-    # Only the solve pass moves the jump, to the nearest node.
+    # A step at 0.3 on a 4-step grid keeps its jump where it is: in the
+    # problem, through re-gridding with dataclasses.replace, which keeps the
+    # same objects, and in the companion system the solve pass reads.
     problem = step_problem(4)
     a0 = problem.coeffs[0]
     assert a0.entries[0][0].breakpoints.tolist() == [0.0, 0.3, 1.0]
     finer = dataclasses.replace(problem, grid=Grid(0.0, 1.0, 2048))
     assert finer.coeffs[0] is a0
-    P = companion_reduce(problem)[0]
-    assert P.entries[0][0].breakpoints.tolist() == [0.0, 0.25, 1.0]
-    assert problem.coeffs[0] is a0
+    assert companion_reduce(problem)[0] is a0
 
 
 def _valid_fields():
@@ -154,11 +152,23 @@ def test_malformed_problem_or_operator_is_refused(build, error, message):
 
 def test_ends_within_the_interval_tolerance_are_accepted():
     # 1e-9 (b - a) is the tolerance for every interval the problem holds.
+    # The problem keeps such data; the solve pins its ends to [a, b], for
+    # the coefficients and for an f stacked under exact-interval zeros.
     fields = _valid_fields()
     near = [PolyMatrix.zero(1, 1, 0.0, 1.0 + 1e-10), PolyMatrix.zero(1, 1, -1e-10, 1.0)]
     problem = BvpProblem(**{**fields, "coeffs": near})
     assert problem.coeffs[0] is near[0]
     assert solve(problem).jet.samples[0].shape == (17, 1)
+    t = fields["grid"].nodes
+    for one in (PiecewisePoly.constant(1.0, 0.0, 1.0 + 1e-10),
+                PiecewisePoly.constant(1.0, -1e-10, 1.0),
+                PiecewisePoly.step([0.0, 1.0, 1.0 + 1e-10], [1.0, 5.0])):
+        f = PolyVector([one])
+        problem = BvpProblem(**{**fields, "f": f})
+        assert problem.f is f
+        # y'' = 1, y(0) = y(1) = 0.
+        np.testing.assert_allclose(solve(problem).jet.samples[0][:, 0], 0.5 * t * (t - 1.0),
+                                   rtol=0, atol=1e-15)
 
 
 def test_solve_trivial_first_order():
@@ -334,10 +344,9 @@ def test_fine_grid_solve_keeps_roundoff():
 
 
 def test_top_channel_is_bitwise_the_node_evaluation():
-    # The pass hands the solver the node values of [A_0 ... A_{r-1} | f],
-    # with the coefficients snapped to the grid; the top channel
-    # f - sum_l A_l y^(l) must be what evaluating the snapped coefficients
-    # at the nodes gives, for m up to 3.
+    # The pass hands the solver the node values of [A_0 ... A_{r-1} | f];
+    # the top channel f - sum_l A_l y^(l) must be what evaluating the
+    # coefficients as given at the nodes gives, for m up to 3.
     rng = np.random.default_rng(11)
     problems = [corpus.build_problem(name, 2048) for name in ("p1", "p2", "p3")]
     problems += [random_problem(rng, 257) for _ in range(8)]
@@ -347,8 +356,8 @@ def test_top_channel_is_bitwise_the_node_evaluation():
         nodes = problem.grid.nodes
         top = problem.f.eval_at(nodes)
         for l in range(problem.r):
-            A = problem.coeffs[l].snapped(problem.grid)
-            top -= np.einsum("nij,nj->ni", A.eval_at(nodes), jet.samples[l])
+            A = problem.coeffs[l].eval_at(nodes)
+            top -= np.einsum("nij,nj->ni", A, jet.samples[l])
         assert jet.samples[-1].tobytes() == top.tobytes()
 
 

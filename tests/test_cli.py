@@ -314,7 +314,7 @@ def test_scaled_boundary_weights_solve_exits_ok(capsys, tmp_path):
 def test_grid_n_regrids_the_problem_as_written(capsys, tmp_path):
     # A file keeps a step at 0.3 where it is, whatever grid it was written
     # for, so --grid-n 2048 solves the file written at n = 4 to the bytes
-    # of the one written at 2048: the jump is snapped once, onto 2048 nodes.
+    # of the one written at 2048: both solves read the jump at 0.3.
     outputs = []
     for n in (4, 2048):
         path = tmp_path / f"step{n}.json"

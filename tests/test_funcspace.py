@@ -44,8 +44,6 @@ def test_grid_nodes_and_spacing():
     np.testing.assert_allclose(grid.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
     np.testing.assert_allclose(grid.half_nodes, [0.125, 0.375, 0.625, 0.875])
     assert grid.h == 0.25
-    assert grid.nearest_node(0.61) == 0.5
-    assert grid.nearest_node(0.64) == 0.75
 
 
 def test_grid_validation():
@@ -144,32 +142,6 @@ def test_arithmetic_merges_breakpoints():
 def test_degree_cap_enforced():
     with pytest.raises(ValueError):
         PiecewisePoly.single(np.ones(10), 0.0, 1.0)
-
-
-def test_snapped_moves_breakpoints_to_nodes():
-    grid = Grid(0.0, 1.0, 8)
-    p = PiecewisePoly.step([0.0, 0.3, 1.0], [1.0, 2.0])
-    snapped = p.snapped(grid)
-    np.testing.assert_allclose(snapped.breakpoints, [0.0, 0.25, 1.0])
-    assert snapped(0.26) == 2.0
-
-
-def test_snapped_returns_aligned_data_itself():
-    # Breakpoints already on nodes move nowhere: no copy is made, for a
-    # polynomial or a matrix; one moved entry makes a new matrix.
-    grid = Grid(0.0, 1.0, 8)
-    on = PiecewisePoly.step([0.0, 0.25, 1.0], [1.0, 2.0])
-    off = PiecewisePoly.step([0.0, 0.3, 1.0], [1.0, 2.0])
-    assert on.snapped(grid) is on
-    aligned = PolyMatrix([[on, PiecewisePoly.zero(0.0, 1.0)]])
-    assert aligned.snapped(grid) is aligned
-    mixed = PolyMatrix([[on, off]])
-    snapped = mixed.snapped(grid)
-    assert snapped is not mixed and snapped.entries[0][0] is on
-    np.testing.assert_array_equal(snapped.entries[0][1].breakpoints, [0.0, 0.25, 1.0])
-    # An end off the grid's end moves, even when the inner breakpoints do not.
-    stretched = PiecewisePoly.step([1e-12, 0.25, 1.0], [1.0, 2.0])
-    np.testing.assert_array_equal(stretched.snapped(grid).breakpoints, [0.0, 0.25, 1.0])
 
 
 def _binary_per_piece(p, q, sign):
@@ -285,46 +257,6 @@ def test_abs_integral_of_constant_pieces_matches_quadrature():
         want = _abs_integral_per_piece(p, c, d)
         assert abs(p.abs_integral(c, d) - want) <= 1e-15 * want
     assert abs(steps.abs_integral() - (5.0 * 0.3 + 1.5 * 0.4 + 8.0 ** 0.5 * 0.3)) <= 1e-15 * 3.0
-
-
-def _snapped_per_piece(p, grid):
-    """Reference alignment: one nearest-node lookup and collapse test per piece."""
-    bp, coeffs = [grid.a], []
-    for j in range(p.npieces):
-        s = int(round((float(p.breakpoints[j + 1]) - grid.a) / grid.h))
-        node = grid.b if j == p.npieces - 1 else float(grid.nodes[min(max(s, 0), grid.n)])
-        if node > bp[-1]:
-            bp.append(node)
-            coeffs.append(p.coeffs[j])
-    return bp, coeffs
-
-
-def test_snapped_warns_and_drops_collapsed_pieces():
-    grid = Grid(0.0, 1.0, 4)
-    rng = np.random.default_rng(3)
-    p = _random_poly(rng, [0.0, 0.3, 0.32, 0.6, 1.0], [1, 2, 0, 3])
-    with pytest.warns(UserWarning, match=r"piece \[0.3, 0.32\] collapsed"):
-        snapped = p.snapped(grid)
-    bp, coeffs = _snapped_per_piece(p, grid)
-    np.testing.assert_array_equal(snapped.breakpoints, bp)
-    assert len(snapped.coeffs) == len(coeffs) == 3
-    for got, want in zip(snapped.coeffs, coeffs):
-        np.testing.assert_array_equal(_bits(got), _bits(want))
-    # A breakpoint beyond b moves by more than h/2, and its neighbour collapses.
-    outside = PiecewisePoly.step([0.0, 1.6, 2.0], [1.0, 2.0])
-    with pytest.warns(UserWarning) as record:
-        snapped = outside.snapped(grid)
-    messages = [str(w.message) for w in record]
-    assert any("1.6 moved by more than h/2" in m for m in messages)
-    assert any("[1.6, 2.0] collapsed" in m for m in messages)
-    np.testing.assert_array_equal(snapped.breakpoints, [0.0, 1.0])
-    assert snapped(0.5) == 1.0
-    # Every interior breakpoint collapses onto a: the last piece spans [a, b].
-    early = PiecewisePoly.step([0.0, 0.01, 0.02, 1.0], [1.0, 2.0, 3.0])
-    with pytest.warns(UserWarning, match="collapsed"):
-        snapped = early.snapped(grid)
-    np.testing.assert_array_equal(snapped.breakpoints, [0.0, 1.0])
-    assert snapped(0.5) == 3.0
 
 
 @given(
