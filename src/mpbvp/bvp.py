@@ -35,6 +35,7 @@ from .funcspace import (
     PolyMatrix,
     PolyVector,
     SampledJet,
+    _spans,
     mat_norm,
     norm_l1,
     traj_norm_c,
@@ -99,8 +100,7 @@ class BvpProblem:
             raise TypeError("operator must be a boundary operator")
         if self.operator.r != self.r or self.operator.m != self.m:
             raise ValueError("boundary operator shape does not match the problem")
-        ends = np.array([(item.a, item.b) for item in (*self.coeffs, self.f, self.operator)])
-        if np.abs(ends - (self.grid.a, self.grid.b)).max() > 1e-9 * (self.grid.b - self.grid.a):
+        if not _spans(self.grid, (*self.coeffs, self.f, self.operator)):
             raise ValueError("grid, coefficient, right-hand side, and operator intervals disagree")
 
     @property

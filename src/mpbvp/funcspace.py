@@ -16,6 +16,7 @@ product.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,8 +57,14 @@ class Grid:
             raise ValueError("grid endpoints must be finite")
         if not self.a < self.b:
             raise ValueError(f"grid needs a < b, got [{self.a}, {self.b}]")
-        if not 2 <= self.n <= MAX_GRID_N or int(self.n) != self.n:
-            raise ValueError(f"grid needs an integer n in [2, {MAX_GRID_N}], got {self.n}")
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            n = None
+        if n is None or not 2 <= n <= MAX_GRID_N:
+            raise ValueError(f"grid needs an integer n in [2, {MAX_GRID_N}], got {self.n!r}")
+        # An integer type such as np.int64 is stored as a Python int.
+        object.__setattr__(self, "n", n)
 
     @property
     def h(self) -> float:
@@ -71,6 +78,12 @@ class Grid:
     def half_nodes(self) -> np.ndarray:
         """Midpoints of the n grid cells."""
         return self.a + (self.b - self.a) * (2.0 * np.arange(self.n) + 1.0) / (2.0 * self.n)
+
+
+def _spans(grid: Grid, items) -> bool:
+    """Whether every item's [a, b] is the grid's to 1e-9 (b - a)."""
+    ends = np.array([(item.a, item.b) for item in items])
+    return bool(np.abs(ends - (grid.a, grid.b)).max() <= 1e-9 * (grid.b - grid.a))
 
 
 def _fractional_index(grid: Grid, t) -> np.ndarray:
@@ -289,7 +302,7 @@ class PiecewisePoly:
         arr = np.asarray(t, dtype=float)
         scalar = arr.ndim == 0
         tt = np.atleast_1d(arr)
-        out = _horner(self.table[self._piece_index(tt, "right" if side == "right" else "left")], tt)
+        out = _horner(self.table[self._piece_index(tt, side)], tt)
         return out[0] if scalar else out
 
     def grid_samples(self, grid: Grid, lo: int = 0, hi: int | None = None):

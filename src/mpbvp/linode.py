@@ -11,21 +11,17 @@ over the right factor's d rows is exact whenever its bottom row is 0.
 Column k of a product reads only column k of the right factor, so systems
 that share A share the left d columns of every stage and increment: one
 wide (d, d + G, N) array holds such a group, one forcing column per
-distinct g, each with the bits of a pass of its own.  Segment by segment,
-A is sampled with the first g, as in a group of one, and each further g
-after it alone.
+distinct g, each with the bits of a pass of its own.
 
 One pass propagates a family of systems of one shape on one grid, such
 as a limit problem and its multipoint approximations, grouped by the bits
-of A (each entry's breakpoints and table).  Its steps are cut into blocks
-of BLOCK_STEPS steps, and each block of L steps into chunks of
-c = isqrt(L - 1) + 1 steps, the last one padded with zero increments.
-Each group keeps one zeroed work array per run of equal-length blocks
-(all but a shorter last block form one run), (d, d + G, B, chunks c),
-and writes its increments there, A sampled once.  Then c - 1 iterations
-per group and run form, in place, the prefix increments of every chunk of
-every block, and one loop over the pass's chunks carries every column
-with one stacked product of narrow (d, s) states: a stacked ``@`` of
+of A (each entry's breakpoints and table).  Its n steps are cut into
+chunks of c = isqrt(n - 1) + 1 steps, the last one padded with zero
+increments.  Each group keeps one zeroed work array (d, d + G, chunks c),
+step i in column i, and writes its increments there, A sampled once.
+Then c - 1 iterations per group form, in place, the prefix increments of
+every chunk, and one loop over the chunks carries every column of the
+pass with one stacked product of narrow (d, s) states: a stacked ``@`` of
 another width does not keep the bits.  A group's V, once, and each
 column's R are formed only after the whole pass is composed.  A pass holds
 at most PASS_BYTES of work arrays; a larger family, or a wider group, is
@@ -33,11 +29,12 @@ split over passes.
 
 Besides its work arrays, a pass holds the node values it hands over and
 one segment of coefficient samples at a time.  ``_fill`` samples a run of
-whole blocks, at most SEGMENT_BYTES of [A | g_1], forms their increments
-and drops the samples before the next segment, so a block's increments,
-and every table, have the bits of one sampling of the whole grid.  A
-slot's work arrays go once its V and R (or Z) exist, before the first of
-them is yielded; its node values stay until its last member is yielded.
+whole blocks of BLOCK_STEPS steps, at most SEGMENT_BYTES of [A | g_1],
+forms their increments block by block and drops the samples before the
+next segment, so every increment, and every table, has the bits of one
+sampling of the whole grid.  A slot's work array goes once its V and R
+(or Z) exist, before the first of them is yielded; its node values stay
+until its last member is yielded.
 
 A pass from I_{d+1} gives the top rows [V | R] of the augmented matrizant
 [[V, R], [0, 1]]: the matrizant V and the forced trajectory R with
@@ -69,7 +66,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .funcspace import Grid, PolyMatrix, PolyVector
+from .funcspace import Grid, PolyMatrix, PolyVector, _spans
 
 __all__ = [
     "fundamental_matrix",
@@ -77,9 +74,10 @@ __all__ = [
     "forced_trajectory",
 ]
 
-#: Steps whose increments are formed together; bounds the work arrays.
+#: Steps whose increments, or table rows, are formed together; bounds the
+#: temporaries of a fill and of a table.
 BLOCK_STEPS = 512
-#: Bytes of work array one propagation pass holds, chunk padding included;
+#: Bytes of work arrays one propagation pass holds, chunk padding included;
 #: a pass holds at least one column, and Z always shares the pass of the
 #: system it inverts.
 PASS_BYTES = 32 * 2**20
@@ -121,9 +119,9 @@ def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _increments(left, right, h: float):
-    """Columns of the top rows of the RK4 step increments, yielded
-    batch-last as (d, w, L) blocks of at most BLOCK_STEPS steps, from the
+def _increments(left, right, h: float, out: np.ndarray) -> None:
+    """Write columns of the top rows of the RK4 step increments into
+    ``out`` (d, w, steps), batch-last, BLOCK_STEPS steps at a time, from the
     ``_coefficient_panels`` ``left`` of [-A | ...] and ``right`` of the
     columns: [-A | g] itself when ``right`` is ``left``, or forcings g.
 
@@ -131,27 +129,16 @@ def _increments(left, right, h: float):
     in every stage; each column reads only -A and itself.
     """
     _, mids, ends = left
-    n = mids.shape[-1]
+    n = out.shape[-1]
     for lo in range(0, n, BLOCK_STEPS):
-        hi = min(lo + BLOCK_STEPS, n)
+        block = slice(lo, min(lo + BLOCK_STEPS, n))
         # Stage coefficients at the step starts, midpoints and step ends.
-        m0, mm, m1 = (panel[..., lo:hi] for panel in right)
+        m0, mm, m1 = (panel[..., block] for panel in right)
         # Stages of U' = M U from U = I, with k1 = m0: D_i = h/6 (k1 + 2 k2 + 2 k3 + k4).
-        k2 = mm + (0.5 * h) * _mm(mids[..., lo:hi], m0)
-        k3 = mm + (0.5 * h) * _mm(mids[..., lo:hi], k2)
-        k4 = m1 + h * _mm(ends[..., lo:hi], k3)
-        yield (h / 6.0) * (m0 + 2.0 * (k2 + k3) + k4)
-
-
-def _runs(n: int) -> list:
-    """The runs of equal-length blocks of an n-step pass, in order, as
-    (blocks B, steps per block L, steps per chunk c, chunks per block)."""
-    runs = []
-    for B, L in ((n // BLOCK_STEPS, BLOCK_STEPS), (1, n % BLOCK_STEPS)):
-        if B and L:
-            c = math.isqrt(L - 1) + 1
-            runs.append((B, L, c, -(-L // c)))
-    return runs
+        k2 = mm + (0.5 * h) * _mm(mids[..., block], m0)
+        k3 = mm + (0.5 * h) * _mm(mids[..., block], k2)
+        k4 = m1 + h * _mm(ends[..., block], k3)
+        np.multiply(h / 6.0, m0 + 2.0 * (k2 + k3) + k4, out=out[..., block])
 
 
 def _bits(entries) -> tuple:
@@ -165,7 +152,8 @@ def _propagate(systems, grid: Grid, inverse: bool = False, rows: int = 0):
     [[V, R], [0, 1]] as V (n+1, d, d) and R (n+1, d), and the node values
     (n+1, rows, d) and (n+1, rows) of the bottom ``rows`` rows of A and g.
 
-    ``systems`` are (A, g) pairs of one shape, A d x d.  They come group by
+    ``systems`` are (A, g) pairs of one shape, A d x d, whose intervals are
+    the grid's to 1e-9 (b - a), as a BvpProblem's.  They come group by
     group, system 0 first; a group's members share one V and one node-value
     array, and those whose g shares its bits share a forcing column and R.
     With ``inverse``, (None, Z, None, None, None) comes first, Z = V^-1
@@ -176,7 +164,11 @@ def _propagate(systems, grid: Grid, inverse: bool = False, rows: int = 0):
     d, cols = systems[0][0].shape
     if d != cols:
         raise ValueError("coefficient matrix must be square")
-    runs = _runs(grid.n)
+    if not _spans(grid, [item for system in systems for item in system]):
+        raise ValueError("coefficient and forcing intervals do not span the grid")
+    n = grid.n
+    c = math.isqrt(n - 1) + 1
+    padded = -(-n // c) * c
     # Columns (A, g, the systems sharing both), by group; the large keys go with the dict.
     columns = {}
     for i, (A, g) in enumerate(systems):
@@ -185,37 +177,31 @@ def _propagate(systems, grid: Grid, inverse: bool = False, rows: int = 0):
     columns = [column for _, group in columns.values() for column in group.values()]
     # A pass counts each column as a narrow slot's d + 1 work-array columns,
     # which bound a piece's d + G; Z's slot rides in the first pass.
-    column_bytes = sum(B * chunks * c for B, _, c, chunks in runs) * d * 16
-    per_pass = max(1, PASS_BYTES // (column_bytes * (d + 1)))
+    per_pass = max(1, PASS_BYTES // (padded * d * 16 * (d + 1)))
     lo = 0
     while lo < len(columns):
         hi = max(lo + per_pass - inverse, lo + 1)
-        pieces = [list(piece) for _, piece in groupby(columns[lo:hi], key=lambda c: id(c[0]))]
+        pieces = [list(piece) for _, piece in groupby(columns[lo:hi], key=lambda col: id(col[0]))]
         lo = hi
-        # One slot per piece, and Z's last; step k c + j of block b sits at
-        # [..., b, k c + j], and the padding of a block's last chunk stays 0.
-        work = [[np.zeros((d, width, B, chunks * c), dtype=complex) for B, _, c, chunks in runs]
+        # One slot per piece, and Z's last; the padding of the last chunk stays 0.
+        work = [np.zeros((d, width, padded), dtype=complex)
                 for width in [d + len(piece) for piece in pieces] + [d + 1] * inverse]
-
-        def blocks(slot):
-            return [w[:, :, b, :L] for w, (B, L, _, _) in zip(slot, runs) for b in range(B)]
-
         # Z's increments come from the first piece's, which holds system 0.
-        nodes = [_fill(blocks(slot), blocks(work[-1]) if inverse and slot is work[0] else None,
+        nodes = [_fill(slot, work[-1] if inverse and slot is work[0] else None,
                        piece[0][0], [g for _, g, _ in piece], grid, rows)
                  for slot, piece in zip(work, pieces)]
-        starts = _compose(work, runs)
-        # A slot's work arrays and chunk starts go once its tables exist,
+        starts = _compose(work, c)
+        # A slot's work array and chunk starts go once its tables exist,
         # before anything is yielded.
         if inverse:
-            Z = _member_table(work.pop(), starts.pop(), runs, None).swapaxes(1, 2)
+            Z = _member_table(work.pop(), starts.pop(), n, None).swapaxes(1, 2)
             yield None, Z, None, None, None
             del Z
             inverse = False
         for piece in pieces:
             slot, start = work.pop(0), starts.pop(0)
-            V = _member_table(slot, start, runs, None)
-            Rs = [_member_table(slot, start, runs, column) for column in range(len(piece))]
+            V = _member_table(slot, start, n, None)
+            Rs = [_member_table(slot, start, n, column) for column in range(len(piece))]
             del slot, start
             kept = nodes.pop(0)
             for forcing, (_, _, members) in zip(kept[1], piece):
@@ -224,81 +210,80 @@ def _propagate(systems, grid: Grid, inverse: bool = False, rows: int = 0):
                     yield i, V, R, kept[0], forcing
 
 
-def _compose(work: list, runs: list) -> list:
-    """Compose the RK4 steps of a pass's ``work``, one list of arrays per
-    slot as ``_propagate`` lays them out, and return each slot's chunk
-    starts, one (G, B chunks, d, s) array per run.
+def _compose(work: list, c: int) -> list:
+    """Compose the RK4 steps of a pass's ``work``, one array per slot as
+    ``_propagate`` lays them out in chunks of c steps, and return each
+    slot's chunk starts, (G, chunks, d, s).
 
     With s = d + 1 the bottom row of every state U is (0, ..., 0, 1) and
     that of every increment D_i is 0.  The chunks' prefix increments
     Q_j = Q_{j-1} + D_j + D_j Q_{j-1}, so that I + Q_j is the product of
-    their first j steps, overwrite the increments, for every block and
-    chunk of a slot's array at once.  The states of all the pass's columns,
-    from I, are then carried from chunk to chunk by one stacked product,
-    over all the pass's chunks in order.
+    their first j steps, overwrite the increments, for every chunk of a
+    slot's array at once.  The states of all the pass's columns, from I,
+    are then carried from chunk to chunk by one stacked product.
     """
-    d = work[0][0].shape[0]
-    # Chunk k of a slot's column g in a run ends in I + last[g, k].
-    lasts = [[] for _ in runs]
-    for slot in work:
-        for w, (_, _, c, _), narrow in zip(slot, runs, lasts):
-            Q = w.reshape(d, w.shape[1], -1, c)
-            for j in range(1, c):
-                step = _mm(Q[..., j], Q[..., j - 1])
-                Q[..., j] += Q[..., j - 1]
-                Q[..., j] += step
-            last = Q[..., -1].transpose(2, 0, 1)
-            narrow += [np.concatenate([last[..., :d], last[..., g:g + 1]], axis=-1)
-                       for g in range(d, w.shape[1])]
-    lasts = [np.stack(narrow) for narrow in lasts]
+    d = work[0].shape[0]
+    # Chunk k of the pass's column g ends in I + lasts[g, k].
+    lasts = []
+    for w in work:
+        Q = w.reshape(d, w.shape[1], -1, c)
+        for j in range(1, c):
+            step = _mm(Q[..., j], Q[..., j - 1])
+            Q[..., j] += Q[..., j - 1]
+            Q[..., j] += step
+        last = Q[..., -1].transpose(2, 0, 1)
+        lasts += [np.concatenate([last[..., :d], last[..., g:g + 1]], axis=-1)
+                  for g in range(d, w.shape[1])]
+    lasts = np.stack(lasts)
     # The carry multiplies by the full (s, s) states, whose top rows are
-    # rewritten in place; a stacked @ is cheapest for one product per chunk.
-    state = np.empty((len(lasts[0]), d + 1, d + 1), dtype=complex)
+    # rewritten in place; one stacked product per chunk carries every column.
+    state = np.empty((len(lasts), d + 1, d + 1), dtype=complex)
     state[:] = np.eye(d + 1)
     top = state[:, :d]
-    starts = [np.empty_like(last) for last in lasts]
-    for last, start in ((last[:, k], start[:, k]) for last, start in zip(lasts, starts)
-                        for k in range(last.shape[1])):
-        start[...] = top
-        top += last @ state
-    ends = np.cumsum([slot[0].shape[1] - d for slot in work])[:-1]
-    return list(zip(*(np.split(start, ends) for start in starts)))
+    starts = np.empty_like(lasts)
+    for k in range(lasts.shape[1]):
+        starts[:, k] = top
+        top += np.matmul(lasts[:, k], state)
+    return np.split(starts, np.cumsum([w.shape[1] - d for w in work])[:-1])
 
 
-def _member_table(work: list, starts: list, runs: list, column: int | None) -> np.ndarray:
+def _member_table(work: np.ndarray, starts: np.ndarray, n: int,
+                  column: int | None) -> np.ndarray:
     """V (n+1, d, d) of a composed slot, from the left columns of its
     first column's chunk starts, or R (n+1, d) of its forcing column
     ``column``: U = U_c + Q_j U_c from each chunk's start U_c.  Q_j U_c
     reads Q_j's left d columns only, and R's Q_j U_c adds Q_j's forcing
-    column, as the product with a start's non-zero bottom row does."""
-    d = work[0].shape[0]
+    column, as the product with a start's non-zero bottom row does.  The
+    chunk length is the pass's, as ``starts`` counts the chunks."""
+    d, chunks = work.shape[0], starts.shape[1]
+    c = work.shape[-1] // chunks
     cols = slice(0, d) if column is None else slice(d, d + 1)
-    table = np.empty((sum(B * L for B, L, _, _ in runs) + 1, d, cols.stop - cols.start),
-                     dtype=complex)
+    Q = work.reshape(d, work.shape[1], chunks, c)
+    chunk_starts = np.ascontiguousarray(starts[column or 0, ..., cols].transpose(1, 2, 0))
+    chunk_starts = chunk_starts[..., None]
+    # Rows for the padding too, dropped at the end: row 1 + k c + j is chunk k's step j.
+    table = np.empty((1 + chunks * c, d, chunk_starts.shape[1]), dtype=complex)
     table[0] = np.eye(d, d + 1)[:, cols]
-    i = 1
-    for w, start, (B, L, c, chunks) in zip(work, starts, runs):
-        Q = w.reshape(d, w.shape[1], B, chunks, c)
-        chunk_starts = np.ascontiguousarray(start[column or 0, ..., cols].transpose(1, 2, 0))
-        chunk_starts = chunk_starts.reshape(d, -1, B, chunks, 1)
-        # Block by block, so that no temporary is the size of a table.
-        for b in range(B):
-            U = _mm(Q[:, :d, b], chunk_starts[:, :, b])
-            if column is not None:
-                U += Q[:, d + column:d + column + 1, b]
-            U += chunk_starts[:, :, b]
-            table[i:i + L] = U.reshape(d, -1, chunks * c)[..., :L].transpose(2, 0, 1)
-            i += L
-    return table if column is None else table[..., 0]
+    body = table[1:].reshape(chunks, c, *table.shape[1:])
+    # A few chunks at a time, so that no temporary is the size of a table.
+    step = max(1, BLOCK_STEPS // c)
+    for k in range(0, chunks, step):
+        ks = slice(k, k + step)
+        U = _mm(Q[:, :d, ks], chunk_starts[:, :, ks])
+        if column is not None:
+            U += Q[:, d + column:d + column + 1, ks]
+        U += chunk_starts[:, :, ks]
+        body[ks] = U.transpose(2, 3, 0, 1)
+    return table[:n + 1] if column is None else table[:n + 1, :, 0]
 
 
-def _fill(blocks: list, inverse_blocks: list | None, A: PolyMatrix, forcings: list,
+def _fill(work: np.ndarray, inverse_work: np.ndarray | None, A: PolyMatrix, forcings: list,
           grid: Grid, rows: int) -> tuple:
-    """Write the increments of A and its ``forcings`` g_1 ... g_G into
-    ``blocks``, one (d, d+G, L) view of a slot's work arrays per block, and
-    with ``inverse_blocks``, Z's views, the transposed inverse increments
-    E_i^T = ((I + D_i)^-1 - I)^T of their left d columns into the left d
-    columns; the last column stays 0.  The coefficients are sampled one
+    """Write the increments of A and its ``forcings`` g_1 ... g_G into a
+    slot's ``work`` (d, d+G, ...), step i in column i, and with
+    ``inverse_work``, Z's, the transposed inverse increments
+    E_i^T = ((I + D_i)^-1 - I)^T of their left d columns into its left d
+    columns; its last column stays 0.  The coefficients are sampled one
     segment of whole blocks at a time, at most SEGMENT_BYTES of [A | g_1]:
     A with g_1, as in a group of one, and each further g alone after it,
     its samples dropped before the next.  Returns the node values of the
@@ -308,7 +293,7 @@ def _fill(blocks: list, inverse_blocks: list | None, A: PolyMatrix, forcings: li
     eye = np.eye(d, dtype=complex)
     steps = BLOCK_STEPS * max(1, SEGMENT_BYTES // (3 * d * (d + 1) * BLOCK_STEPS * 16))
     for lo in range(0, n, steps):
-        hi, first = min(lo + steps, n), lo // BLOCK_STEPS
+        hi = min(lo + steps, n)
         left = _coefficient_panels(columns, grid, lo, hi)
         for panel in left:
             np.negative(panel[:, :d], out=panel[:, :d])
@@ -320,19 +305,17 @@ def _fill(blocks: list, inverse_blocks: list | None, A: PolyMatrix, forcings: li
         # Node hi is node lo of the next segment, with the same bits.
         np.negative(left[0][d - rows:, :d].transpose(2, 0, 1), out=kept[lo:hi + 1, :, :d])
         kept[lo:hi + 1, :, d] = left[0][d - rows:, d].T
-        for block, D in enumerate(_increments(left, left, grid.h), start=first):
-            blocks[block][:, :d + 1] = D
-            if inverse_blocks is not None:
-                # Z_{i+1} = Z_i + Z_i E_i, composed transposed as Z^T.  Solved
-                # step-first on a transposed view of the block.
-                step = D[:, :d].transpose(2, 0, 1)
-                inverse_blocks[block][:, :d] = np.linalg.solve(eye + step, -step).transpose(2, 1, 0)
+        _increments(left, left, grid.h, work[:, :d + 1, lo:hi])
+        if inverse_work is not None:
+            # Z_{i+1} = Z_i + Z_i E_i, composed transposed as Z^T.  Solved
+            # step-first on a transposed view of the segment.
+            step = work[:, :d, lo:hi].transpose(2, 0, 1)
+            inverse_work[:, :d, lo:hi] = np.linalg.solve(eye + step, -step).transpose(2, 1, 0)
         for column, g, out in zip(range(d + 1, d + len(forcings)), forcings[1:],
                                   forcing_nodes[1:]):
             right = _coefficient_panels([[entry] for entry in g.components], grid, lo, hi)
             out[lo:hi + 1] = right[0][d - rows:, 0].T
-            for block, D in enumerate(_increments(left, right, grid.h), start=first):
-                blocks[block][:, column:column + 1] = D
+            _increments(left, right, grid.h, work[:, column:column + 1, lo:hi])
             del right
         del left
     return kept[..., :d], forcing_nodes

@@ -57,6 +57,19 @@ def test_grid_validation():
     assert Grid(0.0, 1.0, MAX_GRID_N).h == 1.0 / MAX_GRID_N
 
 
+def test_grid_refuses_a_float_n():
+    # An integral float once passed, and solve then died slicing with it.
+    for n in (2048.0, np.float64(16.0), "16"):
+        with pytest.raises(ValueError, match="grid needs an integer n"):
+            Grid(0.0, 1.0, n)
+
+
+def test_grid_stores_an_integer_type_n_as_an_int():
+    grid = Grid(0.0, 1.0, np.int64(16))
+    assert type(grid.n) is int
+    assert grid == Grid(0.0, 1.0, 16) and hash(grid) == hash(Grid(0.0, 1.0, 16))
+
+
 # -- piecewise polynomials ---------------------------------------------------
 
 
@@ -66,6 +79,13 @@ def test_evaluation_sides_at_breakpoints():
     assert p(0.5, side="left") == 1.0
     assert p(1.0) == 2.0                      # the right endpoint has no right piece
     assert p(0.0) == 1.0
+
+
+def test_misspelt_evaluation_side_is_refused():
+    p = PiecewisePoly.step([0.0, 0.5, 1.0], [1.0, 2.0])
+    for side in ("lfet", "Left", "l", ""):
+        with pytest.raises(ValueError, match="side"):
+            p(0.5, side=side)
 
 
 def _polyval_per_piece(p, t, side):

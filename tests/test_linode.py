@@ -32,7 +32,6 @@ from mpbvp.linode import (
     _member_table,
     _mm,
     _propagate,
-    _runs,
 )
 from oracles import exact_trace_integral, expm_taylor
 
@@ -137,13 +136,45 @@ def test_non_finite_left_limit_is_refused():
             next(_propagate([system], grid))
 
 
+@pytest.mark.parametrize("interval", [(0.0, 0.5), (0.0, 1.0 + 1e-6), (-1e-6, 1.0)])
+def test_coefficients_that_do_not_span_the_grid_are_refused(interval):
+    # A = 1 on [0, 0.5] against a grid on [0, 1] used to extrapolate its
+    # last piece: the forced trajectory read 1 - exp(-1) at t = 1.
+    A = PolyMatrix.constant([[1.0]], *interval)
+    g = PolyVector([PiecewisePoly.constant(1.0, *interval)])
+    grid = _grid(64)
+    for call in (lambda: forced_trajectory(A, g, grid),
+                 lambda: forced_trajectory(PolyMatrix.constant([[1.0]], 0.0, 1.0), g, grid),
+                 lambda: fundamental_matrix(A, grid), lambda: inverse_fundamental(A, grid)):
+        with pytest.raises(ValueError, match="do not span the grid"):
+            call()
+
+
+def test_ends_within_the_interval_tolerance_are_propagated():
+    # BvpProblem's tolerance, 1e-9 (b - a): u' = -u + 1 on [0, 1 - 1e-10].
+    A = PolyMatrix.constant([[1.0]], 0.0, 1.0 - 1e-10)
+    g = PolyVector([PiecewisePoly.constant(1.0, 1e-10, 1.0)])
+    grid = _grid(64)
+    u = forced_trajectory(A, g, grid)
+    assert float(np.max(np.abs(u[:, 0] - (1.0 - np.exp(-grid.nodes))))) <= 1e-9
+
+
 def _system_increments(A, g, grid):
-    """The (d, s, L) increment blocks of (A, g), their left columns and
-    their forcing column formed apart."""
+    """The (d, s, n) increments of (A, g), their left columns and their
+    forcing column formed apart, from samples of the whole grid."""
+    d = A.shape[0]
     left = [-panel for panel in _coefficient_panels(A.entries, grid, 0, grid.n)]
     right = _coefficient_panels([[entry] for entry in g.components], grid, 0, grid.n)
-    return [np.concatenate(D, axis=1) for D in zip(_increments(left, left, grid.h),
-                                                   _increments(left, right, grid.h))]
+    increments = np.empty((d, d + 1, grid.n), dtype=complex)
+    _increments(left, left, grid.h, increments[:, :d])
+    _increments(left, right, grid.h, increments[:, d:])
+    return increments
+
+
+def _chunk(n):
+    """The chunk length c of an n-step pass and its padded column count."""
+    c = math.isqrt(n - 1) + 1
+    return c, -(-n // c) * c
 
 
 def _full_square(top):
@@ -155,112 +186,81 @@ def _full_square(top):
     return full
 
 
-@pytest.mark.parametrize("n", [2, 3, 513, 1537, 2 * BLOCK_STEPS + 1])
+@pytest.mark.parametrize("n", [2, 3, 513, 1537, 2 * BLOCK_STEPS + 1, 16384, 16385])
 def test_chunked_composition_matches_step_loop(n):
-    # n = 2 and 3 are blocks shorter than the 23-step chunks of a full
-    # block (n = 3 splits into two 2-step chunks, the last one padded).  A
-    # full 512-step block ends in a ragged chunk (22 x 23 + 6), and 513,
-    # 1025 and 1537 end in a one-step block, a run of its own.
+    # The whole pass is cut into chunks of c = isqrt(n - 1) + 1 steps: n = 2
+    # is one chunk, 3 two chunks of 2 (the last one padded), 16384 = 128 x
+    # 128 exactly, and 16385 128 chunks of 129, the last one padded with 127
+    # zero increments.  ``_member_table`` reads the chunk length off the
+    # work array and its chunk starts, so chunks of 7 steps compose too.
     A, g = _coupled_system()
     grid = _grid(n)
-    blocks = _system_increments(A, g, grid)
-    assert all(D.shape == (2, 3, min(BLOCK_STEPS, n - i * BLOCK_STEPS))
-               for i, D in enumerate(blocks))
     rng = np.random.default_rng(n)
     # Two slots of one pass: the RK4 increments, and random increments
     # of the size of h whose product stays near I.
-    members = [np.concatenate(blocks, axis=-1),
+    members = [_system_increments(A, g, grid),
                (rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))) / n]
-    runs = _runs(n)
-    work = [[np.zeros((2, 3, B, chunks * c), dtype=complex) for B, _, c, chunks in runs]
-            for _ in members]
-    for slot, increments in zip(work, members):
-        i = 0
-        for w, (B, L, _, _) in zip(slot, runs):
-            for b in range(B):
-                w[:, :, b, :L] = increments[..., i:i + L]
-                i += L
-    starts = _compose(work, runs)
-    for slot, start, increments in zip(work, starts, members):
-        got = np.concatenate([_member_table(slot, start, runs, None),
-                              _member_table(slot, start, runs, 0)[..., None]], axis=-1)
-        # The reference steps the explicit (3, 3) augmented state from I.
+    # The reference steps the explicit (3, 3) augmented state from I.
+    references = []
+    for increments in members:
         expected = [np.eye(3, dtype=complex)]
         for D in _full_square(increments).transpose(2, 0, 1):
             expected.append(expected[-1] + D @ expected[-1])
         expected = np.stack(expected)
         np.testing.assert_array_equal(expected[:, 2], np.broadcast_to([0, 0, 1], (n + 1, 3)))
-        assert (float(np.max(np.abs(got - expected[:, :2])))
-                <= 1e-13 * float(np.max(np.abs(expected))))
+        references.append(expected)
+    for c in (_chunk(n)[0], 7):
+        work = [np.zeros((2, 3, -(-n // c) * c), dtype=complex) for _ in members]
+        for w, increments in zip(work, members):
+            w[..., :n] = increments
+        starts = _compose(work, c)
+        for w, start, expected in zip(work, starts, references):
+            got = np.concatenate([_member_table(w, start, n, None),
+                                  _member_table(w, start, n, 0)[..., None]], axis=-1)
+            assert (float(np.max(np.abs(got - expected[:, :2])))
+                    <= 1e-13 * float(np.max(np.abs(expected))))
 
 
-def _scan(table: np.ndarray) -> None:
-    """The per-block chunked scan that composed the RK4 steps before the
-    whole-pass work layout, kept as a bit-level oracle.
+class _CountingNumpy:
+    """numpy, with a count of its ``matmul`` calls."""
 
-    ``table`` is (K, n+1, d, s).  Row 0 of each member holds the top rows
-    of its start U_0, and the rows of each block of BLOCK_STEPS steps hold
-    the top rows of its increments D_i batch-last, as one (d, s, L) array.
-    On return row i holds U_i, where U_{i+1} = U_i + D_i U_i.  Each block is
-    cut into chunks of c = isqrt(L - 1) + 1 steps, the last one padded with
-    zero increments; the chunks' prefix increments are formed block by
-    block, and the states carried from chunk to chunk.
-    """
-    K, rows, d, s = table.shape
-    n = rows - 1
-    state = np.empty((K, s, s), dtype=complex)
-    state[:] = np.eye(s)
-    top = state[:, :d]
-    top[...] = table[:, 0]
-    for lo in range(0, n, BLOCK_STEPS):
-        hi = min(lo + BLOCK_STEPS, n)
-        L = hi - lo
-        c = math.isqrt(L - 1) + 1
-        chunks = -(-L // c)
-        padded = np.zeros((d, s, K, chunks * c), dtype=complex)
-        padded[..., :L] = table[:, lo + 1:hi + 1].reshape(K, d, s, L).transpose(1, 2, 0, 3)
-        D = padded.reshape(d, s, K * chunks, c)
-        Q = np.empty_like(D)
-        Q[..., 0] = D[..., 0]
-        for j in range(1, c):
-            Q[..., j] = Q[..., j - 1] + D[..., j] + _mm(D[..., j], Q[..., j - 1])
-        del padded, D
-        last = Q[..., -1].reshape(d, s, K, chunks).transpose(2, 3, 0, 1)
-        starts = np.empty((K, chunks, d, s), dtype=complex)
-        for k in range(chunks):
-            starts[:, k] = top
-            top += last[:, k] @ state
-        chunk_starts = np.ascontiguousarray(starts.transpose(2, 3, 0, 1)).reshape(d, s, -1, 1)
-        U = _mm(Q, chunk_starts)
-        U[:, d:] += Q[:, d:]
-        U += chunk_starts
-        table[:, lo + 1:hi + 1] = U.reshape(d, s, K, chunks * c)[..., :L].transpose(2, 3, 0, 1)
+    def __init__(self):
+        self.matmuls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        self.matmuls += 1
+        return np.matmul(*args, **kwargs)
+
+
+def test_carry_is_one_stacked_product_per_chunk(monkeypatch):
+    # Three slots, five columns, 26 steps in five chunks of 6: the states of
+    # every column cross each chunk edge together, in one product.
+    rng = np.random.default_rng(26)
+    work = [(rng.standard_normal((2, width, 30)) + 0j) / 26 for width in (3, 5, 3)]
+    expected = [start.copy() for start in _compose([w.copy() for w in work], 6)]
+    counting = _CountingNumpy()
+    monkeypatch.setattr(linode, "np", counting)
+    starts = _compose(work, 6)
+    assert counting.matmuls == 5
+    assert [start.shape for start in starts] == [(1, 5, 2, 3), (3, 5, 2, 3), (1, 5, 2, 3)]
+    for have, want in zip(starts, expected):
+        np.testing.assert_array_equal(have, want)
 
 
 def _scanned_tables(systems, grid, inverse):
-    """Every table of a pass, as the per-block ``_scan`` composes them from
-    one (K, n+1, d, s) table of increments, Z's transposed."""
+    """Every table of a pass, [V | R] of each system and with ``inverse`` Z
+    after system 0's, as ``_reference_compose`` forms them one by one from
+    the pass's increments of the whole grid."""
     d = systems[0][0].shape[0]
-    members = [0, None, *range(1, len(systems))] if inverse else list(range(len(systems)))
-    table = np.empty((len(members), grid.n + 1, d, d + 1), dtype=complex)
-    table[:, 0] = np.eye(d, d + 1)
-    eye = np.eye(d, dtype=complex)
-    for slot, member in enumerate(members):
-        if member is None:
-            continue
-        i = 1
-        for D in _system_increments(*systems[member], grid):
-            L = D.shape[-1]
-            table[slot, i:i + L].reshape(d, d + 1, L)[...] = D
-            if member == 0 and inverse:
-                step = D[:, :d].transpose(2, 0, 1)
-                Z = table[slot + 1, i:i + L].reshape(d, d + 1, L)
-                Z[:, :d] = np.linalg.solve(eye + step, -step).transpose(2, 1, 0)
-                Z[:, d:] = 0.0
-            i += L
-    _scan(table)
-    return [table[slot] if member is not None else table[slot, :, :, :d].swapaxes(1, 2)
-            for slot, member in enumerate(members)]
+    increments = [_system_increments(A, g, grid) for A, g in systems]
+    tables = [_reference_compose(_full_square(D), np.eye(d + 1, dtype=complex))[:, :d]
+              for D in increments]
+    if inverse:
+        tables.insert(1, _inverse_of_increments(increments[0][:, :d]))
+    return tables
 
 
 def _pass_tables(systems, grid, inverse=False):
@@ -276,8 +276,8 @@ def _pass_tables(systems, grid, inverse=False):
 
 
 def _member_bytes(n, d=2):
-    """Bytes of one member's work arrays, chunk padding included."""
-    return sum(B * chunks * c for B, _, c, chunks in _runs(n)) * d * (d + 1) * 16
+    """Bytes of one member's work array, chunk padding included."""
+    return _chunk(n)[1] * d * (d + 1) * 16
 
 
 #: The coupled system's (d = 2) fill samples segments of this many steps.
@@ -289,12 +289,14 @@ SEGMENT_EDGES = {2 * SEGMENT - 2: SEGMENT, 2 * SEGMENT: SEGMENT, 2 * SEGMENT + 2
 
 @pytest.mark.parametrize("inverse", [False, True])
 @pytest.mark.parametrize("K", [1, 3])
-@pytest.mark.parametrize("n", [2, 3, 22, 23, 24, 511, 512, 513, 1537, 2049, 16384,
+@pytest.mark.parametrize("n", [2, 3, 22, 23, 24, 26, 511, 512, 513, 1537, 2049, 16384, 16385,
                                *SEGMENT_EDGES])
 def test_pass_tables_are_bitwise_the_per_block_scan(monkeypatch, n, K, inverse):
-    # 22, 23 and 24 steps straddle a chunk length; 511, 512 and 513 a
-    # block; 1537 and 2049 end in a one-step block after full ones.  The
-    # scan reads samples of the whole grid, the pass samples by segment.
+    # 22, 23 and 24 steps pad their last 5-step chunk by 3, 2 and 1; 26 is
+    # five chunks of 6.  511, 512 and 513 straddle a block of increments,
+    # 1537 and 2049 end in a one-step block after full ones; c divides
+    # 16384 and not 16385.  The reference reads samples of the whole grid,
+    # the pass samples by segment.
     A, g = _coupled_system()
     systems = [(A, g), (approximate_coefficients(A, 1), g),
                (approximate_coefficients(A, 3), g * 2.0j)][:K]
@@ -338,7 +340,7 @@ def test_batch_last_product_matches_matmul(s):
         assert np.all(np.abs(got - expected) <= 1e-15 * scale)
 
     # The shapes _increments and _compose multiply: two (d, s, L) blocks,
-    # and the (d, s, B * chunks, c) prefix increments times the chunk starts,
+    # and the (d, s, chunks, c) prefix increments times the chunk starts,
     # with s = d + 1 against an explicit zero bottom row; s = d is a full product.
     for t in (s, s + 1):
         for A, B in ((matrices(s, t, 37), matrices(s, t, 37)),
@@ -364,24 +366,22 @@ def _reference_panels(F, grid):
 
 
 def _reference_increments(A, g, grid):
-    """The full-square (s, s, L) RK4 increments, bottom row included."""
+    """The full-square (s, s, n) RK4 increments, bottom row included."""
     d = A.shape[0]
     panels = _reference_panels(A, grid)
     forcing = None if g is None else _reference_panels(g, grid)
     s = d + (g is not None)
     h = grid.h
-    for lo in range(0, grid.n, BLOCK_STEPS):
-        hi = min(lo + BLOCK_STEPS, grid.n)
-        m0, mm, m1 = (np.zeros((s, s, hi - lo), dtype=complex) for _ in panels)
-        for m, panel in zip((m0, mm, m1), panels):
-            np.negative(panel[lo:hi].transpose(1, 2, 0), out=m[:d, :d])
-        if forcing is not None:
-            for m, f in zip((m0, mm, m1), forcing):
-                m[:d, d] = f[lo:hi].T
-        k2 = mm + (0.5 * h) * _reference_mm(mm, m0)
-        k3 = mm + (0.5 * h) * _reference_mm(mm, k2)
-        k4 = m1 + h * _reference_mm(m1, k3)
-        yield (h / 6.0) * (m0 + 2.0 * (k2 + k3) + k4)
+    m0, mm, m1 = (np.zeros((s, s, grid.n), dtype=complex) for _ in panels)
+    for m, panel in zip((m0, mm, m1), panels):
+        np.negative(panel.transpose(1, 2, 0), out=m[:d, :d])
+    if forcing is not None:
+        for m, f in zip((m0, mm, m1), forcing):
+            m[:d, d] = f.T
+    k2 = mm + (0.5 * h) * _reference_mm(mm, m0)
+    k3 = mm + (0.5 * h) * _reference_mm(mm, k2)
+    k4 = m1 + h * _reference_mm(m1, k3)
+    return (h / 6.0) * (m0 + 2.0 * (k2 + k3) + k4)
 
 
 def _reference_mm(A, B):
@@ -392,38 +392,37 @@ def _reference_mm(A, B):
     return out
 
 
-def _reference_compose(blocks, start, n):
-    """The chunked scan on full-square (s, s, L) blocks and (s, s) states."""
-    s = start.shape[0]
+def _reference_compose(increments, start):
+    """The chunked scan, kept as a bit-level oracle, on full-square
+    (s, s, n) increments from an (s, s) start: the n steps are cut into
+    chunks of c = isqrt(n - 1) + 1, the last one padded with zero
+    increments; the chunks' prefix increments are formed, and the state
+    carried from chunk to chunk.  Returns the (n+1, s, s) states."""
+    s, n = start.shape[0], increments.shape[-1]
+    c, padded = _chunk(n)
+    D = np.zeros((s, s, padded), dtype=complex)
+    D[..., :n] = increments
+    D = D.reshape(s, s, -1, c)
+    Q = np.empty_like(D)
+    Q[..., 0] = D[..., 0]
+    for j in range(1, c):
+        Q[..., j] = Q[..., j - 1] + D[..., j] + _reference_mm(D[..., j], Q[..., j - 1])
+    chunk_starts = np.empty((s, s, padded // c), dtype=complex)
+    state = start
+    for k in range(padded // c):
+        chunk_starts[..., k] = state
+        state = state + Q[..., k, -1] @ state
+    U = chunk_starts[..., None] + _reference_mm(Q, chunk_starts[..., None])
     out = np.empty((n + 1, s, s), dtype=complex)
-    out[0] = state = start
-    i = 1
-    for D in blocks:
-        L = D.shape[-1]
-        c = math.isqrt(L - 1) + 1
-        chunks = -(-L // c)
-        padded = np.zeros((s, s, chunks * c), dtype=complex)
-        padded[..., :L] = D
-        D = padded.reshape(s, s, chunks, c)
-        Q = np.empty_like(D)
-        Q[..., 0] = D[..., 0]
-        for j in range(1, c):
-            Q[..., j] = Q[..., j - 1] + D[..., j] + _reference_mm(D[..., j], Q[..., j - 1])
-        chunk_starts = np.empty((s, s, chunks), dtype=complex)
-        for k in range(chunks):
-            chunk_starts[..., k] = state
-            state = state + Q[..., k, -1] @ state
-        U = chunk_starts[..., None] + _reference_mm(Q, chunk_starts[..., None])
-        out[i:i + L] = U.reshape(s, s, chunks * c)[..., :L].transpose(2, 0, 1)
-        i += L
+    out[0] = start
+    out[1:] = U.reshape(s, s, padded)[..., :n].transpose(2, 0, 1)
     return out
 
 
 def _assert_top_rows_match_full_square(A, g, grid):
     d = A.shape[0]
     s = d + 1
-    full = _reference_compose(_reference_increments(A, g, grid),
-                              np.eye(s, dtype=complex), grid.n)
+    full = _reference_compose(_reference_increments(A, g, grid), np.eye(s, dtype=complex))
     top = _pass_tables([(A, g)], grid)[0]
     assert top.shape == (grid.n + 1, d, s)
     np.testing.assert_array_equal(top, full[:, :d])
@@ -463,13 +462,18 @@ def test_augmented_pass_carries_matrizant_and_forced_trajectory():
         np.testing.assert_array_equal(augmented[:, :, 2], forced_trajectory(A, g, grid))
 
 
+def _inverse_of_increments(increments):
+    """Z = V^-1 from the (d, d, n) increments of V: their transposed
+    inverse increments, composed by the full-square scan."""
+    eye = np.eye(increments.shape[0], dtype=complex)
+    steps = increments.transpose(2, 0, 1)
+    inverse = np.linalg.solve(eye + steps, -steps).transpose(2, 1, 0)
+    return _reference_compose(inverse, eye).swapaxes(1, 2)
+
+
 def _reference_inverse(A, grid):
-    """Z = V^-1 by one pass of its own: the transposed inverse increments
-    of (A, None), composed by the full-square scan."""
-    eye = np.eye(A.shape[0], dtype=complex)
-    steps = (D.transpose(2, 0, 1) for D in _reference_increments(A, None, grid))
-    blocks = (np.linalg.solve(eye + D, -D).transpose(2, 1, 0) for D in steps)
-    return _reference_compose(blocks, eye, grid.n).swapaxes(1, 2)
+    """Z = V^-1 by one pass of its own, from the increments of (A, None)."""
+    return _inverse_of_increments(_reference_increments(A, None, grid))
 
 
 def _assert_family_equals_single_passes(systems, grid):
@@ -499,7 +503,7 @@ def test_family_pass_equals_one_member_passes_on_corpus(name, n):
 
 @pytest.mark.parametrize("n", [2, 3, 513, 1537])
 def test_family_pass_equals_one_member_passes_on_coupled_system(n):
-    # 513 and 1537 end in a one-step block, whose carry is a single product.
+    # 513 and 1537 end in a padded chunk of 7 and 17 steps.
     A, g = _coupled_system()
     systems = [(A, g), (approximate_coefficients(A, 1), g),
                (approximate_coefficients(A, 3), g * 2.0j)]
@@ -512,14 +516,14 @@ def _record_passes(monkeypatch):
     passes, z_pass = [], []
     compose, fill = linode._compose, linode._fill
 
-    def recording_compose(work, runs):
-        passes.append((len(work), sum(w.nbytes for slot in work for w in slot)))
-        return compose(work, runs)
+    def recording_compose(work, c):
+        passes.append((len(work), sum(w.nbytes for w in work)))
+        return compose(work, c)
 
-    def recording_fill(blocks, inverse_blocks, *args):
-        if inverse_blocks is not None:
+    def recording_fill(work, inverse_work, *args):
+        if inverse_work is not None:
             z_pass.append(len(passes))
-        return fill(blocks, inverse_blocks, *args)
+        return fill(work, inverse_work, *args)
 
     monkeypatch.setattr(linode, "_compose", recording_compose)
     monkeypatch.setattr(linode, "_fill", recording_fill)
@@ -557,13 +561,38 @@ def test_pass_byte_cap_counts_the_chunk_padding(monkeypatch):
     # share their coefficients, so each is a slot of its own.
     A, g = _coupled_system()
     grid = _grid(26)
-    assert _runs(grid.n) == [(1, 26, 6, 5)]
+    assert _chunk(grid.n) == (6, 30)
     member_bytes = _member_bytes(grid.n)
     monkeypatch.setattr(linode, "PASS_BYTES", 9 * member_bytes)
     passes, _ = _record_passes(monkeypatch)
     tables = _pass_tables([(approximate_coefficients(A, k), g) for k in range(1, 12)], grid)
     assert len(tables) == 11
     assert passes == [(9, 9 * member_bytes), (2, 2 * member_bytes)]
+
+
+@pytest.mark.parametrize("n", [3, 26, 513, 16385])
+def test_chunk_padding_holds_zero_increments(monkeypatch, n):
+    # Every column past step n - 1, and Z's last column, must be 0 when the
+    # pass is composed.  Freed arrays of the work arrays' size, full of NaN,
+    # are left for the allocator to hand back, so that an array that is not
+    # zeroed shows.
+    A, g = _coupled_system()
+    composed, compose = [], linode._compose
+
+    def recording_compose(work, c):
+        # Z's slot is last in the pass.
+        composed.append(([w[..., n:].copy() for w in work], work[-1][:, -1].copy()))
+        return compose(work, c)
+
+    monkeypatch.setattr(linode, "_compose", recording_compose)
+    for _ in range(3):
+        junk = [np.full((2, width, _chunk(n)[1]), np.nan, dtype=complex) for width in (3, 4) * 4]
+        del junk
+        list(_propagate([(A, g), (A, g * 2.0)], _grid(n), inverse=True))
+    assert [len(paddings) for paddings, _ in composed] == [2, 2, 2]
+    for paddings, z_last in composed:
+        assert not any(padding.any() for padding in paddings)
+        assert not z_last.any()
 
 
 def _p2_mixed_family(n=2048):
@@ -630,15 +659,15 @@ def test_work_arrays_are_released_before_their_members_are_yielded(monkeypatch):
     systems = [(A, g), (A, g * 2.0), (half, g)]
     slots, compose = [], linode._compose
 
-    def recording_compose(work, runs):
-        slots.extend([weakref.ref(w) for w in slot] for slot in work)
-        return compose(work, runs)
+    def recording_compose(work, c):
+        slots.extend(weakref.ref(w) for w in work)
+        return compose(work, c)
 
     monkeypatch.setattr(linode, "_compose", recording_compose)
     released = {}
     for i, *_ in _propagate(systems, _grid(1537), inverse=True, rows=1):
         gc.collect()
-        released[i] = [all(ref() is None for ref in slot) for slot in slots]
+        released[i] = [ref() is None for ref in slots]
     assert len(slots) == 3
     # Z's slot is last in the pass, and yielded first.
     assert released == {None: [False, False, True], 0: [True, False, True],
@@ -683,9 +712,9 @@ def test_theorem3_family_samples_each_coefficient_group_once(monkeypatch, name, 
     fills, samplings = [], []
     fill, panels = linode._fill, linode._coefficient_panels
 
-    def counting_fill(blocks, inverse_blocks, A, fs, *args):
+    def counting_fill(work, inverse_work, A, fs, *args):
         fills.append(len(fs))
-        return fill(blocks, inverse_blocks, A, fs, *args)
+        return fill(work, inverse_work, A, fs, *args)
 
     def counting_panels(rows, *args):
         samplings.append(len(rows[0]))
