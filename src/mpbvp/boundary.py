@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import Grid, SampledJet, _coalesce, _merge_tol, _place_points, norm_cl, vec_norm
+from .funcspace import Grid, SampledJet, _clamp_points, _coalesce, _place_points, norm_cl, vec_norm
 from .stieltjes import MatrixMeasure
 
 __all__ = [
@@ -126,25 +126,18 @@ class MultipointBoundaryOperator:
         a, b = float(a), float(b)
         if not a < b:
             raise ValueError("operator needs a < b")
-        tol = _merge_tol(a, b)
-        nodes = np.asarray(nodes, dtype=float)
         orders = np.asarray(orders)
         betas = np.asarray(betas, dtype=complex)
         bad = np.flatnonzero(~((orders >= 0) & (orders <= r - 1) & (orders % 1 == 0)))
         if bad.size:
             raise ValueError(f"derivative order {orders[bad[0]]} outside 0..{r - 1}")
         orders = orders.astype(np.intp)
-        bad = np.flatnonzero(~((nodes >= a - tol) & (nodes <= b + tol)))
-        if bad.size:
-            raise ValueError(f"node {nodes[bad[0]]} outside [{a}, {b}]")
+        nodes = _clamp_points(nodes, a, b, "node")
         if not np.all(np.isfinite(betas)):
             raise ValueError("weight contains non-finite entries")
-        # min(max(node, a), b), which keeps a -0.0 node at a = 0.0
-        nodes = np.where(nodes < a, a, nodes)
-        nodes = np.where(nodes > b, b, nodes)
         order = np.lexsort((orders, nodes))
         nodes, orders, betas = nodes[order], orders[order], betas[order]
-        starts, merged = _coalesce(nodes, betas, tol, breaks=np.diff(orders, prepend=-1) != 0)
+        starts, merged = _coalesce(nodes, betas, a, b, breaks=np.diff(orders, prepend=-1) != 0)
         self.r = r
         self.m = m
         self.a = a

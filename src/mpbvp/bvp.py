@@ -35,6 +35,7 @@ from .funcspace import (
     PolyMatrix,
     PolyVector,
     SampledJet,
+    _pinned,
     _spans,
     mat_norm,
     norm_l1,
@@ -122,8 +123,8 @@ class BvpSolution:
 
     ``matrizant_norm_c`` is the C-norm |V|_C of the matrizant,
     ``char_inverse_norm`` the norm |[TV]^-1| of the inverse characteristic
-    matrix, and ``consistency_defect`` the largest finite-difference
-    mismatch between neighbouring jet channels.
+    matrix, and ``consistency_defect`` the O(h^2) truncation error of the
+    jet's centred differences (``SampledJet.consistency_defect``).
     """
 
     jet: SampledJet
@@ -147,18 +148,6 @@ def companion_reduce(problem: BvpProblem):
     """
     P, g = _companion_system(problem)
     return P, g, lift(problem.operator, problem.grid), problem.q
-
-
-def _pinned(p: PiecewisePoly, a: float, b: float) -> PiecewisePoly:
-    """p with its ends on [a, b], or p itself when they are there.  BvpProblem
-    has checked them to 1e-9 (b - a); a piece outside [a, b] is dropped."""
-    if p.a == a and p.b == b:
-        return p
-    bp = np.clip(p.breakpoints, a, b)
-    bp[0], bp[-1] = a, b
-    keep = np.diff(bp) > 0
-    return PiecewisePoly._from_table(np.concatenate([[a], bp[1:][keep]]),
-                                     p.table[keep], p.widths[keep])
 
 
 def _companion_system(problem: BvpProblem) -> tuple[PolyMatrix, PolyVector]:
@@ -302,9 +291,8 @@ def _finish(problem: BvpProblem, V: np.ndarray, R: np.ndarray, coefficients: np.
     jet = SampledJet(grid, m, r, samples)
     solution = BvpSolution(jet=jet, char_matrix=_ldexp(char, e), det=det, cond=cond,
                            matrizant_norm_c=matrizant_norm_c, char_inverse_norm=inverse_norm)
-    # The top jet channel satisfies the differential identity by construction,
-    # so the meaningful self-check is the finite-difference consistency of the
-    # derivative channels plus the boundary defect.
+    # The top jet channel satisfies the differential identity by construction;
+    # the lower channels are checked by their centred differences.
     solution.consistency_defect = jet.consistency_defect()
     solution.boundary_residual = float(_ldexp(vec_norm(T.apply_values(u) - q), e))
     return solution

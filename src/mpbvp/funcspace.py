@@ -4,7 +4,11 @@ Conventions used across the package: the norm of a vector function is the
 sum of its component norms, the norm of a matrix function is the maximum of
 its column norms, and numeric vectors/matrices use the matching discrete
 norms (entrywise sum, maximum column sum).  Quadrature on sampled data is
-the composite trapezoid rule on the grid.
+the composite trapezoid rule on the grid.  Two rules place all data: by
+the interval rule, ``_spans``, intervals are the same when their ends agree
+to 1e-9 (b - a), and ``_pinned`` moves a polynomial's ends onto the one it
+is used on; by the point rule, ``_clamp_points``, a point of [a, b] lies
+within ``_merge_tol(a, b)`` of it and is clamped into it.
 
 A piecewise polynomial is held as one zero-padded coefficient table with a
 row per piece.  Every operation works on the whole table: evaluation and
@@ -80,10 +84,11 @@ class Grid:
         return self.a + (self.b - self.a) * (2.0 * np.arange(self.n) + 1.0) / (2.0 * self.n)
 
 
-def _spans(grid: Grid, items) -> bool:
-    """Whether every item's [a, b] is the grid's to 1e-9 (b - a)."""
-    ends = np.array([(item.a, item.b) for item in items])
-    return bool(np.abs(ends - (grid.a, grid.b)).max() <= 1e-9 * (grid.b - grid.a))
+def _spans(interval, items) -> bool:
+    """Whether every item's [a, b] is ``interval``'s to 1e-9 (b - a): the
+    interval rule.  ``interval`` is an (a, b) pair or has ``.a`` and ``.b``."""
+    a, b = interval if isinstance(interval, tuple) else (interval.a, interval.b)
+    return all(max(abs(item.a - a), abs(item.b - b)) <= 1e-9 * (b - a) for item in items)
 
 
 def _fractional_index(grid: Grid, t) -> np.ndarray:
@@ -152,11 +157,22 @@ def _merge_tol(a: float, b: float) -> float:
     return (b - a) * 1e-12
 
 
-def _coalesce(x: np.ndarray, values: np.ndarray, tol: float, breaks=None):
-    """The cluster starts of the sorted points x and each cluster's values
-    summed in order from its first point's: the coalescing of measure atoms
-    and of multipoint terms."""
-    starts = _cluster_starts(x, tol, breaks)
+def _clamp_points(t, a: float, b: float, what: str) -> np.ndarray:
+    """t clamped into [a, b], the point rule: a point of [a, b] lies within
+    ``_merge_tol(a, b)`` of it, and the first that does not is refused as ``what``."""
+    t = np.asarray(t, dtype=float)
+    tol = _merge_tol(a, b)
+    for i in np.flatnonzero(~((t >= a - tol) & (t <= b + tol)))[:1]:
+        raise ValueError(f"{what} {t[i]} outside [{a}, {b}]")
+    # min(max(t, a), b), which keeps a -0.0 point at a = 0.0
+    return np.where(t > b, b, np.where(t < a, a, t))
+
+
+def _coalesce(x: np.ndarray, values: np.ndarray, a: float, b: float, breaks=None):
+    """The cluster starts of the sorted points x of [a, b], within
+    ``_merge_tol(a, b)``, and each cluster's values summed in order from its
+    first point's: the coalescing of measure atoms and of multipoint terms."""
+    starts = _cluster_starts(x, _merge_tol(a, b), breaks)
     sums = values[starts]
     np.add.at(sums, np.cumsum(starts)[~starts] - 1, values[~starts])
     return starts, sums
@@ -405,14 +421,13 @@ class PiecewisePoly:
     def _binary(self, other: "PiecewisePoly", sign: float) -> "PiecewisePoly":
         if not isinstance(other, PiecewisePoly):
             return NotImplemented
-        tol = 1e-12 * max(self.b - self.a, 1.0)
-        if abs(self.a - other.a) > tol or abs(self.b - other.b) > tol:
+        if not _spans(self, [other]):
             raise ValueError("operands must share the same interval")
+        other = _pinned(other, self.a, self.b)
         merged = np.unique(np.concatenate([self.breakpoints, other.breakpoints]))
-        # A breakpoint within tol of the last kept one is dropped.
-        keep = _cluster_starts(merged, tol)
-        bp = merged[keep]
-        bp[0], bp[-1] = self.a, self.b
+        # A breakpoint within the merge tolerance of the last kept one is dropped.
+        bp = merged[_cluster_starts(merged, _merge_tol(self.a, self.b))]
+        bp[-1] = self.b
         mid = 0.5 * (bp[:-1] + bp[1:])
         ia, ib = self._piece_index(mid), other._piece_index(mid)
         ta, tb = self.table[ia], other.table[ib]
@@ -440,6 +455,18 @@ class PiecewisePoly:
 
     def __repr__(self):
         return f"PiecewisePoly({self.npieces} pieces on [{self.a}, {self.b}])"
+
+
+def _pinned(p: PiecewisePoly, a: float, b: float) -> PiecewisePoly:
+    """p with its ends on [a, b], which ``_spans`` has checked, or p itself when
+    they are there; a piece outside [a, b] is dropped."""
+    if p.a == a and p.b == b:
+        return p
+    bp = np.clip(p.breakpoints, a, b)
+    bp[0], bp[-1] = a, b
+    keep = np.diff(bp) > 0
+    return PiecewisePoly._from_table(np.concatenate([[a], bp[1:][keep]]),
+                                     p.table[keep], p.widths[keep])
 
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)
@@ -475,15 +502,6 @@ def _piece_abs_integral(coeffs: np.ndarray, lo: float, hi: float) -> float:
     return total
 
 
-def _common_interval(items, what: str):
-    a, b = items[0].a, items[0].b
-    tol = 1e-12 * max(b - a, 1.0)
-    for p in items[1:]:
-        if abs(p.a - a) > tol or abs(p.b - b) > tol:
-            raise ValueError(f"all {what} must share the same interval")
-    return a, b
-
-
 class PolyVector:
     """Column vector of piecewise polynomials sharing one interval."""
 
@@ -493,7 +511,8 @@ class PolyVector:
         comps = list(components)
         if not comps:
             raise ValueError("need at least one component")
-        _common_interval(comps, "components")
+        if not _spans(comps[0], comps):
+            raise ValueError("all components must share the same interval")
         self.components = comps
 
     @classmethod
@@ -552,7 +571,8 @@ class PolyMatrix:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
-        _common_interval([e for r in rows for e in r], "entries")
+        if not _spans(rows[0][0], [e for r in rows for e in r]):
+            raise ValueError("all entries must share the same interval")
         self.entries = rows
 
     @classmethod
@@ -652,7 +672,9 @@ class SampledJet:
         )
 
     def consistency_defect(self) -> float:
-        """Max deviation of centered differences of channel j from channel j+1."""
+        """Max deviation of centered differences of channel j from channel j+1:
+        their own O(h^2) truncation error on a smooth jet, however exact the
+        jet, which does not fall with h across a kink of channel j."""
         h = self.grid.h
         worst = 0.0
         for j in range(self.r):

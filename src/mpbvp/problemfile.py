@@ -5,7 +5,8 @@ piecewise-polynomial coefficients and right-hand side, boundary data
 vector, and the boundary operator (general measure form or explicit
 multipoint form).  Complex numbers are stored as ``[re, im]`` pairs and
 floats are emitted with ``repr`` precision, so ``parse(emit(p))``
-reconstructs every number bit for bit.  The writer renders each number
+reconstructs every number bit for bit for every problem ``BvpProblem``
+accepts, whose atoms are held clamped into [a, b].  The writer renders each number
 table (a polynomial's breakpoints and pieces, the data, alphas, atoms and
 the multipoint terms) by one template ``%`` the flat list of its numbers;
 its text is what ``json.dumps`` writes, and ``problem_to_dict`` is that
@@ -35,7 +36,8 @@ import numpy as np
 
 from .boundary import GeneralBoundaryOperator, MultipointBoundaryOperator
 from .bvp import BvpProblem
-from .funcspace import MAX_GRID_N, Grid, PiecewisePoly, PolyMatrix, PolyVector
+from .funcspace import (MAX_GRID_N, Grid, PiecewisePoly, PolyMatrix, PolyVector, _clamp_points,
+                        _spans)
 from .stieltjes import MatrixMeasure, ScalarMeasure
 
 __all__ = [
@@ -201,11 +203,15 @@ def _measure_text(mu: ScalarMeasure) -> str:
 def _measure_from_dict(obj, a: float, b: float, path: str) -> ScalarMeasure:
     atoms = _numbers(_require(obj, "atoms", path), (None, 3), path + ".atoms")
     t = atoms[:, 0]
-    for i in np.flatnonzero(~((a <= t) & (t <= b)))[:1]:
-        _fail(f"{path}.atoms[{i}]", f"atom location {t[i]} outside [{a}, {b}]")
+    try:
+        _clamp_points(t, a, b, "atom location")
+    except ValueError:  # atom by atom, to name the first one outside
+        for i in range(t.size):
+            with _at(f"{path}.atoms[{i}]"):
+                _clamp_points(t[i:i + 1], a, b, "atom location")
     density_raw = _require(obj, "density", path)
     density = None if density_raw is None else _poly_from_dict(density_raw, path + ".density")
-    if density is not None and (density.a != a or density.b != b):
+    if density is not None and not _spans((a, b), [density]):
         _fail(path + ".density", f"density interval differs from [{a}, {b}]")
     with _at(path):
         return ScalarMeasure(a, b, atoms=np.column_stack(
@@ -301,9 +307,9 @@ def problem_from_dict(obj) -> BvpProblem:
     operator = _boundary_from_dict(_require(obj, "boundary", "$"), r, m, a, b, "$.boundary")
 
     for l, A in enumerate(coeffs):
-        if A.a != a or A.b != b:
+        if not _spans((a, b), [A]):
             _fail(f"$.coefficients[{l}]", f"interval differs from [{a}, {b}]")
-    if f.a != a or f.b != b:
+    if not _spans((a, b), [f]):
         _fail("$.rhs", f"interval differs from [{a}, {b}]")
 
     with _at("$"):

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .funcspace import (Grid, PiecewisePoly, _check_k, _coalesce, _merge_tol, _place_points,
-                        mat_norm)
+from .funcspace import (Grid, PiecewisePoly, _check_k, _clamp_points, _coalesce, _place_points,
+                        _spans, mat_norm)
 
 __all__ = [
     "ScalarMeasure",
@@ -29,8 +29,9 @@ class ScalarMeasure:
     """A read-only atom table, ``nodes`` (float, sorted) and ``masses``
     (complex), plus an optional piecewise-polynomial density.
 
-    ``atoms``, (location, mass) pairs or a (K, 2) array, are coalesced within
-    ``_merge_tol(a, b)`` at construction; clusters of zero mass are dropped.
+    ``atoms``, (location, mass) pairs or a (K, 2) array, are clamped into
+    [a, b] and coalesced within ``_merge_tol(a, b)`` at construction;
+    clusters of zero mass are dropped.
     """
 
     __slots__ = ("a", "b", "nodes", "masses", "density")
@@ -39,23 +40,18 @@ class ScalarMeasure:
         a, b = float(a), float(b)
         if not a < b:
             raise ValueError("measure needs a < b")
-        tol = _merge_tol(a, b)
-        if density is not None:
-            if abs(density.a - a) > tol or abs(density.b - b) > tol:
-                raise ValueError("density must span the measure's interval")
-            if density.is_zero:
-                density = None
+        if density is not None and not _spans((a, b), [density]):
+            raise ValueError("density must span the measure's interval")
+        density = None if density is None or density.is_zero else density
         table = np.array(atoms, dtype=complex)
         if table.size and (table.shape[1:] != (2,) or np.any(table[:, 0].imag)):
             raise ValueError("atoms must be (real location, mass) pairs")
         t, w = table.reshape(-1, 2).T
-        t = t.real
-        for i in np.flatnonzero(~((t >= a - tol) & (t <= b + tol)))[:1]:
-            raise ValueError(f"atom location {t[i]} outside [{a}, {b}]")
+        t = _clamp_points(t.real, a, b, "atom location")
         if not np.all(np.isfinite(w)):
             raise ValueError("atom weights must be finite")
         order = np.argsort(t, kind="stable")
-        starts, masses = _coalesce(t[order], w[order], tol)
+        starts, masses = _coalesce(t[order], w[order], a, b)
         keep = masses != 0
         self.a = a
         self.b = b
@@ -93,10 +89,9 @@ class ScalarMeasure:
         return complex(self.masses.sum() + dens)
 
     def __sub__(self, other: "ScalarMeasure") -> "ScalarMeasure":
-        tol = _merge_tol(self.a, self.b)
-        if abs(self.a - other.a) > tol or abs(self.b - other.b) > tol:
+        if not _spans(self, [other]):
             raise ValueError("measures must share the same interval")
-        atoms = np.stack([np.concatenate([self.nodes, other.nodes]),
+        atoms = np.stack([np.concatenate([self.nodes, np.clip(other.nodes, self.a, self.b)]),
                           np.concatenate([self.masses, -other.masses])], axis=1)
         if other.density is None:
             density = self.density
@@ -199,15 +194,9 @@ class MatrixMeasure:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
-        a, b = rows[0][0].a, rows[0][0].b
-        tol = _merge_tol(a, b)
-        if any(abs(e.a - a) > tol or abs(e.b - b) > tol for r in rows for e in r):
+        if not _spans(rows[0][0], [e for r in rows for e in r]):
             raise ValueError("all entries must share the same interval")
         self.entries = rows
-
-    @classmethod
-    def zero(cls, rows: int, cols: int, a: float, b: float) -> "MatrixMeasure":
-        return cls([[ScalarMeasure.zero(a, b) for _ in range(cols)] for _ in range(rows)])
 
     @property
     def shape(self):
@@ -223,9 +212,10 @@ class MatrixMeasure:
 
     def _atom_terms(self, order: int):
         """Every entry's atoms, entry by entry, as point terms of the given order
-        whose (rows, cols) betas hold the mass in the entry's slot: nodes, orders, betas."""
+        whose (rows, cols) betas hold the mass in the entry's slot, at nodes moved
+        onto the matrix's [a, b] with the entry's ends: nodes, orders, betas."""
         entries = [entry for row in self.entries for entry in row]
-        nodes = np.concatenate([entry.nodes for entry in entries])
+        nodes = np.clip(np.concatenate([entry.nodes for entry in entries]), self.a, self.b)
         slot = np.repeat(np.arange(len(entries)), [entry.nodes.size for entry in entries])
         betas = np.zeros((nodes.size, len(entries)), dtype=complex)
         betas[np.arange(nodes.size), slot] = np.concatenate([entry.masses for entry in entries])
