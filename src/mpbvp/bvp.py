@@ -42,7 +42,7 @@ from .funcspace import (
     traj_norm_c,
     vec_norm,
 )
-from .linode import _propagate
+from .linode import _propagate, _segment_steps
 
 __all__ = [
     "BvpProblem",
@@ -101,7 +101,11 @@ class BvpProblem:
             raise TypeError("operator must be a boundary operator")
         if self.operator.r != self.r or self.operator.m != self.m:
             raise ValueError("boundary operator shape does not match the problem")
-        if not _spans(self.grid, (*self.coeffs, self.f, self.operator)):
+        # Every entry and component, not a container's first one.
+        op = self.operator
+        rows = [*(row for A in self.coeffs for row in A.entries), self.f.components,
+                *(op.phi.entries if isinstance(op, GeneralBoundaryOperator) else [[op]])]
+        if not _spans(self.grid, [e for row in rows for e in row]):
             raise ValueError("grid, coefficient, right-hand side, and operator intervals disagree")
 
     @property
@@ -247,32 +251,37 @@ def _solve_pass(problems, inverse: bool = False) -> list:
     NotUniquelySolvableError if refused; then, with ``inverse``, its
     |V^-1|_C; then, for every other problem, its BvpSolution or the
     NotUniquelySolvableError that refused it.  |V|_C is taken once per V.
+    ``_assemble`` forms each solution while the pass holds its V and R; the
+    consistency defects are taken once the pass is exhausted and holds none.
     """
-    first = problems[0]
+    systems = [_companion_system(p) for p in problems]
     out, last = {}, None
-    for i, V, R, coefficients, forcing in _propagate(
-            [_companion_system(p) for p in problems], first.grid, inverse=inverse, rows=first.m):
+    for i, V, R in _propagate(systems, problems[0].grid, inverse=inverse):
         if V is not last:
             last, norm = V, traj_norm_c(V)
         try:
-            out[i] = norm if i is None else _finish(problems[i], V, R, coefficients, forcing, norm)
+            out[i] = norm if i is None else _assemble(problems[i], *systems[i], V, R, norm)
         except NotUniquelySolvableError as exc:
             if i == 0:
                 raise
             out[i] = exc
+    del last, V, R
+    for solution in out.values():
+        if isinstance(solution, BvpSolution):
+            solution.consistency_defect = solution.jet.consistency_defect()
     return [out[i] for i in [0, *[None] * inverse, *range(1, len(problems))]]
 
 
-def _finish(problem: BvpProblem, V: np.ndarray, R: np.ndarray, coefficients: np.ndarray,
-            forcing: np.ndarray, matrizant_norm_c: float) -> BvpSolution:
-    """The solution of ``problem`` from its matrizant V, its forced
-    trajectory R, the node values (n+1, m, d) and (n+1, m) of the bottom
-    block rows [A_0 ... A_{r-1}] and f of its companion system, and
-    |V|_C: lift the operator, gate [TV], assemble the jet and its
-    diagnostics.  Raises NotUniquelySolvableError as ``solve`` does.
-    """
+def _assemble(problem: BvpProblem, P: PolyMatrix, g: PolyVector, V: np.ndarray, R: np.ndarray,
+              matrizant_norm_c: float) -> BvpSolution:
+    """The solution of ``problem`` but for its consistency defect, from its
+    matrizant V and forced trajectory R: lift the operator, gate [TV], form
+    u and |T u - q|, the lifted weights' last reader, then the top channel
+    from the bottom block row [A_0 ... A_{r-1} | f] of its own companion
+    system (P, g), evaluated at the nodes one segment of the pass at a time.
+    Raises NotUniquelySolvableError as ``solve`` does."""
     grid = problem.grid
-    r, m = problem.r, problem.m
+    r, m, d = problem.r, problem.m, problem.d
     # Everything the operator touches is divided by 2**e.
     T, e = _scaled_lift(problem)
     q = _ldexp(problem.q, -e)
@@ -281,21 +290,26 @@ def _finish(problem: BvpProblem, V: np.ndarray, R: np.ndarray, coefficients: np.
 
     coef = inverse @ (q - T.apply_values(R))
     u = np.einsum("nij,j->ni", V, coef) + R
+    boundary_residual = float(_ldexp(vec_norm(T.apply_values(u) - q), e))
+    del T
 
     samples = [u[:, l * m:(l + 1) * m] for l in range(r)]
-    top = forcing.copy()
-    for l in range(r):
-        top -= np.einsum("nij,nj->ni", coefficients[..., l * m:(l + 1) * m], samples[l])
-    samples.append(top)
-
-    jet = SampledJet(grid, m, r, samples)
-    solution = BvpSolution(jet=jet, char_matrix=_ldexp(char, e), det=det, cond=cond,
-                           matrizant_norm_c=matrizant_norm_c, char_inverse_norm=inverse_norm)
-    # The top jet channel satisfies the differential identity by construction;
-    # the lower channels are checked by their centred differences.
-    solution.consistency_defect = jet.consistency_defect()
-    solution.boundary_residual = float(_ldexp(vec_norm(T.apply_values(u) - q), e))
-    return solution
+    row = [[*P.entries[i], g.components[i]] for i in range(d - m, d)]
+    top = np.empty((grid.n + 1, m), dtype=complex)
+    step = _segment_steps(d)
+    for lo in range(0, grid.n + 1, step):
+        t, block = grid.nodes[lo:lo + step], top[lo:lo + step]
+        # [A_0 ... A_{r-1} | f] at the segment's nodes, step-first.
+        values = np.empty((t.size, m, d + 1), dtype=complex)
+        for i, j in np.ndindex(m, d + 1):
+            values[:, i, j] = row[i][j](t)
+        block[:] = values[..., d]
+        for l in range(r):
+            block -= np.einsum("nij,nj->ni", values[..., l * m:(l + 1) * m],
+                               samples[l][lo:lo + step])
+    return BvpSolution(jet=SampledJet(grid, m, r, samples + [top]), char_matrix=_ldexp(char, e),
+                       det=det, cond=cond, matrizant_norm_c=matrizant_norm_c,
+                       char_inverse_norm=inverse_norm, boundary_residual=boundary_residual)
 
 
 def residuals(problem: BvpProblem, jet: SampledJet) -> tuple[float, float]:

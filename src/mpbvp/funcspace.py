@@ -310,16 +310,16 @@ class PiecewisePoly:
         return not self.table.any()
 
     def _piece_index(self, t, side: str = "right") -> np.ndarray:
-        """Index of the piece each t falls in (clamped to the first/last piece)."""
-        idx = np.searchsorted(self.breakpoints, t, side=side) - 1
-        return np.clip(idx, 0, self.npieces - 1)
+        """Index of the piece each t falls in, found among the interior
+        breakpoints: below a it is the first piece, above b the last."""
+        return np.searchsorted(self.breakpoints[1:-1], t, side=side)
 
     def __call__(self, t, side: str = "right"):
-        arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        tt = np.atleast_1d(arr)
-        out = _horner(self.table[self._piece_index(tt, side)], tt)
-        return out[0] if scalar else out
+        tt = np.atleast_1d(np.asarray(t, dtype=float))
+        # A single piece is evaluated, broadcast, with no piece search.
+        one = self.npieces == 1 and side in ("left", "right")
+        out = _horner(self.table if one else self.table[self._piece_index(tt, side)], tt)
+        return out[0] if np.ndim(t) == 0 else out
 
     def grid_samples(self, grid: Grid, lo: int = 0, hi: int | None = None):
         """Values on ``grid`` as RK4 steps lo .. hi - 1 read them: (node
@@ -330,17 +330,15 @@ class PiecewisePoly:
         ``__call__`` gives them.  Only the nodes and the midpoints are
         evaluated: the end of step i is node i + 1, so its left limit is
         that node's value, except at an interior breakpoint that equals a
-        node, where it is evaluated on the piece to the left.  A single
-        piece is evaluated, broadcast, with no piece search.  Each value has
-        the bits of ``__call__`` at the same point and side, so a range's
-        samples are those slices of the whole grid's.
+        node, where it is evaluated on the piece to the left.  Each value is
+        ``__call__``'s at the same point and side, so a range's samples are
+        those slices of the whole grid's.
         """
         hi = grid.n if hi is None else hi
         nodes, mids = grid.nodes[lo:hi + 1], grid.half_nodes[lo:hi]
+        at_nodes, at_mids = self(nodes), self(mids)
         if self.npieces == 1:
-            at_nodes = _horner(self.table[:1], nodes)
-            return at_nodes, at_nodes[1:], _horner(self.table[:1], mids)
-        at_nodes = _horner(self.table[self._piece_index(nodes)], nodes)
+            return at_nodes, at_nodes[1:], at_mids
         ends = at_nodes[1:].copy()
         inner = self.breakpoints[1:-1]
         i = np.minimum(np.searchsorted(nodes, inner), hi - lo)
@@ -348,7 +346,7 @@ class PiecewisePoly:
         on = np.flatnonzero((nodes[i] == inner) & (i > 0))
         i = i[on]
         ends[i - 1] = _horner(self.table[on], nodes[i])
-        return at_nodes, ends, _horner(self.table[self._piece_index(mids)], mids)
+        return at_nodes, ends, at_mids
 
     # -- calculus ----------------------------------------------------------
 
@@ -532,13 +530,8 @@ class PolyVector:
         return self.components[0].b
 
     def eval_at(self, t) -> np.ndarray:
-        arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        tt = np.atleast_1d(arr)
-        out = np.empty((tt.size, self.m), dtype=complex)
-        for j, comp in enumerate(self.components):
-            out[:, j] = comp(tt)
-        return out[0] if scalar else out
+        """Values (K, m) at K points t, or (m,) at a scalar t."""
+        return np.stack([comp(t) for comp in self.components], axis=-1)
 
     def l1_norm(self) -> float:
         return sum(c.abs_integral() for c in self.components)
@@ -600,15 +593,8 @@ class PolyMatrix:
         return self.entries[0][0].b
 
     def eval_at(self, t) -> np.ndarray:
-        arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        tt = np.atleast_1d(arr)
-        p, q = self.shape
-        out = np.empty((tt.size, p, q), dtype=complex)
-        for i in range(p):
-            for j in range(q):
-                out[:, i, j] = self.entries[i][j](tt)
-        return out[0] if scalar else out
+        """Values (K, p, q) at K points t, or (p, q) at a scalar t."""
+        return np.stack([np.stack([e(t) for e in row], axis=-1) for row in self.entries], axis=-2)
 
     def l1_norm(self) -> float:
         """Maximum over columns of the summed entrywise L1 norms."""

@@ -27,14 +27,15 @@ column's R are formed only after the whole pass is composed.  A pass holds
 at most PASS_BYTES of work arrays; a larger family, or a wider group, is
 split over passes.
 
-Besides its work arrays, a pass holds the node values it hands over and
-one segment of coefficient samples at a time.  ``_fill`` samples a run of
-whole blocks of BLOCK_STEPS steps, at most SEGMENT_BYTES of [A | g_1],
-forms their increments block by block and drops the samples before the
-next segment, so every increment, and every table, has the bits of one
-sampling of the whole grid.  A slot's work array goes once its V and R
-(or Z) exist, before the first of them is yielded; its node values stay
-until its last member is yielded.
+Besides its work arrays, a pass holds one segment of coefficient samples
+at a time.  ``_fill`` samples a run of whole blocks of BLOCK_STEPS steps,
+at most SEGMENT_BYTES of [A | g_1], forms their increments block by block
+and drops the samples before the next segment, so every increment, and
+every table, has the bits of one sampling of the whole grid.  A slot's
+work array goes once its V and R (or Z) exist, before the first of them
+is yielded.  The tables are all a pass hands over: a caller that needs
+the coefficients at the nodes, as the solver's top jet channel does,
+evaluates them itself, with the bits of the node samples here.
 
 A pass from I_{d+1} gives the top rows [V | R] of the augmented matrizant
 [[V, R], [0, 1]]: the matrizant V and the forced trajectory R with
@@ -46,7 +47,7 @@ increments (I + D_i)^-1 - I, so Z V = I step by step.  It has a narrow
 increments come from the left d columns of that system's increments,
 which are the increments of V; so Z needs no second evaluation of the
 coefficients.  Storing increments rather than I + D_i keeps their low
-bits.  Node values come out step-first.
+bits.  Tables come out step-first.
 
 The RK4 stages of step i read the coefficients at t_i, at the midpoint and
 at t_{i+1}.  The end of step i is the start of step i+1, so each entry is
@@ -54,9 +55,6 @@ evaluated once at the n+1 nodes and once at the n midpoints
 (``PiecewisePoly.grid_samples``).  A step end takes the left-hand limit,
 which keeps full order at jumps on grid nodes; it differs from the node
 value only at a breakpoint on a node, where it alone is evaluated again.
-Each group hands over the node values of the bottom rows of A that the
-caller asks for, one array, and those of each g, so the solver assembles
-its top jet channel without evaluating the coefficients again.
 """
 
 from __future__ import annotations
@@ -87,6 +85,11 @@ PASS_BYTES = 32 * 2**20
 #: would be a pass's largest arrays (54 MiB at d = 8, n = 16384), and a
 #: segment of one block pays the sampling calls once per block.
 SEGMENT_BYTES = 5 * 2**18
+
+
+def _segment_steps(d: int) -> int:
+    """A segment's steps: whole blocks, at least one, whose [A | g_1] samples fit SEGMENT_BYTES."""
+    return BLOCK_STEPS * max(1, SEGMENT_BYTES // (3 * d * (d + 1) * BLOCK_STEPS * 16))
 
 
 def _coefficient_panels(rows, grid: Grid, lo: int, hi: int):
@@ -146,25 +149,25 @@ def _bits(entries) -> tuple:
     return tuple(b for e in entries for b in (e.breakpoints.tobytes(), e.table.tobytes()))
 
 
-def _propagate(systems, grid: Grid, inverse: bool = False, rows: int = 0):
-    """Yield, system by system, (index, V, R, A nodes, g nodes): its index
-    in ``systems``, the top rows [V | R] of its augmented matrizant
-    [[V, R], [0, 1]] as V (n+1, d, d) and R (n+1, d), and the node values
-    (n+1, rows, d) and (n+1, rows) of the bottom ``rows`` rows of A and g.
+def _propagate(systems, grid: Grid, inverse: bool = False):
+    """Yield, system by system, (index, V, R): its index in ``systems`` and
+    the top rows [V | R] of its augmented matrizant [[V, R], [0, 1]], as
+    V (n+1, d, d) and R (n+1, d), and nothing else.
 
-    ``systems`` are (A, g) pairs of one shape, A d x d, whose intervals are
-    the grid's to 1e-9 (b - a), as a BvpProblem's.  They come group by
-    group, system 0 first; a group's members share one V and one node-value
-    array, and those whose g shares its bits share a forcing column and R.
-    With ``inverse``, (None, Z, None, None, None) comes first, Z = V^-1
-    (n+1, d, d) of system 0.  ``_fill``, ``_compose`` and ``_member_table``
-    write, compose and read the work arrays.
+    ``systems`` are (A, g) pairs of one shape, A d x d, whose entries' and
+    components' intervals are each the grid's to 1e-9 (b - a), as a
+    BvpProblem's.  They come group by group, system 0 first; a group's
+    members share one V, and those whose g shares its bits share a forcing
+    column and R.  With ``inverse``, (None, Z, None) comes first,
+    Z = V^-1 (n+1, d, d) of system 0.  ``_fill``, ``_compose`` and
+    ``_member_table`` write, compose and read the work arrays.
     """
     systems = list(systems)
     d, cols = systems[0][0].shape
     if d != cols:
         raise ValueError("coefficient matrix must be square")
-    if not _spans(grid, [item for system in systems for item in system]):
+    # Every entry of A and component of g, not a container's first one.
+    if not _spans(grid, [e for A, g in systems for r in [*A.entries, g.components] for e in r]):
         raise ValueError("coefficient and forcing intervals do not span the grid")
     n = grid.n
     c = math.isqrt(n - 1) + 1
@@ -187,15 +190,15 @@ def _propagate(systems, grid: Grid, inverse: bool = False, rows: int = 0):
         work = [np.zeros((d, width, padded), dtype=complex)
                 for width in [d + len(piece) for piece in pieces] + [d + 1] * inverse]
         # Z's increments come from the first piece's, which holds system 0.
-        nodes = [_fill(slot, work[-1] if inverse and slot is work[0] else None,
-                       piece[0][0], [g for _, g, _ in piece], grid, rows)
-                 for slot, piece in zip(work, pieces)]
+        for slot, piece in zip(work, pieces):
+            _fill(slot, work[-1] if inverse and slot is work[0] else None,
+                  piece[0][0], [g for _, g, _ in piece], grid)
         starts = _compose(work, c)
         # A slot's work array and chunk starts go once its tables exist,
         # before anything is yielded.
         if inverse:
             Z = _member_table(work.pop(), starts.pop(), n, None).swapaxes(1, 2)
-            yield None, Z, None, None, None
+            yield None, Z, None
             del Z
             inverse = False
         for piece in pieces:
@@ -203,11 +206,10 @@ def _propagate(systems, grid: Grid, inverse: bool = False, rows: int = 0):
             V = _member_table(slot, start, n, None)
             Rs = [_member_table(slot, start, n, column) for column in range(len(piece))]
             del slot, start
-            kept = nodes.pop(0)
-            for forcing, (_, _, members) in zip(kept[1], piece):
+            for _, _, members in piece:
                 R = Rs.pop(0)
                 for i in members:
-                    yield i, V, R, kept[0], forcing
+                    yield i, V, R
 
 
 def _compose(work: list, c: int) -> list:
@@ -278,7 +280,7 @@ def _member_table(work: np.ndarray, starts: np.ndarray, n: int,
 
 
 def _fill(work: np.ndarray, inverse_work: np.ndarray | None, A: PolyMatrix, forcings: list,
-          grid: Grid, rows: int) -> tuple:
+          grid: Grid) -> None:
     """Write the increments of A and its ``forcings`` g_1 ... g_G into a
     slot's ``work`` (d, d+G, ...), step i in column i, and with
     ``inverse_work``, Z's, the transposed inverse increments
@@ -286,39 +288,27 @@ def _fill(work: np.ndarray, inverse_work: np.ndarray | None, A: PolyMatrix, forc
     columns; its last column stays 0.  The coefficients are sampled one
     segment of whole blocks at a time, at most SEGMENT_BYTES of [A | g_1]:
     A with g_1, as in a group of one, and each further g alone after it,
-    its samples dropped before the next.  Returns the node values of the
-    bottom ``rows`` rows of A, (n+1, rows, d), and the list of each g's."""
+    its samples dropped before the next."""
     d, n = A.shape[0], grid.n
     columns = [[*r, g] for r, g in zip(A.entries, forcings[0].components)]
     eye = np.eye(d, dtype=complex)
-    steps = BLOCK_STEPS * max(1, SEGMENT_BYTES // (3 * d * (d + 1) * BLOCK_STEPS * 16))
+    steps = _segment_steps(d)
     for lo in range(0, n, steps):
         hi = min(lo + steps, n)
         left = _coefficient_panels(columns, grid, lo, hi)
         for panel in left:
             np.negative(panel[:, :d], out=panel[:, :d])
-        if not lo:
-            # After the first segment's samples, so as not to add to the peak of sampling it.
-            kept = np.empty((n + 1, rows, d + 1), dtype=complex)
-            forcing_nodes = [kept[..., d]] + [np.empty((n + 1, rows), dtype=complex)
-                                              for _ in forcings[1:]]
-        # Node hi is node lo of the next segment, with the same bits.
-        np.negative(left[0][d - rows:, :d].transpose(2, 0, 1), out=kept[lo:hi + 1, :, :d])
-        kept[lo:hi + 1, :, d] = left[0][d - rows:, d].T
         _increments(left, left, grid.h, work[:, :d + 1, lo:hi])
         if inverse_work is not None:
             # Z_{i+1} = Z_i + Z_i E_i, composed transposed as Z^T.  Solved
             # step-first on a transposed view of the segment.
             step = work[:, :d, lo:hi].transpose(2, 0, 1)
             inverse_work[:, :d, lo:hi] = np.linalg.solve(eye + step, -step).transpose(2, 1, 0)
-        for column, g, out in zip(range(d + 1, d + len(forcings)), forcings[1:],
-                                  forcing_nodes[1:]):
+        for column, g in zip(range(d + 1, d + len(forcings)), forcings[1:]):
             right = _coefficient_panels([[entry] for entry in g.components], grid, lo, hi)
-            out[lo:hi + 1] = right[0][d - rows:, 0].T
             _increments(left, right, grid.h, work[:, column:column + 1, lo:hi])
             del right
         del left
-    return kept[..., :d], forcing_nodes
 
 
 def fundamental_matrix(A: PolyMatrix, grid: Grid) -> np.ndarray:

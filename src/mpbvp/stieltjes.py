@@ -15,6 +15,7 @@ import numpy as np
 
 from .funcspace import (Grid, PiecewisePoly, _check_k, _clamp_points, _coalesce, _place_points,
                         _spans, mat_norm)
+from .linode import BLOCK_STEPS
 
 __all__ = [
     "ScalarMeasure",
@@ -106,16 +107,12 @@ class ScalarMeasure:
 
 def _segment_boundaries(grid: Grid, density: PiecewisePoly):
     """Map density breakpoints to node indices, or None if any sit off-grid."""
-    indices = [0]
-    for t in density.breakpoints[1:-1]:
-        s = (t - grid.a) / grid.h
-        i = int(round(s))
-        if abs(s - i) > 1e-9:
-            return None
-        if indices[-1] < i < grid.n:
-            indices.append(i)
-    indices.append(grid.n)
-    return indices
+    s = (density.breakpoints[1:-1] - grid.a) / grid.h
+    i = np.rint(s)
+    if np.any(np.abs(s - i) > 1e-9):
+        return None
+    i = i[(i > 0) & (i < grid.n)]
+    return [0, *i[np.diff(i, prepend=0) > 0].astype(int).tolist(), grid.n]
 
 
 #: Euler-Maclaurin end weights (in units of h): the h^2/12 derivative
@@ -124,31 +121,44 @@ def _segment_boundaries(grid: Grid, density: PiecewisePoly):
 _END_CORRECTION = np.array([-11.0, 18.0, -9.0, 2.0]) / 72.0
 
 
-def _density_weights(grid: Grid, density: PiecewisePoly) -> np.ndarray:
-    """Node weights of the trapezoid rule for x * density over the grid.
+def _density_weights(grid: Grid, density: PiecewisePoly, out: np.ndarray | None = None):
+    """Add the node weights of the trapezoid rule for x * density over the
+    grid to ``out`` (n+1,), by default a fresh zero vector, and return it.
 
     Each smooth segment gets the Euler-Maclaurin end correction, which
     upgrades the rule to O(h^4) for data whose density breakpoints sit on
     grid nodes.  With a breakpoint off the grid the rule falls back to the
-    plain trapezoid on right-limit samples.
-    """
+    plain trapezoid on right-limit samples, as one segment.  Formed
+    BLOCK_STEPS nodes at a time, the weights reach ``out`` with the bits of
+    the whole vector added at once: a node two segments share gets their
+    sum in one addition."""
     nodes, h = grid.nodes, grid.h
+    out = np.zeros(grid.n + 1, dtype=complex) if out is None else out
     seg = _segment_boundaries(grid, density)
-    if seg is None:
-        trap = np.full(grid.n + 1, h)
-        trap[[0, -1]] *= 0.5
-        return trap * density(nodes)
-    out = np.zeros(grid.n + 1, dtype=complex)
-    poly = np.polynomial.polynomial.polyval
-    seg = np.asarray(seg)
+    corrected = seg is not None
+    seg = np.asarray(seg if corrected else [0, grid.n])
     pieces = density._piece_index(0.5 * (nodes[seg[:-1]] + nodes[seg[1:]]))
+    carry = 0.0
     for i0, i1, piece in zip(seg[:-1], seg[1:], pieces):
-        trap = np.full(i1 - i0 + 1, h)
-        trap[[0, -1]] *= 0.5
-        if trap.size >= 4:
-            trap[:4] += h * _END_CORRECTION
-            trap[-4:] += h * _END_CORRECTION[::-1]
-        out[i0:i1 + 1] += trap * poly(nodes[i0:i1 + 1], density.coeffs[piece])
+        # Only the first and last four nodes of a segment weigh other than h.
+        size = i1 - i0 + 1
+        ends = np.full(min(size, 8), h)
+        ends[[0, -1]] *= 0.5
+        if corrected and size >= 4:
+            ends[:4] += h * _END_CORRECTION
+            ends[-4:] += h * _END_CORRECTION[::-1]
+        cuts = [0, size] if size <= 8 else [0, 4, *range(4 + BLOCK_STEPS, size - 4, BLOCK_STEPS),
+                                            size - 4, size]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            t = nodes[i0 + lo:i0 + hi]
+            trap = ends[lo:hi] if lo == 0 else ends[-4:] if hi == size else np.full(hi - lo, h)
+            weights = trap * (np.polynomial.polynomial.polyval(t, density.coeffs[piece])
+                              if corrected else density(t))
+            if lo == 0:
+                weights[0] += carry
+            if hi == size and i1 < grid.n:
+                carry, weights = weights[-1], weights[:-1]
+            out[i0 + lo:i0 + lo + weights.size] += weights
     return out
 
 
@@ -226,7 +236,7 @@ class MatrixMeasure:
         for i, row in enumerate(self.entries):
             for j, entry in enumerate(row):
                 if entry.density is not None:
-                    out[i, :, first + j] += _density_weights(grid, entry.density)
+                    _density_weights(grid, entry.density, out[i, :, first + j])
         return out
 
     def apply(self, grid: Grid, values) -> np.ndarray:

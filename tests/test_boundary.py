@@ -1,6 +1,7 @@
 """Boundary operators: general form, multipoint form, lifting, norms."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -445,6 +446,19 @@ def _off_node_general_operators():
     return [shared, mixed]
 
 
+def _segment_edge_operator():
+    """A general operator whose density has breakpoints on nodes of
+    n = 1000, each carrying an atom of inexact mass, so that the order in
+    which a node adds its atom and the two segments' weights shows in its
+    bits."""
+    a, b = 0.0, 1.0
+    density = PiecewisePoly([a, 0.25, 0.5, b], [[1.0 / 3.0, -0.7j], [0.1 + 0.2j, 1.0 / 7.0],
+                                                [-2.0 / 3.0, 0.3, 0.01j]])
+    return GeneralBoundaryOperator(1, 1, [], MatrixMeasure([
+        [ScalarMeasure(a, b, atoms=[(0.25, 0.9 + 1.0 / 3.0j), (0.5, -1.0 / 7.0)],
+                       density=density)]]))
+
+
 def _hand_built_operators():
     tol = 1e-12
     one = np.array([[1.0]])
@@ -495,7 +509,7 @@ def test_term_table_is_bitwise_the_constructor_loop():
 
 def test_lift_weights_are_bitwise_the_per_term_loop():
     general = [corpus.build_problem(name, 64).operator for name in ("p1", "p2", "p3")]
-    general += _off_node_general_operators()
+    general += [*_off_node_general_operators(), _segment_edge_operator()]
     ops = general + [multipointify(op, k) for op in general for k in (2, 4, 256, 1024)]
     ops += [corpus.build_problem("nn", 64).operator]
     ops += [MultipointBoundaryOperator(*case) for case in _hand_built_operators()]
@@ -618,3 +632,21 @@ def test_zero_mass_atoms_leave_multipointify_and_lift_unchanged():
             [np.concatenate([rng.uniform(mu.a, mu.b, 4), [mu.a, mu.b, mu.a, mu.b]]),
              np.concatenate([zero, zero])], axis=1))
         _assert_same_tables(op, _with_atoms(op, tables))
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3"])
+def test_lift_holds_its_weights_and_no_grid_sized_temporary(name):
+    # Each density's weights are added into their slice of the weight
+    # array a block of nodes at a time: the lift of p2 and p3 at n = 16384
+    # peaked at 2.13 and 1.88 MiB for 1.00 MiB of weights when each
+    # density's weights were a fresh (n+1) vector and its products.
+    problem = corpus.build_problem(name, 16384)
+    lift(problem.operator, problem.grid)  # the grid's nodes, cached
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        weights = lift(problem.operator, problem.grid).weights
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= weights.nbytes + 0.3 * 2**20

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,14 +344,36 @@ def test_fine_grid_solve_keeps_roundoff():
         assert err <= 5e-14, name
 
 
+@pytest.mark.parametrize("name", ["p2", "p3"])
+def test_fine_grid_solve_holds_no_coefficient_table(name):
+    # The pass hands over V and R only: the solve evaluates its bottom row
+    # at the nodes a segment at a time, and builds the jet and its defect
+    # once V and R are gone.  With the node values of [A_0 ... A_{r-1} | f]
+    # handed over and kept to the end, p2 and p3 peaked at 4.5 and 5.8 MiB.
+    problem = corpus.build_problem(name, 16384)
+    solve(problem)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        solve(problem)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.25 * 2**20
+
+
 def test_top_channel_is_bitwise_the_node_evaluation():
-    # The pass hands the solver the node values of [A_0 ... A_{r-1} | f];
-    # the top channel f - sum_l A_l y^(l) must be what evaluating the
-    # coefficients as given at the nodes gives, for m up to 3.
+    # The solver evaluates [A_0 ... A_{r-1} | f] at the nodes a segment at
+    # a time; the top channel f - sum_l A_l y^(l) must be what evaluating
+    # the coefficients as given at all the nodes at once gives, for m up to 3.
+    # p1-p3 at n = 8194 and the random problems at n = 2049 span several
+    # segments (4096 steps at d = 2, 512 at d > 4).
     rng = np.random.default_rng(11)
-    problems = [corpus.build_problem(name, 2048) for name in ("p1", "p2", "p3")]
+    problems = [corpus.build_problem(name, n) for name in ("p1", "p2", "p3") for n in (2048, 8194)]
     problems += [random_problem(rng, 257) for _ in range(8)]
+    problems += [random_problem(rng, 2049) for _ in range(4)]
     assert max(problem.m for problem in problems) == 3
+    assert max(problem.d for problem in problems if problem.grid.n == 2049) > 4
     for problem in problems:
         jet = solve(problem).jet
         nodes = problem.grid.nodes

@@ -82,10 +82,11 @@ def test_evaluation_sides_at_breakpoints():
 
 
 def test_misspelt_evaluation_side_is_refused():
-    p = PiecewisePoly.step([0.0, 0.5, 1.0], [1.0, 2.0])
-    for side in ("lfet", "Left", "l", ""):
-        with pytest.raises(ValueError, match="side"):
-            p(0.5, side=side)
+    # A single piece is evaluated with no piece search, and refuses it too.
+    for p in (PiecewisePoly.step([0.0, 0.5, 1.0], [1.0, 2.0]), PiecewisePoly.constant(1.0, 0, 1)):
+        for side in ("lfet", "Left", "l", ""):
+            with pytest.raises(ValueError, match="side"):
+                p(0.5, side=side)
 
 
 def _polyval_per_piece(p, t, side):

@@ -19,6 +19,7 @@ from mpbvp import (
     constant_shift_rhs,
     corpus,
     emit_problem,
+    forced_trajectory,
     multipointify,
     parse_problem,
     problem_to_dict,
@@ -222,3 +223,58 @@ def test_every_interval_check_applies_one_rule(tmp_path, place, delta, accepted,
     else:
         with pytest.raises(ValueError):
             run()
+
+
+def _ending_at(p, end):
+    """The piecewise polynomial p with its last breakpoint at ``end``."""
+    bp = p.breakpoints.copy()
+    bp[-1] = end
+    return PiecewisePoly._from_table(bp, p.table, p.widths)
+
+
+def _p3_with_entries_ending_at(part, first, second):
+    """p3 (r = 1, m = 2) with one entry of a coefficient, rhs or measure
+    container ending at ``first`` and another ending at ``second``."""
+    p3 = corpus.build_problem("p3", 256)
+    if part == "coefficient":
+        (e00, e01), (e10, e11) = p3.coeffs[0].entries
+        A = PolyMatrix([[_ending_at(e00, first), e01], [e10, _ending_at(e11, second)]])
+        return dataclasses.replace(p3, coeffs=[A])
+    if part == "rhs":
+        f0, f1 = p3.f.components
+        f = PolyVector([_ending_at(f0, first), _ending_at(f1, second)])
+        return dataclasses.replace(p3, f=f)
+    (atoms, mu01), (mu10, density) = p3.operator.phi.entries
+    moved = [[ScalarMeasure(0.0, first, atoms=np.stack([atoms.nodes, atoms.masses], axis=1)),
+              mu01],
+             [mu10, ScalarMeasure.from_density(_ending_at(density.density, second))]]
+    return dataclasses.replace(
+        p3, operator=GeneralBoundaryOperator(1, 2, [], MatrixMeasure(moved)))
+
+
+@pytest.mark.parametrize("part", ["coefficient", "rhs", "measure"])
+def test_every_entry_of_a_container_is_checked_against_the_grid(part):
+    # A container's .a and .b are its first entry's, and it checks its other
+    # entries against that one, so entries ending at 1 + 0.9e-9 and
+    # 1 + 1.8e-9 form a container whose second entry lies 1.8e-9 (b - a)
+    # off the grid: the problem, and a pass of its coefficients, refuse it.
+    with pytest.raises(ValueError, match="intervals disagree"):
+        _p3_with_entries_ending_at(part, 1.0 + 0.9e-9, 1.0 + 1.8e-9)
+    # Entries that each lie within 1e-9 (b - a) of the grid are accepted,
+    # and each datum is pinned onto the grid for the solve, so it reads as p3.
+    near = _p3_with_entries_ending_at(part, 1.0 + 0.9e-9, 1.0 + 0.2e-9)
+    want = solve(corpus.build_problem("p3", 256)).jet.samples
+    for have, ref in zip(solve(near).jet.samples, want, strict=True):
+        np.testing.assert_array_equal(have, ref)
+
+
+def test_a_pass_checks_every_entry_against_the_grid():
+    # The same containers, handed to the RK4 pass directly.
+    p3 = corpus.build_problem("p3", 256)
+    (e00, e01), (e10, e11) = p3.coeffs[0].entries
+    A = PolyMatrix([[_ending_at(e00, 1.0 + 0.9e-9), e01], [e10, _ending_at(e11, 1.0 + 1.8e-9)]])
+    f0, f1 = p3.f.components
+    g = PolyVector([_ending_at(f0, 1.0 + 0.9e-9), _ending_at(f1, 1.0 + 1.8e-9)])
+    for system in ((A, p3.f), (p3.coeffs[0], g)):
+        with pytest.raises(ValueError, match="do not span the grid"):
+            forced_trajectory(*system, p3.grid)

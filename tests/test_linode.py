@@ -1,5 +1,6 @@
 """Fundamental matrices, inverses, and particular solutions."""
 
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -23,7 +24,7 @@ from mpbvp import (
     theorem3_check,
 )
 from mpbvp import linode
-from mpbvp.bvp import companion_reduce
+from mpbvp.bvp import _solve_pass, companion_reduce, solve
 from mpbvp.linode import (
     BLOCK_STEPS,
     _coefficient_panels,
@@ -267,7 +268,7 @@ def _pass_tables(systems, grid, inverse=False):
     """The tables of a ``_propagate`` pass in the order of ``systems``, each
     [V | R] (n+1, d, d+1), with ``inverse`` Z after system 0's."""
     tables, Z = [None] * len(systems), []
-    for i, V, R, _, _ in _propagate(systems, grid, inverse=inverse):
+    for i, V, R in _propagate(systems, grid, inverse=inverse):
         if i is None:
             Z.append(V)
         else:
@@ -595,29 +596,29 @@ def test_chunk_padding_holds_zero_increments(monkeypatch, n):
         assert not z_last.any()
 
 
-def _p2_mixed_family(n=2048):
-    """p2 with k in {3, 4, 7, 8} and their sawtooth members, as companion
-    systems, and the limit's A halved: only the limit and the even k share
-    A's bits, and the halved A shares its breakpoints but not its table."""
+def _p2_mixed_problems(n=2048):
+    """p2 with k in {3, 4, 7, 8} and their sawtooth members, and p2 with
+    its coefficients halved: only the limit and the even k share the bits
+    of their companion A, and the halved one shares its breakpoints but
+    not its table."""
     problem = corpus.build_problem("p2", n)
     ks = (3, 4, 7, 8)
     members = [problem] + [build_multipoint_problem(problem, k) for k in ks]
     members += [build_multipoint_problem(problem, k, f=f) for k, f, _ in
                 sawtooth_rhs(problem, ks, 1e-3)]
-    systems = [companion_reduce(p)[:2] for p in members]
-    A, g = systems[0]
-    systems.append((PolyMatrix([[e * 0.5 for e in row] for row in A.entries]), g))
-    return problem, systems
+    halved = [PolyMatrix([[e * 0.5 for e in row] for row in A.entries]) for A in problem.coeffs]
+    return members + [dataclasses.replace(problem, coeffs=halved)]
 
 
 def test_mixed_groups_equal_one_member_passes():
-    problem, systems = _p2_mixed_family()
-    grid, m = problem.grid, problem.m
-    got = {i: out for i, *out in _propagate(systems, grid, inverse=True, rows=m)}
+    problems = _p2_mixed_problems()
+    systems = [companion_reduce(p)[:2] for p in problems]
+    grid = problems[0].grid
+    got = {i: out for i, *out in _propagate(systems, grid, inverse=True)}
     assert sorted(got, key=str) == sorted([None, *range(len(systems))], key=str)
     for i, (A, g) in enumerate(systems):
-        (_, *alone), = _propagate([(A, g)], grid, rows=m)
-        for have, want in zip(got[i], alone):
+        (_, *alone), = _propagate([(A, g)], grid)
+        for have, want in zip(got[i], alone, strict=True):
             np.testing.assert_array_equal(have, want)
     Z = got[None][0]
     np.testing.assert_array_equal(Z, inverse_fundamental(systems[0][0], grid))
@@ -627,8 +628,22 @@ def test_mixed_groups_equal_one_member_passes():
     shared = {i: next(j for j in got if j is not None and got[j][0] is got[i][0])
               for i in got if i is not None}
     assert shared == {0: 0, 1: 1, 2: 0, 3: 3, 4: 0, 5: 1, 6: 0, 7: 3, 8: 0, 9: 9}
-    # Members that share V share one node-value array of A.
-    assert all(got[i][2] is got[shared[i]][2] for i in shared)
+
+
+def test_mixed_family_solves_as_one_member_solves():
+    # Each member's top channel is its own: it evaluates the bottom row of
+    # its own companion system, so members that share V but not f (the
+    # sawtooth members) or share f but not A (the halved problem) must
+    # each solve as they do alone.
+    problems = _p2_mixed_problems()
+    solutions = _solve_pass(problems)
+    assert len(solutions) == len(problems)
+    for problem, together in zip(problems, solutions, strict=True):
+        alone = solve(problem)
+        for have, want in zip(together.jet.samples, alone.jet.samples, strict=True):
+            np.testing.assert_array_equal(have, want)
+        assert together.consistency_defect == alone.consistency_defect
+        assert together.boundary_residual == alone.boundary_residual
 
 
 def test_group_wider_than_the_byte_cap_splits_over_passes(monkeypatch):
@@ -665,7 +680,7 @@ def test_work_arrays_are_released_before_their_members_are_yielded(monkeypatch):
 
     monkeypatch.setattr(linode, "_compose", recording_compose)
     released = {}
-    for i, *_ in _propagate(systems, _grid(1537), inverse=True, rows=1):
+    for i, *_ in _propagate(systems, _grid(1537), inverse=True):
         gc.collect()
         released[i] = [ref() is None for ref in slots]
     assert len(slots) == 3
@@ -676,17 +691,18 @@ def test_work_arrays_are_released_before_their_members_are_yielded(monkeypatch):
 
 def test_pass_holds_one_segment_of_coefficient_samples():
     # Samples of the whole grid, three (d, d + 1, n) panels (19 MB here),
-    # would exceed the bound; a segment's are about 1.2 MB.
+    # would exceed the bound; a segment's are about 1.2 MB.  The pass hands
+    # over V and R and nothing else.
     A, g = _coupled_system()
     grid = _grid(65536)
-    d, rows = 2, 1
-    tables = (grid.n + 1) * (d * d + d + rows * (d + 1)) * 16
+    d = 2
+    tables = (grid.n + 1) * (d * d + d) * 16
     bound = _member_bytes(grid.n) + tables + 2 * 2**20
     assert 3 * d * (d + 1) * grid.n * 16 > 18 * 10**6
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out = list(_propagate([(A, g)], grid, rows=rows))
+        out = list(_propagate([(A, g)], grid))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
