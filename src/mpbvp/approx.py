@@ -1,6 +1,6 @@
 """Approximation pipeline: discretized problems, error sweeps, certificates.
 
-Given a problem with a general (measure) boundary operator, this module
+Given a problem with a boundary operator of either kind, this module
 builds the explicit multipoint approximations — interval-mean coefficients
 plus midpoint-discretized boundary measures — and measures how fast their
 solutions converge.  It also computes the certified error constants
@@ -11,17 +11,19 @@ from the matrizant of the limit problem, and runs the two perturbation
 checks: the strong one (L1-small right-hand sides, W^r_1 error) and the
 weak one (sup-small primitives, C^(r-1) error), the latter with a built-in
 sawtooth perturbation that is large in L1 but small after integration.
+One driver, ``_family``, solves the limit problem and its members in one
+pass for ``sweep``, both checks and ``remark3_constants`` (no members);
+``_check_entries`` is the checks' one entry validator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 import numpy as np
 
 from .boundary import (
-    GeneralBoundaryOperator,
-    MultipointBoundaryOperator,
     default_probe_jets,
     multipointify,
     norm_lower_bound,
@@ -151,18 +153,13 @@ def build_multipoint_problem(problem: BvpProblem, k: int,
     unless overridden.  A problem that is already multipoint keeps its
     operator.
     """
-    coeffs = [approximate_coefficients(A, k) for A in problem.coeffs]
-    if isinstance(problem.operator, GeneralBoundaryOperator):
-        operator = multipointify(problem.operator, k)
-    else:
-        operator = problem.operator
     return BvpProblem(
         r=problem.r,
         m=problem.m,
-        coeffs=coeffs,
+        coeffs=[approximate_coefficients(A, k) for A in problem.coeffs],
         f=problem.f if f is None else f,
         q=problem.q if q is None else np.asarray(q, dtype=complex),
-        operator=operator,
+        operator=multipointify(problem.operator, k),
         grid=problem.grid,
     )
 
@@ -174,49 +171,43 @@ def remark3_constants(problem: BvpProblem) -> ErrorConstants:
     characteristic matrix; lambda_hat is the reciprocal of a probe lower
     bound for |B|, so kappa_hat = (c1 + c2) lambda_hat + c1 c2 + 1 is an
     upper bound for the true constant.  sigma_hat takes the operator-norm
-    upper bound over the _SIGMA_PROBE_KS discretizations (or of the
-    operator itself when it is already multipoint).
+    upper bound over the _SIGMA_PROBE_KS discretizations: this is the
+    family pass with no approximations.
     """
-    reference, w_c = _solve_pass([problem], inverse=True)
+    return _family(problem, [], certify=True)[1].constants
+
+
+def _family(problem: BvpProblem, entries, certify: bool):
+    """Solve the limit problem and its approximations in one RK4 pass.
+
+    ``entries`` are checked (k, f_k, q_k) triples, None keeping the
+    problem's f or q.  Returns the reference solution and a report with the
+    rows and rho_solvable, and with ``certify`` the constants too.  A
+    refused reference raises NotUniquelySolvableError as ``solve`` does.
+    """
+    members = [build_multipoint_problem(problem, k, f=f_k, q=q_k) for k, f_k, q_k in entries]
+    (reference, *solved), w_c = _solve_pass([problem, *members], inverse=certify)
+    rows = [_row(k, member, sol, reference)
+            for (k, _, _), member, sol in zip(entries, members, solved)]
+    report = ApproximationReport(rows=rows,
+                                 rho_solvable=_first_tail_index(rows, lambda r: r.solvable))
+    if not certify:
+        return reference, report
+    # With no rows, the probe discretizations stand in for the members.
     op = problem.operator
-    if isinstance(op, MultipointBoundaryOperator):
-        sigma_hat = norm_upper_bound(op)
-    else:
-        sigma_hat = max(norm_upper_bound(multipointify(op, k)) for k in _SIGMA_PROBE_KS)
-    return _certified_constants(problem, reference, w_c, sigma_hat)
-
-
-def _certified_constants(problem: BvpProblem, reference: BvpSolution, w_c: float,
-                         sigma_hat: float) -> ErrorConstants:
-    """The constants from the solution ``reference`` of ``problem``, its
-    |V^-1|_C = w_c and the bound sigma_hat."""
+    sigma_hat = max([row.sigma_hat for row in rows] or
+                    [norm_upper_bound(multipointify(op, k)) for k in _SIGMA_PROBE_KS])
     v_c = reference.matrizant_norm_c
     c1 = 1.0 + v_c * reference.char_inverse_norm
     if problem.r == 1:
         c2 = 2.0 + v_c * w_c * problem.coeffs[0].l1_norm()
     else:
         c2 = 2.0 + v_c * w_c * ((problem.b - problem.a) + problem.coeffs[-1].l1_norm())
-    lam = 1.0 / norm_lower_bound(problem.operator,
-                                 default_probe_jets(problem.r, problem.m, problem.grid))
+    lam = 1.0 / norm_lower_bound(op, default_probe_jets(problem.r, problem.m, problem.grid))
     kappa = (c1 + c2) * lam + c1 * c2 + 1.0
-    return ErrorConstants(c1=c1, c2=c2, lambda_hat=lam, kappa_hat=kappa, sigma_hat=sigma_hat)
-
-
-def _solve_family(problem: BvpProblem, entries, inverse: bool):
-    """Solve the limit problem and its approximations in one RK4 pass.
-
-    ``entries`` are (k, f_k, q_k) triples, None keeping the problem's f or
-    q.  Returns the reference solution, one row per entry, and |V^-1|_C of
-    the reference when ``inverse`` (else None).  A refused reference
-    raises NotUniquelySolvableError; a refused approximation is a row with
-    ``solvable`` False.
-    """
-    members = [build_multipoint_problem(problem, k, f=f_k, q=q_k) for k, f_k, q_k in entries]
-    reference, *solved = _solve_pass([problem, *members], inverse)
-    w_c = solved.pop(0) if inverse else None
-    rows = [_row(k, member, sol, reference)
-            for (k, _, _), member, sol in zip(entries, members, solved)]
-    return reference, rows, w_c
+    report.constants = ErrorConstants(c1=c1, c2=c2, lambda_hat=lam, kappa_hat=kappa,
+                                      sigma_hat=sigma_hat)
+    return reference, report
 
 
 def _row(k: int, member: BvpProblem, sol, reference: BvpSolution) -> SweepRow:
@@ -235,14 +226,24 @@ def _row(k: int, member: BvpProblem, sol, reference: BvpSolution) -> SweepRow:
 
 def _first_tail_index(rows, predicate) -> int | None:
     """Smallest k in rows from which predicate holds for every later row."""
-    result = None
-    for row in rows:
-        if predicate(row):
-            if result is None:
-                result = row.k
-        else:
-            result = None
-    return result
+    tail = list(takewhile(predicate, reversed(rows)))
+    return tail[-1].k if tail else None
+
+
+def _sorted_entries(rhs_sequence, none: str, duplicate: str) -> list:
+    """The (k, f_k, q_k) entries sorted by k, each k through ``_check_k``.
+    No entries raise the message ``none``, a repeated k ``duplicate``."""
+    entries = []
+    for entry in rhs_sequence:
+        if len(entry) != 3:
+            raise ValueError("right-hand sides must be (k, f, q) entries")
+        entries.append((_check_k(entry[0]), *entry[1:]))
+    entries.sort(key=lambda e: e[0])
+    if not entries:
+        raise ValueError(none)
+    if len({e[0] for e in entries}) != len(entries):
+        raise ValueError(duplicate)
+    return entries
 
 
 def sweep(problem: BvpProblem, ks) -> ApproximationReport:
@@ -251,16 +252,11 @@ def sweep(problem: BvpProblem, ks) -> ApproximationReport:
     Rows with a singular characteristic matrix are flagged, not failed.
     ``bound_holds`` in a plain sweep records unique solvability.
     """
-    ks = sorted(int(k) for k in ks)
-    if not ks:
-        raise ValueError("need at least one k")
-    reference, rows, w_c = _solve_family(problem, [(k, None, None) for k in ks], inverse=True)
-    constants = _certified_constants(problem, reference, w_c,
-                                     max(row.sigma_hat for row in rows))
-    for row in rows:
+    entries = _sorted_entries([(k, None, None) for k in ks],
+                              "need at least one k", "duplicate k in the sweep")
+    reference, report = _family(problem, entries, certify=True)
+    for row in report.rows:
         row.bound_holds = row.solvable
-    report = ApproximationReport(rows=rows, constants=constants)
-    report.rho_solvable = _first_tail_index(rows, lambda r: r.solvable)
     report.rho_bound = report.rho_solvable
     report.ok = report.rho_solvable is not None
     report.meta = {
@@ -271,26 +267,33 @@ def sweep(problem: BvpProblem, ks) -> ApproximationReport:
     return report
 
 
-def _check_rhs_entries(rhs_sequence):
-    """The (k, f_k, q_k) entries as sorted triples."""
-    entries = []
-    for entry in rhs_sequence:
-        if len(entry) != 3:
-            raise ValueError("right-hand sides must be (k, f, q) entries")
-        k, f_k, q_k = entry
-        entries.append((int(k), f_k, q_k))
-    entries.sort(key=lambda e: e[0])
-    if not entries:
-        raise ValueError("need at least one perturbed right-hand side")
-    if len({k for k, _, _ in entries}) != len(entries):
-        raise ValueError("duplicate k in the right-hand side sequence")
-    return entries
-
-
 def _check_eps(eps: float) -> None:
     # Also false for nan, so a nan eps cannot reach the perturbations.
     if not 0.0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
+
+
+def _check_entries(problem: BvpProblem, rhs_sequence, eps: float, theorem: int):
+    """The sorted (k, f_k, q_k) entries of a theorem check and, by k, their
+    (L1 gap |f_k - f|_1, primitive gap |F_k - F|_C or None).  Refuses a bad
+    eps, and an entry whose |q_k - q| or whose gap the theorem bounds (the
+    L1 gap for 2, the trapezoid primitive's for 3) is not below eps."""
+    _check_eps(eps)
+    entries = _sorted_entries(rhs_sequence, "need at least one perturbed right-hand side",
+                              "duplicate k in the right-hand side sequence")
+    gaps = {}
+    for k, f_k, q_k in entries:
+        diff = f_k - problem.f
+        l1, primitive = diff.l1_norm(), None
+        if theorem == 3:
+            primitive = norm_c(antiderivative(problem.grid, diff.eval_at(problem.grid.nodes)))
+        name, gap = ("|F_k - F|_C", primitive) if theorem == 3 else ("|f_k - f|_1", l1)
+        if not gap < eps:
+            raise ValueError(f"entry k={k} violates {name} < eps ({gap:.3e} >= {eps:.3e})")
+        if not vec_norm(np.asarray(q_k, dtype=complex) - problem.q) < eps:
+            raise ValueError(f"entry k={k} violates |q_k - q| < eps")
+        gaps[k] = (l1, primitive)
+    return entries, gaps
 
 
 def theorem2_check(problem: BvpProblem, rhs_sequence, eps: float) -> ApproximationReport:
@@ -301,34 +304,20 @@ def theorem2_check(problem: BvpProblem, rhs_sequence, eps: float) -> Approximati
     measured sup of |x_k - y|_{r,1} / eps beyond the solvability threshold
     and whether that ratio has stabilized at the tail of the sweep.
     """
-    _check_eps(eps)
-    entries = _check_rhs_entries(rhs_sequence)
-    l1_gaps = {}
-    for k, f_k, q_k in entries:
-        l1 = l1_gaps[k] = (f_k - problem.f).l1_norm()
-        if not l1 < eps:
-            raise ValueError(f"entry k={k} violates |f_k - f|_1 < eps ({l1:.3e} >= {eps:.3e})")
-        qgap = vec_norm(np.asarray(q_k, dtype=complex) - problem.q)
-        if not qgap < eps:
-            raise ValueError(f"entry k={k} violates |q_k - q| < eps")
-    rows = _solve_family(problem, entries, inverse=False)[1]
-    for row in rows:
-        row.l1_gap = l1_gaps[row.k]
+    entries, gaps = _check_entries(problem, rhs_sequence, eps, theorem=2)
+    report = _family(problem, entries, certify=False)[1]
+    report.theorem, report.eps = 2, eps
+    for row in report.rows:
+        row.l1_gap, row.primitive_gap = gaps[row.k]
         if row.solvable:
             row.ratio = row.err_w1r / eps
-    report = ApproximationReport(rows=rows, theorem=2, eps=eps)
-    report.rho_solvable = _first_tail_index(rows, lambda r: r.solvable)
+    report.stable = False
     if report.rho_solvable is not None:
-        tail = [r.ratio for r in rows if r.k >= report.rho_solvable]
+        tail = [r.ratio for r in report.rows if r.k >= report.rho_solvable]
         report.measured_kappa = max(tail)
-        if len(tail) >= 2:
-            spread = abs(tail[-1] - tail[-2])
-            report.stable = spread <= 0.1 * max(tail[-1], tail[-2], 1e-300)
-        else:
-            report.stable = True
-    else:
-        report.stable = False
-    report.ok = report.rho_solvable is not None and bool(report.stable)
+        report.stable = (len(tail) < 2 or
+                         abs(tail[-1] - tail[-2]) <= 0.1 * max(tail[-1], tail[-2], 1e-300))
+    report.ok = bool(report.stable)
     return report
 
 
@@ -340,35 +329,16 @@ def theorem3_check(problem: BvpProblem, rhs_sequence, eps: float) -> Approximati
     The certificate verifies |x_k - y|_(r-1) < kappa_hat * sigma_hat * eps
     for every k beyond the detected threshold rho.
     """
-    _check_eps(eps)
-    entries = _check_rhs_entries(rhs_sequence)
-    grid = problem.grid
-    gaps = {}
-    for k, f_k, q_k in entries:
-        diff = f_k - problem.f
-        primitive = antiderivative(grid, diff.eval_at(grid.nodes))
-        gap = norm_c(primitive)
-        if not gap < eps:
-            raise ValueError(
-                f"entry k={k} violates |F_k - F|_C < eps ({gap:.3e} >= {eps:.3e})"
-            )
-        if not vec_norm(np.asarray(q_k, dtype=complex) - problem.q) < eps:
-            raise ValueError(f"entry k={k} violates |q_k - q| < eps")
-        gaps[k] = (diff.l1_norm(), gap)
-    reference, rows, w_c = _solve_family(problem, entries, inverse=True)
-    constants = _certified_constants(problem, reference, w_c,
-                                     max(row.sigma_hat for row in rows))
-    bound = constants.kappa_hat * constants.sigma_hat * eps
-    for row in rows:
+    entries, gaps = _check_entries(problem, rhs_sequence, eps, theorem=3)
+    report = _family(problem, entries, certify=True)[1]
+    report.theorem, report.eps = 3, eps
+    bound = report.constants.kappa_hat * report.constants.sigma_hat * eps
+    for row in report.rows:
         row.l1_gap, row.primitive_gap = gaps[row.k]
+        row.bound_holds = row.solvable and row.err_cr1 < bound
         if row.solvable:
-            row.bound_holds = row.err_cr1 < bound
             row.margin = row.err_cr1 / bound
-        else:
-            row.bound_holds = False
-    report = ApproximationReport(rows=rows, constants=constants, theorem=3, eps=eps)
-    report.rho_solvable = _first_tail_index(rows, lambda r: r.solvable)
-    report.rho_bound = _first_tail_index(rows, lambda r: r.solvable and bool(r.bound_holds))
+    report.rho_bound = _first_tail_index(report.rows, lambda r: r.solvable and bool(r.bound_holds))
     report.ok = report.rho_bound is not None
     report.meta = {"bound": bound}
     return report
@@ -382,7 +352,7 @@ def constant_shift_rhs(problem: BvpProblem, ks, eps: float):
         + [PiecewisePoly.zero(problem.a, problem.b) for _ in range(problem.m - 1)]
     )
     f_k = problem.f + shift
-    return [(int(k), f_k, problem.q.copy()) for k in ks]
+    return [(_check_k(k), f_k, problem.q.copy()) for k in ks]
 
 
 def sawtooth_perturbation(grid: Grid, k: int, eps: float, m: int) -> PolyVector:
@@ -420,8 +390,5 @@ def sawtooth_perturbation(grid: Grid, k: int, eps: float, m: int) -> PolyVector:
 
 def sawtooth_rhs(problem: BvpProblem, ks, eps: float):
     """Entries (k, f + sawtooth_k, q) for the weak perturbation check."""
-    out = []
-    for k in ks:
-        delta = sawtooth_perturbation(problem.grid, int(k), eps, problem.m)
-        out.append((int(k), problem.f + delta, problem.q.copy()))
-    return out
+    return [(k, problem.f + sawtooth_perturbation(problem.grid, k, eps, problem.m),
+             problem.q.copy()) for k in map(_check_k, ks)]

@@ -11,9 +11,10 @@ atom of Phi with mass w at t is the point term (t, r-1, w in its entry), so
 ``_point_terms`` gives either kind's point evaluations as one such table.
 ``multipointify`` is the coalesced table of the operator with every density
 discretized on k equal subintervals, which converges weak-* but never in
-total variation.  ``lift`` compiles either kind once per grid to one weight
-array on the stacked jet: one scatter places the table, then densities add
-their quadrature weights.  Every application is a contraction with it.
+total variation; a multipoint operator is its own.  ``lift`` compiles
+either kind once per grid to one weight array on the stacked jet: one
+scatter places the table, then densities add their quadrature weights.
+Every application is a contraction with it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import Grid, SampledJet, _clamp_points, _coalesce, _place_points, norm_cl, vec_norm
+from .funcspace import (Grid, SampledJet, _check_k, _clamp_points, _coalesce, _place_points,
+                        norm_cl, vec_norm)
 from .stieltjes import MatrixMeasure
 
 __all__ = [
@@ -177,13 +179,17 @@ def _stacked_jet(op, jet: SampledJet) -> np.ndarray:
     return np.hstack(jet.samples[:op.r])
 
 
-def multipointify(op: GeneralBoundaryOperator, k: int) -> MultipointBoundaryOperator:
-    """Discretize a general operator into a multipoint one with parameter k.
+def multipointify(op, k: int) -> MultipointBoundaryOperator:
+    """Discretize a boundary operator into a multipoint one with parameter k.
 
     Every density in Phi is replaced by k midpoint atoms carrying the exact
     per-subinterval integrals; original atoms pass through.  The point-term
-    table of that operator then coalesces as any multipoint table does.
+    table of that operator then coalesces as any multipoint table does.  A
+    multipoint operator is its own discretization, once k is checked.
     """
+    if isinstance(op, MultipointBoundaryOperator):
+        _check_k(k)
+        return op
     disc = GeneralBoundaryOperator(op.r, op.m, op.alphas, op.phi.discretize(k))
     return MultipointBoundaryOperator._from_table(op.r, op.m, op.a, op.b, *_point_terms(disc))
 

@@ -241,18 +241,19 @@ def solve(problem: BvpProblem) -> BvpSolution:
     Raises NotUniquelySolvableError when the characteristic matrix cannot
     be inverted or fails the condition test.
     """
-    return _solve_pass([problem])[0]
+    return _solve_pass([problem])[0][0]
 
 
-def _solve_pass(problems, inverse: bool = False) -> list:
+def _solve_pass(problems, inverse: bool = False) -> tuple[list, float | None]:
     """Solve problems of one shape on one grid in one RK4 pass.
 
-    Returns the solution of the first problem, which raises
-    NotUniquelySolvableError if refused; then, with ``inverse``, its
-    |V^-1|_C; then, for every other problem, its BvpSolution or the
-    NotUniquelySolvableError that refused it.  |V|_C is taken once per V.
+    Returns (solutions, w_c): the solution of the first problem, which
+    raises NotUniquelySolvableError if refused, then, for every other
+    problem, its BvpSolution or the NotUniquelySolvableError that refused
+    it; and w_c = |V^-1|_C of the first with ``inverse``, else None.
     ``_assemble`` forms each solution while the pass holds its V and R; the
     consistency defects are taken once the pass is exhausted and holds none.
+    |V|_C is taken once per V.
     """
     systems = [_companion_system(p) for p in problems]
     out, last = {}, None
@@ -269,7 +270,7 @@ def _solve_pass(problems, inverse: bool = False) -> list:
     for solution in out.values():
         if isinstance(solution, BvpSolution):
             solution.consistency_defect = solution.jet.consistency_defect()
-    return [out[i] for i in [0, *[None] * inverse, *range(1, len(problems))]]
+    return [out[i] for i in range(len(problems))], out.get(None)
 
 
 def _assemble(problem: BvpProblem, P: PolyMatrix, g: PolyVector, V: np.ndarray, R: np.ndarray,
@@ -278,8 +279,7 @@ def _assemble(problem: BvpProblem, P: PolyMatrix, g: PolyVector, V: np.ndarray, 
     matrizant V and forced trajectory R: lift the operator, gate [TV], form
     u and |T u - q|, the lifted weights' last reader, then the top channel
     from the bottom block row [A_0 ... A_{r-1} | f] of its own companion
-    system (P, g), evaluated at the nodes one segment of the pass at a time.
-    Raises NotUniquelySolvableError as ``solve`` does."""
+    system (P, g).  Raises NotUniquelySolvableError as ``solve`` does."""
     grid = problem.grid
     r, m, d = problem.r, problem.m, problem.d
     # Everything the operator touches is divided by 2**e.
@@ -295,6 +295,16 @@ def _assemble(problem: BvpProblem, P: PolyMatrix, g: PolyVector, V: np.ndarray, 
 
     samples = [u[:, l * m:(l + 1) * m] for l in range(r)]
     row = [[*P.entries[i], g.components[i]] for i in range(d - m, d)]
+    top = _top_channel(grid, row, samples)
+    return BvpSolution(jet=SampledJet(grid, m, r, samples + [top]), char_matrix=_ldexp(char, e),
+                       det=det, cond=cond, matrizant_norm_c=matrizant_norm_c,
+                       char_inverse_norm=inverse_norm, boundary_residual=boundary_residual)
+
+
+def _top_channel(grid: Grid, row, samples) -> np.ndarray:
+    """f - sum_l A_l y^(l) at the nodes from the rows [A_0 ... A_{r-1} | f]
+    and the node samples of y^(l), l < r, one segment of the pass at a time."""
+    m, d = len(row), len(row[0]) - 1
     top = np.empty((grid.n + 1, m), dtype=complex)
     step = _segment_steps(d)
     for lo in range(0, grid.n + 1, step):
@@ -304,23 +314,18 @@ def _assemble(problem: BvpProblem, P: PolyMatrix, g: PolyVector, V: np.ndarray, 
         for i, j in np.ndindex(m, d + 1):
             values[:, i, j] = row[i][j](t)
         block[:] = values[..., d]
-        for l in range(r):
-            block -= np.einsum("nij,nj->ni", values[..., l * m:(l + 1) * m],
-                               samples[l][lo:lo + step])
-    return BvpSolution(jet=SampledJet(grid, m, r, samples + [top]), char_matrix=_ldexp(char, e),
-                       det=det, cond=cond, matrizant_norm_c=matrizant_norm_c,
-                       char_inverse_norm=inverse_norm, boundary_residual=boundary_residual)
+        for l, y in enumerate(samples):
+            block -= np.einsum("nij,nj->ni", values[..., l * m:(l + 1) * m], y[lo:lo + step])
+    return top
 
 
 def residuals(problem: BvpProblem, jet: SampledJet) -> tuple[float, float]:
     """(L1 norm of L y - f over the grid, |B y - q| in the vector norm) of
     the jet y, for the problem as given."""
-    grid = problem.grid
-    defect = jet.samples[problem.r].copy()
-    for l in range(problem.r):
-        A_nodes = problem.coeffs[l].eval_at(grid.nodes)
-        defect += np.einsum("nij,nj->ni", A_nodes, jet.samples[l])
-    defect -= problem.f.eval_at(grid.nodes)
+    grid, r = problem.grid, problem.r
+    row = [[*(e for A in problem.coeffs for e in A.entries[i]), f]
+           for i, f in enumerate(problem.f.components)]
+    defect = jet.samples[r] - _top_channel(grid, row, jet.samples[:r])
     ode_residual = norm_l1(grid, defect)
     boundary_residual = vec_norm(apply_operator(problem.operator, jet) - problem.q)
     return ode_residual, boundary_residual

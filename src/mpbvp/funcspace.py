@@ -422,8 +422,9 @@ class PiecewisePoly:
         if not _spans(self, [other]):
             raise ValueError("operands must share the same interval")
         other = _pinned(other, self.a, self.b)
-        merged = np.unique(np.concatenate([self.breakpoints, other.breakpoints]))
-        # A breakpoint within the merge tolerance of the last kept one is dropped.
+        # A breakpoint within the merge tolerance of the last kept one, or
+        # equal to it, is dropped (np.unique would import numpy.ma).
+        merged = np.sort(np.concatenate([self.breakpoints, other.breakpoints]))
         bp = merged[_cluster_starts(merged, _merge_tol(self.a, self.b))]
         bp[-1] = self.b
         mid = 0.5 * (bp[:-1] + bp[1:])

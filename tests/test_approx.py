@@ -34,6 +34,7 @@ from mpbvp import (
 )
 from mpbvp.approx import ErrorConstants, SweepRow
 from mpbvp.boundary import default_probe_jets, norm_lower_bound, norm_upper_bound
+from mpbvp import bvp
 from mpbvp.bvp import companion_reduce
 from mpbvp.funcspace import (MAX_GRID_N, antiderivative, mat_norm, norm_c, norm_cl, norm_w1r,
                              traj_norm_c)
@@ -561,6 +562,31 @@ def test_refused_member_keeps_the_other_rows():
     assert [row.solvable for row in report.rows] == [False, True, True, True]
 
 
+def _sign_changing_density_problem():
+    # The density t^2 - 1/3 changes sign, so the total variation of its
+    # k-point discretization grows with k (0.25 / 0.2539 at k = 4 / 8,
+    # 0.2566 at k = 256): the rows' sigma_hat (1.2539 with the atom) is
+    # not the probe discretizations' (1.2566).  The atom y(0) keeps the
+    # problem solvable.
+    a, b = 0.0, 1.0
+    density = PiecewisePoly.single([-1.0 / 3.0, 0.0, 1.0], a, b)
+    phi = MatrixMeasure([[ScalarMeasure(a, b, atoms=[(a, 1.0)], density=density)]])
+    return BvpProblem(
+        r=1, m=1,
+        coeffs=[PolyMatrix.constant([[1.0]], a, b)],
+        f=PolyVector([PiecewisePoly.constant(1.0, a, b)]),
+        q=np.array([0.1], dtype=complex),
+        operator=GeneralBoundaryOperator(1, 1, [], phi),
+        grid=Grid(a, b, 512),
+    )
+
+
+def test_certificates_take_sigma_hat_from_the_rows():
+    problem = _sign_changing_density_problem()
+    report = _assert_certificates_match_member_by_member(problem, [4, 8])
+    assert report.constants.sigma_hat < remark3_constants(problem).sigma_hat
+
+
 def test_refused_reference_raises_as_solve_does():
     problem = corpus.build_problem("nn")
     with pytest.raises(NotUniquelySolvableError) as direct:
@@ -596,3 +622,55 @@ def test_k_outside_one_to_the_grid_cap_is_refused_before_any_allocation(k):
         finally:
             tracemalloc.stop()
         assert peak < 2**20  # the edges of k = MAX_GRID_N + 1 alone take 8 MiB
+
+
+def _k_entry_points(problem, eps=1e-3):
+    """The five entry points that take a list of k, each returning the ks
+    it kept, in order."""
+    return {
+        "sweep": lambda ks: [row.k for row in sweep(problem, ks).rows],
+        "theorem2_check": lambda ks: [row.k for row in theorem2_check(
+            problem, [(k, problem.f, problem.q) for k in ks], eps).rows],
+        "theorem3_check": lambda ks: [row.k for row in theorem3_check(
+            problem, [(k, problem.f, problem.q) for k in ks], eps).rows],
+        "constant_shift_rhs": lambda ks: [k for k, _, _ in constant_shift_rhs(problem, ks, eps)],
+        "sawtooth_rhs": lambda ks: [k for k, _, _ in sawtooth_rhs(problem, ks, eps)],
+    }
+
+
+@pytest.mark.parametrize("entry_point", ["sweep", "theorem2_check", "theorem3_check",
+                                         "constant_shift_rhs", "sawtooth_rhs"])
+def test_every_k_goes_through_the_one_k_rule(entry_point):
+    # A whole float is its int; 2.5 is refused, not truncated to 2.
+    run = _k_entry_points(corpus.build_problem("p1", 256))[entry_point]
+    kept = run([8, 4.0])
+    assert sorted(kept) == [4, 8]
+    assert all(type(k) is int for k in kept)
+    with pytest.raises(ValueError, match=rf"need an integer k in \[1, {MAX_GRID_N}\], got 2.5"):
+        run([2.5, 4])
+
+
+def test_sweep_refuses_a_duplicate_k():
+    with pytest.raises(ValueError, match="duplicate k"):
+        sweep(corpus.build_problem("p1", 256), [4, 4])
+
+
+@pytest.mark.parametrize("entry_point", ["sweep", "theorem2_check", "theorem3_check",
+                                         "remark3_constants"])
+def test_one_pass_per_entry_point(monkeypatch, entry_point):
+    # The limit problem and every approximation are solved in one RK4 pass;
+    # the constants come from that pass, not from a second solve.
+    problem = corpus.build_problem("p2", 256)
+    calls = []
+    propagate = bvp._propagate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(bvp, "_propagate", counting)
+    if entry_point == "remark3_constants":
+        remark3_constants(problem)
+    else:
+        _k_entry_points(problem)[entry_point]([4, 8])
+    assert len(calls) == 1

@@ -243,6 +243,24 @@ def test_closed_stdout_pipe_ends_the_output_not_the_command():
     assert [line.split(" = ")[0] for line in err.splitlines()] == ["det"], err
 
 
+def test_commands_do_not_import_numpy_ma():
+    # numpy imports numpy.ma on a first np.unique call, a cost every
+    # command would pay at start; the perturbed right-hand sides of a check
+    # are sums of piecewise polynomials, whose breakpoints merge without it.
+    src = str(Path(mpbvp.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    command = ("import contextlib, io, sys; from mpbvp import cli\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               "    assert cli.main(['check', 'p1', '--theorem', '2']) == 0\n"
+               "    assert cli.main(['check', 'p1', '--theorem', '3', '--ks', '4,8']) == 0\n"
+               "print('numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", command], capture_output=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == b"False\n"
+
+
 def test_out_artifact_gets_the_mode_of_open_under_the_command_umask(tmp_path):
     # The umask is read once, at import, so the command runs in a process
     # of its own, started under umask 022: its new solve.csv reads 0644, not

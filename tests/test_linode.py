@@ -636,7 +636,7 @@ def test_mixed_family_solves_as_one_member_solves():
     # sawtooth members) or share f but not A (the halved problem) must
     # each solve as they do alone.
     problems = _p2_mixed_problems()
-    solutions = _solve_pass(problems)
+    solutions, _ = _solve_pass(problems)
     assert len(solutions) == len(problems)
     for problem, together in zip(problems, solutions, strict=True):
         alone = solve(problem)
