@@ -42,7 +42,7 @@ from .funcspace import (
     traj_norm_c,
     vec_norm,
 )
-from .linode import _propagate, _segment_steps
+from .linode import _adjoint, _propagate, _segment_steps
 
 __all__ = [
     "BvpProblem",
@@ -250,18 +250,26 @@ def _solve_pass(problems, inverse: bool = False) -> tuple[list, float | None]:
     Returns (solutions, w_c): the solution of the first problem, which
     raises NotUniquelySolvableError if refused, then, for every other
     problem, its BvpSolution or the NotUniquelySolvableError that refused
-    it; and w_c = |V^-1|_C of the first with ``inverse``, else None.
-    ``_assemble`` forms each solution while the pass holds its V and R; the
-    consistency defects are taken once the pass is exhausted and holds none.
-    |V|_C is taken once per V.
+    it; and w_c = |V^-1|_C of the first with ``inverse``, else None.  V^-1
+    is the transposed matrizant of the adjoint of the first problem's
+    companion system, which the pass then propagates too, with zero
+    forcing.  ``_assemble`` forms each solution while the pass holds its V
+    and R; the consistency defects are taken once the pass is exhausted and
+    holds none.  |V|_C is taken once per V.
     """
     systems = [_companion_system(p) for p in problems]
-    out, last = {}, None
-    for i, V, R in _propagate(systems, problems[0].grid, inverse=inverse):
+    if inverse:
+        P = systems[0][0]
+        systems.append((_adjoint(P), PolyVector.zero(P.shape[0], P.a, P.b)))
+    out, last, w_c = {}, None, None
+    for i, V, R in _propagate(systems, problems[0].grid):
+        if i == len(problems):
+            w_c = traj_norm_c(V.swapaxes(1, 2))
+            continue
         if V is not last:
             last, norm = V, traj_norm_c(V)
         try:
-            out[i] = norm if i is None else _assemble(problems[i], *systems[i], V, R, norm)
+            out[i] = _assemble(problems[i], *systems[i], V, R, norm)
         except NotUniquelySolvableError as exc:
             if i == 0:
                 raise
@@ -270,7 +278,7 @@ def _solve_pass(problems, inverse: bool = False) -> tuple[list, float | None]:
     for solution in out.values():
         if isinstance(solution, BvpSolution):
             solution.consistency_defect = solution.jet.consistency_defect()
-    return [out[i] for i in range(len(problems))], out.get(None)
+    return [out[i] for i in range(len(problems))], w_c
 
 
 def _assemble(problem: BvpProblem, P: PolyMatrix, g: PolyVector, V: np.ndarray, R: np.ndarray,

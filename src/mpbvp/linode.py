@@ -32,8 +32,8 @@ at a time.  ``_fill`` samples a run of whole blocks of BLOCK_STEPS steps,
 at most SEGMENT_BYTES of [A | g_1], forms their increments block by block
 and drops the samples before the next segment, so every increment, and
 every table, has the bits of one sampling of the whole grid.  A slot's
-work array goes once its V and R (or Z) exist, before the first of them
-is yielded.  The tables are all a pass hands over: a caller that needs
+work array goes once its V and R exist, before the first of them is
+yielded.  The tables are all a pass hands over: a caller that needs
 the coefficients at the nodes, as the solver's top jet channel does,
 evaluates them itself, with the bits of the node samples here.
 
@@ -41,13 +41,11 @@ A pass from I_{d+1} gives the top rows [V | R] of the augmented matrizant
 [[V, R], [0, 1]]: the matrizant V and the forced trajectory R with
 R(a) = 0 together.  The left d columns of every product do not depend on
 g, so V is bit for bit the same for any forcing; ``fundamental_matrix``
-is V of a zero-forcing pass.  Z = V^-1 composes, transposed, the inverse
-increments (I + D_i)^-1 - I, so Z V = I step by step.  It has a narrow
-(d, s) slot, last column 0, in the pass of the system it inverts, and its
-increments come from the left d columns of that system's increments,
-which are the increments of V; so Z needs no second evaluation of the
-coefficients.  Storing increments rather than I + D_i keeps their low
-bits.  Tables come out step-first.
+is V of a zero-forcing pass.  Storing increments rather than I + D_i
+keeps their low bits.  Tables come out step-first.  Z = V^-1 is the
+transposed matrizant of the adjoint system v' = A(t)^T v, whose
+coefficient ``_adjoint`` forms: to the pass it is one more system, and
+``inverse_fundamental`` is V of its zero-forcing pass, transposed.
 
 The RK4 stages of step i read the coefficients at t_i, at the midpoint and
 at t_{i+1}.  The end of step i is the start of step i+1, so each entry is
@@ -76,8 +74,7 @@ __all__ = [
 #: temporaries of a fill and of a table.
 BLOCK_STEPS = 512
 #: Bytes of work arrays one propagation pass holds, chunk padding included;
-#: a pass holds at least one column, and Z always shares the pass of the
-#: system it inverts.
+#: a pass holds at least one column.
 PASS_BYTES = 32 * 2**20
 #: Bytes of the node, midpoint and step-end samples of [A | g_1] that a
 #: fill holds at once, rounded down to whole blocks, at least one: 8 blocks
@@ -149,23 +146,25 @@ def _bits(entries) -> tuple:
     return tuple(b for e in entries for b in (e.breakpoints.tobytes(), e.table.tobytes()))
 
 
-def _propagate(systems, grid: Grid, inverse: bool = False):
+def _propagate(systems, grid: Grid):
     """Yield, system by system, (index, V, R): its index in ``systems`` and
     the top rows [V | R] of its augmented matrizant [[V, R], [0, 1]], as
     V (n+1, d, d) and R (n+1, d), and nothing else.
 
-    ``systems`` are (A, g) pairs of one shape, A d x d, whose entries' and
-    components' intervals are each the grid's to 1e-9 (b - a), as a
-    BvpProblem's.  They come group by group, system 0 first; a group's
-    members share one V, and those whose g shares its bits share a forcing
-    column and R.  With ``inverse``, (None, Z, None) comes first,
-    Z = V^-1 (n+1, d, d) of system 0.  ``_fill``, ``_compose`` and
+    ``systems`` are (A, g) pairs of one shape, A d x d and g of d
+    components (a system of another shape is refused by its index), whose
+    entries' and components' intervals are each the grid's to 1e-9 (b - a),
+    as a BvpProblem's.  They come group by group,
+    system 0 first; a group's members share one V, and those whose g shares
+    its bits share a forcing column and R.  ``_fill``, ``_compose`` and
     ``_member_table`` write, compose and read the work arrays.
     """
     systems = list(systems)
-    d, cols = systems[0][0].shape
-    if d != cols:
-        raise ValueError("coefficient matrix must be square")
+    d = systems[0][0].shape[0]
+    for i, (A, g) in enumerate(systems):
+        if A.shape != (d, d) or len(g.components) != d:
+            raise ValueError(f"system {i} has a {A.shape[0]} x {A.shape[1]} coefficient matrix "
+                             f"and {len(g.components)} forcing components, not {d} x {d} and {d}")
     # Every entry of A and component of g, not a container's first one.
     if not _spans(grid, [e for A, g in systems for r in [*A.entries, g.components] for e in r]):
         raise ValueError("coefficient and forcing intervals do not span the grid")
@@ -179,28 +178,18 @@ def _propagate(systems, grid: Grid, inverse: bool = False):
         group.setdefault(_bits(g.components), (A, g, []))[2].append(i)
     columns = [column for _, group in columns.values() for column in group.values()]
     # A pass counts each column as a narrow slot's d + 1 work-array columns,
-    # which bound a piece's d + G; Z's slot rides in the first pass.
+    # which bound a piece's d + G.
     per_pass = max(1, PASS_BYTES // (padded * d * 16 * (d + 1)))
-    lo = 0
-    while lo < len(columns):
-        hi = max(lo + per_pass - inverse, lo + 1)
-        pieces = [list(piece) for _, piece in groupby(columns[lo:hi], key=lambda col: id(col[0]))]
-        lo = hi
-        # One slot per piece, and Z's last; the padding of the last chunk stays 0.
-        work = [np.zeros((d, width, padded), dtype=complex)
-                for width in [d + len(piece) for piece in pieces] + [d + 1] * inverse]
-        # Z's increments come from the first piece's, which holds system 0.
+    for lo in range(0, len(columns), per_pass):
+        pieces = [list(piece) for _, piece in
+                  groupby(columns[lo:lo + per_pass], key=lambda col: id(col[0]))]
+        # One slot per piece; the padding of the last chunk stays 0.
+        work = [np.zeros((d, d + len(piece), padded), dtype=complex) for piece in pieces]
         for slot, piece in zip(work, pieces):
-            _fill(slot, work[-1] if inverse and slot is work[0] else None,
-                  piece[0][0], [g for _, g, _ in piece], grid)
+            _fill(slot, piece[0][0], [g for _, g, _ in piece], grid)
         starts = _compose(work, c)
         # A slot's work array and chunk starts go once its tables exist,
         # before anything is yielded.
-        if inverse:
-            Z = _member_table(work.pop(), starts.pop(), n, None).swapaxes(1, 2)
-            yield None, Z, None
-            del Z
-            inverse = False
         for piece in pieces:
             slot, start = work.pop(0), starts.pop(0)
             V = _member_table(slot, start, n, None)
@@ -279,19 +268,14 @@ def _member_table(work: np.ndarray, starts: np.ndarray, n: int,
     return table[:n + 1] if column is None else table[:n + 1, :, 0]
 
 
-def _fill(work: np.ndarray, inverse_work: np.ndarray | None, A: PolyMatrix, forcings: list,
-          grid: Grid) -> None:
+def _fill(work: np.ndarray, A: PolyMatrix, forcings: list, grid: Grid) -> None:
     """Write the increments of A and its ``forcings`` g_1 ... g_G into a
-    slot's ``work`` (d, d+G, ...), step i in column i, and with
-    ``inverse_work``, Z's, the transposed inverse increments
-    E_i^T = ((I + D_i)^-1 - I)^T of their left d columns into its left d
-    columns; its last column stays 0.  The coefficients are sampled one
-    segment of whole blocks at a time, at most SEGMENT_BYTES of [A | g_1]:
-    A with g_1, as in a group of one, and each further g alone after it,
-    its samples dropped before the next."""
+    slot's ``work`` (d, d+G, ...), step i in column i.  The coefficients
+    are sampled one segment of whole blocks at a time, at most
+    SEGMENT_BYTES of [A | g_1]: A with g_1, as in a group of one, and each
+    further g alone after it, its samples dropped before the next."""
     d, n = A.shape[0], grid.n
     columns = [[*r, g] for r, g in zip(A.entries, forcings[0].components)]
-    eye = np.eye(d, dtype=complex)
     steps = _segment_steps(d)
     for lo in range(0, n, steps):
         hi = min(lo + steps, n)
@@ -299,16 +283,17 @@ def _fill(work: np.ndarray, inverse_work: np.ndarray | None, A: PolyMatrix, forc
         for panel in left:
             np.negative(panel[:, :d], out=panel[:, :d])
         _increments(left, left, grid.h, work[:, :d + 1, lo:hi])
-        if inverse_work is not None:
-            # Z_{i+1} = Z_i + Z_i E_i, composed transposed as Z^T.  Solved
-            # step-first on a transposed view of the segment.
-            step = work[:, :d, lo:hi].transpose(2, 0, 1)
-            inverse_work[:, :d, lo:hi] = np.linalg.solve(eye + step, -step).transpose(2, 1, 0)
         for column, g in zip(range(d + 1, d + len(forcings)), forcings[1:]):
             right = _coefficient_panels([[entry] for entry in g.components], grid, lo, hi)
             _increments(left, right, grid.h, work[:, column:column + 1, lo:hi])
             del right
         del left
+
+
+def _adjoint(A: PolyMatrix) -> PolyMatrix:
+    """-A^T: the solver's coefficient of the adjoint system v' = A(t)^T v
+    of y' = -A(t) y, whose matrizant is (V^-1)^T."""
+    return PolyMatrix([[-entry for entry in column] for column in zip(*A.entries)])
 
 
 def fundamental_matrix(A: PolyMatrix, grid: Grid) -> np.ndarray:
@@ -317,10 +302,9 @@ def fundamental_matrix(A: PolyMatrix, grid: Grid) -> np.ndarray:
 
 
 def inverse_fundamental(A: PolyMatrix, grid: Grid) -> np.ndarray:
-    """Inverse matrizant (n+1, d, d) Z = Y^-1 of Z' = Z A(t), Z(a) = I, as
-    Z_{i+1} = Z_i + Z_i E_i."""
-    zero = PolyVector.zero(A.shape[0], A.a, A.b)
-    return next(_propagate([(A, zero)], grid, inverse=True))[1]
+    """Inverse matrizant (n+1, d, d) Z = Y^-1 of Z' = Z A(t), Z(a) = I: the
+    transposed matrizant of the adjoint system."""
+    return fundamental_matrix(_adjoint(A), grid).swapaxes(1, 2)
 
 
 def forced_trajectory(A: PolyMatrix, g: PolyVector, grid: Grid) -> np.ndarray:

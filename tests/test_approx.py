@@ -39,7 +39,7 @@ from mpbvp.bvp import companion_reduce
 from mpbvp.funcspace import (MAX_GRID_N, antiderivative, mat_norm, norm_c, norm_cl, norm_w1r,
                              traj_norm_c)
 from mpbvp.linode import inverse_fundamental
-from oracles import random_problem, scaled_boundary_problem
+from oracles import expm_taylor, random_problem, scaled_boundary_problem
 
 
 def _identity_matrix_fn():
@@ -585,6 +585,41 @@ def test_certificates_take_sigma_hat_from_the_rows():
     problem = _sign_changing_density_problem()
     report = _assert_certificates_match_member_by_member(problem, [4, 8])
     assert report.constants.sigma_hat < remark3_constants(problem).sigma_hat
+
+
+NON_NORMAL = np.array([[0.5, 3.0], [-0.2, -0.4]])
+
+
+def _non_normal_problem():
+    # y' + M y = f with M constant and far from normal, and y_1(0), y_2(1)
+    # prescribed: V^-1(t) = exp(M t).
+    a, b = 0.0, 1.0
+    terms = [BoundaryTerm(a, 0, np.array([[1.0, 0.0], [0.0, 0.0]])),
+             BoundaryTerm(b, 0, np.array([[0.0, 0.0], [0.0, 1.0]]))]
+    return BvpProblem(
+        r=1, m=2,
+        coeffs=[PolyMatrix.constant(NON_NORMAL, a, b)],
+        f=PolyVector([PiecewisePoly.constant(1.0, a, b), PiecewisePoly.single([0.0, 1.0], a, b)]),
+        q=np.array([1.0, -0.5], dtype=complex),
+        operator=MultipointBoundaryOperator(1, 2, a, b, terms),
+        grid=Grid(a, b, 2048),
+    )
+
+
+def test_certificate_reads_the_inverse_matrizant_not_its_transpose():
+    # The pass forms V^-1 as the transposed matrizant of the adjoint system.
+    # On p1-p3 |V^-1|_C equals |V^-T|_C, so only a non-normal coefficient
+    # shows a lost transpose: 3.949 against 4.240 here.
+    problem = _non_normal_problem()
+    grid = problem.grid
+    Z = inverse_fundamental(companion_reduce(problem)[0], grid)
+    for i in (grid.n // 2, grid.n):
+        np.testing.assert_allclose(Z[i], expm_taylor(NON_NORMAL * grid.nodes[i]), atol=1e-12)
+    w_c = traj_norm_c(Z)
+    assert abs(w_c - traj_norm_c(Z.swapaxes(1, 2))) > 0.05 * w_c
+    v_c = solve(problem).matrizant_norm_c
+    assert remark3_constants(problem).c2 == 2.0 + v_c * w_c * problem.coeffs[0].l1_norm()
+    _assert_certificates_match_member_by_member(problem, [4, 8])
 
 
 def test_refused_reference_raises_as_solve_does():

@@ -27,6 +27,7 @@ from mpbvp import linode
 from mpbvp.bvp import _solve_pass, companion_reduce, solve
 from mpbvp.linode import (
     BLOCK_STEPS,
+    _adjoint,
     _coefficient_panels,
     _compose,
     _increments,
@@ -34,7 +35,7 @@ from mpbvp.linode import (
     _mm,
     _propagate,
 )
-from oracles import exact_trace_integral, expm_taylor
+from oracles import exact_trace_integral, expm_taylor, growth_problem
 
 
 def _grid(n=2048):
@@ -151,6 +152,28 @@ def test_coefficients_that_do_not_span_the_grid_are_refused(interval):
             call()
 
 
+def test_systems_of_another_shape_are_refused():
+    # A's rows are zipped with g's components: a forcing of 1 component
+    # used to read (0.635, 0.635) at t = 1 for a 2 x 2 rotation, one of 3
+    # lost its third in silence, and a family member of another shape
+    # failed inside the RK4 stages with a broadcast error.
+    grid = _grid(64)
+    A = PolyMatrix.constant([[0.0, -1.0], [1.0, 0.0]], 0.0, 1.0)
+
+    def forcing(m):
+        return PolyVector([PiecewisePoly.constant(1.0, 0.0, 1.0)] * m)
+
+    for m in (1, 3):
+        with pytest.raises(ValueError, match="system 0 .* not 2 x 2 and 2"):
+            forced_trajectory(A, forcing(m), grid)
+    with pytest.raises(ValueError, match="system 1 has a 3 x 3 coefficient matrix"):
+        list(_propagate([(A, forcing(2)), (PolyMatrix.constant(np.eye(3), 0.0, 1.0),
+                                          forcing(3))], grid))
+    for matrizant in (fundamental_matrix, inverse_fundamental):
+        with pytest.raises(ValueError, match="system 0"):
+            matrizant(PolyMatrix.constant(np.ones((2, 3)), 0.0, 1.0), grid)
+
+
 def test_ends_within_the_interval_tolerance_are_propagated():
     # BvpProblem's tolerance, 1e-9 (b - a): u' = -u + 1 on [0, 1 - 1e-10].
     A = PolyMatrix.constant([[1.0]], 0.0, 1.0 - 1e-10)
@@ -251,29 +274,34 @@ def test_carry_is_one_stacked_product_per_chunk(monkeypatch):
         np.testing.assert_array_equal(have, want)
 
 
-def _scanned_tables(systems, grid, inverse):
-    """Every table of a pass, [V | R] of each system and with ``inverse`` Z
-    after system 0's, as ``_reference_compose`` forms them one by one from
-    the pass's increments of the whole grid."""
+def _with_adjoint(systems):
+    """``systems`` and, last, the adjoint of system 0 with zero forcing, as
+    ``bvp._solve_pass`` propagates them for |V^-1|_C."""
+    A = systems[0][0]
+    return [*systems, (_adjoint(A), PolyVector.zero(A.shape[0], A.a, A.b))]
+
+
+def _adjoint_inverse(table):
+    """Z = V^-1 of system 0 from the [V | R] table of its adjoint."""
+    return table[..., :-1].swapaxes(1, 2)
+
+
+def _scanned_tables(systems, grid):
+    """Every table of a pass, [V | R] of each system, as
+    ``_reference_compose`` forms them one by one from the pass's increments
+    of the whole grid."""
     d = systems[0][0].shape[0]
-    increments = [_system_increments(A, g, grid) for A, g in systems]
-    tables = [_reference_compose(_full_square(D), np.eye(d + 1, dtype=complex))[:, :d]
-              for D in increments]
-    if inverse:
-        tables.insert(1, _inverse_of_increments(increments[0][:, :d]))
-    return tables
+    return [_reference_compose(_full_square(_system_increments(A, g, grid)),
+                               np.eye(d + 1, dtype=complex))[:, :d] for A, g in systems]
 
 
-def _pass_tables(systems, grid, inverse=False):
+def _pass_tables(systems, grid):
     """The tables of a ``_propagate`` pass in the order of ``systems``, each
-    [V | R] (n+1, d, d+1), with ``inverse`` Z after system 0's."""
-    tables, Z = [None] * len(systems), []
-    for i, V, R in _propagate(systems, grid, inverse=inverse):
-        if i is None:
-            Z.append(V)
-        else:
-            tables[i] = np.concatenate([V, R[..., None]], axis=-1)
-    return [tables[0], *Z, *tables[1:]]
+    [V | R] (n+1, d, d+1)."""
+    tables = [None] * len(systems)
+    for i, V, R in _propagate(systems, grid):
+        tables[i] = np.concatenate([V, R[..., None]], axis=-1)
+    return tables
 
 
 def _member_bytes(n, d=2):
@@ -301,8 +329,10 @@ def test_pass_tables_are_bitwise_the_per_block_scan(monkeypatch, n, K, inverse):
     A, g = _coupled_system()
     systems = [(A, g), (approximate_coefficients(A, 1), g),
                (approximate_coefficients(A, 3), g * 2.0j)][:K]
+    if inverse:
+        systems = _with_adjoint(systems)
     grid = _grid(n)
-    expected = _scanned_tables(systems, grid, inverse)
+    expected = _scanned_tables(systems, grid)
     edges, panels = {0}, linode._coefficient_panels
 
     def recording_panels(rows, grid, lo, hi):
@@ -310,10 +340,10 @@ def test_pass_tables_are_bitwise_the_per_block_scan(monkeypatch, n, K, inverse):
         return panels(rows, grid, lo, hi)
 
     monkeypatch.setattr(linode, "_coefficient_panels", recording_panels)
-    # One pass, and then one member a pass (Z still rides with system 0).
+    # One pass, and then one member a pass.
     for cap in (linode.PASS_BYTES, _member_bytes(n)):
         monkeypatch.setattr(linode, "PASS_BYTES", cap)
-        got = _pass_tables(systems, grid, inverse)
+        got = _pass_tables(systems, grid)
         assert len(got) == len(expected)
         for want, have in zip(expected, got):
             assert have.shape == want.shape
@@ -454,6 +484,31 @@ def test_inverse_fundamental_stays_inverse_on_the_fine_grid(name):
     assert float(np.max(np.abs(defect))) <= 1e-14
 
 
+@pytest.mark.parametrize("n", [2049, 16385])
+def test_inverse_fundamental_stays_inverse_across_a_jump_inside_a_step(n):
+    # Z is the adjoint's matrizant, not V's step-by-step inverse: Z V = I
+    # holds to the RK4 error and round-off, here with A's jump at 1/2
+    # inside a step.
+    A, _ = _coupled_system()
+    grid = _grid(n)
+    defect = (np.einsum("nij,njk->nik", inverse_fundamental(A, grid), fundamental_matrix(A, grid))
+              - np.eye(2))
+    assert float(np.max(np.abs(defect))) <= 1e-13
+
+
+@pytest.mark.parametrize("lam", [1.0, 5.0, 10.0, 20.0])
+def test_inverse_norm_of_the_growth_problem_matches_its_closed_form(lam):
+    # y'' = lam^2 y: V^-1(t) = [[cosh lam t, -sinh(lam t)/lam],
+    # [-lam sinh lam t, cosh lam t]], so |V^-1|_C = cosh lam + lam sinh lam.
+    exact = math.cosh(lam) + lam * math.sinh(lam)
+    errors = [abs(_solve_pass([growth_problem(lam, n)], inverse=True)[1] - exact) / exact
+              for n in (2048, 16384)]
+    assert errors[1] <= 1e-12
+    # Fourth order reads 4096x; at lam <= 5 the n = 2048 error is near round-off.
+    if lam >= 10.0:
+        assert errors[1] * 1000.0 <= errors[0]
+
+
 def test_augmented_pass_carries_matrizant_and_forced_trajectory():
     A, g = _coupled_system()
     for grid in (_grid(), _grid(1537)):
@@ -463,29 +518,23 @@ def test_augmented_pass_carries_matrizant_and_forced_trajectory():
         np.testing.assert_array_equal(augmented[:, :, 2], forced_trajectory(A, g, grid))
 
 
-def _inverse_of_increments(increments):
-    """Z = V^-1 from the (d, d, n) increments of V: their transposed
-    inverse increments, composed by the full-square scan."""
-    eye = np.eye(increments.shape[0], dtype=complex)
-    steps = increments.transpose(2, 0, 1)
-    inverse = np.linalg.solve(eye + steps, -steps).transpose(2, 1, 0)
-    return _reference_compose(inverse, eye).swapaxes(1, 2)
-
-
 def _reference_inverse(A, grid):
-    """Z = V^-1 by one pass of its own, from the increments of (A, None)."""
-    return _inverse_of_increments(_reference_increments(A, None, grid))
+    """Z = V^-1 by one pass of its own: the full-square scan of the
+    increments of (-A^T, None), transposed."""
+    eye = np.eye(A.shape[0], dtype=complex)
+    return _reference_compose(_reference_increments(_adjoint(A), None, grid), eye).swapaxes(1, 2)
 
 
 def _assert_family_equals_single_passes(systems, grid):
-    tables = _pass_tables(systems, grid, inverse=True)
+    tables = _pass_tables(_with_adjoint(systems), grid)
     assert len(tables) == len(systems) + 1
-    for (A, g), got in zip(systems, [tables[0], *tables[2:]]):
+    for (A, g), got in zip(systems, tables):
         np.testing.assert_array_equal(got, _pass_tables([(A, g)], grid)[0])
-    # Z of the first system, from the left columns of its [V | R]
-    # increments, is Z from the increments of V alone.
-    np.testing.assert_array_equal(tables[1], inverse_fundamental(systems[0][0], grid))
-    np.testing.assert_array_equal(tables[1], _reference_inverse(systems[0][0], grid))
+    # Z of the first system, from its adjoint's table in the family pass, is
+    # Z from the adjoint's increments alone.
+    Z = _adjoint_inverse(tables[-1])
+    np.testing.assert_array_equal(Z, inverse_fundamental(systems[0][0], grid))
+    np.testing.assert_array_equal(Z, _reference_inverse(systems[0][0], grid))
 
 
 @pytest.mark.parametrize("name", ["p1", "p2", "p3"])
@@ -512,47 +561,38 @@ def test_family_pass_equals_one_member_passes_on_coupled_system(n):
 
 
 def _record_passes(monkeypatch):
-    """Record, per pass, its slot count and the bytes of its work arrays;
-    and the index of the pass whose fill writes Z."""
-    passes, z_pass = [], []
-    compose, fill = linode._compose, linode._fill
+    """Record, per pass, its slot count and the bytes of its work arrays."""
+    passes, compose = [], linode._compose
 
     def recording_compose(work, c):
         passes.append((len(work), sum(w.nbytes for w in work)))
         return compose(work, c)
 
-    def recording_fill(work, inverse_work, *args):
-        if inverse_work is not None:
-            z_pass.append(len(passes))
-        return fill(work, inverse_work, *args)
-
     monkeypatch.setattr(linode, "_compose", recording_compose)
-    monkeypatch.setattr(linode, "_fill", recording_fill)
-    return passes, z_pass
+    return passes
 
 
 @pytest.mark.parametrize("tables_per_pass", [1, 2])
 def test_family_passes_hold_at_most_the_byte_cap(monkeypatch, tables_per_pass):
     A, g = _coupled_system()
     grid = _grid(1537)
-    systems = [(approximate_coefficients(A, k), g) for k in (1, 2, 3, 4, 5)]
-    expected = _pass_tables(systems, grid, inverse=True)
+    # Five members and the adjoint of the first, six one-member groups.
+    systems = _with_adjoint([(approximate_coefficients(A, k), g) for k in (1, 2, 3, 4, 5)])
+    expected = _pass_tables(systems, grid)
     member_bytes = _member_bytes(grid.n)
     cap = tables_per_pass * member_bytes + member_bytes // 2
     monkeypatch.setattr(linode, "PASS_BYTES", cap)
-    passes, z_pass = _record_passes(monkeypatch)
-    got = _pass_tables(systems, grid, inverse=True)
-    for want, have in zip(expected, got):
+    passes = _record_passes(monkeypatch)
+    got = _pass_tables(systems, grid)
+    for want, have in zip(expected, got, strict=True):
         np.testing.assert_array_equal(have, want)
-    # Z rides in the pass of the first system even when one member fills a
-    # pass; every other pass holds at most the cap.
+    # Every pass holds at most the cap.
     sizes = [K for K, _ in passes]
-    assert z_pass == [0] and sizes[0] == 2
     assert all(nbytes == K * member_bytes for K, nbytes in passes)
-    assert all(nbytes <= cap for _, nbytes in passes[1:])
-    assert sum(sizes) == len(systems) + 1
-    assert max(sizes) == 2
-    assert len(sizes) == (5 if tables_per_pass == 1 else 3)
+    assert all(nbytes <= cap for _, nbytes in passes)
+    assert sum(sizes) == len(systems)
+    assert max(sizes) == tables_per_pass
+    assert len(sizes) == (6 if tables_per_pass == 1 else 3)
 
 
 def test_pass_byte_cap_counts_the_chunk_padding(monkeypatch):
@@ -565,7 +605,7 @@ def test_pass_byte_cap_counts_the_chunk_padding(monkeypatch):
     assert _chunk(grid.n) == (6, 30)
     member_bytes = _member_bytes(grid.n)
     monkeypatch.setattr(linode, "PASS_BYTES", 9 * member_bytes)
-    passes, _ = _record_passes(monkeypatch)
+    passes = _record_passes(monkeypatch)
     tables = _pass_tables([(approximate_coefficients(A, k), g) for k in range(1, 12)], grid)
     assert len(tables) == 11
     assert passes == [(9, 9 * member_bytes), (2, 2 * member_bytes)]
@@ -573,27 +613,24 @@ def test_pass_byte_cap_counts_the_chunk_padding(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 26, 513, 16385])
 def test_chunk_padding_holds_zero_increments(monkeypatch, n):
-    # Every column past step n - 1, and Z's last column, must be 0 when the
-    # pass is composed.  Freed arrays of the work arrays' size, full of NaN,
-    # are left for the allocator to hand back, so that an array that is not
-    # zeroed shows.
+    # Every column past step n - 1 must be 0 when the pass is composed.
+    # Freed arrays of the work arrays' size, full of NaN, are left for the
+    # allocator to hand back, so that an array that is not zeroed shows.
     A, g = _coupled_system()
     composed, compose = [], linode._compose
 
     def recording_compose(work, c):
-        # Z's slot is last in the pass.
-        composed.append(([w[..., n:].copy() for w in work], work[-1][:, -1].copy()))
+        composed.append([w[..., n:].copy() for w in work])
         return compose(work, c)
 
     monkeypatch.setattr(linode, "_compose", recording_compose)
     for _ in range(3):
         junk = [np.full((2, width, _chunk(n)[1]), np.nan, dtype=complex) for width in (3, 4) * 4]
         del junk
-        list(_propagate([(A, g), (A, g * 2.0)], _grid(n), inverse=True))
-    assert [len(paddings) for paddings, _ in composed] == [2, 2, 2]
-    for paddings, z_last in composed:
+        list(_propagate(_with_adjoint([(A, g), (A, g * 2.0)]), _grid(n)))
+    assert [len(paddings) for paddings in composed] == [2, 2, 2]
+    for paddings in composed:
         assert not any(padding.any() for padding in paddings)
-        assert not z_last.any()
 
 
 def _p2_mixed_problems(n=2048):
@@ -612,22 +649,22 @@ def _p2_mixed_problems(n=2048):
 
 def test_mixed_groups_equal_one_member_passes():
     problems = _p2_mixed_problems()
-    systems = [companion_reduce(p)[:2] for p in problems]
+    systems = _with_adjoint([companion_reduce(p)[:2] for p in problems])
     grid = problems[0].grid
-    got = {i: out for i, *out in _propagate(systems, grid, inverse=True)}
-    assert sorted(got, key=str) == sorted([None, *range(len(systems))], key=str)
+    got = {i: out for i, *out in _propagate(systems, grid)}
+    assert sorted(got) == list(range(len(systems)))
     for i, (A, g) in enumerate(systems):
         (_, *alone), = _propagate([(A, g)], grid)
         for have, want in zip(got[i], alone, strict=True):
             np.testing.assert_array_equal(have, want)
-    Z = got[None][0]
+    Z = got[10][0].swapaxes(1, 2)
     np.testing.assert_array_equal(Z, inverse_fundamental(systems[0][0], grid))
     np.testing.assert_array_equal(Z, _reference_inverse(systems[0][0], grid))
     # The limit, k = 4 and 8 and their sawtooth members share one V; k = 3
-    # and 7 share one each with their sawtooth member; the halved A has its own.
-    shared = {i: next(j for j in got if j is not None and got[j][0] is got[i][0])
-              for i in got if i is not None}
-    assert shared == {0: 0, 1: 1, 2: 0, 3: 3, 4: 0, 5: 1, 6: 0, 7: 3, 8: 0, 9: 9}
+    # and 7 share one each with their sawtooth member; the halved A and the
+    # adjoint have their own.
+    shared = {i: next(j for j in got if got[j][0] is got[i][0]) for i in got}
+    assert shared == {0: 0, 1: 1, 2: 0, 3: 3, 4: 0, 5: 1, 6: 0, 7: 3, 8: 0, 9: 9, 10: 10}
 
 
 def test_mixed_family_solves_as_one_member_solves():
@@ -647,31 +684,31 @@ def test_mixed_family_solves_as_one_member_solves():
 
 
 def test_group_wider_than_the_byte_cap_splits_over_passes(monkeypatch):
-    # One A with seven forcings and Z, under a cap of nine work-array
-    # columns, three narrow slots: Z's slot (3 columns) and two forcings
-    # (2 + 2) in the first pass, then three (2 + 3) and two (2 + 2).
+    # One A with seven forcings and the adjoint, under a cap of nine
+    # work-array columns, three narrow slots: three forcings (2 + 3) in each
+    # of the first two passes, then the last forcing (2 + 1) and the
+    # adjoint's slot (2 + 1).
     A, g = _coupled_system()
     grid = _grid(1537)
-    systems = [(A, g * (k + 0.5j)) for k in range(7)]
+    systems = _with_adjoint([(A, g * (k + 0.5j)) for k in range(7)])
     expected = [_pass_tables([system], grid)[0] for system in systems]
     column_bytes = _member_bytes(grid.n) // 3
     monkeypatch.setattr(linode, "PASS_BYTES", 9 * column_bytes + column_bytes // 2)
-    passes, z_pass = _record_passes(monkeypatch)
-    got = _pass_tables(systems, grid, inverse=True)
-    assert passes == [(2, 7 * column_bytes), (1, 5 * column_bytes), (1, 4 * column_bytes)]
-    assert z_pass == [0]
-    for want, have in zip(expected, [got[0], *got[2:]]):
+    passes = _record_passes(monkeypatch)
+    got = _pass_tables(systems, grid)
+    assert passes == [(1, 5 * column_bytes), (1, 5 * column_bytes), (2, 6 * column_bytes)]
+    for want, have in zip(expected, got, strict=True):
         np.testing.assert_array_equal(have, want)
-    np.testing.assert_array_equal(got[1], _reference_inverse(A, grid))
+    np.testing.assert_array_equal(_adjoint_inverse(got[-1]), _reference_inverse(A, grid))
 
 
 def test_work_arrays_are_released_before_their_members_are_yielded(monkeypatch):
-    # Two groups and Z in one pass: Z's slot, then the slot of (A, g) and
-    # (A, 2g), then that of A/2.  A slot's work arrays are unreachable when
-    # the first table read from them is yielded.
+    # Three groups in one pass: the slot of (A, g) and (A, 2g), that of A/2
+    # and that of the adjoint of A.  A slot's work arrays are unreachable
+    # when the first table read from them is yielded.
     A, g = _coupled_system()
     half = PolyMatrix([[e * 0.5 for e in row] for row in A.entries])
-    systems = [(A, g), (A, g * 2.0), (half, g)]
+    systems = _with_adjoint([(A, g), (A, g * 2.0), (half, g)])
     slots, compose = [], linode._compose
 
     def recording_compose(work, c):
@@ -680,13 +717,12 @@ def test_work_arrays_are_released_before_their_members_are_yielded(monkeypatch):
 
     monkeypatch.setattr(linode, "_compose", recording_compose)
     released = {}
-    for i, *_ in _propagate(systems, _grid(1537), inverse=True):
+    for i, *_ in _propagate(systems, _grid(1537)):
         gc.collect()
         released[i] = [ref() is None for ref in slots]
     assert len(slots) == 3
-    # Z's slot is last in the pass, and yielded first.
-    assert released == {None: [False, False, True], 0: [True, False, True],
-                        1: [True, False, True], 2: [True, True, True]}
+    assert released == {0: [True, False, False], 1: [True, False, False],
+                        2: [True, True, False], 3: [True, True, True]}
 
 
 def test_pass_holds_one_segment_of_coefficient_samples():
@@ -714,23 +750,24 @@ KS_4_256 = (4, 8, 16, 32, 64, 128, 256)
 
 
 @pytest.mark.parametrize("name, ks, forcings", [
-    ("p1", KS_4_256, [8]),
-    ("p2", KS_4_256, [8]),
-    ("p3", KS_4_256, [8]),
-    ("p2", (3, 4, 7, 8), [3, 1, 1]),
-    ("p3", (3, 4, 7, 8), [5]),
+    ("p1", KS_4_256, [8, 1]),
+    ("p2", KS_4_256, [8, 1]),
+    ("p3", KS_4_256, [8, 1]),
+    ("p2", (3, 4, 7, 8), [3, 1, 1, 1]),
+    ("p3", (3, 4, 7, 8), [5, 1]),
 ])
 def test_theorem3_family_samples_each_coefficient_group_once(monkeypatch, name, ks, forcings):
-    # A theorem 3 check propagates the limit problem, Z and one sawtooth
-    # member per k in one pass: each group is one fill, with one forcing
-    # column per distinct f, that samples A once, with its first f, and
-    # then each other f.  p2's odd k do not share the limit's A.
+    # A theorem 3 check propagates the limit problem, one sawtooth member
+    # per k and the limit's adjoint in one pass: each group is one fill,
+    # with one forcing column per distinct f, that samples A once, with its
+    # first f, and then each other f.  p2's odd k do not share the limit's
+    # A, and the adjoint, last, is a group of its own.
     fills, samplings = [], []
     fill, panels = linode._fill, linode._coefficient_panels
 
-    def counting_fill(work, inverse_work, A, fs, *args):
+    def counting_fill(work, A, fs, *args):
         fills.append(len(fs))
-        return fill(work, inverse_work, A, fs, *args)
+        return fill(work, A, fs, *args)
 
     def counting_panels(rows, *args):
         samplings.append(len(rows[0]))
