@@ -69,7 +69,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_ks(text: str) -> list:
-    """Parse --ks: 'start:stop:x<factor>' geometric, or a comma list."""
+    """Parse --ks: 'start:stop:x<factor>' geometric, or a comma list, sorted with any repeat."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -85,7 +85,7 @@ def _parse_ks(text: str) -> list:
             ks.append(k)
             k *= factor
     else:
-        ks = sorted({int(p) for p in text.split(",") if p.strip()})
+        ks = sorted(int(p) for p in text.split(",") if p.strip())
         if not ks or ks[0] < 1:
             raise ValueError(f"--ks expects positive integers, got {text!r}")
     _check_k(ks[-1])

@@ -22,10 +22,10 @@ step i in column i, and writes its increments there, A sampled once.
 Then c - 1 iterations per group form, in place, the prefix increments of
 every chunk, and one loop over the chunks carries every column of the
 pass with one stacked product of narrow (d, s) states: a stacked ``@`` of
-another width does not keep the bits.  A group's V, once, and each
-column's R are formed only after the whole pass is composed.  A pass holds
-at most PASS_BYTES of work arrays; a larger family, or a wider group, is
-split over passes.
+another width does not keep the bits.  Once the whole pass is composed,
+one loop over a slot's blocks of chunks forms its V and every R side by
+side.  A pass holds at most PASS_BYTES of work arrays; a larger family,
+or a wider group, is split over passes.
 
 Besides its work arrays, a pass holds one segment of coefficient samples
 at a time.  ``_fill`` samples a run of whole blocks of BLOCK_STEPS steps,
@@ -156,8 +156,8 @@ def _propagate(systems, grid: Grid):
     entries' and components' intervals are each the grid's to 1e-9 (b - a),
     as a BvpProblem's.  They come group by group,
     system 0 first; a group's members share one V, and those whose g shares
-    its bits share a forcing column and R.  ``_fill``, ``_compose`` and
-    ``_member_table`` write, compose and read the work arrays.
+    its bits share a forcing column and R.  ``_fill`` writes the work
+    arrays, ``_compose`` composes them and ``_slot_tables`` reads each.
     """
     systems = list(systems)
     d = systems[0][0].shape[0]
@@ -192,8 +192,7 @@ def _propagate(systems, grid: Grid):
         # before anything is yielded.
         for piece in pieces:
             slot, start = work.pop(0), starts.pop(0)
-            V = _member_table(slot, start, n, None)
-            Rs = [_member_table(slot, start, n, column) for column in range(len(piece))]
+            V, Rs = _slot_tables(slot, start, n)
             del slot, start
             for _, _, members in piece:
                 R = Rs.pop(0)
@@ -238,34 +237,35 @@ def _compose(work: list, c: int) -> list:
     return np.split(starts, np.cumsum([w.shape[1] - d for w in work])[:-1])
 
 
-def _member_table(work: np.ndarray, starts: np.ndarray, n: int,
-                  column: int | None) -> np.ndarray:
-    """V (n+1, d, d) of a composed slot, from the left columns of its
-    first column's chunk starts, or R (n+1, d) of its forcing column
-    ``column``: U = U_c + Q_j U_c from each chunk's start U_c.  Q_j U_c
-    reads Q_j's left d columns only, and R's Q_j U_c adds Q_j's forcing
-    column, as the product with a start's non-zero bottom row does.  The
-    chunk length is the pass's, as ``starts`` counts the chunks."""
-    d, chunks = work.shape[0], starts.shape[1]
+def _slot_tables(work: np.ndarray, starts: np.ndarray, n: int) -> tuple:
+    """V (n+1, d, d) and [R_1, ..., R_G], each (n+1, d), of a composed
+    slot's G forcing columns: U = U_c + Q_j U_c from each chunk's start U_c,
+    which lays V's start, the left columns of the first column's chunk
+    starts, beside each column's start of R.  Column by column, Q_j U_c
+    reads Q_j's left d columns only, and R's adds Q_j's forcing column, as
+    the product with a start's non-zero bottom row does.  The chunk length
+    is the pass's, as ``starts`` counts the chunks."""
+    d, width, chunks = work.shape[0], work.shape[1], starts.shape[1]
     c = work.shape[-1] // chunks
-    cols = slice(0, d) if column is None else slice(d, d + 1)
-    Q = work.reshape(d, work.shape[1], chunks, c)
-    chunk_starts = np.ascontiguousarray(starts[column or 0, ..., cols].transpose(1, 2, 0))
-    chunk_starts = chunk_starts[..., None]
-    # Rows for the padding too, dropped at the end: row 1 + k c + j is chunk k's step j.
-    table = np.empty((1 + chunks * c, d, chunk_starts.shape[1]), dtype=complex)
-    table[0] = np.eye(d, d + 1)[:, cols]
-    body = table[1:].reshape(chunks, c, *table.shape[1:])
+    Q = work.reshape(d, width, chunks, c)
+    chunk_starts = np.concatenate([starts[0, ..., :d], starts[..., d].transpose(1, 2, 0)], axis=-1)
+    chunk_starts = np.ascontiguousarray(chunk_starts.transpose(1, 2, 0))[..., None]
+    # Row 0 is I for V and 0 for R.  Rows for the padding too, dropped at
+    # the end: row 1 + k c + j is chunk k's step j.
+    first, columns = np.eye(d, width), [slice(0, d), *range(d, width)]
+    tables = [np.empty((1 + chunks * c, *first[:, col].shape), dtype=complex) for col in columns]
+    for table, col in zip(tables, columns):
+        table[0] = first[:, col]
     # A few chunks at a time, so that no temporary is the size of a table.
     step = max(1, BLOCK_STEPS // c)
     for k in range(0, chunks, step):
         ks = slice(k, k + step)
         U = _mm(Q[:, :d, ks], chunk_starts[:, :, ks])
-        if column is not None:
-            U += Q[:, d + column:d + column + 1, ks]
+        U[:, d:] += Q[:, d:, ks]
         U += chunk_starts[:, :, ks]
-        body[ks] = U.transpose(2, 3, 0, 1)
-    return table[:n + 1] if column is None else table[:n + 1, :, 0]
+        for table, col in zip(tables, columns):
+            table[1:].reshape(chunks, c, *table.shape[1:])[ks] = U.transpose(2, 3, 0, 1)[..., col]
+    return tables[0][:n + 1], [R[:n + 1] for R in tables[1:]]
 
 
 def _fill(work: np.ndarray, A: PolyMatrix, forcings: list, grid: Grid) -> None:

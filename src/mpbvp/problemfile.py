@@ -306,10 +306,11 @@ def problem_from_dict(obj) -> BvpProblem:
 
     operator = _boundary_from_dict(_require(obj, "boundary", "$"), r, m, a, b, "$.boundary")
 
+    # Every entry and component, not a container's first one.
     for l, A in enumerate(coeffs):
-        if not _spans((a, b), [A]):
+        if not _spans((a, b), [e for row in A.entries for e in row]):
             _fail(f"$.coefficients[{l}]", f"interval differs from [{a}, {b}]")
-    if not _spans((a, b), [f]):
+    if not _spans((a, b), f.components):
         _fail("$.rhs", f"interval differs from [{a}, {b}]")
 
     with _at("$"):

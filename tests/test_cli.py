@@ -122,6 +122,22 @@ def test_sweep_comma_list(capsys):
     assert ks == [2, 8]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "p2", "--ks", "4,4,8"], "duplicate k in the sweep"),
+    (["check", "p2", "--theorem", "2", "--ks", "4,8,4"],
+     "duplicate k in the right-hand side sequence"),
+    (["check", "p2", "--theorem", "3", "--ks", "8,4,8"],
+     "duplicate k in the right-hand side sequence"),
+])
+def test_repeated_k_in_a_comma_list_is_refused(capsys, argv, message):
+    # The list used to collapse its repeats: sweep p2 --ks 4,4,8 wrote the
+    # rows of k = 4 and 8 and exited 0, where sweep(p, [4, 4, 8]) refuses.
+    code, out, err = run(capsys, *argv, "--grid-n", "256")
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert err == f"mpbvp: error: {message}\n"
+
+
 def test_constants_output(capsys):
     code, out, _ = run(capsys, "constants", "p1", "--grid-n", "512")
     assert code == cli.EXIT_OK

@@ -31,9 +31,9 @@ from mpbvp.linode import (
     _coefficient_panels,
     _compose,
     _increments,
-    _member_table,
     _mm,
     _propagate,
+    _slot_tables,
 )
 from oracles import exact_trace_integral, expm_taylor, growth_problem
 
@@ -215,7 +215,7 @@ def test_chunked_composition_matches_step_loop(n):
     # The whole pass is cut into chunks of c = isqrt(n - 1) + 1 steps: n = 2
     # is one chunk, 3 two chunks of 2 (the last one padded), 16384 = 128 x
     # 128 exactly, and 16385 128 chunks of 129, the last one padded with 127
-    # zero increments.  ``_member_table`` reads the chunk length off the
+    # zero increments.  ``_slot_tables`` reads the chunk length off the
     # work array and its chunk starts, so chunks of 7 steps compose too.
     A, g = _coupled_system()
     grid = _grid(n)
@@ -239,8 +239,8 @@ def test_chunked_composition_matches_step_loop(n):
             w[..., :n] = increments
         starts = _compose(work, c)
         for w, start, expected in zip(work, starts, references):
-            got = np.concatenate([_member_table(w, start, n, None),
-                                  _member_table(w, start, n, 0)[..., None]], axis=-1)
+            V, (R,) = _slot_tables(w, start, n)
+            got = np.concatenate([V, R[..., None]], axis=-1)
             assert (float(np.max(np.abs(got - expected[:, :2])))
                     <= 1e-13 * float(np.max(np.abs(expected))))
 
@@ -551,13 +551,30 @@ def test_family_pass_equals_one_member_passes_on_corpus(name, n):
     _assert_family_equals_single_passes(systems, problem.grid)
 
 
-@pytest.mark.parametrize("n", [2, 3, 513, 1537])
-def test_family_pass_equals_one_member_passes_on_coupled_system(n):
-    # 513 and 1537 end in a padded chunk of 7 and 17 steps.
+@pytest.mark.parametrize("n, wide", [
+    *(pytest.param(n, False, id=str(n)) for n in (2, 3, 513, 1537)),
+    pytest.param(1537, True, id="1537-wide"),
+])
+def test_family_pass_equals_one_member_passes_on_coupled_system(monkeypatch, n, wide):
+    # 513 and 1537 end in a padded chunk of 7 and 17 steps.  The wide family
+    # gives A eight more forcings: a slot of nine forcing columns, whose
+    # tables are formed in one loop over 39 chunks of 40 steps, 12 a block.
     A, g = _coupled_system()
     systems = [(A, g), (approximate_coefficients(A, 1), g),
                (approximate_coefficients(A, 3), g * 2.0j)]
+    systems += [(A, g * (k + 0.5j)) for k in range(8 if wide else 0)]
+    slots, slot_tables = [], linode._slot_tables
+
+    def recording_slot_tables(work, starts, n):
+        slots.append((work.shape[1] - 2, starts.shape[1]))
+        return slot_tables(work, starts, n)
+
+    monkeypatch.setattr(linode, "_slot_tables", recording_slot_tables)
     _assert_family_equals_single_passes(systems, _grid(n))
+    if wide:
+        c, padded = _chunk(n)
+        assert (9, padded // c) in slots
+        assert padded // c > 2 * (BLOCK_STEPS // c) and n % c
 
 
 def _record_passes(monkeypatch):

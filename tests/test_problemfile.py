@@ -111,6 +111,21 @@ def test_atom_outside_interval(p1_dict):
         problem_from_dict(bad)
 
 
+@pytest.mark.parametrize("part, where", [("coefficients", "$.coefficients[0]"), ("rhs", "$.rhs")])
+def test_entry_off_the_interval_is_named_by_its_container(part, where):
+    # A container's .a and .b are its first entry's: with entries ending at
+    # 1 + 0.9e-9 and 1 + 1.8e-9 the second lies 1.8e-9 (b - a) off [0, 1],
+    # and the file used to be refused at $ by BvpProblem, not at its list.
+    bad = problem_to_dict(corpus.build_problem("p3", 64))
+    first, second = ((bad["coefficients"][0][0][0], bad["coefficients"][0][1][1])
+                     if part == "coefficients" else bad["rhs"])
+    first["breakpoints"][-1] = 1.0 + 0.9e-9
+    second["breakpoints"][-1] = 1.0 + 1.8e-9
+    with pytest.raises(ProblemFormatError) as info:
+        problem_from_dict(bad)
+    assert str(info.value) == f"{where}: interval differs from [0.0, 1.0]"
+
+
 def test_non_finite_multipoint_node_rejected():
     bad = problem_to_dict(corpus.build_problem("nn", 64))
     for node in (float("nan"), float("inf")):
