@@ -148,7 +148,7 @@ def companion_reduce(problem: BvpProblem):
     (A_0 ... A_{r-1}) at the bottom; g stacks r-1 zero blocks over f; T is
     the boundary operator compiled on the problem grid.  Every coefficient
     and f keep their breakpoints; only ends within the tolerance of [a, b]
-    are moved onto it.  For r = 1 this is (A_0, f, lift(B, grid), q).
+    are moved onto it.  For r = 1, P and g hold the entries of A_0 and f.
     """
     P, g = _companion_system(problem)
     return P, g, lift(problem.operator, problem.grid), problem.q
@@ -157,16 +157,12 @@ def companion_reduce(problem: BvpProblem):
 def _companion_system(problem: BvpProblem) -> tuple[PolyMatrix, PolyVector]:
     """The (P, g) of companion_reduce, with no boundary operator.  Every pass
     reads the coefficients and f here, as given, with their ends pinned to
-    [a, b]."""
+    [a, b]: an entry already on [a, b] is the problem's own object.  For
+    r = 1, P holds A_0's entries and g holds f's components."""
     r, m = problem.r, problem.m
     a, b = problem.a, problem.b
     coeffs = [[[_pinned(e, a, b) for e in row] for row in A.entries] for A in problem.coeffs]
     f = [_pinned(c, a, b) for c in problem.f.components]
-    if r == 1:
-        # The lists compare their entries by identity.
-        A, g = problem.coeffs[0], problem.f
-        return (A if coeffs[0] == A.entries else PolyMatrix(coeffs[0]),
-                g if f == g.components else PolyVector(f))
     zero = PiecewisePoly.zero(a, b)
     minus_one = PiecewisePoly.constant(-1.0, a, b)
     d = r * m

@@ -5,8 +5,9 @@ order with an integral condition, scalar second order with a
 discontinuous complex coefficient and a mixed point/integral condition,
 and a coupled first-order pair with a two-point plus integral condition —
 together with one deliberately degenerate problem whose characteristic
-matrix is singular.  Each solvable problem ships with its exact solution
-jet, and loading verifies the closed form against the stated data once per
+matrix is singular.  ``build_problem`` builds a problem by name and
+``exact_jet`` samples a solvable one's exact solution jet; building a
+solvable problem checks its closed form against the stated data once per
 builder, on the default grid.
 """
 
@@ -26,7 +27,6 @@ __all__ = [
     "DEGENERATE_NAMES",
     "build_problem",
     "exact_jet",
-    "load",
 ]
 
 CORPUS_NAMES = ("p1", "p2", "p3")
@@ -187,8 +187,3 @@ def _check_closed_form(key: str, builder) -> None:
             f"reference problem {key!r} failed its closed-form check "
             f"(ode {ode_defect:.3e}, boundary {boundary_defect:.3e})"
         )
-
-
-def load(name: str, n: int = 2048):
-    """(problem, exact jet or None) for a named reference problem."""
-    return _load(name, n)

@@ -179,8 +179,9 @@ def _coalesce(x: np.ndarray, values: np.ndarray, a: float, b: float, breaks=None
 
 
 def _check_k(k) -> int:
-    """k as an int: a number of subintervals, a whole number in [1, MAX_GRID_N]."""
-    if int(k) != k or not 1 <= k <= MAX_GRID_N:
+    """k as an int: a number of subintervals, a whole number in [1, MAX_GRID_N].
+    A bool is not one; NaN and inf fail the range test before int() sees them."""
+    if isinstance(k, (bool, np.bool_)) or not 1 <= k <= MAX_GRID_N or int(k) != k:
         raise ValueError(f"need an integer k in [1, {MAX_GRID_N}], got {k}")
     return int(k)
 
@@ -380,8 +381,8 @@ class PiecewisePoly:
         """Exact integral of the polynomial over [c, d] (defaults to [a, b])."""
         return complex(self.integrals([self.a if c is None else c, self.b if d is None else d])[0])
 
-    def abs_integral(self, c: float | None = None, d: float | None = None) -> float:
-        """Integral of |p(t)| over [c, d], exact up to quadrature on smooth arcs.
+    def abs_integral(self) -> float:
+        """Integral of |p(t)| over [a, b], exact up to quadrature on smooth arcs.
 
         Constant pieces (all coefficients above degree 0 exactly zero)
         contribute |c_j| times their width, summed in one dot product.  Every
@@ -389,30 +390,12 @@ class PiecewisePoly:
         analytic on every sub-arc, then integrated by fixed Gauss-Legendre
         quadrature.
         """
-        c = self.a if c is None else float(c)
-        d = self.b if d is None else float(d)
-        if d < c:
-            raise ValueError("integration needs c <= d")
-        lo = np.maximum(self.breakpoints[:-1], c)
-        hi = np.minimum(self.breakpoints[1:], d)
-        width = np.where(hi > lo, hi - lo, 0.0)
+        lo, hi = self.breakpoints[:-1], self.breakpoints[1:]
         flat = ~self.table[:, 1:].any(axis=1)
-        total = float(np.dot(np.abs(self.table[flat, 0]), width[flat]))
-        for j in np.flatnonzero(~flat & (width > 0)):
+        total = float(np.dot(np.abs(self.table[flat, 0]), (hi - lo)[flat]))
+        for j in np.flatnonzero(~flat):
             total += _piece_abs_integral(self.table[j, :self.widths[j]], lo[j], hi[j])
         return total
-
-    def mean(self, c: float, d: float) -> complex:
-        if not d > c:
-            raise ValueError("mean needs c < d")
-        return self.integrate(c, d) / (d - c)
-
-    def derivative(self) -> "PiecewisePoly":
-        table = self.table[:, 1:] * np.arange(1, self.table.shape[1])
-        if table.shape[1] == 0:
-            table = np.zeros_like(self.table)
-        return PiecewisePoly._from_table(self.breakpoints, table,
-                                         np.maximum(self.widths - 1, 1))
 
     # -- algebra -----------------------------------------------------------
 

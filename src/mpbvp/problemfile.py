@@ -303,6 +303,8 @@ def problem_from_dict(obj) -> BvpProblem:
         f = PolyVector(_objects(_require(obj, "rhs", "$"), (m,), "$.rhs", _poly_from_dict))
 
     q = _complexes(_require(obj, "data", "$"), (r * m,), "$.data")
+    if not np.all(np.isfinite(q)):
+        _fail("$.data", "boundary values must be finite")
 
     operator = _boundary_from_dict(_require(obj, "boundary", "$"), r, m, a, b, "$.boundary")
 

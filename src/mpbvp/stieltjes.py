@@ -2,9 +2,11 @@
 
 A measure here is one table of atoms (``nodes`` and ``masses``) together
 with an absolutely continuous part given by a piecewise-polynomial density,
-so total variation and discretization are computable in closed form.  Atoms
-are sorted and coalesced in one pass by ``funcspace._coalesce``; every query
-reduces or concatenates the table's arrays.  A matrix measure hands its
+so total variation and discretization are computable in closed form.  The
+two parts are mutually singular, so a measure's total variation is the sum
+of theirs; ``variation_matrix`` gives it entry by entry.  Atoms are sorted
+and coalesced in one pass by ``funcspace._coalesce``; every query reduces
+or concatenates the table's arrays.  A matrix measure hands its
 atoms over as one point-term table, placed on a grid by the point terms'
 ``funcspace._place_points``, and adds its densities' ``_density_weights``.
 """
@@ -14,14 +16,13 @@ from __future__ import annotations
 import numpy as np
 
 from .funcspace import (Grid, PiecewisePoly, _check_k, _clamp_points, _coalesce, _place_points,
-                        _spans, mat_norm)
+                        _spans)
 from .linode import BLOCK_STEPS
 
 __all__ = [
     "ScalarMeasure",
     "MatrixMeasure",
     "total_variation",
-    "tv_distance",
     "discretize_measure",
 ]
 
@@ -64,10 +65,6 @@ class ScalarMeasure:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def point_mass(cls, a: float, b: float, location: float, weight=1.0) -> "ScalarMeasure":
-        return cls(a, b, atoms=[(location, weight)])
-
-    @classmethod
     def lebesgue(cls, a: float, b: float, scale=1.0) -> "ScalarMeasure":
         return cls(a, b, density=PiecewisePoly.constant(scale, a, b))
 
@@ -81,24 +78,9 @@ class ScalarMeasure:
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def is_atomic(self) -> bool:
-        return self.density is None
-
     def mass(self) -> complex:
         dens = 0 if self.density is None else self.density.integrate()
         return complex(self.masses.sum() + dens)
-
-    def __sub__(self, other: "ScalarMeasure") -> "ScalarMeasure":
-        if not _spans(self, [other]):
-            raise ValueError("measures must share the same interval")
-        atoms = np.stack([np.concatenate([self.nodes, np.clip(other.nodes, self.a, self.b)]),
-                          np.concatenate([self.masses, -other.masses])], axis=1)
-        if other.density is None:
-            density = self.density
-        else:
-            density = -other.density if self.density is None else self.density - other.density
-        return ScalarMeasure(self.a, self.b, atoms=atoms, density=density)
 
     def __repr__(self):
         dens = "none" if self.density is None else repr(self.density)
@@ -166,11 +148,6 @@ def total_variation(measure: ScalarMeasure) -> float:
     """Total variation: sum of |atom masses| plus the L1 mass of the density."""
     dens = 0.0 if measure.density is None else measure.density.abs_integral()
     return float(np.abs(measure.masses).sum() + dens)
-
-
-def tv_distance(mu: ScalarMeasure, nu: ScalarMeasure) -> float:
-    """Total variation of the difference measure mu - nu."""
-    return total_variation(mu - nu)
 
 
 def discretize_measure(measure: ScalarMeasure, k: int) -> ScalarMeasure:
@@ -258,7 +235,3 @@ class MatrixMeasure:
 
     def variation_matrix(self) -> np.ndarray:
         return np.array([[total_variation(e) for e in row] for row in self.entries])
-
-    def norm_tv(self) -> float:
-        """Matrix norm (max column sum) of the entrywise total variations."""
-        return mat_norm(self.variation_matrix())

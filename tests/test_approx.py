@@ -1,6 +1,7 @@
 """Approximation pipeline: coefficient means, sweeps, constants, bounds."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -36,8 +37,8 @@ from mpbvp.approx import ErrorConstants, SweepRow
 from mpbvp.boundary import default_probe_jets, norm_lower_bound, norm_upper_bound
 from mpbvp import bvp
 from mpbvp.bvp import companion_reduce
-from mpbvp.funcspace import (MAX_GRID_N, antiderivative, mat_norm, norm_c, norm_cl, norm_w1r,
-                             traj_norm_c)
+from mpbvp.funcspace import (MAX_GRID_N, _check_k, antiderivative, mat_norm, norm_c, norm_cl,
+                             norm_w1r, traj_norm_c)
 from mpbvp.linode import inverse_fundamental
 from oracles import expm_taylor, random_problem, scaled_boundary_problem
 
@@ -75,7 +76,7 @@ def test_interval_means_are_bitwise_the_per_interval_means():
 
 def _assert_midpoints_are_the_means(entry, approx, k):
     edges = entry.a + (entry.b - entry.a) * np.arange(k + 1) / k
-    want = np.array([entry.mean(c, d) for c, d in zip(edges[:-1], edges[1:])])
+    want = np.array([entry.integrate(c, d) / (d - c) for c, d in zip(edges[:-1], edges[1:])])
     got = approx(0.5 * (edges[:-1] + edges[1:]))
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -367,7 +368,7 @@ def test_sawtooth_shape():
     # zero mean, exactly
     assert abs(piece.integrate(0.0, 1.0)) <= 1e-15
     # L1 mass about 1.4 * eps * k
-    assert abs(piece.abs_integral(0.0, 1.0) - 1.4 * eps * 8) <= 0.1 * eps
+    assert abs(piece.abs_integral() - 1.4 * eps * 8) <= 0.1 * eps
     # breakpoints sit on cell midpoints
     for t in piece.breakpoints[1:-1]:
         frac = (t - grid.a) / grid.h - 0.5
@@ -683,6 +684,17 @@ def test_every_k_goes_through_the_one_k_rule(entry_point):
     assert all(type(k) is int for k in kept)
     with pytest.raises(ValueError, match=rf"need an integer k in \[1, {MAX_GRID_N}\], got 2.5"):
         run([2.5, 4])
+
+
+@pytest.mark.parametrize("k", [True, np.True_, float("nan"), float("inf"), float("-inf")],
+                         ids=["True", "np.True_", "nan", "inf", "-inf"])
+def test_a_bool_or_non_finite_k_is_refused_by_the_one_k_rule(k):
+    # True is not k = 1, and NaN and inf get the rule's message, not int()'s.
+    message = re.escape(f"need an integer k in [1, {MAX_GRID_N}], got {k}")
+    with pytest.raises(ValueError, match=message):
+        _check_k(k)
+    with pytest.raises(ValueError, match=message):
+        sweep(corpus.build_problem("p1", 256), [k, 4])
 
 
 def test_sweep_refuses_a_duplicate_k():

@@ -20,6 +20,7 @@ from mpbvp import (
     build_multipoint_problem,
     default_probe_jets,
     lift,
+    mat_norm,
     multipointify,
     norm_lower_bound,
     norm_upper_bound,
@@ -59,7 +60,7 @@ def test_multipoint_off_node_uses_interpolation():
 
 
 def test_general_operator_on_exact_jet():
-    problem, jet = corpus.load("p2", 2048)
+    problem, jet = corpus.build_problem("p2", 2048), corpus.exact_jet("p2", 2048)
     out = apply_operator(problem.operator, jet)
     np.testing.assert_allclose(out, problem.q, atol=1e-12)
 
@@ -131,9 +132,9 @@ def test_multipointify_groups_atoms_like_the_loop():
     # Atoms 0.6 tol apart in different entries do not chain: a cluster ends
     # tol past its first atom, so the three make two nodes.
     chained = GeneralBoundaryOperator(1, 2, [], MatrixMeasure([
-        [ScalarMeasure.point_mass(0.0, 1.0, 0.5, 2.0),
-         ScalarMeasure.point_mass(0.0, 1.0, 0.5 + 0.6 * tol, -1.0j)],
-        [ScalarMeasure.point_mass(0.0, 1.0, 0.5 + 1.2 * tol, 3.0),
+        [ScalarMeasure(0.0, 1.0, atoms=[(0.5, 2.0)]),
+         ScalarMeasure(0.0, 1.0, atoms=[(0.5 + 0.6 * tol, -1.0j)])],
+        [ScalarMeasure(0.0, 1.0, atoms=[(0.5 + 1.2 * tol, 3.0)]),
          ScalarMeasure.lebesgue(0.0, 1.0, 0.5)],
     ]))
     ops = [corpus.build_problem(name, 64).operator for name in ("p1", "p2", "p3")]
@@ -203,7 +204,7 @@ def test_atom_and_point_term_read_a_point_alike(n):
     p1 = corpus.build_problem("p1", n)
     q = np.array([np.exp(-1.0 / 3.0) + 1.0 / 3.0])
     atom = GeneralBoundaryOperator(1, 1, [], MatrixMeasure([[
-        ScalarMeasure.point_mass(0.0, 1.0, 1.0 / 3.0)]]))
+        ScalarMeasure(0.0, 1.0, atoms=[(1.0 / 3.0, 1.0)])]]))
     term = MultipointBoundaryOperator(1, 1, 0.0, 1.0, [
         BoundaryTerm(node=1.0 / 3.0, order=0, beta=np.array([[1.0]]))])
     cases = [(dataclasses.replace(p1, operator=atom, q=q), term)]
@@ -314,7 +315,7 @@ def test_uniform_norm_bound_scalar_rows():
     for name in ("p1", "p2"):
         op = corpus.build_problem(name, 64).operator
         bound = sum(np.abs(alpha).sum(axis=0).max() for alpha in op.alphas)
-        bound += op.phi.norm_tv()
+        bound += mat_norm(op.phi.variation_matrix())
         for k in (1, 2, 4, 8, 16, 32, 64):
             assert norm_upper_bound(multipointify(op, k)) <= bound + 1e-12
 
@@ -324,7 +325,7 @@ def test_uniform_norm_bound_entrywise_for_systems():
     # that peak in different columns, so the robust bound is the entrywise
     # total-variation sum.  p3 shows the gap: sigma_k = 3 > 2 = TV norm.
     op = _p3_operator()
-    tv_norm_bound = op.phi.norm_tv()
+    tv_norm_bound = mat_norm(op.phi.variation_matrix())
     entrywise_bound = op.phi.variation_matrix().sum()
     for k in (1, 2, 4, 8, 16, 32, 64):
         sigma_k = norm_upper_bound(multipointify(op, k))

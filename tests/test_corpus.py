@@ -11,7 +11,8 @@ from mpbvp.bvp import residuals
 @pytest.mark.parametrize("n", [2048, 16384])
 @pytest.mark.parametrize("name", corpus.CORPUS_NAMES)
 def test_closed_form_satisfies_its_problem(name, n):
-    ode_defect, boundary_defect = residuals(*corpus.load(name, n))
+    problem, jet = corpus.build_problem(name, n), corpus.exact_jet(name, n)
+    ode_defect, boundary_defect = residuals(problem, jet)
     assert ode_defect <= corpus._RESIDUAL_TOL
     assert boundary_defect <= corpus._RESIDUAL_TOL
 

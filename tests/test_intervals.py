@@ -159,14 +159,6 @@ def _sums(p):
             np.testing.assert_allclose(result(t), x(t) + sign * y(t), rtol=1e-15, atol=1e-15)
 
 
-def _measure_difference(p):
-    mu = ScalarMeasure(A, B, atoms=[(B, 1.0)])
-    nu = ScalarMeasure(p.a, p.b, atoms=[(p.b, 2.0)], density=p)
-    diff = mu - nu
-    assert diff.nodes.tolist() == sorted({min(p.b, B), B})
-    assert diff.mass() == pytest.approx(mu.mass() - nu.mass(), rel=1e-15)
-
-
 def _matrix_measure(p):
     mu = ScalarMeasure.lebesgue(A, B)
     nu = ScalarMeasure(p.a, p.b, atoms=[(p.a, 1.0), (p.b, 1.0)], density=p)
@@ -194,7 +186,6 @@ PLACES = {
     "PolyMatrix": lambda p: PolyMatrix([[_exact(), p]]),
     "sum-and-difference": _sums,
     "ScalarMeasure-density": lambda p: ScalarMeasure(A, B, density=p),
-    "ScalarMeasure-difference": _measure_difference,
     "MatrixMeasure": _matrix_measure,
 }
 

@@ -73,6 +73,18 @@ def test_wrong_data_length(p1_dict):
         problem_from_dict(p1_dict)
 
 
+@pytest.mark.parametrize("value", [[float("nan"), 0.0], [0.0, float("inf")], [float("-inf"), 0.0]],
+                         ids=["NaN", "Infinity", "-Infinity"])
+def test_non_finite_data_is_named(tmp_path, p1_dict, value):
+    # json reads NaN and Infinity; the refusal names $.data, as every other one names its path.
+    p1_dict["data"] = [value]
+    path = tmp_path / "p1.json"
+    path.write_text(json.dumps(p1_dict))
+    with pytest.raises(ProblemFormatError,
+                       match=re.escape("$.data: boundary values must be finite")):
+        parse_problem(str(path))
+
+
 def test_reversed_interval(p1_dict):
     p1_dict["interval"] = [1.0, 0.0]
     with pytest.raises(ProblemFormatError, match=r"\$\.interval"):

@@ -12,8 +12,8 @@ from mpbvp import (
     PiecewisePoly,
     ScalarMeasure,
     discretize_measure,
+    mat_norm,
     total_variation,
-    tv_distance,
 )
 from mpbvp.stieltjes import _density_weights
 
@@ -25,14 +25,14 @@ def _integral(mu, grid, values):
 
 def test_point_mass_reads_node_value():
     grid = Grid(0.0, 1.0, 8)
-    mu = ScalarMeasure.point_mass(0.0, 1.0, 0.5, weight=2.0)
+    mu = ScalarMeasure(0.0, 1.0, atoms=[(0.5, 2.0)])
     values = grid.nodes ** 2
     assert abs(_integral(mu, grid, values) - 0.5) <= 1e-14
 
 
 def test_atom_off_node_interpolates_linearly():
     grid = Grid(0.0, 1.0, 2)
-    mu = ScalarMeasure.point_mass(0.0, 1.0, 0.25)
+    mu = ScalarMeasure(0.0, 1.0, atoms=[(0.25, 1.0)])
     values = 3.0 * grid.nodes  # linear, so linear interpolation is exact
     assert abs(_integral(mu, grid, values) - 0.75) <= 1e-14
 
@@ -75,7 +75,7 @@ def test_atoms_merge_and_zero_weights_drop():
 def test_discretize_midpoint_locations_and_mass():
     mu = ScalarMeasure.lebesgue(0.0, 1.0, 1.0)
     nu = discretize_measure(mu, 2)
-    assert nu.is_atomic
+    assert nu.density is None
     np.testing.assert_allclose(nu.nodes, [0.25, 0.75])
     np.testing.assert_allclose(nu.masses, [0.5, 0.5])
 
@@ -87,10 +87,13 @@ def test_discretize_is_identity_on_atomic_measures():
 
 def test_atomic_approximation_never_converges_in_tv():
     # Discretizing a Lebesgue measure never converges in total variation:
-    # the distance stays at least b - a at every k.
+    # the distance stays at least b - a at every k.  The difference is the
+    # density with the atoms negated.
     mu = ScalarMeasure.lebesgue(0.0, 1.0, 1.0)
     for k in (1, 2, 4, 32, 256):
-        dist = tv_distance(mu, discretize_measure(mu, k))
+        nu = discretize_measure(mu, k)
+        dist = total_variation(ScalarMeasure(0.0, 1.0, density=mu.density,
+                                             atoms=np.stack([nu.nodes, -nu.masses], axis=1)))
         assert dist >= 1.0 - 1e-12
         assert abs(dist - 2.0) <= 1e-12  # atoms and density each carry mass 1
 
@@ -113,7 +116,7 @@ def test_discretize_preserves_mass_and_contracts_tv(w1, w2, c0, c1, k):
 def test_matrix_measure_applies_rowwise():
     grid = Grid(0.0, 1.0, 32)
     phi = MatrixMeasure([
-        [ScalarMeasure.point_mass(0.0, 1.0, 0.0), ScalarMeasure.zero(0.0, 1.0)],
+        [ScalarMeasure(0.0, 1.0, atoms=[(0.0, 1.0)]), ScalarMeasure.zero(0.0, 1.0)],
         [ScalarMeasure.zero(0.0, 1.0), ScalarMeasure.lebesgue(0.0, 1.0, 2.0)],
     ])
     x = np.stack([grid.nodes, 1.0 - grid.nodes], axis=1)
@@ -124,24 +127,15 @@ def test_matrix_measure_applies_rowwise():
 def test_matrix_measure_discretize_and_variation():
     phi = MatrixMeasure([
         [ScalarMeasure.lebesgue(0.0, 1.0, 1.0), ScalarMeasure.zero(0.0, 1.0)],
-        [ScalarMeasure.zero(0.0, 1.0), ScalarMeasure.point_mass(0.0, 1.0, 1.0, -3.0)],
+        [ScalarMeasure.zero(0.0, 1.0), ScalarMeasure(0.0, 1.0, atoms=[(1.0, -3.0)])],
     ])
     atomic = phi.discretize(4)
     for row in atomic.entries:
         for entry in row:
-            assert entry.is_atomic
+            assert entry.density is None
     variation = phi.variation_matrix()
     np.testing.assert_allclose(variation, [[1.0, 0.0], [0.0, 3.0]], atol=1e-13)
-    assert abs(phi.norm_tv() - 3.0) <= 1e-13
-
-
-def test_measure_subtraction():
-    mu = ScalarMeasure.lebesgue(0.0, 1.0, 1.0)
-    nu = ScalarMeasure.point_mass(0.0, 1.0, 0.5)
-    diff = mu - nu
-    assert diff.nodes.size == 1
-    assert diff.density is not None
-    assert abs(diff.mass()) <= 1e-15
+    assert abs(mat_norm(variation) - 3.0) <= 1e-13
 
 
 def test_atom_outside_interval_rejected():
