@@ -12,21 +12,22 @@ atom of Phi with mass w at t is the point term (t, r-1, w in its entry), so
 ``multipointify`` is the coalesced table of the operator with every density
 discretized on k equal subintervals, which converges weak-* but never in
 total variation; a multipoint operator is its own.  ``lift`` compiles
-either kind once per grid to one weight array on the stacked jet: one
-scatter places the table, then densities add their quadrature weights.
-Every application is a contraction with it.
+either kind once per grid to the weights it has on the stacked jet and no
+others: one scatter places the table on the nodes its non-zero stencil
+weights reach, and each entry of Phi with a density gets one vector of
+quadrature weights.  Every application is one product with each part.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
-from .funcspace import (Grid, SampledJet, _check_k, _clamp_points, _coalesce, _place_points,
-                        norm_cl, vec_norm)
-from .stieltjes import MatrixMeasure
+from .funcspace import (Grid, SampledJet, _check_k, _clamp_points, _coalesce, _horner,
+                        _place_points, norm_cl, vec_norm)
+from .stieltjes import MatrixMeasure, _density_table
 
 __all__ = [
     "GeneralBoundaryOperator",
@@ -212,51 +213,70 @@ def _point_terms(op):
 
 
 class LiftedOperator:
-    """A boundary operator compiled to one linear functional on a grid.
+    """A boundary operator compiled to one linear functional on a grid, held
+    as the weights it has on the stacked rm-vector col(y, y', ..., y^(r-1))
+    and no others.
 
-    ``weights[i, s, c]`` weighs entry c of the stacked rm-vector
-    col(y, y', ..., y^(r-1)) at node s in row i.  Point terms and measure
-    atoms carry the 4-point cubic stencil of their location, and densities
-    trapezoid weights with the Euler-Maclaurin end correction.
-    ``point_terms`` lists the (node, order, beta) point terms compiled in,
-    measure atoms included.
+    Point terms and measure atoms carry the 4-point cubic stencil of their
+    location: ``weights[i, k, c]`` weighs entry c at node ``nodes[k]`` in
+    row i, for the K nodes their non-zero weights reach.  Row p of
+    ``densities`` (P, n+1) holds the trapezoid weights, with the
+    Euler-Maclaurin end correction, of a density of Phi, which weighs entry
+    ``density_columns[p]`` in row ``density_rows[p]``.  ``point_terms``
+    lists the (node, order, beta) point terms compiled in, measure atoms
+    included, and ``shape`` is (rows, n+1, rm), that of a dense weight array.
     """
 
-    __slots__ = ("point_terms", "weights")
+    __slots__ = ("point_terms", "nodes", "weights", "density_rows", "density_columns",
+                 "densities", "shape")
 
-    def __init__(self, point_terms, weights: np.ndarray):
+    def __init__(self, point_terms, points: tuple, densities: tuple):
         self.point_terms = tuple(point_terms)
-        self.weights = weights
+        self.nodes, self.weights = points
+        self.density_rows, self.density_columns, self.densities = densities
+        self.shape = (len(self.weights), self.densities.shape[1], self.weights.shape[2])
+
+    def _apply(self, v: np.ndarray) -> np.ndarray:
+        """Apply to samples (rm, w, n+1), steps last, giving (rows, w): one
+        product with each part.  As a contraction with every weight would,
+        an overflow gives inf or nan with no warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            at_nodes = v[..., self.nodes].transpose(2, 0, 1).reshape(-1, v.shape[1])
+            out = self.weights.reshape(self.shape[0], -1) @ at_nodes
+            products = np.matmul(v, self.densities.T)
+            np.add.at(out, self.density_rows,
+                      products[self.density_columns, :, np.arange(len(self.densities))])
+        return out
 
     def apply_values(self, values) -> np.ndarray:
         """Apply to node samples of an rm-vector function, shaped (n+1, rm)."""
         v = np.asarray(values, dtype=complex)
-        if v.shape != self.weights.shape[1:]:
-            raise ValueError(f"expected samples shaped {self.weights.shape[1:]}")
-        return np.einsum("isc,sc->i", self.weights, v)
+        if v.shape != self.shape[1:]:
+            raise ValueError(f"expected samples shaped {self.shape[1:]}")
+        return self._apply(v.T[:, None])[:, 0]
 
     def apply_trajectory(self, values) -> np.ndarray:
         """Apply columnwise to a matrix trajectory shaped (n+1, rm, rm)."""
         v = np.asarray(values, dtype=complex)
-        shape = self.weights.shape[1:] + self.weights.shape[:1]
+        shape = self.shape[1:] + self.shape[:1]
         if v.shape != shape:
             raise ValueError(f"expected a trajectory shaped {shape}")
-        return np.einsum("isc,scj->ij", self.weights, v)
+        return self._apply(v.transpose(1, 2, 0))
 
 
 def lift(op, grid: Grid) -> LiftedOperator:
-    """Compile a boundary operator to its weight array on the grid.
+    """Compile a boundary operator to its weights on the grid.
 
     Derivative orders become block indices of the stacked vector, so the
-    compiled functional applied to col(y, ..., y^(r-1)) equals B y.
+    compiled functional applied to col(y, ..., y^(r-1)) equals B y.  No
+    array of the grid's size times rm^2 is formed: point terms weigh the
+    nodes they touch, and densities one (n+1) vector per entry.
     """
     nodes, orders, betas = _point_terms(op)
-    m, d = op.m, op.rows
-    weights = _place_points(np.zeros((d, grid.n + 1, d), dtype=complex), grid,
-                            nodes, orders, betas)
-    if isinstance(op, GeneralBoundaryOperator):
-        op.phi._add_densities(weights, grid, (op.r - 1) * m)
-    return LiftedOperator(zip(nodes.tolist(), orders.tolist(), betas), weights)
+    phi = op.phi.entries if isinstance(op, GeneralBoundaryOperator) else []
+    return LiftedOperator(zip(nodes.tolist(), orders.tolist(), betas),
+                          _place_points(grid, nodes, orders, betas, op.rows),
+                          _density_table(phi, grid, (op.r - 1) * op.m))
 
 
 def norm_upper_bound(op: MultipointBoundaryOperator) -> float:
@@ -291,14 +311,14 @@ def norm_lower_bound(op, probes) -> float:
 
 def _poly_jet(grid: Grid, m: int, r: int, component: int, coeffs) -> SampledJet:
     """Jet whose given component is the polynomial with the given coefficients."""
-    poly = np.polynomial.polynomial
     chans = []
     c = np.asarray(coeffs, dtype=float)
     for _ in range(r + 1):
         vals = np.zeros((grid.n + 1, m), dtype=complex)
-        vals[:, component] = poly.polyval(grid.nodes, c) if c.size else 0.0
+        vals[:, component] = _horner(c[None], grid.nodes) if c.size else 0.0
         chans.append(vals)
-        c = poly.polyder(c) if c.size > 1 else np.zeros(1)
+        # The derivative, j c_j at degree j - 1, as ``polyder`` forms it.
+        c = c[1:] * np.arange(1, c.size) if c.size > 1 else np.zeros(1)
     return SampledJet(grid, m, r, chans)
 
 
@@ -307,15 +327,20 @@ def default_probe_jets(r: int, m: int, grid: Grid) -> list:
     ramp, a Chebyshev-like cubic, and monomials feeding each derivative
     channel."""
     a, b = grid.a, grid.b
-    poly = np.polynomial.polynomial
     s = np.array([-(a + b) / (b - a), 2.0 / (b - a)])  # affine map onto [-1, 1]
+    # Powers are repeated convolutions and 4 s^3 - 3 s a difference in
+    # place, as numpy.polynomial forms them.
+    cubic = 4.0 * np.convolve(np.convolve(s, s), s)
+    cubic[:2] -= 3.0 * s
     shapes = [
         np.array([1.0]),
         -s,  # the ramp 1 - 2*(t-a)/(b-a)
-        poly.polysub(4.0 * poly.polypow(s, 3), 3.0 * s),
+        cubic,
     ]
+    ramp = power = np.array([-a, 1.0])
     for l in range(1, r):
-        shapes.append(poly.polypow(np.array([-a, 1.0]), l) / math.factorial(l))
+        power = ramp if l == 1 else np.convolve(power, ramp)
+        shapes.append(power / factorial(l))
     jets = []
     for component in range(m):
         for c in shapes:

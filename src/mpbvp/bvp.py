@@ -187,17 +187,18 @@ def _scaled_lift(problem: BvpProblem) -> tuple[LiftedOperator, int]:
     binary order of its largest weight, together with e.
 
     e comes from the largest and the negated smallest real and imaginary
-    part, which is the largest magnitude, and the freshly compiled weights
-    are scaled in place, so no temporary has their size.  The division is
-    exact, so [TV], T R and q / 2**e come out as the unscaled values divided
-    by 2**e, and a power-of-two scale of the boundary weights changes
-    nothing that is formed from them.
+    part of its point and density weights, which is the largest magnitude,
+    and the freshly compiled weights are scaled in place, so no temporary
+    has their size.  The division is exact, so [TV], T R and q / 2**e come
+    out as the unscaled values divided by 2**e, and a power-of-two scale of
+    the boundary weights changes nothing that is formed from them.
     """
     T = lift(problem.operator, problem.grid)
-    parts = T.weights.view(float)
-    e = int(np.frexp(max(parts.max(initial=0.0), -parts.min(initial=0.0)))[1])
+    parts = [T.weights.view(float), T.densities.view(float)]
+    e = int(np.frexp(max(max(p.max(initial=0.0), -p.min(initial=0.0)) for p in parts))[1])
     with np.errstate(over="ignore", under="ignore"):
-        np.ldexp(parts, -e, out=parts)
+        for p in parts:
+            np.ldexp(p, -e, out=p)
     return T, e
 
 
@@ -249,9 +250,10 @@ def _solve_pass(problems, inverse: bool = False) -> tuple[list, float | None]:
     it; and w_c = |V^-1|_C of the first with ``inverse``, else None.  V^-1
     is the transposed matrizant of the adjoint of the first problem's
     companion system, which the pass then propagates too, with zero
-    forcing.  ``_assemble`` forms each solution while the pass holds its V
-    and R; the consistency defects are taken once the pass is exhausted and
-    holds none.  |V|_C is taken once per V.
+    forcing.  ``_assemble`` forms each solution's y ... y^(r-1) while the
+    pass holds its V and R; the top channels and the consistency defects
+    are formed once the pass is exhausted and holds none.  |V|_C is taken
+    once per V.
     """
     systems = [_companion_system(p) for p in problems]
     if inverse:
@@ -265,27 +267,30 @@ def _solve_pass(problems, inverse: bool = False) -> tuple[list, float | None]:
         if V is not last:
             last, norm = V, traj_norm_c(V)
         try:
-            out[i] = _assemble(problems[i], *systems[i], V, R, norm)
+            out[i] = _assemble(problems[i], V, R, norm)
         except NotUniquelySolvableError as exc:
             if i == 0:
                 raise
             out[i] = exc
     del last, V, R
-    for solution in out.values():
+    for i, solution in out.items():
         if isinstance(solution, BvpSolution):
+            (P, g), jet, d = systems[i], solution.jet, problems[i].d
+            # The bottom block row [A_0 ... A_{r-1} | f] of its own companion system.
+            row = [[*P.entries[k], g.components[k]] for k in range(d - jet.m, d)]
+            solution.jet = SampledJet(jet.grid, jet.m, jet.r + 1,
+                                      [*jet.samples, _top_channel(jet.grid, row, jet.samples)])
             solution.consistency_defect = solution.jet.consistency_defect()
     return [out[i] for i in range(len(problems))], w_c
 
 
-def _assemble(problem: BvpProblem, P: PolyMatrix, g: PolyVector, V: np.ndarray, R: np.ndarray,
+def _assemble(problem: BvpProblem, V: np.ndarray, R: np.ndarray,
               matrizant_norm_c: float) -> BvpSolution:
-    """The solution of ``problem`` but for its consistency defect, from its
-    matrizant V and forced trajectory R: lift the operator, gate [TV], form
-    u and |T u - q|, the lifted weights' last reader, then the top channel
-    from the bottom block row [A_0 ... A_{r-1} | f] of its own companion
-    system (P, g).  Raises NotUniquelySolvableError as ``solve`` does."""
-    grid = problem.grid
-    r, m, d = problem.r, problem.m, problem.d
+    """The solution of ``problem``, its jet y ... y^(r-1) only and no
+    consistency defect, from its matrizant V and forced trajectory R: lift
+    the operator, gate [TV], form u and |T u - q|, the lifted weights' last
+    reader.  Raises NotUniquelySolvableError as ``solve`` does."""
+    r, m = problem.r, problem.m
     # Everything the operator touches is divided by 2**e.
     T, e = _scaled_lift(problem)
     q = _ldexp(problem.q, -e)
@@ -293,15 +298,16 @@ def _assemble(problem: BvpProblem, P: PolyMatrix, g: PolyVector, V: np.ndarray, 
     det, cond, inverse, inverse_norm = _check_solvable(char, e)
 
     coef = inverse @ (q - T.apply_values(R))
-    u = np.einsum("nij,j->ni", V, coef) + R
+    # In C order, as ``residuals`` stacks a jet: a product's bits follow the
+    # layout it reads, and |T u - q| is to be the same there.
+    u = np.einsum("nij,j->ni", V, coef, order="C")
+    u += R
     boundary_residual = float(_ldexp(vec_norm(T.apply_values(u) - q), e))
     del T
 
     samples = [u[:, l * m:(l + 1) * m] for l in range(r)]
-    row = [[*P.entries[i], g.components[i]] for i in range(d - m, d)]
-    top = _top_channel(grid, row, samples)
-    return BvpSolution(jet=SampledJet(grid, m, r, samples + [top]), char_matrix=_ldexp(char, e),
-                       det=det, cond=cond, matrizant_norm_c=matrizant_norm_c,
+    return BvpSolution(jet=SampledJet(problem.grid, m, r - 1, samples), det=det, cond=cond,
+                       char_matrix=_ldexp(char, e), matrizant_norm_c=matrizant_norm_c,
                        char_inverse_norm=inverse_norm, boundary_residual=boundary_residual)
 
 

@@ -122,17 +122,24 @@ def _cubic_stencil(grid: Grid, t):
     return base, w
 
 
-def _place_points(out: np.ndarray, grid: Grid, nodes, orders, betas) -> np.ndarray:
-    """Add point terms to node weights ``out`` (rows, n+1, cols) and return it: term t
-    adds w[t, s] * betas[t, i, c] at (i, base[t] + s, orders[t] m + c), where (base, w)
-    is its node's cubic stencil and m = betas.shape[2], summing in term order."""
+def _place_points(grid: Grid, nodes, orders, betas, width: int) -> tuple:
+    """Point terms on the K nodes that a non-zero weight of theirs reaches:
+    those nodes (K,), ascending, and their weights (rows, K, width).  Term t
+    adds w[t, s] * betas[t, i, c] at (i, base[t] + s, orders[t] m + c),
+    where (base, w) is its node's cubic stencil and m = betas.shape[2],
+    summing in term order, so each weight has the bits it has in a
+    (rows, n+1, width) array.  A 0 adds nothing to a weight's bits, so the
+    stencil zeros of a term on a node and terms of weight 0 are left out."""
     m = betas.shape[2]
     base, w = _cubic_stencil(grid, nodes)
-    np.add.at(out, (np.arange(out.shape[0])[None, :, None, None],
-                    (base[:, None] + np.arange(w.shape[1]))[:, None, :, None],
-                    (orders[:, None] * m + np.arange(m))[:, None, None, :]),
-              w[:, None, :, None] * betas[:, :, None, :])
-    return out
+    t, s = np.nonzero((w != 0) & betas.any(axis=(1, 2))[:, None])
+    hit = np.bincount(base[t] + s, minlength=grid.n + 1) > 0
+    out = np.zeros((betas.shape[1], np.count_nonzero(hit), width), dtype=complex)
+    np.add.at(out, (np.arange(out.shape[0])[None, :, None],
+                    (np.cumsum(hit) - 1)[base[t] + s][:, None, None],
+                    (orders[t, None] * m + np.arange(m))[:, None, :]),
+              w[t, s, None, None] * betas[t])
+    return np.flatnonzero(hit), out
 
 
 def _cluster_starts(x: np.ndarray, tol: float, breaks=None) -> np.ndarray:
@@ -451,7 +458,17 @@ def _pinned(p: PiecewisePoly, a: float, b: float) -> PiecewisePoly:
                                      p.table[keep], p.widths[keep])
 
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)
+#: numpy's ``leggauss(24)``, the 24-point Gauss-Legendre rule on [-1, 1], to
+#: the bit; it is symmetric to the bit, so nodes and weights from the middle out.
+_GAUSS_HALF = np.array([
+    (0.06405689286260563, 0.12793819534675202), (0.1911188674736163, 0.12583745634682825),
+    (0.3150426796961634, 0.1216704729278033), (0.4337935076260451, 0.11550566805372552),
+    (0.5454214713888396, 0.10744427011596556), (0.6480936519369755, 0.09761865210411393),
+    (0.7401241915785544, 0.0861901615319532), (0.820001985973903, 0.07334648141108016),
+    (0.8864155270044011, 0.05929858491543636), (0.9382745520027328, 0.04427743881741941),
+    (0.9747285559713095, 0.02853138862893356), (0.9951872199970213, 0.01234122979998869)])
+_GAUSS_X = np.concatenate([-_GAUSS_HALF[::-1, 0], _GAUSS_HALF[:, 0]])
+_GAUSS_W = np.concatenate([_GAUSS_HALF[::-1, 1], _GAUSS_HALF[:, 1]])
 
 
 def _piece_abs_integral(coeffs: np.ndarray, lo: float, hi: float) -> float:
@@ -479,7 +496,7 @@ def _piece_abs_integral(coeffs: np.ndarray, lo: float, hi: float) -> float:
         if right - left <= 1e-15 * max(abs(lo), abs(hi), 1.0):
             continue
         x = 0.5 * (right - left) * _GAUSS_X + 0.5 * (right + left)
-        vals = np.sqrt(np.maximum(np.polynomial.polynomial.polyval(x, sq), 0.0))
+        vals = np.sqrt(np.maximum(_horner(sq[None], x), 0.0))
         total += 0.5 * (right - left) * float(np.dot(_GAUSS_W, vals))
     return total
 
@@ -728,10 +745,13 @@ def traj_norm_c(values) -> float:
     """C-norm of a matrix trajectory shaped (n+1, d, d).
 
     Per the matrix convention: max over columns of the summed per-entry sup
-    norms down each column.
+    norms down each column.  The sups are taken a block of steps at a time,
+    with no temporary of the trajectory's size; a max is exact.
     """
     arr = np.asarray(values)
     if arr.ndim != 3:
         raise ValueError("expected a trajectory shaped (n+1, d, d)")
-    sup = np.abs(arr).max(axis=0)
+    sup, step = np.zeros(arr.shape[1:]), 1 + 2**15 // max(1, np.prod(arr.shape[1:]))
+    for lo in range(0, arr.shape[0], step):
+        np.maximum(sup, np.abs(arr[lo:lo + step]).max(axis=0), out=sup)
     return float(sup.sum(axis=0).max())

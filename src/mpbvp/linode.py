@@ -16,23 +16,26 @@ distinct g, each with the bits of a pass of its own.
 One pass propagates a family of systems of one shape on one grid, such
 as a limit problem and its multipoint approximations, grouped by the bits
 of A (each entry's breakpoints and table).  Its n steps are cut into
-chunks of c = isqrt(n - 1) + 1 steps, the last one padded with zero
-increments.  Each group keeps one zeroed work array (d, d + G, chunks c),
-step i in column i, and writes its increments there, A sampled once.
-Then c - 1 iterations per group form, in place, the prefix increments of
-every chunk, and one loop over the chunks carries every column of the
-pass with one stacked product of narrow (d, s) states: a stacked ``@`` of
-another width does not keep the bits.  Once the whole pass is composed,
-one loop over a slot's blocks of chunks forms its V and every R side by
-side.  A pass holds at most PASS_BYTES of work arrays; a larger family,
-or a wider group, is split over passes.
+chunks of c = isqrt(n - 1) + 1 steps, with at least one zero increment
+of padding.  Each group keeps one zeroed work array
+(d, d + G, chunks c), step i in column i, and writes its increments there,
+A sampled once.  Then c - 1 iterations per group form, in place, the
+prefix increments of every chunk, and one loop over the chunks carries
+every column of the pass with one stacked product of narrow (d, s)
+states: a stacked ``@`` of another width does not keep the bits.  Once
+the whole pass is composed, one loop over a slot's blocks of chunks, from
+the last, writes the state after step i over increment i, in column
+i + 1, V and every R side by side, and the start [I | 0] in column 0: a
+slot's V and R are views of its work array.  A pass holds at most
+PASS_BYTES of work arrays; a larger family, or a wider group, is split
+over passes.
 
 Besides its work arrays, a pass holds one segment of coefficient samples
 at a time.  ``_fill`` samples a run of whole blocks of BLOCK_STEPS steps,
 at most SEGMENT_BYTES of [A | g_1], forms their increments block by block
 and drops the samples before the next segment, so every increment, and
 every table, has the bits of one sampling of the whole grid.  A slot's
-work array goes once its V and R exist, before the first of them is
+work array is its V and R, and the pass drops it once its members are
 yielded.  The tables are all a pass hands over: a caller that needs
 the coefficients at the nodes, as the solver's top jet channel does,
 evaluates them itself, with the bits of the node samples here.
@@ -42,7 +45,8 @@ A pass from I_{d+1} gives the top rows [V | R] of the augmented matrizant
 R(a) = 0 together.  The left d columns of every product do not depend on
 g, so V is bit for bit the same for any forcing; ``fundamental_matrix``
 is V of a zero-forcing pass.  Storing increments rather than I + D_i
-keeps their low bits.  Tables come out step-first.  Z = V^-1 is the
+keeps their low bits.  Tables come out step-first, with the steps on
+the work array's unit stride.  Z = V^-1 is the
 transposed matrizant of the adjoint system v' = A(t)^T v, whose
 coefficient ``_adjoint`` forms: to the pass it is one more system, and
 ``inverse_fundamental`` is V of its zero-forcing pass, transposed.
@@ -77,11 +81,11 @@ BLOCK_STEPS = 512
 #: a pass holds at least one column.
 PASS_BYTES = 32 * 2**20
 #: Bytes of the node, midpoint and step-end samples of [A | g_1] that a
-#: fill holds at once, rounded down to whole blocks, at least one: 8 blocks
+#: fill holds at once, rounded down to whole blocks, at least one: 4 blocks
 #: at d = 2, so a 2048-step pass samples once.  Samples of the whole grid
 #: would be a pass's largest arrays (54 MiB at d = 8, n = 16384), and a
 #: segment of one block pays the sampling calls once per block.
-SEGMENT_BYTES = 5 * 2**18
+SEGMENT_BYTES = 5 * 2**17
 
 
 def _segment_steps(d: int) -> int:
@@ -169,8 +173,9 @@ def _propagate(systems, grid: Grid):
     if not _spans(grid, [e for A, g in systems for r in [*A.entries, g.components] for e in r]):
         raise ValueError("coefficient and forcing intervals do not span the grid")
     n = grid.n
+    # Whole chunks past step n - 1, so that the state after it has a column.
     c = math.isqrt(n - 1) + 1
-    padded = -(-n // c) * c
+    padded = (n // c + 1) * c
     # Columns (A, g, the systems sharing both), by group; the large keys go with the dict.
     columns = {}
     for i, (A, g) in enumerate(systems):
@@ -188,12 +193,9 @@ def _propagate(systems, grid: Grid):
         for slot, piece in zip(work, pieces):
             _fill(slot, piece[0][0], [g for _, g, _ in piece], grid)
         starts = _compose(work, c)
-        # A slot's work array and chunk starts go once its tables exist,
-        # before anything is yielded.
+        # The pass keeps no reference to a slot whose members it has yielded.
         for piece in pieces:
-            slot, start = work.pop(0), starts.pop(0)
-            V, Rs = _slot_tables(slot, start, n)
-            del slot, start
+            V, Rs = _slot_tables(work.pop(0), starts.pop(0), n)
             for _, _, members in piece:
                 R = Rs.pop(0)
                 for i in members:
@@ -239,9 +241,11 @@ def _compose(work: list, c: int) -> list:
 
 def _slot_tables(work: np.ndarray, starts: np.ndarray, n: int) -> tuple:
     """V (n+1, d, d) and [R_1, ..., R_G], each (n+1, d), of a composed
-    slot's G forcing columns: U = U_c + Q_j U_c from each chunk's start U_c,
-    which lays V's start, the left columns of the first column's chunk
-    starts, beside each column's start of R.  Column by column, Q_j U_c
+    slot's G forcing columns, as views of ``work``.  U = U_c + Q_j U_c from
+    each chunk's start U_c is the state after the step whose prefix
+    increment Q_j is, and lands one column to its right; column 0 gets the
+    start [I | 0].  V's start, the left columns of the first column's chunk
+    starts, lies beside each column's start of R.  Column by column, Q_j U_c
     reads Q_j's left d columns only, and R's adds Q_j's forcing column, as
     the product with a start's non-zero bottom row does.  The chunk length
     is the pass's, as ``starts`` counts the chunks."""
@@ -250,22 +254,20 @@ def _slot_tables(work: np.ndarray, starts: np.ndarray, n: int) -> tuple:
     Q = work.reshape(d, width, chunks, c)
     chunk_starts = np.concatenate([starts[0, ..., :d], starts[..., d].transpose(1, 2, 0)], axis=-1)
     chunk_starts = np.ascontiguousarray(chunk_starts.transpose(1, 2, 0))[..., None]
-    # Row 0 is I for V and 0 for R.  Rows for the padding too, dropped at
-    # the end: row 1 + k c + j is chunk k's step j.
-    first, columns = np.eye(d, width), [slice(0, d), *range(d, width)]
-    tables = [np.empty((1 + chunks * c, *first[:, col].shape), dtype=complex) for col in columns]
-    for table, col in zip(tables, columns):
-        table[0] = first[:, col]
-    # A few chunks at a time, so that no temporary is the size of a table.
+    # A few chunks at a time, so that no temporary is the size of a table,
+    # from the last: a block's states overwrite the first increment of the
+    # block after it.  The padding's last state has no column.
     step = max(1, BLOCK_STEPS // c)
-    for k in range(0, chunks, step):
+    for k in reversed(range(0, chunks, step)):
         ks = slice(k, k + step)
         U = _mm(Q[:, :d, ks], chunk_starts[:, :, ks])
         U[:, d:] += Q[:, d:, ks]
         U += chunk_starts[:, :, ks]
-        for table, col in zip(tables, columns):
-            table[1:].reshape(chunks, c, *table.shape[1:])[ks] = U.transpose(2, 3, 0, 1)[..., col]
-    return tables[0][:n + 1], [R[:n + 1] for R in tables[1:]]
+        U = U.reshape(d, width, -1)[..., :work.shape[-1] - k * c - 1]
+        work[..., k * c + 1:k * c + 1 + U.shape[-1]] = U
+    work[..., 0] = np.eye(d, width)
+    tables = work[..., :n + 1].transpose(2, 0, 1)
+    return tables[..., :d], [tables[..., col] for col in range(d, width)]
 
 
 def _fill(work: np.ndarray, A: PolyMatrix, forcings: list, grid: Grid) -> None:

@@ -8,15 +8,16 @@ of theirs; ``variation_matrix`` gives it entry by entry.  Atoms are sorted
 and coalesced in one pass by ``funcspace._coalesce``; every query reduces
 or concatenates the table's arrays.  A matrix measure hands its
 atoms over as one point-term table, placed on a grid by the point terms'
-``funcspace._place_points``, and adds its densities' ``_density_weights``.
+``funcspace._place_points`` on the nodes a non-zero weight reaches, and
+its densities as one row of ``_density_weights`` per entry that has one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .funcspace import (Grid, PiecewisePoly, _check_k, _clamp_points, _coalesce, _place_points,
-                        _spans)
+from .funcspace import (Grid, PiecewisePoly, _check_k, _clamp_points, _coalesce, _horner,
+                        _place_points, _spans)
 from .linode import BLOCK_STEPS
 
 __all__ = [
@@ -105,7 +106,8 @@ _END_CORRECTION = np.array([-11.0, 18.0, -9.0, 2.0]) / 72.0
 
 def _density_weights(grid: Grid, density: PiecewisePoly, out: np.ndarray | None = None):
     """Add the node weights of the trapezoid rule for x * density over the
-    grid to ``out`` (n+1,), by default a fresh zero vector, and return it.
+    grid to ``out`` (n+1,), by default a fresh zero vector, and return it;
+    a compiled operator holds them as one such vector per entry.
 
     Each smooth segment gets the Euler-Maclaurin end correction, which
     upgrades the rule to O(h^4) for data whose density breakpoints sit on
@@ -134,14 +136,25 @@ def _density_weights(grid: Grid, density: PiecewisePoly, out: np.ndarray | None 
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             t = nodes[i0 + lo:i0 + hi]
             trap = ends[lo:hi] if lo == 0 else ends[-4:] if hi == size else np.full(hi - lo, h)
-            weights = trap * (np.polynomial.polynomial.polyval(t, density.coeffs[piece])
-                              if corrected else density(t))
+            weights = trap * (_horner(density.coeffs[piece][None], t) if corrected else density(t))
             if lo == 0:
                 weights[0] += carry
             if hi == size and i1 < grid.n:
                 carry, weights = weights[-1], weights[:-1]
             out[i0 + lo:i0 + lo + weights.size] += weights
     return out
+
+
+def _density_table(entries, grid: Grid, first: int) -> tuple:
+    """The ``_density_weights`` of every measure ``entries[i][j]`` that has a
+    density, one row each of a (P, n+1) table: the rows i, the columns
+    first + j and the table."""
+    slots = [(i, first + j, mu.density) for i, row in enumerate(entries)
+             for j, mu in enumerate(row) if mu.density is not None]
+    table = np.zeros((len(slots), grid.n + 1), dtype=complex)
+    for weights, (_, _, density) in zip(table, slots):
+        _density_weights(grid, density, weights)
+    return (*np.array([slot[:2] for slot in slots], dtype=np.intp).reshape(-1, 2).T, table)
 
 
 def total_variation(measure: ScalarMeasure) -> float:
@@ -208,14 +221,6 @@ class MatrixMeasure:
         betas[np.arange(nodes.size), slot] = np.concatenate([entry.masses for entry in entries])
         return nodes, np.full(nodes.size, order), betas.reshape((nodes.size,) + self.shape)
 
-    def _add_densities(self, out: np.ndarray, grid: Grid, first: int) -> np.ndarray:
-        """Add entry (i, j)'s density weights to ``out[i, :, first + j]`` and return out."""
-        for i, row in enumerate(self.entries):
-            for j, entry in enumerate(row):
-                if entry.density is not None:
-                    _density_weights(grid, entry.density, out[i, :, first + j])
-        return out
-
     def apply(self, grid: Grid, values) -> np.ndarray:
         """Integrate sampled (n+1, cols) data row-wise: out_i = sum_j < x_j, mu_ij >."""
         v = np.asarray(values, dtype=complex)
@@ -224,9 +229,11 @@ class MatrixMeasure:
         rows, cols = self.shape
         if v.shape != (grid.n + 1, cols):
             raise ValueError(f"expected samples shaped {(grid.n + 1, cols)}, got {v.shape}")
-        w = _place_points(np.zeros((rows, grid.n + 1, cols), dtype=complex), grid,
-                          *self._atom_terms(0))
-        return np.einsum("isj,sj->i", self._add_densities(w, grid, 0), v)
+        nodes, weights = _place_points(grid, *self._atom_terms(0), cols)
+        out = weights.reshape(rows, -1) @ v[nodes].reshape(-1)
+        at, columns, table = _density_table(self.entries, grid, 0)
+        np.add.at(out, at, np.einsum("ps,sp->p", table, v[:, columns]))
+        return out
 
     def discretize(self, k: int) -> "MatrixMeasure":
         return MatrixMeasure(

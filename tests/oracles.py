@@ -27,6 +27,16 @@ from mpbvp import (
 from mpbvp.boundary import BoundaryTerm
 
 
+def dense_weights(lifted) -> np.ndarray:
+    """The (rows, n+1, rm) weight array of a compiled operator, read from
+    its parts: the point weights on their nodes, then each density's
+    weights added, one addition per node, as a dense compilation sums them."""
+    out = np.zeros(lifted.shape, dtype=complex)
+    out[:, lifted.nodes] = lifted.weights
+    out[lifted.density_rows, :, lifted.density_columns] += lifted.densities
+    return out
+
+
 def expm_taylor(A: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring plus a Taylor series."""
     A = np.asarray(A, dtype=complex)

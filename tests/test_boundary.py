@@ -1,6 +1,7 @@
 """Boundary operators: general form, multipoint form, lifting, norms."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -28,7 +29,7 @@ from mpbvp import (
 )
 from mpbvp import corpus
 from mpbvp.stieltjes import _density_weights
-from oracles import _boundary_rows, random_problem, tie_keeping_permutation
+from oracles import _boundary_rows, dense_weights, random_problem, tie_keeping_permutation
 
 
 def _p2_operator():
@@ -222,8 +223,8 @@ def test_atom_and_point_term_read_a_point_alike(n):
             cases.append((dataclasses.replace(problem, operator=op), multipointify(op, 1)))
     solved = 0
     for problem, term_form in cases:
-        np.testing.assert_array_equal(lift(problem.operator, problem.grid).weights,
-                                      lift(term_form, problem.grid).weights)
+        np.testing.assert_array_equal(dense_weights(lift(problem.operator, problem.grid)),
+                                      dense_weights(lift(term_form, problem.grid)))
         jets = [_jet_or_refusal(dataclasses.replace(problem, operator=op))
                 for op in (problem.operator, term_form)]
         if jets[0] is None:
@@ -242,7 +243,7 @@ def test_compiled_multipoint_weights_match_oracle_rows(name, k):
     # cubic stencils collapse onto single nodes, as in the oracle
     problem = build_multipoint_problem(corpus.build_problem(name, 128), k)
     grid = problem.grid
-    weights = lift(problem.operator, grid).weights
+    weights = dense_weights(lift(problem.operator, grid))
     np.testing.assert_allclose(weights.reshape(problem.d, -1),
                                _boundary_rows(problem, grid), rtol=0, atol=1e-15)
 
@@ -271,6 +272,40 @@ def test_norm_lower_bound_on_corpus():
         probes = default_probe_jets(problem.r, problem.m, problem.grid)
         low = norm_lower_bound(problem.operator, probes)
         assert abs(low - expected) <= 1e-9
+
+
+def _numpy_polynomial_probe_jets(r, m, grid):
+    """The probe family, built with numpy.polynomial as mpbvp once built it."""
+    poly = np.polynomial.polynomial
+    a, b = grid.a, grid.b
+    s = np.array([-(a + b) / (b - a), 2.0 / (b - a)])
+    shapes = [np.array([1.0]), -s, poly.polysub(4.0 * poly.polypow(s, 3), 3.0 * s)]
+    shapes += [poly.polypow(np.array([-a, 1.0]), l) / math.factorial(l) for l in range(1, r)]
+    jets = []
+    for component in range(m):
+        for c in shapes:
+            chans = []
+            for _ in range(r + 1):
+                vals = np.zeros((grid.n + 1, m), dtype=complex)
+                vals[:, component] = poly.polyval(grid.nodes, c)
+                chans.append(vals)
+                c = poly.polyder(c) if c.size > 1 else np.zeros(1)
+            jets.append(chans)
+    return jets
+
+
+@pytest.mark.parametrize("r, m, a, b", [(1, 1, 0.0, 1.0), (2, 1, 0.0, 1.0), (3, 2, -0.5, 2.0),
+                                        (5, 1, 1.0, 3.0)])
+def test_probe_jets_are_bitwise_numpy_polynomial(r, m, a, b):
+    # Powers, differences and derivatives of the probe polynomials are
+    # formed by mpbvp's own convolutions and products, with the bits of
+    # numpy.polynomial's, which no command imports.
+    grid = Grid(a, b, 64)
+    got = default_probe_jets(r, m, grid)
+    want = _numpy_polynomial_probe_jets(r, m, grid)
+    for jet, chans in zip(got, want, strict=True):
+        for x, y in zip(jet.samples, chans, strict=True):
+            np.testing.assert_array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
 @pytest.mark.parametrize("name", ["p1", "p2", "p3"])
@@ -526,7 +561,7 @@ def test_lift_weights_are_bitwise_the_per_term_loop():
         # the linear fallback of the cubic stencil
         for grid in (Grid(op.a, op.b, 1000), Grid(op.a, op.b, 3)):
             got, want = lift(op, grid), _lift_loop(op, grid)
-            np.testing.assert_array_equal(got.weights.view(np.uint64), want.view(np.uint64))
+            np.testing.assert_array_equal(dense_weights(got).view(np.uint64), want.view(np.uint64))
             if isinstance(op, GeneralBoundaryOperator):
                 count = op.r - 1 + sum(mu.nodes.size for row in op.phi.entries for mu in row)
             else:
@@ -562,7 +597,7 @@ def test_multipoint_operator_rejects_bad_shape_and_interval():
     empty = MultipointBoundaryOperator(1, 2, 0.0, 1.0, [])
     assert empty.terms == () and empty.betas.shape == (0, 2, 2)
     assert norm_upper_bound(empty) == 0.0
-    assert not lift(empty, Grid(0.0, 1.0, 8)).weights.any()
+    assert not dense_weights(lift(empty, Grid(0.0, 1.0, 8))).any()
 
 
 def test_term_table_is_read_only():
@@ -606,7 +641,8 @@ def _assert_same_tables(op, other):
         for name in ("nodes", "orders", "betas"):
             np.testing.assert_array_equal(getattr(x, name), getattr(y, name))
     for grid in (Grid(op.a, op.b, 3), Grid(op.a, op.b, 200)):
-        np.testing.assert_array_equal(lift(op, grid).weights, lift(other, grid).weights)
+        np.testing.assert_array_equal(dense_weights(lift(op, grid)),
+                                      dense_weights(lift(other, grid)))
 
 
 def test_permuting_atoms_leaves_multipointify_and_lift_unchanged():
@@ -637,17 +673,22 @@ def test_zero_mass_atoms_leave_multipointify_and_lift_unchanged():
 
 @pytest.mark.parametrize("name", ["p1", "p2", "p3"])
 def test_lift_holds_its_weights_and_no_grid_sized_temporary(name):
-    # Each density's weights are added into their slice of the weight
-    # array a block of nodes at a time: the lift of p2 and p3 at n = 16384
-    # peaked at 2.13 and 1.88 MiB for 1.00 MiB of weights when each
-    # density's weights were a fresh (n+1) vector and its products.
+    # Each density's weights are added into its row of the density table a
+    # block of nodes at a time: the lift of p2 and p3 at n = 16384 peaked
+    # at 2.13 and 1.88 MiB for 1.00 MiB of dense weights when each density's
+    # weights were a fresh (n+1) vector and its products.  Point terms
+    # weigh only the nodes they touch, and only an entry with a density
+    # holds an (n+1) vector: p2 and p3 hold a quarter of the dense array.
     problem = corpus.build_problem(name, 16384)
     lift(problem.operator, problem.grid)  # the grid's nodes, cached
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        weights = lift(problem.operator, problem.grid).weights
+        T = lift(problem.operator, problem.grid)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= weights.nbytes + 0.3 * 2**20
+    held = T.weights.nbytes + T.densities.nbytes
+    assert peak <= held + 0.3 * 2**20
+    assert T.densities.shape == (1, problem.grid.n + 1)
+    assert held < 1.01 * T.densities.nbytes

@@ -28,6 +28,7 @@ from mpbvp import (
 )
 from oracles import (
     crank_nicolson_solve,
+    dense_weights,
     growth_problem,
     random_problem,
     scaled_boundary_problem,
@@ -347,10 +348,13 @@ def test_fine_grid_solve_keeps_roundoff():
 
 @pytest.mark.parametrize("name", ["p2", "p3"])
 def test_fine_grid_solve_holds_no_coefficient_table(name):
-    # The pass hands over V and R only: the solve evaluates its bottom row
-    # at the nodes a segment at a time, and builds the jet and its defect
-    # once V and R are gone.  With the node values of [A_0 ... A_{r-1} | f]
-    # handed over and kept to the end, p2 and p3 peaked at 4.5 and 5.8 MiB.
+    # The pass hands over V and R only, views of its work array: the solve
+    # evaluates its bottom row at the nodes a segment at a time, and builds
+    # the top channel and the defect once V and R are gone.  With the node
+    # values of [A_0 ... A_{r-1} | f] handed over and kept to the end, p2
+    # and p3 peaked at 4.5 and 5.8 MiB; with V and R formed beside the work
+    # array, a dense compiled operator and the top channel formed while the
+    # pass held its tables, at 3.5 and 3.3 MiB.
     problem = corpus.build_problem(name, 16384)
     solve(problem)
     tracemalloc.start()
@@ -360,7 +364,34 @@ def test_fine_grid_solve_holds_no_coefficient_table(name):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 4.25 * 2**20
+    assert peak < 2.75 * 2**20
+
+
+def test_two_point_system_of_eight_holds_its_work_array_and_little_else():
+    # d = 8 with a constant random A and conditions at a and b only.  The
+    # pass's one work array, (8, 9, 1 + 91 chunks of 91 steps), is V and R;
+    # the compiled operator weighs the 2 nodes its terms touch.  With V and
+    # R formed beside the work array and a dense (8, n+1, 8) operator, the
+    # solve peaked at 20.2 MiB here.
+    d, n = 8, 8192
+    rng = np.random.default_rng(8)
+    op = MultipointBoundaryOperator(1, d, 0.0, 1.0, [
+        BoundaryTerm(0.0, 0, rng.standard_normal((d, d))),
+        BoundaryTerm(1.0, 0, rng.standard_normal((d, d)))])
+    problem = BvpProblem(1, d, [PolyMatrix.constant(rng.standard_normal((d, d)) / d, 0.0, 1.0)],
+                         PolyVector([PiecewisePoly.constant(1.0, 0.0, 1.0)] * d), np.ones(d), op,
+                         Grid(0.0, 1.0, n))
+    solve(problem)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        solve(problem)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    work = (1 + 91 * 91) * d * (d + 1) * 16
+    assert peak < work + 5 * 2**20
+    assert lift(op, problem.grid).nodes.tolist() == [0, n]
 
 
 def test_top_channel_is_bitwise_the_node_evaluation():
@@ -427,8 +458,8 @@ def _assert_same_weights_and_jet(problem, other, scale=1.0):
     """lift(W) of the two operators is bitwise the same (for scale 1), and
     the jet of ``other`` is bitwise ``scale`` times that of ``problem``."""
     if scale == 1.0:
-        np.testing.assert_array_equal(lift(other.operator, other.grid).weights,
-                                      lift(problem.operator, problem.grid).weights)
+        np.testing.assert_array_equal(dense_weights(lift(other.operator, other.grid)),
+                                      dense_weights(lift(problem.operator, problem.grid)))
     for x, y in zip(solve(problem).jet.samples, solve(other).jet.samples, strict=True):
         np.testing.assert_array_equal(y, scale * x)
 

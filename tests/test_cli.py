@@ -277,6 +277,28 @@ def test_commands_do_not_import_numpy_ma():
     assert done.stdout == b"False\n"
 
 
+def test_commands_do_not_import_numpy_polynomial():
+    # numpy.polynomial took about 6 ms of every command's start when the
+    # Gauss rule was read from it at import; every command of p1-p3 now
+    # runs on mpbvp's own Horner sums and convolutions.
+    src = str(Path(mpbvp.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    command = ("import contextlib, io, sys; from mpbvp import cli\n"
+               "for name in ('p1', 'p2', 'p3'):\n"
+               "    for argv in (['solve'], ['check', '--theorem', '2'],\n"
+               "                 ['check', '--theorem', '3'], ['constants'], ['sweep'],\n"
+               "                 ['approximate', '--k', '8']):\n"
+               "        with contextlib.redirect_stdout(io.StringIO()), \\\n"
+               "                contextlib.redirect_stderr(io.StringIO()):\n"
+               "            assert cli.main([argv[0], name, *argv[1:]]) == 0, (name, argv)\n"
+               "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    done = subprocess.run([sys.executable, "-c", command], capture_output=True, env=env,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == b"[]\n"
+
+
 def test_out_artifact_gets_the_mode_of_open_under_the_command_umask(tmp_path):
     # The umask is read once, at import, so the command runs in a process
     # of its own, started under umask 022: its new solve.csv reads 0644, not

@@ -33,7 +33,7 @@ from mpbvp import (
     sawtooth_perturbation,
     sawtooth_rhs,
 )
-from mpbvp.funcspace import MAX_GRID_N, _piece_abs_integral
+from mpbvp.funcspace import MAX_GRID_N, _GAUSS_W, _GAUSS_X, _horner, _piece_abs_integral
 
 
 # -- grids -------------------------------------------------------------------
@@ -491,3 +491,20 @@ def test_norm_l1_matches_exact_integral():
     values = np.stack([grid.nodes, -np.ones_like(grid.nodes)], axis=1)
     # integral |t| + integral |-1| = 3/2; trapezoid is exact for both
     assert abs(norm_l1(grid, values) - 1.5) <= 1e-12
+
+
+def test_gauss_rule_and_horner_are_bitwise_numpy_polynomial():
+    # The 24-point rule is a table and one polynomial is evaluated by
+    # _horner, so that no command imports numpy.polynomial; both must keep
+    # the bits leggauss and polyval give.
+    x, w = np.polynomial.legendre.leggauss(24)
+    np.testing.assert_array_equal(_GAUSS_X.view(np.uint64), x.view(np.uint64))
+    np.testing.assert_array_equal(_GAUSS_W.view(np.uint64), w.view(np.uint64))
+    rng = np.random.default_rng(24)
+    t = rng.uniform(-2.0, 2.0, 200)
+    for size in (1, 2, 5, 9):
+        for c in (rng.standard_normal(size),
+                  rng.standard_normal(size) + 1j * rng.standard_normal(size)):
+            want = np.polynomial.polynomial.polyval(t, c)
+            np.testing.assert_array_equal(_horner(c[None], t).view(np.uint64),
+                                          want.view(np.uint64))

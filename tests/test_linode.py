@@ -196,9 +196,10 @@ def _system_increments(A, g, grid):
 
 
 def _chunk(n):
-    """The chunk length c of an n-step pass and its padded column count."""
+    """The chunk length c of an n-step pass and its padded column count,
+    whole chunks with at least one column past step n - 1."""
     c = math.isqrt(n - 1) + 1
-    return c, -(-n // c) * c
+    return c, (n // c + 1) * c
 
 
 def _full_square(top):
@@ -212,11 +213,14 @@ def _full_square(top):
 
 @pytest.mark.parametrize("n", [2, 3, 513, 1537, 2 * BLOCK_STEPS + 1, 16384, 16385])
 def test_chunked_composition_matches_step_loop(n):
-    # The whole pass is cut into chunks of c = isqrt(n - 1) + 1 steps: n = 2
-    # is one chunk, 3 two chunks of 2 (the last one padded), 16384 = 128 x
-    # 128 exactly, and 16385 128 chunks of 129, the last one padded with 127
-    # zero increments.  ``_slot_tables`` reads the chunk length off the
-    # work array and its chunk starts, so chunks of 7 steps compose too.
+    # The whole pass is cut into chunks of c = isqrt(n - 1) + 1 steps, with
+    # at least one zero increment of padding: n = 2 is one chunk and one of
+    # padding, 3 two chunks of 2 (the last one padded), 16384 = 128 x 128
+    # and one chunk of padding, and 16385 128 chunks of 129, the last one
+    # padded with 127 zero increments.  ``_slot_tables`` reads the chunk
+    # length off the work array and its chunk starts, so chunks of 7 steps
+    # compose too.  It writes V and R over the work array, the state after
+    # step i in column i + 1.
     A, g = _coupled_system()
     grid = _grid(n)
     rng = np.random.default_rng(n)
@@ -234,12 +238,13 @@ def test_chunked_composition_matches_step_loop(n):
         np.testing.assert_array_equal(expected[:, 2], np.broadcast_to([0, 0, 1], (n + 1, 3)))
         references.append(expected)
     for c in (_chunk(n)[0], 7):
-        work = [np.zeros((2, 3, -(-n // c) * c), dtype=complex) for _ in members]
+        work = [np.zeros((2, 3, (n // c + 1) * c), dtype=complex) for _ in members]
         for w, increments in zip(work, members):
             w[..., :n] = increments
         starts = _compose(work, c)
         for w, start, expected in zip(work, starts, references):
             V, (R,) = _slot_tables(w, start, n)
+            assert np.shares_memory(V, w) and np.shares_memory(R, w)
             got = np.concatenate([V, R[..., None]], axis=-1)
             assert (float(np.max(np.abs(got - expected[:, :2])))
                     <= 1e-13 * float(np.max(np.abs(expected))))
@@ -324,8 +329,8 @@ def test_pass_tables_are_bitwise_the_per_block_scan(monkeypatch, n, K, inverse):
     # 22, 23 and 24 steps pad their last 5-step chunk by 3, 2 and 1; 26 is
     # five chunks of 6.  511, 512 and 513 straddle a block of increments,
     # 1537 and 2049 end in a one-step block after full ones; c divides
-    # 16384 and not 16385.  The reference reads samples of the whole grid,
-    # the pass samples by segment.
+    # 16384, which takes a chunk of padding, and not 16385.  The reference
+    # reads samples of the whole grid, the pass samples by segment.
     A, g = _coupled_system()
     systems = [(A, g), (approximate_coefficients(A, 1), g),
                (approximate_coefficients(A, 3), g * 2.0j)][:K]
@@ -719,10 +724,11 @@ def test_group_wider_than_the_byte_cap_splits_over_passes(monkeypatch):
     np.testing.assert_array_equal(_adjoint_inverse(got[-1]), _reference_inverse(A, grid))
 
 
-def test_work_arrays_are_released_before_their_members_are_yielded(monkeypatch):
+def test_a_slot_work_array_is_its_tables_and_goes_with_them(monkeypatch):
     # Three groups in one pass: the slot of (A, g) and (A, 2g), that of A/2
-    # and that of the adjoint of A.  A slot's work arrays are unreachable
-    # when the first table read from them is yielded.
+    # and that of the adjoint of A.  V and every R of a slot are views of
+    # its work array and of no other, and the pass keeps no reference to a
+    # slot whose members it has yielded.
     A, g = _coupled_system()
     half = PolyMatrix([[e * 0.5 for e in row] for row in A.entries])
     systems = _with_adjoint([(A, g), (A, g * 2.0), (half, g)])
@@ -733,25 +739,33 @@ def test_work_arrays_are_released_before_their_members_are_yielded(monkeypatch):
         return compose(work, c)
 
     monkeypatch.setattr(linode, "_compose", recording_compose)
-    released = {}
-    for i, *_ in _propagate(systems, _grid(1537)):
+    released, views = {}, {}
+    for i, V, R in _propagate(systems, _grid(1537)):
+        views[i] = [[np.shares_memory(table, ref()) for table in (V, R)]
+                    for ref in slots if ref() is not None]
+        del V, R
         gc.collect()
         released[i] = [ref() is None for ref in slots]
     assert len(slots) == 3
-    assert released == {0: [True, False, False], 1: [True, False, False],
-                        2: [True, True, False], 3: [True, True, True]}
+    assert views == {0: [[True, True], [False, False], [False, False]],
+                     1: [[True, True], [False, False], [False, False]],
+                     2: [[True, True], [False, False]], 3: [[True, True]]}
+    assert released == {0: [False, False, False], 1: [False, False, False],
+                        2: [True, False, False], 3: [True, True, False]}
 
 
 def test_pass_holds_one_segment_of_coefficient_samples():
     # Samples of the whole grid, three (d, d + 1, n) panels (19 MB here),
-    # would exceed the bound; a segment's are about 1.2 MB.  The pass hands
-    # over V and R and nothing else.
+    # would exceed the bound; a segment's are about 0.6 MB.  The pass hands
+    # over V and R, views of its one work array, and nothing else: with
+    # the tables formed beside the work array, and segments twice as long,
+    # the pass peaked at 12.3 MiB here.
     A, g = _coupled_system()
     grid = _grid(65536)
     d = 2
-    tables = (grid.n + 1) * (d * d + d) * 16
-    bound = _member_bytes(grid.n) + tables + 2 * 2**20
+    bound = _member_bytes(grid.n) + 1.25 * 2**20
     assert 3 * d * (d + 1) * grid.n * 16 > 18 * 10**6
+    grid.nodes, grid.half_nodes  # cached before the count, as a solve finds them
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -15,6 +15,7 @@ from mpbvp import (
     mat_norm,
     total_variation,
 )
+from mpbvp.funcspace import _place_points
 from mpbvp.stieltjes import _density_weights
 
 
@@ -246,8 +247,9 @@ def _weights_loop(mu, grid):
 
 
 def test_atom_merge_and_weights_are_bitwise_the_loops():
-    # apply's sum is compared with the same contraction of the loop's
-    # weights, on samples with no zero, so that any weight bit shows.
+    # The placed weights are the loop's, on the nodes they touch and 0
+    # elsewhere, and apply's sum is compared with the same product of the
+    # loop's weights, on samples with no zero, so that any weight bit shows.
     rng = np.random.default_rng(3)
     for atoms in _raw_atom_lists():
         mu = ScalarMeasure(0.0, 1.0, atoms=atoms)
@@ -255,7 +257,12 @@ def test_atom_merge_and_weights_are_bitwise_the_loops():
         assert mu.nodes.dtype == float and mu.masses.dtype == complex
         for grid in (Grid(0.0, 1.0, 1000), Grid(0.0, 1.0, 2)):
             x = rng.uniform(1.0, 2.0, (grid.n + 1, 1)) + 1j * rng.uniform(1.0, 2.0, (grid.n + 1, 1))
-            want = np.einsum("isj,sj->i", _weights_loop(mu, grid)[None, :, None], x)
+            loop = _weights_loop(mu, grid)
+            nodes, weights = _place_points(grid, *MatrixMeasure([[mu]])._atom_terms(0), 1)
+            placed = np.zeros_like(loop)
+            placed[nodes] = weights[0, :, 0]
+            np.testing.assert_array_equal(placed.view(np.uint64), loop.view(np.uint64))
+            want = loop[None, nodes] @ x[nodes, 0]
             np.testing.assert_array_equal(MatrixMeasure([[mu]]).apply(grid, x).view(np.uint64),
                                           want.view(np.uint64))
     chain = ScalarMeasure(0.0, 1.0, atoms=_raw_atom_lists()[-3])
