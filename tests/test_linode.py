@@ -316,9 +316,10 @@ def _member_bytes(n, d=2):
 
 #: The coupled system's (d = 2) fill samples segments of this many steps.
 SEGMENT = BLOCK_STEPS * (linode.SEGMENT_BYTES // (3 * 2 * 3 * BLOCK_STEPS * 16))
-#: Grids on which the jumps of A and g at t = 1/2 lie on the edge of a
-#: segment (2 SEGMENT) or one step inside one (2 SEGMENT +- 2), and that edge.
-SEGMENT_EDGES = {2 * SEGMENT - 2: SEGMENT, 2 * SEGMENT: SEGMENT, 2 * SEGMENT + 2: SEGMENT}
+#: Grids on which the jumps of A and g at t = 1/2 lie on the edge of the
+#: first or second segment (2k SEGMENT) or one step inside one
+#: (2k SEGMENT +- 2), and that edge.
+SEGMENT_EDGES = {2 * k * SEGMENT + e: k * SEGMENT for k in (1, 2) for e in (-2, 0, 2)}
 
 
 @pytest.mark.parametrize("inverse", [False, True])
