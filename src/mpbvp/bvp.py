@@ -19,6 +19,7 @@ constants all solve through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -128,7 +129,8 @@ class BvpSolution:
     ``matrizant_norm_c`` is the C-norm |V|_C of the matrizant,
     ``char_inverse_norm`` the norm |[TV]^-1| of the inverse characteristic
     matrix, and ``consistency_defect`` the O(h^2) truncation error of the
-    jet's centred differences (``SampledJet.consistency_defect``).
+    jet's centred differences (``SampledJet.consistency_defect``), formed
+    when first read.
     """
 
     jet: SampledJet
@@ -137,8 +139,11 @@ class BvpSolution:
     cond: float
     matrizant_norm_c: float = field(default=float("nan"))
     char_inverse_norm: float = field(default=float("nan"))
-    consistency_defect: float = field(default=float("nan"))
     boundary_residual: float = field(default=float("nan"))
+
+    @cached_property
+    def consistency_defect(self) -> float:
+        return self.jet.consistency_defect()
 
 
 def companion_reduce(problem: BvpProblem):
@@ -251,9 +256,8 @@ def _solve_pass(problems, inverse: bool = False) -> tuple[list, float | None]:
     is the transposed matrizant of the adjoint of the first problem's
     companion system, which the pass then propagates too, with zero
     forcing.  ``_assemble`` forms each solution's y ... y^(r-1) while the
-    pass holds its V and R; the top channels and the consistency defects
-    are formed once the pass is exhausted and holds none.  |V|_C is taken
-    once per V.
+    pass holds its V and R; the top channels are formed once the pass is
+    exhausted and holds none.  |V|_C is taken once per V.
     """
     systems = [_companion_system(p) for p in problems]
     if inverse:
@@ -280,16 +284,15 @@ def _solve_pass(problems, inverse: bool = False) -> tuple[list, float | None]:
             row = [[*P.entries[k], g.components[k]] for k in range(d - jet.m, d)]
             solution.jet = SampledJet(jet.grid, jet.m, jet.r + 1,
                                       [*jet.samples, _top_channel(jet.grid, row, jet.samples)])
-            solution.consistency_defect = solution.jet.consistency_defect()
     return [out[i] for i in range(len(problems))], w_c
 
 
 def _assemble(problem: BvpProblem, V: np.ndarray, R: np.ndarray,
               matrizant_norm_c: float) -> BvpSolution:
-    """The solution of ``problem``, its jet y ... y^(r-1) only and no
-    consistency defect, from its matrizant V and forced trajectory R: lift
-    the operator, gate [TV], form u and |T u - q|, the lifted weights' last
-    reader.  Raises NotUniquelySolvableError as ``solve`` does."""
+    """The solution of ``problem``, its jet y ... y^(r-1) only, from its
+    matrizant V and forced trajectory R: lift the operator, gate [TV], form
+    u and |T u - q|, the lifted weights' last reader.  Raises
+    NotUniquelySolvableError as ``solve`` does."""
     r, m = problem.r, problem.m
     # Everything the operator touches is divided by 2**e.
     T, e = _scaled_lift(problem)

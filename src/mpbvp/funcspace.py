@@ -15,7 +15,8 @@ row per piece.  Every operation works on the whole table: evaluation and
 ``integrals`` (exact integrals over consecutive edges, from the
 antiderivative table) are one Horner pass each, sums gather both operands'
 rows at the merged pieces, and |.| integrals of constant pieces are one dot
-product.
+product.  Evaluation takes the right-hand piece at an interior breakpoint;
+the left-hand limits that RK4 step ends need come from ``grid_samples``.
 """
 
 from __future__ import annotations
@@ -47,6 +48,11 @@ MAX_PIECE_DEGREE = 8
 
 #: Largest grid size n; bounds every (n+1)-sized array a solve allocates.
 MAX_GRID_N = 2**20
+
+#: Steps, or nodes, that one block of grid work forms together: the RK4
+#: pass's increments and table rows, and a density's quadrature weights.
+#: Bounds the temporaries of each.
+BLOCK_STEPS = 512
 
 @dataclass(frozen=True)
 class Grid:
@@ -214,8 +220,8 @@ class PiecewisePoly:
     interval integrals (``integrals``) and |.| integrals each run on the
     whole table at once.  ``coeffs`` lists the pieces at their own widths,
     which is what problem files store.  Evaluation at an interior
-    breakpoint takes the right-hand piece by default; the point b always
-    belongs to the last piece.
+    breakpoint takes the right-hand piece; the point b always belongs to
+    the last piece.
     """
 
     __slots__ = ("breakpoints", "table", "widths", "_coeffs")
@@ -317,16 +323,16 @@ class PiecewisePoly:
     def is_zero(self) -> bool:
         return not self.table.any()
 
-    def _piece_index(self, t, side: str = "right") -> np.ndarray:
+    def _piece_index(self, t) -> np.ndarray:
         """Index of the piece each t falls in, found among the interior
-        breakpoints: below a it is the first piece, above b the last."""
-        return np.searchsorted(self.breakpoints[1:-1], t, side=side)
+        breakpoints, the right-hand one at a breakpoint: below a it is the
+        first piece, above b the last."""
+        return np.searchsorted(self.breakpoints[1:-1], t, side="right")
 
-    def __call__(self, t, side: str = "right"):
+    def __call__(self, t):
         tt = np.atleast_1d(np.asarray(t, dtype=float))
         # A single piece is evaluated, broadcast, with no piece search.
-        one = self.npieces == 1 and side in ("left", "right")
-        out = _horner(self.table if one else self.table[self._piece_index(tt, side)], tt)
+        out = _horner(self.table if self.npieces == 1 else self.table[self._piece_index(tt)], tt)
         return out[0] if np.ndim(t) == 0 else out
 
     def grid_samples(self, grid: Grid, lo: int = 0, hi: int | None = None):
@@ -338,9 +344,9 @@ class PiecewisePoly:
         ``__call__`` gives them.  Only the nodes and the midpoints are
         evaluated: the end of step i is node i + 1, so its left limit is
         that node's value, except at an interior breakpoint that equals a
-        node, where it is evaluated on the piece to the left.  Each value is
-        ``__call__``'s at the same point and side, so a range's samples are
-        those slices of the whole grid's.
+        node, where it is evaluated on the piece to the left.  Each value
+        depends only on its point and the piece it is read on, so a range's
+        samples are those slices of the whole grid's.
         """
         hi = grid.n if hi is None else hi
         nodes, mids = grid.nodes[lo:hi + 1], grid.half_nodes[lo:hi]
@@ -383,10 +389,6 @@ class PiecewisePoly:
         anti[:, 1:] = self.table / np.arange(1, width + 1)
         anti = anti[self._piece_index(lo)]
         return np.add.reduceat(_horner(anti, hi) - _horner(anti, lo), starts[:-1])
-
-    def integrate(self, c: float | None = None, d: float | None = None) -> complex:
-        """Exact integral of the polynomial over [c, d] (defaults to [a, b])."""
-        return complex(self.integrals([self.a if c is None else c, self.b if d is None else d])[0])
 
     def abs_integral(self) -> float:
         """Integral of |p(t)| over [a, b], exact up to quadrature on smooth arcs.

@@ -66,7 +66,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .funcspace import Grid, PolyMatrix, PolyVector, _spans
+from .funcspace import BLOCK_STEPS, Grid, PolyMatrix, PolyVector, _spans
 
 __all__ = [
     "fundamental_matrix",
@@ -74,9 +74,6 @@ __all__ = [
     "forced_trajectory",
 ]
 
-#: Steps whose increments, or table rows, are formed together; bounds the
-#: temporaries of a fill and of a table.
-BLOCK_STEPS = 512
 #: Bytes of work arrays one propagation pass holds, chunk padding included;
 #: a pass holds at least one column.
 PASS_BYTES = 32 * 2**20

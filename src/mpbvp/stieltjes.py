@@ -2,12 +2,10 @@
 
 A measure here is one table of atoms (``nodes`` and ``masses``) together
 with an absolutely continuous part given by a piecewise-polynomial density,
-so total variation and discretization are computable in closed form.  The
-two parts are mutually singular, so a measure's total variation is the sum
-of theirs; ``variation_matrix`` gives it entry by entry.  Atoms are sorted
-and coalesced in one pass by ``funcspace._coalesce``; every query reduces
-or concatenates the table's arrays.  A matrix measure hands its
-atoms over as one point-term table, placed on a grid by the point terms'
+so ``discretize_measure`` gives each subinterval's atom the density's exact
+integral over it.  Atoms are sorted and coalesced in one pass by
+``funcspace._coalesce``.  A matrix measure hands its atoms over as one
+point-term table, placed on a grid by the point terms'
 ``funcspace._place_points`` on the nodes a non-zero weight reaches, and
 its densities as one row of ``_density_weights`` per entry that has one.
 """
@@ -16,14 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .funcspace import (Grid, PiecewisePoly, _check_k, _clamp_points, _coalesce, _horner,
-                        _place_points, _spans)
-from .linode import BLOCK_STEPS
+from .funcspace import (BLOCK_STEPS, Grid, PiecewisePoly, _check_k, _clamp_points, _coalesce,
+                        _horner, _place_points, _spans)
 
 __all__ = [
     "ScalarMeasure",
     "MatrixMeasure",
-    "total_variation",
     "discretize_measure",
 ]
 
@@ -76,12 +72,6 @@ class ScalarMeasure:
     @classmethod
     def zero(cls, a: float, b: float) -> "ScalarMeasure":
         return cls(a, b)
-
-    # -- queries -----------------------------------------------------------
-
-    def mass(self) -> complex:
-        dens = 0 if self.density is None else self.density.integrate()
-        return complex(self.masses.sum() + dens)
 
     def __repr__(self):
         dens = "none" if self.density is None else repr(self.density)
@@ -155,12 +145,6 @@ def _density_table(entries, grid: Grid, first: int) -> tuple:
     for weights, (_, _, density) in zip(table, slots):
         _density_weights(grid, density, weights)
     return (*np.array([slot[:2] for slot in slots], dtype=np.intp).reshape(-1, 2).T, table)
-
-
-def total_variation(measure: ScalarMeasure) -> float:
-    """Total variation: sum of |atom masses| plus the L1 mass of the density."""
-    dens = 0.0 if measure.density is None else measure.density.abs_integral()
-    return float(np.abs(measure.masses).sum() + dens)
 
 
 def discretize_measure(measure: ScalarMeasure, k: int) -> ScalarMeasure:
@@ -239,6 +223,3 @@ class MatrixMeasure:
         return MatrixMeasure(
             [[discretize_measure(e, k) for e in row] for row in self.entries]
         )
-
-    def variation_matrix(self) -> np.ndarray:
-        return np.array([[total_variation(e) for e in row] for row in self.entries])

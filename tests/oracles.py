@@ -6,7 +6,12 @@ oracle is a Crank-Nicolson finite-difference scheme assembled as one
 sparse linear system (with its own companion reduction and its own
 boundary-row quadrature), and the determinant identity reference
 integrates the coefficient trace analytically piece by piece.  Package
-objects are used only to *read* problem data, never to compute.
+objects are used only to *read* problem data, never to compute.  The
+exceptions are ``dense_weights`` and the readings after it, which give
+tests what the package itself never needs (a compiled operator's dense
+weights, a left-hand limit, an interval integral, a measure's mass and
+total variation) from the package's own data and primitives, with their
+bits.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from mpbvp import (
     PolyVector,
 )
 from mpbvp.boundary import BoundaryTerm
+from mpbvp.funcspace import _horner
 
 
 def dense_weights(lifted) -> np.ndarray:
@@ -35,6 +41,37 @@ def dense_weights(lifted) -> np.ndarray:
     out[:, lifted.nodes] = lifted.weights
     out[lifted.density_rows, :, lifted.density_columns] += lifted.densities
     return out
+
+
+def left_limit(p: PiecewisePoly, t):
+    """p(t) read on the left-hand piece at an interior breakpoint, where
+    ``p(t)`` reads the right-hand one; elsewhere it is ``p(t)``, bit for bit."""
+    tt = np.atleast_1d(np.asarray(t, dtype=float))
+    out = _horner(p.table[np.searchsorted(p.breakpoints[1:-1], tt, side="left")], tt)
+    return out[0] if np.ndim(t) == 0 else out
+
+
+def interval_integral(p: PiecewisePoly, c: float | None = None, d: float | None = None) -> complex:
+    """Exact integral of p over [c, d], by default [a, b]: ``p.integrals([c, d])``."""
+    return complex(p.integrals([p.a if c is None else c, p.b if d is None else d])[0])
+
+
+def measure_mass(mu) -> complex:
+    """A scalar measure's mass: its atoms' masses plus its density's integral."""
+    dens = 0 if mu.density is None else interval_integral(mu.density)
+    return complex(mu.masses.sum() + dens)
+
+
+def total_variation(mu) -> float:
+    """A scalar measure's total variation: sum of |atom masses| plus the L1
+    mass of its density, since the two parts are mutually singular."""
+    dens = 0.0 if mu.density is None else mu.density.abs_integral()
+    return float(np.abs(mu.masses).sum() + dens)
+
+
+def variation_matrix(phi) -> np.ndarray:
+    """The total variation of every entry of a matrix measure."""
+    return np.array([[total_variation(e) for e in row] for row in phi.entries])
 
 
 def expm_taylor(A: np.ndarray) -> np.ndarray:
@@ -161,7 +198,7 @@ def exact_trace_integral(A: PolyMatrix, nodes: np.ndarray) -> np.ndarray:
     for idx, t in enumerate(nodes):
         total = 0j
         for i in range(rows):
-            total += A.entries[i][i].integrate(a, float(t))
+            total += interval_integral(A.entries[i][i], a, float(t))
         out[idx] = total
     return out
 

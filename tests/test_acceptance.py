@@ -33,7 +33,6 @@ from mpbvp import (
     solve,
     sweep,
     theorem3_check,
-    total_variation,
     vec_norm,
 )
 
@@ -41,7 +40,9 @@ from oracles import (
     crank_nicolson_solve,
     exact_trace_integral,
     expm_taylor,
+    measure_mass,
     random_problem,
+    total_variation,
 )
 
 CORPUS = ("p1", "p2", "p3")
@@ -175,7 +176,7 @@ def test_criterion_06_measure_invariants():
             nu = discretize_measure(mu, k)
             contraction = max(contraction,
                               total_variation(nu) - total_variation(mu))
-            mass_drift = max(mass_drift, abs(nu.mass() - mu.mass()))
+            mass_drift = max(mass_drift, abs(measure_mass(nu) - measure_mass(mu)))
     lebesgue = ScalarMeasure.lebesgue(0.0, 1.0, 1.0)
     # Lebesgue minus its k-atom discretization: the density with the atoms negated.
     differences = (ScalarMeasure(0.0, 1.0, density=lebesgue.density,

@@ -14,6 +14,7 @@ from mpbvp import (
     PiecewisePoly,
     PolyMatrix,
     PolyVector,
+    SampledJet,
     approximate_coefficients,
     build_multipoint_problem,
     corpus,
@@ -35,7 +36,7 @@ from mpbvp.linode import (
     _propagate,
     _slot_tables,
 )
-from oracles import exact_trace_integral, expm_taylor, growth_problem
+from oracles import exact_trace_integral, expm_taylor, growth_problem, left_limit
 
 
 def _grid(n=2048):
@@ -385,21 +386,22 @@ def test_batch_last_product_matches_matmul(s):
             check(A, B, _full_square(B))
 
 
-def _reference_panel(F, t, side):
-    """F at the points t, entry by entry, as (len(t), ...) with ... the shape of F."""
+def _reference_panel(F, t, left=False):
+    """F at the points t, entry by entry, as (len(t), ...) with ... the shape
+    of F: left-hand limits with ``left``, else values."""
+    value = (lambda e: left_limit(e, t)) if left else (lambda e: e(t))
     if isinstance(F, PolyVector):
-        return np.stack([c(t, side=side) for c in F.components], axis=-1)
-    return np.stack([np.stack([e(t, side=side) for e in row], axis=-1) for row in F.entries],
-                    axis=-2)
+        return np.stack([value(c) for c in F.components], axis=-1)
+    return np.stack([np.stack([value(e) for e in row], axis=-1) for row in F.entries], axis=-2)
 
 
 def _reference_panels(F, grid):
     """F at the step starts (right limits), midpoints and step ends (left
     limits): three evaluations of every entry."""
     nodes = grid.nodes
-    return (_reference_panel(F, nodes[:-1], "right"),
-            _reference_panel(F, grid.half_nodes, "right"),
-            _reference_panel(F, nodes[1:], "left"))
+    return (_reference_panel(F, nodes[:-1]),
+            _reference_panel(F, grid.half_nodes),
+            _reference_panel(F, nodes[1:], left=True))
 
 
 def _reference_increments(A, g, grid):
@@ -704,6 +706,18 @@ def test_mixed_family_solves_as_one_member_solves():
             np.testing.assert_array_equal(have, want)
         assert together.consistency_defect == alone.consistency_defect
         assert together.boundary_residual == alone.boundary_residual
+
+
+def test_a_solution_forms_its_consistency_defect_once_it_is_read(monkeypatch):
+    # No certificate reads a member's defect, so the pass forms none; a
+    # solution forms its own from its finished jet, once.
+    defect, calls = SampledJet.consistency_defect, []
+    monkeypatch.setattr(SampledJet, "consistency_defect", lambda jet: calls.append(jet) or defect(jet))
+    solutions, _ = _solve_pass(_p2_mixed_problems())
+    assert calls == []
+    first = solutions[0]
+    assert first.consistency_defect == first.consistency_defect == defect(first.jet)
+    assert len(calls) == 1 and calls[0] is first.jet and first.jet.r == 2
 
 
 def test_group_wider_than_the_byte_cap_splits_over_passes(monkeypatch):
