@@ -255,35 +255,37 @@ def _solve_pass(problems, inverse: bool = False) -> tuple[list, float | None]:
     it; and w_c = |V^-1|_C of the first with ``inverse``, else None.  V^-1
     is the transposed matrizant of the adjoint of the first problem's
     companion system, which the pass then propagates too, with zero
-    forcing.  ``_assemble`` forms each solution's y ... y^(r-1) while the
-    pass holds its V and R; the top channels are formed once the pass is
-    exhausted and holds none.  |V|_C is taken once per V.
+    forcing.  The pass hands over one slot at a time: ``_assemble`` forms
+    the y ... y^(r-1) of each of its members, |V|_C taken once per slot,
+    and the slot is dropped before the next is made.  The top channels are
+    formed once the pass is exhausted.
     """
     systems = [_companion_system(p) for p in problems]
     if inverse:
         P = systems[0][0]
         systems.append((_adjoint(P), PolyVector.zero(P.shape[0], P.a, P.b)))
-    out, last, w_c = {}, None, None
-    for i, V, R in _propagate(systems, problems[0].grid):
-        if i == len(problems):
-            w_c = traj_norm_c(V.swapaxes(1, 2))
-            continue
-        if V is not last:
-            last, norm = V, traj_norm_c(V)
-        try:
-            out[i] = _assemble(problems[i], V, R, norm)
-        except NotUniquelySolvableError as exc:
-            if i == 0:
-                raise
-            out[i] = exc
-    del last, V, R
+    out, w_c = {}, None
+    for V, columns in _propagate(systems, problems[0].grid):
+        norm = None
+        for R, indices in columns:
+            for i in indices:
+                if i == len(problems):
+                    w_c = traj_norm_c(V.swapaxes(1, 2))
+                    continue
+                norm = traj_norm_c(V) if norm is None else norm
+                try:
+                    out[i] = _assemble(problems[i], V, R, norm)
+                except NotUniquelySolvableError as exc:
+                    if i == 0:
+                        raise
+                    # A record with no traceback, whose frames would hold the slot.
+                    out[i] = NotUniquelySolvableError(str(exc), exc.det, exc.cond)
+        del V, columns, R
     for i, solution in out.items():
         if isinstance(solution, BvpSolution):
-            (P, g), jet, d = systems[i], solution.jet, problems[i].d
-            # The bottom block row [A_0 ... A_{r-1} | f] of its own companion system.
-            row = [[*P.entries[k], g.components[k]] for k in range(d - jet.m, d)]
+            jet = solution.jet
             solution.jet = SampledJet(jet.grid, jet.m, jet.r + 1,
-                                      [*jet.samples, _top_channel(jet.grid, row, jet.samples)])
+                                      [*jet.samples, _top_channel(jet.grid, *systems[i], jet.samples)])
     return [out[i] for i in range(len(problems))], w_c
 
 
@@ -314,18 +316,18 @@ def _assemble(problem: BvpProblem, V: np.ndarray, R: np.ndarray,
                        char_inverse_norm=inverse_norm, boundary_residual=boundary_residual)
 
 
-def _top_channel(grid: Grid, row, samples) -> np.ndarray:
-    """f - sum_l A_l y^(l) at the nodes from the rows [A_0 ... A_{r-1} | f]
-    and the node samples of y^(l), l < r, one segment of the pass at a time."""
-    m, d = len(row), len(row[0]) - 1
+def _top_channel(grid: Grid, P: PolyMatrix, g: PolyVector, samples) -> np.ndarray:
+    """f - sum_l A_l y^(l) at the nodes from the bottom block row
+    [A_0 ... A_{r-1} | f] of the companion system (P, g) and the node
+    samples of y^(l), l < r, one segment of the pass at a time."""
+    m, d = samples[0].shape[1], P.shape[0]
+    row = PolyMatrix([[*P.entries[k], g.components[k]] for k in range(d - m, d)])
     top = np.empty((grid.n + 1, m), dtype=complex)
     step = _segment_steps(d)
     for lo in range(0, grid.n + 1, step):
         t, block = grid.nodes[lo:lo + step], top[lo:lo + step]
         # [A_0 ... A_{r-1} | f] at the segment's nodes, step-first.
-        values = np.empty((t.size, m, d + 1), dtype=complex)
-        for i, j in np.ndindex(m, d + 1):
-            values[:, i, j] = row[i][j](t)
+        values = row.eval_at(t)
         block[:] = values[..., d]
         for l, y in enumerate(samples):
             block -= np.einsum("nij,nj->ni", values[..., l * m:(l + 1) * m], y[lo:lo + step])
@@ -334,11 +336,9 @@ def _top_channel(grid: Grid, row, samples) -> np.ndarray:
 
 def residuals(problem: BvpProblem, jet: SampledJet) -> tuple[float, float]:
     """(L1 norm of L y - f over the grid, |B y - q| in the vector norm) of
-    the jet y, for the problem as given."""
+    the jet y, for the problem's data as the solver reads them."""
     grid, r = problem.grid, problem.r
-    row = [[*(e for A in problem.coeffs for e in A.entries[i]), f]
-           for i, f in enumerate(problem.f.components)]
-    defect = jet.samples[r] - _top_channel(grid, row, jet.samples[:r])
+    defect = jet.samples[r] - _top_channel(grid, *_companion_system(problem), jet.samples[:r])
     ode_residual = norm_l1(grid, defect)
     boundary_residual = vec_norm(apply_operator(problem.operator, jet) - problem.q)
     return ode_residual, boundary_residual

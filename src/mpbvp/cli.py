@@ -71,23 +71,26 @@ class _Parser(argparse.ArgumentParser):
 def _parse_ks(text: str) -> list:
     """Parse --ks: 'start:stop:x<factor>' geometric, or a comma list, sorted with any repeat."""
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3 or not parts[2].lower().startswith("x"):
-            raise ValueError(f"--ks expects start:stop:x<factor>, got {text!r}")
-        start, stop = int(parts[0]), int(parts[1])
-        factor = int(parts[2][1:])
+    ranged = ":" in text
+    expects = f"--ks expects {'start:stop:x<factor>' if ranged else 'positive integers'}, got {text!r}"
+    try:
+        if ranged:
+            start, stop, factor = text.split(":")
+            if factor[:1].lower() != "x":
+                raise ValueError
+            start, stop, factor = int(start), int(stop), int(factor[1:])
+        else:
+            ks = sorted(int(p) for p in text.split(",") if p.strip())
+    except ValueError:
+        raise ValueError(expects) from None
+    if ranged:
         if start < 1 or stop < start or factor < 2:
             raise ValueError(f"--ks range {text!r} is empty or not increasing")
-        ks = []
-        k = start
-        while k <= stop:
-            ks.append(k)
-            k *= factor
-    else:
-        ks = sorted(int(p) for p in text.split(",") if p.strip())
-        if not ks or ks[0] < 1:
-            raise ValueError(f"--ks expects positive integers, got {text!r}")
+        ks = [start]
+        while ks[-1] * factor <= stop:
+            ks.append(ks[-1] * factor)
+    elif not ks or ks[0] < 1:
+        raise ValueError(expects)
     _check_k(ks[-1])
     return ks
 

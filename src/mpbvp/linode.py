@@ -15,30 +15,29 @@ distinct g, each with the bits of a pass of its own.
 
 One pass propagates a family of systems of one shape on one grid, such
 as a limit problem and its multipoint approximations, grouped by the bits
-of A (each entry's breakpoints and table).  Its n steps are cut into
-chunks of c = isqrt(n - 1) + 1 steps, with at least one zero increment
-of padding.  Each group keeps one zeroed work array
-(d, d + G, chunks c), step i in column i, and writes its increments there,
-A sampled once.  Then c - 1 iterations per group form, in place, the
-prefix increments of every chunk, and one loop over the chunks carries
-every column of the pass with one stacked product of narrow (d, s)
-states: a stacked ``@`` of another width does not keep the bits.  Once
-the whole pass is composed, one loop over a slot's blocks of chunks, from
-the last, writes the state after step i over increment i, in column
-i + 1, V and every R side by side, and the start [I | 0] in column 0: a
-slot's V and R are views of its work array.  A pass holds at most
-PASS_BYTES of work arrays; a larger family, or a wider group, is split
-over passes.
+of A (each entry's breakpoints and table), one slot at a time: a slot is
+a group's forcing columns, or as many of them as PASS_BYTES allows.  The
+n steps are cut into chunks of c = isqrt(n - 1) + 1 steps, with at least
+one zero increment of padding.  A slot is one zeroed work array
+(d, d + G, chunks c), step i in column i, that takes its increments, A
+sampled once.  Then c - 1 iterations form, in place, the prefix
+increments of every chunk, and one loop over the chunks carries the
+slot's columns with one stacked product of narrow (d, s) states: a
+stacked ``@`` of another width does not keep the bits.  One loop over the
+slot's blocks of chunks, from the last, then writes the state after step
+i over increment i, in column i + 1, V and every R side by side, and the
+start [I | 0] in column 0: a slot's V and R are views of its work array.
+The pass keeps no reference to a slot it has handed over, so a consumer
+that drops the tables drops the slot before the next one is made.
 
-Besides its work arrays, a pass holds one segment of coefficient samples
-at a time.  ``_fill`` samples a run of whole blocks of BLOCK_STEPS steps,
-at most SEGMENT_BYTES of [A | g_1], forms their increments block by block
+Besides its slot, a pass holds one segment of coefficient samples at a
+time.  ``_fill`` samples a run of whole blocks of BLOCK_STEPS steps, at
+most SEGMENT_BYTES of [A | g_1], forms their increments block by block
 and drops the samples before the next segment, so every increment, and
-every table, has the bits of one sampling of the whole grid.  A slot's
-work array is its V and R, and the pass drops it once its members are
-yielded.  The tables are all a pass hands over: a caller that needs
-the coefficients at the nodes, as the solver's top jet channel does,
-evaluates them itself, with the bits of the node samples here.
+every table, has the bits of one sampling of the whole grid.  The tables
+are all a pass hands over: a caller that needs the coefficients at the
+nodes, as the solver's top jet channel does, evaluates them itself, with
+the bits of the node samples here.
 
 A pass from I_{d+1} gives the top rows [V | R] of the augmented matrizant
 [[V, R], [0, 1]]: the matrizant V and the forced trajectory R with
@@ -62,7 +61,6 @@ value only at a breakpoint on a node, where it alone is evaluated again.
 from __future__ import annotations
 
 import math
-from itertools import groupby
 
 import numpy as np
 
@@ -74,8 +72,9 @@ __all__ = [
     "forced_trajectory",
 ]
 
-#: Bytes of work arrays one propagation pass holds, chunk padding included;
-#: a pass holds at least one column.
+#: Bytes of the one slot's work array that a propagation pass holds at a
+#: time, chunk padding included, each forcing column counted as a narrow
+#: (d, s) slot's; a slot holds at least one column.
 PASS_BYTES = 32 * 2**20
 #: Bytes of the node, midpoint and step-end samples of [A | g_1] that a
 #: fill holds at once, rounded down to whole blocks, at least one: 4 blocks
@@ -148,17 +147,18 @@ def _bits(entries) -> tuple:
 
 
 def _propagate(systems, grid: Grid):
-    """Yield, system by system, (index, V, R): its index in ``systems`` and
-    the top rows [V | R] of its augmented matrizant [[V, R], [0, 1]], as
-    V (n+1, d, d) and R (n+1, d), and nothing else.
+    """Yield, slot by slot, (V, [(R, indices), ...]): the top rows [V | R]
+    of the augmented matrizants [[V, R], [0, 1]] of a slot's systems, V
+    (n+1, d, d) and each R (n+1, d) with the indices in ``systems`` that it
+    serves, and nothing else.
 
     ``systems`` are (A, g) pairs of one shape, A d x d and g of d
     components (a system of another shape is refused by its index), whose
     entries' and components' intervals are each the grid's to 1e-9 (b - a),
-    as a BvpProblem's.  They come group by group,
-    system 0 first; a group's members share one V, and those whose g shares
-    its bits share a forcing column and R.  ``_fill`` writes the work
-    arrays, ``_compose`` composes them and ``_slot_tables`` reads each.
+    as a BvpProblem's.  Groups of equal A come in order, system 0's first,
+    one forcing column per distinct g, each column counted as a narrow
+    (d, s) slot's against PASS_BYTES.  The generator keeps no reference to
+    a slot it has yielded.
     """
     systems = list(systems)
     d = systems[0][0].shape[0]
@@ -173,67 +173,63 @@ def _propagate(systems, grid: Grid):
     # Whole chunks past step n - 1, so that the state after it has a column.
     c = math.isqrt(n - 1) + 1
     padded = (n // c + 1) * c
-    # Columns (A, g, the systems sharing both), by group; the large keys go with the dict.
-    columns = {}
+    # Columns (g, the systems sharing A and g), by group; the large keys go with the dict.
+    groups = {}
     for i, (A, g) in enumerate(systems):
-        A, group = columns.setdefault(_bits(e for row in A.entries for e in row), (A, {}))
-        group.setdefault(_bits(g.components), (A, g, []))[2].append(i)
-    columns = [column for _, group in columns.values() for column in group.values()]
-    # A pass counts each column as a narrow slot's d + 1 work-array columns,
-    # which bound a piece's d + G.
-    per_pass = max(1, PASS_BYTES // (padded * d * 16 * (d + 1)))
-    for lo in range(0, len(columns), per_pass):
-        pieces = [list(piece) for _, piece in
-                  groupby(columns[lo:lo + per_pass], key=lambda col: id(col[0]))]
-        # One slot per piece; the padding of the last chunk stays 0.
-        work = [np.zeros((d, d + len(piece), padded), dtype=complex) for piece in pieces]
-        for slot, piece in zip(work, pieces):
-            _fill(slot, piece[0][0], [g for _, g, _ in piece], grid)
-        starts = _compose(work, c)
-        # The pass keeps no reference to a slot whose members it has yielded.
-        for piece in pieces:
-            V, Rs = _slot_tables(work.pop(0), starts.pop(0), n)
-            for _, _, members in piece:
-                R = Rs.pop(0)
-                for i in members:
-                    yield i, V, R
+        A, columns = groups.setdefault(_bits(e for row in A.entries for e in row), (A, {}))
+        columns.setdefault(_bits(g.components), (g, []))[1].append(i)
+    # Each column counts as a narrow slot's d + 1 work-array columns.
+    per_slot = max(1, PASS_BYTES // (padded * d * 16 * (d + 1)))
+    for A, columns in groups.values():
+        columns = list(columns.values())
+        for lo in range(0, len(columns), per_slot):
+            yield _slot(A, columns[lo:lo + per_slot], grid, c, padded)
 
 
-def _compose(work: list, c: int) -> list:
-    """Compose the RK4 steps of a pass's ``work``, one array per slot as
-    ``_propagate`` lays them out in chunks of c steps, and return each
-    slot's chunk starts, (G, chunks, d, s).
+def _slot(A: PolyMatrix, columns: list, grid: Grid, c: int, padded: int) -> tuple:
+    """The (V, [(R, indices), ...]) of A's forcing ``columns`` [(g, indices),
+    ...], from a zeroed work array of ``padded`` steps, chunks of c: the
+    padding of the last chunk stays 0."""
+    d = A.shape[0]
+    work = np.zeros((d, d + len(columns), padded), dtype=complex)
+    _fill(work, A, [g for g, _ in columns], grid)
+    V, Rs = _slot_tables(work, _compose(work, c), grid.n)
+    return V, [(R, indices) for R, (_, indices) in zip(Rs, columns)]
+
+
+def _compose(work: np.ndarray, c: int) -> np.ndarray:
+    """Compose the RK4 steps of a slot's ``work`` (d, d+G, chunks c), as
+    ``_slot`` lays it out in chunks of c steps, and return the chunk starts
+    of its G forcing columns, (G, chunks, d, s).
 
     With s = d + 1 the bottom row of every state U is (0, ..., 0, 1) and
     that of every increment D_i is 0.  The chunks' prefix increments
     Q_j = Q_{j-1} + D_j + D_j Q_{j-1}, so that I + Q_j is the product of
-    their first j steps, overwrite the increments, for every chunk of a
-    slot's array at once.  The states of all the pass's columns, from I,
-    are then carried from chunk to chunk by one stacked product.
+    their first j steps, overwrite the increments, for every chunk at once.
+    The states of the slot's columns, from I, are then carried from chunk
+    to chunk by one stacked product of narrow (d, s) states each.
     """
-    d = work[0].shape[0]
-    # Chunk k of the pass's column g ends in I + lasts[g, k].
-    lasts = []
-    for w in work:
-        Q = w.reshape(d, w.shape[1], -1, c)
-        for j in range(1, c):
-            step = _mm(Q[..., j], Q[..., j - 1])
-            Q[..., j] += Q[..., j - 1]
-            Q[..., j] += step
-        last = Q[..., -1].transpose(2, 0, 1)
-        lasts += [np.concatenate([last[..., :d], last[..., g:g + 1]], axis=-1)
-                  for g in range(d, w.shape[1])]
-    lasts = np.stack(lasts)
+    d, width = work.shape[:2]
+    Q = work.reshape(d, width, -1, c)
+    for j in range(1, c):
+        step = _mm(Q[..., j], Q[..., j - 1])
+        Q[..., j] += Q[..., j - 1]
+        Q[..., j] += step
+    # Chunk k of column g ends in I + lasts[g, k]: the shared left d columns and its own.
+    last = Q[..., -1].transpose(2, 0, 1)
+    lasts = np.empty((width - d,) + last.shape[:2] + (d + 1,), dtype=complex)
+    lasts[..., :d] = last[..., :d]
+    lasts[..., d] = last[..., d:].transpose(2, 0, 1)
     # The carry multiplies by the full (s, s) states, whose top rows are
-    # rewritten in place; one stacked product per chunk carries every column.
-    state = np.empty((len(lasts), d + 1, d + 1), dtype=complex)
+    # rewritten in place; a stacked ``@`` of another width does not keep the bits.
+    state = np.empty((width - d, d + 1, d + 1), dtype=complex)
     state[:] = np.eye(d + 1)
     top = state[:, :d]
     starts = np.empty_like(lasts)
     for k in range(lasts.shape[1]):
         starts[:, k] = top
         top += np.matmul(lasts[:, k], state)
-    return np.split(starts, np.cumsum([w.shape[1] - d for w in work])[:-1])
+    return starts
 
 
 def _slot_tables(work: np.ndarray, starts: np.ndarray, n: int) -> tuple:
@@ -245,7 +241,7 @@ def _slot_tables(work: np.ndarray, starts: np.ndarray, n: int) -> tuple:
     starts, lies beside each column's start of R.  Column by column, Q_j U_c
     reads Q_j's left d columns only, and R's adds Q_j's forcing column, as
     the product with a start's non-zero bottom row does.  The chunk length
-    is the pass's, as ``starts`` counts the chunks."""
+    is the slot's, as ``starts`` counts the chunks."""
     d, width, chunks = work.shape[0], work.shape[1], starts.shape[1]
     c = work.shape[-1] // chunks
     Q = work.reshape(d, width, chunks, c)
@@ -297,7 +293,7 @@ def _adjoint(A: PolyMatrix) -> PolyMatrix:
 
 def fundamental_matrix(A: PolyMatrix, grid: Grid) -> np.ndarray:
     """Matrizant (n+1, d, d) of y' + A(t) y = 0: solves Y' = -A(t) Y, Y(a) = I."""
-    return next(_propagate([(A, PolyVector.zero(A.shape[0], A.a, A.b))], grid))[1]
+    return next(_propagate([(A, PolyVector.zero(A.shape[0], A.a, A.b))], grid))[0]
 
 
 def inverse_fundamental(A: PolyMatrix, grid: Grid) -> np.ndarray:
@@ -312,4 +308,4 @@ def forced_trajectory(A: PolyMatrix, g: PolyVector, grid: Grid) -> np.ndarray:
     This is the particular solution of the inhomogeneous system, computed
     at the same order as the matrizant.
     """
-    return next(_propagate([(A, g)], grid))[2]
+    return next(_propagate([(A, g)], grid))[1][0][0]

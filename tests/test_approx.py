@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from mpbvp import (
 )
 from mpbvp.approx import ErrorConstants, SweepRow
 from mpbvp.boundary import default_probe_jets, norm_lower_bound, norm_upper_bound
-from mpbvp import bvp
+from mpbvp import bvp, linode
 from mpbvp.bvp import companion_reduce
 from mpbvp.funcspace import (MAX_GRID_N, _check_k, antiderivative, mat_norm, norm_c, norm_cl,
                              norm_w1r, traj_norm_c)
@@ -562,6 +563,32 @@ def test_refused_member_keeps_the_other_rows():
     problem = _singular_at_k1_problem()
     report = _assert_certificates_match_member_by_member(problem, [1, 2, 4, 8])
     assert [row.solvable for row in report.rows] == [False, True, True, True]
+
+
+def test_refused_member_does_not_hold_its_slot(monkeypatch):
+    # The k = 1 member is refused in the limit's slot; the halved problem's
+    # slot comes next.  The refusal is kept as a record with no traceback:
+    # the raised error's frames held the limit's slot through the pass.
+    problem = _singular_at_k1_problem()
+    halved = dataclasses.replace(problem, coeffs=[
+        PolyMatrix([[e * 0.5 for e in row] for row in A.entries]) for A in problem.coeffs])
+    dead, slots, fill = [], [], linode._fill
+
+    def recording_fill(work, *args):
+        dead.append([ref() is None for ref in slots])
+        slots.append(weakref.ref(work))
+        return fill(work, *args)
+
+    monkeypatch.setattr(linode, "_fill", recording_fill)
+    members = [problem, build_multipoint_problem(problem, 1), build_multipoint_problem(halved, 2)]
+    _, refused, _ = bvp._solve_pass(members)[0]
+    assert isinstance(refused, NotUniquelySolvableError) and refused.__traceback__ is None
+    assert str(refused).startswith("characteristic matrix is")
+    assert dead == [[], [True]]
+    with pytest.raises(NotUniquelySolvableError) as alone:
+        solve(members[1])
+    assert (str(refused), refused.det, refused.cond) == (str(alone.value), alone.value.det,
+                                                         alone.value.cond)
 
 
 def _sign_changing_density_problem():

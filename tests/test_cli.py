@@ -101,6 +101,26 @@ def test_bad_usage_is_io_error(capsys):
     assert run(capsys, "sweep", "p1", "--ks", "4:banana")[0] == cli.EXIT_IO
 
 
+@pytest.mark.parametrize("command", [["sweep", "p1"], ["check", "p1", "--theorem", "3"]])
+@pytest.mark.parametrize("text, form", [
+    ("4:8:x", "start:stop:x<factor>"),
+    ("4:8:x2.5", "start:stop:x<factor>"),
+    ("4:8:2", "start:stop:x<factor>"),
+    ("4:8", "start:stop:x<factor>"),
+    ("a,b", "positive integers"),
+    ("4.5", "positive integers"),
+    ("1e3", "positive integers"),
+    ("0,4", "positive integers"),
+])
+def test_malformed_ks_names_the_option(capsys, command, text, form):
+    # int()'s "invalid literal for int() with base 10: 'x2.5'" named
+    # neither the option nor the text it was given.
+    code, out, err = run(capsys, *command, "--ks", text, "--grid-n", "64")
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert err == f"mpbvp: error: --ks expects {form}, got {text!r}\n"
+
+
 def test_sweep_report_format_and_determinism(capsys):
     code, first, _ = run(capsys, "sweep", "p1", "--ks", "4:64:x2", "--grid-n", "512")
     assert code == cli.EXIT_OK

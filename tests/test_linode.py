@@ -22,6 +22,7 @@ from mpbvp import (
     fundamental_matrix,
     inverse_fundamental,
     sawtooth_rhs,
+    sweep,
     theorem3_check,
 )
 from mpbvp import linode
@@ -225,8 +226,8 @@ def test_chunked_composition_matches_step_loop(n):
     A, g = _coupled_system()
     grid = _grid(n)
     rng = np.random.default_rng(n)
-    # Two slots of one pass: the RK4 increments, and random increments
-    # of the size of h whose product stays near I.
+    # Two slots: the RK4 increments, and random increments of the size of
+    # h whose product stays near I.
     members = [_system_increments(A, g, grid),
                (rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))) / n]
     # The reference steps the explicit (3, 3) augmented state from I.
@@ -239,12 +240,10 @@ def test_chunked_composition_matches_step_loop(n):
         np.testing.assert_array_equal(expected[:, 2], np.broadcast_to([0, 0, 1], (n + 1, 3)))
         references.append(expected)
     for c in (_chunk(n)[0], 7):
-        work = [np.zeros((2, 3, (n // c + 1) * c), dtype=complex) for _ in members]
-        for w, increments in zip(work, members):
+        for increments, expected in zip(members, references):
+            w = np.zeros((2, 3, (n // c + 1) * c), dtype=complex)
             w[..., :n] = increments
-        starts = _compose(work, c)
-        for w, start, expected in zip(work, starts, references):
-            V, (R,) = _slot_tables(w, start, n)
+            V, (R,) = _slot_tables(w, _compose(w, c), n)
             assert np.shares_memory(V, w) and np.shares_memory(R, w)
             got = np.concatenate([V, R[..., None]], axis=-1)
             assert (float(np.max(np.abs(got - expected[:, :2])))
@@ -266,18 +265,20 @@ class _CountingNumpy:
 
 
 def test_carry_is_one_stacked_product_per_chunk(monkeypatch):
-    # Three slots, five columns, 26 steps in five chunks of 6: the states of
-    # every column cross each chunk edge together, in one product.
+    # Slots of one, three and one columns, 26 steps in five chunks of 6: the
+    # states of every column of a slot cross each chunk edge together, in
+    # one product.
     rng = np.random.default_rng(26)
     work = [(rng.standard_normal((2, width, 30)) + 0j) / 26 for width in (3, 5, 3)]
-    expected = [start.copy() for start in _compose([w.copy() for w in work], 6)]
+    expected = [_compose(w.copy(), 6) for w in work]
     counting = _CountingNumpy()
     monkeypatch.setattr(linode, "np", counting)
-    starts = _compose(work, 6)
-    assert counting.matmuls == 5
-    assert [start.shape for start in starts] == [(1, 5, 2, 3), (3, 5, 2, 3), (1, 5, 2, 3)]
-    for have, want in zip(starts, expected):
-        np.testing.assert_array_equal(have, want)
+    for w, want, G in zip(work, expected, (1, 3, 1)):
+        counting.matmuls = 0
+        starts = _compose(w, 6)
+        assert counting.matmuls == 5
+        assert starts.shape == (G, 5, 2, 3)
+        np.testing.assert_array_equal(starts, want)
 
 
 def _with_adjoint(systems):
@@ -301,12 +302,23 @@ def _scanned_tables(systems, grid):
                                np.eye(d + 1, dtype=complex))[:, :d] for A, g in systems]
 
 
+def _members(systems, grid):
+    """(index, V, R) of every system of a ``_propagate`` pass, slot by slot."""
+    for V, columns in _propagate(systems, grid):
+        for R, indices in columns:
+            for i in indices:
+                yield i, V, R
+
+
 def _pass_tables(systems, grid):
     """The tables of a ``_propagate`` pass in the order of ``systems``, each
-    [V | R] (n+1, d, d+1)."""
+    [V | R] (n+1, d, d+1), copied: a slot goes before the next is made."""
     tables = [None] * len(systems)
-    for i, V, R in _propagate(systems, grid):
-        tables[i] = np.concatenate([V, R[..., None]], axis=-1)
+    for V, columns in _propagate(systems, grid):
+        for R, indices in columns:
+            for i in indices:
+                tables[i] = np.concatenate([V, R[..., None]], axis=-1)
+        del V, columns, R
     return tables
 
 
@@ -347,7 +359,7 @@ def test_pass_tables_are_bitwise_the_per_block_scan(monkeypatch, n, K, inverse):
         return panels(rows, grid, lo, hi)
 
     monkeypatch.setattr(linode, "_coefficient_panels", recording_panels)
-    # One pass, and then one member a pass.
+    # Slots as wide as their groups, and then one column a slot.
     for cap in (linode.PASS_BYTES, _member_bytes(n)):
         monkeypatch.setattr(linode, "PASS_BYTES", cap)
         got = _pass_tables(systems, grid)
@@ -585,77 +597,77 @@ def test_family_pass_equals_one_member_passes_on_coupled_system(monkeypatch, n, 
         assert padded // c > 2 * (BLOCK_STEPS // c) and n % c
 
 
-def _record_passes(monkeypatch):
-    """Record, per pass, its slot count and the bytes of its work arrays."""
-    passes, compose = [], linode._compose
+def _record_slots(monkeypatch):
+    """Record, per slot as it is composed, its forcing columns G and the
+    bytes of every work array the pass still holds, its own included."""
+    slots, live, compose = [], [], linode._compose
 
     def recording_compose(work, c):
-        passes.append((len(work), sum(w.nbytes for w in work)))
+        live.append(weakref.ref(work))
+        held = sum(ref().nbytes for ref in live if ref() is not None)
+        slots.append((work.shape[1] - work.shape[0], held))
         return compose(work, c)
 
     monkeypatch.setattr(linode, "_compose", recording_compose)
-    return passes
+    return slots
 
 
 @pytest.mark.parametrize("tables_per_pass", [1, 2])
 def test_family_passes_hold_at_most_the_byte_cap(monkeypatch, tables_per_pass):
     A, g = _coupled_system()
     grid = _grid(1537)
-    # Five members and the adjoint of the first, six one-member groups.
+    # Five members and the adjoint of the first, six one-member groups: six
+    # slots of one column, whatever the cap, made one at a time.
     systems = _with_adjoint([(approximate_coefficients(A, k), g) for k in (1, 2, 3, 4, 5)])
     expected = _pass_tables(systems, grid)
     member_bytes = _member_bytes(grid.n)
     cap = tables_per_pass * member_bytes + member_bytes // 2
     monkeypatch.setattr(linode, "PASS_BYTES", cap)
-    passes = _record_passes(monkeypatch)
+    slots = _record_slots(monkeypatch)
     got = _pass_tables(systems, grid)
     for want, have in zip(expected, got, strict=True):
         np.testing.assert_array_equal(have, want)
-    # Every pass holds at most the cap.
-    sizes = [K for K, _ in passes]
-    assert all(nbytes == K * member_bytes for K, nbytes in passes)
-    assert all(nbytes <= cap for _, nbytes in passes)
-    assert sum(sizes) == len(systems)
-    assert max(sizes) == tables_per_pass
-    assert len(sizes) == (6 if tables_per_pass == 1 else 3)
+    # The pass holds one slot, at most the cap, at a time.
+    assert slots == [(1, member_bytes)] * len(systems)
+    assert member_bytes <= cap
 
 
 def test_pass_byte_cap_counts_the_chunk_padding(monkeypatch):
     # At n = 26 a member's work holds five chunks of 6 steps, 30 columns
-    # against 26 steps and 27 nodes: a cap of nine members' work fits nine,
-    # where a count without the padding would fit ten.  The members do not
-    # share their coefficients, so each is a slot of its own.
+    # against 26 steps and 27 nodes: a cap of nine members' work fits nine
+    # forcing columns, where a count without the padding would fit ten.
+    # The members share A, so their eleven columns are cut into two slots.
     A, g = _coupled_system()
     grid = _grid(26)
     assert _chunk(grid.n) == (6, 30)
     member_bytes = _member_bytes(grid.n)
     monkeypatch.setattr(linode, "PASS_BYTES", 9 * member_bytes)
-    passes = _record_passes(monkeypatch)
-    tables = _pass_tables([(approximate_coefficients(A, k), g) for k in range(1, 12)], grid)
+    slots = _record_slots(monkeypatch)
+    tables = _pass_tables([(A, g * (k + 0.5j)) for k in range(11)], grid)
     assert len(tables) == 11
-    assert passes == [(9, 9 * member_bytes), (2, 2 * member_bytes)]
+    column_bytes = member_bytes // 3
+    assert slots == [(9, 11 * column_bytes), (2, 4 * column_bytes)]
 
 
 @pytest.mark.parametrize("n", [3, 26, 513, 16385])
 def test_chunk_padding_holds_zero_increments(monkeypatch, n):
-    # Every column past step n - 1 must be 0 when the pass is composed.
+    # Every column past step n - 1 must be 0 when a slot is composed.
     # Freed arrays of the work arrays' size, full of NaN, are left for the
     # allocator to hand back, so that an array that is not zeroed shows.
     A, g = _coupled_system()
     composed, compose = [], linode._compose
 
     def recording_compose(work, c):
-        composed.append([w[..., n:].copy() for w in work])
+        composed.append(work[..., n:].copy())
         return compose(work, c)
 
     monkeypatch.setattr(linode, "_compose", recording_compose)
     for _ in range(3):
         junk = [np.full((2, width, _chunk(n)[1]), np.nan, dtype=complex) for width in (3, 4) * 4]
         del junk
-        list(_propagate(_with_adjoint([(A, g), (A, g * 2.0)]), _grid(n)))
-    assert [len(paddings) for paddings in composed] == [2, 2, 2]
-    for paddings in composed:
-        assert not any(padding.any() for padding in paddings)
+        _pass_tables(_with_adjoint([(A, g), (A, g * 2.0)]), _grid(n))
+    assert [padding.shape[1] for padding in composed] == [4, 3] * 3
+    assert not any(padding.any() for padding in composed)
 
 
 def _p2_mixed_problems(n=2048):
@@ -676,10 +688,10 @@ def test_mixed_groups_equal_one_member_passes():
     problems = _p2_mixed_problems()
     systems = _with_adjoint([companion_reduce(p)[:2] for p in problems])
     grid = problems[0].grid
-    got = {i: out for i, *out in _propagate(systems, grid)}
+    got = {i: out for i, *out in _members(systems, grid)}
     assert sorted(got) == list(range(len(systems)))
     for i, (A, g) in enumerate(systems):
-        (_, *alone), = _propagate([(A, g)], grid)
+        (_, *alone), = _members([(A, g)], grid)
         for have, want in zip(got[i], alone, strict=True):
             np.testing.assert_array_equal(have, want)
     Z = got[10][0].swapaxes(1, 2)
@@ -723,7 +735,7 @@ def test_a_solution_forms_its_consistency_defect_once_it_is_read(monkeypatch):
 def test_group_wider_than_the_byte_cap_splits_over_passes(monkeypatch):
     # One A with seven forcings and the adjoint, under a cap of nine
     # work-array columns, three narrow slots: three forcings (2 + 3) in each
-    # of the first two passes, then the last forcing (2 + 1) and the
+    # of the first two slots, then the last forcing (2 + 1), then the
     # adjoint's slot (2 + 1).
     A, g = _coupled_system()
     grid = _grid(1537)
@@ -731,42 +743,64 @@ def test_group_wider_than_the_byte_cap_splits_over_passes(monkeypatch):
     expected = [_pass_tables([system], grid)[0] for system in systems]
     column_bytes = _member_bytes(grid.n) // 3
     monkeypatch.setattr(linode, "PASS_BYTES", 9 * column_bytes + column_bytes // 2)
-    passes = _record_passes(monkeypatch)
+    slots = _record_slots(monkeypatch)
     got = _pass_tables(systems, grid)
-    assert passes == [(1, 5 * column_bytes), (1, 5 * column_bytes), (2, 6 * column_bytes)]
+    assert slots == [(3, 5 * column_bytes), (3, 5 * column_bytes), (1, 3 * column_bytes),
+                     (1, 3 * column_bytes)]
     for want, have in zip(expected, got, strict=True):
         np.testing.assert_array_equal(have, want)
     np.testing.assert_array_equal(_adjoint_inverse(got[-1]), _reference_inverse(A, grid))
 
 
 def test_a_slot_work_array_is_its_tables_and_goes_with_them(monkeypatch):
-    # Three groups in one pass: the slot of (A, g) and (A, 2g), that of A/2
-    # and that of the adjoint of A.  V and every R of a slot are views of
-    # its work array and of no other, and the pass keeps no reference to a
-    # slot whose members it has yielded.
+    # Three groups: the slot of (A, g) and (A, 2g), that of A/2 and that of
+    # the adjoint of A.  V and every R of a slot are views of its work array
+    # and of no other, and the pass keeps no reference to a slot it has
+    # yielded: once its consumer drops the tables, the work array goes.
     A, g = _coupled_system()
     half = PolyMatrix([[e * 0.5 for e in row] for row in A.entries])
     systems = _with_adjoint([(A, g), (A, g * 2.0), (half, g)])
     slots, compose = [], linode._compose
 
     def recording_compose(work, c):
-        slots.extend(weakref.ref(w) for w in work)
+        slots.append(weakref.ref(work))
         return compose(work, c)
 
     monkeypatch.setattr(linode, "_compose", recording_compose)
-    released, views = {}, {}
-    for i, V, R in _propagate(systems, _grid(1537)):
-        views[i] = [[np.shares_memory(table, ref()) for table in (V, R)]
-                    for ref in slots if ref() is not None]
-        del V, R
+    released, views, members = [], [], []
+    for V, columns in _propagate(systems, _grid(1537)):
+        members.append([indices for _, indices in columns])
+        views.append([[np.shares_memory(table, ref()) for table in (V, *(R for R, _ in columns))]
+                      for ref in slots if ref() is not None])
+        del V, columns
         gc.collect()
-        released[i] = [ref() is None for ref in slots]
-    assert len(slots) == 3
-    assert views == {0: [[True, True], [False, False], [False, False]],
-                     1: [[True, True], [False, False], [False, False]],
-                     2: [[True, True], [False, False]], 3: [[True, True]]}
-    assert released == {0: [False, False, False], 1: [False, False, False],
-                        2: [True, False, False], 3: [True, True, False]}
+        released.append([ref() is None for ref in slots])
+    assert members == [[[0], [1]], [[2]], [[3]]]
+    assert views == [[[True, True, True]], [[True, True]], [[True, True]]]
+    assert released == [[True], [True, True], [True, True, True]]
+
+
+def test_slot_is_dead_before_the_next_one_is_filled(monkeypatch):
+    # A certificate's family over p2 with k in {3, 4, 7, 8}, the halved
+    # problem and the adjoint: five slots.  Each slot's work array, V and R
+    # are gone when the next slot's work array is filled, so a pass holds
+    # one slot at a time.
+    dead, slots, fill = [], [], linode._fill
+
+    def recording_fill(work, *args):
+        dead.append([ref() is None for ref in slots])
+        slots.append(weakref.ref(work))
+        return fill(work, *args)
+
+    monkeypatch.setattr(linode, "_fill", recording_fill)
+    problems = _p2_mixed_problems()
+    solutions, w_c = _solve_pass(problems, inverse=True)
+    assert w_c is not None
+    assert dead == [[True] * k for k in range(5)]
+    alone, _ = _solve_pass(problems)
+    for together, single in zip(solutions, alone, strict=True):
+        for have, want in zip(together.jet.samples, single.jet.samples, strict=True):
+            np.testing.assert_array_equal(have, want)
 
 
 def test_pass_holds_one_segment_of_coefficient_samples():
@@ -790,6 +824,24 @@ def test_pass_holds_one_segment_of_coefficient_samples():
         tracemalloc.stop()
     assert len(out) == 1
     assert peak < bound
+
+
+def test_many_group_sweep_holds_one_slot_at_a_time():
+    # p2's odd k do not share the limit's A: the limit, each k and the
+    # adjoint are groups of their own, nine slots of 1.5 MiB at n = 16384.
+    # With every slot of the family held together, the traced peak of this
+    # sweep read 14.65 MiB; one slot at a time, 10.3 MiB.
+    problem = corpus.build_problem("p2", 16384)
+    problem.grid.nodes, problem.grid.half_nodes  # cached before the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = sweep(problem, [3, 5, 7, 9, 11, 13, 15])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert [row.k for row in report.rows] == [3, 5, 7, 9, 11, 13, 15]
+    assert peak < 11.5 * 2**20
 
 
 KS_4_256 = (4, 8, 16, 32, 64, 128, 256)
