@@ -152,22 +152,22 @@ def companion_reduce(problem: BvpProblem):
     P carries -I blocks on the superdiagonal and the coefficient row
     (A_0 ... A_{r-1}) at the bottom; g stacks r-1 zero blocks over f; T is
     the boundary operator compiled on the problem grid.  Every coefficient
-    and f keep their breakpoints; only ends within the tolerance of [a, b]
-    are moved onto it.  For r = 1, P and g hold the entries of A_0 and f.
+    and f keep their breakpoints but for ``_pinned``'s moves onto [a, b]
+    and onto grid nodes.  For r = 1, P and g hold the entries of A_0 and f.
     """
     P, g = _companion_system(problem)
     return P, g, lift(problem.operator, problem.grid), problem.q
 
 
 def _companion_system(problem: BvpProblem) -> tuple[PolyMatrix, PolyVector]:
-    """The (P, g) of companion_reduce, with no boundary operator.  Every pass
-    reads the coefficients and f here, as given, with their ends pinned to
-    [a, b]: an entry already on [a, b] is the problem's own object.  For
-    r = 1, P holds A_0's entries and g holds f's components."""
+    """The (P, g) of companion_reduce, with no boundary operator.  Every pass,
+    top channel and ``residuals`` reads the coefficients and f here, as
+    ``_pinned`` puts them on the grid: an entry it leaves is the problem's
+    own object.  For r = 1, P holds A_0's entries and g holds f's components."""
     r, m = problem.r, problem.m
-    a, b = problem.a, problem.b
-    coeffs = [[[_pinned(e, a, b) for e in row] for row in A.entries] for A in problem.coeffs]
-    f = [_pinned(c, a, b) for c in problem.f.components]
+    a, b, grid = problem.a, problem.b, problem.grid
+    coeffs = [[[_pinned(e, a, b, grid) for e in row] for row in A.entries] for A in problem.coeffs]
+    f = [_pinned(c, a, b, grid) for c in problem.f.components]
     zero = PiecewisePoly.zero(a, b)
     minus_one = PiecewisePoly.constant(-1.0, a, b)
     d = r * m

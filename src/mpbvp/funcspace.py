@@ -4,11 +4,13 @@ Conventions used across the package: the norm of a vector function is the
 sum of its component norms, the norm of a matrix function is the maximum of
 its column norms, and numeric vectors/matrices use the matching discrete
 norms (entrywise sum, maximum column sum).  Quadrature on sampled data is
-the composite trapezoid rule on the grid.  Two rules place all data: by
+the composite trapezoid rule on the grid.  Three rules place all data: by
 the interval rule, ``_spans``, intervals are the same when their ends agree
 to 1e-9 (b - a), and ``_pinned`` moves a polynomial's ends onto the one it
 is used on; by the point rule, ``_clamp_points``, a point of [a, b] lies
-within ``_merge_tol(a, b)`` of it and is clamped into it.
+within ``_merge_tol(a, b)`` of it and is clamped into it; by the node rule,
+``_located``, a breakpoint within ``_merge_tol(a, b)`` of a grid node lies
+on it, and the solve pass and the density quadrature read it there.
 
 A piecewise polynomial is held as one zero-padded coefficient table with a
 row per piece.  Every operation works on the whole table: evaluation and
@@ -168,6 +170,13 @@ def _cluster_starts(x: np.ndarray, tol: float, breaks=None) -> np.ndarray:
 def _merge_tol(a: float, b: float) -> float:
     """The distance within which points of [a, b] are one cluster."""
     return (b - a) * 1e-12
+
+
+def _located(grid: Grid, t) -> tuple:
+    """The node rule: each t's nearest node index, and whether t is within
+    ``_merge_tol(a, b)`` of it."""
+    i = np.clip(np.rint((t - grid.a) / grid.h), 0, grid.n).astype(np.intp)
+    return i, np.abs(t - grid.nodes[i]) <= _merge_tol(grid.a, grid.b)
 
 
 def _clamp_points(t, a: float, b: float, what: str) -> np.ndarray:
@@ -344,9 +353,10 @@ class PiecewisePoly:
         ``__call__`` gives them.  Only the nodes and the midpoints are
         evaluated: the end of step i is node i + 1, so its left limit is
         that node's value, except at an interior breakpoint that equals a
-        node, where it is evaluated on the piece to the left.  Each value
-        depends only on its point and the piece it is read on, so a range's
-        samples are those slices of the whole grid's.
+        node, where it is evaluated on the piece to the left; for the solve
+        pass, ``_pinned`` puts each breakpoint the node rule reads on a node
+        there.  Each value depends only on its point and the piece it is
+        read on, so a range's samples are those slices of the whole grid's.
         """
         hi = grid.n if hi is None else hi
         nodes, mids = grid.nodes[lo:hi + 1], grid.half_nodes[lo:hi]
@@ -448,13 +458,18 @@ class PiecewisePoly:
         return f"PiecewisePoly({self.npieces} pieces on [{self.a}, {self.b}])"
 
 
-def _pinned(p: PiecewisePoly, a: float, b: float) -> PiecewisePoly:
-    """p with its ends on [a, b], which ``_spans`` has checked, or p itself when
-    they are there; a piece outside [a, b] is dropped."""
-    if p.a == a and p.b == b:
-        return p
-    bp = np.clip(p.breakpoints, a, b)
+def _pinned(p: PiecewisePoly, a: float, b: float, grid: Grid | None = None) -> PiecewisePoly:
+    """p with its ends on [a, b], which ``_spans`` has checked, and, given a
+    grid, each breakpoint that the node rule puts on a node on that node's
+    bits; p itself when nothing moves.  A piece left empty is dropped."""
+    bp = p.breakpoints
+    if grid is not None:
+        i, on = _located(grid, bp)
+        bp = np.where(on, grid.nodes[i], bp)
+    bp = np.clip(bp, a, b)
     bp[0], bp[-1] = a, b
+    if np.array_equal(bp, p.breakpoints):
+        return p
     keep = np.diff(bp) > 0
     return PiecewisePoly._from_table(np.concatenate([[a], bp[1:][keep]]),
                                      p.table[keep], p.widths[keep])

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .funcspace import (BLOCK_STEPS, Grid, PiecewisePoly, _check_k, _clamp_points, _coalesce,
-                        _horner, _place_points, _spans)
+                        _horner, _located, _place_points, _spans)
 
 __all__ = [
     "ScalarMeasure",
@@ -79,13 +79,13 @@ class ScalarMeasure:
 
 
 def _segment_boundaries(grid: Grid, density: PiecewisePoly):
-    """Map density breakpoints to node indices, or None if any sit off-grid."""
-    s = (density.breakpoints[1:-1] - grid.a) / grid.h
-    i = np.rint(s)
-    if np.any(np.abs(s - i) > 1e-9):
+    """The node indices of the density's breakpoints, each read on its node
+    by the node rule, ``funcspace._located``, or None if any lies off it."""
+    i, on = _located(grid, density.breakpoints[1:-1])
+    if not on.all():
         return None
     i = i[(i > 0) & (i < grid.n)]
-    return [0, *i[np.diff(i, prepend=0) > 0].astype(int).tolist(), grid.n]
+    return [0, *i[np.diff(i, prepend=0) > 0].tolist(), grid.n]
 
 
 #: Euler-Maclaurin end weights (in units of h): the h^2/12 derivative
@@ -101,8 +101,8 @@ def _density_weights(grid: Grid, density: PiecewisePoly, out: np.ndarray | None 
 
     Each smooth segment gets the Euler-Maclaurin end correction, which
     upgrades the rule to O(h^4) for data whose density breakpoints sit on
-    grid nodes.  With a breakpoint off the grid the rule falls back to the
-    plain trapezoid on right-limit samples, as one segment.  Formed
+    grid nodes by the node rule.  With a breakpoint off them the rule falls
+    back to the plain trapezoid on right-limit samples, as one segment.  Formed
     BLOCK_STEPS nodes at a time, the weights reach ``out`` with the bits of
     the whole vector added at once: a node two segments share gets their
     sum in one addition."""

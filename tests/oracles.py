@@ -320,10 +320,10 @@ def growth_problem(lam: float, n: int = 2048) -> BvpProblem:
                       grid=Grid(a, b, n))
 
 
-def step_problem(n: int, jump: float = 0.3) -> BvpProblem:
-    """y' + a0(t) y = 1 on [0, 1] with y(0) = 1, where a0 steps from 1 to 2
-    at ``jump``, on an n-step grid."""
-    a, b = 0.0, 1.0
+def step_problem(n: int, jump: float = 0.3, a: float = 0.0, b: float = 1.0) -> BvpProblem:
+    """y' + a0(t) y = 1 on [a, b] with y(a) = 1, where a0 steps from 1 to 2
+    at ``jump``, on an n-step grid.  y is 1 up to the jump and
+    (1 + exp(-2 (t - jump))) / 2 after it."""
     a0 = PolyMatrix([[PiecewisePoly.step([a, jump, b], [1.0, 2.0])]])
     operator = MultipointBoundaryOperator(1, 1, a, b, [BoundaryTerm(a, 0, np.ones((1, 1)))])
     return BvpProblem(r=1, m=1, coeffs=[a0], f=PolyVector([PiecewisePoly.constant(1.0, a, b)]),

@@ -9,8 +9,8 @@ unchanged; tighten the ceilings with it.
 import numpy as np
 import pytest
 
-from mpbvp import corpus, solve
-from oracles import growth_problem
+from mpbvp import Grid, companion_reduce, corpus, solve
+from oracles import growth_problem, step_problem
 
 # p2's coefficients and f jump at t = 1/2, which is off the grid at odd n:
 # the pass reads both where they jump, so its jet stays at round-off there.
@@ -26,6 +26,15 @@ GROWTH_CEILINGS = {
     (5, 16384): (8.6e-14, 4.1e-13, 2.2e-12),  # 4.26e-14, 2.03e-13, 1.07e-12
     (20, 2048): (1.6e-7, 3.7e-6, 6.2e-5),  # 7.64e-8, 1.81e-6, 3.06e-5
     (20, 16384): (1.3e-7, 6.2e-6, 5.2e-5),  # 6.43e-8, 3.09e-6, 2.57e-5
+}
+
+
+# oracles.step_problem on [0.1, 0.7] with its jump at 0.34, one ulp off its
+# node at every n here: the node rule reads it on the node.
+STEP_CEILINGS = {
+    10: (6.7e-7, 1.4e-6),  # 3.35e-7, 6.69e-7
+    30: (7.8e-9, 1.6e-8),  # 3.87e-9, 7.73e-9
+    300: (7.5e-13, 1.5e-12),  # 3.75e-13, 7.50e-13
 }
 
 
@@ -53,3 +62,23 @@ def test_growth_problem_stays_within_its_error(lam, n):
     errors = _channel_errors(jet, exact)
     assert all(error <= ceiling
                for error, ceiling in zip(errors, GROWTH_CEILINGS[lam, n], strict=True))
+
+
+@pytest.mark.parametrize("n", sorted(STEP_CEILINGS))
+def test_jump_an_ulp_off_its_node_reads_as_on_it(n):
+    grid = Grid(0.1, 0.7, n)
+    node = grid.nodes[round((0.34 - 0.1) / grid.h)]
+    assert 0 < abs(node - 0.34) < 1e-12 * (grid.b - grid.a)
+    problem = step_problem(n, 0.34, 0.1, 0.7)
+    # The problem keeps its jump at 0.34; the pass reads it on the node.
+    assert problem.coeffs[0].entries[0][0].breakpoints[1] == 0.34
+    assert companion_reduce(problem)[0].entries[0][0].breakpoints[1] == node
+    jet = solve(problem).jet
+    on_node = solve(step_problem(n, node, 0.1, 0.7)).jet
+    for have, want in zip(jet.samples, on_node.samples, strict=True):
+        np.testing.assert_array_equal(have, want)
+    decay = np.exp(-2.0 * (grid.nodes - node))
+    after = grid.nodes >= node
+    exact = [np.where(after, 0.5 + 0.5 * decay, 1.0)[:, None], np.where(after, -decay, 0.0)[:, None]]
+    errors = _channel_errors(jet, exact)
+    assert all(error <= ceiling for error, ceiling in zip(errors, STEP_CEILINGS[n], strict=True))

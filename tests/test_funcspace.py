@@ -37,7 +37,7 @@ from mpbvp import (
     sawtooth_perturbation,
     sawtooth_rhs,
 )
-from mpbvp.funcspace import MAX_GRID_N, _GAUSS_W, _GAUSS_X, _horner, _piece_abs_integral
+from mpbvp.funcspace import MAX_GRID_N, _GAUSS_W, _GAUSS_X, _horner, _piece_abs_integral, _pinned
 from oracles import interval_integral, left_limit
 
 
@@ -428,6 +428,28 @@ def test_grid_samples_take_left_limits_at_the_node_itself():
     # would evaluate to -0.0; at the node it is 0.0, as __call__ gives it.
     p = PiecewisePoly([-1.0, -0.0, 1.0], [[-0.0, 1.0], [2.0]])
     _assert_grid_samples_are_three_evaluations(p, Grid(-1.0, 1.0, 4))
+
+
+def test_pinned_moves_breakpoints_that_the_node_rule_puts_on_a_node():
+    # On [0.1, 0.7] with h = 0.06, 0.34 is an ulp off node 4 and 0.37 lies
+    # inside a step.  The pass reads 0.34 on the node's bits, so the step
+    # before it reads the left piece at its end.
+    grid = Grid(0.1, 0.7, 10)
+    node = grid.nodes[4]
+    assert 0 < abs(node - 0.34) < 1e-12
+    p = PiecewisePoly.step([0.1, 0.34, 0.37, 0.7], [1.0, 2.0, 3.0])
+    pinned = _pinned(p, 0.1, 0.7, grid)
+    assert pinned.breakpoints.tolist() == [0.1, node, 0.37, 0.7]
+    assert pinned.table.tobytes() == p.table.tobytes()
+    nodes, ends, _ = pinned.grid_samples(grid)
+    assert (ends[3], nodes[4]) == (1.0, 2.0)
+    # Nothing moves: p itself.  Two breakpoints on one node leave an empty
+    # piece, which is dropped; the node reads the right-hand piece.
+    assert _pinned(pinned, 0.1, 0.7, grid) is pinned
+    two = PiecewisePoly.step([0.1, node - 4e-13, node + 4e-13, 0.7], [1.0, 2.0, 3.0])
+    pinned = _pinned(two, 0.1, 0.7, grid)
+    assert pinned.breakpoints.tolist() == [0.1, node, 0.7]
+    assert pinned.table[:, 0].tolist() == [1.0, 3.0]
 
 
 # -- sampling and interpolation ----------------------------------------------

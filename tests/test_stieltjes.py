@@ -61,6 +61,18 @@ def test_density_with_interior_breakpoint_on_node():
     assert abs(_density_weights(grid, dens) @ ones - 2.0) <= 1e-14
 
 
+def test_density_breakpoint_near_a_node_keeps_the_end_correction():
+    # The node rule reads a breakpoint within 1e-12 (b - a) of a node on it:
+    # on the node, an ulp off it, and 5e-13 to either side, where a rule in
+    # units of h (8.2e-9 h here) fell back to the plain trapezoid (5.7e-5).
+    grid = Grid(0.0, 1.0, 16384)
+    node = grid.nodes[6000]
+    for c in (node, np.nextafter(node, 1.0), node + 5e-13, node - 5e-13):
+        dens = PiecewisePoly.step([0.0, c, 1.0], [1.0, 3.0])
+        exact = np.sin(c) + 3.0 * (np.sin(1.0) - np.sin(c))
+        assert abs(_density_weights(grid, dens) @ np.cos(grid.nodes) - exact) <= 1e-11, c - node
+
+
 def test_total_variation_adds_atoms_and_density_mass():
     # A self-test of the oracle that the total-variation tests read.
     dens = PiecewisePoly.constant(-3.0, 0.0, 1.0)
