@@ -11,11 +11,11 @@ atom of Phi with mass w at t is the point term (t, r-1, w in its entry), so
 ``_point_terms`` gives either kind's point evaluations as one such table.
 ``multipointify`` is the coalesced table of the operator with every density
 discretized on k equal subintervals, which converges weak-* but never in
-total variation; a multipoint operator is its own.  ``lift`` compiles
-either kind once per grid to the weights it has on the stacked jet and no
-others: one scatter places the table on the nodes its non-zero stencil
-weights reach, and each entry of Phi with a density gets one vector of
-quadrature weights.  Every application is one product with each part.
+total variation; a multipoint operator is its own.  ``lift`` maps
+either kind onto the one grid functional that ``stieltjes`` compiles and
+applies, a ``LiftedOperator`` on the stacked jet: its point-term table,
+and Phi's densities in the columns of y^(r-1).  ``boundary`` re-exports
+that class.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from math import factorial
 import numpy as np
 
 from .funcspace import (Grid, SampledJet, _check_k, _clamp_points, _coalesce, _horner,
-                        _place_points, norm_cl, vec_norm)
-from .stieltjes import MatrixMeasure, _density_table
+                        norm_cl, vec_norm)
+from .stieltjes import LiftedOperator, MatrixMeasure
 
 __all__ = [
     "GeneralBoundaryOperator",
@@ -212,71 +212,17 @@ def _point_terms(op):
             np.concatenate([np.reshape(op.alphas, (count, op.rows, op.m)), betas]))
 
 
-class LiftedOperator:
-    """A boundary operator compiled to one linear functional on a grid, held
-    as the weights it has on the stacked rm-vector col(y, y', ..., y^(r-1))
-    and no others.
-
-    Point terms and measure atoms carry the 4-point cubic stencil of their
-    location: ``weights[i, k, c]`` weighs entry c at node ``nodes[k]`` in
-    row i, for the K nodes their non-zero weights reach.  Row p of
-    ``densities`` (P, n+1) holds the trapezoid weights, with the
-    Euler-Maclaurin end correction, of a density of Phi, which weighs entry
-    ``density_columns[p]`` in row ``density_rows[p]``.  ``point_terms``
-    lists the (node, order, beta) point terms compiled in, measure atoms
-    included, and ``shape`` is (rows, n+1, rm), that of a dense weight array.
-    """
-
-    __slots__ = ("point_terms", "nodes", "weights", "density_rows", "density_columns",
-                 "densities", "shape")
-
-    def __init__(self, point_terms, points: tuple, densities: tuple):
-        self.point_terms = tuple(point_terms)
-        self.nodes, self.weights = points
-        self.density_rows, self.density_columns, self.densities = densities
-        self.shape = (len(self.weights), self.densities.shape[1], self.weights.shape[2])
-
-    def _apply(self, v: np.ndarray) -> np.ndarray:
-        """Apply to samples (rm, w, n+1), steps last, giving (rows, w): one
-        product with each part.  As a contraction with every weight would,
-        an overflow gives inf or nan with no warning."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            at_nodes = v[..., self.nodes].transpose(2, 0, 1).reshape(-1, v.shape[1])
-            out = self.weights.reshape(self.shape[0], -1) @ at_nodes
-            products = np.matmul(v, self.densities.T)
-            np.add.at(out, self.density_rows,
-                      products[self.density_columns, :, np.arange(len(self.densities))])
-        return out
-
-    def apply_values(self, values) -> np.ndarray:
-        """Apply to node samples of an rm-vector function, shaped (n+1, rm)."""
-        v = np.asarray(values, dtype=complex)
-        if v.shape != self.shape[1:]:
-            raise ValueError(f"expected samples shaped {self.shape[1:]}")
-        return self._apply(v.T[:, None])[:, 0]
-
-    def apply_trajectory(self, values) -> np.ndarray:
-        """Apply columnwise to a matrix trajectory shaped (n+1, rm, rm)."""
-        v = np.asarray(values, dtype=complex)
-        shape = self.shape[1:] + self.shape[:1]
-        if v.shape != shape:
-            raise ValueError(f"expected a trajectory shaped {shape}")
-        return self._apply(v.transpose(1, 2, 0))
-
-
 def lift(op, grid: Grid) -> LiftedOperator:
     """Compile a boundary operator to its weights on the grid.
 
     Derivative orders become block indices of the stacked vector, so the
     compiled functional applied to col(y, ..., y^(r-1)) equals B y.  No
     array of the grid's size times rm^2 is formed: point terms weigh the
-    nodes they touch, and densities one (n+1) vector per entry.
+    nodes they touch, and the densities of Phi one (n+1) vector per entry,
+    in the columns of y^(r-1).
     """
-    nodes, orders, betas = _point_terms(op)
-    phi = op.phi.entries if isinstance(op, GeneralBoundaryOperator) else []
-    return LiftedOperator(zip(nodes.tolist(), orders.tolist(), betas),
-                          _place_points(grid, nodes, orders, betas, op.rows),
-                          _density_table(phi, grid, (op.r - 1) * op.m))
+    phi = op.phi.entries if isinstance(op, GeneralBoundaryOperator) else ()
+    return LiftedOperator(grid, *_point_terms(op), op.rows, phi, (op.r - 1) * op.m)
 
 
 def norm_upper_bound(op: MultipointBoundaryOperator) -> float:

@@ -9,8 +9,9 @@ the interval rule, ``_spans``, intervals are the same when their ends agree
 to 1e-9 (b - a), and ``_pinned`` moves a polynomial's ends onto the one it
 is used on; by the point rule, ``_clamp_points``, a point of [a, b] lies
 within ``_merge_tol(a, b)`` of it and is clamped into it; by the node rule,
-``_located``, a breakpoint within ``_merge_tol(a, b)`` of a grid node lies
-on it, and the solve pass and the density quadrature read it there.
+``_located``, a breakpoint or point term within ``_merge_tol(a, b)`` of a
+grid node lies on it, and the solve pass, the density quadrature and the
+point-term stencils read it there.
 
 A piecewise polynomial is held as one zero-padded coefficient table with a
 row per piece.  Every operation works on the whole table: evaluation and
@@ -100,7 +101,11 @@ def _spans(interval, items) -> bool:
 
 
 def _fractional_index(grid: Grid, t) -> np.ndarray:
-    return np.clip((np.asarray(t, dtype=float) - grid.a) / grid.h, 0.0, float(grid.n))
+    """t in steps from a, clamped into [0, n]; by the node rule, a t on a
+    node reads as that node's index."""
+    t = np.asarray(t, dtype=float)
+    i, on = _located(grid, t)
+    return np.where(on, i, np.clip((t - grid.a) / grid.h, 0.0, float(grid.n)))
 
 
 def _linear_stencil(grid: Grid, t):

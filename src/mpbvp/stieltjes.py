@@ -1,13 +1,16 @@
-"""Scalar and matrix measures: atom tables plus piecewise-polynomial densities.
+"""Scalar and matrix measures, and the grid functionals compiled from them.
 
 A measure here is one table of atoms (``nodes`` and ``masses``) together
 with an absolutely continuous part given by a piecewise-polynomial density,
 so ``discretize_measure`` gives each subinterval's atom the density's exact
 integral over it.  Atoms are sorted and coalesced in one pass by
-``funcspace._coalesce``.  A matrix measure hands its atoms over as one
-point-term table, placed on a grid by the point terms'
+``funcspace._coalesce``.  This module compiles grid weights and applies
+them: a ``LiftedOperator`` places a table of point terms, a matrix
+measure's atoms or a boundary operator's point evaluations, on a grid by
 ``funcspace._place_points`` on the nodes a non-zero weight reaches, and
-its densities as one row of ``_density_weights`` per entry that has one.
+gives each entry with a density one row of ``_density_weights``.  A matrix
+measure is applied as such a functional, and ``boundary.lift`` maps a
+boundary operator onto one.
 """
 
 from __future__ import annotations
@@ -96,23 +99,21 @@ _END_CORRECTION = np.array([-11.0, 18.0, -9.0, 2.0]) / 72.0
 
 def _density_weights(grid: Grid, density: PiecewisePoly, out: np.ndarray | None = None):
     """Add the node weights of the trapezoid rule for x * density over the
-    grid to ``out`` (n+1,), by default a fresh zero vector, and return it;
-    a compiled operator holds them as one such vector per entry.
+    grid to ``out`` (n+1,), a zero vector, by default a fresh one, and
+    return it.
 
     Each smooth segment gets the Euler-Maclaurin end correction, which
     upgrades the rule to O(h^4) for data whose density breakpoints sit on
     grid nodes by the node rule.  With a breakpoint off them the rule falls
-    back to the plain trapezoid on right-limit samples, as one segment.  Formed
-    BLOCK_STEPS nodes at a time, the weights reach ``out`` with the bits of
-    the whole vector added at once: a node two segments share gets their
-    sum in one addition."""
+    back to the plain trapezoid on right-limit samples, as one segment.  The
+    weights are formed and added BLOCK_STEPS nodes at a time; a node two
+    segments share gets the sum of both, in either order the same bits."""
     nodes, h = grid.nodes, grid.h
     out = np.zeros(grid.n + 1, dtype=complex) if out is None else out
     seg = _segment_boundaries(grid, density)
     corrected = seg is not None
     seg = np.asarray(seg if corrected else [0, grid.n])
     pieces = density._piece_index(0.5 * (nodes[seg[:-1]] + nodes[seg[1:]]))
-    carry = 0.0
     for i0, i1, piece in zip(seg[:-1], seg[1:], pieces):
         # Only the first and last four nodes of a segment weigh other than h.
         size = i1 - i0 + 1
@@ -126,25 +127,70 @@ def _density_weights(grid: Grid, density: PiecewisePoly, out: np.ndarray | None 
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             t = nodes[i0 + lo:i0 + hi]
             trap = ends[lo:hi] if lo == 0 else ends[-4:] if hi == size else np.full(hi - lo, h)
-            weights = trap * (_horner(density.coeffs[piece][None], t) if corrected else density(t))
-            if lo == 0:
-                weights[0] += carry
-            if hi == size and i1 < grid.n:
-                carry, weights = weights[-1], weights[:-1]
-            out[i0 + lo:i0 + lo + weights.size] += weights
+            out[i0 + lo:i0 + hi] += trap * (_horner(density.coeffs[piece][None], t)
+                                            if corrected else density(t))
     return out
 
 
-def _density_table(entries, grid: Grid, first: int) -> tuple:
-    """The ``_density_weights`` of every measure ``entries[i][j]`` that has a
-    density, one row each of a (P, n+1) table: the rows i, the columns
-    first + j and the table."""
-    slots = [(i, first + j, mu.density) for i, row in enumerate(entries)
-             for j, mu in enumerate(row) if mu.density is not None]
-    table = np.zeros((len(slots), grid.n + 1), dtype=complex)
-    for weights, (_, _, density) in zip(table, slots):
-        _density_weights(grid, density, weights)
-    return (*np.array([slot[:2] for slot in slots], dtype=np.intp).reshape(-1, 2).T, table)
+class LiftedOperator:
+    """A grid functional compiled from point terms and density entries, held
+    as the weights it has on the nodes of a (n+1, width) sample array and no
+    others: a boundary operator's on the stacked rm-vector
+    col(y, y', ..., y^(r-1)), as ``boundary.lift`` compiles it, or a matrix
+    measure's on samples of its cols columns.
+
+    Point terms, measure atoms included, carry the 4-point cubic stencil of
+    their location: ``weights[i, k, c]`` weighs column c at node
+    ``nodes[k]`` in row i, for the K nodes their non-zero weights reach.
+    Row p of ``densities`` (P, n+1) holds the trapezoid weights, with the
+    Euler-Maclaurin end correction, of the density of ``entries[i][j]``,
+    which weighs column ``density_columns[p]`` = first + j in row
+    ``density_rows[p]`` = i.  ``point_terms`` lists the (node, order, beta)
+    point terms compiled in, and ``shape`` is (rows, n+1, width), that of a
+    dense weight array.
+    """
+
+    __slots__ = ("point_terms", "nodes", "weights", "density_rows", "density_columns",
+                 "densities", "shape")
+
+    def __init__(self, grid: Grid, nodes, orders, betas, width: int, entries=(), first: int = 0):
+        self.point_terms = tuple(zip(nodes.tolist(), orders.tolist(), betas))
+        self.nodes, self.weights = _place_points(grid, nodes, orders, betas, width)
+        slots = [(i, first + j, mu.density) for i, row in enumerate(entries)
+                 for j, mu in enumerate(row) if mu.density is not None]
+        self.density_rows, self.density_columns = np.array(
+            [slot[:2] for slot in slots], dtype=np.intp).reshape(-1, 2).T
+        self.densities = np.zeros((len(slots), grid.n + 1), dtype=complex)
+        for weights, (_, _, density) in zip(self.densities, slots):
+            _density_weights(grid, density, weights)
+        self.shape = (betas.shape[1], grid.n + 1, width)
+
+    def _apply(self, v: np.ndarray) -> np.ndarray:
+        """Apply to samples (width, w, n+1), steps last, giving (rows, w): one
+        product with each part.  As a contraction with every weight would,
+        an overflow gives inf or nan with no warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            at_nodes = v[..., self.nodes].transpose(2, 0, 1).reshape(-1, v.shape[1])
+            out = self.weights.reshape(self.shape[0], -1) @ at_nodes
+            products = np.matmul(v, self.densities.T)
+            np.add.at(out, self.density_rows,
+                      products[self.density_columns, :, np.arange(len(self.densities))])
+        return out
+
+    def apply_values(self, values) -> np.ndarray:
+        """Apply to node samples shaped (n+1, width)."""
+        v = np.asarray(values, dtype=complex)
+        if v.shape != self.shape[1:]:
+            raise ValueError(f"expected samples shaped {self.shape[1:]}, got {v.shape}")
+        return self._apply(v.T[:, None])[:, 0]
+
+    def apply_trajectory(self, values) -> np.ndarray:
+        """Apply columnwise to a matrix trajectory shaped (n+1, width, rows)."""
+        v = np.asarray(values, dtype=complex)
+        shape = self.shape[1:] + self.shape[:1]
+        if v.shape != shape:
+            raise ValueError(f"expected a trajectory shaped {shape}, got {v.shape}")
+        return self._apply(v.transpose(1, 2, 0))
 
 
 def discretize_measure(measure: ScalarMeasure, k: int) -> ScalarMeasure:
@@ -208,16 +254,9 @@ class MatrixMeasure:
     def apply(self, grid: Grid, values) -> np.ndarray:
         """Integrate sampled (n+1, cols) data row-wise: out_i = sum_j < x_j, mu_ij >."""
         v = np.asarray(values, dtype=complex)
-        if v.ndim == 1:
-            v = v[:, None]
-        rows, cols = self.shape
-        if v.shape != (grid.n + 1, cols):
-            raise ValueError(f"expected samples shaped {(grid.n + 1, cols)}, got {v.shape}")
-        nodes, weights = _place_points(grid, *self._atom_terms(0), cols)
-        out = weights.reshape(rows, -1) @ v[nodes].reshape(-1)
-        at, columns, table = _density_table(self.entries, grid, 0)
-        np.add.at(out, at, np.einsum("ps,sp->p", table, v[:, columns]))
-        return out
+        v = v[:, None] if v.ndim == 1 else v
+        return LiftedOperator(grid, *self._atom_terms(0), self.shape[1],
+                              self.entries).apply_values(v)
 
     def discretize(self, k: int) -> "MatrixMeasure":
         return MatrixMeasure(

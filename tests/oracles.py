@@ -328,3 +328,16 @@ def step_problem(n: int, jump: float = 0.3, a: float = 0.0, b: float = 1.0) -> B
     operator = MultipointBoundaryOperator(1, 1, a, b, [BoundaryTerm(a, 0, np.ones((1, 1)))])
     return BvpProblem(r=1, m=1, coeffs=[a0], f=PolyVector([PiecewisePoly.constant(1.0, a, b)]),
                       q=np.array([1.0]), operator=operator, grid=Grid(a, b, n))
+
+
+def point_condition_problem(t: float) -> BvpProblem:
+    """y'' + y = 1 on [0.1, 0.7] with y(0.1) = 0 and y(t) = 1, a multipoint
+    operator, on a 300-step grid.  With s = x - 0.1, y(x) is
+    1 - cos(s) + sin(s) cos(t - 0.1) / sin(t - 0.1)."""
+    a, b = 0.1, 0.7
+    op = MultipointBoundaryOperator(2, 1, a, b, [BoundaryTerm(a, 0, np.array([[1.0], [0.0]])),
+                                                BoundaryTerm(t, 0, np.array([[0.0], [1.0]]))])
+    return BvpProblem(r=2, m=1, coeffs=[PolyMatrix([[PiecewisePoly.constant(1.0, a, b)]]),
+                                        PolyMatrix.zero(1, 1, a, b)],
+                      f=PolyVector([PiecewisePoly.constant(1.0, a, b)]), q=np.array([0.0, 1.0]),
+                      operator=op, grid=Grid(a, b, 300))

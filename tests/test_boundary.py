@@ -29,8 +29,8 @@ from mpbvp import (
 )
 from mpbvp import corpus
 from mpbvp.stieltjes import _density_weights
-from oracles import (_boundary_rows, dense_weights, random_problem, tie_keeping_permutation,
-                     variation_matrix)
+from oracles import (_boundary_rows, dense_weights, point_condition_problem, random_problem,
+                     tie_keeping_permutation, variation_matrix)
 
 
 def _p2_operator():
@@ -416,9 +416,14 @@ def _assert_table_is(op, merged):
 
 
 def _stencil_loop(grid, t, points):
-    """Reference stencil at one t: linear (2 points) or 4-point Lagrange."""
+    """Reference stencil at one t: linear (2 points) or 4-point Lagrange.
+    A t within 1e-12 (b - a) of its nearest node is read on that node."""
     n = grid.n
-    s = min(max((t - grid.a) / grid.h, 0.0), float(n))
+    near = min(max(round((t - grid.a) / grid.h), 0), n)
+    if abs(t - grid.nodes[near]) <= 1e-12 * (grid.b - grid.a):
+        s = float(near)
+    else:
+        s = min(max((t - grid.a) / grid.h, 0.0), float(n))
     i = min(int(s), n - 1)
     if points == 2 or n < 4:
         return i, np.array([1.0 - (s - i), s - i])
@@ -568,6 +573,71 @@ def test_lift_weights_are_bitwise_the_per_term_loop():
             else:
                 count = len(op.terms)
             assert len(got.point_terms) == count
+
+
+def test_point_term_on_a_node_reads_on_it():
+    # Node 120 of [0.1, 0.7] at n = 300 is 0.33999999999999997, which
+    # (t - a) / h reads as 119.99999999999999, so a term on its bits took
+    # the 4-point stencil of nodes 118-121; the node rule puts it, and a
+    # term at the decimal 0.34, on node 120 alone, with weight 1.
+    node = Grid(0.1, 0.7, 300).nodes[120]
+    problems = [point_condition_problem(t) for t in (0.34, node)]
+    for problem in problems:
+        lifted = lift(problem.operator, problem.grid)
+        assert lifted.nodes.tolist() == [0, 120]
+        assert lifted.weights[1, 1, 0] == 1.0
+    decimal, on_node = (solve(problem).jet for problem in problems)
+    for got, want in zip(decimal.samples, on_node.samples):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    t = problems[0].grid.nodes - 0.1
+    exact = 1.0 - np.cos(t) + np.cos(node - 0.1) / np.sin(node - 0.1) * np.sin(t)
+    assert np.abs(on_node.samples[0][:, 0] - exact).max() <= 1e-12
+
+
+def _two_by_two_measure():
+    """A 2 x 2 measure whose atoms and density breakpoints all lie off the
+    nodes of the grids below, with inexact masses and coefficients."""
+    a, b = 0.0, 1.0
+
+    def density(c, coeffs):
+        return PiecewisePoly([a, c, b], coeffs)
+
+    return MatrixMeasure([
+        [ScalarMeasure(a, b, atoms=[(0.3141592653589793, 1.5 + 0.1j), (0.77, -2.0j)],
+                       density=density(0.4142135623730951, [[1.0, 0.5j], [2.0 - 1j, -0.25, 0.125]])),
+         ScalarMeasure(a, b, atoms=[(0.123456789, 0.25 + 1.0j)],
+                       density=density(0.5772156649015329, [[0.3, 1.1], [-0.7j]]))],
+        [ScalarMeasure(a, b, density=density(0.6931471805599453, [[1.0 / 3.0], [2.0, 1.0 / 7.0]])),
+         ScalarMeasure(a, b, atoms=[(0.0007, 0.5), (0.9999, 1.0 / 3.0)],
+                       density=density(0.2718281828459045, [[0.1j, 0.2, 0.3], [1.0]]))],
+    ])
+
+
+@pytest.mark.parametrize("n", [7, 64, 1000, 4097])
+def test_matrix_measure_applies_as_its_lifted_operator(n):
+    # One compiled functional applies every measure: a matrix measure on its
+    # own gives the bits of the order-1 operator whose Phi it is.
+    phi = _two_by_two_measure()
+    grid = Grid(0.0, 1.0, n)
+    rng = np.random.default_rng(n)
+    x = rng.uniform(1.0, 2.0, (n + 1, 2)) + 1j * rng.uniform(1.0, 2.0, (n + 1, 2))
+    want = lift(GeneralBoundaryOperator(1, 2, [], phi), grid).apply_values(x)
+    np.testing.assert_array_equal(phi.apply(grid, x).view(np.uint64), want.view(np.uint64))
+
+
+def test_applying_samples_of_the_wrong_shape_names_both_shapes():
+    phi = _two_by_two_measure()
+    grid = Grid(0.0, 1.0, 64)
+    lifted = lift(GeneralBoundaryOperator(1, 2, [], phi), grid)
+    with pytest.raises(ValueError, match=r"expected samples shaped \(65, 2\), got \(64, 2\)"):
+        lifted.apply_values(np.ones((64, 2)))
+    with pytest.raises(ValueError, match=r"expected samples shaped \(65, 2\), got \(65, 3\)"):
+        phi.apply(grid, np.ones((65, 3)))
+    with pytest.raises(ValueError, match=r"expected samples shaped \(65, 2\), got \(65, 1\)"):
+        phi.apply(grid, np.ones(65))
+    with pytest.raises(ValueError,
+                       match=r"expected a trajectory shaped \(65, 2, 2\), got \(65, 2, 3\)"):
+        lifted.apply_trajectory(np.ones((65, 2, 3)))
 
 
 @pytest.mark.parametrize("term, message", [

@@ -73,6 +73,48 @@ def test_density_breakpoint_near_a_node_keeps_the_end_correction():
         assert abs(_density_weights(grid, dens) @ np.cos(grid.nodes) - exact) <= 1e-11, c - node
 
 
+def _density_weights_loop(grid, density, cuts):
+    """Reference density weights, node by node: on each segment between the
+    breakpoints' nodes ``cuts``, the trapezoid weight, with the end
+    correction in units of h on segments of 4 or more nodes, times the
+    segment's piece at the node; a node two segments share gets the sum."""
+    h = grid.h
+    correction = [-11.0 / 72.0, 18.0 / 72.0, -9.0 / 72.0, 2.0 / 72.0]
+    out = [0j] * (grid.n + 1)
+    for piece, (i0, i1) in enumerate(zip(cuts[:-1], cuts[1:])):
+        coeffs = density.coeffs[piece].tolist()
+        size = i1 - i0 + 1
+        for k in range(size):
+            weight = h * 0.5 if k in (0, size - 1) else h
+            if size >= 4 and k < 4:
+                weight += h * correction[k]
+            if size >= 4 and size - 1 - k < 4:
+                weight += h * correction[size - 1 - k]
+            t = float(grid.nodes[i0 + k])
+            value = coeffs[-1] + t * 0
+            for c in reversed(coeffs[:-1]):
+                value = c + value * t
+            out[i0 + k] += complex(weight) * value
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n, cuts", [
+    (9, [0, 2, 3, 7, 9]),
+    (1537, [0, 5, 700, 1530, 1537]),
+    (16385, [0, 3, 4100, 16380, 16385]),
+])
+def test_density_weights_on_nodes_are_bitwise_the_per_node_loop(n, cuts):
+    # Breakpoints on nodes: segments of 2 to 8 nodes, whose end corrections
+    # overlap, and segments over several blocks of BLOCK_STEPS nodes; every
+    # interior breakpoint's node is shared by two segments.
+    grid = Grid(0.0, 1.0, n)
+    density = PiecewisePoly(grid.nodes[cuts], [[1.0 / 3.0, 2.0 - 1.0j, 0.7], [-0.3j],
+                                               [0.1, 1.0 / 7.0, -2.5, 0.9j], [2.0 + 0.2j, -1.1]])
+    want = _density_weights_loop(grid, density, cuts)
+    np.testing.assert_array_equal(_density_weights(grid, density).view(np.uint64),
+                                  want.view(np.uint64))
+
+
 def test_total_variation_adds_atoms_and_density_mass():
     # A self-test of the oracle that the total-variation tests read.
     dens = PiecewisePoly.constant(-3.0, 0.0, 1.0)
