@@ -7,12 +7,12 @@ stderr.  Exit codes: 0 success, 1 a checked bound failed, 2 the problem
 is not uniquely solvable, 3 input/output or validation errors.
 
 All CSV output uses 17 significant digits, so identical inputs produce
-byte-identical artifacts.  Every CSV value is format(x, ".17g").  The
-solution CSV is rendered a block of rows at a time by an exact vectorized
-formatter, which hands each value it cannot decide to format() itself, and
-each block's bytes go straight to stdout or into the atomic temp file: no
-copy of the whole CSV is ever built.  A reader that closes stdout early
-(``mpbvp solve p3 | head``) ends the output, not the command.
+byte-identical artifacts, whatever the BLAS thread count.  Every CSV value
+is format(x, ".17g").  The solution CSV is rendered a block of rows at a
+time by an exact vectorized formatter, which hands each value it cannot
+decide to format() itself, and each block's bytes go straight to stdout or
+into the atomic temp file, with no copy of the whole CSV.  A reader that closes
+stdout early (``mpbvp solve p3 | head``) ends the output, not the command.
 """
 
 from __future__ import annotations

@@ -166,15 +166,13 @@ class LiftedOperator:
         self.shape = (betas.shape[1], grid.n + 1, width)
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
-        """Apply to samples (width, w, n+1), steps last, giving (rows, w): one
-        product with each part.  As a contraction with every weight would,
-        an overflow gives inf or nan with no warning."""
+        """Apply to samples (width, w, n+1), steps last, giving (rows, w): one fixed-order
+        NumPy contraction per part, no BLAS call, so no bit hangs on the BLAS thread count;
+        the density part forms only the products it keeps.  Overflow gives inf or nan quietly."""
         with np.errstate(over="ignore", invalid="ignore"):
-            at_nodes = v[..., self.nodes].transpose(2, 0, 1).reshape(-1, v.shape[1])
-            out = self.weights.reshape(self.shape[0], -1) @ at_nodes
-            products = np.matmul(v, self.densities.T)
+            out = np.einsum("ikc,cwk->iw", self.weights, v[..., self.nodes])
             np.add.at(out, self.density_rows,
-                      products[self.density_columns, :, np.arange(len(self.densities))])
+                      np.einsum("pwj,pj->pw", v[self.density_columns], self.densities))
         return out
 
     def apply_values(self, values) -> np.ndarray:

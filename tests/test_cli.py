@@ -279,6 +279,32 @@ def test_closed_stdout_pipe_ends_the_output_not_the_command():
     assert [line.split(" = ")[0] for line in err.splitlines()] == ["det"], err
 
 
+def test_artifacts_do_not_depend_on_the_blas_thread_count(capsys, tmp_path):
+    # numpy reads the thread variables at import, so each command runs in a
+    # process of its own.  OpenBLAS splits a dot of more than about 10^4
+    # terms across its threads, which regroups the sum: the density parts
+    # of p1 and p2 at n = 16384 contract 16385 nodes, and the k = 8192
+    # approximation of p3 contracts its point terms on more than 10^4 nodes.
+    assert run(capsys, "approximate", "p3", "--k", "8192", "--grid-n", "16384",
+               "--out", str(tmp_path))[0] == cli.EXIT_OK
+    src = str(Path(mpbvp.__file__).resolve().parents[1])
+    commands = [["solve", "p1", "--grid-n", "16384"], ["solve", "p2", "--grid-n", "16384"],
+                ["constants", "p1", "--grid-n", "16384"],
+                ["check", "p2", "--theorem", "3", "--ks", "4:16:x2", "--grid-n", "16384"],
+                ["solve", str(tmp_path / "approximate_k8192.json")]]
+    for argv in commands:
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            done = subprocess.run([sys.executable, "-m", "mpbvp.cli", *argv], capture_output=True,
+                                  env=env, timeout=120)
+            assert done.returncode == cli.EXIT_OK, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1], argv
+
+
 def test_commands_do_not_import_numpy_ma():
     # numpy imports numpy.ma on a first np.unique call, a cost every
     # command would pay at start; the perturbed right-hand sides of a check

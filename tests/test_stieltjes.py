@@ -303,8 +303,9 @@ def _weights_loop(mu, grid):
 
 def test_atom_merge_and_weights_are_bitwise_the_loops():
     # The placed weights are the loop's, on the nodes they touch and 0
-    # elsewhere, and apply's sum is compared with the same product of the
-    # loop's weights, on samples with no zero, so that any weight bit shows.
+    # elsewhere, and apply's sum is compared with the same fixed-order
+    # contraction of the loop's weights, on samples with no zero, so that
+    # any weight bit shows.
     rng = np.random.default_rng(3)
     for atoms in _raw_atom_lists():
         mu = ScalarMeasure(0.0, 1.0, atoms=atoms)
@@ -317,7 +318,7 @@ def test_atom_merge_and_weights_are_bitwise_the_loops():
             placed = np.zeros_like(loop)
             placed[nodes] = weights[0, :, 0]
             np.testing.assert_array_equal(placed.view(np.uint64), loop.view(np.uint64))
-            want = loop[None, nodes] @ x[nodes, 0]
+            want = np.einsum("k,k->", loop[nodes], x[nodes, 0])[None]
             np.testing.assert_array_equal(MatrixMeasure([[mu]]).apply(grid, x).view(np.uint64),
                                           want.view(np.uint64))
     chain = ScalarMeasure(0.0, 1.0, atoms=_raw_atom_lists()[-3])
