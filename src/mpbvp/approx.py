@@ -42,6 +42,7 @@ from .funcspace import (
     norm_w1r,
     vec_norm,
 )
+from .linode import _bits
 
 __all__ = [
     "ErrorConstants",
@@ -120,14 +121,19 @@ def approximate_coefficients(A: PolyMatrix, k: int) -> PolyMatrix:
     piecewise-constant A whose breakpoints align with the partition the
     approximation reproduces A exactly, and stores A's own pieces: a run of
     bitwise-equal neighbouring means is one piece, so the edge j/k is a
-    breakpoint only where the means on either side of it differ.
+    breakpoint only where the means on either side of it differ.  Entries
+    with the same bits share one table of means, formed once.
     """
     k = _check_k(k)
     a, b = A.a, A.b
     edges = a + (b - a) * np.arange(k + 1) / k
     widths = np.diff(edges)
+    tables = {}
 
     def means(entry):
+        key = _bits([entry])
+        if key in tables:
+            return tables[key]
         # Real and imaginary parts divide separately: that is Python's
         # complex / float, which numpy's complex division (a multiply by the
         # reciprocal) does not reproduce bit for bit.
@@ -138,7 +144,8 @@ def approximate_coefficients(A: PolyMatrix, k: int) -> PolyMatrix:
         # Bits, not values, decide a run, so -0.0 and +0.0 stay apart.
         bits = out.view(np.uint64).reshape(k, 2)
         starts = np.concatenate([[True], (bits[1:] != bits[:-1]).any(axis=1)])
-        return PiecewisePoly.step(np.append(edges[:-1][starts], edges[-1]), out[starts])
+        tables[key] = PiecewisePoly.step(np.append(edges[:-1][starts], edges[-1]), out[starts])
+        return tables[key]
 
     return PolyMatrix([[means(entry) for entry in row] for row in A.entries])
 
@@ -282,12 +289,24 @@ def _check_entries(problem: BvpProblem, rhs_sequence, eps: float, theorem: int):
     _check_eps(eps)
     entries = _sorted_entries(rhs_sequence, "need at least one perturbed right-hand side",
                               "duplicate k in the right-hand side sequence")
-    gaps = {}
+    gaps, parts = {}, {}
+    nodes = problem.grid.nodes
     for k, f_k, q_k in entries:
-        diff = f_k - problem.f
-        l1, primitive = diff.l1_norm(), None
+        if not isinstance(f_k, PolyVector) or f_k.m != problem.m:
+            raise ValueError(f"entry k={k} needs a right-hand side of {problem.m} components")
+        # Per component, f_kc - f_c and its L1 norm, formed once for each
+        # distinct f_kc (by bits), as f_k - f forms them.
+        diffs = []
+        for c, (x, y) in enumerate(zip(f_k.components, problem.f.components)):
+            key = (c, x.widths.tobytes(), *_bits([x]))
+            if key not in parts:
+                diff = x - y
+                parts[key] = (diff, diff.abs_integral())
+            diffs.append(parts[key])
+        l1, primitive = sum(l1 for _, l1 in diffs), None
         if theorem == 3:
-            primitive = norm_c(antiderivative(problem.grid, diff.eval_at(problem.grid.nodes)))
+            values = np.stack([diff(nodes) for diff, _ in diffs], axis=-1)
+            primitive = norm_c(antiderivative(problem.grid, values))
         name, gap = ("|F_k - F|_C", primitive) if theorem == 3 else ("|f_k - f|_1", l1)
         if not gap < eps:
             raise ValueError(f"entry k={k} violates {name} < eps ({gap:.3e} >= {eps:.3e})")
@@ -364,6 +383,12 @@ def sawtooth_perturbation(grid: Grid, k: int, eps: float, m: int) -> PolyVector:
     Breakpoints sit at cell midpoints, which keeps the trapezoid
     antiderivative of the node samples exact.
     """
+    return PolyVector([_sawtooth(grid, k, eps)]
+                      + [PiecewisePoly.zero(grid.a, grid.b) for _ in range(m - 1)])
+
+
+def _sawtooth(grid: Grid, k: int, eps: float) -> PiecewisePoly:
+    """Component 0 of ``sawtooth_perturbation``."""
     _check_eps(eps)
     k = _check_k(k)
     a, b = grid.a, grid.b
@@ -383,13 +408,14 @@ def sawtooth_perturbation(grid: Grid, k: int, eps: float, m: int) -> PolyVector:
     values = np.where(np.arange(inner.size + 1) % 2 == 0, amplitude, -amplitude)
     mean = float(np.dot(values, np.diff(breakpoints))) / (b - a)
     values = values - mean
-    return PolyVector(
-        [PiecewisePoly.step(breakpoints, values)]
-        + [PiecewisePoly.zero(a, b) for _ in range(m - 1)]
-    )
+    return PiecewisePoly.step(breakpoints, values)
 
 
 def sawtooth_rhs(problem: BvpProblem, ks, eps: float):
-    """Entries (k, f + sawtooth_k, q) for the weak perturbation check."""
-    return [(k, problem.f + sawtooth_perturbation(problem.grid, k, eps, problem.m),
-             problem.q.copy()) for k in map(_check_k, ks)]
+    """Entries (k, f + sawtooth_k, q) for the weak perturbation check.  The
+    components the sawtooth leaves alone, f_c + 0 for c > 0, are formed
+    once and shared by every entry."""
+    f = problem.f.components
+    rest = [c + PiecewisePoly.zero(problem.a, problem.b) for c in f[1:]]
+    return [(k, PolyVector([f[0] + _sawtooth(problem.grid, k, eps), *rest]), problem.q.copy())
+            for k in map(_check_k, ks)]

@@ -136,7 +136,7 @@ class MultipointBoundaryOperator:
             raise ValueError(f"derivative order {orders[bad[0]]} outside 0..{r - 1}")
         orders = orders.astype(np.intp)
         nodes = _clamp_points(nodes, a, b, "node")
-        if not np.all(np.isfinite(betas)):
+        if not np.isfinite(betas).all():
             raise ValueError("weight contains non-finite entries")
         order = np.lexsort((orders, nodes))
         nodes, orders, betas = nodes[order], orders[order], betas[order]
@@ -188,25 +188,25 @@ def multipointify(op, k: int) -> MultipointBoundaryOperator:
     table of that operator then coalesces as any multipoint table does.  A
     multipoint operator is its own discretization, once k is checked.
     """
+    k = _check_k(k)
     if isinstance(op, MultipointBoundaryOperator):
-        _check_k(k)
         return op
-    disc = GeneralBoundaryOperator(op.r, op.m, op.alphas, op.phi.discretize(k))
-    return MultipointBoundaryOperator._from_table(op.r, op.m, op.a, op.b, *_point_terms(disc))
+    return MultipointBoundaryOperator._from_table(op.r, op.m, op.a, op.b, *_point_terms(op, k))
 
 
-def _point_terms(op):
+def _point_terms(op, k: int | None = None):
     """Every point evaluation of an operator as one table: nodes, orders, betas.
 
     A multipoint operator gives its table as held; a general one its alphas
-    as order-l terms at a, then the atoms of Phi as order-(r-1) terms.
+    as order-l terms at a, then the atoms of Phi as order-(r-1) terms, of
+    Phi's discretization on k subintervals when k is given.
     """
     if isinstance(op, MultipointBoundaryOperator):
         return op.nodes, op.orders, op.betas
     if not isinstance(op, GeneralBoundaryOperator):
         raise TypeError(f"not a boundary operator: {type(op).__name__}")
     count = op.r - 1
-    nodes, orders, betas = op.phi._atom_terms(count)
+    nodes, orders, betas = op.phi._atom_terms(count, k)
     return (np.concatenate([np.full(count, op.a), nodes]),
             np.concatenate([np.arange(count), orders]),
             np.concatenate([np.reshape(op.alphas, (count, op.rows, op.m)), betas]))

@@ -43,7 +43,7 @@ from .funcspace import (
     traj_norm_c,
     vec_norm,
 )
-from .linode import _adjoint, _propagate, _segment_steps
+from .linode import _adjoint, _bits, _propagate, _segment_steps
 
 __all__ = [
     "BvpProblem",
@@ -155,26 +155,33 @@ def companion_reduce(problem: BvpProblem):
     and f keep their breakpoints but for ``_pinned``'s moves onto [a, b]
     and onto grid nodes.  For r = 1, P and g hold the entries of A_0 and f.
     """
-    P, g = _companion_system(problem)
-    return P, g, lift(problem.operator, problem.grid), problem.q
+    return (_companion_matrix(problem), _companion_forcing(problem),
+            lift(problem.operator, problem.grid), problem.q)
 
 
-def _companion_system(problem: BvpProblem) -> tuple[PolyMatrix, PolyVector]:
-    """The (P, g) of companion_reduce, with no boundary operator.  Every pass,
-    top channel and ``residuals`` reads the coefficients and f here, as
+def _companion_matrix(problem: BvpProblem) -> PolyMatrix:
+    """P of companion_reduce.  Every pass, top channel and ``residuals``
+    reads the coefficients here and f in ``_companion_forcing``, as
     ``_pinned`` puts them on the grid: an entry it leaves is the problem's
-    own object.  For r = 1, P holds A_0's entries and g holds f's components."""
+    own object.  For r = 1, P holds A_0's entries."""
     r, m = problem.r, problem.m
     a, b, grid = problem.a, problem.b, problem.grid
     coeffs = [[[_pinned(e, a, b, grid) for e in row] for row in A.entries] for A in problem.coeffs]
-    f = [_pinned(c, a, b, grid) for c in problem.f.components]
     zero = PiecewisePoly.zero(a, b)
     minus_one = PiecewisePoly.constant(-1.0, a, b)
     d = r * m
     # Each row above the bottom block holds -1 one block to the right.
     entries = [[minus_one if j == i + m else zero for j in range(d)] for i in range(d - m)]
     entries += [[e for A in coeffs for e in A[i]] for i in range(m)]
-    return PolyMatrix(entries), PolyVector([zero] * (d - m) + f)
+    return PolyMatrix(entries)
+
+
+def _companion_forcing(problem: BvpProblem) -> PolyVector:
+    """g of companion_reduce: r - 1 zero blocks over the pinned f."""
+    a, b, grid = problem.a, problem.b, problem.grid
+    f = [_pinned(c, a, b, grid) for c in problem.f.components]
+    zeros = [PiecewisePoly.zero(a, b)] * (problem.d - problem.m) if problem.r > 1 else []
+    return PolyVector(zeros + f)
 
 
 def _ldexp(x, e: int) -> np.ndarray:
@@ -255,12 +262,25 @@ def _solve_pass(problems, inverse: bool = False) -> tuple[list, float | None]:
     it; and w_c = |V^-1|_C of the first with ``inverse``, else None.  V^-1
     is the transposed matrizant of the adjoint of the first problem's
     companion system, which the pass then propagates too, with zero
-    forcing.  The pass hands over one slot at a time: ``_assemble`` forms
-    the y ... y^(r-1) of each of its members, |V|_C taken once per slot,
-    and the slot is dropped before the next is made.  The top channels are
-    formed once the pass is exhausted.
+    forcing.
+
+    Problems whose coefficients have the same bits, as ``linode._bits``
+    reads them, form one coefficient set and share one companion matrix P.
+    The pass hands over one slot at a time: ``_assemble`` forms the
+    y ... y^(r-1) of each of its members, |V|_C taken once per slot, and
+    the slot is dropped before the next is made.  Once the pass is
+    exhausted, ``_top_channels`` forms the top channel of every solved
+    member of a set, and each member's jet is built once, from all r + 1
+    channels.
     """
-    systems = [_companion_system(p) for p in problems]
+    sets, systems = {}, []
+    for i, problem in enumerate(problems):
+        key = _bits(e for A in problem.coeffs for row in A.entries for e in row)
+        if key not in sets:
+            sets[key] = (_companion_matrix(problem), [])
+        P, members = sets[key]
+        members.append(i)
+        systems.append((P, _companion_forcing(problem)))
     if inverse:
         P = systems[0][0]
         systems.append((_adjoint(P), PolyVector.zero(P.shape[0], P.a, P.b)))
@@ -281,19 +301,23 @@ def _solve_pass(problems, inverse: bool = False) -> tuple[list, float | None]:
                     # A record with no traceback, whose frames would hold the slot.
                     out[i] = NotUniquelySolvableError(str(exc), exc.det, exc.cond)
         del V, columns, R
-    for i, solution in out.items():
-        if isinstance(solution, BvpSolution):
-            jet = solution.jet
-            solution.jet = SampledJet(jet.grid, jet.m, jet.r + 1,
-                                      [*jet.samples, _top_channel(jet.grid, *systems[i], jet.samples)])
+    for P, members in sets.values():
+        solved = [i for i in members if isinstance(out[i], tuple)]
+        tops = _top_channels(problems[0].grid, P, [(systems[i][1], out[i][0]) for i in solved])
+        for i, top in zip(solved, tops):
+            samples, solution = out[i]
+            problem = problems[i]
+            solution.jet = SampledJet(problem.grid, problem.m, problem.r, [*samples, top])
+            out[i] = solution
     return [out[i] for i in range(len(problems))], w_c
 
 
 def _assemble(problem: BvpProblem, V: np.ndarray, R: np.ndarray,
-              matrizant_norm_c: float) -> BvpSolution:
-    """The solution of ``problem``, its jet y ... y^(r-1) only, from its
-    matrizant V and forced trajectory R: lift the operator, gate [TV], form
-    u and |T u - q|, the lifted weights' last reader.  Raises
+              matrizant_norm_c: float) -> tuple[list, BvpSolution]:
+    """The samples y ... y^(r-1) of ``problem``'s solution and its
+    BvpSolution, whose jet the pass sets once the top channel is formed,
+    from its matrizant V and forced trajectory R: lift the operator, gate
+    [TV], form u and |T u - q|, the lifted weights' last reader.  Raises
     NotUniquelySolvableError as ``solve`` does."""
     r, m = problem.r, problem.m
     # Everything the operator touches is divided by 2**e.
@@ -311,34 +335,43 @@ def _assemble(problem: BvpProblem, V: np.ndarray, R: np.ndarray,
     del T
 
     samples = [u[:, l * m:(l + 1) * m] for l in range(r)]
-    return BvpSolution(jet=SampledJet(problem.grid, m, r - 1, samples), det=det, cond=cond,
-                       char_matrix=_ldexp(char, e), matrizant_norm_c=matrizant_norm_c,
-                       char_inverse_norm=inverse_norm, boundary_residual=boundary_residual)
+    return samples, BvpSolution(jet=None, det=det, cond=cond, char_matrix=_ldexp(char, e),
+                                matrizant_norm_c=matrizant_norm_c,
+                                char_inverse_norm=inverse_norm,
+                                boundary_residual=boundary_residual)
 
 
-def _top_channel(grid: Grid, P: PolyMatrix, g: PolyVector, samples) -> np.ndarray:
-    """f - sum_l A_l y^(l) at the nodes from the bottom block row
-    [A_0 ... A_{r-1} | f] of the companion system (P, g) and the node
-    samples of y^(l), l < r, one segment of the pass at a time."""
-    m, d = samples[0].shape[1], P.shape[0]
-    row = PolyMatrix([[*P.entries[k], g.components[k]] for k in range(d - m, d)])
-    top = np.empty((grid.n + 1, m), dtype=complex)
+def _top_channels(grid: Grid, P: PolyMatrix, members) -> list:
+    """f - sum_l A_l y^(l) at the nodes of each member (g, samples) of a
+    coefficient set with companion matrix P: its forcing g and the node
+    samples of y^(l), l < r.  One segment of the pass at a time, the bottom
+    block row [A_0 ... A_{r-1}] of P is evaluated once for the whole set
+    and each member's f, the bottom block of g, alone."""
+    if not members:
+        return []
+    d, m = P.shape[0], members[0][1][0].shape[1]
+    rows = PolyMatrix(P.entries[d - m:])
+    forcings = [PolyVector(g.components[d - m:]) for g, _ in members]
+    tops = [np.empty((grid.n + 1, m), dtype=complex) for _ in members]
     step = _segment_steps(d)
     for lo in range(0, grid.n + 1, step):
-        t, block = grid.nodes[lo:lo + step], top[lo:lo + step]
-        # [A_0 ... A_{r-1} | f] at the segment's nodes, step-first.
-        values = row.eval_at(t)
-        block[:] = values[..., d]
-        for l, y in enumerate(samples):
-            block -= np.einsum("nij,nj->ni", values[..., l * m:(l + 1) * m], y[lo:lo + step])
-    return top
+        t = grid.nodes[lo:lo + step]
+        # [A_0 ... A_{r-1}] at the segment's nodes, step-first.
+        values = rows.eval_at(t)
+        for f, (_, samples), top in zip(forcings, members, tops):
+            block = top[lo:lo + step]
+            block[:] = f.eval_at(t)
+            for l, y in enumerate(samples):
+                block -= np.einsum("nij,nj->ni", values[..., l * m:(l + 1) * m], y[lo:lo + step])
+    return tops
 
 
 def residuals(problem: BvpProblem, jet: SampledJet) -> tuple[float, float]:
     """(L1 norm of L y - f over the grid, |B y - q| in the vector norm) of
     the jet y, for the problem's data as the solver reads them."""
     grid, r = problem.grid, problem.r
-    defect = jet.samples[r] - _top_channel(grid, *_companion_system(problem), jet.samples[:r])
+    members = [(_companion_forcing(problem), jet.samples[:r])]
+    defect = jet.samples[r] - _top_channels(grid, _companion_matrix(problem), members)[0]
     ode_residual = norm_l1(grid, defect)
     boundary_residual = vec_norm(apply_operator(problem.operator, jet) - problem.q)
     return ode_residual, boundary_residual

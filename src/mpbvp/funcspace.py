@@ -128,10 +128,10 @@ def _cubic_stencil(grid: Grid, t):
     base = np.clip(np.minimum(s.astype(np.intp), n - 1) - 1, 0, n - 3)
     x = s - base
     w = np.ones(x.shape + (4,))
-    for j in range(4):
-        for k in range(4):
-            if k != j:
-                w[..., j] *= (x - k) / (j - k)
+    # Weight j takes its factors (x - k) / (j - k) in the order k = 0 .. 3.
+    for k in range(4):
+        j = np.delete(np.arange(4), k)
+        w[..., j] *= (x[..., None] - k) / (j - k)
     return base, w
 
 
@@ -142,14 +142,24 @@ def _place_points(grid: Grid, nodes, orders, betas, width: int) -> tuple:
     where (base, w) is its node's cubic stencil and m = betas.shape[2],
     summing in term order, so each weight has the bits it has in a
     (rows, n+1, width) array.  A 0 adds nothing to a weight's bits, so the
-    stencil zeros of a term on a node and terms of weight 0 are left out."""
-    m = betas.shape[2]
-    base, w = _cubic_stencil(grid, nodes)
+    stencil zeros and terms of weight 0 are left out.  A term that the node
+    rule puts on a node weighs that node by exactly 1, with no stencil: it
+    is the stencil's own result at an integral x, whose other weights are 0."""
+    m, nodes = betas.shape[2], np.asarray(nodes, dtype=float)
+    index, on = _located(grid, nodes)
+    base, w = index[:, None], np.ones((index.size, 1))
+    if not on.all():
+        off_base, off_w = _cubic_stencil(grid, nodes[~on])
+        base = np.zeros((index.size, off_w.shape[1]), dtype=np.intp)
+        w = np.zeros(base.shape)
+        base[on, 0], w[on, 0] = index[on], 1.0
+        base[~on], w[~on] = off_base[:, None] + np.arange(off_w.shape[1]), off_w
     t, s = np.nonzero((w != 0) & betas.any(axis=(1, 2))[:, None])
-    hit = np.bincount(base[t] + s, minlength=grid.n + 1) > 0
+    at = base[t, s]
+    hit = np.bincount(at, minlength=grid.n + 1) > 0
     out = np.zeros((betas.shape[1], np.count_nonzero(hit), width), dtype=complex)
     np.add.at(out, (np.arange(out.shape[0])[None, :, None],
-                    (np.cumsum(hit) - 1)[base[t] + s][:, None, None],
+                    (np.cumsum(hit) - 1)[at][:, None, None],
                     (orders[t, None] * m + np.arange(m))[:, None, :]),
               w[t, s, None, None] * betas[t])
     return np.flatnonzero(hit), out
@@ -161,7 +171,7 @@ def _cluster_starts(x: np.ndarray, tol: float, breaks=None) -> np.ndarray:
     ``breaks`` is set.  Only points within tol of their predecessor need
     the sequential pass."""
     starts = np.ones(x.size, dtype=bool)
-    close = np.diff(x) <= tol
+    close = x[1:] - x[:-1] <= tol
     if breaks is not None:
         close &= ~breaks[1:]
     first = None
@@ -272,16 +282,16 @@ class PiecewisePoly:
         bp = np.asarray(breakpoints, dtype=float)
         if bp.ndim != 1 or bp.size < 2:
             raise ValueError("need at least two breakpoints")
-        if not np.all(np.isfinite(bp)):
+        if not np.isfinite(bp).all():
             raise ValueError("breakpoints must be finite")
-        if not np.all(np.diff(bp) > 0):
+        if not (bp[1:] - bp[:-1] > 0).all():
             raise ValueError("breakpoints must be strictly increasing")
         if table.shape[0] != bp.size - 1:
             raise ValueError(
                 f"{bp.size - 1} pieces require {bp.size - 1} coefficient arrays, "
                 f"got {table.shape[0]}"
             )
-        if not np.all(np.isfinite(table)):
+        if not np.isfinite(table).all():
             raise ValueError("polynomial coefficients must be finite")
         self.breakpoints = bp
         self.table = table
@@ -390,7 +400,7 @@ class PiecewisePoly:
         e = np.asarray(edges, dtype=float)
         if e.ndim != 1 or e.size < 2:
             raise ValueError("need at least two edges")
-        if not np.all(np.diff(e) >= 0):
+        if not (e[1:] - e[:-1] >= 0).all():
             raise ValueError("integration needs nondecreasing edges (c <= d)")
         e = np.clip(e, self.breakpoints[0], self.breakpoints[-1])
         inner = self.breakpoints[1:-1]
@@ -475,7 +485,7 @@ def _pinned(p: PiecewisePoly, a: float, b: float, grid: Grid | None = None) -> P
     bp[0], bp[-1] = a, b
     if np.array_equal(bp, p.breakpoints):
         return p
-    keep = np.diff(bp) > 0
+    keep = bp[1:] - bp[:-1] > 0
     return PiecewisePoly._from_table(np.concatenate([[a], bp[1:][keep]]),
                                      p.table[keep], p.widths[keep])
 
@@ -649,7 +659,7 @@ class SampledJet:
                 raise ValueError(
                     f"channel {j} has shape {arr.shape}, expected {(grid.n + 1, m)}"
                 )
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"channel {j} contains non-finite samples")
             chans.append(arr)
         if len(chans) != r + 1:

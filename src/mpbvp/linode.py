@@ -102,7 +102,7 @@ def _coefficient_panels(rows, grid: Grid, lo: int, hi: int):
         for j, entry in enumerate(row):
             nodes[i, j], ends[i, j], mids[i, j] = entry.grid_samples(grid, lo, hi)
     for name, panel in (("node", nodes), ("mid", mids), ("end", ends)):
-        if not np.all(np.isfinite(panel)):
+        if not np.isfinite(panel).all():
             raise ValueError(f"coefficient evaluation produced non-finite values ({name})")
     return nodes, mids, ends
 

@@ -4,13 +4,14 @@ A measure here is one table of atoms (``nodes`` and ``masses``) together
 with an absolutely continuous part given by a piecewise-polynomial density,
 so ``discretize_measure`` gives each subinterval's atom the density's exact
 integral over it.  Atoms are sorted and coalesced in one pass by
-``funcspace._coalesce``.  This module compiles grid weights and applies
-them: a ``LiftedOperator`` places a table of point terms, a matrix
-measure's atoms or a boundary operator's point evaluations, on a grid by
-``funcspace._place_points`` on the nodes a non-zero weight reaches, and
-gives each entry with a density one row of ``_density_weights``.  A matrix
-measure is applied as such a functional, and ``boundary.lift`` maps a
-boundary operator onto one.
+``funcspace._coalesce``, in ``_atom_table``, for a measure and for the
+discretized atoms that ``multipointify`` reads with no measure built.
+This module compiles grid weights and applies them: a ``LiftedOperator``
+places a table of point terms, a matrix measure's atoms or a boundary
+operator's point evaluations, on a grid by ``funcspace._place_points`` on
+the nodes a non-zero weight reaches, and gives each entry with a density
+one row of ``_density_weights``.  A matrix measure is applied as such a
+functional, and ``boundary.lift`` maps a boundary operator onto one.
 """
 
 from __future__ import annotations
@@ -49,16 +50,9 @@ class ScalarMeasure:
         if table.size and (table.shape[1:] != (2,) or np.any(table[:, 0].imag)):
             raise ValueError("atoms must be (real location, mass) pairs")
         t, w = table.reshape(-1, 2).T
-        t = _clamp_points(t.real, a, b, "atom location")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("atom weights must be finite")
-        order = np.argsort(t, kind="stable")
-        starts, masses = _coalesce(t[order], w[order], a, b)
-        keep = masses != 0
         self.a = a
         self.b = b
-        self.nodes = t[order][starts][keep]
-        self.masses = masses[keep]
+        self.nodes, self.masses = _atom_table(a, b, t.real, w)
         self.nodes.flags.writeable = self.masses.flags.writeable = False
         self.density = density
 
@@ -79,6 +73,32 @@ class ScalarMeasure:
     def __repr__(self):
         dens = "none" if self.density is None else repr(self.density)
         return f"ScalarMeasure({self.nodes.size} atoms, density={dens})"
+
+
+def _atom_table(a: float, b: float, t, w) -> tuple:
+    """The atom table (nodes, masses) of atoms at t with masses w on [a, b]:
+    t clamped into it, sorted, coalesced within ``_merge_tol(a, b)``, and
+    clusters of zero mass dropped."""
+    t = _clamp_points(t, a, b, "atom location")
+    if not np.isfinite(w).all():
+        raise ValueError("atom weights must be finite")
+    order = np.argsort(t, kind="stable")
+    starts, masses = _coalesce(t[order], w[order], a, b)
+    keep = masses != 0
+    return t[order][starts][keep], masses[keep]
+
+
+def _discretized_atoms(measure: ScalarMeasure, k: int) -> tuple:
+    """The atom table (nodes, masses) of ``discretize_measure(measure, k)``,
+    with no measure built: the measure's own atoms and, with a density, one
+    midpoint atom per subinterval carrying the density's integral over it."""
+    if measure.density is None:
+        return measure.nodes, measure.masses
+    a, b = measure.a, measure.b
+    edges = a + (b - a) * np.arange(k + 1) / k
+    midpoints = 0.5 * (edges[:-1] + edges[1:])
+    return _atom_table(a, b, np.concatenate([measure.nodes, midpoints]),
+                       np.concatenate([measure.masses, measure.density.integrals(edges)]))
 
 
 def _segment_boundaries(grid: Grid, density: PiecewisePoly):
@@ -140,21 +160,22 @@ class LiftedOperator:
     measure's on samples of its cols columns.
 
     Point terms, measure atoms included, carry the 4-point cubic stencil of
-    their location: ``weights[i, k, c]`` weighs column c at node
-    ``nodes[k]`` in row i, for the K nodes their non-zero weights reach.
+    their location, and a term on a node by the node rule weighs that node
+    by exactly 1: ``weights[i, k, c]`` weighs column c at node ``nodes[k]``
+    in row i, for the K nodes their non-zero weights reach.
     Row p of ``densities`` (P, n+1) holds the trapezoid weights, with the
     Euler-Maclaurin end correction, of the density of ``entries[i][j]``,
     which weighs column ``density_columns[p]`` = first + j in row
     ``density_rows[p]`` = i.  ``point_terms`` lists the (node, order, beta)
-    point terms compiled in, and ``shape`` is (rows, n+1, width), that of a
-    dense weight array.
+    point terms compiled in, formed only when read, and ``shape`` is
+    (rows, n+1, width), that of a dense weight array.
     """
 
-    __slots__ = ("point_terms", "nodes", "weights", "density_rows", "density_columns",
+    __slots__ = ("_terms", "nodes", "weights", "density_rows", "density_columns",
                  "densities", "shape")
 
     def __init__(self, grid: Grid, nodes, orders, betas, width: int, entries=(), first: int = 0):
-        self.point_terms = tuple(zip(nodes.tolist(), orders.tolist(), betas))
+        self._terms = (nodes, orders, betas)
         self.nodes, self.weights = _place_points(grid, nodes, orders, betas, width)
         slots = [(i, first + j, mu.density) for i, row in enumerate(entries)
                  for j, mu in enumerate(row) if mu.density is not None]
@@ -164,6 +185,12 @@ class LiftedOperator:
         for weights, (_, _, density) in zip(self.densities, slots):
             _density_weights(grid, density, weights)
         self.shape = (betas.shape[1], grid.n + 1, width)
+
+    @property
+    def point_terms(self) -> tuple:
+        """The (node, order, beta) point terms compiled in, formed when read."""
+        nodes, orders, betas = self._terms
+        return tuple(zip(nodes.tolist(), orders.tolist(), betas))
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
         """Apply to samples (width, w, n+1), steps last, giving (rows, w): one fixed-order
@@ -202,12 +229,8 @@ def discretize_measure(measure: ScalarMeasure, k: int) -> ScalarMeasure:
     k = _check_k(k)
     if measure.density is None:
         return measure
-    a, b = measure.a, measure.b
-    edges = a + (b - a) * np.arange(k + 1) / k
-    midpoints = 0.5 * (edges[:-1] + edges[1:])
-    return ScalarMeasure(a, b, atoms=np.stack([
-        np.concatenate([measure.nodes, midpoints]),
-        np.concatenate([measure.masses, measure.density.integrals(edges)])], axis=1))
+    return ScalarMeasure(measure.a, measure.b,
+                         atoms=np.stack(_discretized_atoms(measure, k), axis=1))
 
 
 class MatrixMeasure:
@@ -238,15 +261,17 @@ class MatrixMeasure:
     def b(self) -> float:
         return self.entries[0][0].b
 
-    def _atom_terms(self, order: int):
+    def _atom_terms(self, order: int, k: int | None = None):
         """Every entry's atoms, entry by entry, as point terms of the given order
         whose (rows, cols) betas hold the mass in the entry's slot, at nodes moved
-        onto the matrix's [a, b] with the entry's ends: nodes, orders, betas."""
-        entries = [entry for row in self.entries for entry in row]
-        nodes = np.clip(np.concatenate([entry.nodes for entry in entries]), self.a, self.b)
-        slot = np.repeat(np.arange(len(entries)), [entry.nodes.size for entry in entries])
-        betas = np.zeros((nodes.size, len(entries)), dtype=complex)
-        betas[np.arange(nodes.size), slot] = np.concatenate([entry.masses for entry in entries])
+        onto the matrix's [a, b] with the entry's ends: nodes, orders, betas.
+        Given k, the atoms are those of ``discretize(k)``, with no measure built."""
+        atoms = [(entry.nodes, entry.masses) if k is None else _discretized_atoms(entry, k)
+                 for row in self.entries for entry in row]
+        nodes = np.clip(np.concatenate([t for t, _ in atoms]), self.a, self.b)
+        slot = np.repeat(np.arange(len(atoms)), [t.size for t, _ in atoms])
+        betas = np.zeros((nodes.size, len(atoms)), dtype=complex)
+        betas[np.arange(nodes.size), slot] = np.concatenate([w for _, w in atoms])
         return nodes, np.full(nodes.size, order), betas.reshape((nodes.size,) + self.shape)
 
     def apply(self, grid: Grid, values) -> np.ndarray:

@@ -756,6 +756,19 @@ def test_sweep_refuses_a_duplicate_k():
         sweep(corpus.build_problem("p1", 256), [4, 4])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda p: theorem3_check(p, [], 1e-3), "need at least one perturbed right-hand side"),
+    (lambda p: theorem3_check(p, [(4, p.f, p.q + 2e-3)], 1e-3),
+     "entry k=4 violates |q_k - q| < eps"),
+    (lambda p: theorem3_check(p, [(4, PolyVector([p.f.components[0]] * 2), p.q)], 1e-3),
+     "entry k=4 needs a right-hand side of 1 components"),
+    (lambda p: sweep(p, []), "need at least one k"),
+])
+def test_an_empty_or_out_of_bounds_family_is_refused(call, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        call(corpus.build_problem("p1", 256))
+
+
 @pytest.mark.parametrize("entry_point", ["sweep", "theorem2_check", "theorem3_check",
                                          "remark3_constants"])
 def test_one_pass_per_entry_point(monkeypatch, entry_point):

@@ -102,6 +102,12 @@ def test_bad_usage_is_io_error(capsys):
 
 
 @pytest.mark.parametrize("command", [["sweep", "p1"], ["check", "p1", "--theorem", "3"]])
+def test_a_decreasing_ks_range_is_refused(capsys, command):
+    code, out, err = run(capsys, *command, "--ks", "8:4:x2", "--grid-n", "64")
+    assert (code, out) == (cli.EXIT_IO, "")
+    assert err == "mpbvp: error: --ks range '8:4:x2' is empty or not increasing\n"
+
+@pytest.mark.parametrize("command", [["sweep", "p1"], ["check", "p1", "--theorem", "3"]])
 @pytest.mark.parametrize("text, form", [
     ("4:8:x", "start:stop:x<factor>"),
     ("4:8:x2.5", "start:stop:x<factor>"),

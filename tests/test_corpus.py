@@ -1,6 +1,7 @@
 """Reference problems: each closed form is checked once, on the default grid."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -40,3 +41,12 @@ def test_perturbed_builder_trips_the_self_check(monkeypatch, n):
     monkeypatch.setitem(corpus._BUILDERS, "p1", perturbed)
     with pytest.raises(AssertionError, match="'p1' failed its closed-form check"):
         corpus.build_problem("p1", n)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: corpus.exact_jet("nn"), "problem 'nn' has no closed-form solution"),
+    (lambda: corpus.build_problem("p9"), "unknown problem 'p9' (known: nn, p1, p2, p3)"),
+])
+def test_a_name_without_a_closed_form_is_refused(call, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        call()

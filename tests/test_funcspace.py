@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,8 @@ from mpbvp import (
     sawtooth_perturbation,
     sawtooth_rhs,
 )
-from mpbvp.funcspace import MAX_GRID_N, _GAUSS_W, _GAUSS_X, _horner, _piece_abs_integral, _pinned
+from mpbvp.funcspace import (MAX_GRID_N, _GAUSS_W, _GAUSS_X, _cubic_stencil, _horner,
+                             _located, _piece_abs_integral, _pinned, _place_points)
 from oracles import interval_integral, left_limit
 
 
@@ -88,6 +90,18 @@ def test_grid_validation():
             Grid(0.0, 1.0, n)
     assert Grid(0.0, 1.0, MAX_GRID_N).h == 1.0 / MAX_GRID_N
 
+
+@pytest.mark.parametrize("call, message", [
+    (lambda grid: Grid(0.0, float("inf"), 8), "grid endpoints must be finite"),
+    (lambda grid: SampledJet(grid, 1, 0, [np.zeros(8)]),
+     "channel 0 has shape (8, 1), expected (9, 1)"),
+    (lambda grid: SampledJet(grid, 1, 1, [np.zeros(9), np.full(9, np.nan)]),
+     "channel 1 contains non-finite samples"),
+    (lambda grid: SampledJet(grid, 1, 1, [np.zeros(9)]), "order-1 jet needs 2 channels, got 1"),
+])
+def test_a_bad_grid_or_jet_is_refused(call, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        call(Grid(0.0, 1.0, 8))
 
 def test_grid_refuses_a_float_n():
     # An integral float once passed, and solve then died slicing with it.
@@ -472,6 +486,51 @@ def test_linear_interpolation_on_matrix_samples():
     atom = MatrixMeasure([[ScalarMeasure(0.0, 1.0, atoms=[(0.375, 1.0)])]])
     out = np.array([[atom.apply(grid, values[:, i, j])[0] for j in range(2)] for i in range(2)])
     np.testing.assert_allclose(out, [[0.375, 0.0], [0.0, 1.0]], atol=1e-14)
+
+
+def _stencil_placement(grid, nodes, orders, betas, width):
+    """The nodes that the point terms reach and the dense (rows, n+1, width)
+    weights they put there: each term's ``_cubic_stencil`` weights (the
+    linear stencil below 4 cells), the non-zero ones, added in term order."""
+    m = betas.shape[2]
+    dense = np.zeros((betas.shape[1], grid.n + 1, width), dtype=complex)
+    reached = np.zeros(grid.n + 1, dtype=bool)
+    for x, order, beta in zip(nodes, orders, betas):
+        (base,), (w,) = _cubic_stencil(grid, np.array([x]))
+        for s, weight in enumerate(w):
+            if weight != 0 and beta.any():
+                dense[:, base + s, order * m:(order + 1) * m] += weight * beta
+                reached[base + s] = True
+    return np.flatnonzero(reached), dense
+
+
+@pytest.mark.parametrize("n", [3, 7, 2048])
+def test_a_term_on_a_node_weighs_it_as_its_stencil_does(n):
+    # A term on a node, one an ulp to either side of it (on it by the node
+    # rule) and one between nodes get their stencil's weights bit for bit;
+    # the first two weigh the node by exactly 1, and nothing else.
+    grid = Grid(0.1, 0.7, n)
+    at = sorted({0, 1, n // 2, n - 1, n})
+    points = []
+    for i in at:
+        t = grid.nodes[i]
+        points += [t, np.nextafter(t, 1.0) if i < n else np.nextafter(t, 0.0)]
+        if 0 < i < n:
+            points += [np.nextafter(t, 0.0), t + 0.37 * grid.h]
+    points = np.array(points)
+    rng = np.random.default_rng(n)
+    orders = rng.integers(0, 2, points.size)
+    betas = rng.standard_normal((points.size, 4, 2)) + 1j * rng.standard_normal((points.size, 4, 2))
+    betas[3] = 0.0
+    betas[4, 0] = -0.0
+    nodes, weights = _place_points(grid, points, orders, betas, 4)
+    want_nodes, dense = _stencil_placement(grid, points, orders, betas, 4)
+    np.testing.assert_array_equal(nodes, want_nodes)
+    assert weights.tobytes() == dense[:, nodes].tobytes()
+    _, on = _located(grid, points)
+    assert np.count_nonzero(on) == points.size - (len(at) - 2)  # all but the between points
+    _, w = _cubic_stencil(grid, points[on])
+    assert (w.max(axis=1) == 1.0).all() and (np.count_nonzero(w, axis=1) == 1).all()
 
 
 # -- vectors, matrices, jets -------------------------------------------------

@@ -389,6 +389,18 @@ def test_wrong_length_names_its_list(p2_dict, keys, value, message):
         problem_from_dict(_with_entry(_base_for(keys, p2_dict), keys, value))
 
 
+@pytest.mark.parametrize("keys, value, message", [
+    (("version",), 2, "$.version: unsupported version 2"),
+    (("coefficients", 0, 0, 0), 1.0, "$.coefficients[0][0][0]: expected an object, got float"),
+    (("coefficients", 0, 0, 0, "pieces"), 1.0,
+     "$.coefficients[0][0][0].pieces: expected a list, got float"),
+    (("coefficients", 0, 0, 0, "breakpoints"), [0.0],
+     "$.coefficients[0][0][0].breakpoints: need at least two breakpoints"),
+])
+def test_malformed_structure_names_its_field(p1_dict, keys, value, message):
+    with pytest.raises(ProblemFormatError, match=rf"^{re.escape(message)}$"):
+        problem_from_dict(_with_entry(p1_dict, keys, value))
+
 def test_malformed_term_order_names_its_entry():
     base = problem_to_dict(build_multipoint_problem(corpus.build_problem("p2", 64), 4))
     where = re.escape("$.boundary.terms[2].order")

@@ -323,3 +323,13 @@ def test_atom_merge_and_weights_are_bitwise_the_loops():
                                           want.view(np.uint64))
     chain = ScalarMeasure(0.0, 1.0, atoms=_raw_atom_lists()[-3])
     assert _pairs(chain) == [(0.5, 1.0 - 2.0j), (0.5 + 1.2e-12, 3.0)]
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([], "need a non-empty matrix of measures"),
+    ([[]], "need a non-empty matrix of measures"),
+    ([[ScalarMeasure.zero(0.0, 1.0)], [ScalarMeasure.zero(0.0, 1.0)] * 2], "ragged rows"),
+])
+def test_an_empty_or_ragged_matrix_measure_is_refused(entries, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        MatrixMeasure(entries)
