@@ -1,6 +1,6 @@
 """Approximation pipeline: discretized problems, error sweeps, certificates.
 
-Given a problem with a boundary operator of either kind, this module
+Given a problem whose boundary operator holds a measure or not, this module
 builds the explicit multipoint approximations — interval-mean coefficients
 plus midpoint-discretized boundary measures — and measures how fast their
 solutions converge.  It also computes the certified error constants
@@ -157,8 +157,7 @@ def build_multipoint_problem(problem: BvpProblem, k: int,
 
     Coefficients become interval means, the boundary operator is
     multipointified, and the right-hand side is carried over verbatim
-    unless overridden.  A problem that is already multipoint keeps its
-    operator.
+    unless overridden.  An operator without a measure is kept as is.
     """
     return BvpProblem(
         r=problem.r,

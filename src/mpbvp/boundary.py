@@ -1,21 +1,20 @@
-"""Boundary operators: measure representation, multipoint form, compilation.
+"""Boundary operators: one class, its multipoint form, compilation.
 
-A general operator sends an order-(r-1) jet y to
+A ``BoundaryOperator`` sends an order-(r-1) jet y to
 
-    B y = sum_{l=0}^{r-2} alpha_l y^(l)(a) + integral (dPhi) y^(r-1)
+    B y = sum_j beta_j y^(l_j)(t_j) + integral (dPhi) y^(r-1)
 
-with alpha_l in C^{rm x m} and Phi an rm x m matrix measure; for r = 1 only
-the integral term is present.  A multipoint operator is a finite sum
-B y = sum_j beta_j y^(l_j)(t_j), held as one table of point terms.  An
-atom of Phi with mass w at t is the point term (t, r-1, w in its entry), so
-``_point_terms`` gives either kind's point evaluations as one such table.
-``multipointify`` is the coalesced table of the operator with every density
+with beta_j in C^{rm x m}, held as one coalesced table of point terms, and
+Phi an rm x m matrix measure or None; ``GeneralBoundaryOperator`` (alphas
+at a and Phi) and ``MultipointBoundaryOperator`` (no Phi) build the
+paper's two forms.  An atom of Phi with mass w at t is the point term
+(t, r-1, w in its entry), so ``_point_terms`` gives every point evaluation
+as one table.  ``multipointify`` is that table with every density
 discretized on k equal subintervals, which converges weak-* but never in
-total variation; a multipoint operator is its own.  ``lift`` maps
-either kind onto the one grid functional that ``stieltjes`` compiles and
-applies, a ``LiftedOperator`` on the stacked jet: its point-term table,
-and Phi's densities in the columns of y^(r-1).  ``boundary`` re-exports
-that class.
+total variation; an operator without Phi is its own.  ``lift`` maps an
+operator onto the one grid functional that ``stieltjes`` compiles and
+applies, a ``LiftedOperator`` on the stacked jet: its point terms, and
+Phi's densities in the columns of y^(r-1).  ``boundary`` re-exports it.
 """
 
 from __future__ import annotations
@@ -25,11 +24,12 @@ from math import factorial
 
 import numpy as np
 
-from .funcspace import (Grid, SampledJet, _check_k, _clamp_points, _coalesce, _horner,
+from .funcspace import (Grid, SampledJet, _check_k, _clamp_points, _coalesce, _horner, _spans,
                         norm_cl, vec_norm)
 from .stieltjes import LiftedOperator, MatrixMeasure
 
 __all__ = [
+    "BoundaryOperator",
     "GeneralBoundaryOperator",
     "MultipointBoundaryOperator",
     "BoundaryTerm",
@@ -43,68 +43,30 @@ __all__ = [
 ]
 
 
-class GeneralBoundaryOperator:
-    """Riesz-form boundary operator with point weights at a and a matrix measure.
-
-    ``alphas[l]`` (l = 0..r-2) weights y^(l)(a); ``phi`` is the rm x m matrix
-    measure acting on y^(r-1).  For r = 1 ``alphas`` must be empty.
-    """
-
-    __slots__ = ("r", "m", "alphas", "phi")
-
-    def __init__(self, r: int, m: int, alphas, phi: MatrixMeasure):
-        if r < 1 or m < 1:
-            raise ValueError("need r >= 1 and m >= 1")
-        rows = r * m
-        mats = [np.asarray(al, dtype=complex) for al in alphas]
-        if len(mats) != max(r - 1, 0):
-            raise ValueError(f"order-{r} operator needs {max(r - 1, 0)} alpha blocks")
-        for l, al in enumerate(mats):
-            if al.shape != (rows, m):
-                raise ValueError(f"alpha_{l} must be shaped {(rows, m)}, got {al.shape}")
-            if not np.all(np.isfinite(al)):
-                raise ValueError(f"alpha_{l} contains non-finite entries")
-        if phi.shape != (rows, m):
-            raise ValueError(f"phi must be shaped {(rows, m)}, got {phi.shape}")
-        self.r = r
-        self.m = m
-        self.alphas = mats
-        self.phi = phi
-
-    @property
-    def a(self) -> float:
-        return self.phi.a
-
-    @property
-    def b(self) -> float:
-        return self.phi.b
-
-    @property
-    def rows(self) -> int:
-        return self.r * self.m
-
-
 @dataclass(frozen=True)
 class BoundaryTerm:
-    """One multipoint term: beta @ y^(order)(node), beta shaped (rm, m)."""
+    """One point term: beta @ y^(order)(node), beta shaped (rm, m)."""
 
     node: float
     order: int
     beta: np.ndarray
 
 
-class MultipointBoundaryOperator:
-    """B y = sum_j beta_j y^(l_j)(t_j) as one read-only table: ``nodes`` (K,),
-    ``orders`` (K,) and ``betas`` (K, rm, m), sorted by (node, order).
+class BoundaryOperator:
+    """B y = sum_j beta_j y^(l_j)(t_j) + integral (dPhi) y^(r-1) on [a, b].
 
-    Terms of one order within the merge tolerance of their cluster's first
-    node are coalesced at construction, each sum started from that first
-    term; ``terms`` lists the rows as ``BoundaryTerm`` records.
+    The point terms are one read-only table: ``nodes`` (K,), ``orders`` (K,)
+    and ``betas`` (K, rm, m), sorted by (node, order).  Terms of one order
+    within the merge tolerance of their cluster's first node are coalesced
+    at construction, each sum started from that first term; ``terms`` lists
+    the rows as ``BoundaryTerm`` records.  ``phi`` is the rm x m matrix
+    measure on [a, b] acting on y^(r-1), or None.
     """
 
-    __slots__ = ("r", "m", "a", "b", "nodes", "orders", "betas", "_terms")
+    __slots__ = ("r", "m", "a", "b", "nodes", "orders", "betas", "phi", "_terms")
 
-    def __init__(self, r: int, m: int, a: float, b: float, terms):
+    def __init__(self, r: int, m: int, a: float, b: float, terms=(),
+                 phi: MatrixMeasure | None = None):
         if r < 1 or m < 1:
             raise ValueError("need r >= 1 and m >= 1")
         terms = list(terms)
@@ -114,21 +76,26 @@ class MultipointBoundaryOperator:
             if beta.shape != shape:
                 raise ValueError(f"weight must be shaped {shape}, got {beta.shape}")
         self._set(r, m, a, b, [term.node for term in terms], [term.order for term in terms],
-                  np.array(betas).reshape((len(terms),) + shape))
+                  np.array(betas).reshape((len(terms),) + shape), phi)
 
     @classmethod
     def _from_table(cls, r: int, m: int, a: float, b: float,
-                    nodes, orders, betas) -> "MultipointBoundaryOperator":
+                    nodes, orders, betas, phi=None) -> "BoundaryOperator":
         """Build from arrays shaped (K,), (K,), (K, rm, m); ``__init__``'s value checks run."""
         out = cls.__new__(cls)
-        out._set(r, m, a, b, nodes, orders, betas)
+        out._set(r, m, a, b, nodes, orders, betas, phi)
         return out
 
-    def _set(self, r, m, a, b, nodes, orders, betas):
-        """Validate, clamp, sort and coalesce the term table in one pass."""
+    def _set(self, r, m, a, b, nodes, orders, betas, phi):
+        """Validate, clamp, sort and coalesce the term table in one pass; check phi."""
         a, b = float(a), float(b)
         if not a < b:
             raise ValueError("operator needs a < b")
+        if phi is not None:
+            if phi.shape != (r * m, m):
+                raise ValueError(f"phi must be shaped {(r * m, m)}, got {phi.shape}")
+            if not _spans((a, b), [phi]):
+                raise ValueError(f"phi must span the operator's interval [{a}, {b}]")
         orders = np.asarray(orders)
         betas = np.asarray(betas, dtype=complex)
         bad = np.flatnonzero(~((orders >= 0) & (orders <= r - 1) & (orders % 1 == 0)))
@@ -150,6 +117,7 @@ class MultipointBoundaryOperator:
         self.betas = merged
         for array in (self.nodes, self.orders, self.betas):
             array.flags.writeable = False
+        self.phi = phi
         self._terms = None
 
     @property
@@ -163,6 +131,31 @@ class MultipointBoundaryOperator:
             self._terms = tuple(map(BoundaryTerm, self.nodes.tolist(),
                                     self.orders.tolist(), self.betas))
         return self._terms
+
+
+def GeneralBoundaryOperator(r: int, m: int, alphas, phi: MatrixMeasure) -> BoundaryOperator:
+    """The Riesz form on phi's interval: ``alphas[l]`` (l = 0..r-2) weights
+    y^(l)(a), as an order-l term at a, and ``phi`` is the rm x m matrix
+    measure acting on y^(r-1).  For r = 1 ``alphas`` must be empty."""
+    if r < 1 or m < 1:
+        raise ValueError("need r >= 1 and m >= 1")
+    rows = r * m
+    mats = [np.asarray(al, dtype=complex) for al in alphas]
+    if len(mats) != r - 1:
+        raise ValueError(f"order-{r} operator needs {r - 1} alpha blocks")
+    for l, al in enumerate(mats):
+        if al.shape != (rows, m):
+            raise ValueError(f"alpha_{l} must be shaped {(rows, m)}, got {al.shape}")
+        if not np.all(np.isfinite(al)):
+            raise ValueError(f"alpha_{l} contains non-finite entries")
+    return BoundaryOperator._from_table(r, m, phi.a, phi.b, np.full(r - 1, phi.a),
+                                        np.arange(r - 1), np.reshape(mats, (r - 1, rows, m)),
+                                        phi)
+
+
+def MultipointBoundaryOperator(r: int, m: int, a: float, b: float, terms) -> BoundaryOperator:
+    """B y = sum_j beta_j y^(l_j)(t_j) on [a, b], with no measure."""
+    return BoundaryOperator(r, m, a, b, terms)
 
 
 def apply_operator(op, jet: SampledJet) -> np.ndarray:
@@ -180,53 +173,51 @@ def _stacked_jet(op, jet: SampledJet) -> np.ndarray:
     return np.hstack(jet.samples[:op.r])
 
 
-def multipointify(op, k: int) -> MultipointBoundaryOperator:
-    """Discretize a boundary operator into a multipoint one with parameter k.
+def multipointify(op: BoundaryOperator, k: int) -> BoundaryOperator:
+    """Discretize a boundary operator into one without a measure, with parameter k.
 
     Every density in Phi is replaced by k midpoint atoms carrying the exact
-    per-subinterval integrals; original atoms pass through.  The point-term
-    table of that operator then coalesces as any multipoint table does.  A
-    multipoint operator is its own discretization, once k is checked.
+    per-subinterval integrals; original atoms pass through.  The operator's
+    point terms and those atoms then coalesce as one table.  An operator
+    without Phi is its own discretization, once k is checked.
     """
     k = _check_k(k)
-    if isinstance(op, MultipointBoundaryOperator):
+    if op.phi is None:
         return op
-    return MultipointBoundaryOperator._from_table(op.r, op.m, op.a, op.b, *_point_terms(op, k))
+    return BoundaryOperator._from_table(op.r, op.m, op.a, op.b, *_point_terms(op, k))
 
 
-def _point_terms(op, k: int | None = None):
+def _point_terms(op: BoundaryOperator, k: int | None = None):
     """Every point evaluation of an operator as one table: nodes, orders, betas.
 
-    A multipoint operator gives its table as held; a general one its alphas
-    as order-l terms at a, then the atoms of Phi as order-(r-1) terms, of
-    Phi's discretization on k subintervals when k is given.
+    The operator's table as held, then the atoms of Phi, when it has one, as
+    order-(r-1) terms, of Phi's discretization on k subintervals when k is given.
     """
-    if isinstance(op, MultipointBoundaryOperator):
-        return op.nodes, op.orders, op.betas
-    if not isinstance(op, GeneralBoundaryOperator):
-        raise TypeError(f"not a boundary operator: {type(op).__name__}")
-    count = op.r - 1
-    nodes, orders, betas = op.phi._atom_terms(count, k)
-    return (np.concatenate([np.full(count, op.a), nodes]),
-            np.concatenate([np.arange(count), orders]),
-            np.concatenate([np.reshape(op.alphas, (count, op.rows, op.m)), betas]))
+    table = (op.nodes, op.orders, op.betas)
+    if op.phi is None:
+        return table
+    return tuple(map(np.concatenate, zip(table, op.phi._atom_terms(op.r - 1, k))))
 
 
-def lift(op, grid: Grid) -> LiftedOperator:
+def lift(op: BoundaryOperator, grid: Grid) -> LiftedOperator:
     """Compile a boundary operator to its weights on the grid.
 
     Derivative orders become block indices of the stacked vector, so the
     compiled functional applied to col(y, ..., y^(r-1)) equals B y.  No
     array of the grid's size times rm^2 is formed: point terms weigh the
-    nodes they touch, and the densities of Phi one (n+1) vector per entry,
-    in the columns of y^(r-1).
+    nodes they touch, and the densities of Phi, when it has one, one (n+1)
+    vector per entry, in the columns of y^(r-1).
     """
-    phi = op.phi.entries if isinstance(op, GeneralBoundaryOperator) else ()
-    return LiftedOperator(grid, *_point_terms(op), op.rows, phi, (op.r - 1) * op.m)
+    entries = () if op.phi is None else op.phi.entries
+    return LiftedOperator(grid, *_point_terms(op), op.rows, entries, (op.r - 1) * op.m)
 
 
-def norm_upper_bound(op: MultipointBoundaryOperator) -> float:
-    """Upper bound for the operator norm: sum of matrix norms of the weights."""
+def norm_upper_bound(op: BoundaryOperator) -> float:
+    """Upper bound for the operator norm of an operator without a measure:
+    the sum of the matrix norms of its weights.  ``multipointify`` first."""
+    if op.phi is not None:
+        raise ValueError("norm_upper_bound needs an operator without a measure; "
+                         "multipointify it first")
     return float(np.abs(op.betas).sum(axis=1).max(axis=1, initial=0.0).sum())
 
 

@@ -23,13 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .boundary import (
-    GeneralBoundaryOperator,
-    LiftedOperator,
-    MultipointBoundaryOperator,
-    apply_operator,
-    lift,
-)
+from .boundary import BoundaryOperator, LiftedOperator, apply_operator, lift
 from .funcspace import (
     Grid,
     PiecewisePoly,
@@ -98,14 +92,14 @@ class BvpProblem:
         self.q = np.asarray(self.q, dtype=complex).reshape(self.r * self.m)
         if not np.all(np.isfinite(self.q)):
             raise ValueError("boundary values must be finite")
-        if not isinstance(self.operator, (GeneralBoundaryOperator, MultipointBoundaryOperator)):
+        if not isinstance(self.operator, BoundaryOperator):
             raise TypeError("operator must be a boundary operator")
         if self.operator.r != self.r or self.operator.m != self.m:
             raise ValueError("boundary operator shape does not match the problem")
         # Every entry and component, not a container's first one.
         op = self.operator
         rows = [*(row for A in self.coeffs for row in A.entries), self.f.components,
-                *(op.phi.entries if isinstance(op, GeneralBoundaryOperator) else [[op]])]
+                [op], *(() if op.phi is None else op.phi.entries)]
         if not _spans(self.grid, [e for row in rows for e in row]):
             raise ValueError("grid, coefficient, right-hand side, and operator intervals disagree")
 

@@ -2,10 +2,10 @@
 
 A problem file records the order, system size, interval, grid resolution,
 piecewise-polynomial coefficients and right-hand side, boundary data
-vector, and the boundary operator (general measure form or explicit
-multipoint form).  Complex numbers are stored as ``[re, im]`` pairs and
-floats are emitted with ``repr`` precision, so ``parse(emit(p))``
-reconstructs every number bit for bit for every problem ``BvpProblem``
+vector, and the boundary operator: the general measure form when it holds
+a measure, else the explicit multipoint form.  Complex numbers are stored
+as ``[re, im]`` pairs and floats are emitted with ``repr`` precision, so
+``parse(emit(p))`` reconstructs every number bit for bit for every problem ``BvpProblem``
 accepts, whose atoms are held clamped into [a, b].  The writer renders each number
 table (a polynomial's breakpoints and pieces, the data, alphas, atoms and
 the multipoint terms) by one template ``%`` the flat list of its numbers;
@@ -34,7 +34,7 @@ from itertools import chain
 
 import numpy as np
 
-from .boundary import GeneralBoundaryOperator, MultipointBoundaryOperator
+from .boundary import BoundaryOperator, GeneralBoundaryOperator
 from .bvp import BvpProblem
 from .funcspace import (MAX_GRID_N, Grid, PiecewisePoly, PolyMatrix, PolyVector, _clamp_points,
                         _spans)
@@ -218,22 +218,24 @@ def _measure_from_dict(obj, a: float, b: float, path: str) -> ScalarMeasure:
             [t, np.ascontiguousarray(atoms[:, 1:]).view(complex)]), density=density)
 
 
-def _boundary_text(op) -> str:
-    if isinstance(op, GeneralBoundaryOperator):
-        alphas = np.reshape(op.alphas, (len(op.alphas), op.rows, op.m))
-        measure = _template("%s", (op.rows, op.m)) % tuple(
+def _boundary_text(op: BoundaryOperator) -> str:
+    """The general form exactly when the operator holds a measure; its table
+    must then be the r - 1 alphas at a, which that form holds."""
+    count, rows, m = op.betas.shape
+    if op.phi is not None:
+        if not np.array_equal(op.orders, np.arange(op.r - 1)) or (op.nodes != op.a).any():
+            _fail("boundary", f"a measure with point terms other than the {op.r - 1} alphas "
+                              "at a fits neither form")
+        measure = _template("%s", (rows, m)) % tuple(
             _measure_text(entry) for row in op.phi.entries for entry in row)
-        return ('{"kind": "general", "alphas": ' + _complex_text(alphas)
+        return ('{"kind": "general", "alphas": ' + _complex_text(op.betas)
                 + ', "measure": ' + measure + "}")
-    if isinstance(op, MultipointBoundaryOperator):
-        count, rows, m = op.betas.shape
-        term = '    {"node": %r, "order": %d, "weight": ' + _template("[%r, %r]", (rows, m)) + "}"
-        weights = np.ascontiguousarray(op.betas).reshape(count, rows * m).view(float)
-        table = np.column_stack([op.nodes, op.orders, weights])
-        # one term per line; the order is written from its float by %d
-        return ('{"kind": "multipoint", "terms": [\n' + ",\n".join([term] * count)
-                % tuple(table.ravel().tolist()) + "\n  ]}")
-    raise ProblemFormatError(f"boundary: unsupported operator type {type(op).__name__}")
+    term = '    {"node": %r, "order": %d, "weight": ' + _template("[%r, %r]", (rows, m)) + "}"
+    weights = np.ascontiguousarray(op.betas).reshape(count, rows * m).view(float)
+    table = np.column_stack([op.nodes, op.orders, weights])
+    # one term per line; the order is written from its float by %d
+    return ('{"kind": "multipoint", "terms": [\n' + ",\n".join([term] * count)
+            % tuple(table.ravel().tolist()) + "\n  ]}")
 
 
 def _boundary_from_dict(obj, r: int, m: int, a: float, b: float, path: str):
@@ -264,7 +266,7 @@ def _boundary_from_dict(obj, r: int, m: int, a: float, b: float, path: str):
                 _as_int(_require(term, "order", where), where + ".order", 0, r - 1)
                 _complexes(_require(term, "weight", where), (rows, m), where + ".weight")
         with _at(path):
-            return MultipointBoundaryOperator._from_table(r, m, a, b, nodes, orders, betas)
+            return BoundaryOperator._from_table(r, m, a, b, nodes, orders, betas)
     _fail(path + ".kind", f"expected 'general' or 'multipoint', got {kind!r}")
 
 

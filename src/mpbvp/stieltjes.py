@@ -2,8 +2,8 @@
 
 A measure here is one table of atoms (``nodes`` and ``masses``) together
 with an absolutely continuous part given by a piecewise-polynomial density,
-so ``discretize_measure`` gives each subinterval's atom the density's exact
-integral over it.  Atoms are sorted and coalesced in one pass by
+so ``MatrixMeasure.discretize`` gives each subinterval's atom the density's
+exact integral over it.  Atoms are sorted and coalesced in one pass by
 ``funcspace._coalesce``, in ``_atom_table``, for a measure and for the
 discretized atoms that ``multipointify`` reads with no measure built.
 This module compiles grid weights and applies them: a ``LiftedOperator``
@@ -24,7 +24,6 @@ from .funcspace import (BLOCK_STEPS, Grid, PiecewisePoly, _check_k, _clamp_point
 __all__ = [
     "ScalarMeasure",
     "MatrixMeasure",
-    "discretize_measure",
 ]
 
 
@@ -89,9 +88,9 @@ def _atom_table(a: float, b: float, t, w) -> tuple:
 
 
 def _discretized_atoms(measure: ScalarMeasure, k: int) -> tuple:
-    """The atom table (nodes, masses) of ``discretize_measure(measure, k)``,
-    with no measure built: the measure's own atoms and, with a density, one
-    midpoint atom per subinterval carrying the density's integral over it."""
+    """The atom table (nodes, masses) of the measure discretized on k equal
+    subintervals, with no measure built: its own atoms and, with a density,
+    one midpoint atom per subinterval carrying the density's integral."""
     if measure.density is None:
         return measure.nodes, measure.masses
     a, b = measure.a, measure.b
@@ -218,21 +217,6 @@ class LiftedOperator:
         return self._apply(v.transpose(1, 2, 0))
 
 
-def discretize_measure(measure: ScalarMeasure, k: int) -> ScalarMeasure:
-    """Replace the density by k midpoint atoms on equal subintervals.
-
-    Subinterval j of k contributes an atom at its midpoint carrying the
-    exact integral of the density over that subinterval, so the total mass
-    is preserved exactly.  Existing atoms pass through unchanged; a purely
-    atomic measure is itself returned.
-    """
-    k = _check_k(k)
-    if measure.density is None:
-        return measure
-    return ScalarMeasure(measure.a, measure.b,
-                         atoms=np.stack(_discretized_atoms(measure, k), axis=1))
-
-
 class MatrixMeasure:
     """A rows x cols matrix of scalar measures over one interval."""
 
@@ -282,6 +266,10 @@ class MatrixMeasure:
                               self.entries).apply_values(v)
 
     def discretize(self, k: int) -> "MatrixMeasure":
-        return MatrixMeasure(
-            [[discretize_measure(e, k) for e in row] for row in self.entries]
-        )
+        """Every density replaced by k midpoint atoms on equal subintervals, each
+        carrying the density's exact integral over its subinterval, so the mass
+        is kept; existing atoms pass through, and an atomic entry is returned as is."""
+        k = _check_k(k)
+        return MatrixMeasure([[e if e.density is None else ScalarMeasure(
+                                   e.a, e.b, atoms=np.stack(_discretized_atoms(e, k), axis=1))
+                               for e in row] for row in self.entries])

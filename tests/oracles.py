@@ -132,9 +132,11 @@ def _boundary_rows(problem: BvpProblem, grid: Grid) -> np.ndarray:
     n = grid.n
     W = np.zeros((d, (n + 1) * d), dtype=complex)
     op = problem.operator
-    if isinstance(op, GeneralBoundaryOperator):
-        for l, alpha in enumerate(op.alphas):
-            W[:, l * m:(l + 1) * m] += alpha
+    for term in op.terms:
+        s = _node_index(grid, term.node)
+        block = term.order * m
+        W[:, s * d + block:s * d + block + m] += term.beta
+    if op.phi is not None:
         trap = np.full(n + 1, grid.h, dtype=float)
         trap[0] *= 0.5
         trap[-1] *= 0.5
@@ -149,13 +151,6 @@ def _boundary_rows(problem: BvpProblem, grid: Grid) -> np.ndarray:
                     dens = mu.density(grid.nodes)
                     for s in range(n + 1):
                         W[i, s * d + top + j] += trap[s] * dens[s]
-    elif isinstance(op, MultipointBoundaryOperator):
-        for term in op.terms:
-            s = _node_index(grid, term.node)
-            block = term.order * m
-            W[:, s * d + block:s * d + block + m] += term.beta
-    else:
-        raise TypeError(f"unsupported operator {type(op).__name__}")
     return W
 
 

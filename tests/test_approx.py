@@ -24,7 +24,6 @@ from mpbvp import (
     build_multipoint_problem,
     constant_shift_rhs,
     corpus,
-    discretize_measure,
     multipointify,
     remark3_constants,
     sawtooth_perturbation,
@@ -144,7 +143,7 @@ def test_mean_approximation_l1_error_law():
 def test_build_multipoint_problem_keeps_rhs():
     problem = corpus.build_problem("p1", 256)
     approx = build_multipoint_problem(problem, 4)
-    assert isinstance(approx.operator, MultipointBoundaryOperator)
+    assert approx.operator.phi is None
     assert approx.f is problem.f
     np.testing.assert_array_equal(approx.q, problem.q)
 
@@ -701,7 +700,7 @@ def test_k_outside_one_to_the_grid_cap_is_refused_before_any_allocation(k):
         lambda: approximate_coefficients(problem.coeffs[0], k),
         lambda: sawtooth_perturbation(problem.grid, k, 1e-3, problem.m),
         lambda: multipointify(problem.operator, k),
-        lambda: discretize_measure(measure, k),
+        lambda: problem.operator.phi.discretize(k),
     ]
     for call in calls:
         tracemalloc.start()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mpbvp import (
+    BoundaryOperator,
     BoundaryTerm,
     GeneralBoundaryOperator,
     Grid,
@@ -70,7 +71,7 @@ def test_general_operator_on_exact_jet():
 def test_multipointify_single_interval():
     op = _p2_operator()
     approx = multipointify(op, 1)
-    assert isinstance(approx, MultipointBoundaryOperator)
+    assert approx.phi is None
     assert len(approx.terms) == 2
     first, second = approx.terms
     # the alpha block becomes a point term at the left endpoint, order 0
@@ -102,7 +103,7 @@ def _multipointify_terms(op, k):
     """Reference multipointify terms: sort all atoms, then grow each cluster
     while the next atom is at most tol beyond the cluster's first atom."""
     rows, m = op.rows, op.m
-    terms = [BoundaryTerm(op.a, l, alpha) for l, alpha in enumerate(op.alphas)]
+    terms = list(op.terms)
     disc = op.phi.discretize(k)
     tol = (op.b - op.a) * 1e-12
     located = []
@@ -187,7 +188,7 @@ def _atomic_forms(op):
     the nodes of n = 2048 and 16384."""
     dropped = MatrixMeasure([[ScalarMeasure(mu.a, mu.b, atoms=np.stack([mu.nodes, mu.masses], 1))
                               for mu in row] for row in op.phi.entries])
-    return [GeneralBoundaryOperator(op.r, op.m, op.alphas, phi)
+    return [BoundaryOperator(op.r, op.m, op.a, op.b, op.terms, phi)
             for phi in (dropped, op.phi.discretize(7))]
 
 
@@ -217,7 +218,7 @@ def test_atom_and_point_term_read_a_point_alike(n):
     rng = np.random.default_rng(17)
     while n == 2048 and len(problems) < 7:
         problem = random_problem(rng, n=n)
-        if isinstance(problem.operator, GeneralBoundaryOperator):
+        if problem.operator.phi is not None:
             problems.append(problem)
     for problem in problems:
         for op in _atomic_forms(problem.operator):
@@ -265,6 +266,12 @@ def test_compiled_trajectory_matches_columnwise_jets(name):
 def test_norm_upper_bounds_frozen():
     assert abs(norm_upper_bound(multipointify(_p2_operator(), 8)) - 2.5) <= 1e-12
     assert abs(norm_upper_bound(multipointify(_p3_operator(), 8)) - 3.0) <= 1e-12
+
+
+def test_norm_upper_bound_refuses_an_operator_with_a_measure():
+    # The bound sums the point weights alone, so it would ignore Phi.
+    with pytest.raises(ValueError, match="needs an operator without a measure"):
+        norm_upper_bound(_p2_operator())
 
 
 def test_norm_lower_bound_on_corpus():
@@ -350,7 +357,7 @@ def test_uniform_norm_bound_scalar_rows():
     # sum of alpha norms + the total-variation norm of the measure block.
     for name in ("p1", "p2"):
         op = corpus.build_problem(name, 64).operator
-        bound = sum(np.abs(alpha).sum(axis=0).max() for alpha in op.alphas)
+        bound = sum(np.abs(alpha).sum(axis=0).max() for alpha in op.betas)
         bound += mat_norm(variation_matrix(op.phi))
         for k in (1, 2, 4, 8, 16, 32, 64):
             assert norm_upper_bound(multipointify(op, k)) <= bound + 1e-12
@@ -440,15 +447,15 @@ def _stencil_loop(grid, t, points):
 
 
 def _lift_loop(op, grid):
-    """Reference lift: one += per point term, the alphas at a and then each
+    """Reference lift: one += per point term, the table's terms and then each
     entry's measure atoms as order-(r-1) terms, then one per density."""
     m, d = op.m, op.rows
     weights = np.zeros((d, grid.n + 1, d), dtype=complex)
-    if isinstance(op, GeneralBoundaryOperator):
-        for l, alpha in enumerate(op.alphas):
-            base, w = _stencil_loop(grid, op.a, 4)
-            weights[:, base:base + w.size, l * m:(l + 1) * m] += (
-                w[None, :, None] * alpha[:, None, :])
+    for t in op.terms:
+        base, w = _stencil_loop(grid, t.node, 4)
+        weights[:, base:base + w.size, t.order * m:(t.order + 1) * m] += (
+            w[None, :, None] * t.beta[:, None, :])
+    if op.phi is not None:
         top = (op.r - 1) * m
         for i, row in enumerate(op.phi.entries):
             for j, mu in enumerate(row):
@@ -459,11 +466,6 @@ def _lift_loop(op, grid):
             for j, mu in enumerate(row):
                 if mu.density is not None:
                     weights[i, :, top + j] += _density_weights(grid, mu.density)
-        return weights
-    for t in op.terms:
-        base, w = _stencil_loop(grid, t.node, 4)
-        weights[:, base:base + w.size, t.order * m:(t.order + 1) * m] += (
-            w[None, :, None] * t.beta[:, None, :])
     return weights
 
 
@@ -568,10 +570,9 @@ def test_lift_weights_are_bitwise_the_per_term_loop():
         for grid in (Grid(op.a, op.b, 1000), Grid(op.a, op.b, 3)):
             got, want = lift(op, grid), _lift_loop(op, grid)
             np.testing.assert_array_equal(dense_weights(got).view(np.uint64), want.view(np.uint64))
-            if isinstance(op, GeneralBoundaryOperator):
-                count = op.r - 1 + sum(mu.nodes.size for row in op.phi.entries for mu in row)
-            else:
-                count = len(op.terms)
+            count = len(op.terms)
+            if op.phi is not None:
+                count += sum(mu.nodes.size for row in op.phi.entries for mu in row)
             assert len(got.point_terms) == count
 
 
@@ -687,7 +688,7 @@ def _random_general_operators(seed, count=6):
     ops = []
     while len(ops) < count:
         op = random_problem(rng, n=64).operator
-        if isinstance(op, GeneralBoundaryOperator):
+        if op.phi is not None:
             ops.append(op)
     return ops, rng
 
@@ -700,7 +701,7 @@ def _entry_tables(op, extra):
 
 def _with_atoms(op, tables):
     """op with each entry's atoms replaced by its table in ``tables``."""
-    return GeneralBoundaryOperator(op.r, op.m, op.alphas, MatrixMeasure(
+    return BoundaryOperator(op.r, op.m, op.a, op.b, op.terms, MatrixMeasure(
         [[ScalarMeasure(mu.a, mu.b, atoms=table, density=mu.density)
           for mu, table in zip(row, table_row)]
          for row, table_row in zip(op.phi.entries, tables)]))

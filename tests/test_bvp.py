@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mpbvp import (
+    BoundaryOperator,
     BoundaryTerm,
     BvpProblem,
     GeneralBoundaryOperator,
@@ -146,11 +147,14 @@ _INTERVALS = "grid, coefficient, right-hand side, and operator intervals disagre
     (_general(2, [np.ones((1, 1))], 2), ValueError, "alpha_0 must be shaped (2, 1), got (1, 1)"),
     (_general(2, [[[1.0], [np.inf]]], 2), ValueError, "alpha_0 contains non-finite entries"),
     (_general(2, [np.ones((2, 1))], 1), ValueError, "phi must be shaped (2, 1), got (1, 1)"),
+    (lambda: BoundaryOperator(1, 1, 0.0, 2.0, phi=MatrixMeasure([[ScalarMeasure.zero(0.0, 1.0)]])),
+     ValueError, "phi must span the operator's interval [0.0, 2.0]"),
 ], ids=["order", "coeff-count", "coeff-shape", "rhs-size", "data", "operator-type",
         "operator-shape", "rhs-interval", "operator-interval", "coeff-start", "coeff-end",
-        "general-order", "alpha-count", "alpha-shape", "alpha-finite", "phi-shape"])
+        "general-order", "alpha-count", "alpha-shape", "alpha-finite", "phi-shape",
+        "phi-interval"])
 def test_malformed_problem_or_operator_is_refused(build, error, message):
-    # Each check of BvpProblem and GeneralBoundaryOperator, by its message.
+    # Each check of BvpProblem, GeneralBoundaryOperator and phi, by its message.
     # A coefficient off the grid's interval is refused like f and the
     # operator: the solve pass would otherwise stretch it onto [a, b].
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -331,6 +335,42 @@ def test_oracle_agreement_on_general_second_order():
     assert float(np.max(np.abs(mine - reference))) <= 1e-4
 
 
+def _point_and_density_problem(n):
+    """y'' = 1 on [0, 1] with B y = (y(0.4), int_0^1 y' rho dt), rho = 1 on
+    [0, 1/2) and 2 on [1/2, 1]: a point term and a density in one operator,
+    which neither the general nor the multipoint form holds.  The data is
+    that of y = t^2/2 + c1 t + c0, whose integral condition reads
+    7/8 + 3 c1 / 2, with its closed form."""
+    a, b = 0.0, 1.0
+    c0, c1 = 0.3, -0.7
+    rho = PiecewisePoly([a, 0.5, b], [[1.0], [2.0]])
+    op = BoundaryOperator(2, 1, a, b, [BoundaryTerm(0.4, 0, np.array([[1.0], [0.0]]))],
+                          MatrixMeasure([[ScalarMeasure.zero(a, b)],
+                                         [ScalarMeasure.from_density(rho)]]))
+    problem = BvpProblem(r=2, m=1, coeffs=[PolyMatrix.zero(1, 1, a, b)] * 2,
+                         f=PolyVector([PiecewisePoly.constant(1.0, a, b)]),
+                         q=[0.08 + 0.4 * c1 + c0, 0.875 + 1.5 * c1], operator=op,
+                         grid=Grid(a, b, n))
+    return problem, lambda t: (0.5 * t ** 2 + c1 * t + c0, t + c1, np.ones_like(t))
+
+
+@pytest.mark.parametrize("n", [2048, 16384])
+def test_a_point_term_and_a_density_in_one_operator(n):
+    # The point 0.4 lies off the nodes and rho's breakpoint on one; the
+    # cubic stencil and the corrected trapezoid are exact on this data.
+    problem, exact = _point_and_density_problem(n)
+    jet = solve(problem).jet
+    for got, want in zip(jet.samples, exact(problem.grid.nodes)):
+        np.testing.assert_allclose(got[:, 0], want, rtol=0, atol=1e-13)
+    # multipointify keeps the point term and discretizes rho alone
+    approx = multipointify(problem.operator, 4)
+    assert approx.phi is None
+    assert approx.nodes.tolist() == [0.125, 0.375, 0.4, 0.625, 0.875]
+    assert approx.orders.tolist() == [1, 1, 0, 1, 1]
+    np.testing.assert_array_equal(approx.betas[:, :, 0], [[0.0, 0.25], [0.0, 0.25], [1.0, 0.0],
+                                                         [0.0, 0.5], [0.0, 0.5]])
+
+
 def test_boundary_residual_matches_residuals():
     for name in corpus.CORPUS_NAMES:
         problem = corpus.build_problem(name, 512)
@@ -467,7 +507,7 @@ def _multipoint_random_problems(seed, count=12, n=256):
     problems = []
     while len(problems) < count:
         problem = random_problem(rng, n=n)
-        if isinstance(problem.operator, GeneralBoundaryOperator):
+        if problem.operator.phi is not None:
             problem = dataclasses.replace(problem, operator=multipointify(problem.operator, 2))
             try:
                 solve(problem)

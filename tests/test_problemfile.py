@@ -1,6 +1,7 @@
 """Problem-file serialization: round-trips and validation errors."""
 
 import copy
+import dataclasses
 import json
 import re
 import stat
@@ -18,7 +19,8 @@ from mpbvp import (
     problem_to_dict,
     solve,
 )
-from mpbvp.boundary import BoundaryTerm, GeneralBoundaryOperator, MultipointBoundaryOperator
+from mpbvp.boundary import (BoundaryOperator, BoundaryTerm, GeneralBoundaryOperator,
+                            MultipointBoundaryOperator)
 from mpbvp.bvp import BvpProblem
 from mpbvp.funcspace import MAX_GRID_N, Grid, PiecewisePoly, PolyMatrix, PolyVector
 from mpbvp import problemfile
@@ -108,6 +110,22 @@ def test_unknown_boundary_kind(p1_dict):
     p1_dict["boundary"]["kind"] = "mystery"
     with pytest.raises(ProblemFormatError, match="kind"):
         problem_from_dict(p1_dict)
+
+
+@pytest.mark.parametrize("table", [
+    [(0.4, 0)],
+    [],
+    [(0.0, 1)],
+    [(0.0, 0), (1.0, 0)],
+], ids=["off-a", "no-alpha", "wrong-order", "extra-term"])
+def test_writer_refuses_a_measure_with_other_point_terms(table):
+    # The general form holds a measure and the r - 1 alphas at a, nothing
+    # else, so any other table is refused, not written as if it were alphas.
+    p2 = corpus.build_problem("p2", 64)
+    op = BoundaryOperator(2, 1, 0.0, 1.0, [BoundaryTerm(t, l, np.ones((2, 1))) for t, l in table],
+                          p2.operator.phi)
+    with pytest.raises(ProblemFormatError, match="^boundary: "):
+        problem_text(dataclasses.replace(p2, operator=op))
 
 
 def test_wrong_format_name(p1_dict):
@@ -436,9 +454,9 @@ def _reference_measure(mu):
 
 
 def _reference_boundary(op):
-    if isinstance(op, GeneralBoundaryOperator):
+    if op.phi is not None:
         return {"kind": "general",
-                "alphas": [_reference_pairs(alpha) for alpha in op.alphas],
+                "alphas": [_reference_pairs(alpha) for alpha in op.betas],
                 "measure": [[_reference_measure(entry) for entry in row]
                             for row in op.phi.entries]}
     return {"kind": "multipoint",
@@ -488,8 +506,8 @@ def test_writer_matches_reference_on_corpus_and_approximations(name, n):
 def test_writer_matches_reference_on_random_problems():
     rng = np.random.default_rng(13)
     problems = [random_problem(rng, n=64) for _ in range(8)]
-    kinds = {type(problem.operator) for problem in problems}
-    assert kinds == {GeneralBoundaryOperator, MultipointBoundaryOperator}
+    kinds = {problem.operator.phi is None for problem in problems}
+    assert kinds == {False, True}
     widths = {int(w) for problem in problems for c in problem.f.components for w in c.widths}
     widths |= {int(w) for problem in problems for A in problem.coeffs
                for row in A.entries for p in row for w in p.widths}

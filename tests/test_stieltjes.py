@@ -11,12 +11,16 @@ from mpbvp import (
     MatrixMeasure,
     PiecewisePoly,
     ScalarMeasure,
-    discretize_measure,
     mat_norm,
 )
 from mpbvp.funcspace import _place_points
 from mpbvp.stieltjes import _density_weights
 from oracles import measure_mass, total_variation, variation_matrix
+
+
+def _discretize(mu, k):
+    """mu discretized on k subintervals, as ``MatrixMeasure.discretize`` gives its entry."""
+    return MatrixMeasure([[mu]]).discretize(k).entries[0][0]
 
 
 def _integral(mu, grid, values):
@@ -130,7 +134,7 @@ def test_atoms_merge_and_zero_weights_drop():
 
 def test_discretize_midpoint_locations_and_mass():
     mu = ScalarMeasure.lebesgue(0.0, 1.0, 1.0)
-    nu = discretize_measure(mu, 2)
+    nu = _discretize(mu, 2)
     assert nu.density is None
     np.testing.assert_allclose(nu.nodes, [0.25, 0.75])
     np.testing.assert_allclose(nu.masses, [0.5, 0.5])
@@ -138,7 +142,7 @@ def test_discretize_midpoint_locations_and_mass():
 
 def test_discretize_is_identity_on_atomic_measures():
     mu = ScalarMeasure(0.0, 1.0, atoms=[(0.1, 1.0), (0.9, -2.0)])
-    assert discretize_measure(mu, 16) is mu
+    assert _discretize(mu, 16) is mu
 
 
 def test_atomic_approximation_never_converges_in_tv():
@@ -147,7 +151,7 @@ def test_atomic_approximation_never_converges_in_tv():
     # density with the atoms negated.
     mu = ScalarMeasure.lebesgue(0.0, 1.0, 1.0)
     for k in (1, 2, 4, 32, 256):
-        nu = discretize_measure(mu, k)
+        nu = _discretize(mu, k)
         dist = total_variation(ScalarMeasure(0.0, 1.0, density=mu.density,
                                              atoms=np.stack([nu.nodes, -nu.masses], axis=1)))
         assert dist >= 1.0 - 1e-12
@@ -163,7 +167,7 @@ def test_atomic_approximation_never_converges_in_tv():
 def test_discretize_preserves_mass_and_contracts_tv(w1, w2, c0, c1, k):
     dens = PiecewisePoly.single([c0, c1], 0.0, 1.0)
     mu = ScalarMeasure(0.0, 1.0, atoms=[(0.2, w1), (0.8, w2)], density=dens)
-    nu = discretize_measure(mu, k)
+    nu = _discretize(mu, k)
     scale = abs(w1) + abs(w2) + abs(c0) + abs(c1) + 1.0
     assert abs(measure_mass(nu) - measure_mass(mu)) <= 1e-12 * scale
     assert total_variation(nu) <= total_variation(mu) + 1e-12 * scale
@@ -225,11 +229,11 @@ def test_atom_table_is_read_only_and_owned():
     mu = ScalarMeasure(0.0, 1.0, atoms=table)
     table[:] = 0.5
     assert _pairs(mu) == [(0.25, 1.0), (0.75, 2.0j)]
-    nu = discretize_measure(ScalarMeasure.lebesgue(0.0, 1.0), 4)
+    nu = _discretize(ScalarMeasure.lebesgue(0.0, 1.0), 4)
     for array in (mu.nodes, mu.masses, nu.nodes, nu.masses):
         with pytest.raises(ValueError):
             array[0] = 0
-    assert discretize_measure(nu, 8) is nu
+    assert _discretize(nu, 8) is nu
 
 
 def _merge_atoms_loop(atoms, tol):
@@ -250,7 +254,7 @@ def _pairs(mu):
 
 
 def _raw_atom_lists():
-    """Atom lists as discretize_measure hands them over, plus hand-built ones."""
+    """Atom lists as ``_discretized_atoms`` hands them over, plus hand-built ones."""
     lists = []
     for name in ("p1", "p2", "p3"):
         for row in corpus.build_problem(name, 64).operator.phi.entries:
