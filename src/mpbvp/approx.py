@@ -56,7 +56,6 @@ __all__ = [
     "theorem3_check",
     "constant_shift_rhs",
     "sawtooth_rhs",
-    "sawtooth_perturbation",
 ]
 
 _SIGMA_PROBE_KS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -374,20 +373,15 @@ def constant_shift_rhs(problem: BvpProblem, ks, eps: float):
     return [(_check_k(k), f_k, problem.q.copy()) for k in ks]
 
 
-def sawtooth_perturbation(grid: Grid, k: int, eps: float, m: int) -> PolyVector:
-    """Zero-mean square wave on component 0 with k teeth.
+def _sawtooth(grid: Grid, k: int, eps: float) -> PiecewisePoly:
+    """Zero-mean square wave with k teeth, the sawtooth perturbation of f's
+    component 0.
 
     The amplitude grows like k so the L1 norm is about 1.4 * eps * k — far
     beyond eps — while the primitive stays below 0.9 * eps in sup norm.
     Breakpoints sit at cell midpoints, which keeps the trapezoid
     antiderivative of the node samples exact.
     """
-    return PolyVector([_sawtooth(grid, k, eps)]
-                      + [PiecewisePoly.zero(grid.a, grid.b) for _ in range(m - 1)])
-
-
-def _sawtooth(grid: Grid, k: int, eps: float) -> PiecewisePoly:
-    """Component 0 of ``sawtooth_perturbation``."""
     _check_eps(eps)
     k = _check_k(k)
     a, b = grid.a, grid.b

@@ -3,15 +3,15 @@
 Conventions used across the package: the norm of a vector function is the
 sum of its component norms, the norm of a matrix function is the maximum of
 its column norms, and numeric vectors/matrices use the matching discrete
-norms (entrywise sum, maximum column sum).  Quadrature on sampled data is
-the composite trapezoid rule on the grid.  Three rules place all data: by
-the interval rule, ``_spans``, intervals are the same when their ends agree
-to 1e-9 (b - a), and ``_pinned`` moves a polynomial's ends onto the one it
-is used on; by the point rule, ``_clamp_points``, a point of [a, b] lies
-within ``_merge_tol(a, b)`` of it and is clamped into it; by the node rule,
-``_located``, a breakpoint or point term within ``_merge_tol(a, b)`` of a
-grid node lies on it, and the solve pass, the density quadrature and the
-point-term stencils read it there.
+norms (entrywise sum, maximum column sum).  Sampled norms and primitives use
+the trapezoid rule, densities ``stieltjes._density_weights``.  Three rules
+place all data: by the interval rule, ``_spans``, intervals are the same
+when their ends agree to 1e-9 (b - a), and ``_pinned`` moves a polynomial's
+ends onto the one it is used on; by the point rule, ``_clamp_points``, a
+point of [a, b] lies within ``_merge_tol(a, b)`` of it and is clamped into
+it; by the node rule, ``_located``, a breakpoint or point term within
+``_merge_tol(a, b)`` of a grid node lies on it, and the solve pass, the
+density quadrature and the point-term stencils read it there.
 
 A piecewise polynomial is held as one zero-padded coefficient table with a
 row per piece.  Every operation works on the whole table: evaluation and

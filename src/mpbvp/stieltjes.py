@@ -10,16 +10,18 @@ This module compiles grid weights and applies them: a ``LiftedOperator``
 places a table of point terms, a matrix measure's atoms or a boundary
 operator's point evaluations, on a grid by ``funcspace._place_points`` on
 the nodes a non-zero weight reaches, and gives each entry with a density
-one row of ``_density_weights``.  A matrix measure is applied as such a
-functional, and ``boundary.lift`` maps a boundary operator onto one.
+one row of ``_density_weights``, one rule of fourth order wherever its
+breakpoints fall.  A matrix measure is applied as such a functional, and
+``boundary.lift`` maps a boundary operator onto one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .funcspace import (BLOCK_STEPS, Grid, PiecewisePoly, _check_k, _clamp_points, _coalesce,
-                        _horner, _located, _place_points, _spans)
+from .funcspace import (_GAUSS_W, _GAUSS_X, BLOCK_STEPS, Grid, PiecewisePoly, _check_k,
+                        _clamp_points, _coalesce, _cubic_stencil, _horner, _located, _place_points,
+                        _spans)
 
 __all__ = [
     "ScalarMeasure",
@@ -100,14 +102,15 @@ def _discretized_atoms(measure: ScalarMeasure, k: int) -> tuple:
                        np.concatenate([measure.masses, measure.density.integrals(edges)]))
 
 
-def _segment_boundaries(grid: Grid, density: PiecewisePoly):
-    """The node indices of the density's breakpoints, each read on its node
-    by the node rule, ``funcspace._located``, or None if any lies off it."""
-    i, on = _located(grid, density.breakpoints[1:-1])
-    if not on.all():
-        return None
-    i = i[(i > 0) & (i < grid.n)]
-    return [0, *i[np.diff(i, prepend=0) > 0].tolist(), grid.n]
+def _segment_boundaries(grid: Grid, density: PiecewisePoly) -> tuple:
+    """By the node rule, ``funcspace._located``: the density's segment edges (0, n, the
+    node of each on-node breakpoint and both nodes of each cell an off-node one cuts,
+    ascending and distinct), the off-node breakpoints, ascending, and the cell each cuts."""
+    t = np.clip(density.breakpoints[1:-1], grid.a, grid.b)
+    i, on = _located(grid, t)
+    cells = np.clip(i - (t < grid.nodes[i]), 0, grid.n - 1)[~on]
+    edges = np.sort(np.concatenate([[0, grid.n], i[on], cells, cells + 1]))
+    return edges[np.diff(edges, prepend=-1) > 0], t[~on], cells
 
 
 #: Euler-Maclaurin end weights (in units of h): the h^2/12 derivative
@@ -117,28 +120,29 @@ _END_CORRECTION = np.array([-11.0, 18.0, -9.0, 2.0]) / 72.0
 
 
 def _density_weights(grid: Grid, density: PiecewisePoly, out: np.ndarray | None = None):
-    """Add the node weights of the trapezoid rule for x * density over the
-    grid to ``out`` (n+1,), a zero vector, by default a fresh one, and
-    return it.
+    """Add the node weights of the integral of x * density over the grid to
+    ``out`` (n+1,), a zero vector, by default a fresh one, and return it.
 
-    Each smooth segment gets the Euler-Maclaurin end correction, which
-    upgrades the rule to O(h^4) for data whose density breakpoints sit on
-    grid nodes by the node rule.  With a breakpoint off them the rule falls
-    back to the plain trapezoid on right-limit samples, as one segment.  The
-    weights are formed and added BLOCK_STEPS nodes at a time; a node two
-    segments share gets the sum of both, in either order the same bits."""
+    Each segment between breakpoints that is not a cut cell gets the
+    trapezoid rule with the Euler-Maclaurin end correction, O(h^4), on 4 or
+    more nodes; its weights are formed and added BLOCK_STEPS nodes at a
+    time, and a node two segments share gets the sum of both, in either
+    order the same bits.  A cell that an off-node breakpoint cuts is product
+    integration: the 24-point Gauss rule on each side of each breakpoint in
+    it, read at each point by the cubic stencil that point terms carry, so
+    it is exact wherever x is a cubic on the stencil."""
     nodes, h = grid.nodes, grid.h
     out = np.zeros(grid.n + 1, dtype=complex) if out is None else out
-    seg = _segment_boundaries(grid, density)
-    corrected = seg is not None
-    seg = np.asarray(seg if corrected else [0, grid.n])
+    seg, off, cells = _segment_boundaries(grid, density)
     pieces = density._piece_index(0.5 * (nodes[seg[:-1]] + nodes[seg[1:]]))
     for i0, i1, piece in zip(seg[:-1], seg[1:], pieces):
+        if i1 - i0 == 1 and i0 in cells:
+            continue
         # Only the first and last four nodes of a segment weigh other than h.
         size = i1 - i0 + 1
         ends = np.full(min(size, 8), h)
         ends[[0, -1]] *= 0.5
-        if corrected and size >= 4:
+        if size >= 4:
             ends[:4] += h * _END_CORRECTION
             ends[-4:] += h * _END_CORRECTION[::-1]
         cuts = [0, size] if size <= 8 else [0, 4, *range(4 + BLOCK_STEPS, size - 4, BLOCK_STEPS),
@@ -146,8 +150,16 @@ def _density_weights(grid: Grid, density: PiecewisePoly, out: np.ndarray | None 
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             t = nodes[i0 + lo:i0 + hi]
             trap = ends[lo:hi] if lo == 0 else ends[-4:] if hi == size else np.full(hi - lo, h)
-            out[i0 + lo:i0 + hi] += trap * (_horner(density.coeffs[piece][None], t)
-                                            if corrected else density(t))
+            out[i0 + lo:i0 + hi] += trap * _horner(density.coeffs[piece][None], t)
+    if cells.size:
+        # A cut cell's pieces end at each breakpoint in it, and the last at its right node.
+        first, last = np.diff(cells, prepend=-1) != 0, np.diff(cells, append=grid.n) != 0
+        left = np.concatenate([np.where(first, nodes[cells], np.roll(off, 1)), off[last]])
+        half = 0.5 * (np.concatenate([off, nodes[cells[last] + 1]]) - left)[:, None]
+        x = (half * (_GAUSS_X + 1.0) + left[:, None]).ravel()
+        base, w = _cubic_stencil(grid, x)
+        mass = (half * _GAUSS_W).ravel() * density(x)
+        np.add.at(out, base[:, None] + np.arange(w.shape[1]), w * mass[:, None])
     return out
 
 
@@ -162,12 +174,11 @@ class LiftedOperator:
     their location, and a term on a node by the node rule weighs that node
     by exactly 1: ``weights[i, k, c]`` weighs column c at node ``nodes[k]``
     in row i, for the K nodes their non-zero weights reach.
-    Row p of ``densities`` (P, n+1) holds the trapezoid weights, with the
-    Euler-Maclaurin end correction, of the density of ``entries[i][j]``,
-    which weighs column ``density_columns[p]`` = first + j in row
-    ``density_rows[p]`` = i.  ``point_terms`` lists the (node, order, beta)
-    point terms compiled in, formed only when read, and ``shape`` is
-    (rows, n+1, width), that of a dense weight array.
+    Row p of ``densities`` (P, n+1) holds the ``_density_weights`` of the
+    density of ``entries[i][j]``, which weighs column ``density_columns[p]``
+    = first + j in row ``density_rows[p]`` = i.  ``point_terms`` lists the
+    (node, order, beta) point terms compiled in, formed only when read, and
+    ``shape`` is (rows, n+1, width), that of a dense weight array.
     """
 
     __slots__ = ("_terms", "nodes", "weights", "density_rows", "density_columns",

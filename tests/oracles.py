@@ -24,10 +24,12 @@ from mpbvp import (
     BvpProblem,
     GeneralBoundaryOperator,
     Grid,
+    MatrixMeasure,
     MultipointBoundaryOperator,
     PiecewisePoly,
     PolyMatrix,
     PolyVector,
+    ScalarMeasure,
 )
 from mpbvp.boundary import BoundaryTerm
 from mpbvp.funcspace import _horner
@@ -323,6 +325,22 @@ def step_problem(n: int, jump: float = 0.3, a: float = 0.0, b: float = 1.0) -> B
     operator = MultipointBoundaryOperator(1, 1, a, b, [BoundaryTerm(a, 0, np.ones((1, 1)))])
     return BvpProblem(r=1, m=1, coeffs=[a0], f=PolyVector([PiecewisePoly.constant(1.0, a, b)]),
                       q=np.array([1.0]), operator=operator, grid=Grid(a, b, n))
+
+
+def density_step_problem(n: int, c: float = 0.3) -> BvpProblem:
+    """y'' + y = 1 on [0, 1] with y(0) = 0 and int_0^1 y' rho dt = q, where the
+    density rho steps from 1 to 2 at ``c``, on an n-step grid: a general
+    operator.  q is that of y = 1 - cos t + sin t, whose y' = sin t + cos t
+    has the primitive sin t - cos t."""
+    primitive = lambda t: np.sin(t) - np.cos(t)
+    rho = PiecewisePoly.step([0.0, c, 1.0], [1.0, 2.0])
+    phi = MatrixMeasure([[ScalarMeasure.zero(0.0, 1.0)], [ScalarMeasure.from_density(rho)]])
+    q = primitive(c) - primitive(0.0) + 2.0 * (primitive(1.0) - primitive(c))
+    return BvpProblem(r=2, m=1, coeffs=[PolyMatrix([[PiecewisePoly.constant(1.0, 0.0, 1.0)]]),
+                                        PolyMatrix.zero(1, 1, 0.0, 1.0)],
+                      f=PolyVector([PiecewisePoly.constant(1.0, 0.0, 1.0)]), q=np.array([0.0, q]),
+                      operator=GeneralBoundaryOperator(2, 1, [np.array([[1.0], [0.0]])], phi),
+                      grid=Grid(0.0, 1.0, n))
 
 
 def point_condition_problem(t: float) -> BvpProblem:

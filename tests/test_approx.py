@@ -26,14 +26,13 @@ from mpbvp import (
     corpus,
     multipointify,
     remark3_constants,
-    sawtooth_perturbation,
     sawtooth_rhs,
     solve,
     sweep,
     theorem2_check,
     theorem3_check,
 )
-from mpbvp.approx import ErrorConstants, SweepRow
+from mpbvp.approx import ErrorConstants, SweepRow, _sawtooth
 from mpbvp.boundary import default_probe_jets, norm_lower_bound, norm_upper_bound
 from mpbvp import bvp, linode
 from mpbvp.bvp import companion_reduce
@@ -384,12 +383,14 @@ def test_theorem3_rejects_large_primitive():
 
 
 def test_sawtooth_shape():
-    grid = Grid(0.0, 1.0, 512)
-    eps = 1e-3
-    wave = sawtooth_perturbation(grid, 8, eps, m=2)
-    assert wave.m == 2
-    assert wave.components[1].is_zero
-    piece = wave.components[0]
+    # The sawtooth perturbs f's component 0 alone: p3 has m = 2.
+    problem = corpus.build_problem("p3", 512)
+    grid, eps = problem.grid, 1e-3
+    [(_, f_k, _)] = sawtooth_rhs(problem, [8], eps)
+    assert f_k.m == 2
+    assert (f_k.components[1] - problem.f.components[1]).is_zero
+    piece = _sawtooth(grid, 8, eps)
+    assert f_k.components[0].table.tobytes() == (problem.f.components[0] + piece).table.tobytes()
     # zero mean, exactly
     assert abs(interval_integral(piece, 0.0, 1.0)) <= 1e-15
     # L1 mass about 1.4 * eps * k
@@ -426,7 +427,7 @@ def test_sawtooth_matches_the_per_tooth_loop(interval):
     for n in (4, 5, 16, 17, 64, 100, 2048):
         grid = Grid(*interval, n)
         for k in range(1, n // 4 + 1):
-            got = sawtooth_perturbation(grid, k, 1e-3, m=1).components[0]
+            got = _sawtooth(grid, k, 1e-3)
             want = _reference_sawtooth(grid, k, 1e-3)
             assert got.breakpoints.tobytes() == want.breakpoints.tobytes()
             assert got.table.tobytes() == want.table.tobytes()
@@ -434,7 +435,7 @@ def test_sawtooth_matches_the_per_tooth_loop(interval):
 
 def test_sawtooth_needs_enough_cells():
     with pytest.raises(ValueError):
-        sawtooth_perturbation(Grid(0.0, 1.0, 16), 8, 1e-3, m=1)
+        _sawtooth(Grid(0.0, 1.0, 16), 8, 1e-3)
 
 
 def test_solvability_gate_does_not_depend_on_the_weight_scale():
@@ -698,7 +699,7 @@ def test_k_outside_one_to_the_grid_cap_is_refused_before_any_allocation(k):
     assert measure.density is not None
     calls = [
         lambda: approximate_coefficients(problem.coeffs[0], k),
-        lambda: sawtooth_perturbation(problem.grid, k, 1e-3, problem.m),
+        lambda: sawtooth_rhs(problem, [k], 1e-3),
         lambda: multipointify(problem.operator, k),
         lambda: problem.operator.phi.discretize(k),
     ]

@@ -34,6 +34,7 @@ from mpbvp.linode import _bits, _segment_steps
 from oracles import (
     crank_nicolson_solve,
     dense_weights,
+    density_step_problem,
     growth_problem,
     random_problem,
     scaled_boundary_problem,
@@ -354,10 +355,13 @@ def _point_and_density_problem(n):
     return problem, lambda t: (0.5 * t ** 2 + c1 * t + c0, t + c1, np.ones_like(t))
 
 
-@pytest.mark.parametrize("n", [2048, 16384])
+@pytest.mark.parametrize("n", [2048, 2049, 4097, 16384])
 def test_a_point_term_and_a_density_in_one_operator(n):
-    # The point 0.4 lies off the nodes and rho's breakpoint on one; the
-    # cubic stencil and the corrected trapezoid are exact on this data.
+    # The point 0.4 lies off the nodes, and rho's breakpoint 1/2 on one at
+    # even n and inside a cell at odd n; the cubic stencil, the corrected
+    # trapezoid and the cut cell's Gauss rule are exact on this data.  The
+    # plain trapezoid over all of rho, as an off-node breakpoint once made
+    # it, read 2.0e-8 / 5.0e-9 at n = 2049 / 4097.
     problem, exact = _point_and_density_problem(n)
     jet = solve(problem).jet
     for got, want in zip(jet.samples, exact(problem.grid.nodes)):
@@ -369,6 +373,29 @@ def test_a_point_term_and_a_density_in_one_operator(n):
     assert approx.orders.tolist() == [1, 1, 0, 1, 1]
     np.testing.assert_array_equal(approx.betas[:, :, 0], [[0.0, 0.25], [0.0, 0.25], [1.0, 0.0],
                                                          [0.0, 0.5], [0.0, 0.5]])
+
+
+_NODE_614 = Grid(0.0, 1.0, 2048).nodes[614]
+
+
+@pytest.mark.parametrize("n, c", [
+    (1024, 0.3), (2048, 0.3), (4096, 0.3), (16384, 0.3),
+    pytest.param(2048, np.nextafter(_NODE_614, 1.0), id="2048-node+ulp"),
+    pytest.param(2048, np.nextafter(_NODE_614, 0.0), id="2048-node-ulp"),
+    pytest.param(2048, _NODE_614 + 1e-3 / 2048, id="2048-node+1e-3h"),
+    pytest.param(2048, _NODE_614 - 1e-3 / 2048, id="2048-node-1e-3h"),
+])
+def test_a_density_step_solves_to_its_closed_form(n, c):
+    # 0.3 is no node of these grids, and 1e-3 h from node 614 is none either:
+    # the cell the step cuts is read by the Gauss rule on either side of it.
+    # An ulp from the node, the node rule reads the step on it.  The plain
+    # trapezoid over all of rho read 2.2e-4 / 3.7e-5 / 5.6e-5 / 1.4e-5 at
+    # c = 0.3.
+    jet = solve(density_step_problem(n, c)).jet
+    t = jet.grid.nodes
+    exact = (1.0 - np.cos(t) + np.sin(t), np.sin(t) + np.cos(t), np.cos(t) - np.sin(t))
+    for got, want in zip(jet.samples, exact, strict=True):
+        np.testing.assert_allclose(got[:, 0], want, rtol=0, atol=1e-12)
 
 
 def test_boundary_residual_matches_residuals():

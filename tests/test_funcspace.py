@@ -35,7 +35,6 @@ from mpbvp import (
     build_multipoint_problem,
     companion_reduce,
     corpus,
-    sawtooth_perturbation,
     sawtooth_rhs,
 )
 from mpbvp.funcspace import (MAX_GRID_N, _GAUSS_W, _GAUSS_X, _cubic_stencil, _horner,
@@ -302,8 +301,8 @@ def _restricted(p, c, d):
 
 def test_abs_integral_of_constant_pieces_matches_quadrature():
     problem = corpus.build_problem("p1", 2048)
-    delta = sawtooth_perturbation(problem.grid, 64, 1e-3, problem.m)
-    diff = ((problem.f + delta) - problem.f).components[0]
+    [(_, f_k, _)] = sawtooth_rhs(problem, [64], 1e-3)
+    diff = (f_k - problem.f).components[0]
     assert diff.npieces > 64 and not diff.table[:, 1:].any()   # every piece is constant
     steps = PiecewisePoly.step([0.0, 0.3, 0.7, 1.0], [3.0 + 4.0j, -1.5j, 2.0 - 2.0j])
     mixed = PiecewisePoly([0.0, 0.3, 0.5, 1.0], [[1.0 - 1.0j], [0.5, -2.0, 1j], [0.0, 0.0]])

@@ -1,5 +1,7 @@
 """Measures: atoms plus densities, Stieltjes integration, discretization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,12 +71,50 @@ def test_density_breakpoint_near_a_node_keeps_the_end_correction():
     # The node rule reads a breakpoint within 1e-12 (b - a) of a node on it:
     # on the node, an ulp off it, and 5e-13 to either side, where a rule in
     # units of h (8.2e-9 h here) fell back to the plain trapezoid (5.7e-5).
+    # 1e-3 h to either side, the breakpoint cuts a cell, which the Gauss
+    # rule reads on its two sides; the plain trapezoid read 5.7e-5 there.
     grid = Grid(0.0, 1.0, 16384)
     node = grid.nodes[6000]
-    for c in (node, np.nextafter(node, 1.0), node + 5e-13, node - 5e-13):
+    for c in (node, np.nextafter(node, 1.0), node + 5e-13, node - 5e-13,
+              node + 1e-3 * grid.h, node - 1e-3 * grid.h):
         dens = PiecewisePoly.step([0.0, c, 1.0], [1.0, 3.0])
         exact = np.sin(c) + 3.0 * (np.sin(1.0) - np.sin(c))
         assert abs(_density_weights(grid, dens) @ np.cos(grid.nodes) - exact) <= 1e-11, c - node
+
+
+def test_two_density_breakpoints_in_one_cell():
+    # The cell between nodes 6000 and 6001 holds two steps of rho: its Gauss
+    # pieces run node to first step, step to step and last step to node.
+    grid = Grid(0.0, 1.0, 16384)
+    c1, c2 = grid.nodes[6000] + 0.2 * grid.h, grid.nodes[6000] + 0.7 * grid.h
+    dens = PiecewisePoly.step([0.0, c1, c2, 1.0], [1.0, 3.0, -2.0])
+    exact = np.sin(c1) + 3.0 * (np.sin(c2) - np.sin(c1)) - 2.0 * (np.sin(1.0) - np.sin(c2))
+    assert abs(_density_weights(grid, dens) @ np.cos(grid.nodes) - exact) <= 1e-11
+
+
+def test_a_smooth_density_cut_off_the_nodes_keeps_fourth_order():
+    # rho = 1 + t + t^2 in four pieces, cut at 0.137 and 0.731, off every
+    # node here, and at 1/2, on one.  The error of the rule Q(n) for
+    # cos(5t) rho falls with n = 1024 .. 8192 as the gaps Q(n) - Q(2n) do,
+    # each summed exactly (fsum of the products), free of the sum's
+    # round-off: fourth order reads 15-16x per doubling, and the plain
+    # trapezoid over all of rho read 4x.
+    rho = PiecewisePoly([0.0, 0.137, 0.5, 0.731, 1.0], [[1.0, 1.0, 1.0]] * 4)
+
+    def products(n):
+        grid = Grid(0.0, 1.0, n)
+        weights = _density_weights(grid, rho)
+        assert not weights.imag.any()
+        return weights.real * np.cos(5.0 * grid.nodes)
+
+    ns = [1024, 2048, 4096, 8192, 16384]
+    terms = [products(n) for n in ns]
+    gaps = [abs(math.fsum(np.concatenate([p, -q]))) for p, q in zip(terms[:-1], terms[1:])]
+    assert all(coarse >= 12.0 * fine for coarse, fine in zip(gaps[:-1], gaps[1:])), gaps
+    # The primitive of cos(5t) (1 + t + t^2).
+    exact = (lambda t: np.sin(5 * t) * (0.2 + t / 5 + t * t / 5 - 2 / 125)
+             + np.cos(5 * t) * (1 / 25 + 2 * t / 25))
+    assert abs(math.fsum(terms[0]) - (exact(1.0) - exact(0.0))) <= 1e-12
 
 
 def _density_weights_loop(grid, density, cuts):
