@@ -30,7 +30,6 @@ from .funcspace import (
     PolyMatrix,
     PolyVector,
     SampledJet,
-    _pinned,
     _spans,
     mat_norm,
     norm_l1,
@@ -145,37 +144,32 @@ def companion_reduce(problem: BvpProblem):
 
     P carries -I blocks on the superdiagonal and the coefficient row
     (A_0 ... A_{r-1}) at the bottom; g stacks r-1 zero blocks over f; T is
-    the boundary operator compiled on the problem grid.  Every coefficient
-    and f keep their breakpoints but for ``_pinned``'s moves onto [a, b]
-    and onto grid nodes.  For r = 1, P and g hold the entries of A_0 and f.
+    the boundary operator compiled on the problem grid.  P and g hold the
+    problem's own coefficient and f entries, for r = 1 those of A_0 and f:
+    a reader of them on the grid locates their breakpoints by the node rule.
     """
     return (_companion_matrix(problem), _companion_forcing(problem),
             lift(problem.operator, problem.grid), problem.q)
 
 
 def _companion_matrix(problem: BvpProblem) -> PolyMatrix:
-    """P of companion_reduce.  Every pass, top channel and ``residuals``
-    reads the coefficients here and f in ``_companion_forcing``, as
-    ``_pinned`` puts them on the grid: an entry it leaves is the problem's
-    own object.  For r = 1, P holds A_0's entries."""
-    r, m = problem.r, problem.m
-    a, b, grid = problem.a, problem.b, problem.grid
-    coeffs = [[[_pinned(e, a, b, grid) for e in row] for row in A.entries] for A in problem.coeffs]
+    """P of companion_reduce: the problem's own coefficient entries, which
+    every pass, top channel and ``residuals`` read here, and f in
+    ``_companion_forcing``.  For r = 1, P holds A_0's entries."""
+    r, m, a, b = problem.r, problem.m, problem.a, problem.b
     zero = PiecewisePoly.zero(a, b)
     minus_one = PiecewisePoly.constant(-1.0, a, b)
     d = r * m
     # Each row above the bottom block holds -1 one block to the right.
     entries = [[minus_one if j == i + m else zero for j in range(d)] for i in range(d - m)]
-    entries += [[e for A in coeffs for e in A[i]] for i in range(m)]
+    entries += [[e for A in problem.coeffs for e in A.entries[i]] for i in range(m)]
     return PolyMatrix(entries)
 
 
 def _companion_forcing(problem: BvpProblem) -> PolyVector:
-    """g of companion_reduce: r - 1 zero blocks over the pinned f."""
-    a, b, grid = problem.a, problem.b, problem.grid
-    f = [_pinned(c, a, b, grid) for c in problem.f.components]
-    zeros = [PiecewisePoly.zero(a, b)] * (problem.d - problem.m) if problem.r > 1 else []
-    return PolyVector(zeros + f)
+    """g of companion_reduce: r - 1 zero blocks over the problem's f."""
+    zeros = [PiecewisePoly.zero(problem.a, problem.b)] * (problem.d - problem.m)
+    return PolyVector(zeros + problem.f.components)
 
 
 def _ldexp(x, e: int) -> np.ndarray:
@@ -339,25 +333,32 @@ def _top_channels(grid: Grid, P: PolyMatrix, members) -> list:
     """f - sum_l A_l y^(l) at the nodes of each member (g, samples) of a
     coefficient set with companion matrix P: its forcing g and the node
     samples of y^(l), l < r.  One segment of the pass at a time, the bottom
-    block row [A_0 ... A_{r-1}] of P is evaluated once for the whole set
-    and each member's f, the bottom block of g, alone."""
+    block row [A_0 ... A_{r-1}] of P is read once for the whole set and
+    each member's f, the bottom block of g, alone, by ``_at_nodes``."""
     if not members:
         return []
     d, m = P.shape[0], members[0][1][0].shape[1]
-    rows = PolyMatrix(P.entries[d - m:])
-    forcings = [PolyVector(g.components[d - m:]) for g, _ in members]
+    rows = P.entries[d - m:]
+    forcings = [[g.components[d - m:]] for g, _ in members]
     tops = [np.empty((grid.n + 1, m), dtype=complex) for _ in members]
     step = _segment_steps(d)
     for lo in range(0, grid.n + 1, step):
-        t = grid.nodes[lo:lo + step]
+        hi = min(lo + step, grid.n + 1) - 1
         # [A_0 ... A_{r-1}] at the segment's nodes, step-first.
-        values = rows.eval_at(t)
+        values = _at_nodes(rows, grid, lo, hi)
         for f, (_, samples), top in zip(forcings, members, tops):
-            block = top[lo:lo + step]
-            block[:] = f.eval_at(t)
+            block = top[lo:hi + 1]
+            block[:] = _at_nodes(f, grid, lo, hi)[:, 0]
             for l, y in enumerate(samples):
-                block -= np.einsum("nij,nj->ni", values[..., l * m:(l + 1) * m], y[lo:lo + step])
+                block -= np.einsum("nij,nj->ni", values[..., l * m:(l + 1) * m], y[lo:hi + 1])
     return tops
+
+
+def _at_nodes(rows, grid: Grid, lo: int, hi: int) -> np.ndarray:
+    """Values (hi-lo+1, p, q) of the entries ``rows[i][j]`` at nodes lo .. hi,
+    read by the node rule as ``PiecewisePoly.grid_samples`` reads them."""
+    return np.stack([np.stack([e._node_values(grid, lo, hi) for e in row], axis=-1)
+                     for row in rows], axis=-2)
 
 
 def residuals(problem: BvpProblem, jet: SampledJet) -> tuple[float, float]:

@@ -6,12 +6,13 @@ its column norms, and numeric vectors/matrices use the matching discrete
 norms (entrywise sum, maximum column sum).  Sampled norms and primitives use
 the trapezoid rule, densities ``stieltjes._density_weights``.  Three rules
 place all data: by the interval rule, ``_spans``, intervals are the same
-when their ends agree to 1e-9 (b - a), and ``_pinned`` moves a polynomial's
-ends onto the one it is used on; by the point rule, ``_clamp_points``, a
+when their ends agree to 1e-9 (b - a), and ``_pinned`` moves a sum's second
+operand's ends onto the first's; by the point rule, ``_clamp_points``, a
 point of [a, b] lies within ``_merge_tol(a, b)`` of it and is clamped into
 it; by the node rule, ``_located``, a breakpoint or point term within
-``_merge_tol(a, b)`` of a grid node lies on it, and the solve pass, the
-density quadrature and the point-term stencils read it there.
+``_merge_tol(a, b)`` of a grid node lies on it.  Data keep their breakpoints:
+``_located_breakpoints`` locates them for grid samples, the top jet channel
+and density quadrature, and ``_place_points`` locates point terms.
 
 A piecewise polynomial is held as one zero-padded coefficient table with a
 row per piece.  Every operation works on the whole table: evaluation and
@@ -116,22 +117,27 @@ def _linear_stencil(grid: Grid, t):
     return i, np.stack([1.0 - w, w], axis=-1)
 
 
+#: Each k's three Lagrange weights j != k and their factors' denominators j - k.
+_LAGRANGE_FACTORS = [(np.delete(range(4), k), np.delete(np.arange(4.0) - k, k)) for k in range(4)]
+
+
 def _cubic_stencil(grid: Grid, t):
     """First node indices and weights (K, 4) of 4-point Lagrange interpolation at t.
 
     Falls back to the linear stencil on grids with fewer than 4 cells.
     """
-    n = grid.n
+    n, t = grid.n, np.asarray(t, dtype=float)
     if n < 4:
         return _linear_stencil(grid, t)
+    if not t.size:
+        return np.zeros(t.shape, dtype=np.intp), np.ones(t.shape + (4,))
     s = _fractional_index(grid, t)
     base = np.clip(np.minimum(s.astype(np.intp), n - 1) - 1, 0, n - 3)
     x = s - base
     w = np.ones(x.shape + (4,))
     # Weight j takes its factors (x - k) / (j - k) in the order k = 0 .. 3.
-    for k in range(4):
-        j = np.delete(np.arange(4), k)
-        w[..., j] *= (x[..., None] - k) / (j - k)
+    for k, (j, denominators) in enumerate(_LAGRANGE_FACTORS):
+        w[..., j] *= (x[..., None] - k) / denominators
     return base, w
 
 
@@ -194,6 +200,15 @@ def _located(grid: Grid, t) -> tuple:
     return i, np.abs(t - grid.nodes[i]) <= _merge_tol(grid.a, grid.b)
 
 
+def _located_breakpoints(grid: Grid, p) -> tuple:
+    """The node rule on p's interior breakpoints t, clipped into [a, b]: t, whether
+    each lies on a node, and its node or else the cell it cuts, which a t of [a, b]
+    off every node lies inside.  Every reader of data breakpoints on a grid calls it."""
+    t = np.clip(p.breakpoints[1:-1], grid.a, grid.b)
+    i, on = _located(grid, t)
+    return t, on, i - (~on & (t < grid.nodes[i]))
+
+
 def _clamp_points(t, a: float, b: float, what: str) -> np.ndarray:
     """t clamped into [a, b], the point rule: a point of [a, b] lies within
     ``_merge_tol(a, b)`` of it, and the first that does not is refused as ``what``."""
@@ -248,7 +263,7 @@ class PiecewisePoly:
     the last piece.
     """
 
-    __slots__ = ("breakpoints", "table", "widths", "_coeffs")
+    __slots__ = ("breakpoints", "table", "widths", "_coeffs", "_keys")
 
     def __init__(self, breakpoints, coeffs):
         pieces = [np.atleast_1d(np.asarray(c, dtype=complex)) for c in coeffs]
@@ -296,7 +311,7 @@ class PiecewisePoly:
         self.breakpoints = bp
         self.table = table
         self.widths = widths
-        self._coeffs = None
+        self._coeffs = self._keys = None
 
     # -- constructors ------------------------------------------------------
 
@@ -362,30 +377,35 @@ class PiecewisePoly:
     def grid_samples(self, grid: Grid, lo: int = 0, hi: int | None = None):
         """Values on ``grid`` as RK4 steps lo .. hi - 1 read them: (node
         values (hi-lo+1,), step-end left limits (hi-lo,), midpoint values
-        (hi-lo,)), by default over all n steps.
-
-        Node values are right limits, with b in the last piece, as
-        ``__call__`` gives them.  Only the nodes and the midpoints are
-        evaluated: the end of step i is node i + 1, so its left limit is
-        that node's value, except at an interior breakpoint that equals a
-        node, where it is evaluated on the piece to the left; for the solve
-        pass, ``_pinned`` puts each breakpoint the node rule reads on a node
-        there.  Each value depends only on its point and the piece it is
-        read on, so a range's samples are those slices of the whole grid's.
-        """
+        (hi-lo,)), by default over all n steps.  Nodes read the pieces by
+        the node rule (``_node_values``), midpoints as ``__call__`` does,
+        and a step end is its node's value but where breakpoints lie on
+        that node: it reads the piece before the first of them.  Each value
+        depends only on its point and the piece it is read on, so a range's
+        samples are those slices of the whole grid's."""
         hi = grid.n if hi is None else hi
-        nodes, mids = grid.nodes[lo:hi + 1], grid.half_nodes[lo:hi]
-        at_nodes, at_mids = self(nodes), self(mids)
+        at_nodes, at_mids = self._node_values(grid, lo, hi), self(grid.half_nodes[lo:hi])
         if self.npieces == 1:
             return at_nodes, at_nodes[1:], at_mids
         ends = at_nodes[1:].copy()
-        inner = self.breakpoints[1:-1]
-        i = np.minimum(np.searchsorted(nodes, inner), hi - lo)
-        # Breakpoint j + 1 ends piece j; the range's first node ends no step of it.
-        on = np.flatnonzero((nodes[i] == inner) & (i > 0))
-        i = i[on]
-        ends[i - 1] = _horner(self.table[on], nodes[i])
+        _, at, on = self._keys
+        on = on[(on > lo) & (on <= hi)]
+        ends[on - lo - 1] = _horner(self.table[np.searchsorted(at, on)], grid.nodes[on])
         return at_nodes, ends, at_mids
+
+    def _node_values(self, grid: Grid, lo: int, hi: int) -> np.ndarray:
+        """Values (hi-lo+1,) at nodes lo .. hi: node k reads the piece after each
+        breakpoint that ``_located_breakpoints`` puts on or before it, but on
+        b.  The breakpoints are located once per grid, for every range and reader."""
+        nodes = grid.nodes[lo:hi + 1]
+        if self.npieces == 1:
+            return self(nodes)
+        if self._keys is None or self._keys[0] != grid:
+            _, on, i = _located_breakpoints(grid, self)
+            # Each breakpoint in steps from a: on its node (past n on b), or half into its cell.
+            self._keys = grid, i + np.where(on, i == grid.n, 0.5), i[on]
+        return _horner(self.table[np.searchsorted(self._keys[1], np.arange(lo, hi + 1),
+                                                  side="right")], nodes)
 
     # -- calculus ----------------------------------------------------------
 
@@ -473,15 +493,10 @@ class PiecewisePoly:
         return f"PiecewisePoly({self.npieces} pieces on [{self.a}, {self.b}])"
 
 
-def _pinned(p: PiecewisePoly, a: float, b: float, grid: Grid | None = None) -> PiecewisePoly:
-    """p with its ends on [a, b], which ``_spans`` has checked, and, given a
-    grid, each breakpoint that the node rule puts on a node on that node's
-    bits; p itself when nothing moves.  A piece left empty is dropped."""
-    bp = p.breakpoints
-    if grid is not None:
-        i, on = _located(grid, bp)
-        bp = np.where(on, grid.nodes[i], bp)
-    bp = np.clip(bp, a, b)
+def _pinned(p: PiecewisePoly, a: float, b: float) -> PiecewisePoly:
+    """p with its ends on [a, b], which ``_spans`` has checked, by the
+    interval rule; p itself when nothing moves.  A piece left empty is dropped."""
+    bp = np.clip(p.breakpoints, a, b)
     bp[0], bp[-1] = a, b
     if np.array_equal(bp, p.breakpoints):
         return p

@@ -55,8 +55,8 @@ at t_{i+1}.  The end of step i is the start of step i+1, so each entry is
 evaluated once at the n+1 nodes and once at the n midpoints
 (``PiecewisePoly.grid_samples``).  A step end takes the left-hand limit,
 which keeps full order at jumps on grid nodes; it differs from the node
-value only at a breakpoint on a node, where it alone is evaluated again;
-the solver puts a breakpoint that the node rule reads on a node there.
+value only at a breakpoint that the node rule puts on a node, where it
+alone is evaluated again.
 """
 
 from __future__ import annotations

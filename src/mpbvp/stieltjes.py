@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .funcspace import (_GAUSS_W, _GAUSS_X, BLOCK_STEPS, Grid, PiecewisePoly, _check_k,
-                        _clamp_points, _coalesce, _cubic_stencil, _horner, _located, _place_points,
-                        _spans)
+                        _clamp_points, _coalesce, _cubic_stencil, _horner, _located_breakpoints,
+                        _place_points, _spans)
 
 __all__ = [
     "ScalarMeasure",
@@ -103,12 +103,11 @@ def _discretized_atoms(measure: ScalarMeasure, k: int) -> tuple:
 
 
 def _segment_boundaries(grid: Grid, density: PiecewisePoly) -> tuple:
-    """By the node rule, ``funcspace._located``: the density's segment edges (0, n, the
+    """By ``funcspace._located_breakpoints``: the density's segment edges (0, n, the
     node of each on-node breakpoint and both nodes of each cell an off-node one cuts,
     ascending and distinct), the off-node breakpoints, ascending, and the cell each cuts."""
-    t = np.clip(density.breakpoints[1:-1], grid.a, grid.b)
-    i, on = _located(grid, t)
-    cells = np.clip(i - (t < grid.nodes[i]), 0, grid.n - 1)[~on]
+    t, on, i = _located_breakpoints(grid, density)
+    cells = i[~on]
     edges = np.sort(np.concatenate([[0, grid.n], i[on], cells, cells + 1]))
     return edges[np.diff(edges, prepend=-1) > 0], t[~on], cells
 

@@ -317,13 +317,17 @@ def growth_problem(lam: float, n: int = 2048) -> BvpProblem:
                       grid=Grid(a, b, n))
 
 
-def step_problem(n: int, jump: float = 0.3, a: float = 0.0, b: float = 1.0) -> BvpProblem:
-    """y' + a0(t) y = 1 on [a, b] with y(a) = 1, where a0 steps from 1 to 2
-    at ``jump``, on an n-step grid.  y is 1 up to the jump and
-    (1 + exp(-2 (t - jump))) / 2 after it."""
-    a0 = PolyMatrix([[PiecewisePoly.step([a, jump, b], [1.0, 2.0])]])
+def step_problem(n: int, jump: float = 0.3, a: float = 0.0, b: float = 1.0,
+                 forcing: bool = False) -> BvpProblem:
+    """y' + a0(t) y = f on [a, b] with y(a) = 1, where a0 steps from 1 to 2
+    at ``jump`` and f is 1, on an n-step grid.  y is 1 up to the jump and
+    (1 + exp(-2 (t - jump))) / 2 after it.  With ``forcing`` a0 is 1 and f
+    steps from 1 to 2 instead, and y is 2 - exp(-(t - jump)) after it."""
+    step = PiecewisePoly.step([a, jump, b], [1.0, 2.0])
+    one = PiecewisePoly.constant(1.0, a, b)
+    a0, f = (one, step) if forcing else (step, one)
     operator = MultipointBoundaryOperator(1, 1, a, b, [BoundaryTerm(a, 0, np.ones((1, 1)))])
-    return BvpProblem(r=1, m=1, coeffs=[a0], f=PolyVector([PiecewisePoly.constant(1.0, a, b)]),
+    return BvpProblem(r=1, m=1, coeffs=[PolyMatrix([[a0]])], f=PolyVector([f]),
                       q=np.array([1.0]), operator=operator, grid=Grid(a, b, n))
 
 

@@ -6,10 +6,12 @@ pass and a lost digit does not.  A fix that gains accuracy passes
 unchanged; tighten the ceilings with it.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mpbvp import Grid, companion_reduce, corpus, solve
+from mpbvp import Grid, PiecewisePoly, PolyMatrix, PolyVector, companion_reduce, corpus, solve
 from oracles import growth_problem, step_problem
 
 # p2's coefficients and f jump at t = 1/2, which is off the grid at odd n:
@@ -35,6 +37,13 @@ STEP_CEILINGS = {
     10: (6.7e-7, 1.4e-6),  # 3.35e-7, 6.69e-7
     30: (7.8e-9, 1.6e-8),  # 3.87e-9, 7.73e-9
     300: (7.5e-13, 1.5e-12),  # 3.75e-13, 7.50e-13
+}
+
+# The same with the jump in f (``forcing``) in place of a0.
+FORCING_STEP_CEILINGS = {
+    10: (5.8e-8, 5.8e-8),  # 2.85e-8, 2.85e-8
+    30: (6.9e-10, 6.9e-10),  # 3.41e-10, 3.41e-10
+    300: (6.8e-14, 6.8e-14),  # 3.35e-14, 3.35e-14
 }
 
 
@@ -64,21 +73,58 @@ def test_growth_problem_stays_within_its_error(lam, n):
                for error, ceiling in zip(errors, GROWTH_CEILINGS[lam, n], strict=True))
 
 
-@pytest.mark.parametrize("n", sorted(STEP_CEILINGS))
-def test_jump_an_ulp_off_its_node_reads_as_on_it(n):
+def _node_of_the_jump(n):
+    """Grid(0.1, 0.7, n) and its node nearest 0.34, one ulp off 0.34 at every n here."""
     grid = Grid(0.1, 0.7, n)
     node = grid.nodes[round((0.34 - 0.1) / grid.h)]
     assert 0 < abs(node - 0.34) < 1e-12 * (grid.b - grid.a)
-    problem = step_problem(n, 0.34, 0.1, 0.7)
-    # The problem keeps its jump at 0.34; the pass reads it on the node.
-    assert problem.coeffs[0].entries[0][0].breakpoints[1] == 0.34
-    assert companion_reduce(problem)[0].entries[0][0].breakpoints[1] == node
+    return grid, node
+
+
+def _assert_ulp_off_jump_reads_as_on_the_node(n, forcing, ceilings):
+    grid, node = _node_of_the_jump(n)
+    problem = step_problem(n, 0.34, 0.1, 0.7, forcing)
+    # The pass reads the problem's own step at 0.34, on the node.
+    step = (problem.f.components if forcing else problem.coeffs[0].entries[0])[0]
+    assert step.breakpoints[1] == 0.34
+    P, g = companion_reduce(problem)[:2]
+    assert (g.components if forcing else P.entries[0])[0] is step
     jet = solve(problem).jet
-    on_node = solve(step_problem(n, node, 0.1, 0.7)).jet
+    on_node = solve(step_problem(n, node, 0.1, 0.7, forcing)).jet
     for have, want in zip(jet.samples, on_node.samples, strict=True):
-        np.testing.assert_array_equal(have, want)
-    decay = np.exp(-2.0 * (grid.nodes - node))
+        assert have.tobytes() == want.tobytes()
     after = grid.nodes >= node
-    exact = [np.where(after, 0.5 + 0.5 * decay, 1.0)[:, None], np.where(after, -decay, 0.0)[:, None]]
-    errors = _channel_errors(jet, exact)
-    assert all(error <= ceiling for error, ceiling in zip(errors, STEP_CEILINGS[n], strict=True))
+    if forcing:
+        decay = np.exp(-(grid.nodes - node))
+        exact = [np.where(after, 2.0 - decay, 1.0), np.where(after, decay, 0.0)]
+    else:
+        decay = np.exp(-2.0 * (grid.nodes - node))
+        exact = [np.where(after, 0.5 + 0.5 * decay, 1.0), np.where(after, -decay, 0.0)]
+    errors = _channel_errors(jet, [channel[:, None] for channel in exact])
+    assert all(error <= ceiling for error, ceiling in zip(errors, ceilings[n], strict=True))
+
+
+@pytest.mark.parametrize("n", sorted(STEP_CEILINGS))
+def test_jump_an_ulp_off_its_node_reads_as_on_it(n):
+    _assert_ulp_off_jump_reads_as_on_the_node(n, False, STEP_CEILINGS)
+
+
+@pytest.mark.parametrize("n", sorted(FORCING_STEP_CEILINGS))
+def test_jump_of_f_an_ulp_off_its_node_reads_as_on_it(n):
+    _assert_ulp_off_jump_reads_as_on_the_node(n, True, FORCING_STEP_CEILINGS)
+
+
+@pytest.mark.parametrize("forcing", [False, True], ids=["a0", "f"])
+@pytest.mark.parametrize("n", sorted(STEP_CEILINGS))
+def test_two_breakpoints_within_a_nodes_tolerance_read_as_one_jump_on_it(n, forcing):
+    # a0 or f steps 1 -> 3 at node - 4e-13 and 3 -> 2 at node + 4e-13, both
+    # within the node rule's 6e-13 of the node: the piece of 3 between them
+    # is empty on the grid, so the node reads 2 and the step that ends there
+    # 1, and the jet is the one-jump problem's bit for bit.
+    _, node = _node_of_the_jump(n)
+    on_node = step_problem(n, node, 0.1, 0.7, forcing)
+    step = PiecewisePoly.step([0.1, node - 4e-13, node + 4e-13, 0.7], [1.0, 3.0, 2.0])
+    near = (dataclasses.replace(on_node, f=PolyVector([step])) if forcing
+            else dataclasses.replace(on_node, coeffs=[PolyMatrix([[step]])]))
+    for have, want in zip(solve(near).jet.samples, solve(on_node).jet.samples, strict=True):
+        assert have.tobytes() == want.tobytes()

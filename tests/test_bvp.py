@@ -29,6 +29,7 @@ from mpbvp import (
     sawtooth_rhs,
     solve,
 )
+from mpbvp import bvp
 from mpbvp.bvp import _solve_pass
 from mpbvp.linode import _bits, _segment_steps
 from oracles import (
@@ -490,20 +491,21 @@ def test_top_channel_is_bitwise_the_node_evaluation():
 def test_a_family_evaluates_each_coefficient_set_once_per_segment(monkeypatch):
     # A theorem 3 family of p2 with k = 3, 4, 7 and 8: the limit and the even
     # k share their coefficients bit for bit, the odd k have their own, so
-    # the finish evaluates A's bottom row for three sets, once per segment of
-    # the pass (two at n = 2048, d = 2), and never a member's f with it.
-    # Every member's jet is still the one it has solved alone.
+    # the finish reads A's bottom row at the nodes for three sets, once per
+    # segment of the pass (two at n = 2048, d = 2), and each member's f
+    # alone, once per segment, never with it.  Every member's jet is still
+    # the one it has solved alone.
     problem = corpus.build_problem("p2", 2048)
     members = [build_multipoint_problem(problem, k, f=f_k, q=q_k)
                for k, f_k, q_k in sawtooth_rhs(problem, (3, 4, 7, 8), 1e-3)]
     family = [problem, *members]
-    calls, eval_at = [], PolyMatrix.eval_at
+    calls, at_nodes = [], bvp._at_nodes
 
-    def recording(self, t):
-        calls.append((_bits(e for row in self.entries for e in row), t[0], t.size))
-        return eval_at(self, t)
+    def recording(rows, grid, lo, hi):
+        calls.append((_bits(e for row in rows for e in row), grid.nodes[lo], hi + 1 - lo))
+        return at_nodes(rows, grid, lo, hi)
 
-    monkeypatch.setattr(PolyMatrix, "eval_at", recording)
+    monkeypatch.setattr(bvp, "_at_nodes", recording)
     solutions, _ = _solve_pass(family, inverse=True)
     monkeypatch.undo()
     sets = {_bits(e for A in p.coeffs for row in A.entries for e in row): p for p in family}
@@ -511,10 +513,10 @@ def test_a_family_evaluates_each_coefficient_set_once_per_segment(monkeypatch):
     nodes, step = problem.grid.nodes, _segment_steps(problem.d)
     segments = [(nodes[lo], nodes[lo:lo + step].size) for lo in range(0, nodes.size, step)]
     assert len(segments) == 2
-    rows = {key: _bits(e for row in companion_reduce(p)[0].entries[-p.m:] for e in row)
-            for key, p in sets.items()}
-    assert sorted(calls) == sorted((row, *segment) for row in rows.values()
-                                   for segment in segments)
+    rows = [_bits(e for row in companion_reduce(p)[0].entries[-p.m:] for e in row)
+            for p in sets.values()]
+    rows += [_bits(p.f.components) for p in family]
+    assert sorted(calls) == sorted((row, *segment) for row in rows for segment in segments)
     for member, together in zip(family, solutions, strict=True):
         alone = solve(member).jet
         assert len(together.jet.samples) == len(alone.samples) == member.r + 1

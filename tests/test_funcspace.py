@@ -37,8 +37,8 @@ from mpbvp import (
     corpus,
     sawtooth_rhs,
 )
-from mpbvp.funcspace import (MAX_GRID_N, _GAUSS_W, _GAUSS_X, _cubic_stencil, _horner,
-                             _located, _piece_abs_integral, _pinned, _place_points)
+from mpbvp.funcspace import (MAX_GRID_N, _GAUSS_W, _GAUSS_X, _cubic_stencil, _fractional_index,
+                             _horner, _located, _merge_tol, _piece_abs_integral, _place_points)
 from oracles import interval_integral, left_limit
 
 
@@ -345,12 +345,25 @@ def test_addition_matches_pointwise(cut, v1, v2, t):
 # -- grid samples ------------------------------------------------------------
 
 
+def _on_the_nodes(p, grid):
+    """p, on the grid's [a, b], with each interior breakpoint that the node
+    rule puts on a node moved onto it, onto b at node n and onto the node's
+    bits elsewhere, and the pieces this leaves empty dropped."""
+    bp = np.clip(p.breakpoints, grid.a, grid.b)
+    i, on = _located(grid, bp)
+    bp[1:-1] = np.where(on, np.where(i == grid.n, grid.b, grid.nodes[i]), bp)[1:-1]
+    keep = bp[1:] > bp[:-1]
+    return PiecewisePoly._from_table(np.concatenate([bp[:1], bp[1:][keep]]),
+                                     p.table[keep], p.widths[keep])
+
+
 def _assert_grid_samples_are_three_evaluations(p, grid):
-    """grid_samples against one evaluation per node set: the nodes (right
-    limits), the step ends (left limits) and the midpoints.  Bytes are
-    compared, because array_equal takes -0.0 for 0.0."""
-    nodes = grid.nodes
-    want = (p(nodes), left_limit(p, nodes[1:]), p(grid.half_nodes))
+    """grid_samples against one evaluation per node set of p with its
+    breakpoints moved where the node rule reads them (``_on_the_nodes``):
+    the nodes (right limits), the step ends (left limits) and the
+    midpoints.  Bytes are compared, because array_equal takes -0.0 for 0.0."""
+    nodes, on_nodes = grid.nodes, _on_the_nodes(p, grid)
+    want = (on_nodes(nodes), left_limit(on_nodes, nodes[1:]), on_nodes(grid.half_nodes))
     for have, expected in zip(p.grid_samples(grid), want):
         assert have.shape == expected.shape
         assert have.tobytes() == expected.tobytes()
@@ -373,13 +386,18 @@ def test_grid_samples_of_corpus_coefficients(name):
 
 def _random_pieces(rng, grid, kind):
     """A piecewise polynomial on the grid's interval whose breakpoints lie
-    on nodes, on midpoints or off the grid."""
+    on nodes, on midpoints, off the grid, or near nodes: within the node
+    rule's tolerance of one, a and b included, with two near the first."""
     a, b, n = grid.a, grid.b, grid.n
     count = int(rng.integers(1, min(n, 12) + 1))
     if kind == "nodes":
         inner = grid.nodes[rng.choice(np.arange(1, n), size=min(count, n - 1), replace=False)]
     elif kind == "midpoints":
         inner = grid.half_nodes[rng.choice(n, size=count, replace=False)]
+    elif kind == "near":
+        at = grid.nodes[rng.integers(0, n + 1, size=count)]
+        inner = np.concatenate([at, at[:1]]) + rng.uniform(-0.9, 0.9, count + 1) * _merge_tol(a, b)
+        inner = inner[(inner > a) & (inner < b)]
     else:
         inner = rng.uniform(a, b, size=count)
     bp = np.concatenate([[a], np.unique(inner), [b]])
@@ -394,7 +412,7 @@ def test_grid_samples_are_three_evaluations(n, interval):
     rng = np.random.default_rng(n)
     grid = Grid(*interval, n)
     a, b = interval
-    cases = [_random_pieces(rng, grid, kind) for kind in ("nodes", "midpoints", "off")
+    cases = [_random_pieces(rng, grid, kind) for kind in ("nodes", "midpoints", "off", "near")
              for _ in range(8)]
     # One piece; equal rows on several pieces, one of them wider.
     cases += [PiecewisePoly.single([0.5, -2.0j, 1.0], a, b),
@@ -419,13 +437,14 @@ def test_grid_samples_over_a_node_range_are_slices_of_the_whole_grid(n):
     # off one, a single step, and the whole grid.  Bytes are compared.
     rng = np.random.default_rng(n)
     grid = Grid(-1.5, 0.5, n)
-    cases = [_random_pieces(rng, grid, kind) for kind in ("nodes", "midpoints", "off")
+    cases = [_random_pieces(rng, grid, kind) for kind in ("nodes", "midpoints", "off", "near")
              for _ in range(4)]
     cases += [PiecewisePoly.single([0.5, -2.0j, 1.0], -1.5, 0.5),
               PiecewisePoly(grid.nodes[[0, n // 2, n]], [[0.5, 2.0], [-1.0j]])]
     for p in cases:
         whole = p.grid_samples(grid)
-        on = np.flatnonzero(np.isin(grid.nodes, p.breakpoints[1:-1]))
+        i, located = _located(grid, p.breakpoints[1:-1])
+        on = i[located]
         edges = {0, 1, n - 1, n, *on.tolist(), *(on - 1).tolist(), *(on + 1).tolist()}
         ranges = [(lo, hi) for lo in sorted(edges) for hi in sorted(edges) if 0 <= lo < hi <= n]
         assert (0, n) in ranges and any(lo + 1 == hi for lo, hi in ranges)
@@ -436,6 +455,20 @@ def test_grid_samples_over_a_node_range_are_slices_of_the_whole_grid(n):
                 assert have.tobytes() == expected.tobytes()
 
 
+def test_grid_samples_on_one_grid_then_another_read_each_grid():
+    # A polynomial keeps its located breakpoints for one grid at a time: on
+    # a second grid, and on an equal copy of the first, it reads what a
+    # fresh copy of it reads there.  Bytes are compared.
+    rng = np.random.default_rng(5)
+    grids = [Grid(-1.5, 0.5, 513), Grid(-1.5, 0.5, 1537), Grid(-1.5, 0.5, 513)]
+    for kind in ("nodes", "near", "off"):
+        p = _random_pieces(rng, grids[0], kind)
+        for grid in grids:
+            fresh = PiecewisePoly._from_table(p.breakpoints, p.table, p.widths)
+            for have, want in zip(p.grid_samples(grid), fresh.grid_samples(grid), strict=True):
+                assert have.tobytes() == want.tobytes()
+
+
 def test_grid_samples_take_left_limits_at_the_node_itself():
     # The breakpoint -0.0 equals the node 0.0.  At t = -0.0 the first piece
     # would evaluate to -0.0; at the node it is 0.0, as __call__ gives it.
@@ -443,26 +476,30 @@ def test_grid_samples_take_left_limits_at_the_node_itself():
     _assert_grid_samples_are_three_evaluations(p, Grid(-1.0, 1.0, 4))
 
 
-def test_pinned_moves_breakpoints_that_the_node_rule_puts_on_a_node():
+def test_grid_samples_read_breakpoints_where_the_node_rule_puts_them():
     # On [0.1, 0.7] with h = 0.06, 0.34 is an ulp off node 4 and 0.37 lies
-    # inside a step.  The pass reads 0.34 on the node's bits, so the step
-    # before it reads the left piece at its end.
+    # inside a step.  The samples read 0.34 on the node, so the step before
+    # it reads the left piece at its end, and they are the samples of the
+    # jump on the node's bits.
     grid = Grid(0.1, 0.7, 10)
     node = grid.nodes[4]
     assert 0 < abs(node - 0.34) < 1e-12
     p = PiecewisePoly.step([0.1, 0.34, 0.37, 0.7], [1.0, 2.0, 3.0])
-    pinned = _pinned(p, 0.1, 0.7, grid)
-    assert pinned.breakpoints.tolist() == [0.1, node, 0.37, 0.7]
-    assert pinned.table.tobytes() == p.table.tobytes()
-    nodes, ends, _ = pinned.grid_samples(grid)
+    nodes, ends, _ = p.grid_samples(grid)
     assert (ends[3], nodes[4]) == (1.0, 2.0)
-    # Nothing moves: p itself.  Two breakpoints on one node leave an empty
-    # piece, which is dropped; the node reads the right-hand piece.
-    assert _pinned(pinned, 0.1, 0.7, grid) is pinned
+    on_node = PiecewisePoly.step([0.1, node, 0.37, 0.7], [1.0, 2.0, 3.0])
+    for have, want in zip(p.grid_samples(grid), on_node.grid_samples(grid), strict=True):
+        assert have.tobytes() == want.tobytes()
+    # Two breakpoints on one node leave an empty piece, read nowhere: the
+    # node reads the right-hand piece, the step that ends there the left.
     two = PiecewisePoly.step([0.1, node - 4e-13, node + 4e-13, 0.7], [1.0, 2.0, 3.0])
-    pinned = _pinned(two, 0.1, 0.7, grid)
-    assert pinned.breakpoints.tolist() == [0.1, node, 0.7]
-    assert pinned.table[:, 0].tolist() == [1.0, 3.0]
+    nodes, ends, mids = two.grid_samples(grid)
+    assert (ends[3], nodes[4]) == (1.0, 3.0)
+    assert 2.0 not in np.concatenate([nodes, ends, mids])
+    # A breakpoint on a reads the piece after it, one on b the piece before it.
+    for bp, at_a, at_b in (([0.1, 0.1 + 4e-13, 0.7], 2.0, 2.0), ([0.1, 0.7 - 4e-13, 0.7], 1.0, 1.0)):
+        nodes, ends, _ = PiecewisePoly.step(bp, [1.0, 2.0]).grid_samples(grid)
+        assert (nodes[0], nodes[-1], ends[-1]) == (at_a, at_b, at_b)
 
 
 # -- sampling and interpolation ----------------------------------------------
@@ -485,6 +522,35 @@ def test_linear_interpolation_on_matrix_samples():
     atom = MatrixMeasure([[ScalarMeasure(0.0, 1.0, atoms=[(0.375, 1.0)])]])
     out = np.array([[atom.apply(grid, values[:, i, j])[0] for j in range(2)] for i in range(2)])
     np.testing.assert_allclose(out, [[0.375, 0.0], [0.0, 1.0]], atol=1e-14)
+
+
+def _loop_stencil(grid, t):
+    """``_cubic_stencil`` as a loop that forms each weight's index set and
+    denominators where it uses them."""
+    s = _fractional_index(grid, t)
+    base = np.clip(np.minimum(s.astype(np.intp), grid.n - 1) - 1, 0, grid.n - 3)
+    x = s - base
+    w = np.ones(x.shape + (4,))
+    for k in range(4):
+        j = np.delete(np.arange(4), k)
+        w[..., j] *= (x[..., None] - k) / (j - k)
+    return base, w
+
+
+@pytest.mark.parametrize("n", [4, 7, 2048])
+def test_cubic_stencil_matches_the_loop_bit_for_bit(n):
+    # On nodes, an ulp to either side of them (on them by the node rule) and
+    # at random points, a and b included; and on no point at all.
+    grid = Grid(-1.5, 0.5, n)
+    t = np.concatenate([grid.nodes, np.nextafter(grid.nodes, -np.inf),
+                        np.nextafter(grid.nodes, np.inf),
+                        np.random.default_rng(n).uniform(-1.5, 0.5, 200)])
+    t = np.clip(t, -1.5, 0.5)
+    for points in (t, t[:0]):
+        base, w = _cubic_stencil(grid, points)
+        want_base, want_w = _loop_stencil(grid, points)
+        assert base.dtype == want_base.dtype and w.shape == want_w.shape
+        assert base.tobytes() == want_base.tobytes() and w.tobytes() == want_w.tobytes()
 
 
 def _stencil_placement(grid, nodes, orders, betas, width):
