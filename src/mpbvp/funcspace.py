@@ -395,8 +395,8 @@ class PiecewisePoly:
 
     def _node_values(self, grid: Grid, lo: int, hi: int) -> np.ndarray:
         """Values (hi-lo+1,) at nodes lo .. hi: node k reads the piece after each
-        breakpoint that ``_located_breakpoints`` puts on or before it, but on
-        b.  The breakpoints are located once per grid, for every range and reader."""
+        breakpoint that ``_located_breakpoints`` puts on or before it, except
+        on b.  The breakpoints are located once per grid, for every range and reader."""
         nodes = grid.nodes[lo:hi + 1]
         if self.npieces == 1:
             return self(nodes)
