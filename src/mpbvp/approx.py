@@ -36,6 +36,7 @@ from .funcspace import (
     PolyMatrix,
     PolyVector,
     _check_k,
+    _equal_partition,
     antiderivative,
     norm_c,
     norm_cl,
@@ -125,7 +126,7 @@ def approximate_coefficients(A: PolyMatrix, k: int) -> PolyMatrix:
     """
     k = _check_k(k)
     a, b = A.a, A.b
-    edges = a + (b - a) * np.arange(k + 1) / k
+    edges = _equal_partition(a, b, k)
     widths = np.diff(edges)
     tables = {}
 

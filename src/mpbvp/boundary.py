@@ -1,13 +1,13 @@
-"""Boundary operators: one class, its multipoint form, compilation.
+"""Boundary operators: one class, its Riesz-form builder, compilation.
 
 A ``BoundaryOperator`` sends an order-(r-1) jet y to
 
     B y = sum_j beta_j y^(l_j)(t_j) + integral (dPhi) y^(r-1)
 
 with beta_j in C^{rm x m}, held as one coalesced table of point terms, and
-Phi an rm x m matrix measure or None; ``GeneralBoundaryOperator`` (alphas
-at a and Phi) and ``MultipointBoundaryOperator`` (no Phi) build the
-paper's two forms.  An atom of Phi with mass w at t is the point term
+Phi an rm x m matrix measure or None: the paper's multipoint form is the
+table alone, and ``GeneralBoundaryOperator`` builds its Riesz form, the
+alphas at a and Phi.  An atom of Phi with mass w at t is the point term
 (t, r-1, w in its entry), so ``_point_terms`` gives every point evaluation
 as one table.  ``multipointify`` is that table with every density
 discretized on k equal subintervals, which converges weak-* but never in
@@ -31,7 +31,6 @@ from .stieltjes import LiftedOperator, MatrixMeasure
 __all__ = [
     "BoundaryOperator",
     "GeneralBoundaryOperator",
-    "MultipointBoundaryOperator",
     "BoundaryTerm",
     "LiftedOperator",
     "apply_operator",
@@ -151,11 +150,6 @@ def GeneralBoundaryOperator(r: int, m: int, alphas, phi: MatrixMeasure) -> Bound
     return BoundaryOperator._from_table(r, m, phi.a, phi.b, np.full(r - 1, phi.a),
                                         np.arange(r - 1), np.reshape(mats, (r - 1, rows, m)),
                                         phi)
-
-
-def MultipointBoundaryOperator(r: int, m: int, a: float, b: float, terms) -> BoundaryOperator:
-    """B y = sum_j beta_j y^(l_j)(t_j) on [a, b], with no measure."""
-    return BoundaryOperator(r, m, a, b, terms)
 
 
 def apply_operator(op, jet: SampledJet) -> np.ndarray:

@@ -17,7 +17,7 @@ import functools
 
 import numpy as np
 
-from .boundary import BoundaryTerm, GeneralBoundaryOperator, MultipointBoundaryOperator
+from .boundary import BoundaryOperator, BoundaryTerm, GeneralBoundaryOperator
 from .bvp import BvpProblem, residuals
 from .funcspace import Grid, PiecewisePoly, PolyMatrix, PolyVector, SampledJet
 from .stieltjes import MatrixMeasure, ScalarMeasure
@@ -138,7 +138,7 @@ def _nn(n: int):
         BoundaryTerm(node=a, order=1, beta=np.array([[1.0], [0.0]], dtype=complex)),
         BoundaryTerm(node=b, order=1, beta=np.array([[0.0], [1.0]], dtype=complex)),
     ]
-    operator = MultipointBoundaryOperator(2, 1, a, b, terms)
+    operator = BoundaryOperator(2, 1, a, b, terms)
     q = np.zeros(2, dtype=complex)
     problem = BvpProblem(r=2, m=1, coeffs=coeffs, f=f, q=q, operator=operator, grid=grid)
     return problem, None

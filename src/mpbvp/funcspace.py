@@ -86,12 +86,18 @@ class Grid:
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        return self.a + (self.b - self.a) * np.arange(self.n + 1) / self.n
+        return _equal_partition(self.a, self.b, self.n)
 
     @cached_property
     def half_nodes(self) -> np.ndarray:
         """Midpoints of the n grid cells."""
         return self.a + (self.b - self.a) * (2.0 * np.arange(self.n) + 1.0) / (2.0 * self.n)
+
+
+def _equal_partition(a: float, b: float, k: int) -> np.ndarray:
+    """The edges a + (b - a) j / k, j = 0..k, of k equal parts of [a, b]: the
+    grid's nodes, the interval means' parts and a discretized density's."""
+    return a + (b - a) * np.arange(k + 1) / k
 
 
 def _spans(interval, items) -> bool:

@@ -10,9 +10,11 @@ This module compiles grid weights and applies them: a ``LiftedOperator``
 places a table of point terms, a matrix measure's atoms or a boundary
 operator's point evaluations, on a grid by ``funcspace._place_points`` on
 the nodes a non-zero weight reaches, and gives each entry with a density
-one row of ``_density_weights``, one rule of fourth order wherever its
-breakpoints fall.  A matrix measure is applied as such a functional, and
-``boundary.lift`` maps a boundary operator onto one.
+one row of ``_density_weights``, fourth order wherever its breakpoints
+fall: the corrected trapezoid on each segment of 4 or more nodes between
+them, and product integration on every other cell.  A matrix measure is
+applied as such a functional, and ``boundary.lift`` maps a boundary
+operator onto one.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from .funcspace import (_GAUSS_W, _GAUSS_X, BLOCK_STEPS, Grid, PiecewisePoly, _check_k,
-                        _clamp_points, _coalesce, _cubic_stencil, _horner, _located_breakpoints,
-                        _place_points, _spans)
+                        _clamp_points, _coalesce, _cubic_stencil, _equal_partition, _horner,
+                        _located_breakpoints, _place_points, _spans)
 
 __all__ = [
     "ScalarMeasure",
@@ -96,20 +98,10 @@ def _discretized_atoms(measure: ScalarMeasure, k: int) -> tuple:
     if measure.density is None:
         return measure.nodes, measure.masses
     a, b = measure.a, measure.b
-    edges = a + (b - a) * np.arange(k + 1) / k
+    edges = _equal_partition(a, b, k)
     midpoints = 0.5 * (edges[:-1] + edges[1:])
     return _atom_table(a, b, np.concatenate([measure.nodes, midpoints]),
                        np.concatenate([measure.masses, measure.density.integrals(edges)]))
-
-
-def _segment_boundaries(grid: Grid, density: PiecewisePoly) -> tuple:
-    """By ``funcspace._located_breakpoints``: the density's segment edges (0, n, the
-    node of each on-node breakpoint and both nodes of each cell an off-node one cuts,
-    ascending and distinct), the off-node breakpoints, ascending, and the cell each cuts."""
-    t, on, i = _located_breakpoints(grid, density)
-    cells = i[~on]
-    edges = np.sort(np.concatenate([[0, grid.n], i[on], cells, cells + 1]))
-    return edges[np.diff(edges, prepend=-1) > 0], t[~on], cells
 
 
 #: Euler-Maclaurin end weights (in units of h): the h^2/12 derivative
@@ -122,39 +114,44 @@ def _density_weights(grid: Grid, density: PiecewisePoly, out: np.ndarray | None 
     """Add the node weights of the integral of x * density over the grid to
     ``out`` (n+1,), a zero vector, by default a fresh one, and return it.
 
-    Each segment between breakpoints that is not a cut cell gets the
-    trapezoid rule with the Euler-Maclaurin end correction, O(h^4), on 4 or
-    more nodes; its weights are formed and added BLOCK_STEPS nodes at a
-    time, and a node two segments share gets the sum of both, in either
-    order the same bits.  A cell that an off-node breakpoint cuts is product
-    integration: the 24-point Gauss rule on each side of each breakpoint in
-    it, read at each point by the cubic stencil that point terms carry, so
-    it is exact wherever x is a cubic on the stencil."""
+    The density's segments run between 0, n, the node of each on-node
+    breakpoint and both nodes of each cell an off-node one cuts, by
+    ``funcspace._located_breakpoints``.  A segment of 4 or more nodes gets the
+    trapezoid rule with the Euler-Maclaurin end correction, O(h^4), added
+    BLOCK_STEPS nodes at a time; a node two segments share gets the sum of
+    both, in either order the same bits.  Every other cell, a product cell,
+    gets product integration: the 24-point Gauss rule on each piece of it
+    between the breakpoints in it, read at each point by the cubic stencil
+    that point terms carry, so it is exact wherever x is a cubic on the stencil."""
     nodes, h = grid.nodes, grid.h
     out = np.zeros(grid.n + 1, dtype=complex) if out is None else out
-    seg, off, cells = _segment_boundaries(grid, density)
-    pieces = density._piece_index(0.5 * (nodes[seg[:-1]] + nodes[seg[1:]]))
-    for i0, i1, piece in zip(seg[:-1], seg[1:], pieces):
-        if i1 - i0 == 1 and i0 in cells:
-            continue
+    t, on, i = _located_breakpoints(grid, density)
+    seg = np.sort(np.concatenate([[0, grid.n], i, i[~on] + 1]))
+    seg = seg[np.diff(seg, prepend=-1) > 0]
+    long = np.diff(seg) >= 3
+    pieces = density._piece_index(0.5 * (nodes[seg[:-1]] + nodes[seg[1:]])[long])
+    for i0, i1, piece in zip(seg[:-1][long], seg[1:][long], pieces):
         # Only the first and last four nodes of a segment weigh other than h.
         size = i1 - i0 + 1
         ends = np.full(min(size, 8), h)
         ends[[0, -1]] *= 0.5
-        if size >= 4:
-            ends[:4] += h * _END_CORRECTION
-            ends[-4:] += h * _END_CORRECTION[::-1]
+        ends[:4] += h * _END_CORRECTION
+        ends[-4:] += h * _END_CORRECTION[::-1]
         cuts = [0, size] if size <= 8 else [0, 4, *range(4 + BLOCK_STEPS, size - 4, BLOCK_STEPS),
                                             size - 4, size]
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            t = nodes[i0 + lo:i0 + hi]
+            x = nodes[i0 + lo:i0 + hi]
             trap = ends[lo:hi] if lo == 0 else ends[-4:] if hi == size else np.full(hi - lo, h)
-            out[i0 + lo:i0 + hi] += trap * _horner(density.coeffs[piece][None], t)
-    if cells.size:
-        # A cut cell's pieces end at each breakpoint in it, and the last at its right node.
-        first, last = np.diff(cells, prepend=-1) != 0, np.diff(cells, append=grid.n) != 0
-        left = np.concatenate([np.where(first, nodes[cells], np.roll(off, 1)), off[last]])
-        half = 0.5 * (np.concatenate([off, nodes[cells[last] + 1]]) - left)[:, None]
+            out[i0 + lo:i0 + hi] += trap * _horner(density.coeffs[piece][None], x)
+    product = np.repeat(~long, np.diff(seg))
+    if product.any():
+        # Gauss pieces end at the product cells' nodes and the breakpoints in
+        # them; a piece that starts in no product cell is dropped.
+        cells = np.flatnonzero(product)
+        edges = np.sort(np.concatenate([nodes[cells], nodes[cells + 1], t[~on]]))
+        edges = edges[np.diff(edges, prepend=-np.inf) > 0]
+        keep = product[np.searchsorted(nodes, edges[:-1], side="right") - 1]
+        left, half = edges[:-1][keep], 0.5 * np.diff(edges)[keep, None]
         x = (half * (_GAUSS_X + 1.0) + left[:, None]).ravel()
         base, w = _cubic_stencil(grid, x)
         mass = (half * _GAUSS_W).ravel() * density(x)
@@ -174,10 +171,12 @@ class LiftedOperator:
     by exactly 1: ``weights[i, k, c]`` weighs column c at node ``nodes[k]``
     in row i, for the K nodes their non-zero weights reach.
     Row p of ``densities`` (P, n+1) holds the ``_density_weights`` of the
-    density of ``entries[i][j]``, which weighs column ``density_columns[p]``
-    = first + j in row ``density_rows[p]`` = i.  ``point_terms`` lists the
-    (node, order, beta) point terms compiled in, formed only when read, and
-    ``shape`` is (rows, n+1, width), that of a dense weight array.
+    density of ``entries[i][j]``, the corrected trapezoid on its segments of
+    4 or more nodes and product integration on its other cells, which weighs
+    column ``density_columns[p]`` = first + j in row ``density_rows[p]`` = i.
+    ``point_terms`` lists the (node, order, beta) point terms compiled in,
+    formed only when read, and ``shape`` is (rows, n+1, width), that of a
+    dense weight array.
     """
 
     __slots__ = ("_terms", "nodes", "weights", "density_rows", "density_columns",

@@ -21,11 +21,11 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from mpbvp import (
+    BoundaryOperator,
     BvpProblem,
     GeneralBoundaryOperator,
     Grid,
     MatrixMeasure,
-    MultipointBoundaryOperator,
     PiecewisePoly,
     PolyMatrix,
     PolyVector,
@@ -230,7 +230,7 @@ def _random_operator(rng, r, m, a, b):
             order = int(rng.integers(0, r))
             beta = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
             terms.append(BoundaryTerm(node=node, order=order, beta=beta))
-        return MultipointBoundaryOperator(r, m, a, b, terms)
+        return BoundaryOperator(r, m, a, b, terms)
     from mpbvp import MatrixMeasure, ScalarMeasure
     alphas = [rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
               for _ in range(r - 1)]
@@ -296,7 +296,7 @@ def scaled_boundary_problem(problem: BvpProblem, scale: float) -> BvpProblem:
     op = problem.operator
     terms = [BoundaryTerm(t.node, t.order, scale * t.beta) for t in op.terms]
     return BvpProblem(problem.r, problem.m, problem.coeffs, problem.f, scale * problem.q,
-                      MultipointBoundaryOperator(op.r, op.m, op.a, op.b, terms), problem.grid)
+                      BoundaryOperator(op.r, op.m, op.a, op.b, terms), problem.grid)
 
 
 def growth_problem(lam: float, n: int = 2048) -> BvpProblem:
@@ -313,7 +313,7 @@ def growth_problem(lam: float, n: int = 2048) -> BvpProblem:
                       coeffs=[PolyMatrix([[PiecewisePoly.constant(-lam ** 2, a, b)]]),
                               PolyMatrix.zero(1, 1, a, b)],
                       f=PolyVector.zero(1, a, b), q=np.array([1.0, 1.0]),
-                      operator=MultipointBoundaryOperator(2, 1, a, b, terms),
+                      operator=BoundaryOperator(2, 1, a, b, terms),
                       grid=Grid(a, b, n))
 
 
@@ -326,20 +326,22 @@ def step_problem(n: int, jump: float = 0.3, a: float = 0.0, b: float = 1.0,
     step = PiecewisePoly.step([a, jump, b], [1.0, 2.0])
     one = PiecewisePoly.constant(1.0, a, b)
     a0, f = (one, step) if forcing else (step, one)
-    operator = MultipointBoundaryOperator(1, 1, a, b, [BoundaryTerm(a, 0, np.ones((1, 1)))])
+    operator = BoundaryOperator(1, 1, a, b, [BoundaryTerm(a, 0, np.ones((1, 1)))])
     return BvpProblem(r=1, m=1, coeffs=[PolyMatrix([[a0]])], f=PolyVector([f]),
                       q=np.array([1.0]), operator=operator, grid=Grid(a, b, n))
 
 
-def density_step_problem(n: int, c: float = 0.3) -> BvpProblem:
+def density_step_problem(n: int, c: float = 0.3, *later: float) -> BvpProblem:
     """y'' + y = 1 on [0, 1] with y(0) = 0 and int_0^1 y' rho dt = q, where the
-    density rho steps from 1 to 2 at ``c``, on an n-step grid: a general
-    operator.  q is that of y = 1 - cos t + sin t, whose y' = sin t + cos t
-    has the primitive sin t - cos t."""
+    density rho steps from 1 to 2 at ``c``, and up by 1 again at each of the
+    ascending ``later``, on an n-step grid: a general operator.  q is that of
+    y = 1 - cos t + sin t, whose y' = sin t + cos t has the primitive sin t - cos t."""
     primitive = lambda t: np.sin(t) - np.cos(t)
-    rho = PiecewisePoly.step([0.0, c, 1.0], [1.0, 2.0])
+    edges = [0.0, c, *later, 1.0]
+    values = np.arange(1.0, len(edges))
+    rho = PiecewisePoly.step(edges, values)
     phi = MatrixMeasure([[ScalarMeasure.zero(0.0, 1.0)], [ScalarMeasure.from_density(rho)]])
-    q = primitive(c) - primitive(0.0) + 2.0 * (primitive(1.0) - primitive(c))
+    q = sum(v * (primitive(e1) - primitive(e0)) for v, e0, e1 in zip(values, edges[:-1], edges[1:]))
     return BvpProblem(r=2, m=1, coeffs=[PolyMatrix([[PiecewisePoly.constant(1.0, 0.0, 1.0)]]),
                                         PolyMatrix.zero(1, 1, 0.0, 1.0)],
                       f=PolyVector([PiecewisePoly.constant(1.0, 0.0, 1.0)]), q=np.array([0.0, q]),
@@ -352,8 +354,8 @@ def point_condition_problem(t: float) -> BvpProblem:
     operator, on a 300-step grid.  With s = x - 0.1, y(x) is
     1 - cos(s) + sin(s) cos(t - 0.1) / sin(t - 0.1)."""
     a, b = 0.1, 0.7
-    op = MultipointBoundaryOperator(2, 1, a, b, [BoundaryTerm(a, 0, np.array([[1.0], [0.0]])),
-                                                BoundaryTerm(t, 0, np.array([[0.0], [1.0]]))])
+    op = BoundaryOperator(2, 1, a, b, [BoundaryTerm(a, 0, np.array([[1.0], [0.0]])),
+                                      BoundaryTerm(t, 0, np.array([[0.0], [1.0]]))])
     return BvpProblem(r=2, m=1, coeffs=[PolyMatrix([[PiecewisePoly.constant(1.0, a, b)]]),
                                         PolyMatrix.zero(1, 1, a, b)],
                       f=PolyVector([PiecewisePoly.constant(1.0, a, b)]), q=np.array([0.0, 1.0]),

@@ -10,11 +10,11 @@ import time
 import numpy as np
 
 from mpbvp import (
+    BoundaryOperator,
     BoundaryTerm,
     BvpProblem,
     Grid,
     MatrixMeasure,
-    MultipointBoundaryOperator,
     NotUniquelySolvableError,
     PiecewisePoly,
     PolyMatrix,
@@ -124,7 +124,7 @@ def test_criterion_04_error_constants_reference_case():
     grid = Grid(a, b, 512)
     coeffs = [PolyMatrix.zero(1, 1, a, b)]
     f = PolyVector([PiecewisePoly.constant(1.0, a, b)])
-    operator = MultipointBoundaryOperator(1, 1, a, b, [
+    operator = BoundaryOperator(1, 1, a, b, [
         BoundaryTerm(node=a, order=0, beta=np.array([[1.0]])),
     ])
     problem = BvpProblem(1, 1, coeffs, f, np.array([0.0 + 0.0j]), operator, grid)

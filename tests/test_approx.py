@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from mpbvp import (
+    BoundaryOperator,
     BoundaryTerm,
     BvpProblem,
     GeneralBoundaryOperator,
     Grid,
     MatrixMeasure,
-    MultipointBoundaryOperator,
     NotUniquelySolvableError,
     PiecewisePoly,
     PolyMatrix,
@@ -177,7 +177,7 @@ def test_sweep_on_a_decimal_interval_falls_as_k_squared():
         coeffs=[PolyMatrix([[PiecewisePoly.single([0.0, 1.0], a, b)]]), PolyMatrix.zero(1, 1, a, b)],
         f=PolyVector([PiecewisePoly.constant(1.0, a, b)]),
         q=np.array([1.0, 0.0]),
-        operator=MultipointBoundaryOperator(2, 1, a, b, terms),
+        operator=BoundaryOperator(2, 1, a, b, terms),
         grid=Grid(a, b, 3000),
     )
     edges = a + (b - a) * np.arange(1, 100) / 100
@@ -223,7 +223,7 @@ def test_remark3_constants_reference_problem():
         coeffs=[PolyMatrix.zero(1, 1, a, b)],
         f=PolyVector([PiecewisePoly.constant(1.0, a, b)]),
         q=np.array([0.0], dtype=complex),
-        operator=MultipointBoundaryOperator(1, 1, a, b, [
+        operator=BoundaryOperator(1, 1, a, b, [
             BoundaryTerm(node=a, order=0, beta=np.array([[1.0]])),
         ]),
         grid=Grid(a, b, 2048),
@@ -260,7 +260,7 @@ def test_remark3_constants_second_order_dirichlet():
         coeffs=[PolyMatrix.zero(1, 1, a, b)] * 2,
         f=PolyVector.zero(1, a, b),
         q=np.zeros(2, dtype=complex),
-        operator=MultipointBoundaryOperator(2, 1, a, b, terms),
+        operator=BoundaryOperator(2, 1, a, b, terms),
         grid=Grid(a, b, 2048),
     )
     constants = remark3_constants(problem)
@@ -476,7 +476,7 @@ def _nearly_singular_problem():
         coeffs=[PolyMatrix.zero(2, 2, a, b)],
         f=PolyVector.zero(2, a, b),
         q=np.zeros(2, dtype=complex),
-        operator=MultipointBoundaryOperator(1, 2, a, b, [
+        operator=BoundaryOperator(1, 2, a, b, [
             BoundaryTerm(node=a, order=0, beta=np.array([[1.0, 1.0], [0.0, 0.0]])),
             BoundaryTerm(node=b, order=0, beta=np.array([[0.0, 0.0], [1.0, 1.0 + 1e-14]])),
         ]),
@@ -656,7 +656,7 @@ def _non_normal_problem():
         coeffs=[PolyMatrix.constant(NON_NORMAL, a, b)],
         f=PolyVector([PiecewisePoly.constant(1.0, a, b), PiecewisePoly.single([0.0, 1.0], a, b)]),
         q=np.array([1.0, -0.5], dtype=complex),
-        operator=MultipointBoundaryOperator(1, 2, a, b, terms),
+        operator=BoundaryOperator(1, 2, a, b, terms),
         grid=Grid(a, b, 2048),
     )
 

@@ -13,7 +13,6 @@ from mpbvp import (
     GeneralBoundaryOperator,
     Grid,
     MatrixMeasure,
-    MultipointBoundaryOperator,
     NotUniquelySolvableError,
     PiecewisePoly,
     SampledJet,
@@ -44,7 +43,7 @@ def _p3_operator():
 
 def test_dirichlet_point_condition():
     grid = Grid(0.0, 1.0, 64)
-    op = MultipointBoundaryOperator(1, 1, 0.0, 1.0, [
+    op = BoundaryOperator(1, 1, 0.0, 1.0, [
         BoundaryTerm(node=0.0, order=0, beta=np.array([[1.0]])),
     ])
     jet = SampledJet.from_callables(grid, 1, 1,
@@ -54,7 +53,7 @@ def test_dirichlet_point_condition():
 
 def test_multipoint_off_node_uses_interpolation():
     grid = Grid(0.0, 1.0, 64)
-    op = MultipointBoundaryOperator(1, 1, 0.0, 1.0, [
+    op = BoundaryOperator(1, 1, 0.0, 1.0, [
         BoundaryTerm(node=0.4031, order=0, beta=np.array([[1.0]])),
     ])
     jet = SampledJet.from_callables(grid, 1, 1,
@@ -127,7 +126,7 @@ def _multipointify_terms(op, k):
 
 
 def _multipointify_loop(op, k):
-    return MultipointBoundaryOperator(op.r, op.m, op.a, op.b, _multipointify_terms(op, k))
+    return BoundaryOperator(op.r, op.m, op.a, op.b, _multipointify_terms(op, k))
 
 
 def test_multipointify_groups_atoms_like_the_loop():
@@ -153,7 +152,7 @@ def test_multipointify_groups_atoms_like_the_loop():
     # The clustering rule of a multipoint operator built one term per atom.
     one_per_atom = [BoundaryTerm(t, 0, np.ones((2, 2))) for t in (0.5, 0.5 + 0.6 * tol,
                                                                  0.5 + 1.2 * tol)]
-    assert [t.node for t in MultipointBoundaryOperator(1, 2, 0.0, 1.0, one_per_atom).terms] == nodes
+    assert [t.node for t in BoundaryOperator(1, 2, 0.0, 1.0, one_per_atom).terms] == nodes
 
 
 def test_lift_matches_jet_application():
@@ -172,7 +171,7 @@ def test_lift_matches_jet_application():
 
 
 def test_lift_multipoint():
-    op = MultipointBoundaryOperator(2, 1, 0.0, 1.0, [
+    op = BoundaryOperator(2, 1, 0.0, 1.0, [
         BoundaryTerm(node=0.5, order=1, beta=np.array([[1.0], [0.0]])),
         BoundaryTerm(node=1.0, order=0, beta=np.array([[0.0], [1.0]])),
     ])
@@ -208,7 +207,7 @@ def test_atom_and_point_term_read_a_point_alike(n):
     q = np.array([np.exp(-1.0 / 3.0) + 1.0 / 3.0])
     atom = GeneralBoundaryOperator(1, 1, [], MatrixMeasure([[
         ScalarMeasure(0.0, 1.0, atoms=[(1.0 / 3.0, 1.0)])]]))
-    term = MultipointBoundaryOperator(1, 1, 0.0, 1.0, [
+    term = BoundaryOperator(1, 1, 0.0, 1.0, [
         BoundaryTerm(node=1.0 / 3.0, order=0, beta=np.array([[1.0]]))])
     cases = [(dataclasses.replace(p1, operator=atom, q=q), term)]
     # Every atomic form of p1-p3, and at n = 2048 of seeded random general
@@ -383,7 +382,7 @@ def test_general_operator_validation():
 
 
 def test_multipoint_merges_duplicate_terms():
-    op = MultipointBoundaryOperator(1, 1, 0.0, 1.0, [
+    op = BoundaryOperator(1, 1, 0.0, 1.0, [
         BoundaryTerm(node=0.5, order=0, beta=np.array([[1.0]])),
         BoundaryTerm(node=0.5, order=0, beta=np.array([[2.0]])),
     ])
@@ -534,13 +533,13 @@ def test_term_table_is_bitwise_the_constructor_loop():
     nn = corpus.build_problem("nn", 64).operator
     cases += [(nn.r, nn.m, nn.a, nn.b, list(nn.terms))] + _hand_built_operators()
     for r, m, a, b, terms in cases:
-        op = MultipointBoundaryOperator(r, m, a, b, terms)
+        op = BoundaryOperator(r, m, a, b, terms)
         _assert_table_is(op, _operator_loop(a, b, terms))
     # the chain splits after its second node; orders never merge
-    chain = MultipointBoundaryOperator(*_hand_built_operators()[0])
+    chain = BoundaryOperator(*_hand_built_operators()[0])
     assert chain.nodes.tolist() == [0.5, 0.5 + 1.2e-12]
     assert chain.betas[:, 0, 0].tolist() == [1.0 - 2.0j, 3.0]
-    interleaved = MultipointBoundaryOperator(*_hand_built_operators()[1])
+    interleaved = BoundaryOperator(*_hand_built_operators()[1])
     assert interleaved.orders.tolist() == [0, 1, 2, 1]
     assert interleaved.nodes.tolist() == [0.5, 0.5, 0.5, 0.5 + 0.6e-12]
     # multipointify hands its arrays to the table without a term list
@@ -556,11 +555,11 @@ def test_lift_weights_are_bitwise_the_per_term_loop():
     general += [*_off_node_general_operators(), _segment_edge_operator()]
     ops = general + [multipointify(op, k) for op in general for k in (2, 4, 256, 1024)]
     ops += [corpus.build_problem("nn", 64).operator]
-    ops += [MultipointBoundaryOperator(*case) for case in _hand_built_operators()]
+    ops += [BoundaryOperator(*case) for case in _hand_built_operators()]
     # dense off-node terms with inexact weights, so that the sum order at a
     # node shows in its bits
     rng = np.random.default_rng(7)
-    ops.append(MultipointBoundaryOperator(2, 2, 0.0, 1.0, [
+    ops.append(BoundaryOperator(2, 2, 0.0, 1.0, [
         BoundaryTerm(float(t), int(o), beta) for t, o, beta in zip(
             rng.uniform(0.0, 1.0, 400), rng.integers(0, 2, 400),
             rng.standard_normal((400, 4, 2)) + 1j * rng.standard_normal((400, 4, 2)))]))
@@ -658,15 +657,15 @@ def test_applying_samples_of_the_wrong_shape_names_both_shapes():
 def test_multipoint_operator_rejects_bad_terms(term, message):
     good = BoundaryTerm(0.25, 1, np.ones((2, 1)))
     with pytest.raises(ValueError, match=message):
-        MultipointBoundaryOperator(2, 1, 0.0, 1.0, [good, term])
+        BoundaryOperator(2, 1, 0.0, 1.0, [good, term])
 
 
 def test_multipoint_operator_rejects_bad_shape_and_interval():
     with pytest.raises(ValueError, match="need r >= 1 and m >= 1"):
-        MultipointBoundaryOperator(0, 1, 0.0, 1.0, [])
+        BoundaryOperator(0, 1, 0.0, 1.0, [])
     with pytest.raises(ValueError, match="operator needs a < b"):
-        MultipointBoundaryOperator(1, 1, 1.0, 1.0, [])
-    empty = MultipointBoundaryOperator(1, 2, 0.0, 1.0, [])
+        BoundaryOperator(1, 1, 1.0, 1.0, [])
+    empty = BoundaryOperator(1, 2, 0.0, 1.0, [])
     assert empty.terms == () and empty.betas.shape == (0, 2, 2)
     assert norm_upper_bound(empty) == 0.0
     assert not dense_weights(lift(empty, Grid(0.0, 1.0, 8))).any()

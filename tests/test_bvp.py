@@ -14,7 +14,6 @@ from mpbvp import (
     GeneralBoundaryOperator,
     Grid,
     MatrixMeasure,
-    MultipointBoundaryOperator,
     NotUniquelySolvableError,
     PiecewisePoly,
     PolyMatrix,
@@ -51,7 +50,7 @@ def _dirichlet(r, m, a, b, *nodes_orders):
         beta = np.zeros((d, m), dtype=complex)
         beta[row, 0] = 1.0
         terms.append(BoundaryTerm(node=node, order=order, beta=beta))
-    return MultipointBoundaryOperator(r, m, a, b, terms)
+    return BoundaryOperator(r, m, a, b, terms)
 
 
 def test_companion_matrix_structure():
@@ -262,7 +261,7 @@ def test_small_determinant_with_moderate_condition_solves():
         coeffs=[PolyMatrix.zero(3, 3, a, b)],
         f=PolyVector.zero(3, a, b),
         q=scales,
-        operator=MultipointBoundaryOperator(1, 3, a, b, [BoundaryTerm(a, 0, np.diag(scales))]),
+        operator=BoundaryOperator(1, 3, a, b, [BoundaryTerm(a, 0, np.diag(scales))]),
         grid=Grid(a, b, 64),
     )
     solution = solve(problem)
@@ -392,7 +391,21 @@ def test_a_density_step_solves_to_its_closed_form(n, c):
     # An ulp from the node, the node rule reads the step on it.  The plain
     # trapezoid over all of rho read 2.2e-4 / 3.7e-5 / 5.6e-5 / 1.4e-5 at
     # c = 0.3.
-    jet = solve(density_step_problem(n, c)).jet
+    _assert_solves_to_the_closed_form(density_step_problem(n, c))
+
+
+@pytest.mark.parametrize("n, cells", [(1024, 1), (1024, 2), (2048, 1), (2048, 2)])
+def test_a_density_segment_of_one_or_two_cells_solves_to_its_closed_form(n, cells):
+    # rho steps up on the nodes 1/2 and 1/2 + cells h: the segment between
+    # them has 2 or 3 nodes, and its cells are read by the Gauss rule.  The
+    # plain trapezoid over that segment read 1.3e-10 / 2.7e-10 / 1.7e-11 /
+    # 3.4e-11.
+    _assert_solves_to_the_closed_form(density_step_problem(n, 0.5, 0.5 + cells / n))
+
+
+def _assert_solves_to_the_closed_form(problem):
+    """The jet of a ``density_step_problem`` within 1e-12 of 1 - cos t + sin t."""
+    jet = solve(problem).jet
     t = jet.grid.nodes
     exact = (1.0 - np.cos(t) + np.sin(t), np.sin(t) + np.cos(t), np.cos(t) - np.sin(t))
     for got, want in zip(jet.samples, exact, strict=True):
@@ -447,7 +460,7 @@ def test_two_point_system_of_eight_holds_its_work_array_and_little_else():
     # solve peaked at 20.2 MiB here.
     d, n = 8, 8192
     rng = np.random.default_rng(8)
-    op = MultipointBoundaryOperator(1, d, 0.0, 1.0, [
+    op = BoundaryOperator(1, d, 0.0, 1.0, [
         BoundaryTerm(0.0, 0, rng.standard_normal((d, d))),
         BoundaryTerm(1.0, 0, rng.standard_normal((d, d)))])
     problem = BvpProblem(1, d, [PolyMatrix.constant(rng.standard_normal((d, d)) / d, 0.0, 1.0)],
@@ -549,7 +562,7 @@ def _multipoint_random_problems(seed, count=12, n=256):
 def _with_terms(problem, terms):
     op = problem.operator
     return dataclasses.replace(
-        problem, operator=MultipointBoundaryOperator(op.r, op.m, op.a, op.b, terms))
+        problem, operator=BoundaryOperator(op.r, op.m, op.a, op.b, terms))
 
 
 def _random_terms(rng, problem, nodes, beta=None):

@@ -22,7 +22,7 @@ from mpbvp import (
     problem_from_dict,
     solve,
 )
-from mpbvp.boundary import BoundaryTerm, GeneralBoundaryOperator, MultipointBoundaryOperator
+from mpbvp.boundary import BoundaryOperator, BoundaryTerm, GeneralBoundaryOperator
 from mpbvp.bvp import BvpProblem
 from mpbvp.funcspace import MAX_GRID_N, Grid, PiecewisePoly, PolyMatrix, PolyVector
 from mpbvp.stieltjes import MatrixMeasure, ScalarMeasure
@@ -391,7 +391,7 @@ def test_multipoint_problem_from_file(capsys, tmp_path):
     grid = Grid(0.0, 1.0, 128)
     coeffs = [PolyMatrix.zero(1, 1, 0.0, 1.0)]
     f = PolyVector([PiecewisePoly.constant(1.0, 0.0, 1.0)])
-    op = MultipointBoundaryOperator(
+    op = BoundaryOperator(
         1, 1, 0.0, 1.0, [BoundaryTerm(0.0, 0, np.array([[1.0 + 0.0j]]))]
     )
     problem = BvpProblem(1, 1, coeffs, f, np.array([2.0 + 0.0j]), op, grid)

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpbvp import (
+    BoundaryOperator,
     BoundaryTerm,
     Grid,
     MatrixMeasure,
-    MultipointBoundaryOperator,
     PiecewisePoly,
     PolyMatrix,
     PolyVector,
@@ -510,7 +510,7 @@ def test_cubic_interpolation_reproduces_cubics():
     grid = Grid(0.0, 1.0, 16)
     values = (grid.nodes ** 3 - 2.0 * grid.nodes)[:, None]
     for t in (0.03, 0.37, 0.5, 0.91, 1.0):
-        op = MultipointBoundaryOperator(1, 1, 0.0, 1.0, [BoundaryTerm(t, 0, np.ones((1, 1)))])
+        op = BoundaryOperator(1, 1, 0.0, 1.0, [BoundaryTerm(t, 0, np.ones((1, 1)))])
         assert abs(lift(op, grid).apply_values(values)[0] - (t ** 3 - 2.0 * t)) <= 1e-13
 
 

@@ -28,7 +28,7 @@ from mpbvp import (
     theorem2_check,
     theorem3_check,
 )
-from mpbvp.boundary import BoundaryTerm, GeneralBoundaryOperator, MultipointBoundaryOperator
+from mpbvp.boundary import BoundaryOperator, BoundaryTerm, GeneralBoundaryOperator
 from mpbvp.bvp import BvpProblem
 from mpbvp.funcspace import Grid, PiecewisePoly, PolyMatrix, PolyVector
 from mpbvp.problemfile import ProblemFormatError, problem_text
@@ -105,7 +105,7 @@ def test_atoms_are_clamped_into_the_interval_and_round_trip(tmp_path):
     problem = _p3_with_atom_at(1.0 + 5e-13)
     atom = problem.operator.phi.entries[0][0]
     np.testing.assert_array_equal(_bits(atom.nodes), _bits([0.0, 1.0]))
-    node = MultipointBoundaryOperator(1, 1, 0.0, 1.0, [BoundaryTerm(1.0 + 5e-13, 0, [[1.0]])])
+    node = BoundaryOperator(1, 1, 0.0, 1.0, [BoundaryTerm(1.0 + 5e-13, 0, [[1.0]])])
     np.testing.assert_array_equal(_bits(node.nodes), _bits(atom.nodes[1:]))
     assert solve(problem).boundary_residual < 1e-14
     path = tmp_path / "p3.json"
@@ -143,7 +143,7 @@ def _problem(coeff=None, f=None):
         coeffs=[PolyMatrix([[coeff or PiecewisePoly.constant(1.0, A, B)]])],
         f=PolyVector([f or PiecewisePoly.single([0.0, 1.0], A, B)]),
         q=[1.0],
-        operator=MultipointBoundaryOperator(1, 1, A, B, [BoundaryTerm(A, 0, [[1.0]])]),
+        operator=BoundaryOperator(1, 1, A, B, [BoundaryTerm(A, 0, [[1.0]])]),
         grid=Grid(A, B, 16))
 
 

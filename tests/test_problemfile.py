@@ -19,8 +19,7 @@ from mpbvp import (
     problem_to_dict,
     solve,
 )
-from mpbvp.boundary import (BoundaryOperator, BoundaryTerm, GeneralBoundaryOperator,
-                            MultipointBoundaryOperator)
+from mpbvp.boundary import (BoundaryOperator, BoundaryTerm, GeneralBoundaryOperator)
 from mpbvp.bvp import BvpProblem
 from mpbvp.funcspace import MAX_GRID_N, Grid, PiecewisePoly, PolyMatrix, PolyVector
 from mpbvp import problemfile
@@ -308,7 +307,7 @@ def _special_values_problems():
     terms = [BoundaryTerm(0.0, 0, np.array([[neg], [5e-324]])),
              BoundaryTerm(0.25, 1, np.array([[complex(1e308, -0.0)], [-1e308]])),
              BoundaryTerm(1.0, 0, np.array([[1.0], [complex(-0.0, 2.0)]]))]
-    multipoint = BvpProblem(2, 1, coeffs, f, q, MultipointBoundaryOperator(2, 1, a, b, terms),
+    multipoint = BvpProblem(2, 1, coeffs, f, q, BoundaryOperator(2, 1, a, b, terms),
                             Grid(a, b, 64))
     return general, multipoint
 

@@ -117,11 +117,26 @@ def test_a_smooth_density_cut_off_the_nodes_keeps_fourth_order():
     assert abs(math.fsum(terms[0]) - (exact(1.0) - exact(0.0))) <= 1e-12
 
 
+@pytest.mark.parametrize("n, cells", [(1024, 1), (1024, 2), (2048, 1), (2048, 2)])
+def test_a_density_segment_of_one_or_two_cells_is_read_to_fourth_order(n, cells):
+    # rho steps on nodes n/2 and n/2 + cells: the segment between them has 2
+    # or 3 nodes, too few for the end correction, so its cells are read by
+    # the Gauss rule at the cubic stencil.  The plain trapezoid over such a
+    # segment read 4.7e-9 / 9.4e-9 / 5.8e-10 / 1.2e-9.
+    grid = Grid(0.0, 1.0, n)
+    c1, c2 = grid.nodes[n // 2], grid.nodes[n // 2 + cells]
+    dens = PiecewisePoly.step([0.0, c1, c2, 1.0], [1.0, 3.0, -2.0])
+    primitive = lambda t: np.sin(5.0 * t) / 5.0
+    exact = (primitive(c1) + 3.0 * (primitive(c2) - primitive(c1))
+             - 2.0 * (primitive(1.0) - primitive(c2)))
+    assert abs(_density_weights(grid, dens) @ np.cos(5.0 * grid.nodes) - exact) <= 1e-12
+
+
 def _density_weights_loop(grid, density, cuts):
     """Reference density weights, node by node: on each segment between the
-    breakpoints' nodes ``cuts``, the trapezoid weight, with the end
-    correction in units of h on segments of 4 or more nodes, times the
-    segment's piece at the node; a node two segments share gets the sum."""
+    breakpoints' nodes ``cuts``, each of 4 or more nodes, the trapezoid
+    weight, with the end correction in units of h, times the segment's piece
+    at the node; a node two segments share gets the sum."""
     h = grid.h
     correction = [-11.0 / 72.0, 18.0 / 72.0, -9.0 / 72.0, 2.0 / 72.0]
     out = [0j] * (grid.n + 1)
@@ -130,9 +145,9 @@ def _density_weights_loop(grid, density, cuts):
         size = i1 - i0 + 1
         for k in range(size):
             weight = h * 0.5 if k in (0, size - 1) else h
-            if size >= 4 and k < 4:
+            if k < 4:
                 weight += h * correction[k]
-            if size >= 4 and size - 1 - k < 4:
+            if size - 1 - k < 4:
                 weight += h * correction[size - 1 - k]
             t = float(grid.nodes[i0 + k])
             value = coeffs[-1] + t * 0
@@ -143,14 +158,14 @@ def _density_weights_loop(grid, density, cuts):
 
 
 @pytest.mark.parametrize("n, cuts", [
-    (9, [0, 2, 3, 7, 9]),
+    (20, [0, 3, 10, 16, 20]),
     (1537, [0, 5, 700, 1530, 1537]),
     (16385, [0, 3, 4100, 16380, 16385]),
 ])
 def test_density_weights_on_nodes_are_bitwise_the_per_node_loop(n, cuts):
-    # Breakpoints on nodes: segments of 2 to 8 nodes, whose end corrections
-    # overlap, and segments over several blocks of BLOCK_STEPS nodes; every
-    # interior breakpoint's node is shared by two segments.
+    # Breakpoints on nodes: segments of 4 to 8 nodes, whose end corrections
+    # overlap below 8, and segments over several blocks of BLOCK_STEPS nodes;
+    # every interior breakpoint's node is shared by two segments.
     grid = Grid(0.0, 1.0, n)
     density = PiecewisePoly(grid.nodes[cuts], [[1.0 / 3.0, 2.0 - 1.0j, 0.7], [-0.3j],
                                                [0.1, 1.0 / 7.0, -2.5, 0.9j], [2.0 + 0.2j, -1.1]])
