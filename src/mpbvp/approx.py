@@ -31,19 +31,16 @@ from .boundary import (
 )
 from .bvp import BvpProblem, BvpSolution, _solve_pass
 from .funcspace import (
-    Grid,
     PiecewisePoly,
     PolyMatrix,
     PolyVector,
+    _bits,
     _check_k,
     _equal_partition,
-    antiderivative,
-    norm_c,
     norm_cl,
     norm_w1r,
     vec_norm,
 )
-from .linode import _bits
 
 __all__ = [
     "ErrorConstants",
@@ -82,7 +79,8 @@ class ErrorConstants:
 
 @dataclass
 class SweepRow:
-    """Per-k record of a sweep or theorem check."""
+    """Per-k record of a sweep or theorem check.  A check's gaps are |f_k - f|_1
+    and, for theorem 3, |F_k - F|_C, read as ``_check_entries`` reads them."""
 
     k: int
     solvable: bool
@@ -284,7 +282,9 @@ def _check_entries(problem: BvpProblem, rhs_sequence, eps: float, theorem: int):
     """The sorted (k, f_k, q_k) entries of a theorem check and, by k, their
     (L1 gap |f_k - f|_1, primitive gap |F_k - F|_C or None).  Refuses a bad
     eps, and an entry whose |q_k - q| or whose gap the theorem bounds (the
-    L1 gap for 2, the trapezoid primitive's for 3) is not below eps."""
+    L1 gap for 2, the primitive's for 3) is not below eps.  A primitive sums
+    exact integrals between the nodes and the difference's breakpoints, so
+    its sup is exact on every grid for piecewise-constant differences."""
     _check_eps(eps)
     entries = _sorted_entries(rhs_sequence, "need at least one perturbed right-hand side",
                               "duplicate k in the right-hand side sequence")
@@ -293,19 +293,20 @@ def _check_entries(problem: BvpProblem, rhs_sequence, eps: float, theorem: int):
     for k, f_k, q_k in entries:
         if not isinstance(f_k, PolyVector) or f_k.m != problem.m:
             raise ValueError(f"entry k={k} needs a right-hand side of {problem.m} components")
-        # Per component, f_kc - f_c and its L1 norm, formed once for each
-        # distinct f_kc (by bits), as f_k - f forms them.
+        # Per component, the gaps of f_kc - f_c, formed once for each distinct
+        # f_kc (by bits), as f_k - f forms them.
         diffs = []
         for c, (x, y) in enumerate(zip(f_k.components, problem.f.components)):
             key = (c, x.widths.tobytes(), *_bits([x]))
             if key not in parts:
-                diff = x - y
-                parts[key] = (diff, diff.abs_integral())
+                diff, primitive = x - y, None
+                if theorem == 3:
+                    points = np.sort(np.concatenate([nodes, diff.breakpoints]))
+                    primitive = float(np.abs(np.cumsum(diff.integrals(points))).max())
+                parts[key] = (diff.abs_integral(), primitive)
             diffs.append(parts[key])
-        l1, primitive = sum(l1 for _, l1 in diffs), None
-        if theorem == 3:
-            values = np.stack([diff(nodes) for diff, _ in diffs], axis=-1)
-            primitive = norm_c(antiderivative(problem.grid, values))
+        l1 = sum(l1 for l1, _ in diffs)
+        primitive = sum(gap for _, gap in diffs) if theorem == 3 else None
         name, gap = ("|F_k - F|_C", primitive) if theorem == 3 else ("|f_k - f|_1", l1)
         if not gap < eps:
             raise ValueError(f"entry k={k} violates {name} < eps ({gap:.3e} >= {eps:.3e})")
@@ -343,8 +344,8 @@ def theorem2_check(problem: BvpProblem, rhs_sequence, eps: float) -> Approximati
 def theorem3_check(problem: BvpProblem, rhs_sequence, eps: float) -> ApproximationReport:
     """Weak perturbation check: sup-small primitives, C^(r-1) certificate.
 
-    Entries must satisfy |F_k - F|_C < eps (primitives computed by the
-    trapezoid antiderivative) and |q_k - q| < eps; the L1 gap may be large.
+    Entries must satisfy |F_k - F|_C < eps (the primitives' sup read as
+    ``_check_entries`` reads it) and |q_k - q| < eps; the L1 gap may be large.
     The certificate verifies |x_k - y|_(r-1) < kappa_hat * sigma_hat * eps
     for every k beyond the detected threshold rho.
     """
@@ -366,50 +367,33 @@ def theorem3_check(problem: BvpProblem, rhs_sequence, eps: float) -> Approximati
 def constant_shift_rhs(problem: BvpProblem, ks, eps: float):
     """Entries (k, f + eps/(2(b-a)) on component 0, q): L1 gap eps/2 < eps."""
     _check_eps(eps)
-    shift = PolyVector(
-        [PiecewisePoly.constant(eps / (2.0 * (problem.b - problem.a)), problem.a, problem.b)]
-        + [PiecewisePoly.zero(problem.a, problem.b) for _ in range(problem.m - 1)]
-    )
-    f_k = problem.f + shift
+    a, b = problem.a, problem.b
+    shift = [PiecewisePoly.constant(eps / (2.0 * (b - a)), a, b)]
+    f_k = problem.f + PolyVector(shift + [PiecewisePoly.zero(a, b)] * (problem.m - 1))
     return [(_check_k(k), f_k, problem.q.copy()) for k in ks]
 
 
-def _sawtooth(grid: Grid, k: int, eps: float) -> PiecewisePoly:
-    """Zero-mean square wave with k teeth, the sawtooth perturbation of f's
-    component 0.
-
-    The amplitude grows like k so the L1 norm is about 1.4 * eps * k — far
-    beyond eps — while the primitive stays below 0.9 * eps in sup norm.
-    Breakpoints sit at cell midpoints, which keeps the trapezoid
-    antiderivative of the node samples exact.
-    """
-    _check_eps(eps)
-    k = _check_k(k)
-    a, b = grid.a, grid.b
-    n = grid.n
-    if 4 * k > n:
-        raise ValueError(f"sawtooth with {k} teeth needs a grid with n >= {4 * k}")
+def _sawtooth(a: float, b: float, k: int, eps: float) -> PiecewisePoly:
+    """Zero-mean square wave on the 2k equal parts of [a, b], whatever the
+    grid: the sawtooth perturbation of f's component 0.  Its amplitude
+    1.4 * eps * k / (b - a) grows like k, so its L1 norm 1.4 * eps * k is far
+    beyond eps, while its primitive's sup is a half tooth's area, 0.7 * eps."""
+    breakpoints = _equal_partition(a, b, 2 * k)
     amplitude = 1.4 * eps * k / (b - a)
-    half = (b - a) / (2.0 * k)
-    h = grid.h
-    ideal = a + np.arange(1, 2 * k) * half
-    # np.rint rounds half to even, as round does.
-    cell = np.clip(np.rint((ideal - a) / h - 0.5), 0, n - 1)
-    midpoints = a + (cell + 0.5) * h
-    # The midpoints are nondecreasing: keep each one above its predecessor.
-    inner = midpoints[np.diff(midpoints, prepend=a) > 0]
-    breakpoints = np.concatenate([[a], inner, [b]])
-    values = np.where(np.arange(inner.size + 1) % 2 == 0, amplitude, -amplitude)
+    values = np.where(np.arange(2 * k) % 2 == 0, amplitude, -amplitude)
     mean = float(np.dot(values, np.diff(breakpoints))) / (b - a)
-    values = values - mean
-    return PiecewisePoly.step(breakpoints, values)
+    return PiecewisePoly.step(breakpoints, values - mean)
 
 
 def sawtooth_rhs(problem: BvpProblem, ks, eps: float):
-    """Entries (k, f + sawtooth_k, q) for the weak perturbation check.  The
-    components the sawtooth leaves alone, f_c + 0 for c > 0, are formed
-    once and shared by every entry."""
+    """Entries (k, f + sawtooth_k, q) for the weak perturbation check; the
+    first k of ``ks`` with 4k > n is refused.  The components the sawtooth
+    leaves alone, f_c + 0 for c > 0, are formed once for every entry."""
+    _check_eps(eps)
+    a, b, n = problem.a, problem.b, problem.grid.n
     f = problem.f.components
-    rest = [c + PiecewisePoly.zero(problem.a, problem.b) for c in f[1:]]
-    return [(k, PolyVector([f[0] + _sawtooth(problem.grid, k, eps), *rest]), problem.q.copy())
-            for k in map(_check_k, ks)]
+    rest = [c + PiecewisePoly.zero(a, b) for c in f[1:]]
+    ks = [_check_k(k) for k in ks]
+    for k in [k for k in ks if 4 * k > n][:1]:
+        raise ValueError(f"sawtooth with {k} teeth needs a grid with n >= {4 * k}")
+    return [(k, PolyVector([f[0] + _sawtooth(a, b, k, eps), *rest]), problem.q.copy()) for k in ks]

@@ -30,13 +30,14 @@ from .funcspace import (
     PolyMatrix,
     PolyVector,
     SampledJet,
+    _bits,
     _spans,
     mat_norm,
     norm_l1,
     traj_norm_c,
     vec_norm,
 )
-from .linode import _adjoint, _bits, _propagate, _segment_steps
+from .linode import _adjoint, _propagate, _segment_steps
 
 __all__ = [
     "BvpProblem",
@@ -252,7 +253,7 @@ def _solve_pass(problems, inverse: bool = False) -> tuple[list, float | None]:
     companion system, which the pass then propagates too, with zero
     forcing.
 
-    Problems whose coefficients have the same bits, as ``linode._bits``
+    Problems whose coefficients have the same bits, as ``funcspace._bits``
     reads them, form one coefficient set and share one companion matrix P.
     The pass hands over one slot at a time: ``_assemble`` forms the
     y ... y^(r-1) of each of its members, |V|_C taken once per slot, and

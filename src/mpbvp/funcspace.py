@@ -3,8 +3,8 @@
 Conventions used across the package: the norm of a vector function is the
 sum of its component norms, the norm of a matrix function is the maximum of
 its column norms, and numeric vectors/matrices use the matching discrete
-norms (entrywise sum, maximum column sum).  Sampled norms and primitives use
-the trapezoid rule, densities ``stieltjes._density_weights``.  Three rules
+norms (entrywise sum, maximum column sum).  Sampled norms use the
+trapezoid rule, densities ``stieltjes._density_weights``.  Three rules
 place all data: by the interval rule, ``_spans``, intervals are the same
 when their ends agree to 1e-9 (b - a), and ``_pinned`` moves a sum's second
 operand's ends onto the first's; by the point rule, ``_clamp_points``, a
@@ -37,7 +37,6 @@ __all__ = [
     "PolyVector",
     "PolyMatrix",
     "SampledJet",
-    "antiderivative",
     "norm_l1",
     "norm_c",
     "norm_cl",
@@ -234,6 +233,11 @@ def _coalesce(x: np.ndarray, values: np.ndarray, a: float, b: float, breaks=None
     sums = values[starts]
     np.add.at(sums, np.cumsum(starts)[~starts] - 1, values[~starts])
     return starts, sums
+
+
+def _bits(entries) -> tuple:
+    """The bytes of each entry's breakpoints and table: equal bits sample alike."""
+    return tuple(b for e in entries for b in (e.breakpoints.tobytes(), e.table.tobytes()))
 
 
 def _check_k(k) -> int:
@@ -738,21 +742,6 @@ def _as_components(values) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError("expected samples shaped (n+1,) or (n+1, m)")
     return arr
-
-
-def antiderivative(grid: Grid, values) -> np.ndarray:
-    """Cumulative trapezoid primitive F with F(a) = 0, sampled on the grid.
-
-    Accepts (n+1,) or (n+1, m) samples and preserves the input shape.
-    """
-    arr = np.asarray(values, dtype=complex)
-    flat = arr.ndim == 1
-    v = _as_components(arr)
-    if v.shape[0] != grid.n + 1:
-        raise ValueError("samples do not match the grid")
-    increments = 0.5 * (v[1:] + v[:-1]) * grid.h
-    out = np.vstack([np.zeros((1, v.shape[1]), dtype=complex), np.cumsum(increments, axis=0)])
-    return out[:, 0] if flat else out
 
 
 def norm_l1(grid: Grid, values) -> float:

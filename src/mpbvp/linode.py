@@ -65,7 +65,7 @@ import math
 
 import numpy as np
 
-from .funcspace import BLOCK_STEPS, Grid, PolyMatrix, PolyVector, _spans
+from .funcspace import BLOCK_STEPS, Grid, PolyMatrix, PolyVector, _bits, _spans
 
 __all__ = [
     "fundamental_matrix",
@@ -140,11 +140,6 @@ def _increments(left, right, h: float, out: np.ndarray) -> None:
         k3 = mm + (0.5 * h) * _mm(mids[..., block], k2)
         k4 = m1 + h * _mm(ends[..., block], k3)
         np.multiply(h / 6.0, m0 + 2.0 * (k2 + k3) + k4, out=out[..., block])
-
-
-def _bits(entries) -> tuple:
-    """The bytes of each entry's breakpoints and table: equal bits sample alike."""
-    return tuple(b for e in entries for b in (e.breakpoints.tobytes(), e.table.tobytes()))
 
 
 def _propagate(systems, grid: Grid):

@@ -36,7 +36,7 @@ from mpbvp.approx import ErrorConstants, SweepRow, _sawtooth
 from mpbvp.boundary import default_probe_jets, norm_lower_bound, norm_upper_bound
 from mpbvp import bvp, linode
 from mpbvp.bvp import companion_reduce
-from mpbvp.funcspace import (MAX_GRID_N, _check_k, antiderivative, mat_norm, norm_c, norm_cl,
+from mpbvp.funcspace import (MAX_GRID_N, _check_k, _equal_partition, _located, mat_norm, norm_cl,
                              norm_w1r, traj_norm_c)
 from mpbvp.linode import inverse_fundamental
 from oracles import expm_taylor, interval_integral, random_problem, scaled_boundary_problem
@@ -385,57 +385,97 @@ def test_theorem3_rejects_large_primitive():
 def test_sawtooth_shape():
     # The sawtooth perturbs f's component 0 alone: p3 has m = 2.
     problem = corpus.build_problem("p3", 512)
-    grid, eps = problem.grid, 1e-3
+    a, b, eps = problem.a, problem.b, 1e-3
     [(_, f_k, _)] = sawtooth_rhs(problem, [8], eps)
     assert f_k.m == 2
     assert (f_k.components[1] - problem.f.components[1]).is_zero
-    piece = _sawtooth(grid, 8, eps)
+    piece = _sawtooth(a, b, 8, eps)
     assert f_k.components[0].table.tobytes() == (problem.f.components[0] + piece).table.tobytes()
     # zero mean, exactly
     assert abs(interval_integral(piece, 0.0, 1.0)) <= 1e-15
     # L1 mass about 1.4 * eps * k
     assert abs(piece.abs_integral() - 1.4 * eps * 8) <= 0.1 * eps
-    # breakpoints sit on cell midpoints
-    for t in piece.breakpoints[1:-1]:
-        frac = (t - grid.a) / grid.h - 0.5
-        assert abs(frac - round(frac)) <= 1e-9
+    # breakpoints are the 2k equal parts of [a, b], whatever the grid
+    assert piece.breakpoints.tobytes() == _equal_partition(a, b, 16).tobytes()
 
 
-def _reference_sawtooth(grid, k, eps):
-    """The square wave as a loop over the teeth: each ideal breakpoint is
-    snapped to a cell midpoint and kept when it lies above the last kept."""
-    a, b, n, h = grid.a, grid.b, grid.n, grid.h
+def _reference_sawtooth(a, b, k, eps):
+    """The square wave as a loop over the teeth: tooth edge j sits at
+    a + (b - a) j / (2k)."""
     amplitude = 1.4 * eps * k / (b - a)
-    half = (b - a) / (2.0 * k)
-    breakpoints = [a]
-    for j in range(1, 2 * k):
-        cell = int(round((a + j * half - a) / h - 0.5))
-        snapped = a + (min(max(cell, 0), n - 1) + 0.5) * h
-        if snapped > breakpoints[-1]:
-            breakpoints.append(snapped)
-    breakpoints.append(b)
-    values = [amplitude if j % 2 == 0 else -amplitude for j in range(len(breakpoints) - 1)]
+    breakpoints = [a + (b - a) * j / (2 * k) for j in range(2 * k + 1)]
+    values = [amplitude if j % 2 == 0 else -amplitude for j in range(2 * k)]
     mean = float(np.dot(values, np.diff(np.asarray(breakpoints)))) / (b - a)
     return PiecewisePoly.step(breakpoints, [v - mean for v in values])
 
 
-@pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.0, 2.0), (-3.5, -0.25),
-                                      (1e-3, 1e-3 + 1e-6)])
+_SAWTOOTH_INTERVALS = [(0.0, 1.0), (-1.0, 2.0), (-3.5, -0.25), (1e-3, 1e-3 + 1e-6)]
+
+
+@pytest.mark.parametrize("interval", _SAWTOOTH_INTERVALS)
 def test_sawtooth_matches_the_per_tooth_loop(interval):
-    # Where 2k does not divide n, the ideal breakpoints fall between cell
-    # midpoints and are rounded to one.
+    # Every k that a grid of n steps admits, n odd and even.
     for n in (4, 5, 16, 17, 64, 100, 2048):
-        grid = Grid(*interval, n)
         for k in range(1, n // 4 + 1):
-            got = _sawtooth(grid, k, 1e-3)
-            want = _reference_sawtooth(grid, k, 1e-3)
+            got = _sawtooth(*interval, k, 1e-3)
+            want = _reference_sawtooth(*interval, k, 1e-3)
             assert got.breakpoints.tobytes() == want.breakpoints.tobytes()
             assert got.table.tobytes() == want.table.tobytes()
 
 
+@pytest.mark.parametrize("interval", _SAWTOOTH_INTERVALS)
+def test_sawtooth_jumps_lie_on_the_nodes_of_a_grid_that_2k_divides(interval):
+    # Then the pass reads every jump on its node, at full order; on [0, 1],
+    # the corpus interval, each jump has its node's bits.
+    for n in (4, 16, 64, 100, 2048):
+        grid = Grid(*interval, n)
+        for k in (k for k in range(1, n // 4 + 1) if n % (2 * k) == 0):
+            t = _sawtooth(*interval, k, 1e-3).breakpoints
+            index, on = _located(grid, t)
+            assert on.all()
+            assert (index == np.arange(2 * k + 1) * (n // (2 * k))).all()
+            if interval == (0.0, 1.0):
+                assert t.tobytes() == grid.nodes[index].tobytes()
+
+
 def test_sawtooth_needs_enough_cells():
-    with pytest.raises(ValueError):
-        _sawtooth(Grid(0.0, 1.0, 16), 8, 1e-3)
+    # The first k of the list with 4k > n is named.
+    problem = corpus.build_problem("p1", 16)
+    assert [k for k, _, _ in sawtooth_rhs(problem, [4, 2], 1e-3)] == [4, 2]
+    with pytest.raises(ValueError, match=r"^sawtooth with 8 teeth needs a grid with n >= 32$"):
+        sawtooth_rhs(problem, [2, 8, 16], 1e-3)
+
+
+_CORPUS_KS = [4, 8, 16, 32, 64, 128, 256]
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3"])
+def test_theorem3_rows_do_not_depend_on_the_grid(name):
+    # The sawtooth's jumps lie on the nodes of either grid and the primitive
+    # gap is read exactly, so the coarse grid's error and gap are the fine
+    # grid's.  With jumps snapped to cell midpoints and a trapezoid primitive
+    # they were 5-12 % and 4e-4 apart.
+    eps, rows = 1e-3, []
+    for n in (2048, 16384):
+        problem = corpus.build_problem(name, n)
+        rows.append(theorem3_check(problem, sawtooth_rhs(problem, _CORPUS_KS, eps), eps).rows)
+    for coarse, fine in zip(*rows):
+        assert abs(coarse.err_cr1 - fine.err_cr1) <= 1e-9 * fine.err_cr1
+        assert abs(coarse.primitive_gap - fine.primitive_gap) <= 1e-9 * fine.primitive_gap
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3"])
+@pytest.mark.parametrize("n", [2048, 2049])
+def test_theorem3_primitive_gap_is_a_half_tooth(name, n):
+    # The sup of the sawtooth's primitive is a half tooth's area, 0.7 eps, on
+    # a grid whose nodes carry the jumps and on one (n = 2049) whose cells
+    # they cut.  The exact integrals difference a global antiderivative,
+    # whose cancellation grows with k: k = 256 reads 7.7e-13.
+    eps = 1e-3
+    problem = corpus.build_problem(name, n)
+    report = theorem3_check(problem, sawtooth_rhs(problem, _CORPUS_KS, eps), eps)
+    for row in report.rows:
+        assert abs(row.primitive_gap - 0.7 * eps) <= 1e-12 * 0.7 * eps
 
 
 def test_solvability_gate_does_not_depend_on_the_weight_scale():
@@ -506,6 +546,13 @@ def test_reported_det_has_no_nan_part():
     assert not np.isnan(refused.value.det.real) and not np.isnan(refused.value.det.imag)
 
 
+def _primitive_sup(p, grid):
+    """The sup of p's primitive from a, summed from its exact integrals
+    between the nodes and p's breakpoints."""
+    points = np.sort(np.concatenate([grid.nodes, p.breakpoints]))
+    return float(np.abs(np.cumsum(p.integrals(points))).max())
+
+
 def _reference_report(problem, entries, theorem, eps):
     """Rows of a sweep (theorem None) or a theorem check, from one solve
     per member, and the constants of theorem 3's check, with Z integrated
@@ -553,7 +600,7 @@ def _reference_report(problem, entries, theorem, eps):
     for row, (_, f_k, _) in zip(rows, entries):
         diff = f_k - problem.f
         row.l1_gap = diff.l1_norm()
-        row.primitive_gap = norm_c(antiderivative(grid, diff.eval_at(grid.nodes)))
+        row.primitive_gap = sum(_primitive_sup(c, grid) for c in diff.components)
         bound = constants.kappa_hat * constants.sigma_hat * eps
         row.bound_holds = row.solvable and row.err_cr1 < bound
         if row.solvable:

@@ -30,7 +30,8 @@ from mpbvp import (
 )
 from mpbvp import bvp
 from mpbvp.bvp import _solve_pass
-from mpbvp.linode import _bits, _segment_steps
+from mpbvp.funcspace import _bits
+from mpbvp.linode import _segment_steps
 from oracles import (
     crank_nicolson_solve,
     dense_weights,
