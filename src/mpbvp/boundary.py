@@ -159,12 +159,13 @@ def apply_operator(op, jet: SampledJet) -> np.ndarray:
 
 
 def _stacked_jet(op, jet: SampledJet) -> np.ndarray:
-    """The samples of col(y, ..., y^(r-1)) that ``op`` applies to, (n+1, rm)."""
+    """The samples of col(y, ..., y^(r-1)) that ``op`` applies to, (n+1, rm):
+    the jet table's channels 0 .. r-1 in C order."""
     if jet.m != op.m:
         raise ValueError(f"jet has {jet.m} components, operator expects {op.m}")
     if jet.r < op.r - 1:
         raise ValueError(f"operator needs jet order >= {op.r - 1}, got {jet.r}")
-    return np.hstack(jet.samples[:op.r])
+    return jet.table[:, :op.r].reshape(jet.grid.n + 1, op.r * op.m)
 
 
 def multipointify(op: BoundaryOperator, k: int) -> BoundaryOperator:
@@ -242,15 +243,13 @@ def norm_lower_bound(op, probes) -> float:
 
 def _poly_jet(grid: Grid, m: int, r: int, component: int, coeffs) -> SampledJet:
     """Jet whose given component is the polynomial with the given coefficients."""
-    chans = []
+    table = np.zeros((grid.n + 1, r + 1, m), dtype=complex)
     c = np.asarray(coeffs, dtype=float)
-    for _ in range(r + 1):
-        vals = np.zeros((grid.n + 1, m), dtype=complex)
-        vals[:, component] = _horner(c[None], grid.nodes) if c.size else 0.0
-        chans.append(vals)
+    for l in range(r + 1):
+        table[:, l, component] = _horner(c[None], grid.nodes) if c.size else 0.0
         # The derivative, j c_j at degree j - 1, as ``polyder`` forms it.
         c = c[1:] * np.arange(1, c.size) if c.size > 1 else np.zeros(1)
-    return SampledJet(grid, m, r, chans)
+    return SampledJet._from_table(grid, table)
 
 
 def default_probe_jets(r: int, m: int, grid: Grid) -> list:

@@ -13,7 +13,9 @@ The problem is flagged as not uniquely solvable when [T V] cannot be
 inverted or its condition number is not at most COND_LIMIT, as when the
 matrizant overflows and [T V] is not finite.  ``_solve_pass`` is
 the one driver: ``solve``, the approximation sweeps and the certified
-constants all solve through it.
+constants all solve through it.  Its finish fills each solution's jet
+table: channels 0 .. r-1 are u's blocks, and ``_top_channels`` writes
+y^(r) = f - sum_l A_l y^(l) into channel r in place.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .funcspace import (
     _bits,
     _spans,
     mat_norm,
-    norm_l1,
     traj_norm_c,
     vec_norm,
 )
@@ -256,11 +257,11 @@ def _solve_pass(problems, inverse: bool = False) -> tuple[list, float | None]:
     Problems whose coefficients have the same bits, as ``funcspace._bits``
     reads them, form one coefficient set and share one companion matrix P.
     The pass hands over one slot at a time: ``_assemble`` forms the
-    y ... y^(r-1) of each of its members, |V|_C taken once per slot, and
-    the slot is dropped before the next is made.  Once the pass is
-    exhausted, ``_top_channels`` forms the top channel of every solved
-    member of a set, and each member's jet is built once, from all r + 1
-    channels.
+    u = col(y, ..., y^(r-1)) of each of its members, |V|_C taken once per
+    slot, and the slot is dropped before the next is made.  Once the pass
+    is exhausted, each solved member's jet table is allocated and u copied
+    into its channels 0 .. r-1, one member at a time, and ``_top_channels``
+    writes channel r of every member of a set in place.
     """
     sets, systems = {}, []
     for i, problem in enumerate(problems):
@@ -290,25 +291,29 @@ def _solve_pass(problems, inverse: bool = False) -> tuple[list, float | None]:
                     # A record with no traceback, whose frames would hold the slot.
                     out[i] = NotUniquelySolvableError(str(exc), exc.det, exc.cond)
         del V, columns, R
+    grid, r, m = problems[0].grid, problems[0].r, problems[0].m
     for P, members in sets.values():
         solved = [i for i in members if isinstance(out[i], tuple)]
-        tops = _top_channels(problems[0].grid, P, [(systems[i][1], out[i][0]) for i in solved])
-        for i, top in zip(solved, tops):
-            samples, solution = out[i]
-            problem = problems[i]
-            solution.jet = SampledJet(problem.grid, problem.m, problem.r, [*samples, top])
+        for i in solved:
+            # u is dropped as its copy lands: one u at a time beside the tables.
+            table = np.empty((grid.n + 1, r + 1, m), dtype=complex)
+            table[:, :r] = out[i][0].reshape(grid.n + 1, r, m)
+            out[i] = table, out[i][1]
+        _top_channels(grid, P, [(systems[i][1], out[i][0]) for i in solved])
+        for i in solved:
+            table, solution = out[i]
+            solution.jet = SampledJet._from_table(grid, table)
             out[i] = solution
     return [out[i] for i in range(len(problems))], w_c
 
 
 def _assemble(problem: BvpProblem, V: np.ndarray, R: np.ndarray,
-              matrizant_norm_c: float) -> tuple[list, BvpSolution]:
-    """The samples y ... y^(r-1) of ``problem``'s solution and its
-    BvpSolution, whose jet the pass sets once the top channel is formed,
-    from its matrizant V and forced trajectory R: lift the operator, gate
-    [TV], form u and |T u - q|, the lifted weights' last reader.  Raises
-    NotUniquelySolvableError as ``solve`` does."""
-    r, m = problem.r, problem.m
+              matrizant_norm_c: float) -> tuple[np.ndarray, BvpSolution]:
+    """The samples u = col(y, ..., y^(r-1)), (n+1, rm), of ``problem``'s
+    solution and its BvpSolution, whose jet the pass sets once the top
+    channel is formed, from its matrizant V and forced trajectory R: lift
+    the operator, gate [TV], form u and |T u - q|, the lifted weights' last
+    reader.  Raises NotUniquelySolvableError as ``solve`` does."""
     # Everything the operator touches is divided by 2**e.
     T, e = _scaled_lift(problem)
     q = _ldexp(problem.q, -e)
@@ -322,37 +327,35 @@ def _assemble(problem: BvpProblem, V: np.ndarray, R: np.ndarray,
     u += R
     boundary_residual = float(_ldexp(vec_norm(T.apply_values(u) - q), e))
     del T
-
-    samples = [u[:, l * m:(l + 1) * m] for l in range(r)]
-    return samples, BvpSolution(jet=None, det=det, cond=cond, char_matrix=_ldexp(char, e),
-                                matrizant_norm_c=matrizant_norm_c,
-                                char_inverse_norm=inverse_norm,
-                                boundary_residual=boundary_residual)
+    return u, BvpSolution(jet=None, det=det, cond=cond, char_matrix=_ldexp(char, e),
+                          matrizant_norm_c=matrizant_norm_c,
+                          char_inverse_norm=inverse_norm,
+                          boundary_residual=boundary_residual)
 
 
-def _top_channels(grid: Grid, P: PolyMatrix, members) -> list:
-    """f - sum_l A_l y^(l) at the nodes of each member (g, samples) of a
-    coefficient set with companion matrix P: its forcing g and the node
-    samples of y^(l), l < r.  One segment of the pass at a time, the bottom
-    block row [A_0 ... A_{r-1}] of P is read once for the whole set and
-    each member's f, the bottom block of g, alone, by ``_at_nodes``."""
+def _top_channels(grid: Grid, P: PolyMatrix, members):
+    """Write f - sum_l A_l y^(l) at the nodes into channel r of each member
+    (g, table) of a coefficient set with companion matrix P: its forcing g
+    and its (n+1, r+1, m) jet table, whose channels l < r hold y^(l).  One
+    segment of the pass at a time, the bottom block row [A_0 ... A_{r-1}] of
+    P is read once for the whole set and each member's f, the bottom block
+    of g, alone, by ``_at_nodes``."""
     if not members:
-        return []
-    d, m = P.shape[0], members[0][1][0].shape[1]
-    rows = P.entries[d - m:]
+        return
+    d, m = P.shape[0], members[0][1].shape[2]
+    r, rows = d // m, P.entries[d - m:]
     forcings = [[g.components[d - m:]] for g, _ in members]
-    tops = [np.empty((grid.n + 1, m), dtype=complex) for _ in members]
     step = _segment_steps(d)
     for lo in range(0, grid.n + 1, step):
         hi = min(lo + step, grid.n + 1) - 1
         # [A_0 ... A_{r-1}] at the segment's nodes, step-first.
         values = _at_nodes(rows, grid, lo, hi)
-        for f, (_, samples), top in zip(forcings, members, tops):
-            block = top[lo:hi + 1]
+        for f, (_, table) in zip(forcings, members):
+            block = table[lo:hi + 1, r]
             block[:] = _at_nodes(f, grid, lo, hi)[:, 0]
-            for l, y in enumerate(samples):
-                block -= np.einsum("nij,nj->ni", values[..., l * m:(l + 1) * m], y[lo:hi + 1])
-    return tops
+            for l in range(r):
+                block -= np.einsum("nij,nj->ni", values[..., l * m:(l + 1) * m],
+                                   table[lo:hi + 1, l])
 
 
 def _at_nodes(rows, grid: Grid, lo: int, hi: int) -> np.ndarray:
@@ -364,10 +367,14 @@ def _at_nodes(rows, grid: Grid, lo: int, hi: int) -> np.ndarray:
 
 def residuals(problem: BvpProblem, jet: SampledJet) -> tuple[float, float]:
     """(L1 norm of L y - f over the grid, |B y - q| in the vector norm) of
-    the jet y, for the problem's data as the solver reads them."""
+    the jet y, for the problem's data as the solver reads them: ``_top_channels``
+    writes f - sum_l A_l y^(l) into channel r of a copy of the jet's table."""
     grid, r = problem.grid, problem.r
-    members = [(_companion_forcing(problem), jet.samples[:r])]
-    defect = jet.samples[r] - _top_channels(grid, _companion_matrix(problem), members)[0]
-    ode_residual = norm_l1(grid, defect)
+    if jet.grid != grid:
+        raise ValueError("the jet must lie on the problem's grid")
+    table = jet.table.copy()
+    _top_channels(grid, _companion_matrix(problem), [(_companion_forcing(problem), table)])
+    defect = jet.table[:, r] - table[:, r]
+    ode_residual = float(np.trapezoid(np.abs(defect), dx=grid.h, axis=0).sum())
     boundary_residual = vec_norm(apply_operator(problem.operator, jet) - problem.q)
     return ode_residual, boundary_residual

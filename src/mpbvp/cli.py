@@ -377,17 +377,14 @@ def _csv_rows(columns):
 
 
 def _solution_csv(problem: BvpProblem, jet):
-    """The solution CSV as ASCII byte blocks: the header line, then the rows."""
-    header = ["t"]
-    columns = [problem.grid.nodes]
-    for j in range(problem.r + 1):
-        for comp in range(problem.m):
-            header.append(f"y{j}_{comp}_re")
-            header.append(f"y{j}_{comp}_im")
-            z = jet.samples[j][:, comp]
-            columns += [z.real, z.imag]
+    """The solution CSV as ASCII byte blocks: the header line, then the rows.
+    The data columns are the jet table's float view, channel by channel,
+    component by component, real part before imaginary."""
+    header = ["t", *(f"y{j}_{comp}_{part}" for j in range(problem.r + 1)
+                     for comp in range(problem.m) for part in ("re", "im"))]
     yield (",".join(header) + "\n").encode("ascii")
-    yield from _csv_rows(columns)
+    yield from _csv_rows([problem.grid.nodes,
+                          *jet.table.view(float).reshape(problem.grid.n + 1, -1).T])
 
 
 def _report_csv(rows) -> str:

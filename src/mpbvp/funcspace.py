@@ -21,6 +21,10 @@ antiderivative table) are one Horner pass each, sums gather both operands'
 rows at the merged pieces, and |.| integrals of constant pieces are one dot
 product.  Evaluation takes the right-hand piece at an interior breakpoint;
 the left-hand limits that RK4 step ends need come from ``grid_samples``.
+
+A sampled jet is one (n+1, r+1, m) table of node samples, channel j
+holding y^(j); its norms ``norm_cl`` and ``norm_w1r`` reduce its channels
+one at a time and sum them.
 """
 
 from __future__ import annotations
@@ -37,8 +41,6 @@ __all__ = [
     "PolyVector",
     "PolyMatrix",
     "SampledJet",
-    "norm_l1",
-    "norm_c",
     "norm_cl",
     "norm_w1r",
     "vec_norm",
@@ -664,13 +666,14 @@ class PolyMatrix:
 
 
 class SampledJet:
-    """Node samples of y and its derivatives y^(j) for j = 0..r.
+    """Node samples of y and its derivatives y^(j) for j = 0..r, as one table.
 
-    ``samples[j]`` is an (n+1, m) complex array with samples[j][i] holding
-    y^(j)(t_i).
+    ``table`` is an (n+1, r+1, m) complex array with table[i, j] holding
+    y^(j)(t_i).  ``samples[j]`` is its channel j, the (n+1, m) view
+    table[:, j]; the constructor copies its channels into a new table.
     """
 
-    __slots__ = ("grid", "m", "r", "samples")
+    __slots__ = ("grid", "m", "r", "table")
 
     def __init__(self, grid: Grid, m: int, r: int, samples):
         if m < 1 or r < 0:
@@ -689,45 +692,47 @@ class SampledJet:
             chans.append(arr)
         if len(chans) != r + 1:
             raise ValueError(f"order-{r} jet needs {r + 1} channels, got {len(chans)}")
-        self.grid = grid
-        self.m = m
-        self.r = r
-        self.samples = tuple(chans)
+        self.grid, self.m, self.r, self.table = grid, m, r, np.stack(chans, axis=1)
+
+    @classmethod
+    def _from_table(cls, grid: Grid, table: np.ndarray) -> "SampledJet":
+        """Wrap an (n+1, r+1, m) table as it is, after the constructor's
+        finiteness check; the channel is only searched for when it fails."""
+        if not np.isfinite(table).all():
+            j = np.flatnonzero(~np.isfinite(table).all(axis=(0, 2)))[0]
+            raise ValueError(f"channel {j} contains non-finite samples")
+        out = cls.__new__(cls)
+        out.grid, out.m, out.r, out.table = grid, table.shape[2], table.shape[1] - 1, table
+        return out
 
     @classmethod
     def from_callables(cls, grid: Grid, m: int, r: int, derivatives) -> "SampledJet":
         """Build a jet by sampling closed-form derivative callables on the grid."""
-        chans = []
-        for f in derivatives:
-            vals = np.asarray(f(grid.nodes), dtype=complex)
-            if vals.ndim == 1:
-                vals = vals[:, None]
-            chans.append(vals)
-        return cls(grid, m, r, chans)
+        return cls(grid, m, r, [f(grid.nodes) for f in derivatives])
+
+    @property
+    def samples(self) -> tuple:
+        """The channels y^(0) .. y^(r), views table[:, j] of shape (n+1, m)."""
+        return tuple(self.table[:, j] for j in range(self.r + 1))
 
     def __sub__(self, other):
         if not isinstance(other, SampledJet):
             return NotImplemented
         if (other.grid != self.grid) or other.m != self.m or other.r != self.r:
             raise ValueError("jets must share grid, dimension, and order")
-        return SampledJet(
-            self.grid, self.m, self.r,
-            [x - y for x, y in zip(self.samples, other.samples)],
-        )
+        return SampledJet._from_table(self.grid, self.table - other.table)
 
     def consistency_defect(self) -> float:
         """Max deviation of centered differences of channel j from channel j+1:
         their own O(h^2) truncation error on a smooth jet, however exact the
         jet, which does not fall with h across a kink of channel j."""
-        h = self.grid.h
+        h, t = self.grid.h, self.table
         worst = 0.0
         for j in range(self.r):
-            lower = self.samples[j]
-            upper = self.samples[j + 1]
             # In place: one temporary of a channel's size.
-            defect = np.subtract(lower[2:], lower[:-2])
+            defect = np.subtract(t[2:, j], t[:-2, j])
             defect /= 2.0 * h
-            defect -= upper[1:-1]
+            defect -= t[1:-1, j + 1]
             worst = max(worst, float(np.max(np.abs(defect))))
         return worst
 
@@ -735,41 +740,21 @@ class SampledJet:
 # -- sampled-data operations ------------------------------------------------
 
 
-def _as_components(values) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise ValueError("expected samples shaped (n+1,) or (n+1, m)")
-    return arr
-
-
-def norm_l1(grid: Grid, values) -> float:
-    """L1 norm of a sampled vector function: sum over components of trapz |.|"""
-    v = _as_components(values)
-    if v.shape[0] != grid.n + 1:
-        raise ValueError("samples do not match the grid")
-    return float(np.trapezoid(np.abs(v), dx=grid.h, axis=0).sum())
-
-
-def norm_c(values) -> float:
-    """Sup norm of a sampled vector function: sum over components of max |.|"""
-    v = _as_components(values)
-    return float(np.abs(v).max(axis=0).sum())
-
-
 def norm_cl(jet: SampledJet, l: int) -> float:
-    """Sum of the C-norms of channels 0..l."""
+    """Sum of the C-norms of channels 0..l, each the sum over components of max |.|."""
     if l > jet.r:
         raise ValueError(f"order {l} exceeds jet order {jet.r}")
     if l < 0:
         raise ValueError("order must be nonnegative")
-    return sum(norm_c(jet.samples[j]) for j in range(l + 1))
+    return sum(float(np.abs(jet.table[:, j]).max(axis=0).sum()) for j in range(l + 1))
 
 
 def norm_w1r(jet: SampledJet) -> float:
-    """Sum of the L1 norms of all channels 0..r."""
-    return sum(norm_l1(jet.grid, jet.samples[j]) for j in range(jet.r + 1))
+    """Sum of the L1 norms of all channels 0..r, each the sum over components
+    of the trapezoid rule on |.|."""
+    h = jet.grid.h
+    return sum(float(np.trapezoid(np.abs(jet.table[:, j]), dx=h, axis=0).sum())
+               for j in range(jet.r + 1))
 
 
 def vec_norm(v) -> float:

@@ -109,6 +109,29 @@ def test_interval_means_keep_one_piece_per_run_of_equal_means():
     assert merged > 0
 
 
+@pytest.mark.parametrize("a", [0.0, 1000.0, 1e6])
+def test_means_of_a_constant_are_one_piece_with_its_bits(a):
+    # The means once divided a difference of the global antiderivative by
+    # the width: 0.3 on [0, 1] broke into 3 / 6 pieces at k = 4 / 7.
+    for c in (0.3, 0.1 + 0.7j, -1 / 3):
+        A = PolyMatrix([[PiecewisePoly.constant(c, a, a + 1.0)]])
+        for k in (3, 7, 16, 1024):
+            approx = approximate_coefficients(A, k).entries[0][0]
+            assert approx.breakpoints.tolist() == [a, a + 1.0]
+            np.testing.assert_array_equal(approx.table.view(np.uint64),
+                                          np.array([[c]], dtype=complex).view(np.uint64))
+
+
+@pytest.mark.parametrize("a", [0.0, 1000.0, 1e6])
+def test_a_step_on_the_partition_keeps_its_own_bits(a):
+    bp = _equal_partition(a, a + 1.0, 8)[[0, 3, 5, 8]]
+    entry = PiecewisePoly.step(bp, [0.3, 0.1 + 0.7j, -1 / 3])
+    for k in (8, 16, 1024):
+        approx = approximate_coefficients(PolyMatrix([[entry]]), k).entries[0][0]
+        np.testing.assert_array_equal(approx.breakpoints.view(np.uint64), bp.view(np.uint64))
+        np.testing.assert_array_equal(approx.table.view(np.uint64), entry.table.view(np.uint64))
+
+
 def test_signed_zero_means_stay_apart():
     # The mean over [0, 4] underflows to -0.0, the mean over [4, 8] is +0.0.
     entry = PiecewisePoly.step([0.0, 0.25, 8.0], [-2e-323, 0.0])

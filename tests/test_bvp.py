@@ -323,6 +323,13 @@ def test_residuals_detect_wrong_solution():
     assert ode_bad > 0.5  # y' + y picks up the constant as well
 
 
+def test_residuals_refuse_a_jet_on_another_grid():
+    problem = corpus.build_problem("p1", 256)
+    for n in (128, 512):
+        with pytest.raises(ValueError, match="the jet must lie on the problem's grid"):
+            residuals(problem, corpus.exact_jet("p1", n))
+
+
 def test_solver_agrees_with_finite_difference_oracle():
     problem = corpus.build_problem("p3", 1024)
     mine = solve(problem).jet.samples[0]

@@ -23,9 +23,7 @@ from mpbvp import (
     ScalarMeasure,
     lift,
     mat_norm,
-    norm_c,
     norm_cl,
-    norm_l1,
     norm_w1r,
     traj_norm_c,
     vec_norm,
@@ -595,7 +593,8 @@ def test_poly_vector_norms_sum_components():
     values = f.eval_at(np.array([0.0, 1.0]))
     assert values.shape == (2, 2)
     # function C-norm sums the component sups: 1 + 2
-    assert abs(norm_c(f.eval_at(Grid(0.0, 1.0, 64).nodes)) - 3.0) <= 1e-12
+    grid = Grid(0.0, 1.0, 64)
+    assert abs(norm_cl(SampledJet(grid, 2, 0, [f.eval_at(grid.nodes)]), 0) - 3.0) <= 1e-12
 
 
 def test_poly_matrix_l1_norm_takes_max_column():
@@ -642,7 +641,89 @@ def test_norm_l1_matches_exact_integral():
     grid = Grid(0.0, 1.0, 512)
     values = np.stack([grid.nodes, -np.ones_like(grid.nodes)], axis=1)
     # integral |t| + integral |-1| = 3/2; trapezoid is exact for both
-    assert abs(norm_l1(grid, values) - 1.5) <= 1e-12
+    assert abs(norm_w1r(SampledJet(grid, 2, 0, [values])) - 1.5) <= 1e-12
+
+
+def _random_channels(rng, grid, m, r):
+    shape = (grid.n + 1, m)
+    return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(r + 1)]
+
+
+def test_jet_samples_are_views_of_its_table_with_the_channels_bits():
+    rng = np.random.default_rng(46)
+    grid = Grid(0.0, 1.0, 16)
+    channels = _random_channels(rng, grid, 2, 2)
+    jet = SampledJet(grid, 2, 2, channels)
+    assert jet.table.shape == (17, 3, 2)
+    assert len(jet.samples) == 3
+    for j, (sample, channel) in enumerate(zip(jet.samples, channels)):
+        assert sample.base is jet.table
+        assert sample.shape == (17, 2) and sample.strides == jet.table[:, j].strides
+        np.testing.assert_array_equal(_bits(sample), _bits(channel))
+        np.testing.assert_array_equal(_bits(jet.table[:, j]), _bits(channel))
+    # The constructor copies: the jet does not see later writes to its input.
+    channels[0][0, 0] = 7.0
+    assert jet.samples[0][0, 0] != 7.0
+
+
+def test_jet_difference_is_the_bitwise_channel_difference():
+    rng = np.random.default_rng(47)
+    grid = Grid(-1.0, 2.0, 24)
+    for m, r in ((1, 0), (2, 1), (3, 2)):
+        x, y = _random_channels(rng, grid, m, r), _random_channels(rng, grid, m, r)
+        diff = SampledJet(grid, m, r, x) - SampledJet(grid, m, r, y)
+        assert (diff.m, diff.r, diff.table.shape) == (m, r, (25, r + 1, m))
+        for j in range(r + 1):
+            np.testing.assert_array_equal(_bits(diff.samples[j]), _bits(x[j] - y[j]))
+
+
+def _reference_norm_c(values):
+    """Sum over components of max |.|: the sup norm of one channel, as the
+    per-channel helper computed it before jets were held as one table."""
+    return float(np.abs(values).max(axis=0).sum())
+
+
+def _reference_norm_l1(grid, values):
+    """Sum over components of the trapezoid rule on |.|, per channel."""
+    return float(np.trapezoid(np.abs(values), dx=grid.h, axis=0).sum())
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_jet_norms_are_bitwise_the_per_channel_sums(m, r):
+    rng = np.random.default_rng(100 * m + r)
+    grid = Grid(0.25, 3.5, 37)
+    channels = [c * 10.0 ** rng.integers(-3, 4) for c in _random_channels(rng, grid, m, r)]
+    jet = SampledJet(grid, m, r, channels)
+    for l in range(r + 1):
+        want = sum(_reference_norm_c(channels[j]) for j in range(l + 1))
+        assert norm_cl(jet, l) == want
+    assert norm_w1r(jet) == sum(_reference_norm_l1(grid, c) for c in channels)
+    # The same on a difference, whose table is formed by one subtraction.
+    other = _random_channels(rng, grid, m, r)
+    diff = jet - SampledJet(grid, m, r, other)
+    deltas = [x - y for x, y in zip(channels, other)]
+    assert norm_cl(diff, r) == sum(_reference_norm_c(c) for c in deltas)
+    assert norm_w1r(diff) == sum(_reference_norm_l1(grid, c) for c in deltas)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda grid: SampledJet(grid, 0, 0, [np.zeros(9)]), "need m >= 1 and r >= 0"),
+    (lambda grid: SampledJet(grid, 2, 0, [np.zeros(9)]),
+     "channel 0 has shape (9, 1), expected (9, 2)"),
+    (lambda grid: SampledJet(grid, 1, 2, [np.zeros(9), np.full(9, np.inf), np.zeros(8)]),
+     "channel 1 contains non-finite samples"),
+    (lambda grid: SampledJet(grid, 1, 1, [np.zeros(9), np.zeros(8), np.full(9, np.nan)]),
+     "channel 1 has shape (8, 1), expected (9, 1)"),
+    (lambda grid: SampledJet(grid, 1, 0, [np.zeros(9), np.zeros(9)]),
+     "order-0 jet needs 1 channels, got 2"),
+    (lambda grid: (SampledJet(grid, 1, 1, [np.zeros(9), np.full(9, 1e308)])
+                   - SampledJet(grid, 1, 1, [np.zeros(9), np.full(9, -1e308)])),
+     "channel 1 contains non-finite samples"),
+])
+def test_jet_constructor_messages_are_kept(call, message):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        call(Grid(0.0, 1.0, 8))
 
 
 def test_gauss_rule_and_horner_are_bitwise_numpy_polynomial():
