@@ -115,39 +115,32 @@ class ApproximationReport:
 def approximate_coefficients(A: PolyMatrix, k: int) -> PolyMatrix:
     """Piecewise-constant approximation by interval means on k equal parts.
 
-    The L1 distance to a Lipschitz coefficient decays like 1/k.  An entry
-    of constant pieces whose interior breakpoints are partition edges, bit
-    for bit, has each cell inside one piece, and the cell takes that
-    piece's value, so A is reproduced exactly; every other entry's means
-    are its ``integrals`` over the cells divided by their widths.  The
+    The L1 distance to a Lipschitz coefficient decays like 1/k.  The means
+    read the entry's ``_parts``: a cell that one part covers takes that
+    part's mean, so a constant piece gives its cells its own bits (but a
+    -0.0 real or imaginary part reads +0.0), and a cell that a breakpoint
+    cuts divides its integral by its width.  The
     result stores A's own pieces: a run of bitwise-equal neighbouring means
     is one piece, so the edge j/k is a breakpoint only where the means on
     either side of it differ.  Entries with the same bits share one table
     of means, formed once.
     """
     k = _check_k(k)
-    a, b = A.a, A.b
-    edges = _equal_partition(a, b, k)
-    widths = np.diff(edges)
+    edges = _equal_partition(A.a, A.b, k)
     tables = {}
 
     def means(entry):
         key = _bits([entry])
         if key in tables:
             return tables[key]
-        inner = entry.breakpoints[1:-1]
-        on_edges = edges[np.searchsorted(edges, inner).clip(max=k)] == inner
-        if entry.table.shape[1] == 1 and on_edges.all():
-            # Each cell lies inside one constant piece, whose value is its mean.
-            out = entry.table[entry._piece_index(edges[:-1]), 0]
-        else:
-            # Real and imaginary parts divide separately: that is Python's
-            # complex / float, which numpy's complex division (a multiply by
-            # the reciprocal) does not reproduce bit for bit.
-            sums = entry.integrals(edges)
-            out = np.empty_like(sums)
-            out.real = sums.real / widths
-            out.imag = sums.imag / widths
+        widths, part_means, first = entry._parts(edges)
+        sums = np.add.reduceat(widths * part_means, first[:-1])
+        cells = np.diff(edges.clip(entry.a, entry.b))
+        # Real and imaginary parts divide separately: that is Python's
+        # complex / float, which numpy's complex division (a multiply by
+        # the reciprocal) does not reproduce bit for bit.
+        out = (sums.view(float).reshape(k, 2) / cells[:, None]).view(complex)[:, 0]
+        out = np.where(np.diff(first) == 1, part_means[first[:-1]], out)
         # Bits, not values, decide a run, so -0.0 and +0.0 stay apart.
         bits = out.view(np.uint64).reshape(k, 2)
         starts = np.concatenate([[True], (bits[1:] != bits[:-1]).any(axis=1)])

@@ -15,12 +15,12 @@ it; by the node rule, ``_located``, a breakpoint or point term within
 and density quadrature, and ``_place_points`` locates point terms.
 
 A piecewise polynomial is held as one zero-padded coefficient table with a
-row per piece.  Every operation works on the whole table: evaluation and
-``integrals`` (exact integrals over consecutive edges, from the
-antiderivative table) are one Horner pass each, sums gather both operands'
-rows at the merged pieces, and |.| integrals of constant pieces are one dot
-product.  Evaluation takes the right-hand piece at an interior breakpoint;
-the left-hand limits that RK4 step ends need come from ``grid_samples``.
+row per piece.  Every operation works on the whole table: evaluation is one
+Horner pass, ``integrals`` adds up ``_parts``, whose means read each piece
+about the part's own midpoint, sums gather both operands' rows at the
+merged pieces, and |.| integrals of constant pieces are one dot product.
+Evaluation takes the right-hand piece at an interior breakpoint; the
+left-hand limits that RK4 step ends need come from ``grid_samples``.
 
 A sampled jet is one (n+1, r+1, m) table of node samples, channel j
 holding y^(j); its norms ``norm_cl`` and ``norm_w1r`` reduce its channels
@@ -32,6 +32,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 import numpy as np
 
@@ -268,11 +269,11 @@ class PiecewisePoly:
     The working representation is one zero-padded coefficient table:
     ``table[j, :widths[j]]`` holds the coefficients of piece j, lowest
     degree first, and the rest of row j is zero.  Evaluation, sums,
-    interval integrals (``integrals``) and |.| integrals each run on the
-    whole table at once.  ``coeffs`` lists the pieces at their own widths,
-    which is what problem files store.  Evaluation at an interior
-    breakpoint takes the right-hand piece; the point b always belongs to
-    the last piece.
+    interval integrals and means (``integrals``, ``_parts``) and |.|
+    integrals each run on the whole table at once.  ``coeffs`` lists the
+    pieces at their own widths, which is what problem files store.
+    Evaluation at an interior breakpoint takes the right-hand piece; the
+    point b always belongs to the last piece.
     """
 
     __slots__ = ("breakpoints", "table", "widths", "_coeffs", "_keys")
@@ -422,30 +423,34 @@ class PiecewisePoly:
     # -- calculus ----------------------------------------------------------
 
     def integrals(self, edges) -> np.ndarray:
-        """Exact integrals over [edges[i], edges[i+1]] for every i.
+        """Exact integrals over [edges[i], edges[i+1]] for every i, each the sum
+        of its ``_parts``' widths times means.  Parts outside [a, b] add nothing."""
+        widths, means, first = self._parts(edges)
+        return np.add.reduceat(widths * means, first[:-1])
 
-        Parts of an interval outside [a, b] contribute nothing.  The edges
-        are split at the interior breakpoints between them, the
-        antiderivative table is evaluated at every split point in one Horner
-        pass, and the per-piece differences are summed back per interval.
-        """
+    def _parts(self, edges) -> tuple:
+        """The part rule: the parts' widths and means, and each interval's first
+        part, of the edges clipped into [a, b] and split at the interior
+        breakpoints strictly inside them.  A part's mean is the sum over even j
+        of d_j h^j / (j + 1), d_j = p^(j)(mid) / j! of its piece at its midpoint
+        and h its half-width, so a constant piece's mean is its own value, with
+        its bits but for a -0.0 real or imaginary part, which reads +0.0."""
         e = np.asarray(edges, dtype=float)
         if e.ndim != 1 or e.size < 2:
             raise ValueError("need at least two edges")
         if not (e[1:] - e[:-1] >= 0).all():
             raise ValueError("integration needs nondecreasing edges (c <= d)")
-        e = np.clip(e, self.breakpoints[0], self.breakpoints[-1])
+        e = e.clip(self.breakpoints[0], self.breakpoints[-1])
         inner = self.breakpoints[1:-1]
-        points = np.concatenate([e, inner[(inner > e[0]) & (inner < e[-1])]])
-        order = np.argsort(points, kind="stable")
-        points = points[order]
-        starts = np.flatnonzero(order < e.size)  # where each edge landed
+        inner = inner[(inner > e[0]) & (e[np.searchsorted(e[:-1], inner)] > inner)]
+        points = np.sort(np.concatenate([e, inner]))
         lo, hi = points[:-1], points[1:]
-        width = self.table.shape[1]
-        anti = np.zeros((self.npieces, width + 1), dtype=complex)
-        anti[:, 1:] = self.table / np.arange(1, width + 1)
-        anti = anti[self._piece_index(lo)]
-        return np.add.reduceat(_horner(anti, hi) - _horner(anti, lo), starts[:-1])
+        w, index, mid = self.table.shape[1], self._piece_index(lo), 0.5 * (lo + hi)
+        h2, means = 0.25 * (hi - lo) ** 2, 0.0
+        for j in reversed(range(0, w, 2)):  # Horner in h^2 of p^(j)(mid) / j! / (j + 1)
+            taylor = self.table[:, j:] * [comb(i, j) / (j + 1) for i in range(j, w)]
+            means = _horner(np.take(taylor, index, axis=0), mid) + means * h2
+        return hi - lo, means, np.arange(e.size) + np.searchsorted(inner, e)
 
     def abs_integral(self) -> float:
         """Integral of |p(t)| over [a, b], exact up to quadrature on smooth arcs.

@@ -11,10 +11,13 @@ exceptions are ``dense_weights`` and the readings after it, which give
 tests what the package itself never needs (a compiled operator's dense
 weights, a left-hand limit, an interval integral, a measure's mass and
 total variation) from the package's own data and primitives, with their
-bits.
+bits.  ``exact_integral`` and ``exact_mean`` difference each piece's
+antiderivative in exact rational arithmetic from the float data.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse
@@ -56,6 +59,35 @@ def left_limit(p: PiecewisePoly, t):
 def interval_integral(p: PiecewisePoly, c: float | None = None, d: float | None = None) -> complex:
     """Exact integral of p over [c, d], by default [a, b]: ``p.integrals([c, d])``."""
     return complex(p.integrals([p.a if c is None else c, p.b if d is None else d])[0])
+
+
+def _exact_integral(p: PiecewisePoly, c: float, d: float) -> tuple:
+    """The real and imaginary parts of the integral of p over [c, d] as exact
+    fractions: each overlapped piece's antiderivative differenced at its
+    part's ends."""
+    re = im = Fraction(0)
+    for j, cj in enumerate(p.coeffs):
+        lo, hi = max(c, p.breakpoints[j]), min(d, p.breakpoints[j + 1])
+        if hi > lo:
+            lo, hi = Fraction(float(lo)), Fraction(float(hi))
+            for i, x in enumerate(cj):
+                power = (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
+                re += Fraction(float(x.real)) * power
+                im += Fraction(float(x.imag)) * power
+    return re, im
+
+
+def exact_integral(p: PiecewisePoly, c: float, d: float) -> complex:
+    """The integral of p over [c, d], each part rounded once from its exact value."""
+    re, im = _exact_integral(p, c, d)
+    return complex(float(re), float(im))
+
+
+def exact_mean(p: PiecewisePoly, c: float, d: float) -> complex:
+    """The mean of p over [c, d] (c < d), each part rounded once from its exact value."""
+    width = Fraction(float(d)) - Fraction(float(c))
+    re, im = _exact_integral(p, c, d)
+    return complex(float(re / width), float(im / width))
 
 
 def measure_mass(mu) -> complex:

@@ -39,7 +39,8 @@ from mpbvp.bvp import companion_reduce
 from mpbvp.funcspace import (MAX_GRID_N, _check_k, _equal_partition, _located, mat_norm, norm_cl,
                              norm_w1r, traj_norm_c)
 from mpbvp.linode import inverse_fundamental
-from oracles import expm_taylor, interval_integral, random_problem, scaled_boundary_problem
+from oracles import (exact_mean, expm_taylor, interval_integral, random_problem,
+                     scaled_boundary_problem)
 
 
 def _identity_matrix_fn():
@@ -74,11 +75,21 @@ def test_interval_means_are_bitwise_the_per_interval_means():
 
 
 def _assert_midpoints_are_the_means(entry, approx, k):
-    edges = entry.a + (entry.b - entry.a) * np.arange(k + 1) / k
+    """Each cell's mean is the part rule's, bit for bit: the mean of the one
+    part that covers the cell, or else its integral over its width.  Each lies
+    within 1e-15 of the entry's sup of the exact mean; means that differenced
+    the global antiderivative read up to 1.2e-14 here (k = 64)."""
+    edges = _equal_partition(entry.a, entry.b, k)
+    _, means, first = entry._parts(edges)
+    covered = np.diff(first) == 1
     want = np.array([interval_integral(entry, c, d) / (d - c)
                      for c, d in zip(edges[:-1], edges[1:])])
+    want[covered] = means[first[:-1][covered]]
     got = approx(0.5 * (edges[:-1] + edges[1:]))
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    exact = np.array([exact_mean(entry, c, d) for c, d in zip(edges[:-1], edges[1:])])
+    sup = np.abs(entry(np.linspace(entry.a, entry.b, 4097))).max()
+    assert np.abs(got - exact).max() <= 1e-15 * sup
 
 
 def _step_entries(rng):
@@ -130,6 +141,29 @@ def test_a_step_on_the_partition_keeps_its_own_bits(a):
         approx = approximate_coefficients(PolyMatrix([[entry]]), k).entries[0][0]
         np.testing.assert_array_equal(approx.breakpoints.view(np.uint64), bp.view(np.uint64))
         np.testing.assert_array_equal(approx.table.view(np.uint64), entry.table.view(np.uint64))
+    # 0.3 beside a cubic: means read from constant pieces alone missed this
+    # entry, and 0.3 broke into 297 pieces on [0, 0.5] at k = 1024.
+    entry = PiecewisePoly([a, a + 0.5, a + 1.0], [[0.3], [0.1, 0.2, 0.3, 0.4]])
+    for k in (10, 1024):
+        approx = approximate_coefficients(PolyMatrix([[entry]]), k).entries[0][0]
+        assert approx.breakpoints[:2].tolist() == [a, a + 0.5]
+        np.testing.assert_array_equal(approx.table[0].view(np.uint64),
+                                      np.array([0.3], dtype=complex).view(np.uint64))
+
+
+def test_a_short_entry_s_last_cell_is_the_mean_of_its_part():
+    # An entry that ends 5e-10 short of b spans [0, 1] by the interval rule.
+    # Its last cell's integral, divided by the full cell width, read 5.1e-7
+    # off the full-span entry's mean.  A last cell that 0.9999 cuts takes the
+    # mean over the part of it that the entry covers.
+    full = PiecewisePoly.single([1.0, 2.0], 0.0, 1.0)
+    short = PiecewisePoly.single([1.0, 2.0], 0.0, 1.0 - 5e-10)
+    cut = PiecewisePoly([0.0, 0.9999, 1.0 - 5e-10], [[1.0, 2.0], [3.0, 2.0]])
+    means = approximate_coefficients(PolyMatrix([[full, short, cut]]), 1024).entries[0]
+    want, got, got_cut = (entry(1.0) for entry in means)
+    assert abs(got - want) <= 1e-9 * abs(want)
+    want_cut = exact_mean(cut, 1.0 - 1.0 / 1024, cut.b)
+    assert abs(got_cut - want_cut) <= 1e-15 * abs(want_cut)
 
 
 def test_signed_zero_means_stay_apart():
@@ -138,6 +172,16 @@ def test_signed_zero_means_stay_apart():
     approx = approximate_coefficients(PolyMatrix([[entry]]), 2).entries[0][0]
     assert approx.breakpoints.tolist() == [0.0, 4.0, 8.0]
     assert np.signbit(approx.table.real[:, 0]).tolist() == [True, False]
+
+
+def test_a_signed_zero_in_a_constant_piece_reads_plus_zero():
+    # A part's mean is Horner's, which adds mid * 0 as evaluation does, so a
+    # -0.0 real or imaginary part of a constant piece averages to +0.0.
+    entry = PiecewisePoly([0.0, 0.5, 1.0], [[-0.0], [complex(1.0, -0.0)]])
+    approx = approximate_coefficients(PolyMatrix([[entry]]), 4).entries[0][0]
+    assert approx.breakpoints.tolist() == [0.0, 0.5, 1.0]
+    np.testing.assert_array_equal(approx.table.view(np.uint64),
+                                  np.array([[0.0], [1.0]], dtype=complex).view(np.uint64))
 
 
 @pytest.mark.parametrize("name", corpus.CORPUS_NAMES)
@@ -492,13 +536,13 @@ def test_theorem3_rows_do_not_depend_on_the_grid(name):
 def test_theorem3_primitive_gap_is_a_half_tooth(name, n):
     # The sup of the sawtooth's primitive is a half tooth's area, 0.7 eps, on
     # a grid whose nodes carry the jumps and on one (n = 2049) whose cells
-    # they cut.  The exact integrals difference a global antiderivative,
-    # whose cancellation grows with k: k = 256 reads 7.7e-13.
+    # they cut.  Integrals that differenced a global antiderivative read up
+    # to 7.7e-13 (p2, k = 256); what is left is f + sawtooth - f as formed.
     eps = 1e-3
     problem = corpus.build_problem(name, n)
     report = theorem3_check(problem, sawtooth_rhs(problem, _CORPUS_KS, eps), eps)
     for row in report.rows:
-        assert abs(row.primitive_gap - 0.7 * eps) <= 1e-12 * 0.7 * eps
+        assert abs(row.primitive_gap - 0.7 * eps) <= 1e-13 * 0.7 * eps
 
 
 def test_solvability_gate_does_not_depend_on_the_weight_scale():
