@@ -38,7 +38,7 @@ from .funcspace import (
     traj_norm_c,
     vec_norm,
 )
-from .linode import _adjoint, _propagate, _segment_steps
+from .linode import _adjoint, _propagate
 
 __all__ = [
     "BvpProblem",
@@ -99,7 +99,7 @@ class BvpProblem:
             raise ValueError("boundary operator shape does not match the problem")
         # Every entry and component, not a container's first one.
         op = self.operator
-        rows = [*(row for A in self.coeffs for row in A.entries), self.f.components,
+        rows = [*(row for A in self.coeffs for row in A.entries), *self.f.entries,
                 [op], *(() if op.phi is None else op.phi.entries)]
         if not _spans(self.grid, [e for row in rows for e in row]):
             raise ValueError("grid, coefficient, right-hand side, and operator intervals disagree")
@@ -336,33 +336,35 @@ def _assemble(problem: BvpProblem, V: np.ndarray, R: np.ndarray,
 def _top_channels(grid: Grid, P: PolyMatrix, members):
     """Write f - sum_l A_l y^(l) at the nodes into channel r of each member
     (g, table) of a coefficient set with companion matrix P: its forcing g
-    and its (n+1, r+1, m) jet table, whose channels l < r hold y^(l).  One
-    segment of the pass at a time, the bottom block row [A_0 ... A_{r-1}] of
-    P is read once for the whole set and each member's f, the bottom block
-    of g, alone, by ``_at_nodes``."""
+    and its (n+1, r+1, m) jet table, whose channels l < r hold y^(l).  The
+    whole grid is read in one pass, by ``_at_nodes``: the bottom block row
+    [A_0 ... A_{r-1}] of P once for the whole set, (n+1)·m·d values, and
+    each member's f, the bottom block of g, alone, straight into channel r."""
     if not members:
         return
     d, m = P.shape[0], members[0][1].shape[2]
-    r, rows = d // m, P.entries[d - m:]
-    forcings = [[g.components[d - m:]] for g, _ in members]
-    step = _segment_steps(d)
-    for lo in range(0, grid.n + 1, step):
-        hi = min(lo + step, grid.n + 1) - 1
-        # [A_0 ... A_{r-1}] at the segment's nodes, step-first.
-        values = _at_nodes(rows, grid, lo, hi)
-        for f, (_, table) in zip(forcings, members):
-            block = table[lo:hi + 1, r]
-            block[:] = _at_nodes(f, grid, lo, hi)[:, 0]
-            for l in range(r):
-                block -= np.einsum("nij,nj->ni", values[..., l * m:(l + 1) * m],
-                                   table[lo:hi + 1, l])
+    r = d // m
+    # [A_0 ... A_{r-1}] at the nodes, step-first.
+    values = _at_nodes(P.entries[d - m:], grid)
+    for g, table in members:
+        top = table[:, r]
+        _at_nodes(g.entries[d - m:], grid, top[..., None])
+        for l in range(r):
+            product = np.einsum("nij,nj->ni", values[..., l * m:(l + 1) * m], table[:, l])
+            # A column at a time: numpy buffers a strided 2-d difference.
+            for c in range(m):
+                top[:, c] -= product[:, c]
 
 
-def _at_nodes(rows, grid: Grid, lo: int, hi: int) -> np.ndarray:
-    """Values (hi-lo+1, p, q) of the entries ``rows[i][j]`` at nodes lo .. hi,
-    read by the node rule as ``PiecewisePoly.grid_samples`` reads them."""
-    return np.stack([np.stack([e._node_values(grid, lo, hi) for e in row], axis=-1)
-                     for row in rows], axis=-2)
+def _at_nodes(rows, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+    """Values (n+1, p, q) of the entries ``rows[i][j]`` at the nodes, read
+    by the node rule as ``PiecewisePoly.grid_samples`` reads them, written
+    entry by entry into ``out``, by default a fresh array."""
+    out = np.empty((grid.n + 1, len(rows), len(rows[0])), dtype=complex) if out is None else out
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            out[:, i, j] = entry._node_values(grid, 0, grid.n)
+    return out
 
 
 def residuals(problem: BvpProblem, jet: SampledJet) -> tuple[float, float]:

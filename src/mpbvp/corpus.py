@@ -5,8 +5,9 @@ order with an integral condition, scalar second order with a
 discontinuous complex coefficient and a mixed point/integral condition,
 and a coupled first-order pair with a two-point plus integral condition —
 together with one deliberately degenerate problem whose characteristic
-matrix is singular.  ``build_problem`` builds a problem by name and
-``exact_jet`` samples a solvable one's exact solution jet; building a
+matrix is singular.  A builder returns its problem and its closed form's
+derivative callables, unsampled: ``build_problem`` builds a problem by name
+and ``exact_jet`` samples a solvable one's exact solution jet; building a
 solvable problem checks its closed form against the stated data once per
 builder, on the default grid.
 """
@@ -43,18 +44,16 @@ def _p1(n: int):
     Exact solution y = exp(-t) + t; the condition reads int_0^1 y dt.
     """
     a, b = 0.0, 1.0
-    grid = Grid(a, b, n)
     coeffs = [PolyMatrix.constant([[1.0]], a, b)]
     f = PolyVector([PiecewisePoly.single([1.0, 1.0], a, b)])
     phi = MatrixMeasure([[ScalarMeasure.lebesgue(a, b, 1.0)]])
     operator = GeneralBoundaryOperator(1, 1, [], phi)
     q = np.array([1.5 - np.exp(-1.0)], dtype=complex)
-    problem = BvpProblem(r=1, m=1, coeffs=coeffs, f=f, q=q, operator=operator, grid=grid)
-    jet = SampledJet.from_callables(grid, 1, 1, [
+    problem = BvpProblem(r=1, m=1, coeffs=coeffs, f=f, q=q, operator=operator, grid=Grid(a, b, n))
+    return problem, [
         lambda t: np.exp(-t) + t,
         lambda t: 1.0 - np.exp(-t),
-    ])
-    return problem, jet
+    ]
 
 
 def _p2(n: int):
@@ -65,7 +64,6 @@ def _p2(n: int):
     int_0^1 y dt = -1/4, the latter written as y(0) + int (1-s) y'(s) ds.
     """
     a, b = 0.0, 1.0
-    grid = Grid(a, b, n)
     low, high = 1.0, 1.0 + 0.5j
     a0 = PiecewisePoly.step([a, 0.5, b], [low, high])
     coeffs = [
@@ -84,13 +82,12 @@ def _p2(n: int):
     ])
     operator = GeneralBoundaryOperator(2, 1, alphas, phi)
     q = np.array([0.0, -0.25], dtype=complex)
-    problem = BvpProblem(r=2, m=1, coeffs=coeffs, f=f, q=q, operator=operator, grid=grid)
-    jet = SampledJet.from_callables(grid, 1, 2, [
+    problem = BvpProblem(r=2, m=1, coeffs=coeffs, f=f, q=q, operator=operator, grid=Grid(a, b, n))
+    return problem, [
         lambda t: t ** 3 - t,
         lambda t: 3.0 * t ** 2 - 1.0,
         lambda t: 6.0 * t,
-    ])
-    return problem, jet
+    ]
 
 
 def _p3(n: int):
@@ -103,7 +100,6 @@ def _p3(n: int):
     a visible (second-order) rate rather than being exact.
     """
     a, b = 0.0, 1.0
-    grid = Grid(a, b, n)
     coeffs = [PolyMatrix.constant([[0.0, -1.0], [0.0, 0.0]], a, b)]
     f = PolyVector([
         PiecewisePoly.single([-1.0, 4.0, -1.0], a, b),
@@ -116,12 +112,11 @@ def _p3(n: int):
     ])
     operator = GeneralBoundaryOperator(1, 2, [], phi)
     q = np.array([1.0, 1.0 / 3.0], dtype=complex)
-    problem = BvpProblem(r=1, m=2, coeffs=coeffs, f=f, q=q, operator=operator, grid=grid)
-    jet = SampledJet.from_callables(grid, 2, 1, [
+    problem = BvpProblem(r=1, m=2, coeffs=coeffs, f=f, q=q, operator=operator, grid=Grid(a, b, n))
+    return problem, [
         lambda t: np.stack([t ** 2, (1.0 - t) ** 2], axis=-1),
         lambda t: np.stack([2.0 * t, 2.0 * t - 2.0], axis=-1),
-    ])
-    return problem, jet
+    ]
 
 
 def _nn(n: int):
@@ -131,7 +126,6 @@ def _nn(n: int):
     the solver must refuse.
     """
     a, b = 0.0, 1.0
-    grid = Grid(a, b, n)
     coeffs = [PolyMatrix.zero(1, 1, a, b), PolyMatrix.zero(1, 1, a, b)]
     f = PolyVector.zero(1, a, b)
     terms = [
@@ -140,7 +134,7 @@ def _nn(n: int):
     ]
     operator = BoundaryOperator(2, 1, a, b, terms)
     q = np.zeros(2, dtype=complex)
-    problem = BvpProblem(r=2, m=1, coeffs=coeffs, f=f, q=q, operator=operator, grid=grid)
+    problem = BvpProblem(r=2, m=1, coeffs=coeffs, f=f, q=q, operator=operator, grid=Grid(a, b, n))
     return problem, None
 
 
@@ -154,22 +148,29 @@ def build_problem(name: str, n: int = 2048) -> BvpProblem:
 
 def exact_jet(name: str, n: int = 2048) -> SampledJet:
     """Exact solution jet of a named solvable reference problem."""
-    jet = _load(name, n)[1]
-    if jet is None:
+    problem, derivatives = _load(name, n)
+    if derivatives is None:
         raise ValueError(f"problem {name!r} has no closed-form solution")
-    return jet
+    return _sampled(problem, derivatives)
+
+
+def _sampled(problem: BvpProblem, derivatives) -> SampledJet:
+    """The jet of the closed-form derivatives y, y', ..., y^(r) on the problem's grid."""
+    return SampledJet.from_callables(problem.grid, problem.m, problem.r, derivatives)
 
 
 def _load(name: str, n: int):
+    """The named builder's problem on n steps and its closed form's derivative
+    callables, or None, unsampled; a closed form is checked once per builder."""
     key = name.strip().lower()
     if key not in _BUILDERS:
         known = ", ".join(sorted(_BUILDERS))
         raise ValueError(f"unknown problem {name!r} (known: {known})")
     builder = _BUILDERS[key]
-    problem, jet = builder(n)
-    if jet is not None:
+    problem, derivatives = builder(n)
+    if derivatives is not None:
         _check_closed_form(key, builder)
-    return problem, jet
+    return problem, derivatives
 
 
 @functools.cache
@@ -180,8 +181,8 @@ def _check_closed_form(key: str, builder) -> None:
     every grid; on a coarse grid the quadrature error of an integral
     condition alone would exceed the tolerance.
     """
-    problem, jet = builder(_CHECK_N)
-    ode_defect, boundary_defect = residuals(problem, jet)
+    problem, derivatives = builder(_CHECK_N)
+    ode_defect, boundary_defect = residuals(problem, _sampled(problem, derivatives))
     if ode_defect > _RESIDUAL_TOL or boundary_defect > _RESIDUAL_TOL:
         raise AssertionError(
             f"reference problem {key!r} failed its closed-form check "

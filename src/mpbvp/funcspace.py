@@ -21,6 +21,8 @@ about the part's own midpoint, sums gather both operands' rows at the
 merged pieces, and |.| integrals of constant pieces are one dot product.
 Evaluation takes the right-hand piece at an interior breakpoint; the
 left-hand limits that RK4 step ends need come from ``grid_samples``.
+Vectors and matrices of them, and matrices of measures, are rows of
+entries on one interval, by one contract, ``_Entries``.
 
 A sampled jet is one (n+1, r+1, m) table of node samples, channel j
 holding y^(j); its norms ``norm_cl`` and ``norm_w1r`` reduce its channels
@@ -251,15 +253,18 @@ def _check_k(k) -> int:
     return int(k)
 
 
-def _horner(table: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Row i of a coefficient table (lowest degree first) evaluated at t[i].
+def _horner(table: np.ndarray, t: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Row rows[i] of a coefficient table (lowest degree first) evaluated at
+    t[i], by default row i.  The rows are read a column at a time and the
+    sums formed in place, so no gathered copy of the table is formed.
 
     The same operations as ``polyval`` per row, so zero padding above a
     row's degree leaves every sum bit for bit unchanged.
     """
-    out = table[:, -1] + t * 0
+    out = table[rows, -1] + t * 0
     for k in range(table.shape[1] - 2, -1, -1):
-        out = table[:, k] + out * t
+        out *= t
+        out += table[rows, k]
     return out
 
 
@@ -384,7 +389,7 @@ class PiecewisePoly:
     def __call__(self, t):
         tt = np.atleast_1d(np.asarray(t, dtype=float))
         # A single piece is evaluated, broadcast, with no piece search.
-        out = _horner(self.table if self.npieces == 1 else self.table[self._piece_index(tt)], tt)
+        out = _horner(self.table, tt, slice(None) if self.npieces == 1 else self._piece_index(tt))
         return out[0] if np.ndim(t) == 0 else out
 
     def grid_samples(self, grid: Grid, lo: int = 0, hi: int | None = None):
@@ -403,7 +408,7 @@ class PiecewisePoly:
         ends = at_nodes[1:].copy()
         _, at, on = self._keys
         on = on[(on > lo) & (on <= hi)]
-        ends[on - lo - 1] = _horner(self.table[np.searchsorted(at, on)], grid.nodes[on])
+        ends[on - lo - 1] = _horner(self.table, grid.nodes[on], np.searchsorted(at, on))
         return at_nodes, ends, at_mids
 
     def _node_values(self, grid: Grid, lo: int, hi: int) -> np.ndarray:
@@ -417,8 +422,8 @@ class PiecewisePoly:
             _, on, i = _located_breakpoints(grid, self)
             # Each breakpoint in steps from a: on its node (past n on b), or half into its cell.
             self._keys = grid, i + np.where(on, i == grid.n, 0.5), i[on]
-        return _horner(self.table[np.searchsorted(self._keys[1], np.arange(lo, hi + 1),
-                                                  side="right")], nodes)
+        return _horner(self.table, nodes,
+                       np.searchsorted(self._keys[1], np.arange(lo, hi + 1), side="right"))
 
     # -- calculus ----------------------------------------------------------
 
@@ -565,34 +570,62 @@ def _piece_abs_integral(coeffs: np.ndarray, lo: float, hi: float) -> float:
     return total
 
 
-class PolyVector:
-    """Column vector of piecewise polynomials sharing one interval."""
+class _Entries:
+    """Entries on one interval [a, b], held as rows: the contract that
+    ``PolyMatrix``, ``PolyVector`` (its one-column case) and
+    ``stieltjes.MatrixMeasure`` share.  Construction refuses no rows, an
+    empty first row, ragged rows and, by the interval rule, entries on
+    different intervals; ``a`` and ``b`` are the first entry's."""
 
-    __slots__ = ("components",)
+    __slots__ = ("entries",)
+    #: The messages that refuse empty input and entries on different intervals.
+    _EMPTY = "need a non-empty matrix of entries"
+    _APART = "all entries must share the same interval"
+
+    def __init__(self, entries):
+        rows = [list(r) for r in entries]
+        if not rows or not rows[0]:
+            raise ValueError(self._EMPTY)
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("ragged rows")
+        if not _spans(rows[0][0], [e for r in rows for e in r]):
+            raise ValueError(self._APART)
+        self.entries = rows
+
+    @property
+    def shape(self):
+        return (len(self.entries), len(self.entries[0]))
+
+    @property
+    def a(self) -> float:
+        return self.entries[0][0].a
+
+    @property
+    def b(self) -> float:
+        return self.entries[0][0].b
+
+
+class PolyVector(_Entries):
+    """Column vector of piecewise polynomials sharing one interval: an
+    (m, 1) matrix of entries whose ``components`` are its rows' one entry."""
+
+    __slots__ = ()
+    _EMPTY, _APART = "need at least one component", "all components must share the same interval"
 
     def __init__(self, components):
-        comps = list(components)
-        if not comps:
-            raise ValueError("need at least one component")
-        if not _spans(comps[0], comps):
-            raise ValueError("all components must share the same interval")
-        self.components = comps
+        super().__init__([c] for c in components)
 
     @classmethod
     def zero(cls, m: int, a: float, b: float) -> "PolyVector":
         return cls([PiecewisePoly.zero(a, b) for _ in range(m)])
 
     @property
+    def components(self) -> list:
+        return [row[0] for row in self.entries]
+
+    @property
     def m(self) -> int:
-        return len(self.components)
-
-    @property
-    def a(self) -> float:
-        return self.components[0].a
-
-    @property
-    def b(self) -> float:
-        return self.components[0].b
+        return len(self.entries)
 
     def eval_at(self, t) -> np.ndarray:
         """Values (K, m) at K points t, or (m,) at a scalar t."""
@@ -617,21 +650,10 @@ class PolyVector:
     __rmul__ = __mul__
 
 
-class PolyMatrix:
+class PolyMatrix(_Entries):
     """Matrix of piecewise polynomials sharing one interval."""
 
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        rows = [list(r) for r in entries]
-        if not rows or not rows[0]:
-            raise ValueError("need a non-empty matrix of entries")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged rows")
-        if not _spans(rows[0][0], [e for r in rows for e in r]):
-            raise ValueError("all entries must share the same interval")
-        self.entries = rows
+    __slots__ = ()
 
     @classmethod
     def constant(cls, matrix, a: float, b: float) -> "PolyMatrix":
@@ -645,29 +667,13 @@ class PolyMatrix:
     def zero(cls, rows: int, cols: int, a: float, b: float) -> "PolyMatrix":
         return cls([[PiecewisePoly.zero(a, b) for _ in range(cols)] for _ in range(rows)])
 
-    @property
-    def shape(self):
-        return (len(self.entries), len(self.entries[0]))
-
-    @property
-    def a(self) -> float:
-        return self.entries[0][0].a
-
-    @property
-    def b(self) -> float:
-        return self.entries[0][0].b
-
     def eval_at(self, t) -> np.ndarray:
         """Values (K, p, q) at K points t, or (p, q) at a scalar t."""
         return np.stack([np.stack([e(t) for e in row], axis=-1) for row in self.entries], axis=-2)
 
     def l1_norm(self) -> float:
         """Maximum over columns of the summed entrywise L1 norms."""
-        p, q = self.shape
-        best = 0.0
-        for j in range(q):
-            best = max(best, sum(self.entries[i][j].abs_integral() for i in range(p)))
-        return best
+        return max(sum(e.abs_integral() for e in column) for column in zip(*self.entries))
 
 
 class SampledJet:

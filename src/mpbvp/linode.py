@@ -159,11 +159,11 @@ def _propagate(systems, grid: Grid):
     systems = list(systems)
     d = systems[0][0].shape[0]
     for i, (A, g) in enumerate(systems):
-        if A.shape != (d, d) or len(g.components) != d:
+        if A.shape != (d, d) or g.m != d:
             raise ValueError(f"system {i} has a {A.shape[0]} x {A.shape[1]} coefficient matrix "
-                             f"and {len(g.components)} forcing components, not {d} x {d} and {d}")
+                             f"and {g.m} forcing components, not {d} x {d} and {d}")
     # Every entry of A and component of g, not a container's first one.
-    if not _spans(grid, [e for A, g in systems for r in [*A.entries, g.components] for e in r]):
+    if not _spans(grid, [e for A, g in systems for r in [*A.entries, *g.entries] for e in r]):
         raise ValueError("coefficient and forcing intervals do not span the grid")
     n = grid.n
     # Whole chunks past step n - 1, so that the state after it has a column.
@@ -266,7 +266,7 @@ def _fill(work: np.ndarray, A: PolyMatrix, forcings: list, grid: Grid) -> None:
     SEGMENT_BYTES of [A | g_1]: A with g_1, as in a group of one, and each
     further g alone after it, its samples dropped before the next."""
     d, n = A.shape[0], grid.n
-    columns = [[*r, g] for r, g in zip(A.entries, forcings[0].components)]
+    columns = [r + g for r, g in zip(A.entries, forcings[0].entries)]
     steps = _segment_steps(d)
     for lo in range(0, n, steps):
         hi = min(lo + steps, n)
@@ -275,7 +275,7 @@ def _fill(work: np.ndarray, A: PolyMatrix, forcings: list, grid: Grid) -> None:
             np.negative(panel[:, :d], out=panel[:, :d])
         _increments(left, left, grid.h, work[:, :d + 1, lo:hi])
         for column, g in zip(range(d + 1, d + len(forcings)), forcings[1:]):
-            right = _coefficient_panels([[entry] for entry in g.components], grid, lo, hi)
+            right = _coefficient_panels(g.entries, grid, lo, hi)
             _increments(left, right, grid.h, work[:, column:column + 1, lo:hi])
             del right
         del left

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .funcspace import (_GAUSS_W, _GAUSS_X, BLOCK_STEPS, Grid, PiecewisePoly, _check_k,
-                        _clamp_points, _coalesce, _cubic_stencil, _equal_partition, _horner,
-                        _located_breakpoints, _place_points, _spans)
+from .funcspace import (_GAUSS_W, _GAUSS_X, BLOCK_STEPS, Grid, PiecewisePoly, _Entries,
+                        _check_k, _clamp_points, _coalesce, _cubic_stencil, _equal_partition,
+                        _horner, _located_breakpoints, _place_points, _spans)
 
 __all__ = [
     "ScalarMeasure",
@@ -226,33 +226,11 @@ class LiftedOperator:
         return self._apply(v.transpose(1, 2, 0))
 
 
-class MatrixMeasure:
+class MatrixMeasure(_Entries):
     """A rows x cols matrix of scalar measures over one interval."""
 
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        rows = [list(r) for r in entries]
-        if not rows or not rows[0]:
-            raise ValueError("need a non-empty matrix of measures")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged rows")
-        if not _spans(rows[0][0], [e for r in rows for e in r]):
-            raise ValueError("all entries must share the same interval")
-        self.entries = rows
-
-    @property
-    def shape(self):
-        return (len(self.entries), len(self.entries[0]))
-
-    @property
-    def a(self) -> float:
-        return self.entries[0][0].a
-
-    @property
-    def b(self) -> float:
-        return self.entries[0][0].b
+    __slots__ = ()
+    _EMPTY = "need a non-empty matrix of measures"
 
     def _atom_terms(self, order: int, k: int | None = None):
         """Every entry's atoms, entry by entry, as point terms of the given order

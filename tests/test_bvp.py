@@ -442,8 +442,8 @@ def test_fine_grid_solve_keeps_roundoff():
 @pytest.mark.parametrize("name", ["p2", "p3"])
 def test_fine_grid_solve_holds_no_coefficient_table(name):
     # The pass hands over V and R only, views of its work array: the solve
-    # evaluates its bottom row at the nodes a segment at a time, and builds
-    # the top channel and the defect once V and R are gone.  With the node
+    # evaluates its bottom row at the nodes over the whole grid once V and R
+    # are gone, and builds the top channel and the defect then.  With the node
     # values of [A_0 ... A_{r-1} | f] handed over and kept to the end, p2
     # and p3 peaked at 4.5 and 5.8 MiB; with V and R formed beside the work
     # array, a dense compiled operator and the top channel formed while the
@@ -509,40 +509,63 @@ def test_top_channel_is_bitwise_the_node_evaluation():
         assert jet.samples[-1].tobytes() == top.tobytes()
 
 
-def test_a_family_evaluates_each_coefficient_set_once_per_segment(monkeypatch):
+def test_a_family_evaluates_each_coefficient_set_once(monkeypatch):
     # A theorem 3 family of p2 with k = 3, 4, 7 and 8: the limit and the even
     # k share their coefficients bit for bit, the odd k have their own, so
-    # the finish reads A's bottom row at the nodes for three sets, once per
-    # segment of the pass (two at n = 2048, d = 2), and each member's f
-    # alone, once per segment, never with it.  Every member's jet is still
-    # the one it has solved alone.
+    # the finish reads A's bottom row at the nodes for three sets, once over
+    # the whole grid, and each member's f alone, once, never with it.  Every
+    # member's jet is still the one it has solved alone.
     problem = corpus.build_problem("p2", 2048)
     members = [build_multipoint_problem(problem, k, f=f_k, q=q_k)
                for k, f_k, q_k in sawtooth_rhs(problem, (3, 4, 7, 8), 1e-3)]
     family = [problem, *members]
     calls, at_nodes = [], bvp._at_nodes
 
-    def recording(rows, grid, lo, hi):
-        calls.append((_bits(e for row in rows for e in row), grid.nodes[lo], hi + 1 - lo))
-        return at_nodes(rows, grid, lo, hi)
+    def recording(rows, grid, out=None):
+        calls.append(_bits(e for row in rows for e in row))
+        return at_nodes(rows, grid, out)
 
     monkeypatch.setattr(bvp, "_at_nodes", recording)
     solutions, _ = _solve_pass(family, inverse=True)
     monkeypatch.undo()
     sets = {_bits(e for A in p.coeffs for row in A.entries for e in row): p for p in family}
     assert len(sets) == 3
-    nodes, step = problem.grid.nodes, _segment_steps(problem.d)
-    segments = [(nodes[lo], nodes[lo:lo + step].size) for lo in range(0, nodes.size, step)]
-    assert len(segments) == 2
     rows = [_bits(e for row in companion_reduce(p)[0].entries[-p.m:] for e in row)
             for p in sets.values()]
     rows += [_bits(p.f.components) for p in family]
-    assert sorted(calls) == sorted((row, *segment) for row in rows for segment in segments)
+    assert sorted(calls) == sorted(rows)
     for member, together in zip(family, solutions, strict=True):
         alone = solve(member).jet
         assert len(together.jet.samples) == len(alone.samples) == member.r + 1
         for have, want in zip(together.jet.samples, alone.samples, strict=True):
             assert have.tobytes() == want.tobytes()
+
+
+def test_one_pass_top_channel_is_bitwise_the_per_segment_one():
+    # On 8194 steps p2's jump at 1/2 is node 4097, one step inside the pass's
+    # third segment of 2048 steps.  Reading the whole grid at once must give
+    # the bits that reading it a segment at a time gave.
+    problem = corpus.build_problem("p2", 8194)
+    jet = solve(problem).jet
+    P, g = companion_reduce(problem)[:2]
+    d, m, r, grid = problem.d, problem.m, problem.r, problem.grid
+    step = _segment_steps(d)
+    assert 4097 % step == 1
+    top = np.empty((grid.n + 1, m), dtype=complex)
+    for lo in range(0, grid.n + 1, step):
+        hi = min(lo + step, grid.n + 1) - 1
+
+        def at_nodes(rows):
+            return np.stack([np.stack([e._node_values(grid, lo, hi) for e in row], axis=-1)
+                             for row in rows], axis=-2)
+
+        values = at_nodes(P.entries[d - m:])
+        block = top[lo:hi + 1]
+        block[:] = at_nodes([g.components[d - m:]])[:, 0]
+        for l in range(r):
+            block -= np.einsum("nij,nj->ni", values[..., l * m:(l + 1) * m],
+                               jet.table[lo:hi + 1, l])
+    assert jet.samples[r].tobytes() == top.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,31 @@ def test_closed_form_is_checked_once_on_the_default_grid(monkeypatch):
     assert checked == [corpus._CHECK_N]
 
 
+def test_building_a_problem_samples_no_closed_form(monkeypatch):
+    # Once its builder's closed form is checked, a build returns the problem
+    # alone: only exact_jet samples the derivative callables on the grid.
+    for name in (*corpus.CORPUS_NAMES, *corpus.DEGENERATE_NAMES):
+        corpus.build_problem(name)
+    sampled, from_callables = [], corpus.SampledJet.from_callables
+
+    def counting(grid, m, r, derivatives):
+        sampled.append(grid.n)
+        return from_callables(grid, m, r, derivatives)
+
+    monkeypatch.setattr(corpus.SampledJet, "from_callables", counting)
+    for name in (*corpus.CORPUS_NAMES, *corpus.DEGENERATE_NAMES):
+        for n in (8, 2048, 16384):
+            assert corpus.build_problem(name, n).grid.n == n
+    assert sampled == []
+    assert corpus.exact_jet("p3", 16).table.shape == (17, 2, 2)
+    assert sampled == [16]
+
+
 @pytest.mark.parametrize("n", [8, 2048])
 def test_perturbed_builder_trips_the_self_check(monkeypatch, n):
     def perturbed(n):
-        problem, jet = corpus._p1(n)
-        return dataclasses.replace(problem, q=problem.q + 1e-6), jet
+        problem, derivatives = corpus._p1(n)
+        return dataclasses.replace(problem, q=problem.q + 1e-6), derivatives
 
     monkeypatch.setitem(corpus._BUILDERS, "p1", perturbed)
     with pytest.raises(AssertionError, match="'p1' failed its closed-form check"):

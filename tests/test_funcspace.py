@@ -35,9 +35,9 @@ from mpbvp import (
     corpus,
     sawtooth_rhs,
 )
-from mpbvp.funcspace import (MAX_GRID_N, _GAUSS_W, _GAUSS_X, _cubic_stencil, _equal_partition,
-                             _fractional_index, _horner, _located, _merge_tol, _piece_abs_integral,
-                             _place_points)
+from mpbvp.funcspace import (MAX_GRID_N, _GAUSS_W, _GAUSS_X, _cubic_stencil, _Entries,
+                             _equal_partition, _fractional_index, _horner, _located, _merge_tol,
+                             _piece_abs_integral, _place_points)
 from oracles import exact_integral, interval_integral, left_limit
 
 
@@ -609,6 +609,40 @@ def test_poly_vector_norms_sum_components():
     assert abs(norm_cl(SampledJet(grid, 2, 0, [f.eval_at(grid.nodes)]), 0) - 3.0) <= 1e-12
 
 
+@pytest.mark.parametrize("cls, entry, empty, apart", [
+    (PolyMatrix, PiecewisePoly.zero, "need a non-empty matrix of entries",
+     "all entries must share the same interval"),
+    (MatrixMeasure, ScalarMeasure.zero, "need a non-empty matrix of measures",
+     "all entries must share the same interval"),
+    (PolyVector, PiecewisePoly.zero, "need at least one component",
+     "all components must share the same interval"),
+], ids=["PolyMatrix", "MatrixMeasure", "PolyVector"])
+def test_containers_share_one_construction_check_and_ends(cls, entry, empty, apart):
+    # A vector is the one-column case: it is built from its components.
+    column = cls is PolyVector
+    build = (lambda rows: cls([row[0] for row in rows])) if column else cls
+    assert (cls.shape, cls.a, cls.b) == (_Entries.shape, _Entries.a, _Entries.b)
+    assert column or cls.__init__ is _Entries.__init__
+    with pytest.raises(ValueError, match=f"^{empty}$"):
+        cls([])
+    if not column:
+        with pytest.raises(ValueError, match=f"^{empty}$"):
+            cls([[]])
+        with pytest.raises(ValueError, match="^ragged rows$"):
+            cls([[entry(0.0, 1.0)], [entry(0.0, 1.0)] * 2])
+    # Every entry is checked by the interval rule, not only the first one.
+    with pytest.raises(ValueError, match=f"^{apart}$"):
+        build([[entry(0.0, 2.0)], [entry(0.0, 2.0)], [entry(0.0, 2.0 + 1e-8)]])
+    rows = [[entry(0.0, 2.0)], [entry(1e-9, 2.0 + 1e-9)], [entry(0.0, 2.0)]]
+    container = build(rows)
+    assert container.shape == (3, 1)
+    assert (container.a, container.b) == (0.0, 2.0)
+    assert [row[0] for row in container.entries] == [row[0] for row in rows]
+    if not column:
+        wide = cls([[entry(-1.0, 3.0)] * 2] * 3)
+        assert (wide.shape, wide.a, wide.b) == ((3, 2), -1.0, 3.0)
+
+
 def test_poly_matrix_l1_norm_takes_max_column():
     A = PolyMatrix([
         [PiecewisePoly.constant(1.0, 0.0, 1.0), PiecewisePoly.zero(0.0, 1.0)],
@@ -753,3 +787,8 @@ def test_gauss_rule_and_horner_are_bitwise_numpy_polynomial():
             want = np.polynomial.polynomial.polyval(t, c)
             np.testing.assert_array_equal(_horner(c[None], t).view(np.uint64),
                                           want.view(np.uint64))
+    # Rows gathered a column at a time give the bits of the gathered table.
+    table = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+    rows = rng.integers(0, 7, t.size)
+    np.testing.assert_array_equal(_horner(table, t, rows).view(np.uint64),
+                                  _horner(table[rows], t).view(np.uint64))
