@@ -219,23 +219,23 @@ def norm_upper_bound(op: BoundaryOperator) -> float:
 def norm_lower_bound(op, probes) -> float:
     """Certified lower bound for the operator norm from a family of probe jets.
 
-    Returns max over probes of |B y| / |y|_(r-1); the probe list must be
-    non-empty.  The operator is lifted once per grid the probes live on.
+    Returns max over probes of |B y| / |y|_(r-1).  The probe list must be
+    non-empty and its jets must share one grid, on which the operator is
+    lifted once.
     """
     probes = list(probes)
     if not probes:
         raise ValueError("need at least one probe jet")
-    r = op.r
+    grid = probes[0].grid
+    lifted = lift(op, grid)
     best = 0.0
-    lifted = {}
-    for jet in probes:
-        denom = norm_cl(jet, min(r - 1, jet.r))
+    for i, jet in enumerate(probes):
+        if jet.grid != grid:
+            raise ValueError(f"probe {i} lies on another grid than probe 0")
+        denom = norm_cl(jet, min(op.r - 1, jet.r))
         if denom == 0.0:
             continue
-        values = _stacked_jet(op, jet)
-        if jet.grid not in lifted:
-            lifted[jet.grid] = lift(op, jet.grid)
-        best = max(best, vec_norm(lifted[jet.grid].apply_values(values)) / denom)
+        best = max(best, vec_norm(lifted.apply_values(_stacked_jet(op, jet))) / denom)
     if best == 0.0:
         raise ValueError("all probes annihilated the operator; enlarge the family")
     return best
@@ -246,10 +246,10 @@ def _poly_jet(grid: Grid, m: int, r: int, component: int, coeffs) -> SampledJet:
     table = np.zeros((grid.n + 1, r + 1, m), dtype=complex)
     c = np.asarray(coeffs, dtype=float)
     for l in range(r + 1):
-        table[:, l, component] = _horner(c[None], grid.nodes) if c.size else 0.0
+        table[:, l, component] = _horner(c[None], grid.nodes)
         # The derivative, j c_j at degree j - 1, as ``polyder`` forms it.
         c = c[1:] * np.arange(1, c.size) if c.size > 1 else np.zeros(1)
-    return SampledJet._from_table(grid, table)
+    return SampledJet(grid, table)
 
 
 def default_probe_jets(r: int, m: int, grid: Grid) -> list:

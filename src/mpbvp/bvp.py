@@ -20,7 +20,7 @@ y^(r) = f - sum_l A_l y^(l) into channel r in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -132,9 +132,9 @@ class BvpSolution:
     char_matrix: np.ndarray
     det: complex
     cond: float
-    matrizant_norm_c: float = field(default=float("nan"))
-    char_inverse_norm: float = field(default=float("nan"))
-    boundary_residual: float = field(default=float("nan"))
+    matrizant_norm_c: float
+    char_inverse_norm: float
+    boundary_residual: float
 
     @cached_property
     def consistency_defect(self) -> float:
@@ -302,7 +302,7 @@ def _solve_pass(problems, inverse: bool = False) -> tuple[list, float | None]:
         _top_channels(grid, P, [(systems[i][1], out[i][0]) for i in solved])
         for i in solved:
             table, solution = out[i]
-            solution.jet = SampledJet._from_table(grid, table)
+            solution.jet = SampledJet(grid, table)
             out[i] = solution
     return [out[i] for i in range(len(problems))], w_c
 

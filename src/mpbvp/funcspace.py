@@ -25,8 +25,9 @@ Vectors and matrices of them, and matrices of measures, are rows of
 entries on one interval, by one contract, ``_Entries``.
 
 A sampled jet is one (n+1, r+1, m) table of node samples, channel j
-holding y^(j); its norms ``norm_cl`` and ``norm_w1r`` reduce its channels
-one at a time and sum them.
+holding y^(j), which its one constructor, ``SampledJet(grid, table)``,
+wraps without a copy; its norms ``norm_cl`` and ``norm_w1r`` reduce its
+channels one at a time and sum them.
 """
 
 from __future__ import annotations
@@ -680,46 +681,42 @@ class SampledJet:
     """Node samples of y and its derivatives y^(j) for j = 0..r, as one table.
 
     ``table`` is an (n+1, r+1, m) complex array with table[i, j] holding
-    y^(j)(t_i).  ``samples[j]`` is its channel j, the (n+1, m) view
-    table[:, j]; the constructor copies its channels into a new table.
+    y^(j)(t_i), channel j being the view ``samples[j]``; ``m`` and ``r`` are
+    read from its shape.  The one constructor checks the table and wraps a
+    complex one as it is, with no copy.  ``perfbench/workloads.py`` reads
+    ``samples``, ``m``, ``grid`` and ``from_callables``.
     """
 
-    __slots__ = ("grid", "m", "r", "table")
+    __slots__ = ("grid", "table")
 
-    def __init__(self, grid: Grid, m: int, r: int, samples):
-        if m < 1 or r < 0:
-            raise ValueError("need m >= 1 and r >= 0")
-        chans = []
-        for j, ch in enumerate(samples):
-            arr = np.asarray(ch, dtype=complex)
-            if arr.ndim == 1:
-                arr = arr[:, None]
-            if arr.shape != (grid.n + 1, m):
-                raise ValueError(
-                    f"channel {j} has shape {arr.shape}, expected {(grid.n + 1, m)}"
-                )
-            if not np.isfinite(arr).all():
-                raise ValueError(f"channel {j} contains non-finite samples")
-            chans.append(arr)
-        if len(chans) != r + 1:
-            raise ValueError(f"order-{r} jet needs {r + 1} channels, got {len(chans)}")
-        self.grid, self.m, self.r, self.table = grid, m, r, np.stack(chans, axis=1)
-
-    @classmethod
-    def _from_table(cls, grid: Grid, table: np.ndarray) -> "SampledJet":
-        """Wrap an (n+1, r+1, m) table as it is, after the constructor's
-        finiteness check; the channel is only searched for when it fails."""
+    def __init__(self, grid: Grid, table):
+        table = np.asarray(table, dtype=complex)
+        if table.ndim != 3 or table.shape[0] != grid.n + 1 or 0 in table.shape:
+            raise ValueError(f"jet table has shape {table.shape}, expected "
+                             f"({grid.n + 1}, r + 1, m) with r >= 0 and m >= 1")
+        # The channel is only searched for when the check fails.
         if not np.isfinite(table).all():
             j = np.flatnonzero(~np.isfinite(table).all(axis=(0, 2)))[0]
             raise ValueError(f"channel {j} contains non-finite samples")
-        out = cls.__new__(cls)
-        out.grid, out.m, out.r, out.table = grid, table.shape[2], table.shape[1] - 1, table
-        return out
+        self.grid, self.table = grid, table
 
     @classmethod
     def from_callables(cls, grid: Grid, m: int, r: int, derivatives) -> "SampledJet":
-        """Build a jet by sampling closed-form derivative callables on the grid."""
-        return cls(grid, m, r, [f(grid.nodes) for f in derivatives])
+        """Build a jet by sampling closed-form derivative callables y, ...,
+        y^(r) on the grid's nodes, each giving (n+1) values per component."""
+        derivatives = list(derivatives)
+        if len(derivatives) != r + 1:
+            raise ValueError(f"order-{r} jet needs {r + 1} channels, got {len(derivatives)}")
+        return cls(grid, np.stack([np.reshape(f(grid.nodes), (grid.n + 1, m))
+                                   for f in derivatives], axis=1))
+
+    @property
+    def m(self) -> int:
+        return self.table.shape[2]
+
+    @property
+    def r(self) -> int:
+        return self.table.shape[1] - 1
 
     @property
     def samples(self) -> tuple:
@@ -731,7 +728,7 @@ class SampledJet:
             return NotImplemented
         if (other.grid != self.grid) or other.m != self.m or other.r != self.r:
             raise ValueError("jets must share grid, dimension, and order")
-        return SampledJet._from_table(self.grid, self.table - other.table)
+        return SampledJet(self.grid, self.table - other.table)
 
     def consistency_defect(self) -> float:
         """Max deviation of centered differences of channel j from channel j+1:

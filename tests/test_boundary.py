@@ -317,20 +317,35 @@ def test_probe_jets_are_bitwise_numpy_polynomial(r, m, a, b):
 
 @pytest.mark.parametrize("name", ["p1", "p2", "p3"])
 def test_norm_lower_bound_is_bitwise_the_per_probe_application(name):
-    # Probes on two grids, as the max over per-probe apply_operator calls.
-    problem = corpus.build_problem(name, 256)
-    probes = [jet for n in (256, 257)
-              for jet in default_probe_jets(problem.r, problem.m, Grid(0.0, 1.0, n))]
-    want = max(float(np.abs(apply_operator(problem.operator, jet)).sum())
-               / sum(float(np.abs(jet.samples[j]).max(axis=0).sum()) for j in range(problem.r))
-               for jet in probes)
-    assert norm_lower_bound(problem.operator, probes) == want
+    # The max over per-probe apply_operator calls, on an even and an odd grid.
+    for n in (256, 257):
+        problem = corpus.build_problem(name, n)
+        probes = default_probe_jets(problem.r, problem.m, problem.grid)
+        want = max(float(np.abs(apply_operator(problem.operator, jet)).sum())
+                   / sum(float(np.abs(jet.samples[j]).max(axis=0).sum())
+                         for j in range(problem.r))
+                   for jet in probes)
+        assert norm_lower_bound(problem.operator, probes) == want
+
+
+def test_norm_lower_bound_refuses_a_probe_on_another_grid():
+    # The operator is lifted once, on probe 0's grid; a probe elsewhere,
+    # on more steps or on a shifted interval, is named, not lifted again.
+    problem = corpus.build_problem("p2", 64)
+    probes = default_probe_jets(problem.r, problem.m, problem.grid)
+    for grid in (Grid(0.0, 1.0, 65), Grid(0.0, 1.0 + 2**-20, 64)):
+        stray = default_probe_jets(problem.r, problem.m, grid)[1]
+        with pytest.raises(ValueError, match=rf"^probe {len(probes)} lies on another grid "
+                                             r"than probe 0$"):
+            norm_lower_bound(problem.operator, probes + [stray])
+        with pytest.raises(ValueError, match="^probe 1 lies on another grid than probe 0$"):
+            norm_lower_bound(problem.operator, [stray, probes[0]])
 
 
 def test_norm_lower_bound_checks_every_probe():
     problem = corpus.build_problem("p2", 64)
     probes = default_probe_jets(problem.r, problem.m, problem.grid)
-    short = SampledJet(problem.grid, 1, 0, [np.ones(65)])
+    short = SampledJet(problem.grid, np.ones((65, 1, 1)))
     wide = default_probe_jets(problem.r, 2, problem.grid)[0]
     for bad, message in ((short, "jet order"), (wide, "components")):
         with pytest.raises(ValueError, match=message):

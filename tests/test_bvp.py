@@ -316,8 +316,9 @@ def test_residuals_detect_wrong_solution():
     assert boundary_ok <= 1e-10
     # shift the solution by a constant: the integral condition must notice
     from mpbvp import SampledJet
-    shifted = SampledJet(jet.grid, jet.m, jet.r,
-                         [jet.samples[0] + 1.0, jet.samples[1]])
+    table = jet.table.copy()
+    table[:, 0] += 1.0
+    shifted = SampledJet(jet.grid, table)
     ode_bad, boundary_bad = residuals(problem, shifted)
     assert boundary_bad > 0.5
     assert ode_bad > 0.5  # y' + y picks up the constant as well

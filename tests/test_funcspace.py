@@ -91,11 +91,12 @@ def test_grid_validation():
 
 @pytest.mark.parametrize("call, message", [
     (lambda grid: Grid(0.0, float("inf"), 8), "grid endpoints must be finite"),
-    (lambda grid: SampledJet(grid, 1, 0, [np.zeros(8)]),
-     "channel 0 has shape (8, 1), expected (9, 1)"),
-    (lambda grid: SampledJet(grid, 1, 1, [np.zeros(9), np.full(9, np.nan)]),
+    (lambda grid: SampledJet(grid, np.zeros((8, 1, 1))),
+     "jet table has shape (8, 1, 1), expected (9, r + 1, m) with r >= 0 and m >= 1"),
+    (lambda grid: SampledJet(grid, np.stack([np.zeros(9), np.full(9, np.nan)], axis=1)[..., None]),
      "channel 1 contains non-finite samples"),
-    (lambda grid: SampledJet(grid, 1, 1, [np.zeros(9)]), "order-1 jet needs 2 channels, got 1"),
+    (lambda grid: SampledJet.from_callables(grid, 1, 1, [np.zeros_like]),
+     "order-1 jet needs 2 channels, got 1"),
 ])
 def test_a_bad_grid_or_jet_is_refused(call, message):
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
@@ -606,7 +607,7 @@ def test_poly_vector_norms_sum_components():
     assert values.shape == (2, 2)
     # function C-norm sums the component sups: 1 + 2
     grid = Grid(0.0, 1.0, 64)
-    assert abs(norm_cl(SampledJet(grid, 2, 0, [f.eval_at(grid.nodes)]), 0) - 3.0) <= 1e-12
+    assert abs(norm_cl(SampledJet(grid, f.eval_at(grid.nodes)[:, None]), 0) - 3.0) <= 1e-12
 
 
 @pytest.mark.parametrize("cls, entry, empty, apart", [
@@ -687,40 +688,76 @@ def test_norm_l1_matches_exact_integral():
     grid = Grid(0.0, 1.0, 512)
     values = np.stack([grid.nodes, -np.ones_like(grid.nodes)], axis=1)
     # integral |t| + integral |-1| = 3/2; trapezoid is exact for both
-    assert abs(norm_w1r(SampledJet(grid, 2, 0, [values])) - 1.5) <= 1e-12
+    assert abs(norm_w1r(SampledJet(grid, values[:, None])) - 1.5) <= 1e-12
 
 
-def _random_channels(rng, grid, m, r):
-    shape = (grid.n + 1, m)
-    return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(r + 1)]
+def _random_table(rng, grid, m, r):
+    shape = (grid.n + 1, r + 1, m)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def test_jet_samples_are_views_of_its_table_with_the_channels_bits():
     rng = np.random.default_rng(46)
     grid = Grid(0.0, 1.0, 16)
-    channels = _random_channels(rng, grid, 2, 2)
-    jet = SampledJet(grid, 2, 2, channels)
-    assert jet.table.shape == (17, 3, 2)
+    table = _random_table(rng, grid, 2, 2)
+    jet = SampledJet(grid, table)
+    assert (jet.m, jet.r, jet.table.shape) == (2, 2, (17, 3, 2))
     assert len(jet.samples) == 3
-    for j, (sample, channel) in enumerate(zip(jet.samples, channels)):
-        assert sample.base is jet.table
-        assert sample.shape == (17, 2) and sample.strides == jet.table[:, j].strides
-        np.testing.assert_array_equal(_bits(sample), _bits(channel))
-        np.testing.assert_array_equal(_bits(jet.table[:, j]), _bits(channel))
-    # The constructor copies: the jet does not see later writes to its input.
-    channels[0][0, 0] = 7.0
-    assert jet.samples[0][0, 0] != 7.0
+    for j, sample in enumerate(jet.samples):
+        assert sample.base is table
+        assert sample.shape == (17, 2) and sample.strides == table[:, j].strides
+        np.testing.assert_array_equal(_bits(sample), _bits(table[:, j].copy()))
+    # m and r are read from the table, not set beside it.
+    for name in ("m", "r"):
+        with pytest.raises(AttributeError):
+            setattr(jet, name, 1)
+
+
+def test_jet_wraps_a_complex_table_without_a_copy():
+    grid = Grid(0.0, 1.0, 8)
+    table = np.zeros((9, 2, 3), dtype=complex)
+    jet = SampledJet(grid, table)
+    assert jet.table is table and np.shares_memory(jet.samples[1], table)
+    # A real table is promoted, with the bits of the complex cast.
+    real = np.arange(27.0).reshape(9, 1, 3)
+    promoted = SampledJet(grid, real).table
+    assert promoted.dtype == complex and not np.shares_memory(promoted, real)
+    np.testing.assert_array_equal(_bits(promoted), _bits(real.astype(complex)))
+
+
+@pytest.mark.parametrize("shape", [(9,), (9, 1), (8, 2, 1), (10, 2, 1), (9, 0, 1), (9, 2, 0),
+                                   (9, 1, 1, 1)])
+def test_jet_refuses_a_table_of_the_wrong_shape(shape):
+    message = (f"jet table has shape {shape}, expected (9, r + 1, m) "
+               "with r >= 0 and m >= 1")
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        SampledJet(Grid(0.0, 1.0, 8), np.zeros(shape, dtype=complex))
+
+
+def test_jet_from_callables_is_bitwise_the_table_stacked_by_hand():
+    # m = 1 from 1-d callables; m = 2 from p3's closed form, (n+1, 2) each.
+    grid = Grid(0.0, 1.0, 33)
+    cases = [(grid, 1, [np.sin, np.cos, lambda t: -np.sin(t) + 0.5j * t])]
+    problem, derivatives = corpus._load("p3", 2049)
+    cases.append((problem.grid, problem.m, derivatives))
+    for grid, m, calls in cases:
+        jet = SampledJet.from_callables(grid, m, len(calls) - 1, calls)
+        want = np.empty((grid.n + 1, len(calls), m), dtype=complex)
+        for j, f in enumerate(calls):
+            values = f(grid.nodes)
+            want[:, j] = values if values.ndim == 2 else values[:, None]
+        assert (jet.m, jet.r) == (m, len(calls) - 1)
+        np.testing.assert_array_equal(_bits(jet.table), _bits(want))
 
 
 def test_jet_difference_is_the_bitwise_channel_difference():
     rng = np.random.default_rng(47)
     grid = Grid(-1.0, 2.0, 24)
     for m, r in ((1, 0), (2, 1), (3, 2)):
-        x, y = _random_channels(rng, grid, m, r), _random_channels(rng, grid, m, r)
-        diff = SampledJet(grid, m, r, x) - SampledJet(grid, m, r, y)
+        x, y = _random_table(rng, grid, m, r), _random_table(rng, grid, m, r)
+        diff = SampledJet(grid, x) - SampledJet(grid, y)
         assert (diff.m, diff.r, diff.table.shape) == (m, r, (25, r + 1, m))
-        for j in range(r + 1):
-            np.testing.assert_array_equal(_bits(diff.samples[j]), _bits(x[j] - y[j]))
+        np.testing.assert_array_equal(_bits(diff.table), _bits(x - y))
 
 
 def _reference_norm_c(values):
@@ -739,32 +776,35 @@ def _reference_norm_l1(grid, values):
 def test_jet_norms_are_bitwise_the_per_channel_sums(m, r):
     rng = np.random.default_rng(100 * m + r)
     grid = Grid(0.25, 3.5, 37)
-    channels = [c * 10.0 ** rng.integers(-3, 4) for c in _random_channels(rng, grid, m, r)]
-    jet = SampledJet(grid, m, r, channels)
+    scales = 10.0 ** rng.integers(-3, 4, size=r + 1)
+    table = _random_table(rng, grid, m, r) * scales[:, None]
+    channels = [table[:, j] for j in range(r + 1)]
+    jet = SampledJet(grid, table)
     for l in range(r + 1):
         want = sum(_reference_norm_c(channels[j]) for j in range(l + 1))
         assert norm_cl(jet, l) == want
     assert norm_w1r(jet) == sum(_reference_norm_l1(grid, c) for c in channels)
     # The same on a difference, whose table is formed by one subtraction.
-    other = _random_channels(rng, grid, m, r)
-    diff = jet - SampledJet(grid, m, r, other)
-    deltas = [x - y for x, y in zip(channels, other)]
+    other = _random_table(rng, grid, m, r)
+    diff = jet - SampledJet(grid, other)
+    deltas = [x - other[:, j] for j, x in enumerate(channels)]
     assert norm_cl(diff, r) == sum(_reference_norm_c(c) for c in deltas)
     assert norm_w1r(diff) == sum(_reference_norm_l1(grid, c) for c in deltas)
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda grid: SampledJet(grid, 0, 0, [np.zeros(9)]), "need m >= 1 and r >= 0"),
-    (lambda grid: SampledJet(grid, 2, 0, [np.zeros(9)]),
-     "channel 0 has shape (9, 1), expected (9, 2)"),
-    (lambda grid: SampledJet(grid, 1, 2, [np.zeros(9), np.full(9, np.inf), np.zeros(8)]),
+    (lambda grid: SampledJet(grid, np.zeros((9, 1, 0))),
+     "jet table has shape (9, 1, 0), expected (9, r + 1, m) with r >= 0 and m >= 1"),
+    (lambda grid: SampledJet(grid, np.stack([np.zeros(9), np.full(9, np.inf), np.zeros(9)],
+                                            axis=1)[..., None]),
      "channel 1 contains non-finite samples"),
-    (lambda grid: SampledJet(grid, 1, 1, [np.zeros(9), np.zeros(8), np.full(9, np.nan)]),
-     "channel 1 has shape (8, 1), expected (9, 1)"),
-    (lambda grid: SampledJet(grid, 1, 0, [np.zeros(9), np.zeros(9)]),
+    (lambda grid: SampledJet(grid, np.stack([np.zeros(9), np.zeros(9), np.full(9, np.nan)],
+                                            axis=1)[..., None]),
+     "channel 2 contains non-finite samples"),
+    (lambda grid: SampledJet.from_callables(grid, 1, 0, [np.zeros_like, np.zeros_like]),
      "order-0 jet needs 1 channels, got 2"),
-    (lambda grid: (SampledJet(grid, 1, 1, [np.zeros(9), np.full(9, 1e308)])
-                   - SampledJet(grid, 1, 1, [np.zeros(9), np.full(9, -1e308)])),
+    (lambda grid: (SampledJet(grid, np.stack([np.zeros(9), np.full(9, 1e308)], axis=1)[..., None])
+                   - SampledJet(grid, np.stack([np.zeros(9), np.full(9, -1e308)], axis=1)[..., None])),
      "channel 1 contains non-finite samples"),
 ])
 def test_jet_constructor_messages_are_kept(call, message):
