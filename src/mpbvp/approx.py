@@ -29,7 +29,7 @@ from .boundary import (
     norm_lower_bound,
     norm_upper_bound,
 )
-from .bvp import BvpProblem, BvpSolution, _solve_pass
+from .bvp import BvpProblem, BvpSolution, _companion_matrix, _solve_pass
 from .funcspace import (
     PiecewisePoly,
     PolyMatrix,
@@ -39,8 +39,10 @@ from .funcspace import (
     _equal_partition,
     norm_cl,
     norm_w1r,
+    traj_norm_c,
     vec_norm,
 )
+from .linode import inverse_fundamental
 
 __all__ = [
     "ErrorConstants",
@@ -184,15 +186,17 @@ def remark3_constants(problem: BvpProblem) -> ErrorConstants:
 
 
 def _family(problem: BvpProblem, entries, certify: bool):
-    """Solve the limit problem and its approximations in one RK4 pass.
+    """Solve the limit problem and its approximations in one solve pass.
 
     ``entries`` are checked (k, f_k, q_k) triples, None keeping the
     problem's f or q.  Returns the reference solution and a report with the
-    rows and rho_solvable, and with ``certify`` the constants too.  A
-    refused reference raises NotUniquelySolvableError as ``solve`` does.
+    rows and rho_solvable, and with ``certify`` the constants too, whose
+    |V^-1|_C is read from ``inverse_fundamental`` once the pass has
+    returned.  A refused reference raises NotUniquelySolvableError as
+    ``solve`` does, before any adjoint is propagated.
     """
     members = [build_multipoint_problem(problem, k, f=f_k, q=q_k) for k, f_k, q_k in entries]
-    (reference, *solved), w_c = _solve_pass([problem, *members], inverse=certify)
+    reference, *solved = _solve_pass([problem, *members])
     rows = [_row(k, member, sol, reference)
             for (k, _, _), member, sol in zip(entries, members, solved)]
     report = ApproximationReport(rows=rows,
@@ -204,6 +208,7 @@ def _family(problem: BvpProblem, entries, certify: bool):
     sigma_hat = max([row.sigma_hat for row in rows] or
                     [norm_upper_bound(multipointify(op, k)) for k in _SIGMA_PROBE_KS])
     v_c = reference.matrizant_norm_c
+    w_c = traj_norm_c(inverse_fundamental(_companion_matrix(problem), problem.grid))
     c1 = 1.0 + v_c * reference.char_inverse_norm
     if problem.r == 1:
         c2 = 2.0 + v_c * w_c * problem.coeffs[0].l1_norm()

@@ -13,8 +13,10 @@ The problem is flagged as not uniquely solvable when [T V] cannot be
 inverted or its condition number is not at most COND_LIMIT, as when the
 matrizant overflows and [T V] is not finite.  ``_solve_pass`` is
 the one driver: ``solve``, the approximation sweeps and the certified
-constants all solve through it.  Its finish fills each solution's jet
-table: channels 0 .. r-1 are u's blocks, and ``_top_channels`` writes
+constants all solve through it, and it returns solutions and nothing
+else.  The pass's grouping of the systems that share P is the only one,
+and its finish runs slot by slot, filling each solution's jet table:
+channels 0 .. r-1 are u's blocks, and ``_top_channels`` writes
 y^(r) = f - sum_l A_l y^(l) into channel r in place.
 """
 
@@ -32,13 +34,12 @@ from .funcspace import (
     PolyMatrix,
     PolyVector,
     SampledJet,
-    _bits,
     _spans,
     mat_norm,
     traj_norm_c,
     vec_norm,
 )
-from .linode import _adjoint, _propagate
+from .linode import _propagate
 
 __all__ = [
     "BvpProblem",
@@ -240,49 +241,33 @@ def solve(problem: BvpProblem) -> BvpSolution:
     Raises NotUniquelySolvableError when the characteristic matrix cannot
     be inverted or fails the condition test.
     """
-    return _solve_pass([problem])[0][0]
+    return _solve_pass([problem])[0]
 
 
-def _solve_pass(problems, inverse: bool = False) -> tuple[list, float | None]:
+def _solve_pass(problems) -> list:
     """Solve problems of one shape on one grid in one RK4 pass.
 
-    Returns (solutions, w_c): the solution of the first problem, which
-    raises NotUniquelySolvableError if refused, then, for every other
-    problem, its BvpSolution or the NotUniquelySolvableError that refused
-    it; and w_c = |V^-1|_C of the first with ``inverse``, else None.  V^-1
-    is the transposed matrizant of the adjoint of the first problem's
-    companion system, which the pass then propagates too, with zero
-    forcing.
+    Returns the solution of the first problem, which raises
+    NotUniquelySolvableError if refused, then, for every other problem,
+    its BvpSolution or the NotUniquelySolvableError that refused it.
 
-    Problems whose coefficients have the same bits, as ``funcspace._bits``
-    reads them, form one coefficient set and share one companion matrix P.
-    The pass hands over one slot at a time: ``_assemble`` forms the
-    u = col(y, ..., y^(r-1)) of each of its members, |V|_C taken once per
-    slot, and the slot is dropped before the next is made.  Once the pass
-    is exhausted, each solved member's jet table is allocated and u copied
-    into its channels 0 .. r-1, one member at a time, and ``_top_channels``
-    writes channel r of every member of a set in place.
+    Each problem is one companion system (P, g), and ``_propagate`` alone
+    decides which of them share P.  The pass hands over one slot at a time:
+    ``_assemble`` forms the u = col(y, ..., y^(r-1)) of each of its members,
+    |V|_C taken once per slot, and the slot is dropped before the next is
+    made.  Once the pass is exhausted, the finish runs slot by slot: each
+    solved member's jet table is allocated and u copied into its channels
+    0 .. r-1, one member at a time, and ``_top_channels`` writes channel r
+    of the slot's members in place, with the P of the slot's own system.
     """
-    sets, systems = {}, []
-    for i, problem in enumerate(problems):
-        key = _bits(e for A in problem.coeffs for row in A.entries for e in row)
-        if key not in sets:
-            sets[key] = (_companion_matrix(problem), [])
-        P, members = sets[key]
-        members.append(i)
-        systems.append((P, _companion_forcing(problem)))
-    if inverse:
-        P = systems[0][0]
-        systems.append((_adjoint(P), PolyVector.zero(P.shape[0], P.a, P.b)))
-    out, w_c = {}, None
+    systems = [(_companion_matrix(p), _companion_forcing(p)) for p in problems]
+    out, slots = {}, []
     for V, columns in _propagate(systems, problems[0].grid):
-        norm = None
+        norm = traj_norm_c(V)
+        slots.append([])
         for R, indices in columns:
             for i in indices:
-                if i == len(problems):
-                    w_c = traj_norm_c(V.swapaxes(1, 2))
-                    continue
-                norm = traj_norm_c(V) if norm is None else norm
+                slots[-1].append(i)
                 try:
                     out[i] = _assemble(problems[i], V, R, norm)
                 except NotUniquelySolvableError as exc:
@@ -292,19 +277,19 @@ def _solve_pass(problems, inverse: bool = False) -> tuple[list, float | None]:
                     out[i] = NotUniquelySolvableError(str(exc), exc.det, exc.cond)
         del V, columns, R
     grid, r, m = problems[0].grid, problems[0].r, problems[0].m
-    for P, members in sets.values():
-        solved = [i for i in members if isinstance(out[i], tuple)]
+    for slot in slots:
+        solved = [i for i in slot if isinstance(out[i], tuple)]
         for i in solved:
             # u is dropped as its copy lands: one u at a time beside the tables.
             table = np.empty((grid.n + 1, r + 1, m), dtype=complex)
             table[:, :r] = out[i][0].reshape(grid.n + 1, r, m)
             out[i] = table, out[i][1]
-        _top_channels(grid, P, [(systems[i][1], out[i][0]) for i in solved])
+        _top_channels(grid, systems[slot[0]][0], [(systems[i][1], out[i][0]) for i in solved])
         for i in solved:
             table, solution = out[i]
             solution.jet = SampledJet(grid, table)
             out[i] = solution
-    return [out[i] for i in range(len(problems))], w_c
+    return [out[i] for i in range(len(problems))]
 
 
 def _assemble(problem: BvpProblem, V: np.ndarray, R: np.ndarray,
@@ -335,11 +320,12 @@ def _assemble(problem: BvpProblem, V: np.ndarray, R: np.ndarray,
 
 def _top_channels(grid: Grid, P: PolyMatrix, members):
     """Write f - sum_l A_l y^(l) at the nodes into channel r of each member
-    (g, table) of a coefficient set with companion matrix P: its forcing g
-    and its (n+1, r+1, m) jet table, whose channels l < r hold y^(l).  The
-    whole grid is read in one pass, by ``_at_nodes``: the bottom block row
-    [A_0 ... A_{r-1}] of P once for the whole set, (n+1)·m·d values, and
-    each member's f, the bottom block of g, alone, straight into channel r."""
+    (g, table) that shares the companion matrix P, as the members of one
+    slot do: its forcing g and its (n+1, r+1, m) jet table, whose channels
+    l < r hold y^(l).  The whole grid is read in one pass, by ``_at_nodes``:
+    the bottom block row [A_0 ... A_{r-1}] of P once for all the members,
+    (n+1)·m·d values, and each member's f, the bottom block of g, alone,
+    straight into channel r."""
     if not members:
         return
     d, m = P.shape[0], members[0][1].shape[2]

@@ -282,8 +282,8 @@ def _fill(work: np.ndarray, A: PolyMatrix, forcings: list, grid: Grid) -> None:
 
 
 def _adjoint(A: PolyMatrix) -> PolyMatrix:
-    """-A^T: the solver's coefficient of the adjoint system v' = A(t)^T v
-    of y' = -A(t) y, whose matrizant is (V^-1)^T."""
+    """-A^T, the adjoint system v' = A(t)^T v of y' = -A(t) y written as
+    v' = -(-A^T) v, the form a pass reads; its matrizant is (V^-1)^T."""
     return PolyMatrix([[-entry for entry in column] for column in zip(*A.entries)])
 
 

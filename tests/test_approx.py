@@ -722,7 +722,7 @@ def test_refused_member_does_not_hold_its_slot(monkeypatch):
 
     monkeypatch.setattr(linode, "_fill", recording_fill)
     members = [problem, build_multipoint_problem(problem, 1), build_multipoint_problem(halved, 2)]
-    _, refused, _ = bvp._solve_pass(members)[0]
+    _, refused, _ = bvp._solve_pass(members)
     assert isinstance(refused, NotUniquelySolvableError) and refused.__traceback__ is None
     assert str(refused).startswith("characteristic matrix is")
     assert dead == [[], [True]]
@@ -777,7 +777,8 @@ def _non_normal_problem():
 
 
 def test_certificate_reads_the_inverse_matrizant_not_its_transpose():
-    # The pass forms V^-1 as the transposed matrizant of the adjoint system.
+    # The certificate reads V^-1 from ``inverse_fundamental``: the transposed
+    # matrizant of the adjoint system.
     # On p1-p3 |V^-1|_C equals |V^-T|_C, so only a non-normal coefficient
     # shows a lost transpose: 3.949 against 4.240 here.
     problem = _non_normal_problem()

@@ -1,6 +1,7 @@
 """Companion reduction and the boundary-value solver."""
 
 import dataclasses
+import math
 import re
 import tracemalloc
 
@@ -28,7 +29,7 @@ from mpbvp import (
     sawtooth_rhs,
     solve,
 )
-from mpbvp import bvp
+from mpbvp import bvp, linode
 from mpbvp.bvp import _solve_pass
 from mpbvp.funcspace import _bits
 from mpbvp.linode import _segment_steps
@@ -527,7 +528,7 @@ def test_a_family_evaluates_each_coefficient_set_once(monkeypatch):
         return at_nodes(rows, grid, out)
 
     monkeypatch.setattr(bvp, "_at_nodes", recording)
-    solutions, _ = _solve_pass(family, inverse=True)
+    solutions = _solve_pass(family)
     monkeypatch.undo()
     sets = {_bits(e for A in p.coeffs for row in A.entries for e in row): p for p in family}
     assert len(sets) == 3
@@ -540,6 +541,44 @@ def test_a_family_evaluates_each_coefficient_set_once(monkeypatch):
         assert len(together.jet.samples) == len(alone.samples) == member.r + 1
         for have, want in zip(together.jet.samples, alone.samples, strict=True):
             assert have.tobytes() == want.tobytes()
+
+
+def test_a_coefficient_set_cut_over_two_slots_is_finished_per_slot(monkeypatch):
+    # The limit of p2 and its sawtooth members at k = 4 and 8 share their
+    # coefficients: one set of three forcing columns, which a cap of two
+    # columns cuts into two slots.  Each slot is finished with its own P,
+    # so the finish reads the set's bottom row at the nodes once per slot,
+    # and each member's f once, and every member solves as it does alone.
+    problem = corpus.build_problem("p2", 2048)
+    family = [problem, *(build_multipoint_problem(problem, k, f=f_k, q=q_k)
+                         for k, f_k, q_k in sawtooth_rhs(problem, (4, 8), 1e-3))]
+    alone = [solve(member) for member in family]
+    n, d = problem.grid.n, problem.d
+    c = math.isqrt(n - 1) + 1
+    monkeypatch.setattr(linode, "PASS_BYTES", 2 * (n // c + 1) * c * d * (d + 1) * 16)
+    fills, calls = [], []
+    fill, at_nodes = linode._fill, bvp._at_nodes
+
+    def recording_fill(work, A, forcings, grid):
+        fills.append(len(forcings))
+        return fill(work, A, forcings, grid)
+
+    def recording_at_nodes(rows, grid, out=None):
+        calls.append(_bits(e for row in rows for e in row))
+        return at_nodes(rows, grid, out)
+
+    monkeypatch.setattr(linode, "_fill", recording_fill)
+    monkeypatch.setattr(bvp, "_at_nodes", recording_at_nodes)
+    solutions = _solve_pass(family)
+    monkeypatch.undo()
+    assert fills == [2, 1]
+    assert len({_bits(e for A in p.coeffs for row in A.entries for e in row) for p in family}) == 1
+    bottom = _bits(e for row in companion_reduce(problem)[0].entries[-problem.m:] for e in row)
+    assert sorted(calls) == sorted([bottom] * 2 + [_bits(p.f.components) for p in family])
+    for together, single in zip(solutions, alone, strict=True):
+        assert together.jet.table.tobytes() == single.jet.table.tobytes()
+        assert together.boundary_residual == single.boundary_residual
+        assert together.matrizant_norm_c == single.matrizant_norm_c
 
 
 def test_one_pass_top_channel_is_bitwise_the_per_segment_one():

@@ -24,9 +24,11 @@ from mpbvp import (
     sawtooth_rhs,
     sweep,
     theorem3_check,
+    traj_norm_c,
 )
 from mpbvp import linode
 from mpbvp.bvp import _solve_pass, companion_reduce, solve
+from mpbvp.funcspace import _bits
 from mpbvp.linode import (
     BLOCK_STEPS,
     _adjoint,
@@ -282,8 +284,8 @@ def test_carry_is_one_stacked_product_per_chunk(monkeypatch):
 
 
 def _with_adjoint(systems):
-    """``systems`` and, last, the adjoint of system 0 with zero forcing, as
-    ``bvp._solve_pass`` propagates them for |V^-1|_C."""
+    """``systems`` and, last, the adjoint of system 0 with zero forcing, the
+    system whose pass ``inverse_fundamental`` reads, in one family."""
     A = systems[0][0]
     return [*systems, (_adjoint(A), PolyVector.zero(A.shape[0], A.a, A.b))]
 
@@ -519,10 +521,12 @@ def test_inverse_fundamental_stays_inverse_across_a_jump_inside_a_step(n):
 @pytest.mark.parametrize("lam", [1.0, 5.0, 10.0, 20.0])
 def test_inverse_norm_of_the_growth_problem_matches_its_closed_form(lam):
     # y'' = lam^2 y: V^-1(t) = [[cosh lam t, -sinh(lam t)/lam],
-    # [-lam sinh lam t, cosh lam t]], so |V^-1|_C = cosh lam + lam sinh lam.
+    # [-lam sinh lam t, cosh lam t]], so |V^-1|_C = cosh lam + lam sinh lam,
+    # read as the certificate reads it.
     exact = math.cosh(lam) + lam * math.sinh(lam)
-    errors = [abs(_solve_pass([growth_problem(lam, n)], inverse=True)[1] - exact) / exact
-              for n in (2048, 16384)]
+    problems = [growth_problem(lam, n) for n in (2048, 16384)]
+    errors = [abs(traj_norm_c(inverse_fundamental(companion_reduce(p)[0], p.grid)) - exact) / exact
+              for p in problems]
     assert errors[1] <= 1e-12
     # Fourth order reads 4096x; at lam <= 5 the n = 2048 error is near round-off.
     if lam >= 10.0:
@@ -710,7 +714,7 @@ def test_mixed_family_solves_as_one_member_solves():
     # sawtooth members) or share f but not A (the halved problem) must
     # each solve as they do alone.
     problems = _p2_mixed_problems()
-    solutions, _ = _solve_pass(problems)
+    solutions = _solve_pass(problems)
     assert len(solutions) == len(problems)
     for problem, together in zip(problems, solutions, strict=True):
         alone = solve(problem)
@@ -725,7 +729,7 @@ def test_a_solution_forms_its_consistency_defect_once_it_is_read(monkeypatch):
     # solution forms its own from its finished jet, once.
     defect, calls = SampledJet.consistency_defect, []
     monkeypatch.setattr(SampledJet, "consistency_defect", lambda jet: calls.append(jet) or defect(jet))
-    solutions, _ = _solve_pass(_p2_mixed_problems())
+    solutions = _solve_pass(_p2_mixed_problems())
     assert calls == []
     first = solutions[0]
     assert first.consistency_defect == first.consistency_defect == defect(first.jet)
@@ -781,26 +785,34 @@ def test_a_slot_work_array_is_its_tables_and_goes_with_them(monkeypatch):
 
 
 def test_slot_is_dead_before_the_next_one_is_filled(monkeypatch):
-    # A certificate's family over p2 with k in {3, 4, 7, 8}, the halved
-    # problem and the adjoint: five slots.  Each slot's work array, V and R
-    # are gone when the next slot's work array is filled, so a pass holds
-    # one slot at a time.
-    dead, slots, fill = [], [], linode._fill
+    # A family over p2 with k in {3, 4, 7, 8} and the halved problem: four
+    # slots.  Each slot's work array, V and R are gone when the next slot's
+    # work array is filled, so a pass holds one slot at a time, and the
+    # adjoint's pass, which a certificate makes once the family's pass has
+    # returned, finds all four gone.
+    dead, slots, coefficients, fill = [], [], [], linode._fill
 
-    def recording_fill(work, *args):
+    def recording_fill(work, A, *args):
         dead.append([ref() is None for ref in slots])
         slots.append(weakref.ref(work))
-        return fill(work, *args)
+        coefficients.append(_bits(e for row in A.entries for e in row))
+        return fill(work, A, *args)
 
     monkeypatch.setattr(linode, "_fill", recording_fill)
     problems = _p2_mixed_problems()
-    solutions, w_c = _solve_pass(problems, inverse=True)
-    assert w_c is not None
+    P = companion_reduce(problems[0])[0]
+    adjoint = _bits(e for row in _adjoint(P).entries for e in row)
+    solutions = _solve_pass(problems)
+    assert len(solutions) == len(problems)
+    assert dead == [[True] * k for k in range(4)]
+    inverse_fundamental(P, problems[0].grid)
     assert dead == [[True] * k for k in range(5)]
-    alone, _ = _solve_pass(problems)
-    for together, single in zip(solutions, alone, strict=True):
-        for have, want in zip(together.jet.samples, single.jet.samples, strict=True):
-            np.testing.assert_array_equal(have, want)
+    # A theorem 3 check of p2 makes its family's three slots, then the adjoint's.
+    for record in (dead, slots, coefficients):
+        record.clear()
+    theorem3_check(problems[0], sawtooth_rhs(problems[0], (3, 4, 7, 8), 1e-3), 1e-3)
+    assert dead == [[True] * k for k in range(4)]
+    assert coefficients.index(adjoint) == 3
 
 
 def test_pass_holds_one_segment_of_coefficient_samples():
@@ -827,8 +839,8 @@ def test_pass_holds_one_segment_of_coefficient_samples():
 
 
 def test_many_group_sweep_holds_one_slot_at_a_time():
-    # p2's odd k do not share the limit's A: the limit, each k and the
-    # adjoint are groups of their own, nine slots of 1.5 MiB at n = 16384.
+    # p2's odd k do not share the limit's A: the limit and each k are
+    # groups of their own, eight slots of 1.5 MiB at n = 16384.
     # With every slot of the family held together, the traced peak of this
     # sweep read 14.65 MiB; one slot at a time, 10.3 MiB.
     problem = corpus.build_problem("p2", 16384)
@@ -855,11 +867,11 @@ KS_4_256 = (4, 8, 16, 32, 64, 128, 256)
     ("p3", (3, 4, 7, 8), [5, 1]),
 ])
 def test_theorem3_family_samples_each_coefficient_group_once(monkeypatch, name, ks, forcings):
-    # A theorem 3 check propagates the limit problem, one sawtooth member
-    # per k and the limit's adjoint in one pass: each group is one fill,
-    # with one forcing column per distinct f, that samples A once, with its
-    # first f, and then each other f.  p2's odd k do not share the limit's
-    # A, and the adjoint, last, is a group of its own.
+    # A theorem 3 check propagates the limit problem and one sawtooth member
+    # per k in one pass: each group is one fill, with one forcing column
+    # per distinct f, that samples A once, with its first f, and then each
+    # other f.  p2's odd k do not share the limit's A.  The limit's
+    # adjoint, last, is a pass of its own, made once the family's returns.
     fills, samplings = [], []
     fill, panels = linode._fill, linode._coefficient_panels
 

@@ -3,7 +3,9 @@
 ``perfbench/tracer.py`` wraps the names in its ``TARGETS`` from outside the
 program; a target that is renamed or moved makes ``Tracer.attached`` fail.
 This module loads the tracer as it is and attaches it around one CLI solve,
-so that such a change fails here too, not only in the traced benchmark runs.
+so that such a change fails here too, not only in the traced benchmark runs,
+and around one theorem 3 check, whose certificate reads |V^-1|_C from the
+traced ``linode.inverse_fundamental``.
 """
 
 import importlib.util
@@ -33,3 +35,10 @@ def test_tracer_attaches_counts_a_solve_and_restores_every_target():
     assert totals["cli.main.calls"] == 1
     for owner, attr, original, _ in patches:
         assert vars(owner)[attr] is original, f"{owner!r}.{attr} was not restored"
+
+
+def test_tracer_sees_the_certificate_inverse_matrizant():
+    tracer = _load_tracer().Tracer()
+    with tracer.attached():
+        assert cli.main(["check", "p1", "--theorem", "3", "--ks", "4,8", "--grid-n", "64"]) == 0
+    assert tracer.totals()["linode.inverse_fundamental.calls"] == 1
