@@ -5,21 +5,22 @@ A ``BoundaryOperator`` sends an order-(r-1) jet y to
     B y = sum_j beta_j y^(l_j)(t_j) + integral (dPhi) y^(r-1)
 
 with beta_j in C^{rm x m}, held as one coalesced table of point terms, and
-Phi an rm x m matrix measure or None: the paper's multipoint form is the
-table alone, and ``GeneralBoundaryOperator`` builds its Riesz form, the
-alphas at a and Phi.  An atom of Phi with mass w at t is the point term
-(t, r-1, w in its entry), so ``_point_terms`` gives every point evaluation
-as one table.  ``multipointify`` is that table with every density
-discretized on k equal subintervals, which converges weak-* but never in
-total variation; an operator without Phi is its own.  ``lift`` maps an
-operator onto the one grid functional that ``stieltjes`` compiles and
-applies, a ``LiftedOperator`` on the stacked jet: its point terms, and
-Phi's densities in the columns of y^(r-1).  ``boundary`` re-exports it.
+Phi an rm x m matrix measure or None.  The one constructor takes that table,
+``BoundaryOperator(r, m, a, b, nodes, orders, betas, phi)``: the paper's
+multipoint form is the table alone, and ``GeneralBoundaryOperator`` builds
+its Riesz form, the alphas at a and Phi.  An atom of Phi with mass w at t
+is the point term (t, r-1, w in its entry), so ``_point_terms`` gives every
+point evaluation as one table.  ``multipointify`` is that table with every
+density discretized on k equal subintervals, which converges weak-* but
+never in total variation; an operator without Phi is its own.  ``lift``
+compiles an operator, on every call, into the one grid functional that
+``stieltjes`` compiles and applies, a ``LiftedOperator`` on the stacked
+jet: its point terms, and Phi's densities in the columns of y^(r-1).
+``boundary`` re-exports it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -31,7 +32,6 @@ from .stieltjes import LiftedOperator, MatrixMeasure
 __all__ = [
     "BoundaryOperator",
     "GeneralBoundaryOperator",
-    "BoundaryTerm",
     "LiftedOperator",
     "apply_operator",
     "multipointify",
@@ -42,61 +42,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundaryTerm:
-    """One point term: beta @ y^(order)(node), beta shaped (rm, m)."""
-
-    node: float
-    order: int
-    beta: np.ndarray
-
-
 class BoundaryOperator:
     """B y = sum_j beta_j y^(l_j)(t_j) + integral (dPhi) y^(r-1) on [a, b].
 
-    The point terms are one read-only table: ``nodes`` (K,), ``orders`` (K,)
-    and ``betas`` (K, rm, m), sorted by (node, order).  Terms of one order
-    within the merge tolerance of their cluster's first node are coalesced
-    at construction, each sum started from that first term; ``terms`` lists
-    the rows as ``BoundaryTerm`` records.  ``phi`` is the rm x m matrix
-    measure on [a, b] acting on y^(r-1), or None.
+    The point terms are one table: ``nodes`` (K,), ``orders`` (K,) and
+    ``betas`` (K, rm, m); empty defaults mean none.  The operator holds it
+    read-only and sorted by (node, order).  Terms of one order within the
+    merge tolerance of their cluster's first node are coalesced at
+    construction, each sum started from that first term; ``terms`` lists the
+    rows as (node, order, beta) tuples, formed when read.  ``phi`` is the
+    rm x m matrix measure on [a, b] acting on y^(r-1), or None.
     """
 
-    __slots__ = ("r", "m", "a", "b", "nodes", "orders", "betas", "phi", "_terms")
+    __slots__ = ("r", "m", "a", "b", "nodes", "orders", "betas", "phi")
 
-    def __init__(self, r: int, m: int, a: float, b: float, terms=(),
+    def __init__(self, r: int, m: int, a: float, b: float, nodes=(), orders=(), betas=None,
                  phi: MatrixMeasure | None = None):
         if r < 1 or m < 1:
             raise ValueError("need r >= 1 and m >= 1")
-        terms = list(terms)
-        shape = (r * m, m)
-        betas = [np.asarray(term.beta, dtype=complex) for term in terms]
-        for beta in betas:
-            if beta.shape != shape:
-                raise ValueError(f"weight must be shaped {shape}, got {beta.shape}")
-        self._set(r, m, a, b, [term.node for term in terms], [term.order for term in terms],
-                  np.array(betas).reshape((len(terms),) + shape), phi)
-
-    @classmethod
-    def _from_table(cls, r: int, m: int, a: float, b: float,
-                    nodes, orders, betas, phi=None) -> "BoundaryOperator":
-        """Build from arrays shaped (K,), (K,), (K, rm, m); ``__init__``'s value checks run."""
-        out = cls.__new__(cls)
-        out._set(r, m, a, b, nodes, orders, betas, phi)
-        return out
-
-    def _set(self, r, m, a, b, nodes, orders, betas, phi):
-        """Validate, clamp, sort and coalesce the term table in one pass; check phi."""
         a, b = float(a), float(b)
         if not a < b:
             raise ValueError("operator needs a < b")
+        shape = (r * m, m)
         if phi is not None:
-            if phi.shape != (r * m, m):
-                raise ValueError(f"phi must be shaped {(r * m, m)}, got {phi.shape}")
+            if phi.shape != shape:
+                raise ValueError(f"phi must be shaped {shape}, got {phi.shape}")
             if not _spans((a, b), [phi]):
                 raise ValueError(f"phi must span the operator's interval [{a}, {b}]")
         orders = np.asarray(orders)
-        betas = np.asarray(betas, dtype=complex)
+        betas = np.asarray(np.zeros((0,) + shape) if betas is None else betas, dtype=complex)
+        if not (np.ndim(nodes) == 1 and orders.shape == np.shape(nodes)
+                and betas.shape == orders.shape + shape):
+            raise ValueError(f"point terms need nodes (K,), orders (K,) and betas (K, {r * m}, "
+                             f"{m}) with one K, got {np.shape(nodes)}, {orders.shape} and "
+                             f"{betas.shape}")
         bad = np.flatnonzero(~((orders >= 0) & (orders <= r - 1) & (orders % 1 == 0)))
         if bad.size:
             raise ValueError(f"derivative order {orders[bad[0]]} outside 0..{r - 1}")
@@ -117,7 +96,6 @@ class BoundaryOperator:
         for array in (self.nodes, self.orders, self.betas):
             array.flags.writeable = False
         self.phi = phi
-        self._terms = None
 
     @property
     def rows(self) -> int:
@@ -125,17 +103,15 @@ class BoundaryOperator:
 
     @property
     def terms(self) -> tuple:
-        """The table's rows as ``BoundaryTerm`` records (read-only views)."""
-        if self._terms is None:
-            self._terms = tuple(map(BoundaryTerm, self.nodes.tolist(),
-                                    self.orders.tolist(), self.betas))
-        return self._terms
+        """The table's rows as (node, order, beta) tuples, formed when read."""
+        return tuple(zip(self.nodes.tolist(), self.orders.tolist(), self.betas))
 
 
 def GeneralBoundaryOperator(r: int, m: int, alphas, phi: MatrixMeasure) -> BoundaryOperator:
-    """The Riesz form on phi's interval: ``alphas[l]`` (l = 0..r-2) weights
-    y^(l)(a), as an order-l term at a, and ``phi`` is the rm x m matrix
-    measure acting on y^(r-1).  For r = 1 ``alphas`` must be empty."""
+    """The Riesz form on phi's interval, as the ``BoundaryOperator`` whose
+    table holds the alphas: ``alphas[l]`` (l = 0..r-2) weights y^(l)(a), the
+    order-l term at a, and ``phi`` is the rm x m matrix measure acting on
+    y^(r-1).  For r = 1 ``alphas`` must be empty."""
     if r < 1 or m < 1:
         raise ValueError("need r >= 1 and m >= 1")
     rows = r * m
@@ -147,9 +123,8 @@ def GeneralBoundaryOperator(r: int, m: int, alphas, phi: MatrixMeasure) -> Bound
             raise ValueError(f"alpha_{l} must be shaped {(rows, m)}, got {al.shape}")
         if not np.all(np.isfinite(al)):
             raise ValueError(f"alpha_{l} contains non-finite entries")
-    return BoundaryOperator._from_table(r, m, phi.a, phi.b, np.full(r - 1, phi.a),
-                                        np.arange(r - 1), np.reshape(mats, (r - 1, rows, m)),
-                                        phi)
+    return BoundaryOperator(r, m, phi.a, phi.b, np.full(r - 1, phi.a), np.arange(r - 1),
+                            np.reshape(mats, (r - 1, rows, m)), phi)
 
 
 def apply_operator(op, jet: SampledJet) -> np.ndarray:
@@ -179,7 +154,7 @@ def multipointify(op: BoundaryOperator, k: int) -> BoundaryOperator:
     k = _check_k(k)
     if op.phi is None:
         return op
-    return BoundaryOperator._from_table(op.r, op.m, op.a, op.b, *_point_terms(op, k))
+    return BoundaryOperator(op.r, op.m, op.a, op.b, *_point_terms(op, k))
 
 
 def _point_terms(op: BoundaryOperator, k: int | None = None):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boundary import BoundaryOperator, BoundaryTerm, GeneralBoundaryOperator
+from .boundary import BoundaryOperator, GeneralBoundaryOperator
 from .bvp import BvpProblem
 from .funcspace import Grid, PiecewisePoly, PolyMatrix, PolyVector, SampledJet
 from .stieltjes import MatrixMeasure, ScalarMeasure
@@ -122,11 +122,8 @@ def _nn(n: int):
     a, b = 0.0, 1.0
     coeffs = [PolyMatrix.zero(1, 1, a, b), PolyMatrix.zero(1, 1, a, b)]
     f = PolyVector.zero(1, a, b)
-    terms = [
-        BoundaryTerm(node=a, order=1, beta=np.array([[1.0], [0.0]], dtype=complex)),
-        BoundaryTerm(node=b, order=1, beta=np.array([[0.0], [1.0]], dtype=complex)),
-    ]
-    operator = BoundaryOperator(2, 1, a, b, terms)
+    operator = BoundaryOperator(2, 1, a, b, nodes=[a, b], orders=[1, 1],
+                                betas=[[[1.0], [0.0]], [[0.0], [1.0]]])
     q = np.zeros(2, dtype=complex)
     problem = BvpProblem(r=2, m=1, coeffs=coeffs, f=f, q=q, operator=operator, grid=Grid(a, b, n))
     return problem, None

@@ -266,7 +266,7 @@ def _boundary_from_dict(obj, r: int, m: int, a: float, b: float, path: str):
                 _as_int(_require(term, "order", where), where + ".order", 0, r - 1)
                 _complexes(_require(term, "weight", where), (rows, m), where + ".weight")
         with _at(path):
-            return BoundaryOperator._from_table(r, m, a, b, nodes, orders, betas)
+            return BoundaryOperator(r, m, a, b, nodes, orders, betas)
     _fail(path + ".kind", f"expected 'general' or 'multipoint', got {kind!r}")
 
 

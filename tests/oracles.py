@@ -34,7 +34,6 @@ from mpbvp import (
     PolyVector,
     ScalarMeasure,
 )
-from mpbvp.boundary import BoundaryTerm
 from mpbvp.funcspace import _horner
 
 
@@ -166,10 +165,10 @@ def _boundary_rows(problem: BvpProblem, grid: Grid) -> np.ndarray:
     n = grid.n
     W = np.zeros((d, (n + 1) * d), dtype=complex)
     op = problem.operator
-    for term in op.terms:
-        s = _node_index(grid, term.node)
-        block = term.order * m
-        W[:, s * d + block:s * d + block + m] += term.beta
+    for node, order, beta in op.terms:
+        s = _node_index(grid, node)
+        block = order * m
+        W[:, s * d + block:s * d + block + m] += beta
     if op.phi is not None:
         trap = np.full(n + 1, grid.h, dtype=float)
         trap[0] *= 0.5
@@ -257,12 +256,11 @@ def _random_operator(rng, r, m, a, b):
         nterms = int(rng.integers(2, 5))
         nodes = [a, b] + [a + (b - a) * float(rng.uniform(0.2, 0.8))
                           for _ in range(nterms - 2)]
-        terms = []
-        for node in nodes:
-            order = int(rng.integers(0, r))
-            beta = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
-            terms.append(BoundaryTerm(node=node, order=order, beta=beta))
-        return BoundaryOperator(r, m, a, b, terms)
+        orders, betas = [], []
+        for _ in nodes:
+            orders.append(int(rng.integers(0, r)))
+            betas.append(rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m)))
+        return BoundaryOperator(r, m, a, b, nodes, orders, betas)
     from mpbvp import MatrixMeasure, ScalarMeasure
     alphas = [rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
               for _ in range(r - 1)]
@@ -326,9 +324,9 @@ def tie_keeping_permutation(rng, t):
 def scaled_boundary_problem(problem: BvpProblem, scale: float) -> BvpProblem:
     """``problem`` with its multipoint weights and boundary values times ``scale``."""
     op = problem.operator
-    terms = [BoundaryTerm(t.node, t.order, scale * t.beta) for t in op.terms]
+    operator = BoundaryOperator(op.r, op.m, op.a, op.b, op.nodes, op.orders, scale * op.betas)
     return BvpProblem(problem.r, problem.m, problem.coeffs, problem.f, scale * problem.q,
-                      BoundaryOperator(op.r, op.m, op.a, op.b, terms), problem.grid)
+                      operator, problem.grid)
 
 
 def growth_problem(lam: float, n: int = 2048) -> BvpProblem:
@@ -339,13 +337,12 @@ def growth_problem(lam: float, n: int = 2048) -> BvpProblem:
     entries.
     """
     a, b = 0.0, 1.0
-    terms = [BoundaryTerm(a, 0, np.array([[1.0], [0.0]])),
-             BoundaryTerm(b, 0, np.array([[0.0], [1.0]]))]
     return BvpProblem(r=2, m=1,
                       coeffs=[PolyMatrix([[PiecewisePoly.constant(-lam ** 2, a, b)]]),
                               PolyMatrix.zero(1, 1, a, b)],
                       f=PolyVector.zero(1, a, b), q=np.array([1.0, 1.0]),
-                      operator=BoundaryOperator(2, 1, a, b, terms),
+                      operator=BoundaryOperator(2, 1, a, b, nodes=[a, b], orders=[0, 0],
+                                                betas=[[[1.0], [0.0]], [[0.0], [1.0]]]),
                       grid=Grid(a, b, n))
 
 
@@ -358,7 +355,7 @@ def step_problem(n: int, jump: float = 0.3, a: float = 0.0, b: float = 1.0,
     step = PiecewisePoly.step([a, jump, b], [1.0, 2.0])
     one = PiecewisePoly.constant(1.0, a, b)
     a0, f = (one, step) if forcing else (step, one)
-    operator = BoundaryOperator(1, 1, a, b, [BoundaryTerm(a, 0, np.ones((1, 1)))])
+    operator = BoundaryOperator(1, 1, a, b, nodes=[a], orders=[0], betas=np.ones((1, 1, 1)))
     return BvpProblem(r=1, m=1, coeffs=[PolyMatrix([[a0]])], f=PolyVector([f]),
                       q=np.array([1.0]), operator=operator, grid=Grid(a, b, n))
 
@@ -386,8 +383,8 @@ def point_condition_problem(t: float) -> BvpProblem:
     operator, on a 300-step grid.  With s = x - 0.1, y(x) is
     1 - cos(s) + sin(s) cos(t - 0.1) / sin(t - 0.1)."""
     a, b = 0.1, 0.7
-    op = BoundaryOperator(2, 1, a, b, [BoundaryTerm(a, 0, np.array([[1.0], [0.0]])),
-                                      BoundaryTerm(t, 0, np.array([[0.0], [1.0]]))])
+    op = BoundaryOperator(2, 1, a, b, nodes=[a, t], orders=[0, 0],
+                          betas=[[[1.0], [0.0]], [[0.0], [1.0]]])
     return BvpProblem(r=2, m=1, coeffs=[PolyMatrix([[PiecewisePoly.constant(1.0, a, b)]]),
                                         PolyMatrix.zero(1, 1, a, b)],
                       f=PolyVector([PiecewisePoly.constant(1.0, a, b)]), q=np.array([0.0, 1.0]),

@@ -10,7 +10,6 @@ import pytest
 
 from mpbvp import (
     BoundaryOperator,
-    BoundaryTerm,
     BvpProblem,
     GeneralBoundaryOperator,
     Grid,
@@ -237,14 +236,13 @@ def test_sweep_on_a_decimal_interval_falls_as_k_squared():
     # reads them on their nodes.  Read inside the steps, they lifted
     # k^2 err_cr1 by 22 % from k = 12 to k = 100.
     a, b = 0.1, 0.7
-    terms = [BoundaryTerm(a, 0, np.array([[1.0], [0.0]])),
-             BoundaryTerm(b, 0, np.array([[0.0], [1.0]]))]
     problem = BvpProblem(
         r=2, m=1,
         coeffs=[PolyMatrix([[PiecewisePoly.single([0.0, 1.0], a, b)]]), PolyMatrix.zero(1, 1, a, b)],
         f=PolyVector([PiecewisePoly.constant(1.0, a, b)]),
         q=np.array([1.0, 0.0]),
-        operator=BoundaryOperator(2, 1, a, b, terms),
+        operator=BoundaryOperator(2, 1, a, b, nodes=[a, b], orders=[0, 0],
+                                  betas=[[[1.0], [0.0]], [[0.0], [1.0]]]),
         grid=Grid(a, b, 3000),
     )
     edges = a + (b - a) * np.arange(1, 100) / 100
@@ -290,9 +288,7 @@ def test_remark3_constants_reference_problem():
         coeffs=[PolyMatrix.zero(1, 1, a, b)],
         f=PolyVector([PiecewisePoly.constant(1.0, a, b)]),
         q=np.array([0.0], dtype=complex),
-        operator=BoundaryOperator(1, 1, a, b, [
-            BoundaryTerm(node=a, order=0, beta=np.array([[1.0]])),
-        ]),
+        operator=BoundaryOperator(1, 1, a, b, nodes=[a], orders=[0], betas=[[[1.0]]]),
         grid=Grid(a, b, 2048),
     )
     constants = remark3_constants(problem)
@@ -316,18 +312,13 @@ def test_remark3_constants_second_order_dirichlet():
     # is [[1, 0], [1, 1]] with inverse norm 2, and the probe bound for the
     # operator norm is 2. Hence c1 = 5, c2 = 6, kappa = 11/2 + 30 + 1.
     a, b = 0.0, 1.0
-    d = 2
-    terms = []
-    for row, node in enumerate((a, b)):
-        beta = np.zeros((d, 1), dtype=complex)
-        beta[row, 0] = 1.0
-        terms.append(BoundaryTerm(node=node, order=0, beta=beta))
     problem = BvpProblem(
         r=2, m=1,
         coeffs=[PolyMatrix.zero(1, 1, a, b)] * 2,
         f=PolyVector.zero(1, a, b),
         q=np.zeros(2, dtype=complex),
-        operator=BoundaryOperator(2, 1, a, b, terms),
+        operator=BoundaryOperator(2, 1, a, b, nodes=[a, b], orders=[0, 0],
+                                  betas=np.eye(2, dtype=complex)[:, :, None]),
         grid=Grid(a, b, 2048),
     )
     constants = remark3_constants(problem)
@@ -584,10 +575,8 @@ def _nearly_singular_problem():
         coeffs=[PolyMatrix.zero(2, 2, a, b)],
         f=PolyVector.zero(2, a, b),
         q=np.zeros(2, dtype=complex),
-        operator=BoundaryOperator(1, 2, a, b, [
-            BoundaryTerm(node=a, order=0, beta=np.array([[1.0, 1.0], [0.0, 0.0]])),
-            BoundaryTerm(node=b, order=0, beta=np.array([[0.0, 0.0], [1.0, 1.0 + 1e-14]])),
-        ]),
+        operator=BoundaryOperator(1, 2, a, b, nodes=[a, b], orders=[0, 0],
+                                  betas=[[[1.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0 + 1e-14]]]),
         grid=Grid(a, b, 64),
     )
 
@@ -764,14 +753,13 @@ def _non_normal_problem():
     # y' + M y = f with M constant and far from normal, and y_1(0), y_2(1)
     # prescribed: V^-1(t) = exp(M t).
     a, b = 0.0, 1.0
-    terms = [BoundaryTerm(a, 0, np.array([[1.0, 0.0], [0.0, 0.0]])),
-             BoundaryTerm(b, 0, np.array([[0.0, 0.0], [0.0, 1.0]]))]
     return BvpProblem(
         r=1, m=2,
         coeffs=[PolyMatrix.constant(NON_NORMAL, a, b)],
         f=PolyVector([PiecewisePoly.constant(1.0, a, b), PiecewisePoly.single([0.0, 1.0], a, b)]),
         q=np.array([1.0, -0.5], dtype=complex),
-        operator=BoundaryOperator(1, 2, a, b, terms),
+        operator=BoundaryOperator(1, 2, a, b, nodes=[a, b], orders=[0, 0],
+                                  betas=[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]),
         grid=Grid(a, b, 2048),
     )
 

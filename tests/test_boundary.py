@@ -9,7 +9,6 @@ import pytest
 
 from mpbvp import (
     BoundaryOperator,
-    BoundaryTerm,
     GeneralBoundaryOperator,
     Grid,
     MatrixMeasure,
@@ -43,9 +42,7 @@ def _p3_operator():
 
 def test_dirichlet_point_condition():
     grid = Grid(0.0, 1.0, 64)
-    op = BoundaryOperator(1, 1, 0.0, 1.0, [
-        BoundaryTerm(node=0.0, order=0, beta=np.array([[1.0]])),
-    ])
+    op = BoundaryOperator(1, 1, 0.0, 1.0, nodes=[0.0], orders=[0], betas=[[[1.0]]])
     jet = SampledJet.from_callables(grid, 1, 1,
                                     [lambda t: t + 2.0, lambda t: np.ones_like(t)])
     np.testing.assert_allclose(apply_operator(op, jet), [2.0], atol=1e-14)
@@ -53,9 +50,7 @@ def test_dirichlet_point_condition():
 
 def test_multipoint_off_node_uses_interpolation():
     grid = Grid(0.0, 1.0, 64)
-    op = BoundaryOperator(1, 1, 0.0, 1.0, [
-        BoundaryTerm(node=0.4031, order=0, beta=np.array([[1.0]])),
-    ])
+    op = BoundaryOperator(1, 1, 0.0, 1.0, nodes=[0.4031], orders=[0], betas=[[[1.0]]])
     jet = SampledJet.from_callables(grid, 1, 1,
                                     [lambda t: t ** 3, lambda t: 3 * t ** 2])
     assert abs(apply_operator(op, jet)[0] - 0.4031 ** 3) <= 1e-12
@@ -72,18 +67,18 @@ def test_multipointify_single_interval():
     approx = multipointify(op, 1)
     assert approx.phi is None
     assert len(approx.terms) == 2
-    first, second = approx.terms
+    (node0, order0, beta0), (node1, order1, beta1) = approx.terms
     # the alpha block becomes a point term at the left endpoint, order 0
-    assert first.node == 0.0 and first.order == 0
-    np.testing.assert_array_equal(first.beta, [[1.0], [1.0]])
+    assert node0 == 0.0 and order0 == 0
+    np.testing.assert_array_equal(beta0, [[1.0], [1.0]])
     # the density row collapses to one midpoint atom of weight 1/2
-    assert second.node == 0.5 and second.order == 1
-    np.testing.assert_allclose(second.beta, [[0.0], [0.5]], atol=1e-15)
+    assert node1 == 0.5 and order1 == 1
+    np.testing.assert_allclose(beta1, [[0.0], [0.5]], atol=1e-15)
 
 
 def test_multipointify_alpha_terms_identical_across_k():
     op = _p2_operator()
-    betas = [multipointify(op, k).terms[0].beta for k in (1, 4, 16, 64)]
+    betas = [multipointify(op, k).betas[0] for k in (1, 4, 16, 64)]
     for beta in betas[1:]:
         np.testing.assert_array_equal(beta, betas[0])
 
@@ -91,16 +86,16 @@ def test_multipointify_alpha_terms_identical_across_k():
 def test_multipointify_passes_atoms_through():
     op = _p3_operator()
     approx = multipointify(op, 2)
-    nodes = [term.node for term in approx.terms]
-    np.testing.assert_allclose(nodes, [0.0, 0.25, 0.75, 1.0])
-    np.testing.assert_allclose(approx.terms[0].beta, [[1.0, 0.0], [0.0, 0.0]])
-    np.testing.assert_allclose(approx.terms[1].beta, [[0.0, 0.0], [0.0, 0.5]])
-    np.testing.assert_allclose(approx.terms[-1].beta, [[1.0, 0.0], [0.0, 0.0]])
+    np.testing.assert_allclose(approx.nodes, [0.0, 0.25, 0.75, 1.0])
+    np.testing.assert_allclose(approx.betas[0], [[1.0, 0.0], [0.0, 0.0]])
+    np.testing.assert_allclose(approx.betas[1], [[0.0, 0.0], [0.0, 0.5]])
+    np.testing.assert_allclose(approx.betas[-1], [[1.0, 0.0], [0.0, 0.0]])
 
 
 def _multipointify_terms(op, k):
-    """Reference multipointify terms: sort all atoms, then grow each cluster
-    while the next atom is at most tol beyond the cluster's first atom."""
+    """Reference multipointify rows (node, order, beta): sort all atoms, then
+    grow each cluster while the next atom is at most tol beyond the
+    cluster's first atom."""
     rows, m = op.rows, op.m
     terms = list(op.terms)
     disc = op.phi.discretize(k)
@@ -120,13 +115,19 @@ def _multipointify_terms(op, k):
         weight = np.zeros((rows, m), dtype=complex)
         for _, i, j, w in located[start:end]:
             weight[i, j] += w
-        terms.append(BoundaryTerm(located[start][0], op.r - 1, weight))
+        terms.append((located[start][0], op.r - 1, weight))
         start = end
     return terms
 
 
+def _from_rows(r, m, a, b, rows):
+    """The operator whose table holds the (node, order, beta) rows; no rows
+    is the empty table."""
+    return BoundaryOperator(r, m, a, b, *zip(*rows))
+
+
 def _multipointify_loop(op, k):
-    return BoundaryOperator(op.r, op.m, op.a, op.b, _multipointify_terms(op, k))
+    return _from_rows(op.r, op.m, op.a, op.b, _multipointify_terms(op, k))
 
 
 def test_multipointify_groups_atoms_like_the_loop():
@@ -144,15 +145,16 @@ def test_multipointify_groups_atoms_like_the_loop():
         for k in ks:
             got, want = multipointify(op, k), _multipointify_loop(op, k)
             assert len(got.terms) == len(want.terms)
-            for x, y in zip(got.terms, want.terms):
-                assert (x.node, x.order) == (y.node, y.order)
-                np.testing.assert_array_equal(x.beta.view(np.uint64), y.beta.view(np.uint64))
-    nodes = [t.node for t in multipointify(chained, 1).terms]
+            for (x_node, x_order, x_beta), (y_node, y_order, y_beta) in zip(got.terms,
+                                                                            want.terms):
+                assert (x_node, x_order) == (y_node, y_order)
+                np.testing.assert_array_equal(x_beta.view(np.uint64), y_beta.view(np.uint64))
+    nodes = multipointify(chained, 1).nodes.tolist()
     assert nodes == [0.5, 0.5 + 1.2 * tol]
     # The clustering rule of a multipoint operator built one term per atom.
-    one_per_atom = [BoundaryTerm(t, 0, np.ones((2, 2))) for t in (0.5, 0.5 + 0.6 * tol,
-                                                                 0.5 + 1.2 * tol)]
-    assert [t.node for t in BoundaryOperator(1, 2, 0.0, 1.0, one_per_atom).terms] == nodes
+    one_per_atom = BoundaryOperator(1, 2, 0.0, 1.0, nodes=[0.5, 0.5 + 0.6 * tol, 0.5 + 1.2 * tol],
+                                    orders=[0, 0, 0], betas=np.ones((3, 2, 2)))
+    assert one_per_atom.nodes.tolist() == nodes
 
 
 def test_lift_matches_jet_application():
@@ -171,10 +173,8 @@ def test_lift_matches_jet_application():
 
 
 def test_lift_multipoint():
-    op = BoundaryOperator(2, 1, 0.0, 1.0, [
-        BoundaryTerm(node=0.5, order=1, beta=np.array([[1.0], [0.0]])),
-        BoundaryTerm(node=1.0, order=0, beta=np.array([[0.0], [1.0]])),
-    ])
+    op = BoundaryOperator(2, 1, 0.0, 1.0, nodes=[0.5, 1.0], orders=[1, 0],
+                          betas=[[[1.0], [0.0]], [[0.0], [1.0]]])
     grid = Grid(0.0, 1.0, 128)
     lifted = lift(op, grid)
     v = np.stack([grid.nodes ** 2, 2.0 * grid.nodes], axis=1)
@@ -187,7 +187,7 @@ def _atomic_forms(op):
     the nodes of n = 2048 and 16384."""
     dropped = MatrixMeasure([[ScalarMeasure(mu.a, mu.b, atoms=np.stack([mu.nodes, mu.masses], 1))
                               for mu in row] for row in op.phi.entries])
-    return [BoundaryOperator(op.r, op.m, op.a, op.b, op.terms, phi)
+    return [BoundaryOperator(op.r, op.m, op.a, op.b, op.nodes, op.orders, op.betas, phi=phi)
             for phi in (dropped, op.phi.discretize(7))]
 
 
@@ -207,8 +207,7 @@ def test_atom_and_point_term_read_a_point_alike(n):
     q = np.array([np.exp(-1.0 / 3.0) + 1.0 / 3.0])
     atom = GeneralBoundaryOperator(1, 1, [], MatrixMeasure([[
         ScalarMeasure(0.0, 1.0, atoms=[(1.0 / 3.0, 1.0)])]]))
-    term = BoundaryOperator(1, 1, 0.0, 1.0, [
-        BoundaryTerm(node=1.0 / 3.0, order=0, beta=np.array([[1.0]]))])
+    term = BoundaryOperator(1, 1, 0.0, 1.0, nodes=[1.0 / 3.0], orders=[0], betas=[[[1.0]]])
     cases = [(dataclasses.replace(p1, operator=atom, q=q), term)]
     # Every atomic form of p1-p3, and at n = 2048 of seeded random general
     # problems, against its multipointify: one compiled functional, and the
@@ -397,24 +396,22 @@ def test_general_operator_validation():
 
 
 def test_multipoint_merges_duplicate_terms():
-    op = BoundaryOperator(1, 1, 0.0, 1.0, [
-        BoundaryTerm(node=0.5, order=0, beta=np.array([[1.0]])),
-        BoundaryTerm(node=0.5, order=0, beta=np.array([[2.0]])),
-    ])
+    op = BoundaryOperator(1, 1, 0.0, 1.0, nodes=[0.5, 0.5], orders=[0, 0],
+                          betas=[[[1.0]], [[2.0]]])
     assert len(op.terms) == 1
-    np.testing.assert_array_equal(op.terms[0].beta, [[3.0]])
+    np.testing.assert_array_equal(op.terms[0][2], [[3.0]])
 
 
 # -- the term table against the per-term loops it replaced ------------------
 
 
 def _operator_loop(a, b, terms):
-    """Reference constructor: clamp, sort by (node, order) and merge a term
-    into the previous one when the order matches and the node lies within
-    tol of the merged term's node."""
+    """Reference constructor over (node, order, beta) rows: clamp, sort by
+    (node, order) and merge a term into the previous one when the order
+    matches and the node lies within tol of the merged term's node."""
     tol = (b - a) * 1e-12
-    cleaned = sorted(((min(max(t.node, a), b), t.order, np.asarray(t.beta, dtype=complex))
-                      for t in terms), key=lambda t: (t[0], t[1]))
+    cleaned = sorted(((min(max(node, a), b), order, np.asarray(beta, dtype=complex))
+                      for node, order, beta in terms), key=lambda t: (t[0], t[1]))
     merged = []
     for node, order, beta in cleaned:
         if merged and order == merged[-1][1] and node - merged[-1][0] <= tol:
@@ -431,9 +428,9 @@ def _assert_table_is(op, merged):
     assert op.orders.tolist() == [t[1] for t in merged]
     betas = np.array([t[2] for t in merged], dtype=complex).reshape(op.betas.shape)
     np.testing.assert_array_equal(op.betas.view(np.uint64), betas.view(np.uint64))
-    for term, (node, order, beta) in zip(op.terms, merged):
-        assert (term.node, term.order) == (node, order)
-        np.testing.assert_array_equal(term.beta.view(np.uint64), beta.view(np.uint64))
+    for (got_node, got_order, got_beta), (node, order, beta) in zip(op.terms, merged):
+        assert (got_node, got_order) == (node, order)
+        np.testing.assert_array_equal(got_beta.view(np.uint64), beta.view(np.uint64))
 
 
 def _stencil_loop(grid, t, points):
@@ -465,10 +462,10 @@ def _lift_loop(op, grid):
     entry's measure atoms as order-(r-1) terms, then one per density."""
     m, d = op.m, op.rows
     weights = np.zeros((d, grid.n + 1, d), dtype=complex)
-    for t in op.terms:
-        base, w = _stencil_loop(grid, t.node, 4)
-        weights[:, base:base + w.size, t.order * m:(t.order + 1) * m] += (
-            w[None, :, None] * t.beta[:, None, :])
+    for node, order, beta in op.terms:
+        base, w = _stencil_loop(grid, node, 4)
+        weights[:, base:base + w.size, order * m:(order + 1) * m] += (
+            w[None, :, None] * beta[:, None, :])
     if op.phi is not None:
         top = (op.r - 1) * m
         for i, row in enumerate(op.phi.entries):
@@ -523,21 +520,21 @@ def _hand_built_operators():
     beta3 = np.arange(3.0).reshape(3, 1) + 0.5j
     return [
         # a 0.6 tol chain: the third node is 1.2 tol from the cluster's first
-        (1, 1, 0.0, 1.0, [BoundaryTerm(0.5 + 1.2 * tol, 0, 3.0 * one),
-                          BoundaryTerm(0.5, 0, one),
-                          BoundaryTerm(0.5 + 0.6 * tol, 0, -2.0j * one)]),
+        (1, 1, 0.0, 1.0, [(0.5 + 1.2 * tol, 0, 3.0 * one),
+                          (0.5, 0, one),
+                          (0.5 + 0.6 * tol, 0, -2.0j * one)]),
         # interleaved orders at one node
-        (3, 1, 0.0, 1.0, [BoundaryTerm(0.5, 2, beta3), BoundaryTerm(0.5, 0, 2.0 * beta3),
-                          BoundaryTerm(0.5 + 0.6 * tol, 1, beta3),
-                          BoundaryTerm(0.5, 1, -beta3), BoundaryTerm(0.5, 0, 1j * beta3),
-                          BoundaryTerm(0.5 + 0.3 * tol, 2, beta3)]),
+        (3, 1, 0.0, 1.0, [(0.5, 2, beta3), (0.5, 0, 2.0 * beta3),
+                          (0.5 + 0.6 * tol, 1, beta3),
+                          (0.5, 1, -beta3), (0.5, 0, 1j * beta3),
+                          (0.5 + 0.3 * tol, 2, beta3)]),
         # nodes clamped from just outside [a, b], and -0.0 at a = 0.0
-        (1, 1, 0.0, 2.0, [BoundaryTerm(2.0 + tol, 0, one), BoundaryTerm(-0.0, 0, 4.0 * one),
-                          BoundaryTerm(-tol, 0, 2.0 * one), BoundaryTerm(2.0, 0, 0.5j * one)]),
+        (1, 1, 0.0, 2.0, [(2.0 + tol, 0, one), (-0.0, 0, 4.0 * one),
+                          (-tol, 0, 2.0 * one), (2.0, 0, 0.5j * one)]),
         # -0.0 weights survive, alone and as a cluster's first member
-        (1, 2, 0.0, 1.0, [BoundaryTerm(0.25, 0, np.array([[-0.0, 1.0], [complex(-0.0, -0.0), 0.0]])),
-                          BoundaryTerm(0.75, 0, np.array([[-0.0, -0.0], [-0.0, 2.0]])),
-                          BoundaryTerm(0.75, 0, np.array([[-0.0, 0.0], [1.0, -0.0]]))]),
+        (1, 2, 0.0, 1.0, [(0.25, 0, np.array([[-0.0, 1.0], [complex(-0.0, -0.0), 0.0]])),
+                          (0.75, 0, np.array([[-0.0, -0.0], [-0.0, 2.0]])),
+                          (0.75, 0, np.array([[-0.0, 0.0], [1.0, -0.0]]))]),
     ]
 
 
@@ -548,16 +545,16 @@ def test_term_table_is_bitwise_the_constructor_loop():
     nn = corpus.build_problem("nn", 64).operator
     cases += [(nn.r, nn.m, nn.a, nn.b, list(nn.terms))] + _hand_built_operators()
     for r, m, a, b, terms in cases:
-        op = BoundaryOperator(r, m, a, b, terms)
+        op = _from_rows(r, m, a, b, terms)
         _assert_table_is(op, _operator_loop(a, b, terms))
     # the chain splits after its second node; orders never merge
-    chain = BoundaryOperator(*_hand_built_operators()[0])
+    chain = _from_rows(*_hand_built_operators()[0])
     assert chain.nodes.tolist() == [0.5, 0.5 + 1.2e-12]
     assert chain.betas[:, 0, 0].tolist() == [1.0 - 2.0j, 3.0]
-    interleaved = BoundaryOperator(*_hand_built_operators()[1])
+    interleaved = _from_rows(*_hand_built_operators()[1])
     assert interleaved.orders.tolist() == [0, 1, 2, 1]
     assert interleaved.nodes.tolist() == [0.5, 0.5, 0.5, 0.5 + 0.6e-12]
-    # multipointify hands its arrays to the table without a term list
+    # multipointify hands its arrays to the constructor as one table
     for name in ("p1", "p2", "p3"):
         op = corpus.build_problem(name, 64).operator
         for k in (2, 4, 256, 1024):
@@ -570,14 +567,13 @@ def test_lift_weights_are_bitwise_the_per_term_loop():
     general += [*_off_node_general_operators(), _segment_edge_operator()]
     ops = general + [multipointify(op, k) for op in general for k in (2, 4, 256, 1024)]
     ops += [corpus.build_problem("nn", 64).operator]
-    ops += [BoundaryOperator(*case) for case in _hand_built_operators()]
+    ops += [_from_rows(*case) for case in _hand_built_operators()]
     # dense off-node terms with inexact weights, so that the sum order at a
     # node shows in its bits
     rng = np.random.default_rng(7)
-    ops.append(BoundaryOperator(2, 2, 0.0, 1.0, [
-        BoundaryTerm(float(t), int(o), beta) for t, o, beta in zip(
-            rng.uniform(0.0, 1.0, 400), rng.integers(0, 2, 400),
-            rng.standard_normal((400, 4, 2)) + 1j * rng.standard_normal((400, 4, 2)))]))
+    ops.append(BoundaryOperator(
+        2, 2, 0.0, 1.0, nodes=rng.uniform(0.0, 1.0, 400), orders=rng.integers(0, 2, 400),
+        betas=rng.standard_normal((400, 4, 2)) + 1j * rng.standard_normal((400, 4, 2))))
     for op in ops:
         # n = 1000 puts the midpoints of k >= 16 off the nodes; n = 3 takes
         # the linear fallback of the cubic stencil
@@ -656,39 +652,93 @@ def test_applying_samples_of_the_wrong_shape_names_both_shapes():
 
 
 @pytest.mark.parametrize("term, message", [
-    (BoundaryTerm(0.5, -1, np.ones((2, 1))), r"derivative order -1 outside 0\.\.1"),
-    (BoundaryTerm(0.5, 2, np.ones((2, 1))), r"derivative order 2 outside 0\.\.1"),
-    (BoundaryTerm(0.5, 0.5, np.ones((2, 1))), r"derivative order 0\.5 outside 0\.\.1"),
-    (BoundaryTerm(0.5, float("nan"), np.ones((2, 1))), r"derivative order nan outside"),
-    (BoundaryTerm(1.5, 0, np.ones((2, 1))), r"node 1\.5 outside \[0\.0, 1\.0\]"),
-    (BoundaryTerm(-1e-9, 0, np.ones((2, 1))), r"node -1e-09 outside"),
-    (BoundaryTerm(float("nan"), 0, np.ones((2, 1))), r"node nan outside"),
-    (BoundaryTerm(float("inf"), 0, np.ones((2, 1))), r"node inf outside"),
-    (BoundaryTerm(0.5, 0, np.ones((1, 2))), r"weight must be shaped \(2, 1\), got \(1, 2\)"),
-    (BoundaryTerm(0.5, 0, np.array([[1.0], [np.inf]])), "weight contains non-finite entries"),
-    (BoundaryTerm(0.5, 0, np.array([[1.0], [complex(0.0, np.nan)]])),
+    ((0.5, -1, np.ones((2, 1))), r"derivative order -1 outside 0\.\.1"),
+    ((0.5, 2, np.ones((2, 1))), r"derivative order 2 outside 0\.\.1"),
+    ((0.5, 0.5, np.ones((2, 1))), r"derivative order 0\.5 outside 0\.\.1"),
+    ((0.5, float("nan"), np.ones((2, 1))), r"derivative order nan outside"),
+    ((1.5, 0, np.ones((2, 1))), r"node 1\.5 outside \[0\.0, 1\.0\]"),
+    ((-1e-9, 0, np.ones((2, 1))), r"node -1e-09 outside"),
+    ((float("nan"), 0, np.ones((2, 1))), r"node nan outside"),
+    ((float("inf"), 0, np.ones((2, 1))), r"node inf outside"),
+    ((0.5, 0, np.ones((1, 2))), r"point terms need nodes \(K,\), orders \(K,\) and betas "
+                                r"\(K, 2, 1\) with one K, got \(2,\), \(2,\) and \(2, 1, 2\)"),
+    ((0.5, 0, np.array([[1.0], [np.inf]])), "weight contains non-finite entries"),
+    ((0.5, 0, np.array([[1.0], [complex(0.0, np.nan)]])),
      "weight contains non-finite entries"),
 ])
 def test_multipoint_operator_rejects_bad_terms(term, message):
-    good = BoundaryTerm(0.25, 1, np.ones((2, 1)))
+    # The good row's weight has the bad row's shape, so the two rows are one
+    # table: a (1, 2) weight makes betas shaped (2, 1, 2).
+    node, order, beta = term
     with pytest.raises(ValueError, match=message):
-        BoundaryOperator(2, 1, 0.0, 1.0, [good, term])
+        BoundaryOperator(2, 1, 0.0, 1.0, nodes=[0.25, node], orders=[1, order],
+                         betas=[np.ones(np.shape(beta)), beta])
 
 
 def test_multipoint_operator_rejects_bad_shape_and_interval():
     with pytest.raises(ValueError, match="need r >= 1 and m >= 1"):
-        BoundaryOperator(0, 1, 0.0, 1.0, [])
+        BoundaryOperator(0, 1, 0.0, 1.0)
     with pytest.raises(ValueError, match="operator needs a < b"):
-        BoundaryOperator(1, 1, 1.0, 1.0, [])
-    empty = BoundaryOperator(1, 2, 0.0, 1.0, [])
+        BoundaryOperator(1, 1, 1.0, 1.0)
+    empty = BoundaryOperator(1, 2, 0.0, 1.0)
     assert empty.terms == () and empty.betas.shape == (0, 2, 2)
     assert norm_upper_bound(empty) == 0.0
     assert not dense_weights(lift(empty, Grid(0.0, 1.0, 8))).any()
 
 
+@pytest.mark.parametrize("nodes, orders, betas, got", [
+    ([[0.25, 0.5]], [0, 1], np.ones((2, 2, 1)), r"\(1, 2\), \(2,\) and \(2, 2, 1\)"),
+    ([0.25, 0.5], [0, 1, 1], np.ones((2, 2, 1)), r"\(2,\), \(3,\) and \(2, 2, 1\)"),
+    ([0.25, 0.5], [0, 1], np.ones((2, 1, 2)), r"\(2,\), \(2,\) and \(2, 1, 2\)"),
+    ([0.25, 0.5], [0, 1], np.ones((3, 2, 1)), r"\(2,\), \(2,\) and \(3, 2, 1\)"),
+], ids=["2-d-nodes", "orders-of-another-length", "betas-k-m-rm", "betas-k-plus-1-rows"])
+def test_constructor_refuses_a_table_without_one_k(nodes, orders, betas, got):
+    want = r"point terms need nodes \(K,\), orders \(K,\) and betas \(K, 2, 1\) with one K, got "
+    with pytest.raises(ValueError, match=want + got + "$"):
+        BoundaryOperator(2, 1, 0.0, 1.0, nodes, orders, betas)
+
+
+def test_empty_table_with_phi_is_the_general_operator_without_alphas():
+    phi = _two_by_two_measure()
+    op = BoundaryOperator(1, 2, 0.0, 1.0, phi=phi)
+    general = GeneralBoundaryOperator(1, 2, [], phi)
+    assert op.phi is general.phi is phi
+    assert (op.r, op.m, op.a, op.b) == (general.r, general.m, general.a, general.b)
+    for name in ("nodes", "orders", "betas"):
+        x, y = getattr(op, name), getattr(general, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.size == 0
+    assert op.betas.shape == (0, 2, 2)
+    grid = Grid(0.0, 1.0, 64)
+    np.testing.assert_array_equal(dense_weights(lift(op, grid)).view(np.uint64),
+                                  dense_weights(lift(general, grid)).view(np.uint64))
+
+
+def test_terms_are_the_table_rows_formed_on_every_read():
+    op = multipointify(_p3_operator(), 4)
+    terms = op.terms
+    assert type(terms) is tuple and terms is not op.terms
+    assert len(terms) == op.nodes.size
+    for (node, order, beta), t, l, b in zip(terms, op.nodes, op.orders, op.betas):
+        assert type(node) is float and type(order) is int
+        assert np.float64(node).tobytes() == t.tobytes() and order == l
+        np.testing.assert_array_equal(beta.view(np.uint64), b.view(np.uint64))
+        assert np.shares_memory(beta, op.betas)
+
+
+def test_nn_table_coalesces_and_sorts_as_its_rows_do():
+    # nn's two conditions, as rows in their written order, and the table
+    # the corpus builds from them: clamped, sorted and coalesced alike.
+    rows = [(0.0, 1, np.array([[1.0], [0.0]], dtype=complex)),
+            (1.0, 1, np.array([[0.0], [1.0]], dtype=complex))]
+    nn = corpus.build_problem("nn", 64).operator
+    assert nn.phi is None and (nn.r, nn.m, nn.a, nn.b) == (2, 1, 0.0, 1.0)
+    _assert_table_is(nn, _operator_loop(0.0, 1.0, rows))
+    _assert_table_is(_from_rows(2, 1, 0.0, 1.0, rows[::-1]), _operator_loop(0.0, 1.0, rows))
+
+
 def test_term_table_is_read_only():
     op = multipointify(_p2_operator(), 4)
-    for array in (op.nodes, op.orders, op.betas, op.terms[0].beta):
+    for array in (op.nodes, op.orders, op.betas, op.terms[0][2]):
         with pytest.raises(ValueError):
             array[0] = 0
 
@@ -715,10 +765,12 @@ def _entry_tables(op, extra):
 
 def _with_atoms(op, tables):
     """op with each entry's atoms replaced by its table in ``tables``."""
-    return BoundaryOperator(op.r, op.m, op.a, op.b, op.terms, MatrixMeasure(
-        [[ScalarMeasure(mu.a, mu.b, atoms=table, density=mu.density)
-          for mu, table in zip(row, table_row)]
-         for row, table_row in zip(op.phi.entries, tables)]))
+    return BoundaryOperator(op.r, op.m, op.a, op.b, op.nodes, op.orders, op.betas,
+                            phi=MatrixMeasure([[ScalarMeasure(mu.a, mu.b, atoms=table,
+                                                              density=mu.density)
+                                                for mu, table in zip(row, table_row)]
+                                               for row, table_row in zip(op.phi.entries,
+                                                                         tables)]))
 
 
 def _assert_same_tables(op, other):

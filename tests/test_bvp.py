@@ -10,7 +10,6 @@ import pytest
 
 from mpbvp import (
     BoundaryOperator,
-    BoundaryTerm,
     BvpProblem,
     GeneralBoundaryOperator,
     Grid,
@@ -46,13 +45,10 @@ from oracles import (
 
 
 def _dirichlet(r, m, a, b, *nodes_orders):
-    terms = []
-    d = r * m
-    for row, (node, order) in enumerate(nodes_orders):
-        beta = np.zeros((d, m), dtype=complex)
-        beta[row, 0] = 1.0
-        terms.append(BoundaryTerm(node=node, order=order, beta=beta))
-    return BoundaryOperator(r, m, a, b, terms)
+    betas = np.zeros((len(nodes_orders), r * m, m), dtype=complex)
+    betas[np.arange(len(nodes_orders)), np.arange(len(nodes_orders)), 0] = 1.0
+    return BoundaryOperator(r, m, a, b, [node for node, _ in nodes_orders],
+                            [order for _, order in nodes_orders], betas)
 
 
 def test_companion_matrix_structure():
@@ -263,7 +259,7 @@ def test_small_determinant_with_moderate_condition_solves():
         coeffs=[PolyMatrix.zero(3, 3, a, b)],
         f=PolyVector.zero(3, a, b),
         q=scales,
-        operator=BoundaryOperator(1, 3, a, b, [BoundaryTerm(a, 0, np.diag(scales))]),
+        operator=BoundaryOperator(1, 3, a, b, nodes=[a], orders=[0], betas=[np.diag(scales)]),
         grid=Grid(a, b, 64),
     )
     solution = solve(problem)
@@ -355,9 +351,9 @@ def _point_and_density_problem(n):
     a, b = 0.0, 1.0
     c0, c1 = 0.3, -0.7
     rho = PiecewisePoly([a, 0.5, b], [[1.0], [2.0]])
-    op = BoundaryOperator(2, 1, a, b, [BoundaryTerm(0.4, 0, np.array([[1.0], [0.0]]))],
-                          MatrixMeasure([[ScalarMeasure.zero(a, b)],
-                                         [ScalarMeasure.from_density(rho)]]))
+    op = BoundaryOperator(2, 1, a, b, nodes=[0.4], orders=[0], betas=[[[1.0], [0.0]]],
+                          phi=MatrixMeasure([[ScalarMeasure.zero(a, b)],
+                                             [ScalarMeasure.from_density(rho)]]))
     problem = BvpProblem(r=2, m=1, coeffs=[PolyMatrix.zero(1, 1, a, b)] * 2,
                          f=PolyVector([PiecewisePoly.constant(1.0, a, b)]),
                          q=[0.08 + 0.4 * c1 + c0, 0.875 + 1.5 * c1], operator=op,
@@ -470,9 +466,8 @@ def test_two_point_system_of_eight_holds_its_work_array_and_little_else():
     # solve peaked at 20.2 MiB here.
     d, n = 8, 8192
     rng = np.random.default_rng(8)
-    op = BoundaryOperator(1, d, 0.0, 1.0, [
-        BoundaryTerm(0.0, 0, rng.standard_normal((d, d))),
-        BoundaryTerm(1.0, 0, rng.standard_normal((d, d)))])
+    op = BoundaryOperator(1, d, 0.0, 1.0, nodes=[0.0, 1.0], orders=[0, 0],
+                          betas=[rng.standard_normal((d, d)), rng.standard_normal((d, d))])
     problem = BvpProblem(1, d, [PolyMatrix.constant(rng.standard_normal((d, d)) / d, 0.0, 1.0)],
                          PolyVector([PiecewisePoly.constant(1.0, 0.0, 1.0)] * d), np.ones(d), op,
                          Grid(0.0, 1.0, n))
@@ -631,18 +626,21 @@ def _multipoint_random_problems(seed, count=12, n=256):
 
 
 def _with_terms(problem, terms):
+    """``problem`` with the operator whose table holds the (node, order,
+    beta) rows ``terms``, in their order."""
     op = problem.operator
+    nodes, orders, betas = zip(*terms)
     return dataclasses.replace(
-        problem, operator=BoundaryOperator(op.r, op.m, op.a, op.b, terms))
+        problem, operator=BoundaryOperator(op.r, op.m, op.a, op.b, nodes, orders, betas))
 
 
 def _random_terms(rng, problem, nodes, beta=None):
-    """One term at each of ``nodes``, of random order, with weight ``beta``
-    or a random one."""
+    """One (node, order, beta) row at each of ``nodes``, of random order,
+    with weight ``beta`` or a random one."""
     shape = (problem.r * problem.m, problem.m)
-    return [BoundaryTerm(node=float(t), order=int(rng.integers(0, problem.r)),
-                         beta=(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                               if beta is None else beta))
+    return [(float(t), int(rng.integers(0, problem.r)),
+             (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+              if beta is None else beta))
             for t in nodes]
 
 
@@ -665,7 +663,7 @@ def test_permuting_multipoint_terms_leaves_weights_and_jet_unchanged():
         op = problem.operator
         nodes = np.concatenate([np.repeat(rng.uniform(op.a, op.b, 3), 2), op.nodes])
         terms = [*op.terms, *_random_terms(rng, problem, nodes)]
-        perm = tie_keeping_permutation(rng, np.array([term.node for term in terms]))
+        perm = tie_keeping_permutation(rng, np.array([node for node, _, _ in terms]))
         assert not np.array_equal(perm, np.arange(len(terms)))
         _assert_same_weights_and_jet(_with_terms(problem, terms),
                                      _with_terms(problem, [terms[i] for i in perm]))

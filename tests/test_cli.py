@@ -22,7 +22,7 @@ from mpbvp import (
     problem_from_dict,
     solve,
 )
-from mpbvp.boundary import BoundaryOperator, BoundaryTerm, GeneralBoundaryOperator
+from mpbvp.boundary import BoundaryOperator, GeneralBoundaryOperator
 from mpbvp.bvp import BvpProblem
 from mpbvp.funcspace import MAX_GRID_N, Grid, PiecewisePoly, PolyMatrix, PolyVector
 from mpbvp.stieltjes import MatrixMeasure, ScalarMeasure
@@ -391,9 +391,7 @@ def test_multipoint_problem_from_file(capsys, tmp_path):
     grid = Grid(0.0, 1.0, 128)
     coeffs = [PolyMatrix.zero(1, 1, 0.0, 1.0)]
     f = PolyVector([PiecewisePoly.constant(1.0, 0.0, 1.0)])
-    op = BoundaryOperator(
-        1, 1, 0.0, 1.0, [BoundaryTerm(0.0, 0, np.array([[1.0 + 0.0j]]))]
-    )
+    op = BoundaryOperator(1, 1, 0.0, 1.0, nodes=[0.0], orders=[0], betas=[[[1.0 + 0.0j]]])
     problem = BvpProblem(1, 1, coeffs, f, np.array([2.0 + 0.0j]), op, grid)
     path = tmp_path / "mp.json"
     emit_problem(problem, str(path))

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from mpbvp import (
     BoundaryOperator,
-    BoundaryTerm,
     Grid,
     MatrixMeasure,
     PiecewisePoly,
@@ -506,7 +505,7 @@ def test_cubic_interpolation_reproduces_cubics():
     grid = Grid(0.0, 1.0, 16)
     values = (grid.nodes ** 3 - 2.0 * grid.nodes)[:, None]
     for t in (0.03, 0.37, 0.5, 0.91, 1.0):
-        op = BoundaryOperator(1, 1, 0.0, 1.0, [BoundaryTerm(t, 0, np.ones((1, 1)))])
+        op = BoundaryOperator(1, 1, 0.0, 1.0, nodes=[t], orders=[0], betas=np.ones((1, 1, 1)))
         assert abs(lift(op, grid).apply_values(values)[0] - (t ** 3 - 2.0 * t)) <= 1e-13
 
 

@@ -19,7 +19,7 @@ from mpbvp import (
     problem_to_dict,
     solve,
 )
-from mpbvp.boundary import (BoundaryOperator, BoundaryTerm, GeneralBoundaryOperator)
+from mpbvp.boundary import BoundaryOperator, GeneralBoundaryOperator
 from mpbvp.bvp import BvpProblem
 from mpbvp.funcspace import MAX_GRID_N, Grid, PiecewisePoly, PolyMatrix, PolyVector
 from mpbvp import problemfile
@@ -121,8 +121,8 @@ def test_writer_refuses_a_measure_with_other_point_terms(table):
     # The general form holds a measure and the r - 1 alphas at a, nothing
     # else, so any other table is refused, not written as if it were alphas.
     p2 = corpus.build_problem("p2", 64)
-    op = BoundaryOperator(2, 1, 0.0, 1.0, [BoundaryTerm(t, l, np.ones((2, 1))) for t, l in table],
-                          p2.operator.phi)
+    op = BoundaryOperator(2, 1, 0.0, 1.0, nodes=[t for t, _ in table], orders=[l for _, l in table],
+                          betas=np.ones((len(table), 2, 1)), phi=p2.operator.phi)
     with pytest.raises(ProblemFormatError, match="^boundary: "):
         problem_text(dataclasses.replace(p2, operator=op))
 
@@ -304,11 +304,9 @@ def _special_values_problems():
     alphas = [np.array([[complex(-0.0, 1.0)], [complex(2.0, -0.0)]])]
     general = BvpProblem(2, 1, coeffs, f, q, GeneralBoundaryOperator(2, 1, alphas, phi),
                          Grid(a, b, 64))
-    terms = [BoundaryTerm(0.0, 0, np.array([[neg], [5e-324]])),
-             BoundaryTerm(0.25, 1, np.array([[complex(1e308, -0.0)], [-1e308]])),
-             BoundaryTerm(1.0, 0, np.array([[1.0], [complex(-0.0, 2.0)]]))]
-    multipoint = BvpProblem(2, 1, coeffs, f, q, BoundaryOperator(2, 1, a, b, terms),
-                            Grid(a, b, 64))
+    betas = [[[neg], [5e-324]], [[complex(1e308, -0.0)], [-1e308]], [[1.0], [complex(-0.0, 2.0)]]]
+    operator = BoundaryOperator(2, 1, a, b, nodes=[0.0, 0.25, 1.0], orders=[0, 1, 0], betas=betas)
+    multipoint = BvpProblem(2, 1, coeffs, f, q, operator, Grid(a, b, 64))
     return general, multipoint
 
 
